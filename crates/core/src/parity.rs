@@ -24,6 +24,23 @@ use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
 use pgl_pmemobj::{Layout, PoolIo};
 
 use crate::error::{PglError, Result};
+use crate::scratch;
+
+/// XORs `src` into `acc` (equal lengths) in `u64` lanes — the one fold
+/// kernel behind reconstruction, recomputation and verification.
+fn xor_into(acc: &mut [u8], src: &[u8]) {
+    debug_assert_eq!(acc.len(), src.len());
+    let mut a = acc.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    for (a, s) in (&mut a).zip(&mut s) {
+        let lane = u64::from_ne_bytes((&*a).try_into().expect("exact 8-byte chunk"))
+            ^ u64::from_ne_bytes(s.try_into().expect("exact 8-byte chunk"));
+        a.copy_from_slice(&lane.to_ne_bytes());
+    }
+    for (a, s) in a.into_remainder().iter_mut().zip(s.remainder()) {
+        *a ^= s;
+    }
+}
 
 /// A data-row segment mapped to its zone/column coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -475,125 +492,97 @@ impl ParityEngine {
     /// patches may have been torn (paper §3.6).
     pub fn recompute_columns(&self, io: &PoolIo, zone: u64, col: u64, len: u64) -> Result<()> {
         debug_assert!(col + len <= self.layout.zone.row_size);
-        let mut acc = vec![0u8; len as usize];
-        let mut row_buf = vec![0u8; len as usize];
-        for row in 0..self.layout.zone.data_rows {
-            self.read_row_range(io, zone, row, col, &mut row_buf)?;
-            for (a, b) in acc.iter_mut().zip(&row_buf) {
-                *a ^= b;
-            }
-        }
-        let parity_off = self.layout.parity_off(zone, col);
-        let _guard = self.lock_columns(zone, col, len, true);
-        io.write(parity_off, &acc)?;
-        io.persist(parity_off, acc.len())?;
-        Ok(())
-    }
-
-    /// Reconstructs the content of the (presumed lost) page starting at
-    /// pool offset `page_off` by XOR-ing the rest of its page column
-    /// (paper §3.6 "corruption recovery").
-    ///
-    /// Fails with [`PglError::Unrecoverable`] if a second page of the same
-    /// column is also unreadable.
-    pub fn reconstruct_page(&self, io: &PoolIo, page_off: u64) -> Result<Vec<u8>> {
-        let (zone, target_row, col) = self.locate(page_off)?;
-        let mut acc = vec![0u8; PAGE_SIZE];
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for row in 0..self.layout.zone.data_rows {
-            if Some(row) == target_row {
-                continue;
-            }
-            self.read_row_range(io, zone, row, col, &mut buf).map_err(|e| {
-                PglError::unrecoverable_at(
-                    u64::MAX,
-                    zone,
-                    page_off,
-                    format!("double failure: row {row} of the same page column is also lost ({e})"),
-                )
-            })?;
-            for (a, b) in acc.iter_mut().zip(&buf) {
-                *a ^= b;
-            }
-        }
-        if target_row.is_some() {
-            // Reconstructing a data page: fold in the parity page.
+        scratch::with_fault_scratch(|s| {
+            let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
+            self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
             let parity_off = self.layout.parity_off(zone, col);
-            io.read(parity_off, &mut buf).map_err(|e| {
-                PglError::unrecoverable_at(
-                    u64::MAX,
-                    zone,
-                    page_off,
-                    format!("parity page of the column is also lost ({e})"),
-                )
-            })?;
-            for (a, b) in acc.iter_mut().zip(&buf) {
-                *a ^= b;
-            }
-        }
-        Ok(acc)
+            let _guard = self.lock_columns(zone, col, len, true);
+            io.write(parity_off, acc)?;
+            io.persist(parity_off, acc.len())?;
+            Ok(())
+        })
     }
 
-    /// Maps a page-aligned pool offset to `(zone, Some(row), col)` for data
-    /// pages or `(zone, None, col)` for parity pages.
-    fn locate(&self, page_off: u64) -> Result<(u64, Option<u64>, u64)> {
-        if page_off % PAGE_SIZE as u64 != 0 {
-            return Err(PglError::unrecoverable_at(
-                u64::MAX,
-                u64::MAX,
-                page_off,
-                "page offset not page-aligned",
-            ));
+    /// Reconstructs the (presumed lost or scribbled) bytes of the pool
+    /// range `[off, off + out.len())` into `out` by XOR-ing the rest of
+    /// its column range: every other data row plus the parity row (paper
+    /// §3.6 "corruption recovery"). This is the *range column* — an
+    /// object's slot costs `slot × rows` bytes of column traffic, not the
+    /// pages it touches. The range may straddle pages, chunks and (Large
+    /// objects) rows, or lie inside a parity row.
+    ///
+    /// Fails with [`PglError::Unrecoverable`] if another row of the same
+    /// column range is also unreadable, or the range leaves the
+    /// parity-protected area.
+    pub fn reconstruct_range(&self, io: &PoolIo, off: u64, out: &mut [u8]) -> Result<()> {
+        let lost = |zone: u64, e: PglError| {
+            let detail = format!("double failure: the same column range is lost elsewhere ({e})");
+            PglError::unrecoverable_at(u64::MAX, zone, off, detail)
+        };
+        out.fill(0);
+        if let Some((zone, col)) = self.parity_col_of(off, out.len() as u64) {
+            let parity_row = self.layout.zone.data_rows;
+            return self.fold_rows(io, zone, parity_row, col, out).map_err(|e| lost(zone, e));
         }
-        if let Ok((zone, row, col)) = self.layout.row_col_of(page_off) {
-            return Ok((zone, Some(row), col));
-        }
-        // Maybe it is in the parity row.
-        let (zone, zoff) = self.layout.zone_and_rel(page_off).map_err(PglError::from)?;
-        let pbase = self.layout.zone.parity_base.expect("engine requires parity");
-        if zoff >= pbase && zoff < pbase + self.layout.zone.row_size {
-            Ok((zone, None, zoff - pbase))
-        } else {
-            Err(PglError::unrecoverable_at(
-                u64::MAX,
-                zone,
-                page_off,
-                "page is outside the parity-protected area",
-            ))
-        }
-    }
-
-    /// Reads `[col, col+buf.len())` of data row `row`, substituting zeros
-    /// for Log chunks.
-    fn read_row_range(
-        &self,
-        io: &PoolIo,
-        zone: u64,
-        row: u64,
-        col: u64,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        let chunk_size = self.layout.cfg.chunk_size as u64;
-        let row_start = self.layout.zone_base(zone)
-            + self.layout.zone.rows_base
-            + row * self.layout.zone.row_size;
-        let mut done = 0u64;
-        let len = buf.len() as u64;
-        while done < len {
-            let cur_col = col + done;
-            let chunk_in_row = cur_col / chunk_size;
-            let chunk_idx = row * self.layout.zone.chunks_per_row + chunk_in_row;
-            let within = cur_col % chunk_size;
-            let seg = (chunk_size - within).min(len - done);
-            let dst = &mut buf[done as usize..(done + seg) as usize];
-            if self.chunk_is_log(io, zone, chunk_idx)? {
-                dst.fill(0);
-            } else {
-                io.read(row_start + cur_col, dst).map_err(PglError::from)?;
-            }
-            done += seg;
+        for seg in SegIter::new(&self.layout, off, out.len() as u64) {
+            let seg = seg.map_err(|e| lost(u64::MAX, e))?;
+            let part = &mut out[(seg.off - off) as usize..][..seg.len as usize];
+            self.fold_rows(io, seg.zone, seg.row, seg.col, part).map_err(|e| lost(seg.zone, e))?;
         }
         Ok(())
+    }
+
+    /// The *page column*: [`ParityEngine::reconstruct_range`] over the
+    /// page at `page_off` — the unit a media error costs.
+    pub fn reconstruct_page(&self, io: &PoolIo, page_off: u64, out: &mut [u8]) -> Result<()> {
+        if page_off % PAGE_SIZE as u64 != 0 || out.len() != PAGE_SIZE {
+            return Err(PglError::unrecoverable_at(u64::MAX, u64::MAX, page_off, "not a page"));
+        }
+        self.reconstruct_range(io, page_off, out)
+    }
+
+    /// `(zone, column)` when `[off, off+len)` lies inside a parity row.
+    fn parity_col_of(&self, off: u64, len: u64) -> Option<(u64, u64)> {
+        let (zone, zoff) = self.layout.zone_and_rel(off).ok()?;
+        let pbase = self.layout.zone.parity_base?;
+        (zoff >= pbase && zoff + len <= pbase + self.layout.zone.row_size)
+            .then(|| (zone, zoff - pbase))
+    }
+
+    /// XORs columns `[col, col + acc.len())` of every row of `zone` except
+    /// `skip` into `acc` — the one row fold behind reconstruction,
+    /// recomputation and verification. Rows `0..data_rows` are the data
+    /// rows (Log chunks counting as zeros), row `data_rows` is the parity
+    /// row: skipping a data row rebuilds it, skipping the parity row
+    /// yields what parity should hold. Per chunk column the range touches,
+    /// the data rows to leave out (`skip` and the `Log` chunks, one
+    /// chunk-metadata read per row) are resolved once, then every
+    /// remaining row is folded straight from the device.
+    fn fold_rows(&self, io: &PoolIo, zone: u64, skip: u64, col: u64, acc: &mut [u8]) -> Result<()> {
+        let geo = &self.layout.zone;
+        let chunk_size = self.layout.cfg.chunk_size as u64;
+        let rows_base = self.layout.zone_base(zone) + geo.rows_base;
+        scratch::with_row_flags(|left_out| {
+            let mut done = 0usize;
+            while done < acc.len() {
+                let cur = col + done as u64;
+                let n = ((chunk_size - cur % chunk_size) as usize).min(acc.len() - done);
+                left_out.clear();
+                for row in 0..geo.data_rows {
+                    let chunk = row * geo.chunks_per_row + cur / chunk_size;
+                    left_out.push(row == skip || self.chunk_is_log(io, zone, chunk)?);
+                }
+                let part = &mut acc[done..done + n];
+                for row in (0..geo.data_rows).filter(|&r| !left_out[r as usize]) {
+                    xor_into(part, io.dev().read_slice(rows_base + row * geo.row_size + cur, n)?);
+                }
+                if skip != geo.data_rows {
+                    xor_into(part, io.dev().read_slice(self.layout.parity_off(zone, cur), n)?);
+                }
+                done += n;
+            }
+            Ok(())
+        })
     }
 
     fn chunk_is_log(&self, io: &PoolIo, zone: u64, chunk_idx: u64) -> Result<bool> {
@@ -632,29 +621,22 @@ impl ParityEngine {
         mismatches: &mut Vec<(u64, u64)>,
     ) -> Result<()> {
         const STEP: u64 = ParityEngine::VERIFY_STEP;
-        let mut acc = vec![0u8; STEP as usize];
-        let mut buf = vec![0u8; STEP as usize];
-        let mut col = 0;
-        while col < self.layout.zone.row_size {
-            let len = STEP.min(self.layout.zone.row_size - col);
-            let acc = &mut acc[..len as usize];
-            let buf = &mut buf[..len as usize];
-            acc.fill(0);
-            let guard = self.lock_columns(zone, col, len, true);
-            for row in 0..self.layout.zone.data_rows {
-                self.read_row_range(io, zone, row, col, buf)?;
-                for (a, b) in acc.iter_mut().zip(buf.iter()) {
-                    *a ^= b;
+        scratch::with_fault_scratch(|s| {
+            let mut col = 0;
+            while col < self.layout.zone.row_size {
+                let len = STEP.min(self.layout.zone.row_size - col);
+                let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
+                let guard = self.lock_columns(zone, col, len, true);
+                self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
+                let parity = io.dev().read_slice(self.layout.parity_off(zone, col), acc.len())?;
+                if acc != parity {
+                    mismatches.push((zone, col));
                 }
+                drop(guard);
+                col += len;
             }
-            io.read(self.layout.parity_off(zone, col), buf).map_err(PglError::from)?;
-            drop(guard);
-            if acc != buf {
-                mismatches.push((zone, col));
-            }
-            col += len;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Column window size used by [`ParityEngine::verify_all`].
@@ -881,8 +863,8 @@ impl ParityDomains {
     }
 
     /// Routes [`ParityEngine::reconstruct_page`] to the owning shard.
-    pub fn reconstruct_page(&self, io: &PoolIo, page_off: u64) -> Result<Vec<u8>> {
-        self.engine_for(page_off).reconstruct_page(io, page_off)
+    pub fn reconstruct_page(&self, io: &PoolIo, page_off: u64, out: &mut [u8]) -> Result<()> {
+        self.engine_for(page_off).reconstruct_page(io, page_off, out)
     }
 
     /// Verifies the parity invariant pool-wide, reporting every
@@ -939,6 +921,11 @@ mod tests {
         io.write(off, new).unwrap();
         io.persist(off, new.len()).unwrap();
         eng.update(io, off, &old, new).unwrap();
+    }
+
+    fn rebuilt_page(io: &PoolIo, eng: &ParityEngine, page_off: u64) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; PAGE_SIZE];
+        eng.reconstruct_page(io, page_off, &mut out).map(|()| out)
     }
 
     #[test]
@@ -998,7 +985,7 @@ mod tests {
         let page = base / PAGE_SIZE as u64;
         let expected = io.dev().read_slice(base, PAGE_SIZE).unwrap().to_vec();
         io.dev().poison_page(page).unwrap();
-        let rebuilt = eng.reconstruct_page(&io, base).unwrap();
+        let rebuilt = rebuilt_page(&io, &eng, base).unwrap();
         assert_eq!(rebuilt, expected, "page column XOR restores the lost page");
     }
 
@@ -1011,7 +998,7 @@ mod tests {
         let parity_page = align_down(parity_off as usize, PAGE_SIZE) as u64;
         let expected = io.dev().read_slice(parity_page, PAGE_SIZE).unwrap().to_vec();
         io.dev().poison_page(parity_page / PAGE_SIZE as u64).unwrap();
-        let rebuilt = eng.reconstruct_page(&io, parity_page).unwrap();
+        let rebuilt = rebuilt_page(&io, &eng, parity_page).unwrap();
         assert_eq!(rebuilt, expected);
     }
 
@@ -1023,7 +1010,7 @@ mod tests {
         // Poison the target page AND the same column one row below.
         io.dev().poison_page(col_page).unwrap();
         io.dev().poison_page(col_page + layout.zone.row_size / PAGE_SIZE as u64).unwrap();
-        assert!(matches!(eng.reconstruct_page(&io, base), Err(PglError::Unrecoverable { .. })));
+        assert!(matches!(rebuilt_page(&io, &eng, base), Err(PglError::Unrecoverable { .. })));
     }
 
     #[test]
@@ -1057,8 +1044,105 @@ mod tests {
         protected_write(&io, &eng, base, &[0x5A; 4096]);
         let expected = io.dev().read_slice(base, PAGE_SIZE).unwrap().to_vec();
         io.dev().poison_page(base / PAGE_SIZE as u64).unwrap();
-        let rebuilt = eng.reconstruct_page(&io, base).unwrap();
+        let rebuilt = rebuilt_page(&io, &eng, base).unwrap();
         assert_eq!(rebuilt, expected);
+    }
+
+    #[test]
+    fn xor_kernel_matches_bytewise_at_every_tail_length() {
+        for len in 0..40usize {
+            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut acc: Vec<u8> = (0..len).map(|i| (i * 101 + 3) as u8).collect();
+            let want: Vec<u8> = acc.iter().zip(&src).map(|(a, b)| a ^ b).collect();
+            xor_into(&mut acc, &src);
+            assert_eq!(acc, want, "len {len}");
+        }
+    }
+
+    /// The page-granular reference the range primitive replaced: one page
+    /// rebuilt byte by byte from its page column (Log chunks as zeros).
+    fn reference_page(io: &PoolIo, layout: &Layout, page_off: u64) -> Vec<u8> {
+        let (zone, target, col) = layout.row_col_of(page_off).unwrap();
+        let mut acc = vec![0u8; PAGE_SIZE];
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut fold = |off: u64| {
+            io.read(off, &mut buf).unwrap();
+            acc.iter_mut().zip(&buf).for_each(|(a, b)| *a ^= b);
+        };
+        let rows = layout.zone_base(zone) + layout.zone.rows_base;
+        for row in (0..layout.zone.data_rows).filter(|&r| r != target) {
+            let chunk = row * layout.zone.chunks_per_row + col / layout.cfg.chunk_size as u64;
+            let mut cm = [0u8; 16];
+            io.read(layout.cm_entry_off(zone, chunk), &mut cm).unwrap();
+            if ChunkMeta::from_slice(&cm).chunk_type() != Some(ChunkType::Log) {
+                fold(rows + row * layout.zone.row_size + col);
+            }
+        }
+        fold(layout.parity_off(zone, col));
+        acc
+    }
+
+    /// Protected data straddling a chunk boundary in four rows and the
+    /// row-0/row-1 boundary, plus a garbage-filled Log chunk in row 2.
+    /// Returns the anchors the property test aims its ranges at.
+    fn range_fixture(io: &PoolIo, layout: &Layout, eng: &ParityEngine) -> [u64; 4] {
+        let chunk = layout.cfg.chunk_size as u64;
+        let rows = layout.zone_base(0) + layout.zone.rows_base;
+        let pattern = |seed: u64, len: usize| -> Vec<u8> {
+            (0..len as u64).map(|i| (i.wrapping_mul(seed) >> 3) as u8 ^ seed as u8).collect()
+        };
+        for row in 0..4u64 {
+            let off = rows + row * layout.zone.row_size + 3 * chunk - 3000;
+            protected_write(io, eng, off, &pattern(0x9E37 + row, 12_000));
+        }
+        protected_write(io, eng, rows + layout.zone.row_size - 2000, &pattern(0xABCD, 5000));
+        let log = 2 * layout.zone.chunks_per_row + 3; // row 2, chunk column 3
+        let cm = ChunkMeta::new(ChunkType::Log, 0, 1);
+        // Level the chunk's parity share to zero before excluding it, as
+        // the log-overflow claim does.
+        protected_write(io, eng, layout.chunk_base(0, log), &vec![0u8; chunk as usize]);
+        protected_write(io, eng, layout.cm_entry_off(0, log), &cm.to_bytes());
+        io.write(layout.chunk_base(0, log), &pattern(0x51, chunk as usize)).unwrap();
+        assert_eq!(eng.verify_all(io).unwrap(), vec![]);
+        [
+            rows + 3 * chunk - 6000,                           // chunk straddle, row 0
+            rows + layout.zone.row_size + 3 * chunk - 6000,    // same columns, row 1
+            rows + layout.zone.row_size - 6000,                // row 0 → row 1 straddle
+            rows + 2 * layout.zone.row_size + 3 * chunk - 100, // into the Log chunk itself
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn range_reconstruction_equals_sliced_page_reconstruction(
+            anchor in 0usize..4,
+            delta in 0u64..12_000,
+            len in 1usize..10_000,
+        ) {
+            let (io, layout, eng) = setup();
+            let off = range_fixture(&io, &layout, &eng)[anchor] + delta;
+            let mut got = vec![0xA5u8; len];
+            eng.reconstruct_range(&io, off, &mut got).unwrap();
+
+            let page = PAGE_SIZE as u64;
+            let first = off / page * page;
+            let want: Vec<u8> = (first..off + len as u64)
+                .step_by(PAGE_SIZE)
+                .flat_map(|p| reference_page(&io, &layout, p))
+                .skip((off - first) as usize)
+                .take(len)
+                .collect();
+            proptest::prop_assert_eq!(&got, &want);
+            // Nothing here is damaged, so the rebuild is also the media
+            // content — except inside the Log chunk, which parity treats
+            // as zeros.
+            let log = layout.chunk_base(0, 2 * layout.zone.chunks_per_row + 3);
+            if off + len as u64 <= log || off >= log + layout.cfg.chunk_size as u64 {
+                proptest::prop_assert_eq!(&got[..], io.dev().read_slice(off, len).unwrap());
+            }
+        }
     }
 
     #[test]

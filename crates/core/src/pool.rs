@@ -234,14 +234,22 @@ impl Inner {
         if verify {
             self.io.dev().note_csum_pass(hdr.size);
             if hdr.csum != adler32(b.user()) {
-                // Scribble detected: recover and reload. Recovery bumps
-                // the object's cache generation, so the stamp below is
-                // taken fresh.
+                // Scribble detected: recover and reload. Recovery verified
+                // the repaired object end to end and published it, so the
+                // reload is a cache hit — no second checksum pass — unless
+                // a commit raced in since; then it verifies afresh (with
+                // a fresh stamp: recovery bumped the cache generation).
                 self.recover_object(oid)?;
                 let hdr2 = self.obj_header_checked(oid)?;
+                let hit = self.vcache.probe(oid.off) == Some(hdr2.size);
                 let stamp2 = self.vcache.begin_verify(oid.off);
                 let mut b2 = UBuf::for_load(oid, hdr2, b.into_parts());
                 self.read_with_recovery(oid.off, b2.user_mut())?;
+                if hit {
+                    self.vuln.note_verified_cached(hdr2.size);
+                    self.io.dev().note_vcache_hit(hdr2.size);
+                    return Ok(b2);
+                }
                 self.io.dev().note_csum_pass(hdr2.size);
                 if hdr2.csum != adler32(b2.user()) {
                     return Err(PglError::ChecksumMismatch { off: oid.off });

@@ -8,11 +8,13 @@
 //! (rather than patching) makes recovery idempotent.
 //!
 //! **Online corruption recovery** freezes the pool (no commit may be
-//! mid-parity-update), reconstructs lost pages from their page column, and
-//! repairs the device page. A persistent repair record makes a crash during
-//! repair re-execute it at the next open.
+//! mid-parity-update) and rebuilds at the granularity of the damage: a
+//! media error's lost page from its *page column*, under a persistent
+//! repair record that re-executes an interrupted repair at the next open;
+//! a checksum failure's object (header + slot) from its *range column*,
+//! rewriting only the cache lines that differ.
 
-use pgl_nvm::{NvmDevice, PAGE_SIZE};
+use pgl_nvm::{NvmDevice, CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
 use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::layout::RUN_HEADER_SIZE;
@@ -24,6 +26,7 @@ use crate::error::{PglError, Result};
 use crate::parity::{segments, ParityDomains, ParityEngine, ShardMap};
 use crate::pool::Inner;
 use crate::quarantine::QuarantineSet;
+use crate::scratch;
 
 /// Offset (within the pool-header page) of the persistent repair record.
 const REPAIR_RECORD_OFF: u64 = 1024;
@@ -313,26 +316,68 @@ fn meta_target(op: &MetaOp) -> (u64, u64) {
     }
 }
 
-/// Reconstructs the page containing `off` from parity and rewrites it if
-/// the current content differs. Returns `true` if a repair was applied.
+/// Reconstructs `[off, off+len)` from parity and rewrites (and persists)
+/// exactly the cache lines whose current content differs. Returns `true`
+/// if a repair was applied.
 ///
 /// Because every legitimate data write also patches parity, a divergence
-/// between a page and its column reconstruction is exactly the signature
+/// between a range and its column reconstruction is exactly the signature
 /// of a scribble (which bypassed the library). The reconstruction *is* the
 /// parity-consistent content, so the repair writes directly, without a
-/// parity update.
-pub fn repair_page_by_compare(io: &PoolIo, engine: &ParityEngine, off: u64) -> Result<bool> {
-    let page_off = off & !(PAGE_SIZE as u64 - 1);
-    let rebuilt = engine.reconstruct_page(io, page_off)?;
-    let mut current = vec![0u8; PAGE_SIZE];
-    match io.read(page_off, &mut current) {
-        Ok(()) if current == rebuilt => Ok(false),
-        Ok(()) | Err(_) => {
-            io.write(page_off, &rebuilt).map_err(PglError::from)?;
-            io.persist(page_off, PAGE_SIZE).map_err(PglError::from)?;
-            Ok(true)
+/// parity update — and is therefore idempotent: after a crash mid-repair
+/// the remaining lines still diverge and the next detection repairs them.
+pub fn repair_range_by_compare(
+    io: &PoolIo,
+    engine: &ParityEngine,
+    off: u64,
+    len: u64,
+) -> Result<bool> {
+    // Long ranges (Large objects) go window by window: bounded scratch.
+    const WINDOW: u64 = 64 << 10;
+    scratch::with_fault_scratch(|s| {
+        let mut repaired = false;
+        let mut at = off;
+        while at < off + len {
+            let n = (off + len - at).min(WINDOW) as usize;
+            let rebuilt = scratch::zeroed(&mut s.rebuilt, n);
+            engine.reconstruct_range(io, at, rebuilt)?;
+            let current = scratch::zeroed(&mut s.current, n);
+            io.read(at, current).map_err(PglError::from)?;
+            // Device cache lines are absolute, so the first piece of an
+            // unaligned range is short.
+            let mut i = 0;
+            while i < n {
+                let end = n.min(i + CACHELINE - (at as usize + i) % CACHELINE);
+                if current[i..end] != rebuilt[i..end] {
+                    io.write(at + i as u64, &rebuilt[i..end]).map_err(PglError::from)?;
+                    io.flush(at + i as u64, end - i).map_err(PglError::from)?;
+                    repaired = true;
+                }
+                i = end;
+            }
+            at += n as u64;
         }
-    }
+        if repaired {
+            io.drain();
+        }
+        Ok(repaired)
+    })
+}
+
+/// [`repair_range_by_compare`] over the page containing `off` — the unit
+/// for metadata damage that no object checksum localises.
+pub fn repair_page_by_compare(io: &PoolIo, engine: &ParityEngine, off: u64) -> Result<bool> {
+    repair_range_by_compare(io, engine, off & !(PAGE_SIZE as u64 - 1), PAGE_SIZE as u64)
+}
+
+/// Reconstructs the lost page at `page_off` from its page column and
+/// repairs the device page with it.
+fn rebuild_page(io: &PoolIo, engine: &ParityDomains, page_off: u64) -> Result<()> {
+    scratch::with_fault_scratch(|s| {
+        let rebuilt = scratch::zeroed(&mut s.rebuilt, PAGE_SIZE);
+        engine.reconstruct_page(io, page_off, rebuilt)?;
+        io.dev().repair_page(page_off / PAGE_SIZE as u64, rebuilt).map_err(PglError::from)
+    })
 }
 
 fn write_repair_record(io: &PoolIo, layout: &Layout, page_off: u64) -> Result<()> {
@@ -381,11 +426,8 @@ pub fn finish_page_repair_if_pending(
             }
         }
         if let Some(engine) = parity {
-            match engine.reconstruct_page(io, page_off) {
-                Ok(rebuilt) => {
-                    let page = page_off / PAGE_SIZE as u64;
-                    io.dev().repair_page(page, &rebuilt).map_err(PglError::from)?;
-                }
+            match rebuild_page(io, engine, page_off) {
+                Ok(()) => {}
                 Err(e) if e.is_unrecoverable() => {
                     if let Some(z) = zone {
                         if quarantine.insert(z) {
@@ -435,12 +477,7 @@ impl Inner {
         if page_off < layout.lanes_off {
             let other =
                 if page_off == layout.hdr_off { layout.hdr_replica_off } else { layout.hdr_off };
-            let mut buf = vec![0u8; PAGE_SIZE];
-            self.io.read(other, &mut buf).map_err(|e| {
-                self.unrecoverable_here(page_off, format!("both pool header pages lost: {e}"))
-            })?;
-            self.io.dev().repair_page(page, &buf).map_err(PglError::from)?;
-            return Ok(());
+            return self.repair_page_from_copy(page, other, "both pool header pages lost");
         }
 
         // Lane-region pages repair from the mirrored lane region.
@@ -458,33 +495,39 @@ impl Inner {
         };
         // Pages in the inter-row gap (zone header reserve) hold no state.
         if layout.row_col_of(page_off).is_err() {
-            let (zone, zoff) = layout.zone_and_rel(page_off).map_err(PglError::from)?;
+            let (_, zoff) = layout.zone_and_rel(page_off).map_err(PglError::from)?;
             let pbase = layout.zone.parity_base.unwrap_or(u64::MAX);
             let in_parity = zoff >= pbase && zoff < pbase + layout.zone.row_size;
-            let _ = zone;
             if !in_parity {
-                self.io.dev().repair_page(page, &vec![0u8; PAGE_SIZE]).map_err(PglError::from)?;
+                self.io.dev().repair_page(page, &[0u8; PAGE_SIZE]).map_err(PglError::from)?;
                 return Ok(());
             }
         }
         write_repair_record(&self.io, layout, page_off)?;
-        let rebuilt = match engine.reconstruct_page(&self.io, page_off) {
-            Ok(b) => b,
+        match rebuild_page(&self.io, engine, page_off) {
+            Ok(()) => clear_repair_record(&self.io, layout),
             Err(e) if e.is_unrecoverable() => {
                 // Double fault: a second page of this column is also gone.
                 // Clear the repair record (a reopen must not retry a repair
                 // that cannot succeed), quarantine the zone, surface the
                 // located error — the rest of the pool keeps serving.
                 clear_repair_record(&self.io, layout)?;
-                return Err(self.quarantine_for(
+                Err(self.quarantine_for(
                     page_off,
                     format!("page {page} lost beyond the parity guarantee: {e}"),
-                ));
+                ))
             }
-            Err(e) => return Err(e),
-        };
-        self.io.dev().repair_page(page, &rebuilt).map_err(PglError::from)?;
-        clear_repair_record(&self.io, layout)
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Repairs `page` from its redundant copy at `copy_off` (the other
+    /// pool header, the mirrored lane region).
+    fn repair_page_from_copy(&self, page: u64, copy_off: u64, lost: &str) -> Result<()> {
+        let copy = self.io.dev().read_slice(copy_off, PAGE_SIZE).map_err(|e| {
+            self.unrecoverable_here(page * PAGE_SIZE as u64, format!("{lost}: {e}"))
+        })?;
+        self.io.dev().repair_page(page, copy).map_err(PglError::from)
     }
 
     fn recover_lane_page(&self, page_off: u64) -> Result<()> {
@@ -501,17 +544,12 @@ impl Inner {
         } else {
             page_off - lane_region
         };
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.io
-            .read(mirror_off, &mut buf)
-            .map_err(|e| self.unrecoverable_here(page_off, format!("both log copies lost: {e}")))?;
-        self.io.dev().repair_page(page_off / PAGE_SIZE as u64, &buf).map_err(PglError::from)?;
-        Ok(())
+        self.repair_page_from_copy(page_off / PAGE_SIZE as u64, mirror_off, "both log copies lost")
     }
 
     /// Online recovery of a corrupt (scribbled) object detected by a
-    /// checksum mismatch: freeze, then repair every page of the object's
-    /// storage whose content diverges from its parity reconstruction.
+    /// checksum mismatch: freeze, then repair the cache lines of the
+    /// object's storage that diverge from its parity reconstruction.
     pub(crate) fn recover_object(&self, oid: pgl_pmemobj::PMEMoid) -> Result<()> {
         self.freeze.freeze();
         let r = self.recover_object_frozen(oid);
@@ -543,34 +581,32 @@ impl Inner {
             return Err(PglError::ChecksumMismatch { off: oid.off });
         };
         self.check_quarantine(oid.off)?;
+        // Header + slot, from allocator metadata (a scribbled object header
+        // cannot change what gets rebuilt).
         let (start, len) = self.heap.storage_of(&self.io, oid.off).map_err(PglError::from)?;
-        let first = start / PAGE_SIZE as u64;
-        let last = (start + len - 1) / PAGE_SIZE as u64;
-        // The repair rewrites the object's pages: any verified-generation
+        // The repair rewrites the object's bytes: any verified-generation
         // entry describes pre-repair bytes, so it must not survive —
         // otherwise a cached read could serve the scribble the repair
         // just undid.
         self.vcache.bump(oid.off);
-        for page in first..=last {
-            let r = if self.io.dev().is_poisoned_page(page) {
-                self.recover_page_frozen(page).map(|_| false)
+        // A double fault mid-repair (another row of the range, or its
+        // parity, is also lost): contain it like any other terminal repair
+        // failure so the error carries the quarantined location.
+        let contain = |e: PglError| {
+            if e.is_unrecoverable() {
+                self.object_double_fault(oid, format!("repair double-faulted: {e}"))
             } else {
-                let page_off = page * PAGE_SIZE as u64;
-                repair_page_by_compare(&self.io, engine.engine_for(page_off), page_off)
-            };
-            match r {
-                Ok(_) => {}
-                // A double fault mid-repair (e.g. the column's parity page
-                // is also lost): contain it like any other terminal repair
-                // failure so the error carries the quarantined location.
-                Err(e) if e.is_unrecoverable() => {
-                    return Err(
-                        self.object_double_fault(oid, format!("repair double-faulted: {e}"))
-                    );
-                }
-                Err(e) => return Err(e),
+                e
+            }
+        };
+        // Media errors cost whole pages (the page column); everything else
+        // is localised to the object's own bytes (the range column).
+        for page in start / PAGE_SIZE as u64..=(start + len - 1) / PAGE_SIZE as u64 {
+            if self.io.dev().is_poisoned_page(page) {
+                self.recover_page_frozen(page).map_err(contain)?;
             }
         }
+        repair_range_by_compare(&self.io, engine.engine_for(start), start, len).map_err(contain)?;
         // Re-verify the object end to end.
         let mut hdr_buf = [0u8; 16];
         self.io.read(oid.header_off(), &mut hdr_buf).map_err(|e| {
@@ -584,10 +620,10 @@ impl Inner {
         }
         if self.mode.has_checksums() {
             let stamp = self.vcache.begin_verify(oid.off);
-            let mut data = vec![0u8; hdr.size as usize];
-            self.io.read(oid.off, &mut data).map_err(PglError::from)?;
+            // The pool is frozen: nothing writes under the borrowed view.
+            let data = self.io.dev().read_slice(oid.off, hdr.size as usize)?;
             self.io.dev().note_csum_pass(hdr.size);
-            if hdr.csum != adler32(&data) {
+            if hdr.csum != adler32(data) {
                 return Err(self.object_double_fault(
                     oid,
                     "object fails checksum even after parity repair \

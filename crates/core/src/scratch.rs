@@ -1,5 +1,7 @@
-//! Reusable commit-path scratch memory: the allocation-free backbone of
-//! the fused commit pipeline.
+//! Reusable scratch memory: the allocation-free backbone of the fused
+//! commit pipeline, plus the thread-local buffers of the fault path
+//! ([`FaultScratch`]: reconstruction, column recompute, parity
+//! verification, scribble repair).
 //!
 //! A committing transaction needs three kinds of transient memory:
 //!
@@ -189,6 +191,70 @@ pub(crate) fn with_read_frames<R>(f: impl FnOnce(&mut Vec<(Vec<u8>, RangeSet)>) 
         }
     });
     r
+}
+
+/// Byte bound on a fault-path buffer kept between uses: slot- and
+/// page-sized repairs and chunk-sized windows stay allocation-free, while
+/// a one-off column recompute over a huge range does not pin its buffer.
+const MAX_FAULT_BYTES: usize = 256 << 10;
+
+/// Reusable fault-path scratch: every reconstruction, column recompute,
+/// parity verification and scribble repair on this thread folds into
+/// `rebuilt` and compares against `current`, so steady-state repairs and
+/// scrub passes allocate nothing.
+#[derive(Default)]
+pub(crate) struct FaultScratch {
+    /// XOR-fold accumulator: the parity-consistent bytes of a range.
+    pub rebuilt: Vec<u8>,
+    /// The bytes the same range currently holds on media.
+    pub current: Vec<u8>,
+}
+
+thread_local! {
+    static FAULT: RefCell<FaultScratch> =
+        const { RefCell::new(FaultScratch { rebuilt: Vec::new(), current: Vec::new() }) };
+    /// Per-row "leave this row out of the fold" flags of the parity
+    /// engine's row fold (the rebuilt row itself, and `Log` chunks).
+    static ROW_FLAGS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the value parked in `slot`, parking it again afterwards.
+/// The slot holds a default while `f` runs, so a re-entrant use simply
+/// starts from empty buffers instead of aliasing.
+fn with_parked<T: Default, R>(
+    slot: &'static std::thread::LocalKey<RefCell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let mut v = slot.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    let r = f(&mut v);
+    slot.with(|s| *s.borrow_mut() = v);
+    r
+}
+
+/// Runs `f` with this thread's [`FaultScratch`].
+pub(crate) fn with_fault_scratch<R>(f: impl FnOnce(&mut FaultScratch) -> R) -> R {
+    with_parked(&FAULT, |s| {
+        let r = f(s);
+        for buf in [&mut s.rebuilt, &mut s.current] {
+            if buf.capacity() > MAX_FAULT_BYTES {
+                *buf = Vec::new();
+            }
+        }
+        r
+    })
+}
+
+/// Runs `f` with this thread's row-flag scratch (see `ParityEngine`'s row
+/// fold).
+pub(crate) fn with_row_flags<R>(f: impl FnOnce(&mut Vec<bool>) -> R) -> R {
+    with_parked(&ROW_FLAGS, f)
+}
+
+/// Resizes `buf` to `len` zero bytes, keeping its capacity.
+pub(crate) fn zeroed(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    buf.clear();
+    buf.resize(len, 0);
+    buf
 }
 
 /// Reads the `len`-byte pre-image of object `obj`'s range at `roff`

@@ -143,12 +143,11 @@ fn scrub_metadata_frozen(inner: &Inner, only_shard: Option<u64>) -> Result<Scrub
     //    good one.
     if mine(None) {
         let hdr = read_header(io).map_err(PglError::from)?;
-        let hdr_bytes = bytes_of(&hdr).to_vec();
+        let hdr_bytes = bytes_of(&hdr);
         for off in [layout.hdr_off, layout.hdr_replica_off] {
-            let mut buf = vec![0u8; hdr_bytes.len()];
-            let ok = io.read(off, &mut buf).is_ok() && buf == hdr_bytes;
+            let ok = io.dev().read_slice(off, hdr_bytes.len()).is_ok_and(|b| b == hdr_bytes);
             if !ok {
-                io.write(off, &hdr_bytes).map_err(PglError::from)?;
+                io.write(off, hdr_bytes).map_err(PglError::from)?;
                 io.persist(off, hdr_bytes.len()).map_err(PglError::from)?;
                 report.pages_repaired += 1;
             }
@@ -284,7 +283,12 @@ fn scrub_one_object(
 ) -> Result<()> {
     let engine = inner.parity.as_ref().expect("parity mode");
     let layout = &inner.layout;
-    let mut span = size_hint.clamp(1, layout.max_alloc());
+    // No object extends past its zone's data rows (nor could a span guard
+    // cover one that did): a larger size — from the discovery scan or the
+    // header re-read below — means the header itself is scribbled.
+    let (_, zoff) = layout.zone_and_rel(oid.off).map_err(PglError::from)?;
+    let room = layout.zone.rows_base + layout.zone.data_rows * layout.zone.row_size - zoff;
+    let mut span = size_hint.clamp(1, room);
     // A handful of attempts absorbs media-error repairs and size churn;
     // an object that keeps churning is left for the next pass.
     for _ in 0..4 {
@@ -307,7 +311,7 @@ fn scrub_one_object(
             Err(e) => return Err(e.into()),
         }
         let hdr: ObjectHeader = from_bytes(&hb);
-        if hdr.size == 0 || hdr.size > layout.max_alloc() {
+        if hdr.size == 0 || hdr.size > room {
             // Nonsense size on a live slot: the header itself is
             // scribbled. Recovery freezes, repairs from parity and
             // re-verifies end to end.
@@ -325,20 +329,21 @@ fn scrub_one_object(
             continue;
         }
         let stamp = inner.vcache.begin_verify(oid.off);
-        let mut data = vec![0u8; hdr.size as usize];
-        match inner.io.read(oid.off, &mut data) {
-            Ok(()) => {}
-            Err(ObjError::Mem(MemError::Poisoned { page })) => {
+        // Checksummed in place: the exclusive span guard keeps every
+        // library writer of these bytes out while the view is borrowed.
+        let data = match inner.io.dev().read_slice(oid.off, hdr.size as usize) {
+            Ok(data) => data,
+            Err(MemError::Poisoned { page }) => {
                 drop(guard);
                 inner.online_recover_page(page)?;
                 report.pages_repaired += 1;
                 continue;
             }
             Err(e) => return Err(e.into()),
-        }
+        };
         let ok = !inner.mode.has_checksums() || {
             inner.io.dev().note_csum_pass(hdr.size);
-            hdr.csum == adler32(&data)
+            hdr.csum == adler32(data)
         };
         if !ok && !inner.heap.is_live(&inner.io, oid.off) {
             // The object was freed between our liveness check and the data
@@ -403,24 +408,18 @@ fn scrub_objects_frozen(
         let mut ok = sane;
         let stamp = inner.vcache.begin_verify(off);
         if sane {
-            let mut data = vec![0u8; hdr.size as usize];
-            match io.read(off, &mut data) {
-                Ok(()) => {
-                    if inner.mode.has_checksums() {
-                        inner.io.dev().note_csum_pass(hdr.size);
-                        ok = hdr.csum == adler32(&data);
-                    }
-                }
-                Err(ObjError::Mem(MemError::Poisoned { page })) => {
+            // Frozen pool: the object is checksummed in place.
+            let data = match io.dev().read_slice(off, hdr.size as usize) {
+                Err(MemError::Poisoned { page }) => {
                     inner.recover_page_frozen(page)?;
                     report.pages_repaired += 1;
-                    io.read(off, &mut data).map_err(PglError::from)?;
-                    if inner.mode.has_checksums() {
-                        inner.io.dev().note_csum_pass(hdr.size);
-                        ok = hdr.csum == adler32(&data);
-                    }
+                    io.dev().read_slice(off, hdr.size as usize)
                 }
-                Err(e) => return Err(e.into()),
+                r => r,
+            }?;
+            if inner.mode.has_checksums() {
+                inner.io.dev().note_csum_pass(hdr.size);
+                ok = hdr.csum == adler32(data);
             }
         }
         if !ok {

@@ -7,21 +7,36 @@
 //! traffic here also pins the ~`commit_old_bytes`-per-workload saving.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use pangolin::{PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
 
 /// Counting allocator: lets the steady-state test assert the commit path
-/// stopped allocating.
+/// stopped allocating. The count is per thread — the tests of this binary
+/// run on parallel threads, and a process-wide counter would charge the
+/// measuring test for its siblings' allocations.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -186,7 +201,7 @@ fn steady_state_commits_do_not_allocate() {
         .unwrap();
     }
     const TXNS: u64 = 50;
-    let a0 = ALLOCS.load(Ordering::Relaxed);
+    let a0 = thread_allocs();
     for _ in 0..TXNS {
         pool.tx(|tx| {
             tx.write(oid, 0, &payload)?;
@@ -195,7 +210,7 @@ fn steady_state_commits_do_not_allocate() {
         })
         .unwrap();
     }
-    let per_txn = (ALLOCS.load(Ordering::Relaxed) - a0) as f64 / TXNS as f64;
+    let per_txn = (thread_allocs() - a0) as f64 / TXNS as f64;
     assert!(
         per_txn <= 2.0,
         "steady-state commit allocates {per_txn} times per txn (want ≤ 2: span-guard vectors only)"

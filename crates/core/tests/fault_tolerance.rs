@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use pangolin::{inject, CsumPolicy, PMEMoid, PglConfig, PglError, PglMode, PglPool};
-use pgl_nvm::{DeviceConfig, NvmDevice, PAGE_SIZE};
+use pgl_nvm::{AllNew, AllOld, CrashPlan, DeviceConfig, NvmDevice, RandomPlan, PAGE_SIZE};
 
 fn pool() -> PglPool {
     let cfg = PglConfig::small();
@@ -296,6 +296,187 @@ fn repeated_inject_repair_cycles() {
     }
     assert!(pool.verify_parity().unwrap());
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+// --- Range-column scribble repair: the object's bytes, not its pages ----
+
+/// `n` consecutive 1 KiB objects (object `i` filled with `i`) and the
+/// allocator's slot stride between them.
+fn kib_objects(pool: &PglPool, n: u8) -> (Vec<PMEMoid>, u64) {
+    let objs: Vec<PMEMoid> = (0..n).map(|i| make_object(pool, 1024, i)).collect();
+    let slot = objs[1].off - objs[0].off;
+    assert!(objs.windows(2).all(|w| w[1].off - w[0].off == slot), "one run, equal slots");
+    (objs, slot)
+}
+
+fn raw(pool: &PglPool, off: u64, len: u64) -> Vec<u8> {
+    pool.io().dev().read_slice(off, len as usize).unwrap().to_vec()
+}
+
+#[test]
+fn scribble_repair_reads_the_range_column_and_rewrites_only_scribbled_lines() {
+    let pool = pool();
+    let (objs, slot) = kib_objects(&pool, 8);
+    let victim = objs[3];
+    // 40 bytes inside one device cache line of the victim's data.
+    let line = (victim.off + 200).next_multiple_of(64);
+    inject::scribble_object(&pool, victim, line + 8 - victim.off, 40, 0xEE).unwrap();
+
+    let dev = pool.io().dev();
+    let s0 = dev.stats();
+    assert_eq!(pool.read_verified(victim).unwrap(), vec![3; 1024]);
+    let d = dev.stats().delta_since(&s0);
+
+    // Column traffic is the slot times the rows (the other data rows, the
+    // parity row, the current bytes) — not the 4 KiB pages it touches.
+    let rows = pool.layout().zone.data_rows;
+    assert!(
+        d.bytes_read <= slot * (rows + 2) + 4096,
+        "repair read {} B for a {slot} B slot over {rows} rows",
+        d.bytes_read
+    );
+    assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (64, 1, 1), "one line rewritten");
+    assert_eq!(d.csum_passes, 2, "detection + post-repair verify; the reload is a cache hit");
+    assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
+fn repair_leaves_slot_neighbours_alone_and_each_heals_on_its_own_detection() {
+    let pool = pool();
+    let (objs, slot) = kib_objects(&pool, 8);
+    let page = PAGE_SIZE as u64;
+    // b's slot ends where c's begins, inside one page.
+    let i = (1..7).find(|&i| (objs[i + 1].off - 16) % page != 0).unwrap();
+    let (a, b, c) = (objs[i - 1], objs[i], objs[i + 1]);
+    // One overrun: the tail of b's data, b's slack, c's header, c's first bytes.
+    let overrun = |pool: &PglPool| {
+        inject::scribble_raw(pool, b.off + 1000, &vec![0xEE; (slot - 968) as usize]).unwrap()
+    };
+
+    let a_before = raw(&pool, a.off - 16, slot);
+    overrun(&pool);
+    let c_scribbled = raw(&pool, c.off - 16, slot);
+    assert_eq!(pool.read_verified(b).unwrap(), vec![i as u8; 1024]);
+    assert_eq!(raw(&pool, a.off - 16, slot), a_before, "left neighbour untouched");
+    assert_eq!(raw(&pool, c.off - 16, slot), c_scribbled, "right neighbour not repaired by proxy");
+    // c's damage is found — and fixed — by c's own verified read...
+    assert_eq!(pool.read_verified(c).unwrap(), vec![i as u8 + 1; 1024]);
+    assert!(pool.verify_parity().unwrap());
+
+    // ...or by the scrubber, which repairs both victims of the overrun.
+    overrun(&pool);
+    let report = pool.scrub_now().unwrap();
+    assert_eq!(report.objects_repaired, 2, "{report:?}");
+    assert_eq!(raw(&pool, a.off - 16, slot), a_before);
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn scribble_across_a_page_boundary_inside_one_slot_is_repaired() {
+    let pool = pool();
+    let (objs, _slot) = kib_objects(&pool, 12);
+    let page = PAGE_SIZE as u64;
+    // An object whose data straddles a page boundary with room either side.
+    let (i, boundary) = objs
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (i, (o.off / page + 1) * page))
+        .find(|&(i, b)| b >= objs[i].off + 50 && b + 50 <= objs[i].off + 1024)
+        .expect("some slot of the run straddles a page");
+    inject::scribble_object(&pool, objs[i], boundary - 50 - objs[i].off, 100, 0x99).unwrap();
+    let s0 = pool.io().dev().stats();
+    assert_eq!(pool.read_verified(objs[i]).unwrap(), vec![i as u8; 1024]);
+    let d = pool.io().dev().stats().delta_since(&s0);
+    assert!(d.bytes_written <= 3 * 64, "only the scribbled lines: {} B", d.bytes_written);
+    assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
+fn scribbles_in_a_large_multi_chunk_object_are_repaired() {
+    let pool = pool();
+    // Six 16 KiB chunks: the 96 KiB of storage is rebuilt in two windows.
+    let size = 80 << 10;
+    let oid = make_object(&pool, size, 0x6B);
+    // One scribble across the first chunk boundary, one in the far window.
+    inject::scribble_object(&pool, oid, 16_000, 1_000, 0x11).unwrap();
+    inject::scribble_object(&pool, oid, 70_000, 5_000, 0x22).unwrap();
+    assert_eq!(pool.read_verified(oid).unwrap(), vec![0x6B; size as usize]);
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn scribble_in_a_second_row_of_the_range_is_typed_unrecoverable_and_quarantines() {
+    let pool = pool();
+    let oid = make_object(&pool, 300, 0x5A);
+    let layout = *pool.layout();
+    let (zone, _) = layout.zone_and_rel(oid.off).unwrap();
+    // The same columns one row down: two damaged rows of one range column.
+    inject::scribble_object(&pool, oid, 100, 32, 0xEE).unwrap();
+    inject::scribble_raw(&pool, oid.off + 100 + layout.zone.row_size, &[0x77; 32]).unwrap();
+    match pool.read_verified(oid) {
+        Err(PglError::Unrecoverable { shard, zone: z, off, .. }) => {
+            assert_eq!((shard, z), (pool.shard_map().shard_of_zone(zone), zone));
+            assert_ne!(off, u64::MAX, "error carries a pool offset");
+        }
+        other => panic!("expected typed Unrecoverable, got {other:?}"),
+    }
+    assert_eq!(pool.quarantined_zones(), vec![zone]);
+    assert!(pool.io().dev().stats().repairs_failed >= 1);
+}
+
+#[test]
+fn scribble_repair_is_idempotent_across_a_crash_at_every_device_op() {
+    // The repair writes no record and never touches parity, so a crash at
+    // any of its device ops leaves some lines restored and the rest still
+    // failing the checksum: the reopened pool's next verified read must
+    // simply repair again and return the model bytes.
+    const BIG: u64 = 1 << 40;
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let victim = make_object(&pool, 1024, 0x5A);
+    let neighbour = make_object(&pool, 1024, 0xA5);
+    drop(pool);
+    dev.scribble(victim.off + 100, &[0xEE; 300]).unwrap();
+    let scribbled = dev.snapshot();
+    let reopen = || PglPool::options().open(dev.clone()).unwrap();
+
+    let pool = reopen();
+    dev.arm_crash_after(BIG);
+    assert_eq!(pool.read_verified(victim).unwrap(), vec![0x5A; 1024]);
+    let ops = BIG - dev.crash_countdown() as u64;
+    dev.disarm_crash();
+    drop(pool);
+    assert!(ops >= 11, "five or six line writes, their flushes, one fence: {ops}");
+
+    for op in 0..ops {
+        let plans: [Box<dyn CrashPlan>; 4] = [
+            Box::new(AllOld),
+            Box::new(AllNew),
+            Box::new(RandomPlan::seeded(op)),
+            Box::new(RandomPlan::seeded(!op)),
+        ];
+        for (p, mut plan) in plans.into_iter().enumerate() {
+            dev.restore(&scribbled).unwrap();
+            let pool = reopen();
+            dev.arm_crash_after(op);
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.read_verified(victim)
+            }));
+            dev.disarm_crash();
+            drop(pool);
+            assert!(crashed.is_err(), "op {op} is inside the repair");
+            dev.simulate_crash(plan.as_mut()).unwrap();
+
+            let pool = reopen();
+            assert_eq!(pool.read_verified(victim).unwrap(), vec![0x5A; 1024], "op {op} plan {p}");
+            assert_eq!(pool.read_verified(neighbour).unwrap(), vec![0xA5; 1024]);
+            assert!(pool.verify_parity().unwrap(), "op {op} plan {p}");
+            assert!(pool.find_corrupt_objects().unwrap().is_empty());
+        }
+    }
 }
 
 // --- Degraded mode: double faults, zone quarantine, typed surfacing ----
