@@ -2,8 +2,9 @@
 //! scribbles, verify online repair, and measure page-repair latency
 //! (the paper reports ~180 µs per page at 100 GB/1 GB-parity scale) —
 //! plus the **sharded restart-recovery sweep**: crash-recovery wall time
-//! at `open` across a shard-count × pool-size grid (parity shards
-//! recover on parallel workers, so more shards ⇒ faster restart).
+//! at `open` across a shard-count × pool-size grid (parity shards sweep
+//! their zones on parallel workers; the lane scan before it is serial
+//! and reads only as far as each log reaches).
 //!
 //! Run: `cargo run --release -p pgl-bench --bin sec46_recovery`
 //! Options: `--shards a,b,c` picks the shard counts swept, `--pool-mb N`

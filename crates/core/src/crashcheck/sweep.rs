@@ -367,12 +367,18 @@ struct Harness {
     states: Vec<ModelState>,
     /// Mutating device-op count of the workload body.
     total_ops: u64,
+    /// Parity shards every reopen runs with (the workload's config).
+    shards: usize,
 }
 
 type CaseResult<T> = std::result::Result<T, String>;
 
-fn reopen(dev: Arc<NvmDevice>) -> CaseResult<PglPool> {
-    PglPool::options().open(dev).map_err(|e| format!("recovery failed: {e}"))
+/// Reopens (and thereby recovers) the pool. The shard count is an
+/// open-time option, not a persistent property, so it is carried over from
+/// the workload's config: a sharded workload must stay sharded in the
+/// swept body and in recovery.
+fn reopen(dev: Arc<NvmDevice>, shards: usize) -> CaseResult<PglPool> {
+    PglPool::options().shards(shards).open(dev).map_err(|e| format!("recovery failed: {e}"))
 }
 
 impl Harness {
@@ -393,7 +399,7 @@ impl Harness {
         // Record pass: identical starting state to every replay (restore +
         // reopen), so the device-op sequence is byte-identical across
         // passes and `total_ops` boundaries cover the whole body.
-        let pool = reopen(dev.clone())?;
+        let pool = reopen(dev.clone(), cfg.shards)?;
         let mut ctx = SweepCtx::record();
         ctx.states.push(ModelState::capture(&pool).map_err(|e| format!("capture: {e}"))?);
         dev.arm_crash_after(BIG);
@@ -406,7 +412,7 @@ impl Harness {
         if ctx.states.len() != ctx.commits + 1 {
             return Err("internal: commit snapshots out of sync".into());
         }
-        Ok(Harness { dev, base, states: ctx.states, total_ops })
+        Ok(Harness { dev, base, states: ctx.states, total_ops, shards: cfg.shards })
     }
 
     /// Replays the body crashing at boundary `op`; returns the crashed
@@ -418,7 +424,7 @@ impl Harness {
         op: u64,
     ) -> CaseResult<(DeviceSnapshot, usize)> {
         self.dev.restore(&self.base).map_err(|e| format!("restore: {e}"))?;
-        let pool = reopen(self.dev.clone())?;
+        let pool = reopen(self.dev.clone(), self.shards)?;
         let mut ctx = SweepCtx::replay();
         self.dev.arm_crash_after(op);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| workload.run(&pool, &mut ctx)));
@@ -451,7 +457,7 @@ impl Harness {
         let mut plan = spec.build(&choices);
         self.dev.simulate_crash(plan.as_mut()).map_err(|e| format!("simulate: {e}"))?;
 
-        let pool = reopen(self.dev.clone())?;
+        let pool = reopen(self.dev.clone(), self.shards)?;
         if !pool.verify_parity().map_err(|e| format!("verify_parity: {e}"))? {
             return Err("parity invariant broken after recovery".into());
         }

@@ -52,9 +52,8 @@ enum Op<'a> {
 ///
 /// The sweep runs in three phases:
 ///
-/// 1. **Scan** (parallel): read every lane's log on `n_shards` workers
-///    (`lane % workers`; the lane region is outside every shard's zones
-///    and lanes decode independently), decide commit status, and then
+/// 1. **Scan** (serial): read every lane's log (the lane region is
+///    outside every shard's zones), decide commit status, and then
 ///    apply the cross-shard roll-forward rule — a committed lane carrying a
 ///    [`EntryKind::CrossShard`] marker vouches for its secondary lane iff
 ///    that lane's generation still matches the marker (the ordered
@@ -79,41 +78,17 @@ pub fn crash_recover(
     shard_map: &ShardMap,
     quarantine: &QuarantineSet,
 ) -> Result<()> {
-    // Phase 1: scan lanes — partitioned `lane % workers` across the same
-    // worker count as the shard sweep. The lane region sits outside every
-    // shard's zones (no read scope applies) and each lane's log decodes
-    // independently, so the scan parallelizes freely; with log mirroring
-    // it reads two full lane-size segments per lane and dominates restart
-    // time, which is exactly what more shards are meant to cut.
-    let n_workers = shard_map.n_shards() as usize;
-    let n_lanes = layout.cfg.n_lanes as u32;
-    let scan = |w: u32| -> Result<Vec<(u32, Vec<Entry>, bool)>> {
-        let mut out = Vec::new();
-        for l in (w..n_lanes).step_by(n_workers) {
-            let entries = Lanes::read_entries(io, layout, l, mirror).map_err(PglError::from)?;
-            if entries.is_empty() {
-                continue;
-            }
+    // Phase 1: scan lanes, in lane order. The scan reads each log copy in
+    // windows that stop where its entries stop (`Lanes::read_entries`), so
+    // an idle lane costs one window per copy however large the lane is.
+    let mut lanes: Vec<(u32, Vec<Entry>, bool)> = Vec::new();
+    for l in 0..layout.cfg.n_lanes as u32 {
+        let entries = Lanes::read_entries(io, layout, l, mirror).map_err(PglError::from)?;
+        if !entries.is_empty() {
             let committed = ulog::is_committed(&entries);
-            out.push((l, entries, committed));
+            lanes.push((l, entries, committed));
         }
-        Ok(out)
-    };
-    let mut lanes: Vec<(u32, Vec<Entry>, bool)> = if n_workers == 1 {
-        scan(0)?
-    } else {
-        let scanned: Vec<Result<_>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n_workers as u32).map(|w| s.spawn(move || scan(w))).collect();
-            handles.into_iter().map(|h| h.join().expect("lane-scan worker panicked")).collect()
-        });
-        let mut merged = Vec::new();
-        for part in scanned {
-            merged.extend(part?);
-        }
-        // Restore ascending lane order so replay matches the serial scan.
-        merged.sort_unstable_by_key(|(l, _, _)| *l);
-        merged
-    };
+    }
     let mut forced: Vec<u32> = Vec::new();
     for (_, entries, committed) in &lanes {
         if !*committed {

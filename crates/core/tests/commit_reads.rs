@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use pangolin::{PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
+use pgl_pmemobj::ulog;
 
 /// Counting allocator: lets the steady-state test assert the commit path
 /// stopped allocating. The count is per thread — the tests of this binary
@@ -143,6 +144,41 @@ fn whole_object_overwrite_reads_one_fused_preimage() {
     assert_eq!(d.bytes_read, TXNS * (16 + OBJ + 16 + OBJ), "no hidden reads");
     assert!(pool.verify_parity().unwrap());
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn redo_log_reaches_media_by_nt_stores_only() {
+    // A warm 4 KiB whole-object overwrite in MLPC: the redo entry and the
+    // commit record are staged in DRAM and go out as one NT span per log
+    // copy at the commit fence, so no log line is ever flushed. What is
+    // flushed is the object's parity span and the two generation words of
+    // the lazy log invalidation — and the fence count (commit point +
+    // write-back) is what it was when the log used cached stores.
+    const BIG: u64 = 4096;
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = pool
+        .tx(|tx| {
+            let oid = tx.alloc(BIG, 1)?;
+            tx.write(oid, 0, &[0x11; BIG as usize])?;
+            Ok(oid)
+        })
+        .unwrap();
+    for round in 0..3u8 {
+        pool.tx(|tx| tx.write(oid, 0, &[round | 0x20; BIG as usize])).unwrap();
+    }
+    let s0 = dev.stats();
+    pool.tx(|tx| tx.write(oid, 0, &[0xAA; BIG as usize])).unwrap();
+    let d = dev.stats().delta_since(&s0);
+
+    let (start, end) = (oid.off - 16, oid.off + BIG);
+    let object_lines = (end - 1) / 64 - start / 64 + 1;
+    assert_eq!(d.lines_flushed, object_lines + 2, "parity span + two generation words");
+    let log_bytes = ulog::entry_space(16 + BIG as usize) + ulog::entry_space(0);
+    assert_eq!(d.bytes_written_nt, (16 + BIG) + 2 * log_bytes, "write-back + two log copies");
+    assert_eq!(d.fences, 2, "commit point + write-back, as before");
+    assert!(pool.verify_parity().unwrap());
 }
 
 #[test]

@@ -3,7 +3,16 @@
 //! Following `libpmemobj`, the pool provisions a fixed array of lanes
 //! (paper Figure 1's "Log" region). A transaction claims a lane, appends
 //! checksummed log entries to it, and invalidates them with a single
-//! generation bump at the end. Two extensions from the paper:
+//! generation bump at the end.
+//!
+//! Appended entries are **staged in DRAM**: the handle encodes them into a
+//! recycled buffer, and [`LaneHandle::persist_log`] writes the staged tail
+//! with one non-temporal span per log copy and one fence (as `libpmemobj`
+//! streams its ulog buffers). Log lines are therefore never cached,
+//! never flushed and never written twice, and no entry can reach media
+//! before the persist that publishes it.
+//!
+//! Two extensions from the paper:
 //!
 //! * **Mirroring** (`-ML` modes): every lane write is duplicated into a
 //!   replica lane region in the same pool (paper Figure 2).
@@ -23,7 +32,7 @@
 //! (thread-local), re-claiming it with a single CAS on its next
 //! transaction. This gives the FliT-style "per-thread persist handle"
 //! behavior — under steady state every thread owns a distinct lane, its
-//! log writes land in the same cache-warm region, and no claim ever takes
+//! staging buffer is recycled thread-locally, and no claim ever takes
 //! a lock or blocks another thread's claim. Only when a preferred lane is
 //! taken does the claim scan for another free flag; when *all* lanes are
 //! busy it spins with exponential backoff until one frees (transactions
@@ -47,6 +56,56 @@ fn segment_reserve() -> u64 {
     2 * ulog::entry_space(8) + ulog::entry_space(24) + 64
 }
 
+/// First read of a segment scan. A lane is sized for the largest
+/// transaction but almost always holds a few hundred bytes (or nothing), so
+/// recovery reads this much and goes on only while entries keep decoding.
+const SCAN_WINDOW: usize = 4096;
+
+/// Decodes one copy of a `len`-byte log segment through `read(at, buf)`, in
+/// windows that start at the first undecoded entry, cover at least that
+/// entry and at least double each round. Stops at the first position that
+/// does not decode for `gen`, or that cannot be read: a bad page ends this
+/// copy's log only if the log actually reaches it.
+fn walk_copy(
+    len: usize,
+    gen: u64,
+    read: impl Fn(u64, &mut [u8]) -> Result<()>,
+) -> Result<Vec<Entry>> {
+    let mut out = Vec::new();
+    let mut buf = Vec::new();
+    let mut pos = 0;
+    // Bytes the entry at `pos` is known to occupy.
+    let mut need = ulog::ENTRY_HEADER_SIZE as usize;
+    let mut window = SCAN_WINDOW;
+    while pos + need <= len {
+        buf.resize(window.max(need).min(len - pos), 0);
+        if read(pos as u64, &mut buf).is_err() {
+            if buf.len() == need {
+                break;
+            }
+            // The bad page may lie in the read-ahead, past the log's end:
+            // from here on read exactly what the pending entry needs.
+            window = 0;
+            continue;
+        }
+        let mut used = 0;
+        while let Some((entry, space)) = ulog::decode_entry(&buf[used..], gen)? {
+            out.push(entry);
+            used += space as usize;
+        }
+        // Either the log ends at `pos + used` or the window cut an entry.
+        match ulog::entry_need(&buf[used..], gen) {
+            Some(n) if n as usize > buf.len() - used => {
+                pos += used;
+                need = n as usize;
+                window *= 2;
+            }
+            _ => break,
+        }
+    }
+    Ok(out)
+}
+
 /// Whether lane writes are duplicated, and where the duplicate lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogMirror {
@@ -65,16 +124,18 @@ struct Segment {
     replica: u64,
     /// Usable capacity (excluding the `LogExt` reserve).
     cap: u64,
+    /// Bytes appended so far. The last `staged.len()` of them (current
+    /// segment only) are the handle's staged tail; the device holds the
+    /// rest.
     cursor: u64,
-    unflushed: u64,
 }
 
 thread_local! {
     /// The lane this thread claimed most recently (`u32::MAX` = none yet).
     /// A hint only: correctness comes from the CAS on the claim flag.
     static PREFERRED_LANE: Cell<u32> = const { Cell::new(u32::MAX) };
-    /// Recycled lane-handle buffers (segment list + entry-encode scratch):
-    /// a released handle parks them here so the next claim on this thread
+    /// Recycled lane-handle buffers (segment list + staged log tail): a
+    /// released handle parks them here so the next claim on this thread
     /// allocates nothing. Pairs with the lane-affinity scheme above.
     static LANE_BUFS: Cell<Option<(Vec<Segment>, Vec<u8>)>> = const { Cell::new(None) };
 }
@@ -97,7 +158,9 @@ pub struct LaneHandle<'a> {
     io: &'a PoolIo,
     idx: u32,
     segments: Vec<Segment>,
-    scratch: Vec<u8>,
+    /// Encoded entries not yet written to the device: the tail of the
+    /// current segment, ending at its `cursor`.
+    staged: Vec<u8>,
 }
 
 impl Lanes {
@@ -183,8 +246,8 @@ impl Lanes {
     }
 
     /// Claims a free lane, preferring the one this thread used last (lane
-    /// affinity keeps a thread's log writes in one cache-warm region and
-    /// makes the steady-state claim a single uncontended CAS). Spins with
+    /// affinity makes the steady-state claim a single uncontended CAS and
+    /// keeps concurrent threads on distinct lanes). Spins with
     /// backoff when every lane is busy; transactions are short, so a lane
     /// frees quickly.
     pub fn claim<'a>(&'a self, io: &'a PoolIo) -> LaneHandle<'a> {
@@ -231,12 +294,11 @@ impl Lanes {
             },
             cap: self.layout.cfg.lane_size as u64 - LANE_HEADER_SIZE - segment_reserve(),
             cursor: 0,
-            unflushed: 0,
         };
-        let (mut segments, scratch) = LANE_BUFS.with(|c| c.take()).unwrap_or_default();
+        let (mut segments, staged) = LANE_BUFS.with(|c| c.take()).unwrap_or_default();
         segments.clear();
         segments.push(base);
-        LaneHandle { lanes: self, io, idx, segments, scratch }
+        LaneHandle { lanes: self, io, idx, segments, staged }
     }
 
     /// Reads and decodes the valid entries of lane `idx`, following
@@ -284,19 +346,14 @@ impl Lanes {
         len: usize,
         gen: u64,
     ) -> Result<Vec<Entry>> {
-        let mut buf = vec![0u8; len];
-        let primary_entries = if io.read_with_replica_fallback(primary, &mut buf).is_ok() {
-            ulog::walk(&buf, gen)?
-        } else {
-            Vec::new()
-        };
+        let primary_entries =
+            walk_copy(len, gen, |at, buf| io.read_with_replica_fallback(primary + at, buf))?;
         if replica == 0 {
             return Ok(primary_entries);
         }
-        // A torn or corrupted primary suffix is recovered from the replica:
-        // use whichever copy decodes further.
-        let replica_entries =
-            if io.read(replica, &mut buf).is_ok() { ulog::walk(&buf, gen)? } else { Vec::new() };
+        // A torn, corrupted or unreadable primary suffix is recovered from
+        // the replica: use whichever copy decodes further.
+        let replica_entries = walk_copy(len, gen, |at, buf| io.read(replica + at, buf))?;
         if replica_entries.len() > primary_entries.len() {
             Ok(replica_entries)
         } else {
@@ -330,7 +387,8 @@ impl<'a> LaneHandle<'a> {
         self.segments.len() - 1
     }
 
-    /// Appends an entry (and its mirror copy) without flushing.
+    /// Appends an entry to the lane's staged log tail. Nothing reaches the
+    /// device until [`LaneHandle::persist_log`] (or a segment switch).
     ///
     /// Fails with [`ObjError::LogFull`] when the current segment is full;
     /// the transaction layer then provisions an overflow chunk and calls
@@ -364,60 +422,56 @@ impl<'a> LaneHandle<'a> {
         if seg.cursor + space > limit {
             return Err(ObjError::LogFull);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_entry(&mut scratch, kind, off, payload, gen);
-        self.io.write(seg.primary + seg.cursor, &scratch)?;
-        if seg.replica != 0 {
-            self.io.write(seg.replica + seg.cursor, &scratch)?;
-        }
-        self.scratch = scratch;
-        let seg = self.segments.last_mut().expect("at least one segment");
+        encode_entry(&mut self.staged, kind, off, payload, gen);
         seg.cursor += space;
         Ok(())
     }
 
-    /// Chains a new overflow segment: writes a `LogExt` entry into the
-    /// current segment's reserve and makes the new segment current.
+    /// Writes the staged tail to the current segment — one non-temporal
+    /// span per log copy, so no log line is ever cached, flushed or
+    /// written twice. Durable at the next fence.
+    fn emit(&mut self) -> Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let seg = self.segments.last().expect("at least one segment");
+        let at = seg.cursor - self.staged.len() as u64;
+        self.io.write_nt(seg.primary + at, &self.staged)?;
+        if seg.replica != 0 {
+            self.io.write_nt(seg.replica + at, &self.staged)?;
+        }
+        self.staged.clear();
+        Ok(())
+    }
+
+    /// Chains a new overflow segment: appends a `LogExt` entry into the
+    /// current segment's reserve, emits that segment's staged tail and
+    /// makes the new segment current.
     ///
     /// `replica` is 0 when logs are unmirrored. `total_len` is the raw
     /// segment size; the usable capacity keeps the `LogExt` reserve.
     pub fn add_segment(&mut self, primary: u64, replica: u64, total_len: u64) -> Result<()> {
         let ext = payload::log_ext(primary, replica, total_len);
         let gen = self.gen();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_entry(&mut scratch, EntryKind::LogExt, 0, &ext, gen);
-        {
-            let seg = self.segments.last_mut().expect("at least one segment");
-            self.io.write(seg.primary + seg.cursor, &scratch)?;
-            if seg.replica != 0 {
-                self.io.write(seg.replica + seg.cursor, &scratch)?;
-            }
-            seg.cursor += scratch.len() as u64;
-        }
-        self.scratch = scratch;
+        encode_entry(&mut self.staged, EntryKind::LogExt, 0, &ext, gen);
+        self.segments.last_mut().expect("at least one segment").cursor +=
+            ulog::entry_space(ext.len());
+        self.emit()?;
         self.segments.push(Segment {
             primary,
             replica,
             cap: total_len - segment_reserve(),
             cursor: 0,
-            unflushed: 0,
         });
         Ok(())
     }
 
-    /// Flushes all appended-but-unflushed log bytes (all segments) and
-    /// fences once.
+    /// Emits the staged log tail and fences once: every entry appended so
+    /// far is durable on return, and none could reach media before this
+    /// call (earlier segments were emitted at their switch and settle at
+    /// the same fence).
     pub fn persist_log(&mut self) -> Result<()> {
-        for seg in &mut self.segments {
-            if seg.cursor > seg.unflushed {
-                let len = (seg.cursor - seg.unflushed) as usize;
-                self.io.flush(seg.primary + seg.unflushed, len)?;
-                if seg.replica != 0 {
-                    self.io.flush(seg.replica + seg.unflushed, len)?;
-                }
-                seg.unflushed = seg.cursor;
-            }
-        }
+        self.emit()?;
         self.io.drain();
         Ok(())
     }
@@ -457,11 +511,13 @@ impl<'a> LaneHandle<'a> {
         self.segments.truncate(1);
         let seg = &mut self.segments[0];
         seg.cursor = 0;
-        seg.unflushed = 0;
+        self.staged.clear();
         Ok(())
     }
 
-    /// Decodes this lane's currently valid entries (for abort replay).
+    /// Decodes this lane's persisted entries (for abort replay): the
+    /// device's view, so a staged tail that never reached `persist_log`
+    /// is not part of it.
     pub fn entries(&self) -> Result<Vec<Entry>> {
         Lanes::read_entries(self.io, &self.lanes.layout, self.idx, self.lanes.mirror)
     }
@@ -472,9 +528,9 @@ impl Drop for LaneHandle<'_> {
         self.lanes.release(self.idx);
         let mut segments = std::mem::take(&mut self.segments);
         segments.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        LANE_BUFS.with(|c| c.set(Some((segments, scratch))));
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.clear();
+        LANE_BUFS.with(|c| c.set(Some((segments, staged))));
     }
 }
 
@@ -543,6 +599,115 @@ mod tests {
     }
 
     #[test]
+    fn appends_stage_in_dram_and_persist_is_one_nt_span_per_copy() {
+        let (io, layout, lanes) = setup(LogMirror::SameDevice);
+        let mut h = lanes.claim(&io);
+        let s0 = io.dev().stats();
+        let mut space = 0;
+        for len in [0usize, 1, 8, 100, 4096, 5000] {
+            h.append(EntryKind::Data, 0x2000, &vec![0xA5; len]).unwrap();
+            space += ulog::entry_space(len);
+        }
+        h.append(EntryKind::Commit, 0, &[]).unwrap();
+        space += ulog::entry_space(0);
+        assert_eq!(io.dev().stats().delta_since(&s0), Default::default(), "append is DRAM-only");
+        assert!(h.entries().unwrap().is_empty(), "entries() is the device's view");
+
+        h.persist_log().unwrap();
+        let d = io.dev().stats().delta_since(&s0);
+        assert_eq!(d.bytes_written_nt, 2 * space);
+        assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (0, 0, 1));
+        let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::SameDevice).unwrap();
+        assert_eq!(entries.len(), 7);
+        assert!(ulog::is_committed(&entries));
+
+        // A second persist with nothing staged only fences.
+        let s1 = io.dev().stats();
+        h.persist_log().unwrap();
+        let d = io.dev().stats().delta_since(&s1);
+        assert_eq!((d.bytes_written_nt, d.fences), (0, 1));
+    }
+
+    #[test]
+    fn bump_gen_drops_a_staged_tail() {
+        let (io, layout, lanes) = setup(LogMirror::SameDevice);
+        let mut h = lanes.claim(&io);
+        h.append(EntryKind::Data, 64, b"persisted").unwrap();
+        h.persist_log().unwrap();
+        h.append(EntryKind::Data, 64, b"staged only").unwrap();
+        h.bump_gen(true).unwrap();
+        let idx = h.index();
+        let read = || Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap();
+        assert!(read().is_empty(), "abort leaves no trace");
+        // The dropped tail does not resurface under the new generation.
+        h.append(EntryKind::Commit, 0, &[]).unwrap();
+        h.persist_log().unwrap();
+        assert_eq!(read().len(), 1);
+        assert!(ulog::is_committed(&read()));
+    }
+
+    #[test]
+    fn idle_lane_scan_reads_one_window_per_copy() {
+        let (io, layout, _) = setup(LogMirror::SameDevice);
+        let s0 = io.dev().stats();
+        assert!(Lanes::read_entries(&io, &layout, 3, LogMirror::SameDevice).unwrap().is_empty());
+        let d = io.dev().stats().delta_since(&s0);
+        // Two windows plus the 8-byte generation word.
+        assert!(d.bytes_read <= 2 * SCAN_WINDOW as u64 + 8, "read {} bytes", d.bytes_read);
+    }
+
+    #[test]
+    fn poison_past_the_log_end_keeps_the_primary_copy() {
+        let (io, layout, lanes) = setup(LogMirror::SameDevice);
+        let mut h = lanes.claim(&io);
+        h.append(EntryKind::Data, 0x2000, &[0xCD; 100]).unwrap();
+        h.append(EntryKind::Commit, 0, &[]).unwrap();
+        h.persist_log().unwrap();
+        let idx = h.index();
+        drop(h);
+        // The log sits in the lane's first page. Poison the primary's
+        // second page — inside the first scan window, past the log — and
+        // the replica's first: only the primary can produce the entries.
+        let page = |off: u64| off / pgl_nvm::PAGE_SIZE as u64;
+        io.dev().poison_page(page(layout.lane_off(idx as u64)) + 1).unwrap();
+        io.dev().poison_page(page(layout.lane_replica_off(idx as u64))).unwrap();
+        let entries = Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap();
+        assert_eq!(entries.len(), 2, "a bad page the log never reaches is not a log fault");
+        assert!(ulog::is_committed(&entries));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The windowed scan returns exactly what decoding the whole
+        /// segment at once returns — with an entry across the first window
+        /// edge and one larger than any doubling step reaches early.
+        #[test]
+        fn windowed_scan_matches_whole_segment_walk(
+            lead in 3900usize..4200,
+            sizes in proptest::collection::vec(0usize..2500, 0..12),
+            big in (64usize << 10) + 1..(72 << 10),
+            big_at in 0usize..12,
+        ) {
+            let (io, layout, lanes) = setup(LogMirror::None);
+            let mut h = lanes.claim(&io);
+            let mut sizes = sizes.clone();
+            sizes.insert(0, lead);
+            sizes.insert(1 + big_at % sizes.len(), big);
+            for (i, len) in sizes.iter().enumerate() {
+                h.append(EntryKind::Data, i as u64, &vec![i as u8; *len]).unwrap();
+            }
+            h.persist_log().unwrap();
+
+            let mut whole = vec![0u8; layout.cfg.lane_size - LANE_HEADER_SIZE as usize];
+            io.read(layout.lane_off(h.index() as u64) + LANE_HEADER_SIZE, &mut whole).unwrap();
+            let expect = ulog::walk(&whole, h.gen()).unwrap();
+            proptest::prop_assert_eq!(expect.len(), sizes.len());
+            proptest::prop_assert_eq!(h.entries().unwrap(), expect);
+        }
+    }
+
+    #[test]
     fn log_full_is_reported_then_overflow_continues() {
         let (io, layout, lanes) = setup(LogMirror::None);
         let mut h = lanes.claim(&io);
@@ -558,7 +723,13 @@ mod tests {
         assert!(appended > 0);
         // Chain an overflow segment in some free space and keep appending.
         let chunk_base = layout.chunk_base(0, layout.zone.cm_chunks);
+        let s0 = io.dev().stats();
         h.add_segment(chunk_base, 0, layout.cfg.chunk_size as u64).unwrap();
+        // The staged tail belongs to the full segment: the switch emits it
+        // (with the chain entry) as one span and leaves nothing behind.
+        let d = io.dev().stats().delta_since(&s0);
+        assert_eq!(d.bytes_written_nt, h.used());
+        assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (0, 0, 0));
         h.append(EntryKind::Data, 0, &big).unwrap();
         h.append(EntryKind::Commit, 0, &[]).unwrap();
         h.persist_log().unwrap();

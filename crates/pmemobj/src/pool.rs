@@ -604,6 +604,53 @@ mod tests {
     }
 
     #[test]
+    fn log_image_written_with_the_bytewise_crc_replays() {
+        // No on-media format change: a committed-but-unapplied redo log as
+        // the byte-at-a-time CRC and the cached-store append wrote it must
+        // be what `encode_entry` produces today, and must replay at open.
+        use crate::ulog::{encode_entry, payload, EntryHeader, ENTRY_HEADER_SIZE};
+        use crate::util::crc32_seed_bytewise;
+        use pgl_nvm::pod::bytes_of;
+
+        let (dev, pool) = new_pool();
+        let layout = *pool.layout();
+        drop(pool);
+        let io = PoolIo::new(dev.clone());
+        let gen = Lanes::read_gen(&io, &layout, 0, LogMirror::None).unwrap();
+        // A word in a free data chunk: replay ORs the mask into it.
+        let word = layout.chunk_base(0, layout.zone.cm_chunks + 3);
+        let entries: [(EntryKind, u64, &[u8]); 2] =
+            [(EntryKind::SetBits, word, &payload::mask(0b1011)), (EntryKind::Commit, 0, &[])];
+
+        let (mut image, mut current) = (Vec::new(), Vec::new());
+        for (kind, off, body) in entries {
+            let mut hdr = EntryHeader {
+                kind: kind as u16,
+                flags: 0,
+                len: body.len() as u32,
+                off,
+                gen,
+                csum: 0,
+                pad: 0,
+            };
+            hdr.csum = crc32_seed_bytewise(crc32_seed_bytewise(0, bytes_of(&hdr)), body);
+            image.extend_from_slice(bytes_of(&hdr));
+            image.extend_from_slice(body);
+            image.resize(image.len().next_multiple_of(8), 0);
+            encode_entry(&mut current, kind, off, body, gen);
+        }
+        assert_eq!(image.len() as u64, 2 * ENTRY_HEADER_SIZE + 8);
+        assert_eq!(image, current, "entry bytes are bit-identical");
+
+        let log = layout.lane_off(0) + crate::lane::LANE_HEADER_SIZE;
+        io.write(log, &image).unwrap();
+        io.persist(log, image.len()).unwrap();
+        let pool = PmemPool::open(dev).unwrap();
+        assert_eq!(pool.io().read_u64(word).unwrap(), 0b1011, "committed redo entry replayed");
+        assert!(Lanes::read_entries(pool.io(), &layout, 0, LogMirror::None).unwrap().is_empty());
+    }
+
+    #[test]
     fn unreplicated_sync_fails() {
         let (_dev, pool) = new_pool();
         assert!(pool.sync_replicas().is_err());

@@ -16,7 +16,7 @@ use crate::lane::LaneHandle;
 use crate::oid::{ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 use crate::ulog::EntryKind;
 use crate::util::RangeSet;
-use pgl_nvm::pod::{bytes_of, Pod};
+use pgl_nvm::pod::{bytes_of, bytes_of_mut, zeroed, Pod};
 
 /// Per-transaction instrumentation, the source of Table 3's "New"/"Mod"
 /// rows (allocated and modified bytes plus distinct objects involved).
@@ -67,6 +67,8 @@ pub struct Tx<'p> {
     log_dirty: bool,
     /// Heap chunks claimed for log overflow: `(zone, chunk)`.
     log_chunks: Vec<(u64, u64)>,
+    /// Pre-image buffer reused by every `add_range` of this transaction.
+    snapshot: Vec<u8>,
 }
 
 impl<'p> Tx<'p> {
@@ -84,6 +86,7 @@ impl<'p> Tx<'p> {
             stats: TxStats::default(),
             log_dirty: false,
             log_chunks: Vec::new(),
+            snapshot: Vec::new(),
         }
     }
 
@@ -180,17 +183,16 @@ impl<'p> Tx<'p> {
         if uncovered.is_empty() {
             return Ok(());
         }
-        let mut buf = Vec::new();
+        let mut buf = std::mem::take(&mut self.snapshot);
         for (s, l) in uncovered {
             buf.resize(l as usize, 0);
             self.io.read(s, &mut buf)?;
-            let payload = std::mem::take(&mut buf);
-            self.append_logged(EntryKind::Data, s, &payload)?;
-            buf = payload;
+            self.append_logged(EntryKind::Data, s, &buf)?;
             self.snapshotted.insert(s, l);
             self.stats.modified_bytes += l;
             self.log_dirty = true;
         }
+        self.snapshot = buf;
         // The snapshot must be durable before the in-place stores begin.
         self.lane.persist_log()?;
         Ok(())
@@ -220,9 +222,9 @@ impl<'p> Tx<'p> {
     /// Typed read of a field at `off` within the object.
     pub fn read_pod<T: Pod>(&self, oid: PMEMoid, off: u64) -> Result<T> {
         self.check_oid(oid)?;
-        let mut buf = vec![0u8; std::mem::size_of::<T>()];
-        self.io.read(oid.off + off, &mut buf)?;
-        Ok(pgl_nvm::pod::from_bytes(&buf))
+        let mut val: T = zeroed();
+        self.io.read(oid.off + off, bytes_of_mut(&mut val))?;
+        Ok(val)
     }
 
     /// Reads the object's header (size/type).

@@ -11,7 +11,7 @@ use pgl_nvm::impl_pod;
 use pgl_nvm::pod::{bytes_of, from_bytes};
 
 use crate::error::Result;
-use crate::util::crc32;
+use crate::util::{crc32, crc32_seed};
 
 /// On-media entry header (32 bytes), followed by the payload padded to 8
 /// bytes.
@@ -104,10 +104,9 @@ pub fn entry_space(payload_len: usize) -> u64 {
     ENTRY_HEADER_SIZE + ((payload_len as u64 + 7) & !7)
 }
 
-/// Serializes an entry into `out` (cleared first) for appending at a log
-/// position; `gen` tags it to the owning lane generation.
+/// Serializes an entry onto the end of `out` (the lane's staged log tail);
+/// `gen` tags it to the owning lane generation.
 pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8], gen: u64) {
-    out.clear();
     let mut hdr = EntryHeader {
         kind: kind as u16,
         flags: 0,
@@ -117,17 +116,33 @@ pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8]
         csum: 0,
         pad: 0,
     };
-    let csum = {
-        let mut c = crc32(bytes_of(&hdr));
-        c = crate::util::crc32_seed(c, payload);
-        c
-    };
-    hdr.csum = csum;
+    hdr.csum = crc32_seed(crc32(bytes_of(&hdr)), payload);
+    let end = out.len() + entry_space(payload.len()) as usize;
     out.extend_from_slice(bytes_of(&hdr));
     out.extend_from_slice(payload);
-    while out.len() % 8 != 0 {
-        out.push(0);
+    out.resize(end, 0); // pad to 8 bytes
+}
+
+/// Parses the header at `bytes` if it can start an entry of `gen`.
+fn header_for(bytes: &[u8], gen: u64) -> Option<(EntryHeader, EntryKind)> {
+    if bytes.len() < ENTRY_HEADER_SIZE as usize {
+        return None;
     }
+    let hdr: EntryHeader = from_bytes(bytes);
+    let kind = EntryKind::from_u16(hdr.kind)?;
+    (hdr.gen == gen).then_some((hdr, kind))
+}
+
+/// Bytes a reader must hold at an entry boundary before [`decode_entry`]
+/// can decide it: a header's worth when `bytes` is shorter than one, the
+/// whole entry's space when the header can start an entry of `gen`, and
+/// `None` when it cannot (the end of the log). A windowed log scan uses
+/// this to tell "cut by my window" from "log ends here".
+pub fn entry_need(bytes: &[u8], gen: u64) -> Option<u64> {
+    if bytes.len() < ENTRY_HEADER_SIZE as usize {
+        return Some(ENTRY_HEADER_SIZE);
+    }
+    header_for(bytes, gen).map(|(hdr, _)| entry_space(hdr.len as usize))
 }
 
 /// Decodes the entry at `bytes` (which must start at an entry boundary).
@@ -136,30 +151,20 @@ pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8]
 /// (wrong generation, bad kind, bad checksum, or truncated) — the normal
 /// "end of log" condition.
 pub fn decode_entry(bytes: &[u8], gen: u64) -> Result<Option<(Entry, u64)>> {
-    if bytes.len() < ENTRY_HEADER_SIZE as usize {
-        return Ok(None);
-    }
-    let hdr: EntryHeader = from_bytes(bytes);
-    let Some(kind) = EntryKind::from_u16(hdr.kind) else {
+    let Some((hdr, kind)) = header_for(bytes, gen) else {
         return Ok(None);
     };
-    if hdr.gen != gen {
-        return Ok(None);
-    }
     let space = entry_space(hdr.len as usize);
     if (bytes.len() as u64) < space {
         return Ok(None);
     }
-    let payload =
-        bytes[ENTRY_HEADER_SIZE as usize..ENTRY_HEADER_SIZE as usize + hdr.len as usize].to_vec();
-    let mut check_hdr = hdr;
-    check_hdr.csum = 0;
-    let mut c = crc32(bytes_of(&check_hdr));
-    c = crate::util::crc32_seed(c, &payload);
-    if c != hdr.csum {
+    let payload = &bytes[ENTRY_HEADER_SIZE as usize..ENTRY_HEADER_SIZE as usize + hdr.len as usize];
+    let claimed = hdr.csum;
+    let hdr = EntryHeader { csum: 0, ..hdr };
+    if crc32_seed(crc32(bytes_of(&hdr)), payload) != claimed {
         return Ok(None);
     }
-    Ok(Some((Entry { kind, off: hdr.off, payload }, space)))
+    Ok(Some((Entry { kind, off: hdr.off, payload: payload.to_vec() }, space)))
 }
 
 /// Walks a log image, decoding consecutive valid entries for `gen`.
@@ -287,16 +292,11 @@ mod tests {
     #[test]
     fn walk_stops_at_first_invalid() {
         let mut log = Vec::new();
-        let mut e = Vec::new();
-        encode_entry(&mut e, EntryKind::Data, 0, b"first", 2);
-        log.extend_from_slice(&e);
-        encode_entry(&mut e, EntryKind::SetBits, 8, &payload::mask(0b1010), 2);
-        log.extend_from_slice(&e);
-        encode_entry(&mut e, EntryKind::Commit, 0, &[], 2);
-        log.extend_from_slice(&e);
+        encode_entry(&mut log, EntryKind::Data, 0, b"first", 2);
+        encode_entry(&mut log, EntryKind::SetBits, 8, &payload::mask(0b1010), 2);
+        encode_entry(&mut log, EntryKind::Commit, 0, &[], 2);
         // Stale garbage after the commit record (old generation).
-        encode_entry(&mut e, EntryKind::Data, 0, b"stale", 1);
-        log.extend_from_slice(&e);
+        encode_entry(&mut log, EntryKind::Data, 0, b"stale", 1);
 
         let entries = walk(&log, 2).unwrap();
         assert_eq!(entries.len(), 3);

@@ -85,8 +85,12 @@ fn overwrite_tx_is_atomic_at_every_crash_point() {
         assert!(all_old || all_new, "object must be entirely old or entirely new after recovery");
     };
 
+    // The sweep must cross every window of the undo protocol: snapshot
+    // persist (NT span + fence), the in-place store, its persist (flush +
+    // fence), the commit record (NT span + fence) and the generation bump
+    // (store + flush + fence) — ten device operations at the least.
     let total = count_ops(setup, work);
-    assert!(total > 10, "workload too trivial: {total} ops");
+    assert!(total >= 10, "workload too trivial: {total} ops");
     for k in 0..total {
         crash_at(k, k.wrapping_mul(0x9E37_79B9_7F4A_7C15), &setup, &work, &verify);
     }
@@ -208,12 +212,15 @@ fn double_crash_during_recovery_is_idempotent() {
         })
         .unwrap();
 
-    // Crash in the middle of an overwrite.
-    dev.arm_crash_after(12);
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+    // Crash in the middle of an overwrite: the snapshot is durable and the
+    // in-place store is flushed but not fenced, so recovery has an undo
+    // entry to roll back.
+    dev.arm_crash_after(4);
+    let crashed = panic::catch_unwind(AssertUnwindSafe(|| {
         pool.tx(|tx| tx.write(oid, 0, &[0xBB; OBJ_SIZE as usize]))
     }));
     dev.disarm_crash();
+    assert!(crashed.is_err(), "the overwrite must not run to completion");
     drop(pool);
     dev.simulate_crash(&mut RandomPlan::seeded(1)).unwrap();
 
