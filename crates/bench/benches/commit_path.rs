@@ -1,7 +1,7 @@
 //! Criterion bench of the commit data path: whole-object overwrite
 //! commits across 64 B – 4 KiB objects and all six Table 2 modes, under
-//! the Optane-like latency model (so commit-time NVM *read* traffic — the
-//! old-data reads the fused pipeline halves — shows up in wall time, not
+//! the Optane-like latency model (so NVM *read* traffic — the open-time
+//! load; the commit itself reads nothing — shows up in wall time, not
 //! just in counters).
 //!
 //! Each iteration rewrites the object with fresh bytes, so the parity

@@ -7,106 +7,135 @@
 //! "the cost of updating an object's checksum proportional to the size of
 //! the modified range rather than the object size" (paper §3.5).
 //!
-//! # SWAR implementation
+//! # Lane-accumulator implementation
 //!
-//! Both entry points process eight input bytes per step with SWAR
-//! (SIMD-within-a-register) arithmetic instead of a byte loop. For a
-//! little-endian word `v` with bytes `b0..b7`, two masked multiplies per
-//! half extract
+//! One kernel, `block_sums`, serves both entry points. It walks a block
+//! in rows of sixteen bytes and keeps, per byte lane `j`, a running sum
+//! `va[j]` and a running prefix sum `vb[j]` (the sum of `va[j]` before
+//! each row) in `u16` accumulators — plain array arithmetic the compiler
+//! turns into 128-bit vector adds on any target, with no `std::arch`, no
+//! `unsafe` and no per-architecture fork. After `R` rows
+//! `va[j] = Σᵣ x[r][j]` and `vb[j] = Σᵣ (R−1−r)·x[r][j]`, so for the
+//! `m = 16·R` bytes of such a sub-block
 //!
-//! * the **byte sum** `S(v) = Σ bᵢ`, and
-//! * the **index-weighted sum** `W(v) = Σ i·bᵢ`
+//! * the **byte sum** is `S = Σⱼ va[j]`, and
+//! * the **descending-weighted sum** `T = Σᵢ (m−i)·xᵢ` is
+//!   `Σⱼ (16−j)·va[j] + 16·vb[j]`,
 //!
-//! in a handful of ALU ops: splitting `v` into even/odd byte lanes widens
-//! each byte into a 16-bit lane, and multiplying by a constant whose
-//! lanes hold the per-lane weights makes the top 16-bit lane of the
-//! product the desired dot product (partial sums are < 2¹⁶, so no carry
-//! pollutes it). The per-byte recurrence `A += b; B += A` then folds into
-//! per-word updates `B += 8·A + 8·S − W; A += S`.
+//! which are exactly Adler32's increments over the sub-block:
+//! `B += m·A + T; A += S`. Sixteen rows bound the lanes (`va ≤ 16·255`,
+//! `vb ≤ 120·255 < 2¹⁶`), so a sub-block is 256 bytes. Sub-blocks
+//! accumulate the same way one level up, in `u32` lanes: `sa[j] += va[j]`,
+//! `wb[j] += vb[j]`, and `pa[j]` takes the prefix sums of `sa[j]` (every
+//! byte of an earlier sub-block gains weight 256 per later one). One
+//! horizontal fold per block of at most 4 KiB —
+//! `T = Σⱼ 256·pa[j] + (16−j)·sa[j] + 16·wb[j]` — and one modulo per block
+//! finish the job. A block whose row count is not a multiple of sixteen
+//! puts its short sub-block *first* (sub-blocks need no alignment), so it
+//! rides the same accumulators; only the last `len mod 16` bytes take the
+//! byte recurrence.
 //!
-//! [`adler32_update`] additionally replaces the per-byte
-//! decrement-with-wrap weight walk of a scalar implementation with
-//! *block-wise* weight arithmetic: within a block, the weight of byte `j`
-//! is `w₀ − j (mod 65521)`, so the whole block's contribution is
-//! `w₀·ΣΔ − Σ j·Δⱼ` — two SWAR sums per input stream and one multiply
-//! per block, with a single modular reduction at the block boundary.
+//! [`adler32_update`] needs `Σ wᵢ·Δᵢ` with the weight of byte `i` of a
+//! block congruent to `w₀ − i`; writing that as `(w₀ − n) + (n − i)` turns
+//! the block's contribution into `(w₀ − n)·ΔS + ΔT` — the same two sums of
+//! the old and the new bytes, one multiply and one reduction per block.
 
 const MOD: u64 = 65521;
 
-/// Bytes per deferred-modulo block in [`adler32`]. With u64 accumulators,
-/// `a` grows by at most `4096·255 < 2²¹` per block and `b` by well under
-/// 2³⁴, so one reduction per block suffices.
-const FULL_BLOCK: usize = 4096;
+/// Bytes per deferred-modulo block, for both entry points. Over one block
+/// the `u32` lanes stay below `sa ≤ 2¹⁶`, `pa, wb ≤ 120·4080 < 2¹⁹`, and
+/// the folded sums below `S ≤ 4096·255 < 2²¹` and
+/// `T ≤ 255·4096·4097/2 < 2³²`, so the `u64` (and, in
+/// [`adler32_update`], `i64`) combinations stay far from overflow with one
+/// reduction per block.
+const BLOCK: usize = 4096;
 
-/// Bytes per weight-reduction block in [`adler32_update`]. Within a block
-/// the unsigned SWAR accumulators stay below 2²⁹ (weighted) and 2¹⁹
-/// (plain), and the signed per-block combination below 2³⁷.
-const UPDATE_BLOCK: usize = 2048;
+/// Byte lanes per row.
+const LANES: usize = 16;
 
-/// SWAR per-word sums: returns `(S, W)` where `S = Σ bᵢ` and
-/// `W = Σ i·bᵢ` over the little-endian bytes `b0..b7` of `v`.
-#[inline]
-fn word_sums(v: u64) -> (u64, u64) {
-    const LANES: u64 = 0x00FF_00FF_00FF_00FF;
-    // Dot-product multipliers: lane k of the constant multiplies lane
-    // 3−k of the input into the product's top 16-bit lane. Partial sums
-    // in lower lanes are < 2¹⁶, so no carry reaches the top lane.
-    const ONES: u64 = 0x0001_0001_0001_0001; // weights [1,1,1,1]
-    const W_EVEN: u64 = 0x0000_0002_0004_0006; // weights [0,2,4,6]
-    const W_ODD: u64 = 0x0001_0003_0005_0007; // weights [1,3,5,7]
-    let e = v & LANES; // bytes 0,2,4,6 in u16 lanes
-    let o = (v >> 8) & LANES; // bytes 1,3,5,7 in u16 lanes
-    let s = (e.wrapping_mul(ONES) >> 48) + (o.wrapping_mul(ONES) >> 48);
-    let w = (e.wrapping_mul(W_EVEN) >> 48) + (o.wrapping_mul(W_ODD) >> 48);
-    (s, w)
+/// Bytes per lane-accumulator sub-block: sixteen rows, the most the `u16`
+/// prefix sums can take (see the module docs).
+const SUB_BLOCK: usize = 16 * LANES;
+
+/// Per-lane sums and prefix sums over `rows` (whole rows, at most
+/// sixteen): `va[j] = Σᵣ x[r][j]`, `vb[j] = Σᵣ (R−1−r)·x[r][j]`.
+#[inline(always)]
+fn lane_sums(rows: &[u8]) -> ([u16; LANES], [u16; LANES]) {
+    let mut va = [0u16; LANES];
+    let mut vb = [0u16; LANES];
+    for row in rows.chunks_exact(LANES) {
+        let row: &[u8; LANES] = row.try_into().expect("exact 16-byte row");
+        // Wrapping adds (here and in `block_sums`) only keep the release
+        // profile's overflow checks out of the vector loops; the lane
+        // bounds above show nothing ever wraps.
+        for j in 0..LANES {
+            vb[j] = vb[j].wrapping_add(va[j]);
+            va[j] = va[j].wrapping_add(row[j] as u16);
+        }
+    }
+    (va, vb)
 }
 
-/// SWAR slice sums: `(Σ bytes, Σ j·byteⱼ)` with `j` the 0-based index
-/// within `data`. Caller bounds `data.len()` (≤ [`UPDATE_BLOCK`]) so the
-/// u64 accumulators cannot overflow.
+/// `(S, T)` over `data` (at most [`BLOCK`] bytes): `S = Σ xᵢ` and
+/// `T = Σ (n−i)·xᵢ` with `n = data.len()` and `i` the 0-based index — the
+/// increments Adler32's `A` and `B` take over `data` when entered with
+/// `A = 0`.
 #[inline]
-fn slice_sums(data: &[u8]) -> (u64, u64) {
-    let mut s = 0u64;
-    let mut w = 0u64;
-    let mut j = 0u64;
-    let mut words = data.chunks_exact(8);
-    for wd in &mut words {
-        let v = u64::from_le_bytes(wd.try_into().expect("exact 8-byte chunk"));
-        let (bs, bw) = word_sums(v);
-        // Σ (j+i)·bᵢ = j·S + W for the word starting at index j.
-        w += j * bs + bw;
-        s += bs;
-        j += 8;
-    }
-    for &d in words.remainder() {
+fn block_sums(data: &[u8]) -> (u64, u64) {
+    debug_assert!(data.len() <= BLOCK);
+    let (rows, tail) = data.split_at(data.len() / LANES * LANES);
+    // Inputs shorter than a row (word-sized checksum deltas) skip the
+    // lane machinery and its fold altogether.
+    let (mut s, mut t) = if rows.is_empty() { (0, 0) } else { row_sums(rows) };
+    for &d in tail {
         s += d as u64;
-        w += j * d as u64;
-        j += 1;
+        t += s;
     }
-    (s, w)
+    (s, t)
 }
 
-/// Computes the Adler32 checksum of `data` (SWAR, eight bytes per step).
+/// [`block_sums`] over whole rows.
+#[inline]
+fn row_sums(rows: &[u8]) -> (u64, u64) {
+    let (head, rest) = rows.split_at(rows.len() / LANES % 16 * LANES);
+    let (va, vb) = lane_sums(head);
+    let mut sa = [0u32; LANES];
+    let mut wb = [0u32; LANES];
+    let mut pa = [0u32; LANES];
+    for j in 0..LANES {
+        sa[j] = va[j] as u32;
+        wb[j] = vb[j] as u32;
+    }
+    for sub in rest.chunks_exact(SUB_BLOCK) {
+        let (va, vb) = lane_sums(sub);
+        for j in 0..LANES {
+            pa[j] = pa[j].wrapping_add(sa[j]);
+            sa[j] = sa[j].wrapping_add(va[j] as u32);
+            wb[j] = wb[j].wrapping_add(vb[j] as u32);
+        }
+    }
+    // The fold. `Σⱼ (16−j)·sa[j]` is the byte recurrence run over the
+    // lane sums (`w` adds every prefix of `s`), which keeps per-lane
+    // constants — and with them lane shuffles — out of the loops above.
+    // All four sums stay below 2²⁵ (sixteen lanes of less than 2²¹).
+    let (mut s, mut w, mut p, mut q) = (0u32, 0u32, 0u32, 0u32);
+    for j in 0..LANES {
+        s = s.wrapping_add(sa[j]);
+        w = w.wrapping_add(s);
+        p = p.wrapping_add(pa[j]);
+        q = q.wrapping_add(wb[j]);
+    }
+    (s as u64, SUB_BLOCK as u64 * p as u64 + w as u64 + LANES as u64 * q as u64)
+}
+
+/// Computes the Adler32 checksum of `data`.
 pub fn adler32(data: &[u8]) -> u32 {
     let mut a: u64 = 1;
     let mut b: u64 = 0;
-    for chunk in data.chunks(FULL_BLOCK) {
-        let mut words = chunk.chunks_exact(8);
-        for wd in &mut words {
-            let v = u64::from_le_bytes(wd.try_into().expect("exact 8-byte chunk"));
-            let (s, w) = word_sums(v);
-            // Byte recurrence A += bᵢ; B += A over 8 bytes folds to:
-            //   B += 8·A + Σ (8−i)·bᵢ = 8·A + 8·S − W   (W ≤ 7·S, so the
-            //   unsigned subtraction cannot underflow), then A += S.
-            b += 8 * a + 8 * s - w;
-            a += s;
-        }
-        for &d in words.remainder() {
-            a += d as u64;
-            b += a;
-        }
-        a %= MOD;
-        b %= MOD;
+    for chunk in data.chunks(BLOCK) {
+        let (s, t) = block_sums(chunk);
+        b = (b + chunk.len() as u64 * a + t) % MOD;
+        a = (a + s) % MOD;
     }
     ((b as u32) << 16) | a as u32
 }
@@ -124,24 +153,22 @@ pub fn adler32_update(csum: u32, total_len: u64, off: u64, old: &[u8], new: &[u8
     // For byte i (absolute position p = off + i, weight w = total_len − p):
     //   A' = A + Σ (newᵢ − oldᵢ)
     //   B' = B + Σ w·(newᵢ − oldᵢ)
-    // Per block of up to UPDATE_BLOCK bytes, with w₀ ≡ total_len − off −
+    // Per block of n ≤ BLOCK bytes, with w₀ ≡ total_len − off −
     // block_start (mod MOD) the (reduced) weight of the block's first
-    // byte, the B-delta is  w₀·(Sn − So) − (Wn − Wo):  the per-byte weight
-    // w₀ − j is only *congruent* to the true weight mod MOD (it may go
-    // negative), which is exactly what the end-of-block reduction needs.
+    // byte, the B-delta is  (w₀ − n)·(Sn − So) + (Tn − To):  the per-byte
+    // weight w₀ − i is only *congruent* to the true weight mod MOD (it may
+    // go negative), which is exactly what the end-of-block reduction needs.
     let mut da: i64 = 0;
     let mut db: i64 = 0;
     let mut w0 = ((total_len - off) % MOD) as i64;
-    let mut pos = 0usize;
-    while pos < old.len() {
-        let n = (old.len() - pos).min(UPDATE_BLOCK);
-        let (so, wo) = slice_sums(&old[pos..pos + n]);
-        let (sn, wn) = slice_sums(&new[pos..pos + n]);
+    for (o, n) in old.chunks(BLOCK).zip(new.chunks(BLOCK)) {
+        let (so, to) = block_sums(o);
+        let (sn, tn) = block_sums(n);
         let ds = sn as i64 - so as i64;
+        let w_end = w0 - o.len() as i64;
         da = (da + ds) % m;
-        db = (db + w0 * ds - (wn as i64 - wo as i64)) % m;
-        w0 = (w0 - n as i64).rem_euclid(m);
-        pos += n;
+        db = (db + w_end * ds + (tn as i64 - to as i64)) % m;
+        w0 = w_end.rem_euclid(m);
     }
     let a = ((csum & 0xFFFF) as i64 + da).rem_euclid(m);
     let b = ((csum >> 16) as i64 + db).rem_euclid(m);
@@ -154,7 +181,7 @@ mod tests {
 
     /// Straight-from-the-definition byte-wise Adler32 (the differential
     /// reference; the proptest suite in `tests/checksum_props.rs` pins the
-    /// SWAR implementation against an independent copy of this).
+    /// lane kernel against an independent copy of this).
     fn ref_adler32(data: &[u8]) -> u32 {
         let mut a: u32 = 1;
         let mut b: u32 = 0;
@@ -175,30 +202,34 @@ mod tests {
     fn swar_matches_reference_across_lengths() {
         let data: Vec<u8> =
             (0..1024u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 255, 256, 1000, 1024] {
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000, 1024] {
             assert_eq!(adler32(&data[..len]), ref_adler32(&data[..len]), "len {len}");
         }
-        // Misaligned starts exercise the chunk boundaries too.
-        for start in 1..9 {
+        // Misaligned starts exercise the row boundaries too.
+        for start in 1..17 {
             assert_eq!(adler32(&data[start..]), ref_adler32(&data[start..]), "start {start}");
         }
     }
 
     #[test]
-    fn word_sums_exhaustive_per_lane() {
-        // Every byte value in every lane position, against a scalar model.
-        for lane in 0..8 {
-            for val in [0u8, 1, 2, 0x7F, 0x80, 0xFE, 0xFF] {
-                let mut bytes = [0u8; 8];
-                bytes[lane] = val;
-                let (s, w) = word_sums(u64::from_le_bytes(bytes));
-                assert_eq!(s, val as u64, "sum lane {lane} val {val}");
-                assert_eq!(w, lane as u64 * val as u64, "weighted lane {lane} val {val}");
+    fn block_sums_exhaustive_per_lane() {
+        // Every byte value at every position of a short leading
+        // sub-block, two full ones and an odd tail, against the
+        // definition of the two sums.
+        const N: usize = 5 * LANES + 2 * SUB_BLOCK + 13;
+        for pos in 0..N {
+            for val in [1u8, 2, 0x7F, 0x80, 0xFE, 0xFF] {
+                let mut bytes = [0u8; N];
+                bytes[pos] = val;
+                let (s, t) = block_sums(&bytes);
+                assert_eq!(s, val as u64, "sum pos {pos} val {val}");
+                assert_eq!(t, (N - pos) as u64 * val as u64, "weighted pos {pos} val {val}");
             }
         }
-        let (s, w) = word_sums(u64::from_le_bytes([0xFF; 8]));
-        assert_eq!(s, 8 * 255);
-        assert_eq!(w, 255 * (1 + 2 + 3 + 4 + 5 + 6 + 7));
+        // The lane bound: a full block of 0xFF.
+        let (s, t) = block_sums(&[0xFF; BLOCK]);
+        assert_eq!(s, 255 * BLOCK as u64);
+        assert_eq!(t, 255 * (BLOCK as u64 * (BLOCK as u64 + 1) / 2));
     }
 
     #[test]
@@ -242,10 +273,10 @@ mod tests {
 
     #[test]
     fn update_spanning_many_blocks() {
-        // A range longer than UPDATE_BLOCK crosses the block-wise weight
+        // A range longer than BLOCK crosses the block-wise weight
         // reduction; a huge total_len crosses the mod-65521 weight wrap.
         let total = (1u64 << 33) + 12345;
-        let old = vec![0x11u8; 3 * UPDATE_BLOCK + 17];
+        let old = vec![0x11u8; 3 * BLOCK + 17];
         let new: Vec<u8> = (0..old.len() as u32).map(|i| (i % 254) as u8).collect();
         let base = adler32(&old);
         // Model: the object is `old` padded conceptually; compare two

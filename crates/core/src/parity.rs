@@ -125,20 +125,36 @@ const MAX_STRIPES: u64 = 4096;
 /// buffer state → lane → parity range; a guard is always the innermost
 /// lock.
 pub struct RangeGuard<'a> {
-    shared: Vec<RwLockReadGuard<'a, ()>>,
-    exclusive: Vec<RwLockWriteGuard<'a, ()>>,
+    /// Held exclusively — or over no stripes at all, which excludes
+    /// nobody and counts as exclusive too.
+    exclusive: bool,
+    /// The first [`INLINE_STRIPES`] held stripes — a commit's span guard
+    /// rarely needs more, so acquiring it allocates nothing.
+    inline: [Option<StripeGuard<'a>>; INLINE_STRIPES],
+    /// Held stripes beyond the inline ones.
+    spill: Vec<StripeGuard<'a>>,
+}
+
+/// Stripes a [`RangeGuard`] holds without heap storage.
+const INLINE_STRIPES: usize = 4;
+
+/// One held stripe lock. Only held, never read: dropping it releases the
+/// stripe.
+enum StripeGuard<'a> {
+    Shared { _held: RwLockReadGuard<'a, ()> },
+    Exclusive { _held: RwLockWriteGuard<'a, ()> },
 }
 
 impl RangeGuard<'_> {
     /// `true` when the span is held exclusively (vectorized XOR and plain
     /// stores are safe; shared guards must stick to atomic word XOR).
     pub fn is_exclusive(&self) -> bool {
-        !self.exclusive.is_empty() || self.shared.is_empty()
+        self.exclusive
     }
 
     /// Number of lock stripes this guard holds.
     pub fn stripes_held(&self) -> usize {
-        self.shared.len() + self.exclusive.len()
+        self.inline.iter().flatten().count() + self.spill.len()
     }
 }
 
@@ -216,17 +232,20 @@ impl ParityEngine {
     fn acquire(&self, ids: &mut Vec<usize>, exclusive: bool) -> RangeGuard<'_> {
         ids.sort_unstable();
         ids.dedup();
-        let mut guard = RangeGuard { shared: Vec::new(), exclusive: Vec::new() };
-        if exclusive {
-            guard.exclusive.reserve_exact(ids.len());
-        } else {
-            guard.shared.reserve_exact(ids.len());
-        }
-        for &id in ids.iter() {
-            if exclusive {
-                guard.exclusive.push(self.stripes[id].write());
+        let mut guard = RangeGuard {
+            exclusive: exclusive || ids.is_empty(),
+            inline: [const { None }; INLINE_STRIPES],
+            spill: Vec::with_capacity(ids.len().saturating_sub(INLINE_STRIPES)),
+        };
+        for (i, &id) in ids.iter().enumerate() {
+            let held = if exclusive {
+                StripeGuard::Exclusive { _held: self.stripes[id].write() }
             } else {
-                guard.shared.push(self.stripes[id].read());
+                StripeGuard::Shared { _held: self.stripes[id].read() }
+            };
+            match guard.inline.get_mut(i) {
+                Some(slot) => *slot = Some(held),
+                None => guard.spill.push(held),
             }
         }
         guard

@@ -19,7 +19,7 @@ use crate::parity::{ParityDomains, ParityEngine, RangeGuard, ShardMap};
 use crate::quarantine::QuarantineSet;
 use crate::scrub::{self, ScrubReport, ScrubTotals};
 use crate::txn::{PglTx, TxStats};
-use crate::ubuf::UBuf;
+use crate::ubuf::{FrameParts, UBuf};
 use crate::vcache::VCache;
 
 const POOL_VERSION_MAGIC: u64 = 0x50_41_4E_47_4F_4C_49_4E; // "PANGOLIN"
@@ -225,12 +225,12 @@ impl Inner {
         oid: PMEMoid,
         hdr: ObjectHeader,
         verify: bool,
-        frames: &mut Vec<(Vec<u8>, pgl_pmemobj::util::RangeSet)>,
+        frames: &mut Vec<FrameParts>,
     ) -> Result<UBuf> {
         let verify = verify && self.mode.has_checksums();
         let stamp = verify.then(|| self.vcache.begin_verify(oid.off));
         let mut b = UBuf::for_load(oid, hdr, frames.pop().unwrap_or_default());
-        self.read_with_recovery(oid.off, b.user_mut())?;
+        self.read_with_recovery(oid.off, b.load_mut())?;
         if verify {
             self.io.dev().note_csum_pass(hdr.size);
             if hdr.csum != adler32(b.user()) {
@@ -244,7 +244,7 @@ impl Inner {
                 let hit = self.vcache.probe(oid.off) == Some(hdr2.size);
                 let stamp2 = self.vcache.begin_verify(oid.off);
                 let mut b2 = UBuf::for_load(oid, hdr2, b.into_parts());
-                self.read_with_recovery(oid.off, b2.user_mut())?;
+                self.read_with_recovery(oid.off, b2.load_mut())?;
                 if hit {
                     self.vuln.note_verified_cached(hdr2.size);
                     self.io.dev().note_vcache_hit(hdr2.size);
@@ -292,7 +292,7 @@ impl Inner {
         &self,
         oid: PMEMoid,
         hdr: ObjectHeader,
-        frames: &mut Vec<(Vec<u8>, pgl_pmemobj::util::RangeSet)>,
+        frames: &mut Vec<FrameParts>,
     ) -> Result<UBuf> {
         let hit = self.vcache.probe(oid.off) == Some(hdr.size);
         let b = self.load_ubuf_hdr_in(oid, hdr, !hit, frames)?;
@@ -420,9 +420,10 @@ impl Inner {
     /// Like [`Inner::protected_write`], but under a span guard the caller
     /// already holds over `[off, off+len)` (no lock acquisition here; the
     /// parity XOR strategy follows the guard mode). Reads the pre-image
-    /// itself — into a stack buffer for small writes (headers, allocator
-    /// words), so the metadata path stays allocation-free. Callers that
-    /// already hold the pre-image use
+    /// itself — into a stack buffer for small writes (chunk metadata, run
+    /// headers), into a recycled read-path frame for large ones (zeroing
+    /// a log-overflow chunk) — so the path stays allocation-free. Callers
+    /// that already hold the pre-image use
     /// [`Inner::protected_write_locked_old`] instead and skip the read
     /// entirely.
     pub(crate) fn protected_write_locked(
@@ -440,9 +441,16 @@ impl Inner {
                     self.io.read(off, old).map_err(PglError::from)?;
                     self.protected_write_locked_old(guard, off, new, old)
                 } else {
-                    let mut old = vec![0u8; new.len()];
-                    self.io.read(off, &mut old).map_err(PglError::from)?;
-                    self.protected_write_locked_old(guard, off, new, &old)
+                    crate::scratch::with_read_frames(|frames| {
+                        let mut parts = frames.pop().unwrap_or_default();
+                        let old = crate::scratch::zeroed(&mut parts.frame, new.len());
+                        let r =
+                            self.io.read(off, old).map_err(PglError::from).and_then(|()| {
+                                self.protected_write_locked_old(guard, off, new, old)
+                            });
+                        crate::scratch::park_frame(frames, parts);
+                        r
+                    })
                 }
             }
             _ => {
@@ -456,13 +464,17 @@ impl Inner {
     /// Data write-back under a caller-held span guard with a
     /// **caller-supplied pre-image**: stores `new` (non-temporal), then
     /// patches parity with the fused `old ⊕ new` diff. This is the commit
-    /// pipeline's write-back primitive — the transaction read `old` from
-    /// NVMM exactly once (during the checksum stage, into its
-    /// [`crate::scratch::CommitScratch`]) and hands it back here, so no
-    /// second old-data read ever hits the device. The caller must
-    /// guarantee `old` is the current NVMM content of the range, which
-    /// the §3.4 ownership rule (no two transactions modify one object)
-    /// provides.
+    /// pipeline's write-back primitive — the transaction kept the bytes
+    /// it loaded at open (micro-buffer pre-images, sparse blocks' loaded
+    /// images, the loaded header), assembled `old` from them during the
+    /// checksum stage and hands it back here, so the commit never reads
+    /// old data from the device. The caller must guarantee `old` is what
+    /// the parity row currently accounts for in the range: the content
+    /// loaded (and, where the policy verifies, verified or repaired) at
+    /// open, which the §3.4 ownership rule (no two transactions modify
+    /// one object) keeps current until commit. A scribble landing in
+    /// between is *not* part of `old` — so it cannot leak into parity.
+    /// (In modes without parity nothing consumes `old`.)
     /// One fence serves both the store and the parity patch: the
     /// non-temporal store is issued, the parity lines are XORed and
     /// *flushed*, and a single drain makes everything durable together.
@@ -476,7 +488,6 @@ impl Inner {
         new: &[u8],
         old: &[u8],
     ) -> Result<()> {
-        debug_assert_eq!(old.len(), new.len());
         self.io.write_nt(off, new).map_err(PglError::from)?;
         if let (Some(engine), SpanGuard::Parity(g)) = (&self.parity, guard) {
             engine.update_under_flush_only(g, &self.io, off, old, new)?;
@@ -503,20 +514,24 @@ impl Inner {
             return op.apply(&self.io).map_err(PglError::from);
         }
         match op {
-            MetaOp::SetBits { off, mask } => {
-                let w = self.io.read_u64(*off).map_err(PglError::from)?;
-                self.protected_write(*off, &(w | mask).to_le_bytes())
-            }
-            MetaOp::ClearBits { off, mask } => {
-                let w = self.io.read_u64(*off).map_err(PglError::from)?;
-                self.protected_write(*off, &(w & !mask).to_le_bytes())
-            }
+            MetaOp::SetBits { off, mask } => self.update_meta_word(*off, |w| w | mask),
+            MetaOp::ClearBits { off, mask } => self.update_meta_word(*off, |w| w & !mask),
             MetaOp::WriteCm { off, data } => self.protected_write(*off, data),
             MetaOp::RunFmt { off, block_size, nblocks } => {
                 let hdr = pgl_pmemobj::heap::run::RunHeader::formatted(*block_size, *nblocks);
                 self.protected_write(*off, bytes_of(&hdr))
             }
         }
+    }
+
+    /// Read-modify-write of one allocator bitmap word with parity
+    /// maintenance: the word read for the update is also the parity
+    /// patch's pre-image (one device read; the publisher lock keeps the
+    /// word stable).
+    fn update_meta_word(&self, off: u64, f: impl FnOnce(u64) -> u64) -> Result<()> {
+        let guard = self.lock_span(off, 8, self.span_exclusive(8))?;
+        let w = self.io.read_u64(off).map_err(PglError::from)?;
+        self.protected_write_locked_old(&guard, off, &f(w).to_le_bytes(), &w.to_le_bytes())
     }
 
     /// The calling thread's allocation affinity as a `(shard, n_shards)`
@@ -587,7 +602,9 @@ impl ObjHandle {
     /// Mutable view (changes are committed by diff; see
     /// [`PglPool::commit_object`]).
     pub fn user_mut(&mut self) -> &mut [u8] {
-        self.ubuf.user_mut()
+        // The diff-commit re-opens the object in a transaction of its
+        // own, so the handle's buffer needs no pre-image.
+        self.ubuf.load_mut()
     }
 
     /// Typed read.
@@ -1148,11 +1165,11 @@ impl PglPool {
         let oid = handle.ubuf.oid();
         let size = handle.ubuf.user_size();
         crate::scratch::with_read_frames(|frames| {
-            let (mut cur, mut ranges) = frames.pop().unwrap_or_default();
-            cur.clear();
-            cur.resize(size, 0);
+            let mut parts = frames.pop().unwrap_or_default();
+            let FrameParts { frame: cur, modified: ranges, .. } = &mut parts;
+            let cur = crate::scratch::zeroed(cur, size);
             ranges.clear();
-            let r = self.inner.read_with_recovery(oid.off, &mut cur);
+            let r = self.inner.read_with_recovery(oid.off, cur);
             if r.is_ok() {
                 const GRAN: usize = 64;
                 let new = handle.ubuf.user();
@@ -1168,7 +1185,7 @@ impl PglPool {
             for (roff, rlen) in ranges.iter() {
                 handle.ubuf.mark_modified(roff, rlen);
             }
-            crate::scratch::park_frame(frames, (cur, ranges));
+            crate::scratch::park_frame(frames, parts);
             r
         })?;
         let result: Result<()> = if handle.ubuf.modified().is_empty() {

@@ -5,10 +5,11 @@
 //!
 //! A committing transaction needs three kinds of transient memory:
 //!
-//! 1. **old-data bytes** — the pre-image of every modified range, read
-//!    from NVMM *exactly once* and consumed twice: by the incremental
-//!    Adler32 delta (commit stage 2) and by the parity XOR patch at
-//!    write-back (stage 6);
+//! 1. **old-data bytes** — the pre-image of every modified range,
+//!    assembled from what the transaction's micro-buffers and sparse
+//!    shadows loaded at open (never read from NVMM a second time) and
+//!    consumed twice: by the incremental Adler32 delta (commit stage 2)
+//!    and by the parity XOR patch at write-back (stage 6);
 //! 2. **a staging buffer** for bytes that are not contiguous in DRAM
 //!    (sparse-shadow ranges span 256-byte blocks, construction
 //!    write-backs need the on-NVMM pre-image for parity);
@@ -17,21 +18,16 @@
 //! [`CommitScratch`] owns all three as growable buffers that are *cleared
 //! but never shrunk* between transactions: finished transactions recycle
 //! their scratch into a thread-local slot, so steady-state commits of
-//! small objects perform **zero heap allocations** on the data path. The
-//! regression test in `tests/commit_reads.rs` pins both this and the
-//! one-read-per-range invariant (via the device's
-//! `commit_old_reads`/`commit_old_bytes` counters).
+//! small objects perform **zero heap allocations**. The regression tests
+//! in `tests/commit_reads.rs` pin both this and the zero-commit-time-reads
+//! invariant (via the device's read counters).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use pgl_pmemobj::util::RangeSet;
-use pgl_pmemobj::PoolIo;
-
-use crate::error::{PglError, Result};
 use crate::sparse::SparseBuf;
-use crate::ubuf::UBuf;
+use crate::ubuf::{FrameParts, UBuf};
 
 /// Multiply–xorshift hasher for `u64` pool offsets. Transaction maps are
 /// keyed by object offsets (already unique, low entropy in the low bits);
@@ -68,20 +64,6 @@ pub(crate) type OffMap<V> = HashMap<u64, V, BuildHasherDefault<OffHasher>>;
 /// this, frames are simply dropped (bounds idle memory).
 const MAX_FRAMES: usize = 8;
 
-/// One recorded old-data range: which object and range it belongs to, and
-/// where its bytes live inside [`CommitScratch::old`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OldRange {
-    /// Object user-data offset (`oid.off`) the range belongs to.
-    pub obj: u64,
-    /// Range offset within the object's user data.
-    pub roff: u64,
-    /// Start of the range's old bytes within the shared `old` buffer.
-    pub start: usize,
-    /// Range length in bytes.
-    pub len: usize,
-}
-
 /// Reusable per-transaction commit scratch (see the module docs).
 ///
 /// Obtained via [`CommitScratch::take`] (thread-local recycling) and
@@ -89,17 +71,17 @@ pub(crate) struct OldRange {
 /// the thread has none cached yet.
 #[derive(Default)]
 pub(crate) struct CommitScratch {
-    /// Old-range bytes for every modified range, packed end to end in
-    /// commit processing order.
+    /// Pre-image bytes of every modified range, packed end to end in
+    /// commit processing order — the exact order the write-back stage
+    /// re-walks them, so a byte cursor pairs them back up.
     pub old: Vec<u8>,
-    /// One record per modified range, in the exact order the write-back
-    /// stage re-walks them.
-    pub ranges: Vec<OldRange>,
     /// Staging buffer for non-contiguous new bytes (sparse ranges) and
     /// construction-write pre-images.
     pub tmp: Vec<u8>,
     /// Stripe-id scratch for parity span-lock acquisition.
     pub stripe_ids: Vec<usize>,
+    /// The parity shards a commit's effects land in (cross-shard routing).
+    pub shards: Vec<u64>,
     /// Recycled (empty) micro-buffer table for the next transaction.
     pub ubuf_map: OffMap<UBuf>,
     /// Recycled (empty) sparse-shadow table.
@@ -109,9 +91,8 @@ pub(crate) struct CommitScratch {
     /// Recycled lazy-open table (offset → verified size; see
     /// [`crate::txn::PglTx::open`]).
     pub lazy_map: OffMap<u64>,
-    /// Recycled micro-buffer storage — frame bytes plus range-set
-    /// buffers — capacity-preserving.
-    pub frames: Vec<(Vec<u8>, RangeSet)>,
+    /// Recycled micro-buffer storage, capacity-preserving.
+    pub frames: Vec<FrameParts>,
 }
 
 thread_local! {
@@ -137,9 +118,9 @@ impl CommitScratch {
     /// Clears all buffers without releasing their capacity.
     pub fn reset(&mut self) {
         self.old.clear();
-        self.ranges.clear();
         self.tmp.clear();
         self.stripe_ids.clear();
+        self.shards.clear();
         self.ubuf_map.clear();
         self.sparse_map.clear();
         self.order.clear();
@@ -147,7 +128,7 @@ impl CommitScratch {
     }
 
     /// Parks a finished micro-buffer's storage for reuse (bounded pool).
-    pub fn push_frame(&mut self, parts: (Vec<u8>, RangeSet)) {
+    pub fn push_frame(&mut self, parts: FrameParts) {
         park_frame(&mut self.frames, parts);
     }
 }
@@ -163,8 +144,8 @@ const MAX_FRAME_BYTES: usize = crate::txn::SPARSE_THRESHOLD as usize + 64;
 /// Parks micro-buffer storage in `frames`, bounded by [`MAX_FRAMES`]
 /// entries of at most [`MAX_FRAME_BYTES`] each (shared by the commit
 /// scratch and the thread-local read-path pool).
-pub(crate) fn park_frame(frames: &mut Vec<(Vec<u8>, RangeSet)>, parts: (Vec<u8>, RangeSet)) {
-    if frames.len() < MAX_FRAMES && parts.0.capacity() <= MAX_FRAME_BYTES {
+pub(crate) fn park_frame(frames: &mut Vec<FrameParts>, parts: FrameParts) {
+    if frames.len() < MAX_FRAMES && parts.frame.capacity() <= MAX_FRAME_BYTES {
         frames.push(parts);
     }
 }
@@ -174,14 +155,14 @@ thread_local! {
     /// Conservative `direct_read`, `read_verified*`, `commit_object`'s
     /// diff buffer), which run outside any transaction and therefore
     /// cannot use the commit scratch an in-flight transaction owns.
-    static READ_FRAMES: RefCell<Vec<(Vec<u8>, RangeSet)>> = const { RefCell::new(Vec::new()) };
+    static READ_FRAMES: RefCell<Vec<FrameParts>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with this thread's recycled read-path frames. Frames popped
 /// and parked inside `f` keep their capacity across calls, so steady-state
 /// verified reads allocate nothing. Re-entrant calls (a read inside a
 /// read) see an empty pool and simply fall back to allocating.
-pub(crate) fn with_read_frames<R>(f: impl FnOnce(&mut Vec<(Vec<u8>, RangeSet)>) -> R) -> R {
+pub(crate) fn with_read_frames<R>(f: impl FnOnce(&mut Vec<FrameParts>) -> R) -> R {
     let mut frames = READ_FRAMES.with(|slot| std::mem::take(&mut *slot.borrow_mut()));
     let r = f(&mut frames);
     READ_FRAMES.with(|slot| {
@@ -257,34 +238,6 @@ pub(crate) fn zeroed(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
     buf
 }
 
-/// Reads the `len`-byte pre-image of object `obj`'s range at `roff`
-/// (absolute pool offset `pool_off`) into the shared `old` buffer,
-/// records it for the write-back stage, and returns its span. This is
-/// *the* single commit-time old-data read per modified range — the
-/// device's commit-old counters are bumped here and nowhere else.
-///
-/// A free function over the split-out buffers (not a method) so callers
-/// can hold the returned span alongside `&mut` borrows of the scratch's
-/// other buffers.
-pub(crate) fn read_old_range(
-    io: &PoolIo,
-    old: &mut Vec<u8>,
-    ranges: &mut Vec<OldRange>,
-    obj: u64,
-    roff: u64,
-    pool_off: u64,
-    len: usize,
-) -> Result<(usize, usize)> {
-    let start = old.len();
-    old.resize(start + len, 0);
-    io.read(pool_off, &mut old[start..start + len]).map_err(|e| {
-        PglError::unrecoverable(format!("media error during commit (old-data read): {e}"))
-    })?;
-    io.dev().note_commit_old_read(len as u64);
-    ranges.push(OldRange { obj, roff, start, len });
-    Ok((start, start + len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,13 +246,12 @@ mod tests {
     fn recycle_keeps_capacity_and_clears_content() {
         let mut s = CommitScratch::take();
         s.old.extend_from_slice(&[1, 2, 3]);
-        s.ranges.push(OldRange { obj: 1, roff: 0, start: 0, len: 3 });
         s.tmp.resize(100, 7);
         s.stripe_ids.push(9);
         let cap = s.tmp.capacity();
         s.recycle();
         let s2 = CommitScratch::take();
-        assert!(s2.old.is_empty() && s2.ranges.is_empty() && s2.stripe_ids.is_empty());
+        assert!(s2.old.is_empty() && s2.stripe_ids.is_empty());
         assert!(s2.tmp.is_empty());
         assert!(s2.tmp.capacity() >= cap, "capacity survives recycling");
         // The slot is empty now; a second take yields a fresh default.
@@ -307,23 +259,5 @@ mod tests {
         assert_eq!(s3.tmp.capacity(), 0);
         s2.recycle();
         s3.recycle();
-    }
-
-    #[test]
-    fn read_old_range_records_and_counts() {
-        use pgl_nvm::{DeviceConfig, NvmDevice};
-        use std::sync::Arc;
-        let dev = Arc::new(NvmDevice::new(8 << 12, DeviceConfig::fast()).unwrap());
-        dev.write(4096, &[0xAB; 64]).unwrap();
-        let io = PoolIo::new(dev.clone());
-        let mut old = Vec::new();
-        let mut ranges = Vec::new();
-        let s0 = dev.stats();
-        let (a, b) = read_old_range(&io, &mut old, &mut ranges, 4096, 16, 4096 + 16, 32).unwrap();
-        assert_eq!(&old[a..b], &[0xAB; 32]);
-        assert_eq!(ranges.len(), 1);
-        assert_eq!((ranges[0].obj, ranges[0].roff, ranges[0].len), (4096, 16, 32));
-        let d = dev.stats().delta_since(&s0);
-        assert_eq!((d.commit_old_reads, d.commit_old_bytes), (1, 32));
     }
 }

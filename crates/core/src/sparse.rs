@@ -9,7 +9,9 @@
 //!
 //! * writes load the covering blocks from NVMM (preserving
 //!   read-modify-write semantics), mutate them in DRAM, and track exact
-//!   modified ranges;
+//!   modified ranges; a block is only ever loaded to be written, so it
+//!   keeps its loaded image beside the working copy — the commit's
+//!   pre-image, served from DRAM;
 //! * commit redo-logs, writes back and parity-patches only those ranges;
 //! * the object checksum updates **incrementally** from the old and new
 //!   bytes of the modified ranges — the full object is never read, which
@@ -33,33 +35,42 @@ pub const SPARSE_BLOCK: u64 = 256;
 
 const CANARY_SEED: u64 = 0x73_70_61_72_73_65_21_21; // "sparse!!"
 
-/// A canary-framed 256-byte shadow block.
+/// End of the canary-framed working copy within a block's frame.
+const FRAMED: usize = 8 + SPARSE_BLOCK as usize + 8;
+
+/// A canary-framed 256-byte shadow block plus its loaded image.
 struct Block {
-    /// `[canary 8][data 256][canary 8]`.
+    /// `[canary 8][data 256][canary 8][loaded 256]`.
     frame: Box<[u8]>,
 }
 
 impl Block {
     fn new(canary: u64, data: &[u8]) -> Block {
         debug_assert_eq!(data.len(), SPARSE_BLOCK as usize);
-        let mut frame = vec![0u8; 8 + SPARSE_BLOCK as usize + 8].into_boxed_slice();
+        let mut frame = vec![0u8; FRAMED + SPARSE_BLOCK as usize].into_boxed_slice();
         frame[..8].copy_from_slice(&canary.to_le_bytes());
-        frame[8..8 + SPARSE_BLOCK as usize].copy_from_slice(data);
-        frame[8 + SPARSE_BLOCK as usize..].copy_from_slice(&canary.to_le_bytes());
+        frame[8..FRAMED - 8].copy_from_slice(data);
+        frame[FRAMED - 8..FRAMED].copy_from_slice(&canary.to_le_bytes());
+        frame[FRAMED..].copy_from_slice(data);
         Block { frame }
     }
 
     fn data(&self) -> &[u8] {
-        &self.frame[8..8 + SPARSE_BLOCK as usize]
+        &self.frame[8..FRAMED - 8]
     }
 
     fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.frame[8..8 + SPARSE_BLOCK as usize]
+        &mut self.frame[8..FRAMED - 8]
+    }
+
+    /// The block as read from NVMM.
+    fn loaded(&self) -> &[u8] {
+        &self.frame[FRAMED..]
     }
 
     fn canaries_ok(&self, canary: u64) -> bool {
         let c = canary.to_le_bytes();
-        self.frame[..8] == c && self.frame[8 + SPARSE_BLOCK as usize..] == c
+        self.frame[..8] == c && self.frame[FRAMED - 8..FRAMED] == c
     }
 }
 
@@ -67,6 +78,8 @@ impl Block {
 pub struct SparseBuf {
     oid: PMEMoid,
     header: ObjectHeader,
+    /// The header as loaded (`header` takes the refreshed checksum).
+    loaded_header: ObjectHeader,
     /// Loaded shadow blocks, keyed by block index within the user data.
     blocks: BTreeMap<u64, Block>,
     /// Exact modified byte ranges (user-data relative).
@@ -80,7 +93,13 @@ impl SparseBuf {
 
     /// Creates an empty sparse buffer for the object described by `header`.
     pub fn new(oid: PMEMoid, header: ObjectHeader) -> SparseBuf {
-        SparseBuf { oid, header, blocks: BTreeMap::new(), modified: RangeSet::new() }
+        SparseBuf {
+            oid,
+            header,
+            loaded_header: header,
+            blocks: BTreeMap::new(),
+            modified: RangeSet::new(),
+        }
     }
 
     /// The shadowed object.
@@ -88,9 +107,15 @@ impl SparseBuf {
         self.oid
     }
 
-    /// The header as loaded at open (checksum updates at commit).
+    /// The working header: as loaded at open, with the checksum
+    /// [`SparseBuf::set_csum`] refreshed at commit.
     pub fn header(&self) -> ObjectHeader {
         self.header
+    }
+
+    /// The header as loaded at open: the header's pre-image at commit.
+    pub fn loaded_header(&self) -> ObjectHeader {
+        self.loaded_header
     }
 
     /// User size in bytes.
@@ -111,11 +136,11 @@ impl SparseBuf {
         (off / SPARSE_BLOCK)..((off + len - 1) / SPARSE_BLOCK + 1)
     }
 
-    /// Returns block indices in the range that are not yet loaded; the
-    /// caller reads them from NVMM and installs them via
+    /// Whether block `idx` is loaded; the caller reads missing blocks of
+    /// a range ([`SparseBuf::blocks_of`]) from NVMM and installs them via
     /// [`SparseBuf::install_block`].
-    pub fn missing_blocks(&self, off: u64, len: u64) -> Vec<u64> {
-        Self::blocks_of(off, len).filter(|b| !self.blocks.contains_key(b)).collect()
+    pub fn has_block(&self, idx: u64) -> bool {
+        self.blocks.contains_key(&idx)
     }
 
     /// Installs a shadow block read from NVMM (must be
@@ -151,6 +176,16 @@ impl SparseBuf {
     /// Reads `dst.len()` bytes at `off` from the shadow (blocks must be
     /// installed; used for transaction-local reads of touched ranges).
     pub fn read(&self, off: u64, dst: &mut [u8]) {
+        self.copy_out(off, dst, Block::data);
+    }
+
+    /// Reads `dst.len()` bytes at `off` as they were loaded from NVMM —
+    /// the range's pre-image (blocks must be installed).
+    pub fn read_loaded(&self, off: u64, dst: &mut [u8]) {
+        self.copy_out(off, dst, Block::loaded);
+    }
+
+    fn copy_out(&self, off: u64, dst: &mut [u8], part: fn(&Block) -> &[u8]) {
         let mut done = 0usize;
         while done < dst.len() {
             let pos = off + done as u64;
@@ -158,7 +193,7 @@ impl SparseBuf {
             let within = (pos % SPARSE_BLOCK) as usize;
             let n = ((SPARSE_BLOCK as usize) - within).min(dst.len() - done);
             let block = self.blocks.get(&b).expect("block installed before read");
-            dst[done..done + n].copy_from_slice(&block.data()[within..within + n]);
+            dst[done..done + n].copy_from_slice(&part(block)[within..within + n]);
             done += n;
         }
     }
@@ -205,8 +240,7 @@ impl SparseBuf {
     /// Test/fault-injection helper: smash one block's canary.
     pub fn smash_a_canary(&mut self) {
         if let Some(block) = self.blocks.values_mut().next() {
-            let n = block.frame.len();
-            block.frame[n - 1] ^= 0xFF;
+            block.frame[FRAMED - 1] ^= 0xFF;
         }
     }
 }
@@ -230,13 +264,16 @@ mod tests {
     #[test]
     fn write_read_roundtrip_across_blocks() {
         let mut s = SparseBuf::new(PMEMoid::new(1, 4096), hdr(1 << 20));
-        for b in s.missing_blocks(250, 20) {
-            s.install_block(b, &[0u8; 256]);
+        for b in SparseBuf::blocks_of(250, 20) {
+            assert!(!s.has_block(b));
+            s.install_block(b, &[1u8; 256]);
         }
         s.write(250, &[7u8; 20]);
         let mut out = [0u8; 20];
         s.read(250, &mut out);
         assert_eq!(out, [7u8; 20]);
+        s.read_loaded(250, &mut out);
+        assert_eq!(out, [1u8; 20], "the loaded image survives the write");
         assert_eq!(s.modified().total_bytes(), 20);
         assert!(s.covers(250, 20));
         assert!(!s.covers(512, 1));

@@ -5,10 +5,13 @@
 //! micro-buffers; commit then performs, in order:
 //!
 //! 1. **canary checks** — a smashed canary aborts before NVMM is touched;
-//! 2. **fused old-data pass** — each modified range's NVMM pre-image is
-//!    read *exactly once* into the recycled commit-scratch buffers,
-//!    feeding both the incremental Adler32 refresh here and the parity
-//!    XOR patch at stage (6);
+//! 2. **pre-image assembly** — each modified range's pre-image is put
+//!    together *in DRAM* from the bytes the transaction loaded at open
+//!    (micro-buffers save them before a range is first handed out for
+//!    mutation, sparse blocks keep their loaded image) into the recycled
+//!    commit scratch, feeding both the incremental Adler32 refresh here
+//!    and the parity XOR patch at stage (6) — the commit reads no old
+//!    data from the device;
 //! 3. **allocation intents** — persisted so a pre-commit crash can
 //!    recompute parity for torn construction writes;
 //! 4. **construction write-back** of new objects (their content is *not*
@@ -29,11 +32,11 @@
 //!
 //! Whole-object overwrites (the Figure 3 shape) take a fused fast path:
 //! the object header is adjacent to the data both on NVMM and in the
-//! micro-buffer frame, so one pre-image read, one redo entry, one
-//! non-temporal store and one parity patch cover header+data together,
-//! and the checksum is one full pass over the new bytes. See the README's
-//! "Commit pipeline & performance" section for the invariants and the
-//! `commit_path` bench.
+//! micro-buffer frame, so one pre-image (loaded header + loaded bytes),
+//! one redo entry, one non-temporal store and one parity patch cover
+//! header+data together, and the checksum is one full pass over the new
+//! bytes. See the README's "Commit pipeline & performance" section for
+//! the invariants.
 //!
 //! # Cross-shard commits
 //!
@@ -73,7 +76,7 @@ pub use pgl_pmemobj::TxStats;
 use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
 use crate::pool::Inner;
-use crate::scratch::{read_old_range, CommitScratch, OffMap};
+use crate::scratch::{CommitScratch, OffMap};
 use crate::sparse::{SparseBuf, SPARSE_BLOCK};
 use crate::ubuf::{UBuf, UBufState};
 
@@ -81,15 +84,11 @@ use crate::ubuf::{UBuf, UBufState};
 /// of being copied whole into a micro-buffer; see [`crate::sparse`].
 pub const SPARSE_THRESHOLD: u64 = 64 << 10;
 
-/// Sentinel `roff` in a scratch [`crate::scratch::OldRange`] marking a
-/// fused header+data pre-image (the whole-object overwrite fast path).
-const WHOLE_OBJECT: u64 = u64::MAX;
-
 /// `true` when a modified micro-buffer's ranges collapse to one full
 /// object overwrite — the Figure 3 "overwrite" shape. The header sits
 /// directly before the data both on NVMM and in the frame, so this shape
-/// commits with ONE pre-image read, ONE redo entry, ONE non-temporal
-/// store + fence, and ONE parity patch covering header+data together.
+/// commits with ONE pre-image, ONE redo entry, ONE non-temporal store +
+/// fence, and ONE parity patch covering header+data together.
 fn is_whole_object(b: &UBuf) -> bool {
     b.modified().len() == 1 && b.modified().iter().next() == Some((0, b.user_size() as u64))
 }
@@ -299,12 +298,14 @@ impl<'p> PglTx<'p> {
     /// above [`SPARSE_THRESHOLD`] get a sparse (block-granular) shadow
     /// instead, skipping whole-object verification (see [`crate::sparse`]).
     /// (Full overwrites must verify too, even though the old bytes don't
-    /// flow into the refreshed checksum: a *scribble* bypasses parity, so
-    /// the parity row still reflects the pre-scribble content — patching
-    /// it with a scribbled pre-image would leave a permanent residue in
+    /// flow into the refreshed checksum: the bytes loaded here are the
+    /// commit's pre-image, and a *scribble* bypasses parity, so the
+    /// parity row still reflects the pre-scribble content — patching it
+    /// with a scribbled pre-image would leave a permanent residue in
     /// every column of the stripe. Verification detects the scribble and
     /// repairs the object from parity first, keeping the pre-image and
-    /// the parity row consistent.)
+    /// the parity row consistent. A scribble that lands *after* the load
+    /// never enters the pre-image at all.)
     /// Opens of an object the verified-generation cache knows to be
     /// verified-fresh are **lazy**: only a header-free `(offset, size)`
     /// record is made, reads are served straight from NVMM (counted in
@@ -359,23 +360,22 @@ impl<'p> PglTx<'p> {
     /// Loads any missing shadow blocks covering `[off, off+len)` of a
     /// sparse-shadowed object from NVMM (with online media recovery).
     fn load_sparse_blocks(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
-        let missing = {
-            let sb = self.sparse.get(&oid.off).expect("sparse entry exists");
-            sb.missing_blocks(off, len)
-        };
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let size = self.sparse.get(&oid.off).expect("exists").user_size();
+        let sb = self.sparse.get_mut(&oid.off).expect("sparse entry exists");
+        let size = sb.user_size();
         let mut buf = [0u8; SPARSE_BLOCK as usize];
-        for b in missing {
+        let mut loaded = false;
+        for b in SparseBuf::blocks_of(off, len) {
+            if sb.has_block(b) {
+                continue;
+            }
             let start = b * SPARSE_BLOCK;
             let n = SPARSE_BLOCK.min(size - start) as usize;
             buf[n..].fill(0);
             self.inner.read_with_recovery(oid.off + start, &mut buf[..n])?;
-            self.sparse.get_mut(&oid.off).expect("exists").install_block(b, &buf);
+            sb.install_block(b, &buf);
+            loaded = true;
         }
-        if self.inner.mode.has_checksums() {
+        if loaded && self.inner.mode.has_checksums() {
             // Sparse opens skip verification: the bytes read count as
             // exposure in the Table 4 accounting.
             self.inner.vuln.note_unverified(len);
@@ -432,23 +432,34 @@ impl<'p> PglTx<'p> {
         Ok(())
     }
 
-    /// Marks `[off, off+len)` as about-to-be-modified (`pgl_tx_add_range`):
-    /// opens the micro-buffer and records the range.
-    pub fn add_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
+    /// Makes `[off, off+len)` of `oid` writable: opens (and materializes)
+    /// the shadow, bounds-checks the range and, for a sparse shadow, loads
+    /// the covering blocks.
+    fn open_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
         self.open(oid)?;
         self.materialize(oid)?;
-        if self.sparse.contains_key(&oid.off) {
-            let size = self.sparse.get(&oid.off).expect("exists").user_size();
-            if off + len > size {
-                return Err(ObjError::InvalidOid { off: oid.off + off }.into());
-            }
-            return self.load_sparse_blocks(oid, off, len);
-        }
-        let b = self.ubufs.get_mut(&oid.off).expect("just opened");
-        if off + len > b.user_size() as u64 {
+        let sparse = self.sparse.get(&oid.off).map(SparseBuf::user_size);
+        let size = sparse
+            .unwrap_or_else(|| self.ubufs.get(&oid.off).expect("just opened").user_size() as u64);
+        if off + len > size {
             return Err(ObjError::InvalidOid { off: oid.off + off }.into());
         }
-        b.mark_modified(off, len);
+        if sparse.is_some() {
+            self.load_sparse_blocks(oid, off, len)?;
+        }
+        Ok(())
+    }
+
+    /// Marks `[off, off+len)` as about-to-be-modified (`pgl_tx_add_range`):
+    /// opens the micro-buffer and records the range. Marking hands out
+    /// nothing mutable, so it saves no pre-image: the mutable views
+    /// ([`PglTx::write`], [`UBuf::write`], [`UBuf::user_mut`]) do, and a
+    /// range that is marked but never stored to commits a zero diff.
+    pub fn add_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
+        self.open_range(oid, off, len)?;
+        if let Some(b) = self.ubufs.get_mut(&oid.off) {
+            b.mark_modified(off, len);
+        }
         Ok(())
     }
 
@@ -483,12 +494,12 @@ impl<'p> PglTx<'p> {
     /// assert_eq!(pool.read_pod::<u64>(oid, 8).unwrap(), 7);
     /// ```
     pub fn write(&mut self, oid: PMEMoid, off: u64, src: &[u8]) -> Result<()> {
-        self.add_range(oid, off, src.len() as u64)?;
+        self.open_range(oid, off, src.len() as u64)?;
         if let Some(sb) = self.sparse.get_mut(&oid.off) {
             sb.write(off, src);
             return Ok(());
         }
-        let b = self.ubufs.get_mut(&oid.off).expect("opened by add_range");
+        let b = self.ubufs.get_mut(&oid.off).expect("opened by open_range");
         b.write(off, src);
         Ok(())
     }
@@ -689,39 +700,38 @@ impl<'p> PglTx<'p> {
             sb.check_canaries()?;
         }
 
-        // (2) One fused old-data pass (paper §3.5): for every modified
-        // range, read the NVMM pre-image *exactly once* into the commit
-        // scratch, where it feeds the incremental Adler32 delta here and
-        // the parity XOR patch at stage (6). This transaction owns its
-        // objects for the whole commit (the §3.4 concurrency rule), so
-        // the pre-image captured now is still the on-NVMM content when
-        // the write-back consumes it — no second read required. Fresh
-        // (`New`) micro-buffers have no pre-image; their checksum is a
-        // full compute over the construction content.
+        // (2) Pre-image assembly (paper §3.5): for every modified range,
+        // put the bytes the transaction loaded at open back together in
+        // the commit scratch, where they feed the incremental Adler32
+        // delta here and the parity XOR patch at stage (6). This
+        // transaction owns its objects from open to commit (the §3.4
+        // concurrency rule), so what it loaded is what the parity row
+        // accounts for when the write-back consumes it — no device read.
+        // Fresh (`New`) micro-buffers have no pre-image; their checksum
+        // is a full compute over the construction content.
         if csums || parity {
-            let CommitScratch { old, ranges, tmp, .. } = &mut self.scratch;
+            let CommitScratch { old, tmp, .. } = &mut self.scratch;
             for off in &self.order {
                 if let Some(sb) = self.sparse.get_mut(off) {
                     if !sb.is_modified() {
                         continue;
                     }
                     let total = sb.user_size();
-                    let oid_off = sb.oid().off;
-                    let mut c = sb.header().csum;
+                    let mut c = sb.loaded_header().csum;
                     for (roff, rlen) in sb.modified().iter() {
-                        let (s, e) = read_old_range(
-                            &inner.io,
-                            old,
-                            ranges,
-                            oid_off,
-                            roff,
-                            oid_off + roff,
-                            rlen as usize,
-                        )?;
+                        let start = old.len();
+                        old.resize(start + rlen as usize, 0);
+                        sb.read_loaded(roff, &mut old[start..]);
                         if csums {
                             tmp.resize(rlen as usize, 0);
                             sb.read(roff, &mut tmp[..rlen as usize]);
-                            c = adler32_update(c, total, roff, &old[s..e], &tmp[..rlen as usize]);
+                            c = adler32_update(
+                                c,
+                                total,
+                                roff,
+                                &old[start..],
+                                &tmp[..rlen as usize],
+                            );
                         }
                     }
                     if csums {
@@ -739,43 +749,28 @@ impl<'p> PglTx<'p> {
                     }
                     UBufState::Modified => {
                         let total = b.user_size() as u64;
-                        let oid_off = b.oid().off;
                         if parity && is_whole_object(b) {
-                            // Whole-object fast path: one pre-image read
+                            // Whole-object fast path: one pre-image
                             // covering header+data serves the fused
                             // parity patch at stage (6); the checksum is
                             // a single full pass over the new bytes —
                             // cheaper than the two-stream delta when the
                             // range IS the object.
-                            read_old_range(
-                                &inner.io,
-                                old,
-                                ranges,
-                                oid_off,
-                                WHOLE_OBJECT,
-                                b.header_off(),
-                                (OBJ_HEADER_SIZE + total) as usize,
-                            )?;
+                            old.extend_from_slice(bytes_of(&b.loaded_header()));
+                            b.preimage_into(0, total, old);
                             if csums {
                                 let c = adler32(b.user());
                                 b.set_csum(c);
                             }
                             continue;
                         }
-                        let mut c = b.header().csum;
+                        let mut c = b.loaded_header().csum;
                         for (roff, rlen) in b.modified().iter() {
-                            let (s, e) = read_old_range(
-                                &inner.io,
-                                old,
-                                ranges,
-                                oid_off,
-                                roff,
-                                oid_off + roff,
-                                rlen as usize,
-                            )?;
+                            let start = old.len();
+                            b.preimage_into(roff, rlen, old);
                             if csums {
                                 let new = &b.user()[roff as usize..(roff + rlen) as usize];
-                                c = adler32_update(c, total, roff, &old[s..e], new);
+                                c = adler32_update(c, total, roff, &old[start..], new);
                             }
                         }
                         if csums {
@@ -802,7 +797,7 @@ impl<'p> PglTx<'p> {
         // before; more run the ordered two-phase protocol — the lowest
         // shard id is the primary, every other touched shard gets its own
         // claimed lane carrying that shard's redo entries.
-        let mut touched: Vec<u64> = Vec::new();
+        let touched = &mut self.scratch.shards;
         {
             let mut note = |off: u64| {
                 let s = inner.shard_map.shard_of_off(off);
@@ -1063,15 +1058,22 @@ impl<'p> PglTx<'p> {
         // commute through atomic XOR under shared guards, and the scrubber
         // (which takes the same locks exclusively) can only observe the
         // object entirely-before or entirely-after this transaction.
-        // Parity patches consume the pre-images stage (2) captured in the
-        // commit scratch — the ranges were recorded in this exact walk
-        // order, so a cursor pairs them back up without any lookup — and
-        // the refreshed 16-byte header reads its pre-image into a stack
-        // buffer inside `protected_write_locked`. Failures past the
-        // commit point cannot abort; recovery would replay the redo log,
-        // so report them as unrecoverable here.
-        let CommitScratch { old, ranges, tmp, stripe_ids, .. } = &mut self.scratch;
+        // Parity patches consume the pre-images stage (2) assembled in the
+        // commit scratch — packed in this exact walk order, so a byte
+        // cursor pairs them back up without any lookup — and the
+        // refreshed 16-byte header is patched against the loaded one.
+        // Failures past the commit point cannot abort; recovery would
+        // replay the redo log, so report them as unrecoverable here.
+        let CommitScratch { old, tmp, stripe_ids, .. } = &mut self.scratch;
+        let old: &[u8] = old;
         let mut cur = 0usize;
+        let mut pre = |len: usize| -> &[u8] {
+            if !parity {
+                return &[]; // stage (2) did not run; nothing consumes it
+            }
+            cur += len;
+            &old[cur - len..cur]
+        };
         for off in &self.order {
             if let Some(sb) = self.sparse.get(off) {
                 if !sb.is_modified() {
@@ -1091,37 +1093,20 @@ impl<'p> PglTx<'p> {
                 // reads must re-verify the new content.
                 inner.vcache.bump(*off);
                 for (roff, rlen) in sb.modified().iter() {
-                    tmp.resize(rlen as usize, 0);
-                    sb.read(roff, &mut tmp[..rlen as usize]);
-                    if parity {
-                        let r = ranges[cur];
-                        cur += 1;
-                        debug_assert_eq!(
-                            (r.obj, r.roff, r.len),
-                            (sb.oid().off, roff, rlen as usize),
-                            "stage-6 walk diverged from stage-2 old-data capture"
-                        );
-                        inner
-                            .protected_write_locked_old(
-                                &guard,
-                                sb.oid().off + roff,
-                                &tmp[..rlen as usize],
-                                &old[r.start..r.start + r.len],
-                            )
-                            .map_err(fatal)?;
-                    } else {
-                        inner
-                            .protected_write_locked(
-                                &guard,
-                                sb.oid().off + roff,
-                                &tmp[..rlen as usize],
-                            )
-                            .map_err(fatal)?;
-                    }
+                    let n = rlen as usize;
+                    tmp.resize(n, 0);
+                    sb.read(roff, &mut tmp[..n]);
+                    inner
+                        .protected_write_locked_old(&guard, sb.oid().off + roff, &tmp[..n], pre(n))
+                        .map_err(fatal)?;
                 }
-                let h = sb.header();
                 inner
-                    .protected_write_locked(&guard, sb.header_off(), bytes_of(&h))
+                    .protected_write_locked_old(
+                        &guard,
+                        sb.header_off(),
+                        bytes_of(&sb.header()),
+                        bytes_of(&sb.loaded_header()),
+                    )
                     .map_err(fatal)?;
                 continue;
             }
@@ -1145,54 +1130,27 @@ impl<'p> PglTx<'p> {
                 // Whole-object fast path: ONE non-temporal store + fence
                 // and ONE parity patch cover header and data together.
                 let data = b.header_and_user();
-                if parity {
-                    let r = ranges[cur];
-                    cur += 1;
-                    debug_assert_eq!(
-                        (r.obj, r.roff, r.len),
-                        (b.oid().off, WHOLE_OBJECT, data.len()),
-                        "stage-6 walk diverged from stage-2 old-data capture"
-                    );
-                    inner
-                        .protected_write_locked_old(
-                            &guard,
-                            b.header_off(),
-                            data,
-                            &old[r.start..r.start + r.len],
-                        )
-                        .map_err(fatal)?;
-                } else {
-                    inner.protected_write_locked(&guard, b.header_off(), data).map_err(fatal)?;
-                }
+                inner
+                    .protected_write_locked_old(&guard, b.header_off(), data, pre(data.len()))
+                    .map_err(fatal)?;
                 continue;
             }
             for (roff, rlen) in b.modified().iter() {
                 let data = &b.user()[roff as usize..(roff + rlen) as usize];
-                if parity {
-                    let r = ranges[cur];
-                    cur += 1;
-                    debug_assert_eq!(
-                        (r.obj, r.roff, r.len),
-                        (b.oid().off, roff, rlen as usize),
-                        "stage-6 walk diverged from stage-2 old-data capture"
-                    );
-                    inner
-                        .protected_write_locked_old(
-                            &guard,
-                            b.oid().off + roff,
-                            data,
-                            &old[r.start..r.start + r.len],
-                        )
-                        .map_err(fatal)?;
-                } else {
-                    inner
-                        .protected_write_locked(&guard, b.oid().off + roff, data)
-                        .map_err(fatal)?;
-                }
+                inner
+                    .protected_write_locked_old(&guard, b.oid().off + roff, data, pre(data.len()))
+                    .map_err(fatal)?;
             }
-            let h = b.header();
-            inner.protected_write_locked(&guard, b.header_off(), bytes_of(&h)).map_err(fatal)?;
+            inner
+                .protected_write_locked_old(
+                    &guard,
+                    b.header_off(),
+                    bytes_of(&b.header()),
+                    bytes_of(&b.loaded_header()),
+                )
+                .map_err(fatal)?;
         }
+        debug_assert!(!parity || cur == old.len(), "stage-6 walk diverged from stage 2");
 
         // (7) Publish allocator metadata (parity-aware), invalidate the
         // log, and complete volatile state.

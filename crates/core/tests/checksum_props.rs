@@ -1,9 +1,11 @@
-//! Differential property suite for the SWAR data-path primitives: the
-//! word-vectorized `adler32` / `adler32_update` and the fused
+//! Differential property suite for the data-path kernels: the
+//! lane-accumulator `adler32` / `adler32_update` and the fused
 //! diff+zero-skip XOR paths are pinned against straight-from-the-spec
 //! byte-wise reference implementations across random lengths,
-//! misalignments and edit sequences.
+//! misalignments and edit sequences, and at the kernels' own block
+//! boundaries.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pangolin::checksum::{adler32, adler32_update};
@@ -41,6 +43,88 @@ fn ref_adler32_update(csum: u32, total_len: u64, off: u64, old: &[u8], new: &[u8
     let a = (((csum & 0xFFFF) as i64 + da) % m + m) % m;
     let b = (((csum >> 16) as i64 + db) % m + m) % m;
     ((b as u32) << 16) | a as u32
+}
+
+/// Deterministic filler bytes.
+fn pattern(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn adler32_at_block_boundaries_and_every_misalignment() {
+    // Lengths that straddle the kernel's 16-byte rows, 256-byte
+    // sub-blocks and 4 KiB deferred-modulo blocks, from every slice-start
+    // misalignment.
+    let data = pattern((1 << 16) + 32, 7);
+    let lens = [
+        0, 1, 15, 16, 17, 255, 256, 257, 271, 272, 4095, 4096, 4097, 4351, 4352, 8191, 8192, 8193,
+        65535, 65536, 65537,
+    ];
+    for len in lens {
+        for skew in 0..16 {
+            let d = &data[skew..skew + len];
+            assert_eq!(adler32(d), ref_adler32(d), "len {len} skew {skew}");
+        }
+    }
+    // The lane-overflow bound: every accumulator at its maximum.
+    let ff = vec![0xFFu8; 1 << 20];
+    assert_eq!(adler32(&ff), ref_adler32(&ff));
+}
+
+#[test]
+fn adler32_update_at_block_boundaries() {
+    // Ranges around and beyond one update block, all-0x00 → all-0xFF (the
+    // largest per-block delta) and patterned, at misaligned offsets.
+    let total = 40_000usize;
+    let base = pattern(total, 11);
+    let csum = adler32(&base);
+    for elen in [255, 256, 257, 4095, 4096, 4097, 8192, 3 * 4096 + 17] {
+        for off in [0usize, 1, 13, 4095, 4096, total - elen] {
+            for new in [vec![0xFFu8; elen], vec![0u8; elen], pattern(elen, off as u64 + 3)] {
+                let old = &base[off..off + elen];
+                let got = adler32_update(csum, total as u64, off as u64, old, &new);
+                assert_eq!(
+                    got,
+                    ref_adler32_update(csum, total as u64, off as u64, old, &new),
+                    "elen {elen} off {off}"
+                );
+                let mut data = base.clone();
+                data[off..off + elen].copy_from_slice(&new);
+                assert_eq!(got, ref_adler32(&data), "recompute, elen {elen} off {off}");
+            }
+        }
+    }
+}
+
+/// Byte-wise model of `xor_diff_range` with the device's accounting
+/// units — single bytes up to the first 8-byte device boundary and after
+/// the last, whole words between: returns the bytes counted as written
+/// and the cache lines dirtied.
+fn xor_diff_model(off: u64, old: &[u8], new: &[u8]) -> (u64, BTreeSet<u64>) {
+    let len = old.len();
+    let head = (((8 - off % 8) % 8) as usize).min(len);
+    let words_end = head + (len - head) / 8 * 8;
+    let units = (0..head)
+        .map(|i| (i, 1))
+        .chain((head..words_end).step_by(8).map(|i| (i, 8)))
+        .chain((words_end..len).map(|i| (i, 1)));
+    let mut touched = 0u64;
+    let mut lines = BTreeSet::new();
+    for (i, n) in units {
+        if old[i..i + n] != new[i..i + n] {
+            touched += n as u64;
+            lines.insert((off + i as u64) / 64);
+        }
+    }
+    (touched, lines)
 }
 
 /// One random edit: offset fraction, length, fill pattern.
@@ -128,6 +212,53 @@ proptest! {
         let got = dev.read_slice(off, base.len()).unwrap();
         for i in 0..base.len() {
             prop_assert_eq!(got[i], base[i] ^ old[i] ^ new[i], "byte {}", i);
+        }
+    }
+
+    #[test]
+    fn xor_diff_range_matches_word_walk_model(
+        off in 0u64..20_000,
+        len in 0usize..8193,
+        density in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        // Random device offsets (unaligned head and tail), lengths up to
+        // two pages, and diffs from empty through sparse (most lines
+        // equal) to dense. Bytes, return value and the two byte counters
+        // on a fast device; on a precise one also the exact dirty-line set.
+        let base = pattern(len, seed);
+        let old = pattern(len, seed ^ 0x9E37_79B9);
+        let flips = pattern(len, seed ^ 0x7F4A_7C15);
+        let new: Vec<u8> = (0..len)
+            .map(|i| {
+                // Per 64-byte stretch: changed with probability 0, 1/16,
+                // 1/2, 1; inside a changed stretch about half the bytes.
+                let roll = flips[i / 64 * 64] % 16;
+                let changed = match density { 0 => false, 1 => roll == 0, 2 => roll < 8, _ => true };
+                if changed && (density == 3 || flips[i] & 1 == 1) { old[i] ^ (flips[i] | 1) } else { old[i] }
+            })
+            .collect();
+        let (want_bytes, want_lines) = xor_diff_model(off, &old, &new);
+        for cfg in [DeviceConfig::fast(), DeviceConfig::precise()] {
+            let dev = NvmDevice::new(8 << 12, cfg).unwrap();
+            dev.write(off, &base).unwrap();
+            dev.persist(off, len).unwrap();
+            prop_assert!(dev.dirty_line_choices().is_empty(), "settled before the call");
+            let s0 = dev.stats();
+            let touched = dev.xor_diff_range(off, &old, &new).unwrap();
+            let d = dev.stats().delta_since(&s0);
+            prop_assert_eq!(touched, old != new);
+            prop_assert_eq!(d.xor_bytes, want_bytes);
+            prop_assert_eq!(d.bytes_written, want_bytes);
+            let got = dev.read_slice(off, len).unwrap();
+            for i in 0..len {
+                prop_assert_eq!(got[i], base[i] ^ old[i] ^ new[i], "byte {}", i);
+            }
+            if cfg.mode == pgl_nvm::PersistenceMode::Precise {
+                let dirty: BTreeSet<u64> =
+                    dev.dirty_line_choices().into_iter().map(|(line, _)| line).collect();
+                prop_assert_eq!(&dirty, &want_lines);
+            }
         }
     }
 

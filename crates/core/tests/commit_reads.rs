@@ -1,16 +1,20 @@
-//! Regression tests for the fused commit pipeline's read traffic: each
-//! modified range's old NVMM bytes are read **exactly once** per commit
-//! (feeding both the incremental checksum and the parity patch), and the
-//! commit path performs no hidden extra reads. The double-read pipeline
-//! this replaced read every range's pre-image twice — once for the
-//! Adler32 delta, once inside the parity write-back — so total read
-//! traffic here also pins the ~`commit_old_bytes`-per-workload saving.
+//! Regression tests for the commit pipeline's read traffic and for where
+//! its pre-images come from. A transaction keeps the bytes it loaded at
+//! open (micro-buffers save them before a range is first handed out for
+//! mutation; sparse blocks keep their loaded image), and the commit
+//! assembles every modified range's pre-image — for the incremental
+//! checksum and for the parity patch — from those, in DRAM. So a commit
+//! reads the device **zero times** for old data, and what lands on the
+//! media between open and commit (a scribble, a poisoned page) never
+//! enters the parity row. Counter-pinned through `NvmDevice::stats()`
+//! deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pangolin::{PglConfig, PglPool};
+use pangolin::txn::SPARSE_THRESHOLD;
+use pangolin::{PMEMoid, PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
 use pgl_pmemobj::ulog;
 
@@ -62,18 +66,37 @@ fn total_range_bytes() -> u64 {
     RANGES.iter().map(|(_, l)| l).sum()
 }
 
-#[test]
-fn one_old_read_per_modified_range() {
-    let cfg = PglConfig::small(); // pgl-MLPC: checksums + parity
+/// A fresh MLPC pool (checksums + parity) on a fast device.
+fn new_pool() -> (Arc<NvmDevice>, PglPool) {
+    new_pool_with(PglConfig::small())
+}
+
+fn new_pool_with(cfg: PglConfig) -> (Arc<NvmDevice>, PglPool) {
     let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
     let pool = PglPool::create(dev.clone(), cfg).unwrap();
-    let oid = pool
-        .tx(|tx| {
-            let oid = tx.alloc(OBJ, 1)?;
-            tx.write(oid, 0, &[0x5A; OBJ as usize])?;
-            Ok(oid)
-        })
-        .unwrap();
+    (dev, pool)
+}
+
+/// Allocates a `size`-byte object filled with `fill`.
+fn make_obj(pool: &PglPool, size: u64, fill: u8) -> PMEMoid {
+    pool.tx(|tx| {
+        let oid = tx.alloc(size, 1)?;
+        tx.write(oid, 0, &vec![fill; size as usize])?;
+        Ok(oid)
+    })
+    .unwrap()
+}
+
+/// Parity and every live object's checksum are consistent.
+fn assert_sound(pool: &PglPool) {
+    assert!(pool.verify_parity().unwrap(), "parity row inconsistent");
+    assert!(pool.find_corrupt_objects().unwrap().is_empty(), "object checksum mismatch");
+}
+
+#[test]
+fn partial_overwrite_commit_reads_the_device_zero_times() {
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x5A);
 
     const TXNS: u64 = 100;
     let s0 = dev.stats();
@@ -89,23 +112,17 @@ fn one_old_read_per_modified_range() {
     }
     let d = dev.stats().delta_since(&s0);
 
-    // The invariant itself: exactly one commit-time old-data read per
-    // modified range, covering exactly the modified bytes.
-    assert_eq!(d.commit_old_reads, TXNS * RANGES.len() as u64, "one old read per range");
-    assert_eq!(d.commit_old_bytes, TXNS * total_range_bytes(), "old reads cover the ranges only");
+    // The invariant itself: no commit-time old-data read at all.
+    assert_eq!((d.commit_old_reads, d.commit_old_bytes), (0, 0), "pre-images come from DRAM");
 
-    // Total read traffic per transaction is fully accounted for:
+    // Total read traffic per transaction is the open and nothing else:
     //   16 B   object header read at open (`obj_header_checked`)
     // + 1024 B whole-object load + verify at open (`load_ubuf`)
-    // +  144 B the three ranges' pre-images, read ONCE (stage 2)
-    // +   16 B header pre-image for the header's own parity patch
-    // The double-read pipeline added another 144 B (a second pre-image
-    // read inside the parity write-back) — asserting equality here proves
-    // it is gone, cutting commit-time old-data traffic in half.
-    let per_txn = 16 + OBJ + total_range_bytes() + 16;
-    assert_eq!(d.bytes_read, TXNS * per_txn, "no hidden reads on the commit path");
-    let double_read_total = TXNS * (per_txn + total_range_bytes());
-    assert!(d.bytes_read < double_read_total, "strictly below the double-read pipeline");
+    // The fused-read pipeline this replaced added the three ranges'
+    // pre-images (144 B) and the header's (16 B) at commit.
+    assert_eq!(d.bytes_read, TXNS * (16 + OBJ), "the commit path reads nothing");
+    assert_eq!(d.read_ops, TXNS * 2, "header check + open load");
+    assert!(d.bytes_read < TXNS * (16 + OBJ + total_range_bytes() + 16));
 
     // And the data actually committed correctly.
     let data = pool.read_verified(oid).unwrap();
@@ -113,37 +130,26 @@ fn one_old_read_per_modified_range() {
         let fill = ((TXNS - 1) as u8).wrapping_mul(31).wrapping_add(i as u8);
         assert!(data[*off as usize..(*off + *len) as usize].iter().all(|&b| b == fill));
     }
-    assert!(pool.verify_parity().unwrap());
+    assert_sound(&pool);
 }
 
 #[test]
-fn whole_object_overwrite_reads_one_fused_preimage() {
-    // The whole-object fast path fuses header+data into ONE pre-image
-    // read of exactly 16+size bytes per commit.
-    let cfg = PglConfig::small();
-    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
-    let pool = PglPool::create(dev.clone(), cfg).unwrap();
-    let oid = pool
-        .tx(|tx| {
-            let oid = tx.alloc(OBJ, 1)?;
-            tx.write(oid, 0, &[0x11; OBJ as usize])?;
-            Ok(oid)
-        })
-        .unwrap();
+fn whole_object_overwrite_commit_reads_the_device_zero_times() {
+    // The whole-object fast path fuses header+data into ONE pre-image —
+    // the loaded header and the loaded bytes, both already in DRAM.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
     const TXNS: u64 = 20;
     let s0 = dev.stats();
     for round in 0..TXNS {
         pool.tx(|tx| tx.write(oid, 0, &[round as u8 | 1; OBJ as usize])).unwrap();
     }
     let d = dev.stats().delta_since(&s0);
-    assert_eq!(d.commit_old_reads, TXNS, "one fused pre-image read per commit");
-    assert_eq!(d.commit_old_bytes, TXNS * (16 + OBJ), "header+data read together");
-    // Whole overwrites also skip open-time verification soundly; total
-    // reads per txn: 16 (header check) + OBJ (open load) + 16+OBJ (fused
-    // pre-image) — nothing else.
-    assert_eq!(d.bytes_read, TXNS * (16 + OBJ + 16 + OBJ), "no hidden reads");
-    assert!(pool.verify_parity().unwrap());
-    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+    assert_eq!((d.commit_old_reads, d.commit_old_bytes), (0, 0), "pre-image comes from DRAM");
+    // Reads per txn: 16 (header check) + OBJ (open load) — strictly half
+    // of the 2·(16 + OBJ) the commit-time pre-image read used to make it.
+    assert_eq!(d.bytes_read, TXNS * (16 + OBJ), "no hidden reads");
+    assert_sound(&pool);
 }
 
 #[test]
@@ -212,11 +218,11 @@ fn scribbled_whole_object_overwrite_keeps_parity_consistent() {
 #[test]
 fn steady_state_commits_do_not_allocate() {
     // After a few warm-up transactions (which grow the recycled scratch,
-    // maps, frames and lane buffers to their steady-state capacity), a
-    // small-object overwrite commit must perform ZERO heap allocations —
-    // per-range and per-object alike. The parity span guard is the one
-    // permitted exception (its lock-guard vectors are sized per span), so
-    // the bound below is a small constant, not proportional to ranges.
+    // maps, frames, pre-image stores and lane buffers to their
+    // steady-state capacity), a small-object overwrite transaction —
+    // open, three writes, commit — must perform ZERO heap allocations:
+    // the span guard holds its stripes inline and the shard list lives in
+    // the commit scratch.
     let cfg = PglConfig::small();
     let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
     let pool = PglPool::create(dev, cfg).unwrap();
@@ -246,32 +252,200 @@ fn steady_state_commits_do_not_allocate() {
         })
         .unwrap();
     }
-    let per_txn = (thread_allocs() - a0) as f64 / TXNS as f64;
-    assert!(
-        per_txn <= 2.0,
-        "steady-state commit allocates {per_txn} times per txn (want ≤ 2: span-guard vectors only)"
-    );
+    assert_eq!(thread_allocs() - a0, 0, "allocations over {TXNS} steady-state transactions");
 }
 
 #[test]
 fn unchanged_overwrite_skips_parity_persist() {
     // Writing back bytes identical to the pre-image produces an all-zero
-    // parity diff: the fused pipeline must not issue a single atomic XOR
-    // (nor the trailing flush+fence) for it.
-    let cfg = PglConfig::small();
-    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
-    let pool = PglPool::create(dev.clone(), cfg).unwrap();
-    let oid = pool
-        .tx(|tx| {
-            let oid = tx.alloc(256, 1)?;
-            tx.write(oid, 0, &[0x77; 256])?;
-            Ok(oid)
-        })
-        .unwrap();
+    // parity diff: the pipeline must not issue a single atomic XOR, flush
+    // a parity line or add a fence for it.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 256, 0x77);
     let s0 = dev.stats();
     pool.tx(|tx| tx.write(oid, 64, &[0x77; 64])).unwrap(); // identical bytes
     let d = dev.stats().delta_since(&s0);
     assert_eq!(d.atomic_xors, 0, "all-zero diff words never reach the device");
-    assert_eq!(d.commit_old_reads, 1, "the pre-image is still read once");
-    assert!(pool.verify_parity().unwrap());
+    assert_eq!(d.xor_bytes, 0);
+    assert_eq!(d.commit_old_reads, 0, "and the pre-image was not read for it");
+    assert_eq!(d.lines_flushed, 2, "only the lazy log invalidation's two generation words");
+    assert_eq!(d.fences, 3, "commit point, range store, header store — none for parity");
+    assert_sound(&pool);
+}
+
+#[test]
+fn add_range_without_a_store_commits_a_zero_diff() {
+    // A marked range nobody stored to: its frame bytes are its pre-image,
+    // so old == new — no XOR, no parity flush.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 256, 0x42);
+    let s0 = dev.stats();
+    pool.tx(|tx| tx.add_range(oid, 32, 96)).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((d.atomic_xors, d.xor_bytes), (0, 0), "zero diff");
+    assert_eq!(d.lines_flushed, 2, "generation words only");
+    assert_eq!(d.commit_old_reads, 0);
+    assert_eq!(pool.read_verified(oid).unwrap(), vec![0x42; 256]);
+    assert_sound(&pool);
+}
+
+#[test]
+fn scribble_between_open_and_commit_stays_out_of_parity() {
+    // The scribble lands after the verified open, inside the range about
+    // to be written. The pre-image is what was loaded, not what the media
+    // holds now, so the parity patch is `loaded ⊕ new` and the scribbled
+    // bytes are simply overwritten. (Reading the pre-image at commit
+    // leaked `loaded ⊕ scribbled` into the whole stripe.)
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    pool.tx(|tx| {
+        tx.open(oid)?; // verified load
+        dev.scribble(oid.off + 64, &[0xAB; 32]).unwrap();
+        tx.write(oid, 32, &[0x22; 128])
+    })
+    .unwrap();
+    assert!(pool.verify_parity().unwrap(), "scribble residue leaked into parity");
+    let mut want = vec![0x11; OBJ as usize];
+    want[32..160].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn scribble_between_open_and_commit_stays_out_of_parity_sparse() {
+    // Same, for an object above the sparse threshold: the shadow blocks
+    // keep their loaded image.
+    const BIG: u64 = 2 * SPARSE_THRESHOLD;
+    let mut cfg = PglConfig::small();
+    cfg.pool.size = 32 << 20;
+    cfg.pool.zone_size = 16 << 20;
+    let (dev, pool) = new_pool_with(cfg);
+    let oid = make_obj(&pool, BIG, 0x11);
+    pool.tx(|tx| {
+        tx.add_range(oid, 70_000, 300)?; // loads the covering blocks
+        dev.scribble(oid.off + 70_100, &[0xAB; 40]).unwrap();
+        tx.write(oid, 70_000, &[0x22; 300])
+    })
+    .unwrap();
+    assert!(pool.verify_parity().unwrap(), "scribble residue leaked into parity");
+    let mut want = vec![0x11; BIG as usize];
+    want[70_000..70_300].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn scribble_outside_the_written_range_is_repaired_by_the_next_verified_read() {
+    // The commit touches neither the scribbled bytes nor their parity
+    // columns, and its checksum delta starts from the loaded (verified)
+    // state: parity and checksum stay consistent with the unscribbled
+    // content, so the next verified read detects and repairs the damage.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    pool.tx(|tx| {
+        tx.open(oid)?;
+        dev.scribble(oid.off + 512, &[0xAB; 32]).unwrap();
+        tx.write(oid, 0, &[0x22; 64])
+    })
+    .unwrap();
+    let mut want = vec![0x11; OBJ as usize];
+    want[..64].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want, "repaired from parity");
+    assert_sound(&pool);
+}
+
+#[test]
+fn page_poisoned_between_open_and_commit_does_not_fail_the_commit() {
+    // The commit no longer reads the object's pages, so a media error
+    // that appears after the open cannot turn it into an unrecoverable
+    // "media error during commit": the new bytes and their parity patch
+    // go out, and the next read rebuilds the page from parity.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    pool.tx(|tx| {
+        tx.open(oid)?;
+        dev.poison_page(oid.off / 4096).unwrap();
+        tx.write(oid, 100, &[0x22; 200])
+    })
+    .unwrap();
+    let mut want = vec![0x11; OBJ as usize];
+    want[100..300].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want, "page rebuilt from parity");
+    assert_sound(&pool);
+}
+
+#[test]
+fn raw_user_mut_then_add_range_commits_consistently() {
+    // Paper-style usage in the "wrong" order: modify through the raw
+    // mutable view first, mark afterwards. `user_mut` saved the whole
+    // loaded object before handing it out, so the pre-image is intact.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 512, 0x11);
+    let s0 = dev.stats();
+    pool.tx(|tx| {
+        tx.ubuf_mut(oid)?.user_mut()[100..140].fill(0x22);
+        tx.add_range(oid, 100, 40)
+    })
+    .unwrap();
+    assert_eq!(dev.stats().delta_since(&s0).commit_old_reads, 0);
+    let mut want = vec![0x11; 512];
+    want[100..140].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
+}
+
+#[test]
+fn repeated_writes_keep_the_first_loaded_bytes_as_pre_image() {
+    // Overlapping and adjacent writes to one object, in one transaction
+    // and across the bodies of one `tx_batch`: a range's pre-image is what
+    // was loaded, never an earlier write's bytes.
+    let (_dev, pool) = new_pool();
+    let a = make_obj(&pool, 512, 0x11);
+    let b = make_obj(&pool, 512, 0x33);
+    pool.tx(|tx| {
+        tx.write(a, 100, &[0x22; 50])?;
+        tx.write(a, 120, &[0x44; 60])?; // overlaps the first
+        tx.write(a, 180, &[0x55; 20])?; // adjacent to the second
+        tx.write(a, 90, &[0x66; 20]) // overlaps the first from below
+    })
+    .unwrap();
+    let mut want = vec![0x11; 512];
+    want[100..150].fill(0x22);
+    want[120..180].fill(0x44);
+    want[180..200].fill(0x55);
+    want[90..110].fill(0x66);
+    assert_eq!(pool.read_verified(a).unwrap(), want);
+    assert_sound(&pool);
+
+    pool.tx_batch(3, |i, tx| tx.write(b, 40 + 8 * i as u64, &[0x70 + i as u8; 24])).unwrap();
+    let mut want = vec![0x33; 512];
+    for i in 0..3 {
+        want[40 + 8 * i..64 + 8 * i].fill(0x70 + i as u8);
+    }
+    assert_eq!(pool.read_verified(b).unwrap(), want);
+    assert_sound(&pool);
+}
+
+#[test]
+fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
+    // A verified-fresh object opens lazily (no device read); the first
+    // write pays the load — without a checksum pass — and the commit
+    // still reads nothing.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    pool.read_verified(oid).unwrap(); // populate the verification cache
+    let s0 = dev.stats();
+    pool.tx(|tx| {
+        tx.open(oid)?;
+        assert_eq!(dev.stats().delta_since(&s0).bytes_read, 0, "lazy open reads nothing");
+        tx.write(oid, 8, &[0x22; 8])
+    })
+    .unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.bytes_read, 16 + OBJ, "header check + materializing load");
+    assert_eq!((d.commit_old_reads, d.csum_passes), (0, 0));
+    let mut want = vec![0x11; OBJ as usize];
+    want[8..16].fill(0x22);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
 }

@@ -545,11 +545,12 @@ impl NvmDevice {
     }
 
     /// Tags `bytes` of a just-issued read as a *commit-time old-data
-    /// read*. The commit pipeline calls this exactly once next to the
-    /// single per-range read it performs, so regression tests can assert
-    /// the one-read-per-modified-range invariant from
-    /// [`StatsSnapshot::commit_old_reads`] /
-    /// [`StatsSnapshot::commit_old_bytes`].
+    /// read* ([`StatsSnapshot::commit_old_reads`] /
+    /// [`StatsSnapshot::commit_old_bytes`]). The Pangolin commit pipeline
+    /// assembles its pre-images from the bytes it loaded at open and
+    /// issues no such read, so its regression tests pin both counters at
+    /// zero; the tag stays for any path that does re-read old data at
+    /// commit.
     pub fn note_commit_old_read(&self, bytes: u64) {
         DeviceStats::add(&self.stats.commit_old_reads, 1);
         DeviceStats::add(&self.stats.commit_old_bytes, bytes);
@@ -677,12 +678,15 @@ impl NvmDevice {
         }
     }
 
-    /// Computes `old ⊕ new` word by word and XORs the non-zero words into
-    /// the range at `off` with plain (vectorized) stores — the diff, the
-    /// zero-skip and the XOR fused into one pass, so all-zero diff words
-    /// never touch the device or charge its latency model. Returns `true`
-    /// if any byte was actually modified (callers skip the trailing
-    /// persist otherwise).
+    /// Computes `old ⊕ new` and XORs it into the range at `off` with plain
+    /// (vectorized) stores, a cache line at a time: the line's diff is
+    /// built and OR-reduced first, so an untouched line costs no store, no
+    /// tracker bookkeeping and no latency charge, and a touched one does
+    /// its bookkeeping once. All-zero diff words never count as written
+    /// (`xor_bytes`/`bytes_written` advance by 8 per non-zero aligned word
+    /// and 1 per non-zero byte of the unaligned edges). Returns `true` if
+    /// any byte was actually modified (callers skip the trailing persist
+    /// otherwise).
     ///
     /// This is the bulk parity path for write-backs where the caller holds
     /// both the old and the new content; callers must hold an exclusive
@@ -693,57 +697,24 @@ impl NvmDevice {
         self.check_bounds(off, new.len())?;
         self.maybe_crash();
         let len = new.len();
-        let ptr = self.ptr_at(off);
+        // A partial first line, whole device cache lines, a partial last.
+        let head = ((off.wrapping_neg() % CACHELINE as u64) as usize).min(len);
+        let tail = head + (len - head) / CACHELINE * CACHELINE;
         let mut touched = 0u64; // bytes actually XORed
         let mut lines = 0u64; // distinct cache lines dirtied
-        let mut noted = u64::MAX;
-        let mut i = 0usize;
-        // Byte ops at the unaligned edges, word-at-a-time in the middle.
-        // An 8-byte device-aligned word never straddles a cache line, so
-        // per-unit line accounting below is exact.
-        // SAFETY: all accesses stay within the bounds-checked range.
-        unsafe {
-            macro_rules! touch_line {
-                ($pos:expr) => {{
-                    let line = (off + $pos as u64) / CACHELINE as u64;
-                    if line != noted {
-                        noted = line;
-                        lines += 1;
-                        self.note_xor_line(line);
-                    }
-                }};
-            }
-            while i < len && (off as usize + i) % 8 != 0 {
-                let d = old[i] ^ new[i];
-                if d != 0 {
-                    touch_line!(i);
-                    *ptr.add(i) ^= d;
-                    touched += 1;
-                }
-                i += 1;
-            }
-            while i + 8 <= len {
-                let o = std::ptr::read_unaligned(old.as_ptr().add(i) as *const u64);
-                let n = std::ptr::read_unaligned(new.as_ptr().add(i) as *const u64);
-                let d = o ^ n;
-                if d != 0 {
-                    touch_line!(i);
-                    let p = ptr.add(i) as *mut u64;
-                    std::ptr::write_unaligned(p, std::ptr::read_unaligned(p) ^ d);
-                    touched += 8;
-                }
-                i += 8;
-            }
-            while i < len {
-                let d = old[i] ^ new[i];
-                if d != 0 {
-                    touch_line!(i);
-                    *ptr.add(i) ^= d;
-                    touched += 1;
-                }
-                i += 1;
-            }
+        let mut tally = |xored: u64| {
+            touched += xored;
+            lines += (xored > 0) as u64;
+        };
+        tally(self.xor_diff_edge(off, &old[..head], &new[..head]));
+        let body =
+            old[head..tail].chunks_exact(CACHELINE).zip(new[head..tail].chunks_exact(CACHELINE));
+        for (k, (o, n)) in body.enumerate() {
+            let pos = off + (head + k * CACHELINE) as u64;
+            let (o, n) = (o.try_into().expect("whole line"), n.try_into().expect("whole line"));
+            tally(self.xor_diff_line(pos, o, n));
         }
+        tally(self.xor_diff_edge(off + tail as u64, &old[tail..], &new[tail..]));
         if touched > 0 {
             DeviceStats::add(&self.stats.xor_bytes, touched);
             DeviceStats::add(&self.stats.bytes_written, touched);
@@ -752,6 +723,61 @@ impl NvmDevice {
             }
         }
         Ok(touched > 0)
+    }
+
+    /// One whole cache line of [`NvmDevice::xor_diff_range`] (`pos` is
+    /// line-aligned and bounds-checked): returns the bytes XORed, 8 per
+    /// non-zero diff word. Byte arrays for the diff and the XOR (they
+    /// vectorize), a word view for the zero test and the count.
+    #[inline]
+    fn xor_diff_line(&self, pos: u64, old: &[u8; CACHELINE], new: &[u8; CACHELINE]) -> u64 {
+        let mut diff = [0u8; CACHELINE];
+        for k in 0..CACHELINE {
+            diff[k] = old[k] ^ new[k];
+        }
+        let mut words = [0u64; CACHELINE / 8];
+        for (k, w) in words.iter_mut().enumerate() {
+            *w = u64::from_ne_bytes(diff[k * 8..k * 8 + 8].try_into().expect("8-byte word"));
+        }
+        if words.iter().fold(0, |any, &w| any | w) == 0 {
+            return 0;
+        }
+        self.note_xor_line(pos / CACHELINE as u64);
+        // SAFETY: `pos` is a line-aligned offset of a bounds-checked range
+        // that covers the whole line, and the caller's exclusive
+        // range-lock keeps other accesses off it. XORing a zero byte
+        // changes nothing.
+        let line = unsafe { &mut *(self.ptr_at(pos) as *mut [u8; CACHELINE]) };
+        for k in 0..CACHELINE {
+            line[k] ^= diff[k];
+        }
+        8 * words.iter().filter(|&&w| w != 0).count() as u64
+    }
+
+    /// The partial first or last cache line of
+    /// [`NvmDevice::xor_diff_range`]. Returns the bytes XORed, counted in
+    /// single bytes up to the first 8-byte device boundary and after the
+    /// last, and in whole words between.
+    fn xor_diff_edge(&self, pos: u64, old: &[u8], new: &[u8]) -> u64 {
+        if old == new {
+            return 0;
+        }
+        self.note_xor_line(pos / CACHELINE as u64);
+        let len = new.len();
+        let head = ((pos.wrapping_neg() % 8) as usize).min(len);
+        let words_end = head + (len - head) / 8 * 8;
+        let differing = |range: std::ops::Range<usize>, unit: usize| {
+            range.step_by(unit).filter(|&i| old[i..i + unit] != new[i..i + unit]).count() * unit
+        };
+        let touched =
+            differing(0..head, 1) + differing(head..words_end, 8) + differing(words_end..len, 1);
+        let ptr = self.ptr_at(pos);
+        for i in 0..len {
+            // SAFETY: within the bounds-checked range, which the caller
+            // holds exclusively. XORing a zero byte changes nothing.
+            unsafe { *ptr.add(i) ^= old[i] ^ new[i] };
+        }
+        touched as u64
     }
 
     /// Shared walker of the atomic span-XOR paths: visits every

@@ -4,8 +4,9 @@
 //! traffic (e.g. replication writes 2x the bytes of parity mode), and the
 //! vulnerability study (Table 4) builds on library-level counters that
 //! mirror this pattern. Read counters make read amplification visible too:
-//! the commit pipeline's one-old-read-per-range invariant is asserted by a
-//! regression test over [`StatsSnapshot::commit_old_reads`].
+//! the commit pipeline's no-old-data-read invariant is asserted by
+//! regression tests over [`StatsSnapshot::bytes_read`] and
+//! [`StatsSnapshot::commit_old_reads`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -122,8 +123,9 @@ pub struct StatsSnapshot {
     pub xor_bytes: u64,
     /// Reads that faulted on poisoned pages.
     pub poison_hits: u64,
-    /// Commit-time old-data reads (one per modified range; see
-    /// [`crate::NvmDevice::note_commit_old_read`]).
+    /// Commit-time old-data reads (see
+    /// [`crate::NvmDevice::note_commit_old_read`]; the commit pipeline
+    /// issues none).
     pub commit_old_reads: u64,
     /// Bytes covered by commit-time old-data reads.
     pub commit_old_bytes: u64,
