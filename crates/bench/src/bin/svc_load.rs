@@ -26,6 +26,7 @@ use pgl_bench::{fmt_latency, fmt_rate, print_table};
 use pgl_kv::store::PglStore;
 use pgl_kv::workload::{OpMix, Workload, WorkloadOp};
 use pgl_nvm::{DeviceConfig, LatencyModel, NvmDevice, PersistenceMode, StatsSnapshot};
+use pgl_server::lane::LaneStats;
 use pgl_server::proto::{Request, Response};
 use pgl_server::{Client, KvServer, ServiceConfig};
 use rand::rngs::StdRng;
@@ -108,6 +109,10 @@ struct PassResult {
     p50_ns: u64,
     p99_ns: u64,
     stats: StatsSnapshot,
+    /// Frames the clients sent, and what the service's lanes carried for
+    /// them: the thread hand-offs the load cost, as counts.
+    frames: u64,
+    lanes: LaneStats,
 }
 
 impl PassResult {
@@ -125,6 +130,11 @@ impl PassResult {
         } else {
             self.stats.group_txns as f64 / self.stats.group_commits as f64
         }
+    }
+
+    /// Lane messages per client frame; at most the shard count.
+    fn jobs_per_frame(&self) -> f64 {
+        self.lanes.jobs as f64 / self.frames.max(1) as f64
     }
 }
 
@@ -217,6 +227,7 @@ fn run_pass(opts: &Opts, batch_max: usize, label: &'static str) -> PassResult {
     });
     let elapsed_s = started.elapsed().as_secs_f64();
     let stats = dev.stats().delta_since(&before);
+    let lanes = server.service().lane_stats();
     server.shutdown();
 
     let mut samples = samples.into_inner().unwrap();
@@ -230,6 +241,8 @@ fn run_pass(opts: &Opts, batch_max: usize, label: &'static str) -> PassResult {
         p50_ns: percentile(&samples, 0.50),
         p99_ns: percentile(&samples, 0.99),
         stats,
+        frames: (rounds * opts.conns) as u64,
+        lanes,
     }
 }
 
@@ -237,7 +250,8 @@ fn json_pass(p: &PassResult) -> String {
     format!(
         "{{\"throughput_ops_per_s\":{:.1},\"p50_ns\":{},\"p99_ns\":{},\"ops\":{},\
          \"write_acks\":{},\"busy\":{},\"fences\":{},\"fences_per_write\":{:.3},\
-         \"group_commits\":{},\"group_txns\":{},\"group_factor\":{:.2}}}",
+         \"group_commits\":{},\"group_txns\":{},\"group_factor\":{:.2},\
+         \"frames\":{},\"lane_jobs\":{},\"lane_requests\":{},\"lane_shed\":{}}}",
         p.throughput(),
         p.p50_ns,
         p.p99_ns,
@@ -249,6 +263,10 @@ fn json_pass(p: &PassResult) -> String {
         p.stats.group_commits,
         p.stats.group_txns,
         p.group_factor(),
+        p.frames,
+        p.lanes.jobs,
+        p.lanes.requests,
+        p.lanes.shed,
     )
 }
 
@@ -274,13 +292,24 @@ fn main() {
                 format!("{}", p.stats.fences),
                 format!("{:.2}", p.fences_per_write()),
                 format!("{:.1}", p.group_factor()),
+                format!("{:.2}", p.jobs_per_frame()),
                 format!("{}", p.busy),
             ]
         })
         .collect();
     print_table(
         "KV service: group commit vs per-txn commit",
-        &["mode", "throughput", "p50", "p99", "fences", "fences/write", "batch-factor", "busy"],
+        &[
+            "mode",
+            "throughput",
+            "p50",
+            "p99",
+            "fences",
+            "fences/write",
+            "batch-factor",
+            "jobs/frame",
+            "busy",
+        ],
         &rows,
     );
     println!("\nfence reduction (per write txn): {reduction:.2}x");

@@ -3,6 +3,12 @@
 //! ([`crate::server::KvServer`]) is a thin framing layer over
 //! [`KvService::call`]; tests and the load driver can also call it
 //! directly.
+//!
+//! What crosses a thread boundary is the (frame, shard) sub-batch, both
+//! ways: `call` sends each shard the frame's requests for it as one lane
+//! message and gets their responses back as one, so a frame costs at
+//! most `shards` hand-offs out and `shards` back however many requests
+//! it carries ([`KvService::lane_stats`] counts them).
 
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -14,7 +20,7 @@ use pgl_pmemobj::PMEMoid;
 
 use crate::admission::Admission;
 use crate::batcher::ShardWorker;
-use crate::lane::{Job, LaneQueue};
+use crate::lane::{Job, LaneQueue, LaneStats, Refusal};
 use crate::proto::{Request, Response, MAX_SCAN_LIMIT};
 
 /// Object type number of the service's shard-directory root object.
@@ -22,6 +28,24 @@ const TYPE_SERVICE_ROOT: u32 = 200;
 
 /// Hard cap on shards (each is one worker thread + one lane queue).
 const MAX_SHARDS: usize = 64;
+
+/// The typed error of a request whose shard worker died.
+const WORKER_GONE: &str = "shard worker unavailable";
+
+/// Merge state of one scan slot of a frame.
+struct ScanMerge {
+    slot: usize,
+    limit: usize,
+    /// Shard parts still awaited; 0 once answered, shed or failed.
+    outstanding: usize,
+    pairs: Vec<(u64, u64)>,
+}
+
+/// The merge state of the scan at `slot` (`scans` ascends by slot).
+fn scan_of(scans: &mut [ScanMerge], slot: usize) -> &mut ScanMerge {
+    let at = scans.binary_search_by_key(&slot, |s| s.slot).expect("every scan slot is recorded");
+    &mut scans[at]
+}
 
 /// Service sizing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -96,6 +120,11 @@ impl<S: Store + Clone + 'static> KvService<S> {
     /// responses. Shedding (admission or a full lane queue) yields
     /// [`Response::Busy`] for the affected requests; everything else
     /// executes exactly once.
+    ///
+    /// The frame is partitioned by shard in frame order — a scan puts one
+    /// part in every shard's sub-batch, at its frame position — so at
+    /// most one [`Job`] per shard goes out and one reply per shard comes
+    /// back, whatever the frame's length.
     pub fn call(&self, reqs: &[Request]) -> Vec<Response> {
         if reqs.is_empty() {
             return Vec::new();
@@ -104,42 +133,55 @@ impl<S: Store + Clone + 'static> KvService<S> {
         let Some(_permit) = self.admission.try_acquire(n) else {
             return vec![Response::Busy; n];
         };
-        let (reply, rx) = mpsc::channel();
-        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        // Scans fan out to every shard; track outstanding parts per slot.
-        let mut scan_parts: Vec<Vec<(u64, u64)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut scan_outstanding: Vec<usize> = vec![0; n];
-        let mut scan_limits: Vec<usize> = vec![0; n];
-        let mut expected = 0usize;
+        let shards = self.lanes.len();
+        let mut parts: Vec<Vec<(usize, Request)>> = (0..shards).map(|_| Vec::new()).collect();
+        // Scans fan out to every shard; only their slots carry merge
+        // state (ascending by slot, so replies find theirs by search).
+        let mut scans: Vec<ScanMerge> = Vec::new();
         for (slot, &req) in reqs.iter().enumerate() {
             match req {
                 Request::Get { key } | Request::Put { key, .. } | Request::Del { key } => {
-                    let lane = &self.lanes[self.shard_of(key)];
-                    match lane.try_push(Job { req, slot, reply: reply.clone() }) {
-                        Ok(()) => expected += 1,
-                        Err(_) => out[slot] = Some(Response::Busy),
-                    }
+                    parts[self.shard_of(key)].push((slot, req));
                 }
                 Request::Scan { start, limit } => {
                     let limit = limit.min(MAX_SCAN_LIMIT);
-                    let mut parts = 0;
-                    for lane in &self.lanes {
-                        let job =
-                            Job { req: Request::Scan { start, limit }, slot, reply: reply.clone() };
-                        if lane.try_push(job).is_ok() {
-                            parts += 1;
-                        }
+                    for part in &mut parts {
+                        part.push((slot, Request::Scan { start, limit }));
                     }
-                    expected += parts;
-                    if parts == self.lanes.len() {
-                        scan_outstanding[slot] = parts;
-                        scan_limits[slot] = limit as usize;
-                    } else {
-                        // Partial fan-out sheds the whole scan; stray
-                        // parts are drained (and discarded) below.
-                        out[slot] = Some(Response::Busy);
-                    }
+                    scans.push(ScanMerge {
+                        slot,
+                        limit: limit as usize,
+                        outstanding: shards,
+                        pairs: Vec::new(),
+                    });
                 }
+            }
+        }
+        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
+        let (reply, rx) = mpsc::channel();
+        let mut expected = 0usize;
+        for (lane, part) in self.lanes.iter().zip(parts) {
+            if part.is_empty() {
+                continue;
+            }
+            let sent = part.len();
+            let Err((refused, why)) = lane.try_push(Job { reqs: part, reply: reply.clone() })
+            else {
+                expected += 1;
+                continue;
+            };
+            // A full lane may still have taken a prefix.
+            expected += usize::from(refused.len() < sent);
+            for (slot, req) in refused {
+                if let Request::Scan { .. } = req {
+                    // A scan missing one part is refused as a whole; its
+                    // parts from other shards are discarded below.
+                    scan_of(&mut scans, slot).outstanding = 0;
+                }
+                out[slot].get_or_insert(match why {
+                    Refusal::Full => Response::Busy,
+                    Refusal::Disconnected => Response::Error(WORKER_GONE.into()),
+                });
             }
         }
         drop(reply);
@@ -163,40 +205,57 @@ impl<S: Store + Clone + 'static> KvService<S> {
                     }
                 }
             };
-            let Some((slot, resp)) = received else {
+            let Some(resps) = received else {
                 timed_out = deadline.is_some_and(|dl| std::time::Instant::now() >= dl);
                 break; // deadline expired, or a worker died
             };
-            if scan_outstanding[slot] == 0 {
-                if out[slot].is_none() {
+            for (slot, resp) in resps {
+                if !matches!(reqs[slot], Request::Scan { .. }) {
                     out[slot] = Some(resp);
+                    continue;
                 }
-                continue; // else: stray part of a shed or failed scan
-            }
-            match resp {
-                Response::Pairs(mut pairs) => {
-                    scan_parts[slot].append(&mut pairs);
-                    scan_outstanding[slot] -= 1;
-                    if scan_outstanding[slot] == 0 {
-                        let mut all = std::mem::take(&mut scan_parts[slot]);
-                        all.sort_unstable(); // keys are disjoint across shards
-                        all.truncate(scan_limits[slot]);
-                        out[slot] = Some(Response::Pairs(all));
+                let scan = scan_of(&mut scans, slot);
+                if scan.outstanding == 0 {
+                    continue; // stray part of a shed or failed scan
+                }
+                match resp {
+                    Response::Pairs(mut pairs) => {
+                        scan.pairs.append(&mut pairs);
+                        scan.outstanding -= 1;
+                        if scan.outstanding == 0 {
+                            let mut all = std::mem::take(&mut scan.pairs);
+                            all.sort_unstable(); // keys are disjoint across shards
+                            all.truncate(scan.limit);
+                            out[slot] = Some(Response::Pairs(all));
+                        }
                     }
-                }
-                other => {
-                    // A shard failed this scan: report it, drop the rest.
-                    scan_outstanding[slot] = 0;
-                    out[slot] = Some(other);
+                    other => {
+                        // A shard failed this scan: report it, drop the rest.
+                        scan.outstanding = 0;
+                        out[slot] = Some(other);
+                    }
                 }
             }
         }
-        let missing = if timed_out {
-            format!("request deadline exceeded ({} ms)", self.config.request_deadline_ms)
-        } else {
-            "shard worker unavailable".to_string()
+        let missing = || {
+            if timed_out {
+                format!("request deadline exceeded ({} ms)", self.config.request_deadline_ms)
+            } else {
+                WORKER_GONE.to_string()
+            }
         };
-        out.into_iter().map(|r| r.unwrap_or_else(|| Response::Error(missing.clone()))).collect()
+        out.into_iter().map(|r| r.unwrap_or_else(|| Response::Error(missing()))).collect()
+    }
+
+    /// Lane hand-off counts summed over the shards: sub-batches and
+    /// requests pushed to the workers, and requests shed at a full lane
+    /// (admission sheds are counted by [`KvService::admission`]).
+    pub fn lane_stats(&self) -> LaneStats {
+        self.lanes.iter().map(LaneQueue::stats).fold(LaneStats::default(), |a, b| LaneStats {
+            jobs: a.jobs + b.jobs,
+            requests: a.requests + b.requests,
+            shed: a.shed + b.shed,
+        })
     }
 
     fn shard_of(&self, key: u64) -> usize {
