@@ -96,12 +96,19 @@ pub struct VulnSnapshot {
 }
 
 /// Vulnerability accounting, updated with relaxed atomics on hot paths.
+///
+/// An unverified read costs one shared read-modify-write: the scrub
+/// window is not counted, it is `unverified` minus its value at the last
+/// scrub, and the maximum is folded when a window closes or a snapshot
+/// looks at the open one.
 #[derive(Debug, Default)]
 pub struct Vuln {
     unverified: AtomicU64,
     verified: AtomicU64,
     verified_cached: AtomicU64,
-    window: AtomicU64,
+    /// `unverified` as of the last [`Vuln::end_scrub_window`].
+    window_base: AtomicU64,
+    /// Largest *closed* window.
     max_window: AtomicU64,
 }
 
@@ -115,8 +122,6 @@ impl Vuln {
     #[inline]
     pub fn note_unverified(&self, n: u64) {
         self.unverified.fetch_add(n, Ordering::Relaxed);
-        let w = self.window.fetch_add(n, Ordering::Relaxed) + n;
-        self.max_window.fetch_max(w, Ordering::Relaxed);
     }
 
     /// Records `n` object bytes covered by checksum verification.
@@ -135,17 +140,21 @@ impl Vuln {
 
     /// Closes a scrub window: everything in the pool was just verified.
     pub fn end_scrub_window(&self) {
-        self.window.store(0, Ordering::Relaxed);
+        let unverified = self.unverified.load(Ordering::Relaxed);
+        let base = self.window_base.swap(unverified, Ordering::Relaxed);
+        self.max_window.fetch_max(unverified.saturating_sub(base), Ordering::Relaxed);
     }
 
     /// Snapshots the counters.
     pub fn snapshot(&self) -> VulnSnapshot {
+        let unverified = self.unverified.load(Ordering::Relaxed);
+        let window = unverified.saturating_sub(self.window_base.load(Ordering::Relaxed));
         VulnSnapshot {
-            unverified: self.unverified.load(Ordering::Relaxed),
+            unverified,
             verified: self.verified.load(Ordering::Relaxed),
             verified_cached: self.verified_cached.load(Ordering::Relaxed),
-            window_unverified: self.window.load(Ordering::Relaxed),
-            max_window: self.max_window.load(Ordering::Relaxed),
+            window_unverified: window,
+            max_window: self.max_window.load(Ordering::Relaxed).max(window),
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use pgl_nvm::{align_down, align_up, PAGE_SIZE};
+use pgl_nvm::{NvmDevice, PAGE_SIZE};
 use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
 use pgl_pmemobj::{Layout, PoolIo};
 
@@ -321,11 +321,7 @@ impl ParityEngine {
             let exclusive = self.prefers_exclusive(seg.len);
             let guard = self.lock_columns(seg.zone, seg.col, seg.len, exclusive);
             let parity_off = self.layout.parity_off(seg.zone, seg.col);
-            if exclusive {
-                self.xor_diff_vectorized(io, parity_off, o, n, true)?;
-            } else {
-                self.xor_diff_atomic(io, parity_off, o, n, true)?;
-            }
+            Self::xor_diff(io, parity_off, o, n, exclusive, true)?;
             drop(guard);
         }
         Ok(())
@@ -387,65 +383,38 @@ impl ParityEngine {
             let o = &old[base..base + seg.len as usize];
             let n = &new[base..base + seg.len as usize];
             let parity_off = self.layout.parity_off(seg.zone, seg.col);
-            if guard.is_exclusive() {
-                flushed |= self.xor_diff_vectorized(io, parity_off, o, n, fence)?;
-            } else {
-                flushed |= self.xor_diff_atomic(io, parity_off, o, n, fence)?;
-            }
+            flushed |= Self::xor_diff(io, parity_off, o, n, guard.is_exclusive(), fence)?;
         }
         Ok(flushed)
     }
 
-    /// Vectorized `old ⊕ new` parity patch (primary + replica) with fused
-    /// zero-word skipping; flushes (and fences, when asked) only when
-    /// something was XORed. The caller must hold the covering range-locks
-    /// exclusively. Returns `true` if parity lines were flushed.
-    fn xor_diff_vectorized(
-        &self,
+    /// `old ⊕ new` parity patch of one row segment, primary + replica:
+    /// the device's fused diff / zero-skip / XOR pass — vectorized when the
+    /// caller holds the covering range-locks exclusively, word-atomic (safe
+    /// under a *shared* guard) otherwise. The device flushes exactly the
+    /// lines it dirtied; this adds the fence, when asked and when anything
+    /// was XORed at all. Returns `true` if parity lines were flushed.
+    fn xor_diff(
         io: &PoolIo,
         parity_off: u64,
         old: &[u8],
         new: &[u8],
+        exclusive: bool,
         fence: bool,
     ) -> Result<bool> {
-        let touched = io.dev().xor_diff_range(parity_off, old, new)?;
-        if let Some(rep) = io.replica() {
-            rep.xor_diff_range(parity_off, old, new)?;
-        }
-        if touched {
-            io.flush(parity_off, new.len())?;
-            if fence {
-                io.drain();
+        let patch = |dev: &NvmDevice| {
+            if exclusive {
+                dev.xor_diff_range(parity_off, old, new)
+            } else {
+                dev.atomic_xor_diff_span(parity_off, old, new)
             }
-        }
-        Ok(touched)
-    }
-
-    /// Atomic `old ⊕ new` parity patch (primary + replica): the device's
-    /// span-batched word XOR assembles diff words with 8-byte loads,
-    /// skips all-zero words, and this wrapper flushes the touched aligned
-    /// span once — skipping the flush (and fence) entirely when no word
-    /// was actually XORed. Safe under a *shared* range guard. Returns
-    /// `true` if parity lines were flushed.
-    fn xor_diff_atomic(
-        &self,
-        io: &PoolIo,
-        parity_off: u64,
-        old: &[u8],
-        new: &[u8],
-        fence: bool,
-    ) -> Result<bool> {
-        let touched = io.dev().atomic_xor_diff_span(parity_off, old, new)?;
+        };
+        let touched = patch(io.dev())?;
         if let Some(rep) = io.replica() {
-            rep.atomic_xor_diff_span(parity_off, old, new)?;
+            patch(rep)?;
         }
-        if touched {
-            let a_start = align_down(parity_off as usize, 8) as u64;
-            let a_end = align_up((parity_off + new.len() as u64) as usize, 8) as u64;
-            io.flush(a_start, (a_end - a_start) as usize)?;
-            if fence {
-                io.drain();
-            }
+        if touched && fence {
+            io.drain();
         }
         Ok(touched)
     }
@@ -469,41 +438,6 @@ impl ParityEngine {
         io.drain();
         drop(guard);
         Ok(())
-    }
-
-    /// XORs `patch` into the parity row of `zone` at column `col`, picking
-    /// the atomic or vectorized strategy by patch size and acquiring the
-    /// covering range-locks itself. (Recovery-path entry point; commit
-    /// uses the diff-fused [`ParityEngine::update_under`].)
-    pub fn apply_patch(&self, io: &PoolIo, zone: u64, col: u64, patch: &[u8]) -> Result<()> {
-        let exclusive = self.prefers_exclusive(patch.len() as u64);
-        let guard = self.lock_columns(zone, col, patch.len() as u64, exclusive);
-        let parity_off = self.layout.parity_off(zone, col);
-        let r = if exclusive {
-            (|| {
-                io.dev().xor_range(parity_off, patch)?;
-                if let Some(rep) = io.replica() {
-                    rep.xor_range(parity_off, patch)?;
-                }
-                io.persist(parity_off, patch.len())?;
-                Ok(())
-            })()
-        } else {
-            (|| {
-                let touched = io.dev().atomic_xor_patch_span(parity_off, patch)?;
-                if let Some(rep) = io.replica() {
-                    rep.atomic_xor_patch_span(parity_off, patch)?;
-                }
-                if touched {
-                    let a_start = align_down(parity_off as usize, 8) as u64;
-                    let a_end = align_up((parity_off + patch.len() as u64) as usize, 8) as u64;
-                    io.persist(a_start, (a_end - a_start) as usize)?;
-                }
-                Ok(())
-            })()
-        };
-        drop(guard);
-        r
     }
 
     /// Recomputes parity for columns `[col, col+len)` of `zone` from the
@@ -871,11 +805,6 @@ impl ParityDomains {
         self.engine_for(cm_off).flip_cm_parity_first(io, cm_off, new_cm)
     }
 
-    /// Routes [`ParityEngine::apply_patch`] to the zone's shard.
-    pub fn apply_patch(&self, io: &PoolIo, zone: u64, col: u64, patch: &[u8]) -> Result<()> {
-        self.engine_for_zone(zone).apply_patch(io, zone, col, patch)
-    }
-
     /// Routes [`ParityEngine::recompute_columns`] to the zone's shard.
     pub fn recompute_columns(&self, io: &PoolIo, zone: u64, col: u64, len: u64) -> Result<()> {
         self.engine_for_zone(zone).recompute_columns(io, zone, col, len)
@@ -920,7 +849,7 @@ impl ParityDomains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgl_nvm::{DeviceConfig, NvmDevice};
+    use pgl_nvm::{align_down, DeviceConfig};
     use pgl_pmemobj::PoolConfig;
     use std::sync::Arc;
 

@@ -278,8 +278,8 @@ impl Inner {
     /// Overflow-safe "`[off, off+len)` fits in `size`" (a wrapped
     /// `off + len` must never pass a bounds check on the read paths).
     #[inline]
-    pub(crate) fn range_fits(off: u64, len: usize, size: u64) -> bool {
-        off <= size && len as u64 <= size - off
+    pub(crate) fn range_fits(off: u64, len: u64, size: u64) -> bool {
+        off <= size && len <= size - off
     }
 
     /// Loads a micro-buffer for a header the caller validated, skipping
@@ -319,13 +319,13 @@ impl Inner {
     pub(crate) fn direct_read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         if self.mode.has_checksums() && matches!(self.policy, CsumPolicy::Conservative) {
             if let Some(size) = self.vcache.probe(oid.off) {
-                if Self::range_fits(off, dst.len(), size) {
+                if Self::range_fits(off, dst.len() as u64, size) {
                     return self.read_cached_range(oid, off, dst);
                 }
             }
             let hdr = self.obj_header_checked(oid)?;
             if hdr.size <= crate::txn::SPARSE_THRESHOLD {
-                if !Self::range_fits(off, dst.len(), hdr.size) {
+                if !Self::range_fits(off, dst.len() as u64, hdr.size) {
                     return Err(PglError::TypeMismatch { off: oid.off });
                 }
                 return crate::scratch::with_read_frames(|frames| {
@@ -337,7 +337,8 @@ impl Inner {
                 });
             }
         }
-        self.read_with_recovery(oid.off + off, dst)?;
+        let at = oid.off.checked_add(off).ok_or(ObjError::InvalidOid { off: oid.off })?;
+        self.read_with_recovery(at, dst)?;
         if self.mode.has_checksums() {
             self.vuln.note_unverified(dst.len() as u64);
         }
@@ -350,12 +351,12 @@ impl Inner {
     /// populates the cache) on a miss.
     pub(crate) fn verified_read_range(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         if let Some(size) = self.vcache.probe(oid.off) {
-            if Self::range_fits(off, dst.len(), size) {
+            if Self::range_fits(off, dst.len() as u64, size) {
                 return self.read_cached_range(oid, off, dst);
             }
         }
         let hdr = self.obj_header_checked(oid)?;
-        if !Self::range_fits(off, dst.len(), hdr.size) {
+        if !Self::range_fits(off, dst.len() as u64, hdr.size) {
             return Err(PglError::TypeMismatch { off: oid.off });
         }
         crate::scratch::with_read_frames(|frames| {

@@ -441,8 +441,8 @@ impl<'p> PglTx<'p> {
         let sparse = self.sparse.get(&oid.off).map(SparseBuf::user_size);
         let size = sparse
             .unwrap_or_else(|| self.ubufs.get(&oid.off).expect("just opened").user_size() as u64);
-        if off + len > size {
-            return Err(ObjError::InvalidOid { off: oid.off + off }.into());
+        if !Inner::range_fits(off, len, size) {
+            return Err(ObjError::InvalidOid { off: oid.off.saturating_add(off) }.into());
         }
         if sparse.is_some() {
             self.load_sparse_blocks(oid, off, len)?;
@@ -518,26 +518,37 @@ impl<'p> PglTx<'p> {
     /// helpers compose with mutable access to other parts of the caller.
     pub fn read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         self.check_oid(oid)?;
+        let len = dst.len() as u64;
+        // An object open in this transaction has a known size: a range
+        // past its end is a typed error, as on the verified direct path.
+        let fits = |size: u64| {
+            if Inner::range_fits(off, len, size) {
+                Ok(())
+            } else {
+                Err(PglError::TypeMismatch { off: oid.off })
+            }
+        };
         if let Some(b) = self.ubufs.get(&oid.off) {
+            fits(b.user_size() as u64)?;
             let o = off as usize;
             dst.copy_from_slice(&b.user()[o..o + dst.len()]);
             return Ok(());
         }
         if let Some(sb) = self.sparse.get(&oid.off) {
+            fits(sb.user_size())?;
             // Serve covered ranges from the shadow (read-your-writes); the
             // rest reads NVMM directly, like `pgl_get`.
-            if sb.covers(off, dst.len() as u64) {
+            if sb.covers(off, len) {
                 sb.read(off, dst);
                 return Ok(());
             }
         }
         if let Some(&size) = self.lazy.get(&oid.off) {
+            fits(size)?;
             // Lazily-opened object, nothing written yet: the open-time
             // verification coverage extends to this range, so serve it
             // with one range-sized read (no checksum pass).
-            if Inner::range_fits(off, dst.len(), size) {
-                return self.inner.read_cached_range(oid, off, dst);
-            }
+            return self.inner.read_cached_range(oid, off, dst);
         }
         self.inner.direct_read(oid, off, dst)
     }

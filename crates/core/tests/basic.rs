@@ -267,3 +267,71 @@ fn read_only_tx_commits_nothing() {
     assert_eq!(after.bytes_written_nt, before.bytes_written_nt);
     assert_eq!(after.lines_flushed, before.lines_flushed, "read-only tx is free");
 }
+
+/// An object of `size` bytes in a pool big enough to hold a sparse one.
+fn pool_and_obj(size: u64) -> (PglPool, pangolin::PMEMoid) {
+    let mut cfg = PglConfig::small();
+    cfg.pool.size = 32 << 20;
+    cfg.pool.zone_size = 16 << 20;
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev, cfg).unwrap();
+    let oid = pool.tx(|tx| tx.alloc(size, 1)).unwrap();
+    (pool, oid)
+}
+
+fn is_invalid_oid(e: &PglError) -> bool {
+    matches!(e, PglError::Obj(pgl_pmemobj::ObjError::InvalidOid { .. }))
+}
+
+#[test]
+fn out_of_range_write_is_a_typed_error_not_a_panic() {
+    // `off + len` wraps: it must fail the bounds check, not pass it (or
+    // panic under overflow checks), on whole and sparse shadows alike.
+    for size in [64, 4 * pangolin::txn::SPARSE_THRESHOLD] {
+        let (pool, oid) = pool_and_obj(size);
+        for off in [u64::MAX - 2, size - 5, size + 1] {
+            let e = pool.tx(|tx| tx.write(oid, off, b"abcdef")).unwrap_err();
+            assert!(is_invalid_oid(&e), "write at {off}: {e:?}");
+            let e = pool.tx(|tx| tx.add_range(oid, off, 6)).unwrap_err();
+            assert!(is_invalid_oid(&e), "add_range at {off}: {e:?}");
+        }
+        let e = pool.tx(|tx| tx.add_range(oid, 8, u64::MAX)).unwrap_err();
+        assert!(is_invalid_oid(&e), "add_range with a huge length: {e:?}");
+        pool.tx(|tx| tx.write(oid, size - 6, b"abcdef")).unwrap();
+        assert!(pool.verify_parity().unwrap());
+    }
+}
+
+#[test]
+fn out_of_range_read_of_an_open_object_is_a_typed_error_not_a_panic() {
+    let read_past = |pool: &PglPool, oid, size: u64, prepare: &dyn Fn(&mut pangolin::PglTx<'_>)| {
+        for (off, len) in [(size - 3, 6usize), (size + 1, 1), (u64::MAX - 2, 6)] {
+            let e = pool
+                .tx(|tx| {
+                    prepare(tx);
+                    tx.read(oid, off, &mut vec![0u8; len])
+                })
+                .unwrap_err();
+            assert!(matches!(e, PglError::TypeMismatch { .. }), "read {len} at {off}: {e:?}");
+        }
+        // The last in-range bytes still read fine.
+        pool.tx(|tx| {
+            prepare(tx);
+            tx.read(oid, size - 6, &mut [0u8; 6])
+        })
+        .unwrap();
+    };
+    // Micro-buffered (`ubufs`).
+    let (pool, oid) = pool_and_obj(64);
+    read_past(&pool, oid, 64, &|tx| tx.write(oid, 0, b"x").unwrap());
+    // Lazily opened (`lazy`): verified-fresh, nothing written.
+    pool.read_verified(oid).unwrap();
+    read_past(&pool, oid, 64, &|tx| tx.open(oid).unwrap());
+    // Block-shadowed (`sparse`).
+    let big = 4 * pangolin::txn::SPARSE_THRESHOLD;
+    let (pool, oid) = pool_and_obj(big);
+    read_past(&pool, oid, big, &|tx| tx.write(oid, 0, b"x").unwrap());
+    // Not open at all: the offset itself must not wrap.
+    let e = pool.tx(|tx| tx.read(oid, u64::MAX - 2, &mut [0u8; 6])).unwrap_err();
+    assert!(is_invalid_oid(&e) || matches!(e, PglError::TypeMismatch { .. }), "{e:?}");
+}

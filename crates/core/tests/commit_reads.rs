@@ -449,3 +449,69 @@ fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
     assert_eq!(pool.read_verified(oid).unwrap(), want);
     assert_sound(&pool);
 }
+
+#[test]
+fn parity_patch_flushes_the_lines_it_dirtied_not_its_span() {
+    // A 4 KiB overwrite that changes one word: the diff-XOR knows which
+    // parity line it dirtied and flushes that one, on the exclusive
+    // (vectorized) path and under a shared guard (word-atomic) alike.
+    // (Flushing the patched span cost 64-65 lines here.)
+    for exclusive in [true, false] {
+        let mut cfg = PglConfig::small();
+        cfg.hybrid_threshold = if exclusive { 1 << 10 } else { 64 << 10 };
+        let (dev, pool) = new_pool_with(cfg);
+        let oid = make_obj(&pool, 4096, 0x77);
+        let mut new = vec![0x77u8; 4096];
+        new[2000..2008].fill(0x78);
+        let s0 = dev.stats();
+        pool.tx(|tx| tx.write(oid, 0, &new)).unwrap();
+        let d = dev.stats().delta_since(&s0);
+        assert_eq!(d.xor_bytes > 0, exclusive, "the vectorized path runs iff exclusive");
+        assert_eq!(
+            d.lines_flushed,
+            2 + 1 + 1,
+            "two generation words, the data's one parity line, the header's (exclusive: {exclusive})"
+        );
+        assert_eq!(pool.read_verified(oid).unwrap(), new);
+
+        // A zero-diff overwrite still flushes no parity line at all.
+        let s0 = dev.stats();
+        pool.tx(|tx| tx.write(oid, 0, &new)).unwrap();
+        assert_eq!(dev.stats().delta_since(&s0).lines_flushed, 2, "generation words only");
+        assert_sound(&pool);
+    }
+}
+
+#[test]
+fn parity_patch_flushes_the_same_lines_on_the_replica() {
+    use pangolin::parity::ParityEngine;
+    use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
+
+    let cfg = PoolConfig::small();
+    let layout = Layout::new(cfg).unwrap();
+    let dev = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
+    let rep = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
+    let io = PoolIo::replicated(dev.clone(), rep.clone());
+    let eng = ParityEngine::new(layout, 4 << 10, 1 << 10);
+    let off = layout.chunk_base(0, layout.zone.cm_chunks);
+    let old = vec![0u8; 4096];
+    let mut new = old.clone();
+    new[100..108].fill(0xEE); // one line
+    new[3000..3008].fill(0xEE); // and another, far away
+    for exclusive in [true, false] {
+        let guard = eng.lock_span(off, 4096, exclusive).unwrap();
+        let (p0, r0) = (dev.stats(), rep.stats());
+        // Patch in, then out again: a diff XORed twice restores the row.
+        assert!(eng.update_under_flush_only(&guard, &io, off, &old, &new).unwrap());
+        assert!(eng.update_under_flush_only(&guard, &io, off, &new, &old).unwrap());
+        assert!(!eng.update_under_flush_only(&guard, &io, off, &old, &old).unwrap());
+        for d in [dev.stats().delta_since(&p0), rep.stats().delta_since(&r0)] {
+            assert_eq!(
+                d.lines_flushed,
+                2 * 2,
+                "two dirtied lines per patch (exclusive: {exclusive})"
+            );
+            assert_eq!(d.fences, 0, "flush-only: the caller owns the fence");
+        }
+    }
+}

@@ -65,8 +65,9 @@ fn overwrite_tx_atomic_and_parity_consistent_at_every_crash_point() {
 
     let report = crashcheck::sweep(&workload);
     // The fused whole-object commit (one redo entry, one write-back store,
-    // one parity patch) needs only ~a dozen device ops for this shape.
-    assert!(report.boundaries > 10, "workload too trivial: {} ops", report.boundaries);
+    // one parity patch that flushes its own lines) needs only ten device
+    // ops for this shape.
+    assert!(report.boundaries >= 10, "workload too trivial: {} ops", report.boundaries);
     assert_eq!(report.swept, report.boundaries, "every boundary crashed");
 }
 

@@ -4,9 +4,20 @@
 //! Insertion splits full nodes pre-emptively on the way down; removal uses
 //! the classic rebalance-before-descend algorithm (borrow from a sibling or
 //! merge), so every visited node has at least `t` items before descending.
+//!
+//! A node is laid out so that a descent touches only the cache lines it
+//! needs: the item count and the keys fill the first 64 bytes (the
+//! node's *head*), values and children follow. Every traversal obeys the
+//! **visit-once rule**: it reads a node's head, then the one child pointer
+//! (or the one value) it picked, carries a child's head into the next step
+//! instead of reading it again, and reads the rest of a node only once that
+//! node is known to be modified. Writes stay whole-node (PMDK snapshots
+//! node-sized ranges similarly, which is what makes Table 3's "Mod" column
+//! node-scale).
 
-use pangolin::typed::PObj;
+use pangolin::typed::{Field, PObj};
 use pangolin::{field, impl_pod, impl_ptype};
+use pgl_nvm::pod::bytes_of_mut;
 use pgl_pmemobj::PMEMoid;
 
 use crate::maps::PersistentMap;
@@ -20,22 +31,25 @@ const T: usize = 4;
 const MAX_ITEMS: usize = 2 * T - 1; // 7
 const MIN_ITEMS: usize = T - 1; // 3
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(C)]
-struct Item {
-    key: u64,
-    value: u64,
-    pad: u64,
-}
-impl_pod!(Item, 24);
+/// A `(key, value)` pair in DRAM; on media the two live in separate arrays.
+type Item = (u64, u64);
 
-/// The 304-byte node, read and written whole (PMDK snapshots node-sized
-/// ranges similarly, which is what makes Table 3's "Mod" column node-scale).
+/// The first 64 bytes of a node: all a descent needs to pick its next step.
+#[derive(Clone, Copy)]
+#[repr(C)]
+struct BHead {
+    n: u64,
+    keys: [u64; MAX_ITEMS],
+}
+impl_pod!(BHead, 64);
+
+/// The 304-byte node: `n | keys[7] | values[7] | pad[7] | children[8]`.
 #[derive(Clone, Copy)]
 #[repr(C)]
 struct BNode {
-    n: u64,
-    items: [Item; MAX_ITEMS],
+    head: BHead,
+    values: [u64; MAX_ITEMS],
+    pad: [u64; MAX_ITEMS],
     children: [PObj<BNode>; 2 * T],
 }
 impl_ptype!(BNode, 304, TYPE_NODE);
@@ -49,38 +63,65 @@ struct BAnchor {
 }
 impl_ptype!(BAnchor, 24, TYPE_ANCHOR);
 
+impl BHead {
+    fn len(&self) -> usize {
+        self.n as usize
+    }
+
+    /// First index with `key <= keys[i]`, and whether it holds `key`.
+    fn search(&self, key: u64) -> (usize, bool) {
+        let n = self.len();
+        let i = (0..n).find(|&i| key <= self.keys[i]).unwrap_or(n);
+        (i, i < n && self.keys[i] == key)
+    }
+}
+
 impl BNode {
     fn empty() -> BNode {
-        BNode { n: 0, items: [Item::default(); MAX_ITEMS], children: [PObj::null(); 2 * T] }
+        BNode {
+            head: BHead { n: 0, keys: [0; MAX_ITEMS] },
+            values: [0; MAX_ITEMS],
+            pad: [0; MAX_ITEMS],
+            children: [PObj::null(); 2 * T],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len()
     }
 
     fn is_leaf(&self) -> bool {
         self.children[0].is_null()
     }
 
-    /// First index with `key <= items[i].key`.
-    fn lower_bound(&self, key: u64) -> usize {
-        let n = self.n as usize;
-        (0..n).find(|&i| key <= self.items[i].key).unwrap_or(n)
+    fn item(&self, i: usize) -> Item {
+        (self.head.keys[i], self.values[i])
+    }
+
+    fn set_item(&mut self, i: usize, (key, value): Item) {
+        self.head.keys[i] = key;
+        self.values[i] = value;
     }
 
     fn insert_item_at(&mut self, i: usize, item: Item) {
-        let n = self.n as usize;
-        self.items.copy_within(i..n, i + 1);
-        self.items[i] = item;
-        self.n += 1;
+        let n = self.len();
+        self.head.keys.copy_within(i..n, i + 1);
+        self.values.copy_within(i..n, i + 1);
+        self.set_item(i, item);
+        self.head.n += 1;
     }
 
     fn remove_item_at(&mut self, i: usize) -> Item {
-        let n = self.n as usize;
-        let it = self.items[i];
-        self.items.copy_within(i + 1..n, i);
-        self.n -= 1;
+        let n = self.len();
+        let it = self.item(i);
+        self.head.keys.copy_within(i + 1..n, i);
+        self.values.copy_within(i + 1..n, i);
+        self.head.n -= 1;
         it
     }
 
     fn insert_child_at(&mut self, i: usize, c: PObj<BNode>) {
-        let n = self.n as usize; // called after the item insert
+        let n = self.len(); // called after the item insert
         self.children.copy_within(i..n, i + 1);
         self.children[i] = c;
     }
@@ -89,14 +130,43 @@ impl BNode {
     /// `n` still reflects the old item count (children are `0..=n`).
     fn remove_child_at(&mut self, i: usize) -> PObj<BNode> {
         let c = self.children[i];
-        let n = self.n as usize;
+        let n = self.len();
         self.children.copy_within(i + 1..=n, i);
         c
     }
 }
 
-fn read_node(tx: &mut dyn TxOps, h: PObj<BNode>) -> KvResult<BNode> {
-    tx.get_obj(h)
+/// Which item a descending delete is after.
+#[derive(Clone, Copy)]
+enum Target {
+    Key(u64),
+    /// The smallest item of the subtree (an interior item's successor).
+    Min,
+    /// The largest item of the subtree (an interior item's predecessor).
+    Max,
+}
+
+const HEAD_LEN: usize = std::mem::size_of::<BHead>();
+
+fn child_field(i: usize) -> Field<BNode, PObj<BNode>> {
+    field!(BNode, children: [PObj<BNode>; 2 * T]).index(i)
+}
+
+fn read_head(tx: &mut dyn TxOps, h: PObj<BNode>) -> KvResult<BHead> {
+    tx.read_at(h, field!(BNode, head: BHead))
+}
+
+fn read_child(tx: &mut dyn TxOps, h: PObj<BNode>, i: usize) -> KvResult<PObj<BNode>> {
+    tx.read_at(h, child_field(i))
+}
+
+/// Completes a node whose head the descent already holds: reads the bytes
+/// after the head, so no byte of the node is read twice.
+fn read_rest(tx: &mut dyn TxOps, h: PObj<BNode>, head: BHead) -> KvResult<BNode> {
+    let mut node = BNode::empty();
+    node.head = head;
+    tx.read_bytes(h.oid(), HEAD_LEN as u64, &mut bytes_of_mut(&mut node)[HEAD_LEN..])?;
+    Ok(node)
 }
 
 fn write_node(tx: &mut dyn TxOps, h: PObj<BNode>, node: &BNode) -> KvResult<()> {
@@ -119,145 +189,148 @@ impl BTree {
         tx.write_at(anchor, field!(BAnchor, count: u64), &n)
     }
 
-    /// Splits the full child `parent.children[i]`, promoting its median.
+    /// Splits the full child `parent.children[i]` (whose head the caller
+    /// read), promoting its median. Returns the heads of the two halves.
     fn split_child(
         tx: &mut dyn TxOps,
         parent_h: PObj<BNode>,
         parent: &mut BNode,
         i: usize,
-    ) -> KvResult<()> {
+        child_head: BHead,
+    ) -> KvResult<[BHead; 2]> {
         let child_h = parent.children[i];
-        let mut child = read_node(tx, child_h)?;
-        debug_assert_eq!(child.n as usize, MAX_ITEMS);
+        let mut child = read_rest(tx, child_h, child_head)?;
+        debug_assert_eq!(child.len(), MAX_ITEMS);
         let right_h = tx.alloc_obj_zeroed::<BNode>()?;
         let mut right = BNode::empty();
-        right.n = (T - 1) as u64;
-        right.items[..T - 1].copy_from_slice(&child.items[T..]);
+        right.head.n = (T - 1) as u64;
+        right.head.keys[..T - 1].copy_from_slice(&child.head.keys[T..]);
+        right.values[..T - 1].copy_from_slice(&child.values[T..]);
         if !child.is_leaf() {
             right.children[..T].copy_from_slice(&child.children[T..]);
         }
-        let median = child.items[T - 1];
-        child.n = (T - 1) as u64;
+        let median = child.item(T - 1);
+        child.head.n = (T - 1) as u64;
 
         parent.insert_item_at(i, median);
         parent.insert_child_at(i + 1, right_h);
 
         write_node(tx, child_h, &child)?;
         write_node(tx, right_h, &right)?;
-        write_node(tx, parent_h, parent)
+        write_node(tx, parent_h, parent)?;
+        Ok([child.head, right.head])
     }
 
-    /// Ensures `parent.children[i]` has at least `T` items before a
-    /// descending delete, borrowing from a sibling or merging. Returns the
-    /// child to descend into (it changes when merging leftward).
+    /// Ensures the child `child_h = children[i]` of the node at `parent_h`
+    /// has at least `T` items before a descending delete, borrowing from a
+    /// sibling or merging. The parent is read past its head only if it has
+    /// to change. Returns the child to descend into (it changes when
+    /// merging leftward) and its head.
     fn fix_child(
         tx: &mut dyn TxOps,
         parent_h: PObj<BNode>,
-        parent: &mut BNode,
+        parent_head: BHead,
         i: usize,
-    ) -> KvResult<PObj<BNode>> {
-        let child_h = parent.children[i];
-        let mut child = read_node(tx, child_h)?;
-        if child.n as usize > MIN_ITEMS {
-            return Ok(child_h);
+        child_h: PObj<BNode>,
+    ) -> KvResult<(PObj<BNode>, BHead)> {
+        let child_head = read_head(tx, child_h)?;
+        if child_head.len() > MIN_ITEMS {
+            return Ok((child_h, child_head));
         }
+        let mut parent = read_rest(tx, parent_h, parent_head)?;
+        let mut left_head = None;
         // Borrow from the left sibling.
         if i > 0 {
             let left_h = parent.children[i - 1];
-            let mut left = read_node(tx, left_h)?;
-            if left.n as usize > MIN_ITEMS {
-                let moved = left.items[left.n as usize - 1];
-                child.insert_item_at(0, parent.items[i - 1]);
+            let head = read_head(tx, left_h)?;
+            if head.len() > MIN_ITEMS {
+                let mut left = read_rest(tx, left_h, head)?;
+                let mut child = read_rest(tx, child_h, child_head)?;
+                let moved = left.item(left.len() - 1);
+                child.insert_item_at(0, parent.item(i - 1));
                 if !child.is_leaf() {
-                    let c = left.children[left.n as usize];
-                    child.children.copy_within(0..child.n as usize, 1);
-                    child.children[0] = c;
+                    let n = child.len(); // already counts the borrowed item
+                    child.children.copy_within(0..n, 1);
+                    child.children[0] = left.children[left.len()];
                 }
-                left.n -= 1;
-                parent.items[i - 1] = moved;
+                left.head.n -= 1;
+                parent.set_item(i - 1, moved);
                 write_node(tx, left_h, &left)?;
                 write_node(tx, child_h, &child)?;
-                write_node(tx, parent_h, parent)?;
-                return Ok(child_h);
+                write_node(tx, parent_h, &parent)?;
+                return Ok((child_h, child.head));
             }
+            left_head = Some(head);
         }
         // Borrow from the right sibling.
-        if i < parent.n as usize {
+        let mut right_head = None;
+        if i < parent.len() {
             let right_h = parent.children[i + 1];
-            let mut right = read_node(tx, right_h)?;
-            if right.n as usize > MIN_ITEMS {
-                let n = child.n as usize;
-                child.items[n] = parent.items[i];
+            let head = read_head(tx, right_h)?;
+            if head.len() > MIN_ITEMS {
+                let mut right = read_rest(tx, right_h, head)?;
+                let mut child = read_rest(tx, child_h, child_head)?;
+                let n = child.len();
+                child.set_item(n, parent.item(i));
                 if !child.is_leaf() {
                     child.children[n + 1] = right.children[0];
-                    right.children.copy_within(1..=right.n as usize, 0);
+                    let rn = right.len();
+                    right.children.copy_within(1..=rn, 0);
                 }
-                child.n += 1;
-                parent.items[i] = right.remove_item_at(0);
+                child.head.n += 1;
+                parent.set_item(i, right.remove_item_at(0));
                 write_node(tx, right_h, &right)?;
                 write_node(tx, child_h, &child)?;
-                write_node(tx, parent_h, parent)?;
-                return Ok(child_h);
+                write_node(tx, parent_h, &parent)?;
+                return Ok((child_h, child.head));
             }
+            right_head = Some(head);
         }
-        // Merge with a sibling.
-        if i > 0 {
-            Self::merge_children(tx, parent_h, parent, i - 1)?;
-            Ok(parent.children[i - 1])
-        } else {
-            Self::merge_children(tx, parent_h, parent, i)?;
-            Ok(parent.children[i])
-        }
+        // Merge with a sibling (a non-root parent has at least two children,
+        // so one of the two heads was read above).
+        let (at, heads) = match (left_head, right_head) {
+            (Some(left), _) => (i - 1, [left, child_head]),
+            (None, Some(right)) => (i, [child_head, right]),
+            (None, None) => return Err(KvError::Corrupt("btree: interior node without items")),
+        };
+        let merged = Self::merge_children(tx, parent_h, &mut parent, at, heads)?;
+        Ok((parent.children[at], merged))
     }
 
-    /// Merges `children[i]`, `items[i]`, and `children[i+1]` into
-    /// `children[i]`, freeing the right node.
+    /// Merges `children[i]`, item `i`, and `children[i+1]` (whose heads the
+    /// caller read) into `children[i]`, freeing the right node. Returns the
+    /// merged node's head.
     fn merge_children(
         tx: &mut dyn TxOps,
         parent_h: PObj<BNode>,
         parent: &mut BNode,
         i: usize,
-    ) -> KvResult<()> {
+        [left_head, right_head]: [BHead; 2],
+    ) -> KvResult<BHead> {
         let left_h = parent.children[i];
         let right_h = parent.children[i + 1];
-        let mut left = read_node(tx, left_h)?;
-        let right = read_node(tx, right_h)?;
-        let ln = left.n as usize;
-        let rn = right.n as usize;
-        debug_assert!(ln + rn < MAX_ITEMS);
-        left.items[ln] = parent.items[i];
-        left.items[ln + 1..ln + 1 + rn].copy_from_slice(&right.items[..rn]);
+        let mut left = read_rest(tx, left_h, left_head)?;
+        let right = read_rest(tx, right_h, right_head)?;
+        let ln = left.len();
+        let rn = right.len();
+        if ln + rn >= MAX_ITEMS {
+            return Err(KvError::Corrupt("btree: merge of over-full siblings"));
+        }
+        left.set_item(ln, parent.item(i));
+        left.head.keys[ln + 1..ln + 1 + rn].copy_from_slice(&right.head.keys[..rn]);
+        left.values[ln + 1..ln + 1 + rn].copy_from_slice(&right.values[..rn]);
         if !left.is_leaf() {
             left.children[ln + 1..ln + 2 + rn].copy_from_slice(&right.children[..=rn]);
         }
-        left.n = (ln + 1 + rn) as u64;
+        left.head.n = (ln + 1 + rn) as u64;
 
         parent.remove_child_at(i + 1);
         parent.remove_item_at(i);
 
         write_node(tx, left_h, &left)?;
         write_node(tx, parent_h, parent)?;
-        tx.free_obj(right_h)
-    }
-
-    fn find_max(tx: &mut dyn TxOps, mut h: PObj<BNode>) -> KvResult<Item> {
-        loop {
-            let node = read_node(tx, h)?;
-            if node.is_leaf() {
-                return Ok(node.items[node.n as usize - 1]);
-            }
-            h = node.children[node.n as usize];
-        }
-    }
-
-    fn find_min(tx: &mut dyn TxOps, mut h: PObj<BNode>) -> KvResult<Item> {
-        loop {
-            let node = read_node(tx, h)?;
-            if node.is_leaf() {
-                return Ok(node.items[0]);
-            }
-            h = node.children[0];
-        }
+        tx.free_obj(right_h)?;
+        Ok(left.head)
     }
 
     /// Insert inside an already-open transaction — the group-commit
@@ -266,56 +339,59 @@ impl BTree {
     pub fn insert_tx(&self, tx: &mut dyn TxOps, key: u64, value: u64) -> KvResult<Option<u64>> {
         let anchor = self.anchor_h();
         let root_fld = field!(BAnchor, root: PObj<BNode>);
-        let mut root: PObj<BNode> = tx.read_at(anchor, root_fld)?;
-        if root.is_null() {
+        let mut cur: PObj<BNode> = tx.read_at(anchor, root_fld)?;
+        if cur.is_null() {
             let h = tx.alloc_obj_zeroed::<BNode>()?;
             let mut node = BNode::empty();
-            node.n = 1;
-            node.items[0] = Item { key, value, pad: 0 };
+            node.insert_item_at(0, (key, value));
             write_node(tx, h, &node)?;
             tx.write_at(anchor, root_fld, &h)?;
             Self::bump_count(tx, anchor, 1)?;
             return Ok(None);
         }
+        let mut head = read_head(tx, cur)?;
         // Pre-emptive root split.
-        if read_node(tx, root)?.n as usize == MAX_ITEMS {
+        if head.len() == MAX_ITEMS {
             let new_root = tx.alloc_obj_zeroed::<BNode>()?;
             let mut nr = BNode::empty();
-            nr.children[0] = root;
-            Self::split_child(tx, new_root, &mut nr, 0)?;
+            nr.children[0] = cur;
+            Self::split_child(tx, new_root, &mut nr, 0, head)?;
             tx.write_at(anchor, root_fld, &new_root)?;
-            root = new_root;
+            (cur, head) = (new_root, nr.head);
         }
-        let mut cur = root;
+        // `head` is always the head of `cur`, read exactly once.
         loop {
-            let mut node = read_node(tx, cur)?;
-            let i = node.lower_bound(key);
-            if i < node.n as usize && node.items[i].key == key {
-                let old = node.items[i].value;
-                node.items[i].value = value;
+            let (i, found) = head.search(key);
+            if found {
+                let mut node = read_rest(tx, cur, head)?;
+                let old = std::mem::replace(&mut node.values[i], value);
                 write_node(tx, cur, &node)?;
                 return Ok(Some(old));
             }
-            if node.is_leaf() {
-                node.insert_item_at(i, Item { key, value, pad: 0 });
+            let child = read_child(tx, cur, i)?;
+            if child.is_null() {
+                let mut node = read_rest(tx, cur, head)?;
+                node.insert_item_at(i, (key, value));
                 write_node(tx, cur, &node)?;
                 Self::bump_count(tx, anchor, 1)?;
                 return Ok(None);
             }
-            let child = node.children[i];
-            if read_node(tx, child)?.n as usize == MAX_ITEMS {
-                Self::split_child(tx, cur, &mut node, i)?;
-                // The promoted median may be the key, or shift the path.
-                if node.items[i].key == key {
-                    let old = node.items[i].value;
-                    node.items[i].value = value;
-                    write_node(tx, cur, &node)?;
-                    return Ok(Some(old));
-                }
-                cur = if key > node.items[i].key { node.children[i + 1] } else { node.children[i] };
-            } else {
-                cur = child;
+            let child_head = read_head(tx, child)?;
+            if child_head.len() < MAX_ITEMS {
+                (cur, head) = (child, child_head);
+                continue;
             }
+            let mut node = read_rest(tx, cur, head)?;
+            let halves = Self::split_child(tx, cur, &mut node, i, child_head)?;
+            // The promoted median may be the key, or shift the path.
+            let median = node.head.keys[i];
+            if median == key {
+                let old = std::mem::replace(&mut node.values[i], value);
+                write_node(tx, cur, &node)?;
+                return Ok(Some(old));
+            }
+            let side = (key > median) as usize;
+            (cur, head) = (node.children[i + side], halves[side]);
         }
     }
 
@@ -328,20 +404,22 @@ impl BTree {
         if root.is_null() {
             return Ok(None);
         }
-        let removed = Self::delete_from(tx, root, key)?;
+        let head = read_head(tx, root)?;
+        let removed = Self::delete_from(tx, root, head, Target::Key(key))?;
         if removed.is_some() {
             Self::bump_count(tx, anchor, -1)?;
         }
-        // Shrink the root if it emptied out. This can happen even on an
-        // unsuccessful remove: the rebalance-before-descend pass may
-        // merge the root's last two children.
-        let r = read_node(tx, root)?;
-        if r.n == 0 {
-            let new_root = if r.is_leaf() { PObj::null() } else { r.children[0] };
+        // Shrink the root if it emptied out — only a one-item root can, by
+        // losing that item as a leaf or having its two children merged
+        // (which happens even on an unsuccessful remove: the
+        // rebalance-before-descend pass merges first). A root that did
+        // empty was written, so it is the transaction's copy that is read.
+        if head.len() == 1 && tx.read_at(root, field!(BNode, head.n: u64))? == 0 {
+            let new_root = read_child(tx, root, 0)?; // null under a leaf
             tx.write_at(anchor, root_fld, &new_root)?;
             tx.free_obj(root)?;
         }
-        Ok(removed)
+        Ok(removed.map(|(_, value)| value))
     }
 
     /// Ordered range scan: appends up to `limit` `(key, value)` pairs with
@@ -368,16 +446,16 @@ impl BTree {
                 return Ok(());
             }
             let node: BNode = store.get_obj_direct(h)?;
-            let n = node.n as usize;
+            let n = node.len();
             // Children before the lower bound hold only keys < start.
-            for i in node.lower_bound(start)..n {
+            for i in node.head.search(start).0..n {
                 if !node.is_leaf() {
                     walk(store, node.children[i], start, limit, out)?;
                 }
                 if out.len() >= limit {
                     return Ok(());
                 }
-                out.push((node.items[i].key, node.items[i].value));
+                out.push(node.item(i));
             }
             if !node.is_leaf() {
                 walk(store, node.children[n], start, limit, out)?;
@@ -389,46 +467,61 @@ impl BTree {
         walk(store, root, start, limit, out)
     }
 
-    /// Recursive delete; every entered node has at least `T` items (except
-    /// the root).
-    fn delete_from(tx: &mut dyn TxOps, node_h: PObj<BNode>, key: u64) -> KvResult<Option<u64>> {
-        let mut node = read_node(tx, node_h)?;
-        let i = node.lower_bound(key);
-        let found = i < node.n as usize && node.items[i].key == key;
-        if found {
-            let old = node.items[i].value;
-            if node.is_leaf() {
-                node.remove_item_at(i);
-                write_node(tx, node_h, &node)?;
-                return Ok(Some(old));
-            }
-            let left_h = node.children[i];
-            let right_h = node.children[i + 1];
-            let left_n = read_node(tx, left_h)?.n as usize;
-            if left_n > MIN_ITEMS {
-                let pred = Self::find_max(tx, left_h)?;
-                node.items[i] = pred;
-                write_node(tx, node_h, &node)?;
-                Self::delete_from(tx, left_h, pred.key)?;
-                return Ok(Some(old));
-            }
-            let right_n = read_node(tx, right_h)?.n as usize;
-            if right_n > MIN_ITEMS {
-                let succ = Self::find_min(tx, right_h)?;
-                node.items[i] = succ;
-                write_node(tx, node_h, &node)?;
-                Self::delete_from(tx, right_h, succ.key)?;
-                return Ok(Some(old));
-            }
-            Self::merge_children(tx, node_h, &mut node, i)?;
-            Self::delete_from(tx, node.children[i], key)?;
-            return Ok(Some(old));
+    /// Recursive delete of `target` below the node at `node_h`, whose head
+    /// the caller read; every entered node has at least `T` items (except
+    /// the root). Returns the removed item.
+    fn delete_from(
+        tx: &mut dyn TxOps,
+        node_h: PObj<BNode>,
+        head: BHead,
+        target: Target,
+    ) -> KvResult<Option<Item>> {
+        let n = head.len();
+        let (i, found) = match target {
+            Target::Key(key) => head.search(key),
+            Target::Min => (0, false),
+            Target::Max => (n, false),
+        };
+        let child_h = read_child(tx, node_h, i)?;
+        if child_h.is_null() {
+            // A leaf: the item is here or nowhere.
+            let at = match target {
+                Target::Key(_) if !found => return Ok(None),
+                Target::Key(_) | Target::Min => i,
+                Target::Max => n - 1,
+            };
+            let mut node = read_rest(tx, node_h, head)?;
+            let item = node.remove_item_at(at);
+            write_node(tx, node_h, &node)?;
+            return Ok(Some(item));
         }
-        if node.is_leaf() {
-            return Ok(None);
+        if !found {
+            let (below, below_head) = Self::fix_child(tx, node_h, head, i, child_h)?;
+            return Self::delete_from(tx, below, below_head, target);
         }
-        let target = Self::fix_child(tx, node_h, &mut node, i)?;
-        Self::delete_from(tx, target, key)
+        // An interior item: replace it with its predecessor or successor,
+        // taken out of the subtree in the same descent that finds it, or
+        // merge the two subtrees around it and delete below.
+        let mut node = read_rest(tx, node_h, head)?;
+        let old = node.item(i);
+        let left_head = read_head(tx, child_h)?;
+        let right_h = node.children[i + 1];
+        let replacement = if left_head.len() > MIN_ITEMS {
+            Self::delete_from(tx, child_h, left_head, Target::Max)?
+        } else {
+            let right_head = read_head(tx, right_h)?;
+            if right_head.len() > MIN_ITEMS {
+                Self::delete_from(tx, right_h, right_head, Target::Min)?
+            } else {
+                let heads = [left_head, right_head];
+                let merged = Self::merge_children(tx, node_h, &mut node, i, heads)?;
+                Self::delete_from(tx, child_h, merged, target)?;
+                return Ok(Some(old));
+            }
+        };
+        node.set_item(i, replacement.ok_or(KvError::Corrupt("btree: empty subtree"))?);
+        write_node(tx, node_h, &node)?;
+        Ok(Some(old))
     }
 }
 
@@ -459,16 +552,15 @@ impl PersistentMap for BTree {
     fn get<S: Store>(&self, store: &S, key: u64) -> KvResult<Option<u64>> {
         let mut cur: PObj<BNode> =
             store.read_at_direct(self.anchor_h(), field!(BAnchor, root: PObj<BNode>))?;
+        // Under a leaf the child pointer read is null and ends the walk.
         while !cur.is_null() {
-            let node: BNode = store.get_obj_direct(cur)?;
-            let i = node.lower_bound(key);
-            if i < node.n as usize && node.items[i].key == key {
-                return Ok(Some(node.items[i].value));
+            let head: BHead = store.read_at_direct(cur, field!(BNode, head: BHead))?;
+            let (i, found) = head.search(key);
+            if found {
+                let values = field!(BNode, values: [u64; MAX_ITEMS]);
+                return store.read_at_direct(cur, values.index(i)).map(Some);
             }
-            if node.is_leaf() {
-                return Ok(None);
-            }
-            cur = node.children[i];
+            cur = store.read_at_direct(cur, child_field(i))?;
         }
         Ok(None)
     }
@@ -487,22 +579,23 @@ pub fn check_invariants<S: Store>(map: &BTree, store: &S) -> KvResult<u64> {
         leaf_depth: &mut Option<usize>,
     ) -> KvResult<u64> {
         let node: BNode = store.get_obj_direct(h)?;
-        let n = node.n as usize;
+        let n = node.len();
         if n > MAX_ITEMS || (!is_root && n < MIN_ITEMS) || (is_root && n == 0) {
             return Err(KvError::Corrupt("btree: item count out of bounds"));
         }
-        for w in node.items[..n].windows(2) {
-            if w[0].key >= w[1].key {
+        let keys = &node.head.keys[..n];
+        for w in keys.windows(2) {
+            if w[0] >= w[1] {
                 return Err(KvError::Corrupt("btree: unsorted items"));
             }
         }
         if let Some(lo) = lo {
-            if node.items[0].key <= lo {
+            if keys[0] <= lo {
                 return Err(KvError::Corrupt("btree: order violation (lo)"));
             }
         }
         if let Some(hi) = hi {
-            if node.items[n - 1].key >= hi {
+            if keys[n - 1] >= hi {
                 return Err(KvError::Corrupt("btree: order violation (hi)"));
             }
         }
@@ -516,8 +609,8 @@ pub fn check_invariants<S: Store>(map: &BTree, store: &S) -> KvResult<u64> {
         }
         let mut total = n as u64;
         for i in 0..=n {
-            let lo = if i == 0 { lo } else { Some(node.items[i - 1].key) };
-            let hi = if i == n { hi } else { Some(node.items[i].key) };
+            let lo = if i == 0 { lo } else { Some(keys[i - 1]) };
+            let hi = if i == n { hi } else { Some(keys[i]) };
             total += walk(store, node.children[i], lo, hi, false, depth + 1, leaf_depth)?;
         }
         Ok(total)
@@ -531,4 +624,21 @@ pub fn check_invariants<S: Store>(map: &BTree, store: &S) -> KvResult<u64> {
         return Err(KvError::Corrupt("btree: count mismatch"));
     }
     Ok(n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::{offset_of, size_of};
+
+    #[test]
+    fn node_is_304_bytes_with_count_and_keys_in_the_first_64() {
+        assert_eq!(size_of::<BNode>(), 304);
+        assert_eq!(offset_of!(BNode, head), 0);
+        assert_eq!((offset_of!(BHead, n), offset_of!(BHead, keys)), (0, 8));
+        assert_eq!(size_of::<BHead>(), 64, "n + keys end where the values begin");
+        assert_eq!(offset_of!(BNode, values), 64);
+        assert_eq!(offset_of!(BNode, pad), 120);
+        assert_eq!(offset_of!(BNode, children), 176);
+    }
 }

@@ -129,12 +129,16 @@ impl PersistentMap for CTree {
                 Self::bump_count(tx, anchor, 1)?;
                 return Ok(None);
             }
-            // Walk to the closest leaf.
+            // Walk to the closest leaf, remembering every interior entry on
+            // the way with the crit bit of the node it points at (diffs
+            // strictly decrease, so 64 bounds the depth).
+            let mut path: Vec<(EntryLoc, Entry, u32)> = Vec::with_capacity(64);
             let mut loc = root_loc;
             let mut e = root;
             while !Self::is_leaf(&e) {
                 let node = Self::child(&e)?;
                 let diff: u32 = tx.read_at(node, field!(CNode, diff: u32))?;
+                path.push((loc, e, diff));
                 let bit = (key >> diff) & 1;
                 loc = EntryLoc::Node(node, bit as usize);
                 e = Self::read_entry(tx, loc)?;
@@ -144,21 +148,14 @@ impl PersistentMap for CTree {
                 Self::write_entry(tx, loc, &Entry { key, slot: ValueSlot::inline(value) })?;
                 return Ok(Some(old));
             }
-            // New critical bit; find the insertion point (diffs decrease
-            // downward, so stop above the first node with a smaller diff).
+            // New critical bit. Diffs decrease downward, so the insertion
+            // point is the first entry on the path whose node has a smaller
+            // diff, or the leaf itself.
             let diff = Self::crit_bit(e.key, key);
-            let mut loc = root_loc;
-            let mut at = Self::read_entry(tx, loc)?;
-            while !Self::is_leaf(&at) {
-                let node = Self::child(&at)?;
-                let ndiff: u32 = tx.read_at(node, field!(CNode, diff: u32))?;
-                if ndiff < diff {
-                    break;
-                }
-                let bit = (key >> ndiff) & 1;
-                loc = EntryLoc::Node(node, bit as usize);
-                at = Self::read_entry(tx, loc)?;
-            }
+            let (loc, at) = path
+                .iter()
+                .find(|&&(_, _, ndiff)| ndiff < diff)
+                .map_or((loc, e), |&(loc, at, _)| (loc, at));
             let node = tx.alloc_obj_zeroed::<CNode>()?;
             let bit = ((key >> diff) & 1) as usize;
             tx.write_at(node, field!(CNode, diff: u32), &diff)?;

@@ -164,6 +164,71 @@ model_tests!(skiplist_model, SkipList, skiplist::check_invariants);
 model_tests!(rtree_model, RTree, rtree::check_invariants);
 model_tests!(hashmap_model, HashMap, hashmap::check_invariants);
 
+/// Root split, borrow-right, borrow-left and merge-to-empty-root of the
+/// B-tree in one scripted run on both backends, invariants checked after
+/// every operation. The transaction counters witness that each step took
+/// the rebalancing path it is named for (a borrow rewrites the two
+/// siblings and their parent and frees nothing; a merge under a one-item
+/// root frees the right sibling and the root).
+#[test]
+fn btree_split_borrow_and_merge_paths_in_one_run() {
+    /// Bytes a borrow modifies: three whole 304-byte nodes and the count.
+    const BORROW: u64 = 3 * 304 + 8;
+    fn run<S: Store>(store: &S) {
+        let map = BTree::create(store).unwrap();
+        let mut model = BTreeMap::new();
+        let check = |map: &BTree, model: &BTreeMap<u64, u64>| {
+            assert_eq!(btree::check_invariants(map, store).unwrap(), model.len() as u64);
+            for (&k, &v) in model {
+                assert_eq!(map.get(store, k).unwrap(), Some(v));
+            }
+        };
+        let insert = |model: &mut BTreeMap<u64, u64>, k: u64| {
+            let (old, stats) = map.insert_with_stats(store, k, k + 1).unwrap();
+            assert_eq!(old, model.insert(k, k + 1));
+            check(&map, model);
+            stats
+        };
+        let remove = |model: &mut BTreeMap<u64, u64>, k: u64| {
+            let (old, stats) = map.remove_with_stats(store, k).unwrap();
+            assert_eq!(old, model.remove(&k));
+            check(&map, model);
+            stats
+        };
+        // Seven keys fill the root leaf; the eighth splits it:
+        // [40] over [10 20 30] and [50 60 70 80].
+        for k in (10..=70).step_by(10) {
+            assert_eq!(insert(&mut model, k).alloc_objects, (k == 10) as u64);
+        }
+        assert_eq!(insert(&mut model, 80).alloc_objects, 2, "root split: new root + right half");
+        // The left leaf is minimal and has no left sibling: borrow right.
+        // [50] over [20 30 40] and [60 70 80].
+        let s = remove(&mut model, 10);
+        assert_eq!((s.modified_bytes, s.freed_objects), (BORROW, 0), "borrow-right: {s:?}");
+        // Fatten the left leaf, then delete from the minimal right one:
+        // borrow left. [40] over [5 20 30] and [50 70 80].
+        insert(&mut model, 5);
+        let s = remove(&mut model, 60);
+        assert_eq!((s.modified_bytes, s.freed_objects), (BORROW, 0), "borrow-left: {s:?}");
+        // Both leaves minimal under a one-item root: merge, root empties.
+        let s = remove(&mut model, 5);
+        assert_eq!(s.freed_objects, 2, "merge-to-empty-root frees a leaf and the root: {s:?}");
+        // An interior item goes through its predecessor / successor.
+        for k in [1, 2, 3, 4, 6, 7, 8, 9] {
+            insert(&mut model, k);
+        }
+        for k in model.keys().copied().collect::<Vec<_>>() {
+            remove(&mut model, k);
+        }
+        assert_eq!(map.len(store).unwrap(), 0);
+    }
+    run(&pmem_store());
+    let store = pgl_store();
+    run(&store);
+    assert!(store.pool().verify_parity().unwrap());
+    assert!(store.pool().find_corrupt_objects().unwrap().is_empty());
+}
+
 #[test]
 fn hashmap_rehash_via_overflow_is_correct() {
     // Push the hashmap through several rehashes (64 -> 2048 buckets); the

@@ -678,15 +678,35 @@ impl NvmDevice {
         }
     }
 
+    /// The `CLWB` a diff-XOR path issues for a line it has finished
+    /// dirtying: captures the post-content for the crash tracker.
+    #[inline]
+    fn note_xor_line_flushed(&self, line: u64) {
+        if let Some(tracker) = &self.tracker {
+            tracker.note_flush(line, &self.line_content(line));
+        }
+    }
+
+    /// Accounts the `lines` flushes of one diff-XOR call: the paths know
+    /// which lines they dirtied, so those — not the span — are flushed.
+    #[inline]
+    fn charge_xor_flushes(&self, lines: u64) {
+        DeviceStats::add(&self.stats.lines_flushed, lines);
+        if self.latency.flush_ns_per_line > 0 {
+            LatencyModel::charge(self.latency.flush_ns_per_line * lines);
+        }
+    }
+
     /// Computes `old ⊕ new` and XORs it into the range at `off` with plain
     /// (vectorized) stores, a cache line at a time: the line's diff is
     /// built and OR-reduced first, so an untouched line costs no store, no
-    /// tracker bookkeeping and no latency charge, and a touched one does
-    /// its bookkeeping once. All-zero diff words never count as written
+    /// flush, no tracker bookkeeping and no latency charge, and a touched
+    /// one does its bookkeeping once and is flushed (`CLWB`) on the spot.
+    /// All-zero diff words never count as written
     /// (`xor_bytes`/`bytes_written` advance by 8 per non-zero aligned word
     /// and 1 per non-zero byte of the unaligned edges). Returns `true` if
-    /// any byte was actually modified (callers skip the trailing persist
-    /// otherwise).
+    /// any byte was actually modified: the caller then owes the fence,
+    /// and nothing otherwise.
     ///
     /// This is the bulk parity path for write-backs where the caller holds
     /// both the old and the new content; callers must hold an exclusive
@@ -721,6 +741,7 @@ impl NvmDevice {
             if self.latency.write_ns_per_line > 0 {
                 LatencyModel::charge(self.latency.write_ns_per_line * lines);
             }
+            self.charge_xor_flushes(lines);
         }
         Ok(touched > 0)
     }
@@ -751,6 +772,7 @@ impl NvmDevice {
         for k in 0..CACHELINE {
             line[k] ^= diff[k];
         }
+        self.note_xor_line_flushed(pos / CACHELINE as u64);
         8 * words.iter().filter(|&&w| w != 0).count() as u64
     }
 
@@ -777,14 +799,16 @@ impl NvmDevice {
             // holds exclusively. XORing a zero byte changes nothing.
             unsafe { *ptr.add(i) ^= old[i] ^ new[i] };
         }
+        self.note_xor_line_flushed(pos / CACHELINE as u64);
         touched as u64
     }
 
     /// Shared walker of the atomic span-XOR paths: visits every
     /// 8-byte-aligned window overlapping `[off, off+len)`, assembles the
     /// window's patch word from `src` (zero-padded at the two unaligned
-    /// edges), and atomically XORs the non-zero words in. Returns `true`
-    /// if any word was applied.
+    /// edges), atomically XORs the non-zero words in, and flushes (`CLWB`)
+    /// each cache line it dirtied once it moves past it. Returns `true`
+    /// if any word was applied: the caller then owes the fence.
     ///
     /// Latency accounting: unlike [`NvmDevice::atomic_xor_u64`] (an
     /// isolated RMW, charged a full NVM round trip), a span of adjacent
@@ -821,6 +845,9 @@ impl NvmDevice {
                 // An aligned 8-byte word never straddles a cache line.
                 let line = w_off / CACHELINE as u64;
                 if line != noted {
+                    if lines > 0 {
+                        self.note_xor_line_flushed(noted);
+                    }
                     noted = line;
                     lines += 1;
                     self.note_xor_line(line);
@@ -833,19 +860,21 @@ impl NvmDevice {
             w_off += 8;
         }
         if words > 0 {
+            self.note_xor_line_flushed(noted);
             DeviceStats::add(&self.stats.atomic_xors, words);
             if self.latency.atomic_rmw_ns > 0 {
                 LatencyModel::charge(self.latency.atomic_rmw_ns * lines);
             }
+            self.charge_xor_flushes(lines);
         }
         Ok(words > 0)
     }
 
     /// Atomically XORs `patch` into the range at `off`, word by word, with
     /// lock-free atomics (the small-parity-update primitive batched over a
-    /// span; see `atomic_xor_span_walk` for the latency accounting).
-    /// All-zero patch words are skipped. Returns `true` if
-    /// anything was applied — callers skip their trailing persist
+    /// span; see `atomic_xor_span_walk` for the latency accounting and
+    /// the flushes). All-zero patch words are skipped. Returns `true` if
+    /// anything was applied — callers skip their trailing fence
     /// otherwise.
     pub fn atomic_xor_patch_span(&self, off: u64, patch: &[u8]) -> Result<bool> {
         self.atomic_xor_span_walk(off, &PatchWindows(patch))
