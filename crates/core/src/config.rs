@@ -87,10 +87,6 @@ pub struct PglConfig {
     /// without checksums never consult it. Each entry is ~24 bytes of
     /// DRAM; the default covers 64 Ki hot objects.
     pub vcache_capacity: usize,
-    /// Lock stripes of the verified-generation cache (rounded up to a
-    /// power of two). More stripes cut contention between concurrent
-    /// readers/committers; each costs one mutex + map.
-    pub vcache_shards: usize,
     /// Parity shard (domain) count. Each shard owns the zones with
     /// `zone % shards == shard`, with its own parity stripe-lock table,
     /// recovery sweep and scrub partition. `0` picks an automatic count
@@ -124,7 +120,6 @@ impl PglConfig {
             parity_lock_granule: 8 << 10,
             background_scrub: false,
             vcache_capacity: 64 << 10,
-            vcache_shards: 64,
             shards: 1,
             scrub_pace_ms: 0,
             scrub_interval_ms: 0,
@@ -141,7 +136,6 @@ impl PglConfig {
             parity_lock_granule: 8 << 10,
             background_scrub: false,
             vcache_capacity: 64 << 10,
-            vcache_shards: 64,
             shards: 0,
             scrub_pace_ms: 0,
             scrub_interval_ms: 0,
@@ -173,9 +167,6 @@ impl PglConfig {
         }
         if matches!(self.policy, CsumPolicy::ScrubEvery(0)) {
             return Err("scrub interval must be positive".into());
-        }
-        if self.vcache_shards == 0 {
-            return Err("vcache needs at least one shard".into());
         }
         Ok(())
     }

@@ -90,7 +90,6 @@ pub mod quarantine;
 pub mod recover;
 pub(crate) mod scratch;
 pub mod scrub;
-pub mod sparse;
 pub mod txn;
 pub mod typed;
 pub mod ubuf;

@@ -116,13 +116,6 @@ impl OpenOptions {
         self
     }
 
-    /// Lock stripes of the verified-generation cache (rounded up to a
-    /// power of two).
-    pub fn vcache_shards(mut self, shards: usize) -> Self {
-        self.cfg.vcache_shards = shards;
-        self
-    }
-
     /// Parity shard (domain) count: `0` = automatic (`min(n_zones, 8)`),
     /// explicit values are clamped to the zone count. Runtime-only — any
     /// pool can be reopened with any shard count.
@@ -205,23 +198,5 @@ mod tests {
         let dev = dev(&opts);
         let pool = opts.create(dev).unwrap();
         assert_eq!(pool.layout().cfg.size, 32 << 20);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_open_signature_still_works() {
-        let opts = OpenOptions::new();
-        let dev = dev(&opts);
-        let pool = opts.create(dev.clone()).unwrap();
-        let oid = pool
-            .tx(|tx| {
-                let oid = tx.alloc(16, 1)?;
-                tx.write_pod(oid, 0, &7u64)?;
-                Ok(oid)
-            })
-            .unwrap();
-        drop(pool);
-        let pool = PglPool::open(dev, CsumPolicy::Default, false).unwrap();
-        assert_eq!(pool.read_pod::<u64>(oid, 0).unwrap(), 7);
     }
 }

@@ -18,7 +18,7 @@ use crate::error::{PglError, Result};
 use crate::parity::{ParityDomains, ParityEngine, RangeGuard, ShardMap};
 use crate::quarantine::QuarantineSet;
 use crate::scrub::{self, ScrubReport, ScrubTotals};
-use crate::txn::{PglTx, TxStats};
+use crate::txn::{PglTx, TxStats, SPARSE_THRESHOLD};
 use crate::ubuf::{FrameParts, UBuf};
 use crate::vcache::VCache;
 
@@ -109,6 +109,14 @@ impl Inner {
         let zone = self.layout.zone_and_rel(off).map(|(z, _)| z).unwrap_or(u64::MAX);
         let shard = if zone == u64::MAX { u64::MAX } else { self.shard_map.shard_of_zone(zone) };
         PglError::unrecoverable_at(shard, zone, off, detail)
+    }
+
+    /// Rejects the null OID and OIDs of other pools.
+    pub(crate) fn check_oid(&self, oid: PMEMoid) -> Result<()> {
+        if oid.is_null() || oid.pool != self.uuid {
+            return Err(ObjError::InvalidOid { off: oid.off }.into());
+        }
+        Ok(())
     }
 
     /// Reads with transparent online media-error recovery: a poisoned page
@@ -208,12 +216,11 @@ impl Inner {
         Ok(hdr)
     }
 
-    /// Loads a micro-buffer for a caller-validated header — skipping the
-    /// redundant 16-byte header re-read the open path
-    /// used to pay. NVMM content is read straight into the micro-buffer
-    /// frame, and the frame storage comes from `frames` (the
-    /// transaction's recycled pool or the thread-local read pool) — no
-    /// allocation on the steady-state open path.
+    /// Loads a whole-object micro-buffer for a caller-validated header.
+    /// NVMM content is read straight into the micro-buffer frame, and the
+    /// frame storage comes from `frames` (the transaction's recycled pool
+    /// or the thread-local read pool) — no allocation on the steady-state
+    /// open path.
     ///
     /// A successful verification publishes the object to the
     /// verified-generation cache, stamped against concurrent mutations
@@ -229,8 +236,9 @@ impl Inner {
     ) -> Result<UBuf> {
         let verify = verify && self.mode.has_checksums();
         let stamp = verify.then(|| self.vcache.begin_verify(oid.off));
+        let read = |at: u64, dst: &mut [u8]| self.read_with_recovery(oid.off + at, dst);
         let mut b = UBuf::for_load(oid, hdr, frames.pop().unwrap_or_default());
-        self.read_with_recovery(oid.off, b.load_mut())?;
+        b.load(0, hdr.size, read)?;
         if verify {
             self.io.dev().note_csum_pass(hdr.size);
             if hdr.csum != adler32(b.user()) {
@@ -244,7 +252,7 @@ impl Inner {
                 let hit = self.vcache.probe(oid.off) == Some(hdr2.size);
                 let stamp2 = self.vcache.begin_verify(oid.off);
                 let mut b2 = UBuf::for_load(oid, hdr2, b.into_parts());
-                self.read_with_recovery(oid.off, b2.load_mut())?;
+                b2.load(0, hdr2.size, read)?;
                 if hit {
                     self.vuln.note_verified_cached(hdr2.size);
                     self.io.dev().note_vcache_hit(hdr2.size);
@@ -286,8 +294,8 @@ impl Inner {
     /// the checksum pass when the verified-generation cache already
     /// covers the object (and accounting the hit); a miss verifies and
     /// populates. The one shared implementation behind the cache-aware
-    /// open paths (`open_object`, lazy-open materialization), so their
-    /// accounting cannot drift apart.
+    /// open paths (`open_object`, the first write under a lazy open), so
+    /// their accounting cannot drift apart.
     pub(crate) fn load_ubuf_maybe_cached(
         &self,
         oid: PMEMoid,
@@ -303,6 +311,29 @@ impl Inner {
         Ok(b)
     }
 
+    /// The transaction open policy, once the header has to be read: an
+    /// object at or below [`SPARSE_THRESHOLD`] is loaded whole — verified,
+    /// unless the caller opened it lazily under a verification-cache hit
+    /// (`fresh`) and it still is one — and a larger object is never loaded
+    /// or verified whole: it opens with nothing resident and its writes
+    /// load just their own ranges (the same rule [`Inner::direct_read`]
+    /// applies to Conservative reads).
+    pub(crate) fn open_ubuf(
+        &self,
+        oid: PMEMoid,
+        fresh: bool,
+        frames: &mut Vec<FrameParts>,
+    ) -> Result<UBuf> {
+        let hdr = self.obj_header_checked(oid)?;
+        if hdr.size > SPARSE_THRESHOLD {
+            Ok(UBuf::for_load(oid, hdr, frames.pop().unwrap_or_default()))
+        } else if fresh {
+            self.load_ubuf_maybe_cached(oid, hdr, frames)
+        } else {
+            self.load_ubuf_hdr_in(oid, hdr, true, frames)
+        }
+    }
+
     /// Direct object read (`pgl_get`): no verification under the default
     /// policy, full verification under Conservative. Vulnerability
     /// accounting feeds Table 4.
@@ -312,8 +343,8 @@ impl Inner {
     /// the 8-bytes-of-a-4-KiB-object access stops costing a 4 KiB read
     /// plus a full checksum pass.
     ///
-    /// Conservative verification applies to whole-object-buffered sizes
-    /// only; objects above the sparse threshold (e.g. the hashmap's
+    /// Conservative verification applies to sizes that are loaded whole
+    /// only; objects above [`SPARSE_THRESHOLD`] (e.g. the hashmap's
     /// multi-megabyte table) would cost O(object) per access, so their
     /// reads stay unverified and rely on scrubbing (counted as exposure).
     pub(crate) fn direct_read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
@@ -324,17 +355,8 @@ impl Inner {
                 }
             }
             let hdr = self.obj_header_checked(oid)?;
-            if hdr.size <= crate::txn::SPARSE_THRESHOLD {
-                if !Self::range_fits(off, dst.len() as u64, hdr.size) {
-                    return Err(PglError::TypeMismatch { off: oid.off });
-                }
-                return crate::scratch::with_read_frames(|frames| {
-                    let b = self.load_ubuf_hdr_in(oid, hdr, true, frames)?;
-                    let o = off as usize;
-                    dst.copy_from_slice(&b.user()[o..o + dst.len()]);
-                    crate::scratch::park_frame(frames, b.into_parts());
-                    Ok(())
-                });
+            if hdr.size <= SPARSE_THRESHOLD {
+                return self.verify_and_read(oid, hdr, off, dst);
             }
         }
         let at = oid.off.checked_add(off).ok_or(ObjError::InvalidOid { off: oid.off })?;
@@ -356,6 +378,19 @@ impl Inner {
             }
         }
         let hdr = self.obj_header_checked(oid)?;
+        self.verify_and_read(oid, hdr, off, dst)
+    }
+
+    /// The miss path of the verified reads: loads and verifies the whole
+    /// object through a recycled read frame (which populates the cache)
+    /// and copies `[off, off+dst.len())` out of it.
+    fn verify_and_read(
+        &self,
+        oid: PMEMoid,
+        hdr: ObjectHeader,
+        off: u64,
+        dst: &mut [u8],
+    ) -> Result<()> {
         if !Self::range_fits(off, dst.len() as u64, hdr.size) {
             return Err(PglError::TypeMismatch { off: oid.off });
         }
@@ -466,10 +501,9 @@ impl Inner {
     /// **caller-supplied pre-image**: stores `new` (non-temporal), then
     /// patches parity with the fused `old ⊕ new` diff. This is the commit
     /// pipeline's write-back primitive — the transaction kept the bytes
-    /// it loaded at open (micro-buffer pre-images, sparse blocks' loaded
-    /// images, the loaded header), assembled `old` from them during the
-    /// checksum stage and hands it back here, so the commit never reads
-    /// old data from the device. The caller must guarantee `old` is what
+    /// it loaded (micro-buffer pre-images, the loaded header), assembled
+    /// `old` from them during the checksum stage and hands it back here,
+    /// so the commit never reads old data from the device. The caller must guarantee `old` is what
     /// the parity row currently accounts for in the range: the content
     /// loaded (and, where the policy verifies, verified or repaired) at
     /// open, which the §3.4 ownership rule (no two transactions modify
@@ -708,15 +742,6 @@ impl PglPool {
         crate::options::OpenOptions::new()
     }
 
-    /// Opens an existing Pangolin pool with positional arguments.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PglPool::options().csum_policy(..).background_scrub(..).open(dev)`"
-    )]
-    pub fn open(dev: Arc<NvmDevice>, policy: CsumPolicy, background_scrub: bool) -> Result<Self> {
-        Self::options().csum_policy(policy).background_scrub(background_scrub).open(dev)
-    }
-
     /// Opens an existing Pangolin pool, reading mode and geometry from the
     /// pool header and running crash recovery (redo replay plus parity
     /// recomputation, paper §3.6). `opts` contributes only the run-time
@@ -748,7 +773,6 @@ impl PglPool {
             parity_lock_granule: opts.parity_lock_granule,
             background_scrub: opts.background_scrub,
             vcache_capacity: opts.vcache_capacity,
-            vcache_shards: opts.vcache_shards,
             shards: opts.shards,
             scrub_pace_ms: opts.scrub_pace_ms,
             scrub_interval_ms: opts.scrub_interval_ms,
@@ -849,7 +873,7 @@ impl PglPool {
             shard_map,
             freeze: Freeze::new(),
             vuln: Vuln::new(),
-            vcache: VCache::new(cfg.vcache_shards, cfg.vcache_capacity, cfg.mode.has_checksums())
+            vcache: VCache::new(cfg.vcache_capacity, cfg.mode.has_checksums())
                 .with_affinity(shard_map),
             counters: PglCounters::default(),
             scrub_tick: AtomicU64::new(0),
@@ -1028,7 +1052,7 @@ impl PglPool {
     /// `pgl_get`: direct object read without checksum verification (unless
     /// the Conservative policy is active). Media errors recover online.
     pub fn read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         self.inner.direct_read(oid, off, dst)
     }
 
@@ -1066,7 +1090,7 @@ impl PglPool {
     /// coherence the CAS protocol, not the checksum, guarantees; the read
     /// is counted in the unverified-bytes vulnerability bucket.
     pub fn atomic_load(&self, oid: PMEMoid, off: u64) -> Result<u64> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         if off % 8 != 0 {
             return Err(PglError::Config(format!("atomic_load offset {off} not 8-byte aligned")));
         }
@@ -1089,7 +1113,7 @@ impl PglPool {
     /// hence unused — not dead — in release builds).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) fn obj_meta(&self, oid: PMEMoid) -> Result<(u64, u32)> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         let h = self.inner.obj_header_checked(oid)?;
         Ok((h.size, h.type_num))
     }
@@ -1100,7 +1124,7 @@ impl PglPool {
     /// hot callers that also want to skip the returned `Vec` should use
     /// [`PglPool::read_verified_into`].
     pub fn read_verified(&self, oid: PMEMoid) -> Result<Vec<u8>> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         let inner = &*self.inner;
         if let Some(size) = inner.vcache.probe(oid.off) {
             let mut v = vec![0u8; size as usize];
@@ -1137,7 +1161,7 @@ impl PglPool {
     /// verification (which populates the cache) when it misses. Out-of-
     /// bounds ranges fail with [`PglError::TypeMismatch`].
     pub fn read_verified_at(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         self.inner.verified_read_range(oid, off, dst)
     }
 
@@ -1146,7 +1170,7 @@ impl PglPool {
     /// whole-object copy is inherent to the handle; a verified-generation
     /// cache hit skips the checksum pass over it.
     pub fn open_object(&self, oid: PMEMoid) -> Result<ObjHandle> {
-        self.check_oid(oid)?;
+        self.inner.check_oid(oid)?;
         let inner = &*self.inner;
         let hdr = inner.obj_header_checked(oid)?;
         let ubuf = crate::scratch::with_read_frames(|frames| {
@@ -1337,13 +1361,6 @@ impl PglPool {
             }
         }
         Ok(bad)
-    }
-
-    fn check_oid(&self, oid: PMEMoid) -> Result<()> {
-        if oid.is_null() || oid.pool != self.inner.uuid {
-            return Err(ObjError::InvalidOid { off: oid.off }.into());
-        }
-        Ok(())
     }
 
     /// Drops the object's verified-generation cache entry (fault-injection

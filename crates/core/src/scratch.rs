@@ -5,14 +5,13 @@
 //!
 //! A committing transaction needs three kinds of transient memory:
 //!
-//! 1. **old-data bytes** — the pre-image of every modified range,
-//!    assembled from what the transaction's micro-buffers and sparse
-//!    shadows loaded at open (never read from NVMM a second time) and
-//!    consumed twice: by the incremental Adler32 delta (commit stage 2)
-//!    and by the parity XOR patch at write-back (stage 6);
-//! 2. **a staging buffer** for bytes that are not contiguous in DRAM
-//!    (sparse-shadow ranges span 256-byte blocks, construction
-//!    write-backs need the on-NVMM pre-image for parity);
+//! 1. **old-data bytes** — the pre-image of every write-back span,
+//!    assembled from what the transaction's micro-buffers loaded (never
+//!    read from NVMM a second time) and consumed twice: by the
+//!    incremental Adler32 delta (commit stage 2) and by the parity XOR
+//!    patch at write-back (stage 6);
+//! 2. **a staging buffer** for the on-NVMM pre-image a construction
+//!    write-back needs for parity;
 //! 3. **stripe-id scratch** for parity range-lock acquisition.
 //!
 //! [`CommitScratch`] owns all three as growable buffers that are *cleared
@@ -26,7 +25,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::sparse::SparseBuf;
 use crate::ubuf::{FrameParts, UBuf};
 
 /// Multiply–xorshift hasher for `u64` pool offsets. Transaction maps are
@@ -71,12 +69,11 @@ const MAX_FRAMES: usize = 8;
 /// the thread has none cached yet.
 #[derive(Default)]
 pub(crate) struct CommitScratch {
-    /// Pre-image bytes of every modified range, packed end to end in
+    /// Pre-image bytes of every write-back span, packed end to end in
     /// commit processing order — the exact order the write-back stage
     /// re-walks them, so a byte cursor pairs them back up.
     pub old: Vec<u8>,
-    /// Staging buffer for non-contiguous new bytes (sparse ranges) and
-    /// construction-write pre-images.
+    /// Staging buffer for construction-write pre-images.
     pub tmp: Vec<u8>,
     /// Stripe-id scratch for parity span-lock acquisition.
     pub stripe_ids: Vec<usize>,
@@ -84,13 +81,8 @@ pub(crate) struct CommitScratch {
     pub shards: Vec<u64>,
     /// Recycled (empty) micro-buffer table for the next transaction.
     pub ubuf_map: OffMap<UBuf>,
-    /// Recycled (empty) sparse-shadow table.
-    pub sparse_map: OffMap<SparseBuf>,
     /// Recycled insertion-order buffer.
     pub order: Vec<u64>,
-    /// Recycled lazy-open table (offset → verified size; see
-    /// [`crate::txn::PglTx::open`]).
-    pub lazy_map: OffMap<u64>,
     /// Recycled micro-buffer storage, capacity-preserving.
     pub frames: Vec<FrameParts>,
 }
@@ -122,9 +114,7 @@ impl CommitScratch {
         self.stripe_ids.clear();
         self.shards.clear();
         self.ubuf_map.clear();
-        self.sparse_map.clear();
         self.order.clear();
-        self.lazy_map.clear();
     }
 
     /// Parks a finished micro-buffer's storage for reuse (bounded pool).
@@ -134,18 +124,20 @@ impl CommitScratch {
 }
 
 /// Byte bound on a parked frame: [`MAX_FRAMES`] caps the count, this
-/// caps each frame's pinned capacity. Transaction micro-buffers never
-/// exceed the sparse threshold, but the pool-level verified-read paths
-/// load objects up to `max_alloc` — parking those would pin
+/// caps each frame's pinned capacity. Transactions load whole only what
+/// fits the threshold, but `ubuf_mut` and the pool-level verified-read
+/// paths load objects up to `max_alloc` — parking those would pin
 /// object-sized DRAM per thread indefinitely, so oversized frames are
 /// dropped and simply re-allocated on the next large read.
 const MAX_FRAME_BYTES: usize = crate::txn::SPARSE_THRESHOLD as usize + 64;
 
 /// Parks micro-buffer storage in `frames`, bounded by [`MAX_FRAMES`]
 /// entries of at most [`MAX_FRAME_BYTES`] each (shared by the commit
-/// scratch and the thread-local read-path pool).
+/// scratch and the thread-local read-path pool). Storage that never grew
+/// (a lazy open's placeholder) is not worth a slot.
 pub(crate) fn park_frame(frames: &mut Vec<FrameParts>, parts: FrameParts) {
-    if frames.len() < MAX_FRAMES && parts.frame.capacity() <= MAX_FRAME_BYTES {
+    let bytes = parts.frame.capacity();
+    if frames.len() < MAX_FRAMES && bytes > 0 && bytes <= MAX_FRAME_BYTES {
         frames.push(parts);
     }
 }

@@ -1,28 +1,26 @@
 //! Fault-tolerant transactions over micro-buffers (paper §3.4).
 //!
 //! Unlike `libpmemobj`'s undo transactions, Pangolin transactions never let
-//! the application store to NVMM. All modifications happen in DRAM
-//! micro-buffers; commit then performs, in order:
+//! the application store to NVMM. Every object a transaction opens has
+//! one shadow, a [`UBuf`], in one map; all modifications happen in its
+//! resident runs. Commit then performs, in order:
 //!
 //! 1. **canary checks** — a smashed canary aborts before NVMM is touched;
-//! 2. **pre-image assembly** — each modified range's pre-image is put
-//!    together *in DRAM* from the bytes the transaction loaded at open
-//!    (micro-buffers save them before a range is first handed out for
-//!    mutation, sparse blocks keep their loaded image) into the recycled
-//!    commit scratch, feeding both the incremental Adler32 refresh here
-//!    and the parity XOR patch at stage (6) — the commit reads no old
-//!    data from the device;
+//! 2. **sealing** (`UBuf::seal`) — each modified object's write-back
+//!    spans get their pre-images put together *in DRAM*, from the bytes
+//!    the transaction loaded, in the recycled commit scratch; they feed
+//!    the Adler32 refresh here and the parity XOR patch at stage (6) —
+//!    the commit reads no old data from the device;
 //! 3. **allocation intents** — persisted so a pre-commit crash can
 //!    recompute parity for torn construction writes;
 //! 4. **construction write-back** of new objects (their content is *not*
 //!    redo-logged, matching the paper's observation that allocations do
 //!    not pay object-logging cost);
-//! 5. **redo log** (replicated in `-ML` modes) of every modified range,
-//!    the refreshed headers, and the allocator ops, sealed by a commit
-//!    record — the commit point;
-//! 6. **write-back** of modified ranges with non-temporal stores, each
-//!    paired with a hybrid parity update consuming the stage-(2)
-//!    pre-images (one fence covers store and patch together);
+//! 5. **redo log** (replicated in `-ML` modes) of every span and the
+//!    allocator ops, sealed by a commit record — the commit point;
+//! 6. **write-back** of every span with a non-temporal store, paired
+//!    with a hybrid parity update consuming its stage-(2) pre-image (one
+//!    fence covers store and patch together);
 //! 7. **allocator publication** (parity-aware) and log invalidation
 //!    (lazy — flushed, fenced by the lane's next transaction).
 //!
@@ -30,13 +28,22 @@
 //! under the intents); a crash after (5) replays the redo log and
 //! recomputes the affected parity columns (paper §3.6).
 //!
-//! Whole-object overwrites (the Figure 3 shape) take a fused fast path:
-//! the object header is adjacent to the data both on NVMM and in the
-//! micro-buffer frame, so one pre-image (loaded header + loaded bytes),
-//! one redo entry, one non-temporal store and one parity patch cover
-//! header+data together, and the checksum is one full pass over the new
-//! bytes. See the README's "Commit pipeline & performance" section for
-//! the invariants.
+//! A span is one modified range's new bytes (`UBuf::spans`). The object
+//! header, with its refreshed checksum, is part of the atomic update; it
+//! sits directly in front of offset 0 both on NVMM and in the
+//! micro-buffer, so a range that starts at 0 takes it along — one redo
+//! entry, one store and fence, one parity patch for header and data
+//! together (a whole-object overwrite is the case where that range is
+//! the object) — and otherwise it is the object's last, 16-byte span.
+//!
+//! # The open policy
+//!
+//! How much of an object [`PglTx::open`] loads is decided in one place
+//! (`Inner::open_ubuf`) by one constant, [`SPARSE_THRESHOLD`]: an object
+//! at or below it is loaded and verified whole — lazily, at the first
+//! write and without the checksum pass, when the verification cache
+//! vouches for it — and an object above it is never loaded or verified
+//! whole: its writes make just their own bytes resident.
 //!
 //! # Cross-shard commits
 //!
@@ -73,25 +80,15 @@ use pgl_pmemobj::{ObjError, PMEMoid, OBJ_HEADER_SIZE};
 
 pub use pgl_pmemobj::TxStats;
 
-use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
 use crate::pool::Inner;
 use crate::scratch::{CommitScratch, OffMap};
-use crate::sparse::{SparseBuf, SPARSE_BLOCK};
 use crate::ubuf::{UBuf, UBufState};
 
-/// Objects larger than this are shadowed sparsely (block-granular) instead
-/// of being copied whole into a micro-buffer; see [`crate::sparse`].
+/// Objects larger than this are never loaded or verified whole: a
+/// transaction shadows only the ranges it writes, and Conservative reads
+/// of them stay unverified (see the module docs and `Inner::direct_read`).
 pub const SPARSE_THRESHOLD: u64 = 64 << 10;
-
-/// `true` when a modified micro-buffer's ranges collapse to one full
-/// object overwrite — the Figure 3 "overwrite" shape. The header sits
-/// directly before the data both on NVMM and in the frame, so this shape
-/// commits with ONE pre-image, ONE redo entry, ONE non-temporal store +
-/// fence, and ONE parity patch covering header+data together.
-fn is_whole_object(b: &UBuf) -> bool {
-    b.modified().len() == 1 && b.modified().iter().next() == Some((0, b.user_size() as u64))
-}
 
 /// A heap chunk claimed for log overflow.
 #[derive(Debug, Clone, Copy)]
@@ -105,14 +102,9 @@ struct LogChunk {
 pub struct PglTx<'p> {
     inner: &'p Inner,
     lane: LaneHandle<'p>,
-    ubufs: OffMap<UBuf>,
-    /// Sparse shadows for objects above [`SPARSE_THRESHOLD`].
-    sparse: OffMap<SparseBuf>,
-    /// Lazily-opened objects (offset → verified user size): opened while
-    /// verified-fresh in the generation cache, so no micro-buffer was
-    /// materialized yet. Reads are served straight from NVMM; the first
-    /// write materializes the entry into `ubufs` (see [`PglTx::open`]).
-    lazy: OffMap<u64>,
+    /// The micro-buffer of every object open in this transaction, keyed
+    /// by object offset.
+    objs: OffMap<UBuf>,
     /// Insertion order, for deterministic commit processing.
     order: Vec<u64>,
     allocs: Vec<AllocReservation>,
@@ -250,16 +242,12 @@ fn release_log_chunks(
 impl<'p> PglTx<'p> {
     pub(crate) fn new(inner: &'p Inner, lane: LaneHandle<'p>) -> Self {
         let mut scratch = CommitScratch::take();
-        let ubufs = std::mem::take(&mut scratch.ubuf_map);
-        let sparse = std::mem::take(&mut scratch.sparse_map);
-        let lazy = std::mem::take(&mut scratch.lazy_map);
+        let objs = std::mem::take(&mut scratch.ubuf_map);
         let order = std::mem::take(&mut scratch.order);
         PglTx {
             inner,
             lane,
-            ubufs,
-            sparse,
-            lazy,
+            objs,
             order,
             allocs: Vec::new(),
             frees: Vec::new(),
@@ -274,29 +262,24 @@ impl<'p> PglTx<'p> {
     /// on this thread allocates nothing for them.
     fn recycle_scratch(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut map = std::mem::take(&mut self.ubufs);
+        let mut map = std::mem::take(&mut self.objs);
         for (_, b) in map.drain() {
             scratch.push_frame(b.into_parts());
         }
         scratch.ubuf_map = map;
-        scratch.sparse_map = std::mem::take(&mut self.sparse);
-        scratch.lazy_map = std::mem::take(&mut self.lazy);
         scratch.order = std::mem::take(&mut self.order);
         scratch.recycle();
     }
 
-    fn check_oid(&self, oid: PMEMoid) -> Result<()> {
-        if oid.is_null() || oid.pool != self.inner.uuid {
-            return Err(ObjError::InvalidOid { off: oid.off }.into());
-        }
-        Ok(())
-    }
-
     /// Ensures a micro-buffer exists for `oid` (the `pgl_tx_open`
-    /// operation): copies the object from NVMM, verifying its checksum
-    /// first and running online recovery if verification fails. Objects
-    /// above [`SPARSE_THRESHOLD`] get a sparse (block-granular) shadow
-    /// instead, skipping whole-object verification (see [`crate::sparse`]).
+    /// operation). An object the verified-generation cache knows to be
+    /// verified-fresh opens **lazily**: no device read at all, reads are
+    /// served straight from NVMM (counted in the `verified_cached`
+    /// bucket) and the O(object) load is deferred to the first write — so
+    /// read-mostly transactions (the ctree/rbtree/skiplist traversal
+    /// shape) stop paying per touched node. Otherwise the header is read
+    /// and the open policy (module docs) decides what is loaded; a whole
+    /// load verifies the checksum and runs online recovery if that fails.
     /// (Full overwrites must verify too, even though the old bytes don't
     /// flow into the refreshed checksum: the bytes loaded here are the
     /// commit's pre-image, and a *scribble* bypasses parity, so the
@@ -306,80 +289,17 @@ impl<'p> PglTx<'p> {
     /// repairs the object from parity first, keeping the pre-image and
     /// the parity row consistent. A scribble that lands *after* the load
     /// never enters the pre-image at all.)
-    /// Opens of an object the verified-generation cache knows to be
-    /// verified-fresh are **lazy**: only a header-free `(offset, size)`
-    /// record is made, reads are served straight from NVMM (counted in
-    /// the `verified_cached` bucket), and the O(object) micro-buffer
-    /// materialization is deferred to the first write — so read-mostly
-    /// transactions (the ctree/rbtree/skiplist traversal shape) stop
-    /// paying per touched node.
     pub fn open(&mut self, oid: PMEMoid) -> Result<()> {
-        self.check_oid(oid)?;
-        if self.ubufs.contains_key(&oid.off)
-            || self.sparse.contains_key(&oid.off)
-            || self.lazy.contains_key(&oid.off)
-        {
+        self.inner.check_oid(oid)?;
+        if self.objs.contains_key(&oid.off) {
             return Ok(());
         }
-        if let Some(size) = self.inner.vcache.probe(oid.off) {
-            if size <= SPARSE_THRESHOLD {
-                self.lazy.insert(oid.off, size);
-                self.order.push(oid.off);
-                return Ok(());
-            }
-        }
-        let hdr = self.inner.obj_header_checked(oid)?;
-        if hdr.size > SPARSE_THRESHOLD {
-            self.sparse.insert(oid.off, SparseBuf::new(oid, hdr));
-        } else {
-            let ubuf = self.inner.load_ubuf_hdr_in(oid, hdr, true, &mut self.scratch.frames)?;
-            self.ubufs.insert(oid.off, ubuf);
-        }
+        let b = match self.inner.vcache.probe(oid.off) {
+            Some(size) if size <= SPARSE_THRESHOLD => UBuf::lazy(oid, size),
+            _ => self.inner.open_ubuf(oid, false, &mut self.scratch.frames)?,
+        };
+        self.objs.insert(oid.off, b);
         self.order.push(oid.off);
-        Ok(())
-    }
-
-    /// Turns a lazy open into a real micro-buffer (no-op otherwise): the
-    /// deferred O(object) load, paid at the first write. When the object
-    /// is still verified-fresh the checksum pass is skipped; if it was
-    /// mutated since (e.g. repaired by a scrub), the load re-verifies.
-    fn materialize(&mut self, oid: PMEMoid) -> Result<()> {
-        if self.lazy.remove(&oid.off).is_none() {
-            return Ok(());
-        }
-        let hdr = self.inner.obj_header_checked(oid)?;
-        if hdr.size > SPARSE_THRESHOLD {
-            self.sparse.insert(oid.off, SparseBuf::new(oid, hdr));
-            return Ok(());
-        }
-        let ubuf = self.inner.load_ubuf_maybe_cached(oid, hdr, &mut self.scratch.frames)?;
-        self.ubufs.insert(oid.off, ubuf);
-        Ok(())
-    }
-
-    /// Loads any missing shadow blocks covering `[off, off+len)` of a
-    /// sparse-shadowed object from NVMM (with online media recovery).
-    fn load_sparse_blocks(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
-        let sb = self.sparse.get_mut(&oid.off).expect("sparse entry exists");
-        let size = sb.user_size();
-        let mut buf = [0u8; SPARSE_BLOCK as usize];
-        let mut loaded = false;
-        for b in SparseBuf::blocks_of(off, len) {
-            if sb.has_block(b) {
-                continue;
-            }
-            let start = b * SPARSE_BLOCK;
-            let n = SPARSE_BLOCK.min(size - start) as usize;
-            buf[n..].fill(0);
-            self.inner.read_with_recovery(oid.off + start, &mut buf[..n])?;
-            sb.install_block(b, &buf);
-            loaded = true;
-        }
-        if loaded && self.inner.mode.has_checksums() {
-            // Sparse opens skip verification: the bytes read count as
-            // exposure in the Table 4 accounting.
-            self.inner.vuln.note_unverified(len);
-        }
         Ok(())
     }
 
@@ -392,7 +312,7 @@ impl<'p> PglTx<'p> {
         let ubuf = UBuf::for_alloc_in(oid, size, type_num, parts);
         self.stats.allocated_bytes += size;
         self.stats.alloc_objects += 1;
-        self.ubufs.insert(oid.off, ubuf);
+        self.objs.insert(oid.off, ubuf);
         self.order.push(oid.off);
         self.allocs.push(r);
         Ok(oid)
@@ -401,14 +321,11 @@ impl<'p> PglTx<'p> {
     /// Frees an object. Freeing an object allocated in this transaction
     /// cancels the reservation.
     pub fn free(&mut self, oid: PMEMoid) -> Result<()> {
-        self.check_oid(oid)?;
-        if self.sparse.remove(&oid.off).is_some() || self.lazy.remove(&oid.off).is_some() {
+        self.inner.check_oid(oid)?;
+        // Freeing an opened object: its modifications are moot.
+        if let Some(b) = self.objs.remove(&oid.off) {
             self.order.retain(|&o| o != oid.off);
-        }
-        if let Some(b) = self.ubufs.get(&oid.off) {
             if b.state() == UBufState::New {
-                self.ubufs.remove(&oid.off);
-                self.order.retain(|&o| o != oid.off);
                 let i = self
                     .allocs
                     .iter()
@@ -420,9 +337,6 @@ impl<'p> PglTx<'p> {
                 self.inner.heap.cancel_alloc(&r);
                 return Ok(());
             }
-            // Freeing a modified object: the modifications are moot.
-            self.ubufs.remove(&oid.off);
-            self.order.retain(|&o| o != oid.off);
         }
         let size = self.inner.obj_header_checked(oid)?.size;
         let f = self.inner.heap.reserve_free(&self.inner.io, oid.off)?;
@@ -432,41 +346,44 @@ impl<'p> PglTx<'p> {
         Ok(())
     }
 
-    /// Makes `[off, off+len)` of `oid` writable: opens (and materializes)
-    /// the shadow, bounds-checks the range and, for a sparse shadow, loads
-    /// the covering blocks.
-    fn open_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
+    /// Makes `[off, off+len)` of `oid` resident in its micro-buffer, ready
+    /// to be marked or written: opens the object, pays a lazy open's
+    /// deferred load (still without a checksum pass while the object is
+    /// verified-fresh), bounds-checks the range and loads what part of it
+    /// no run holds yet — nothing for an object loaded whole; for one
+    /// above [`SPARSE_THRESHOLD`] exactly the missing bytes, unverified
+    /// and so counted as exposure in the Table 4 accounting.
+    fn open_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<&mut UBuf> {
         self.open(oid)?;
-        self.materialize(oid)?;
-        let sparse = self.sparse.get(&oid.off).map(SparseBuf::user_size);
-        let size = sparse
-            .unwrap_or_else(|| self.ubufs.get(&oid.off).expect("just opened").user_size() as u64);
-        if !Inner::range_fits(off, len, size) {
+        let inner = self.inner;
+        let b = self.objs.get_mut(&oid.off).expect("just opened");
+        if b.state() == UBufState::Lazy {
+            *b = inner.open_ubuf(oid, true, &mut self.scratch.frames)?;
+        }
+        if !Inner::range_fits(off, len, b.user_size() as u64) {
             return Err(ObjError::InvalidOid { off: oid.off.saturating_add(off) }.into());
         }
-        if sparse.is_some() {
-            self.load_sparse_blocks(oid, off, len)?;
+        let loaded = b.load(off, len, |at, dst| inner.read_with_recovery(oid.off + at, dst))?;
+        if loaded > 0 && inner.mode.has_checksums() {
+            inner.vuln.note_unverified(loaded);
         }
-        Ok(())
+        Ok(b)
     }
 
     /// Marks `[off, off+len)` as about-to-be-modified (`pgl_tx_add_range`):
-    /// opens the micro-buffer and records the range. Marking hands out
+    /// makes the range resident and records it. Marking hands out
     /// nothing mutable, so it saves no pre-image: the mutable views
     /// ([`PglTx::write`], [`UBuf::write`], [`UBuf::user_mut`]) do, and a
     /// range that is marked but never stored to commits a zero diff.
     pub fn add_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<()> {
-        self.open_range(oid, off, len)?;
-        if let Some(b) = self.ubufs.get_mut(&oid.off) {
-            b.mark_modified(off, len);
-        }
+        self.open_range(oid, off, len)?.mark_modified(off, len);
         Ok(())
     }
 
     /// Writes `src` into the object at `off` (micro-buffered).
     ///
     /// The store never touches NVMM directly: it lands in the object's
-    /// DRAM micro-buffer (or sparse shadow) and reaches the pool only at
+    /// DRAM micro-buffer and reaches the pool only at
     /// commit, after redo-logging, with checksum and parity updated
     /// atomically (paper §3.4).
     ///
@@ -494,13 +411,7 @@ impl<'p> PglTx<'p> {
     /// assert_eq!(pool.read_pod::<u64>(oid, 8).unwrap(), 7);
     /// ```
     pub fn write(&mut self, oid: PMEMoid, off: u64, src: &[u8]) -> Result<()> {
-        self.open_range(oid, off, src.len() as u64)?;
-        if let Some(sb) = self.sparse.get_mut(&oid.off) {
-            sb.write(off, src);
-            return Ok(());
-        }
-        let b = self.ubufs.get_mut(&oid.off).expect("opened by open_range");
-        b.write(off, src);
+        self.open_range(oid, off, src.len() as u64)?.write(off, src);
         Ok(())
     }
 
@@ -509,48 +420,34 @@ impl<'p> PglTx<'p> {
         self.write(oid, off, bytes_of(val))
     }
 
-    /// Reads object bytes. Inside a transaction this is `pgl_get`: it
-    /// returns micro-buffered content when present (isolation) and
-    /// otherwise reads NVMM directly without checksum verification (unless
-    /// the pool runs the Conservative policy).
+    /// Reads object bytes. Inside a transaction this is `pgl_get`: bytes
+    /// resident in the object's micro-buffer come from there (isolation,
+    /// read-your-writes) and the rest from NVMM — one range-sized read,
+    /// then the overlay — without checksum verification (unless the pool
+    /// runs the Conservative policy; a lazily opened object is
+    /// verified-fresh and counted as such).
     ///
     /// Takes `&self`: reads never mutate transaction state, so read-only
     /// helpers compose with mutable access to other parts of the caller.
     pub fn read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        self.check_oid(oid)?;
-        let len = dst.len() as u64;
+        self.inner.check_oid(oid)?;
+        let Some(b) = self.objs.get(&oid.off) else {
+            return self.inner.direct_read(oid, off, dst);
+        };
         // An object open in this transaction has a known size: a range
         // past its end is a typed error, as on the verified direct path.
-        let fits = |size: u64| {
-            if Inner::range_fits(off, len, size) {
-                Ok(())
+        if !Inner::range_fits(off, dst.len() as u64, b.user_size() as u64) {
+            return Err(PglError::TypeMismatch { off: oid.off });
+        }
+        if !b.read(off, dst) {
+            if b.state() == UBufState::Lazy {
+                self.inner.read_cached_range(oid, off, dst)?;
             } else {
-                Err(PglError::TypeMismatch { off: oid.off })
+                self.inner.direct_read(oid, off, dst)?;
             }
-        };
-        if let Some(b) = self.ubufs.get(&oid.off) {
-            fits(b.user_size() as u64)?;
-            let o = off as usize;
-            dst.copy_from_slice(&b.user()[o..o + dst.len()]);
-            return Ok(());
+            b.read(off, dst);
         }
-        if let Some(sb) = self.sparse.get(&oid.off) {
-            fits(sb.user_size())?;
-            // Serve covered ranges from the shadow (read-your-writes); the
-            // rest reads NVMM directly, like `pgl_get`.
-            if sb.covers(off, len) {
-                sb.read(off, dst);
-                return Ok(());
-            }
-        }
-        if let Some(&size) = self.lazy.get(&oid.off) {
-            fits(size)?;
-            // Lazily-opened object, nothing written yet: the open-time
-            // verification coverage extends to this range, so serve it
-            // with one range-sized read (no checksum pass).
-            return self.inner.read_cached_range(oid, off, dst);
-        }
-        self.inner.direct_read(oid, off, dst)
+        Ok(())
     }
 
     /// Typed read. Reads straight into a stack value — no heap buffer on
@@ -563,17 +460,11 @@ impl<'p> PglTx<'p> {
 
     /// Returns the object's user size.
     pub fn obj_size(&self, oid: PMEMoid) -> Result<u64> {
-        self.check_oid(oid)?;
-        if let Some(b) = self.ubufs.get(&oid.off) {
-            return Ok(b.user_size() as u64);
+        self.inner.check_oid(oid)?;
+        match self.objs.get(&oid.off) {
+            Some(b) => Ok(b.user_size() as u64),
+            None => Ok(self.inner.obj_header_checked(oid)?.size),
         }
-        if let Some(sb) = self.sparse.get(&oid.off) {
-            return Ok(sb.user_size());
-        }
-        if let Some(&size) = self.lazy.get(&oid.off) {
-            return Ok(size);
-        }
-        Ok(self.inner.obj_header_checked(oid)?.size)
     }
 
     /// Detectable compare-and-swap on the 8-byte word at `off` inside
@@ -593,11 +484,8 @@ impl<'p> PglTx<'p> {
         new: u64,
         tag: u64,
     ) -> Result<crate::ploc::WordCas> {
-        self.check_oid(oid)?;
-        if self.ubufs.contains_key(&oid.off)
-            || self.sparse.contains_key(&oid.off)
-            || self.lazy.contains_key(&oid.off)
-        {
+        self.inner.check_oid(oid)?;
+        if self.objs.contains_key(&oid.off) {
             return Err(PglError::Config(format!(
                 "cas_word target {:#x} is buffered in this transaction",
                 oid.off
@@ -614,15 +502,12 @@ impl<'p> PglTx<'p> {
     pub(crate) fn typed_check(&self, oid: PMEMoid, size: u64, type_num: Option<u32>) -> Result<()> {
         #[cfg(debug_assertions)]
         {
-            self.check_oid(oid)?;
-            let (actual_size, actual_ty) = if let Some(b) = self.ubufs.get(&oid.off) {
-                (b.user_size() as u64, b.header().type_num)
-            } else if let Some(sb) = self.sparse.get(&oid.off) {
-                (sb.user_size(), sb.header().type_num)
-            } else {
-                let h = self.inner.obj_header_checked(oid)?;
-                (h.size, h.type_num)
+            self.inner.check_oid(oid)?;
+            let h = match self.objs.get(&oid.off) {
+                Some(b) if b.state() != UBufState::Lazy => b.header(),
+                _ => self.inner.obj_header_checked(oid)?,
             };
+            let (actual_size, actual_ty) = (h.size, h.type_num);
             if size != 0 {
                 debug_assert!(
                     actual_size == size && type_num.is_none_or(|t| t == actual_ty),
@@ -641,11 +526,12 @@ impl<'p> PglTx<'p> {
 
     /// Direct mutable access to the object's micro-buffer (paper-style
     /// usage: mutate freely, ranges must be marked via
-    /// [`PglTx::add_range`]).
+    /// [`PglTx::add_range`]), with the whole object resident — whatever
+    /// its size.
     pub fn ubuf_mut(&mut self, oid: PMEMoid) -> Result<&mut UBuf> {
         self.open(oid)?;
-        self.materialize(oid)?;
-        Ok(self.ubufs.get_mut(&oid.off).expect("just opened"))
+        let size = self.objs[&oid.off].user_size() as u64;
+        self.open_range(oid, 0, size)
     }
 
     /// Instrumentation counters so far (modified counts finalize at
@@ -657,8 +543,7 @@ impl<'p> PglTx<'p> {
     fn has_effects(&self) -> bool {
         !self.allocs.is_empty()
             || !self.frees.is_empty()
-            || self.ubufs.values().any(|b| b.state() != UBufState::Clean)
-            || self.sparse.values().any(SparseBuf::is_modified)
+            || self.objs.values().any(|b| b.state() == UBufState::Modified)
     }
 
     pub(crate) fn commit(mut self) -> Result<TxStats> {
@@ -667,35 +552,21 @@ impl<'p> PglTx<'p> {
             return Ok(self.stats);
         }
         // Finalize modification stats (redo payload size).
-        for b in self.ubufs.values() {
-            if b.state() == UBufState::Modified {
-                self.stats.modified_bytes += b.modified().total_bytes();
-                self.stats.modified_objects += 1;
-            }
-        }
-        for sb in self.sparse.values() {
-            if sb.is_modified() {
-                self.stats.modified_bytes += sb.modified().total_bytes();
-                self.stats.modified_objects += 1;
-            }
+        for b in self.objs.values().filter(|b| b.state() == UBufState::Modified) {
+            self.stats.modified_bytes += b.modified().total_bytes();
+            self.stats.modified_objects += 1;
         }
         self.inner.freeze.begin_commit();
         let r = self.commit_inner();
         self.inner.freeze.end_commit();
-        if r.is_ok() {
-            self.recycle_scratch();
+        if r.is_err() {
+            // Nothing persistent happened before the first error point
+            // that allows aborting (canary/checksum stages); later
+            // failures surface as unrecoverable in commit_inner.
+            self.rollback_volatile()?;
         }
-        match r {
-            Ok(()) => Ok(self.stats),
-            Err(e) => {
-                // Nothing persistent happened before the first error point
-                // that allows aborting (canary/checksum stages); later
-                // failures surface as unrecoverable in commit_inner.
-                self.rollback_volatile()?;
-                self.recycle_scratch();
-                Err(e)
-            }
-        }
+        self.recycle_scratch();
+        r.map(|()| self.stats)
     }
 
     fn commit_inner(&mut self) -> Result<()> {
@@ -704,93 +575,23 @@ impl<'p> PglTx<'p> {
         let parity = inner.mode.has_parity();
 
         // (1) Canary checks: abort before touching NVMM (paper §3.2).
-        for b in self.ubufs.values() {
+        for b in self.objs.values() {
             b.check_canaries()?;
         }
-        for sb in self.sparse.values() {
-            sb.check_canaries()?;
-        }
 
-        // (2) Pre-image assembly (paper §3.5): for every modified range,
-        // put the bytes the transaction loaded at open back together in
-        // the commit scratch, where they feed the incremental Adler32
-        // delta here and the parity XOR patch at stage (6). This
-        // transaction owns its objects from open to commit (the §3.4
-        // concurrency rule), so what it loaded is what the parity row
-        // accounts for when the write-back consumes it — no device read.
-        // Fresh (`New`) micro-buffers have no pre-image; their checksum
-        // is a full compute over the construction content.
-        if csums || parity {
-            let CommitScratch { old, tmp, .. } = &mut self.scratch;
-            for off in &self.order {
-                if let Some(sb) = self.sparse.get_mut(off) {
-                    if !sb.is_modified() {
-                        continue;
-                    }
-                    let total = sb.user_size();
-                    let mut c = sb.loaded_header().csum;
-                    for (roff, rlen) in sb.modified().iter() {
-                        let start = old.len();
-                        old.resize(start + rlen as usize, 0);
-                        sb.read_loaded(roff, &mut old[start..]);
-                        if csums {
-                            tmp.resize(rlen as usize, 0);
-                            sb.read(roff, &mut tmp[..rlen as usize]);
-                            c = adler32_update(
-                                c,
-                                total,
-                                roff,
-                                &old[start..],
-                                &tmp[..rlen as usize],
-                            );
-                        }
-                    }
-                    if csums {
-                        sb.set_csum(c);
-                    }
-                    continue;
-                }
-                let Some(b) = self.ubufs.get_mut(off) else { continue };
-                match b.state() {
-                    UBufState::New => {
-                        if csums {
-                            let c = adler32(b.user());
-                            b.set_csum(c);
-                        }
-                    }
-                    UBufState::Modified => {
-                        let total = b.user_size() as u64;
-                        if parity && is_whole_object(b) {
-                            // Whole-object fast path: one pre-image
-                            // covering header+data serves the fused
-                            // parity patch at stage (6); the checksum is
-                            // a single full pass over the new bytes —
-                            // cheaper than the two-stream delta when the
-                            // range IS the object.
-                            old.extend_from_slice(bytes_of(&b.loaded_header()));
-                            b.preimage_into(0, total, old);
-                            if csums {
-                                let c = adler32(b.user());
-                                b.set_csum(c);
-                            }
-                            continue;
-                        }
-                        let mut c = b.loaded_header().csum;
-                        for (roff, rlen) in b.modified().iter() {
-                            let start = old.len();
-                            b.preimage_into(roff, rlen, old);
-                            if csums {
-                                let new = &b.user()[roff as usize..(roff + rlen) as usize];
-                                c = adler32_update(c, total, roff, &old[start..], new);
-                            }
-                        }
-                        if csums {
-                            b.set_csum(c);
-                        }
-                    }
-                    UBufState::Clean => {}
-                }
-            }
+        // (2) Sealing (paper §3.5): every modified object lays out its
+        // write-back spans and packs their loaded bytes into the commit
+        // scratch, where they feed the Adler32 refresh here and the
+        // parity XOR patch at stage (6). This transaction owns its
+        // objects from open to commit (the §3.4 concurrency rule), so
+        // what it loaded is what the parity row accounts for when the
+        // write-back consumes it — no device read. Fresh (`New`)
+        // micro-buffers have no pre-image; their checksum is a full
+        // compute over the construction content.
+        let mut old = (csums || parity).then_some(&mut self.scratch.old);
+        for off in &self.order {
+            let b = self.objs.get_mut(off).expect("ordered objects are open");
+            b.seal(csums, old.as_deref_mut());
         }
 
         // Allocator ops are final by now; compute them up front so the
@@ -816,15 +617,9 @@ impl<'p> PglTx<'p> {
                     touched.push(s);
                 }
             };
-            for off in &self.order {
-                if let Some(sb) = self.sparse.get(off) {
-                    if sb.is_modified() {
-                        note(sb.header_off());
-                    }
-                } else if let Some(b) = self.ubufs.get(off) {
-                    if b.state() != UBufState::Clean {
-                        note(b.header_off());
-                    }
+            for b in self.order.iter().map(|off| &self.objs[off]) {
+                if matches!(b.state(), UBufState::Modified | UBufState::New) {
+                    note(b.header_off());
                 }
             }
             for a in &self.allocs {
@@ -843,12 +638,8 @@ impl<'p> PglTx<'p> {
         // crash can re-level parity over torn construction writes. Each
         // intent goes to the lane of the shard whose zones it names, so
         // that shard's recovery worker re-levels it.
-        let new_offs: Vec<u64> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|o| self.ubufs.get(o).is_some_and(|b| b.state() == UBufState::New))
-            .collect();
+        let new_offs: Vec<u64> =
+            self.order.iter().copied().filter(|o| self.objs[o].state() == UBufState::New).collect();
         if parity && !new_offs.is_empty() {
             for off in &new_offs {
                 let r = self
@@ -884,7 +675,7 @@ impl<'p> PglTx<'p> {
         {
             let CommitScratch { tmp, stripe_ids, .. } = &mut self.scratch;
             for off in &new_offs {
-                let b = &self.ubufs[off];
+                let b = &self.objs[off];
                 let data = b.header_and_user();
                 // The offset may carry a verified-generation cache entry
                 // from a previously freed object; construction reuses the
@@ -906,225 +697,75 @@ impl<'p> PglTx<'p> {
             }
         }
 
-        // (5) Redo log: modified ranges + refreshed headers + allocator
-        // ops, sealed with the commit record.
+        // (5) Redo log: every modified object's spans (ranges + refreshed
+        // header) + allocator ops, sealed with the commit record.
+        let (order, objs) = (&self.order, &self.objs);
+        let modified =
+            || order.iter().map(|off| &objs[off]).filter(|b| b.state() == UBufState::Modified);
+        let mut log = |kind, off, payload: &[u8]| {
+            let (lane, chunks) = (&mut self.lane, &mut self.log_chunks);
+            append_shard(inner, lane, primary_shard, &mut sec, chunks, kind, off, payload)
+        };
         let mut logged = false;
-        for off in &self.order {
-            if let Some(sb) = self.sparse.get(off) {
-                if !sb.is_modified() {
-                    continue;
-                }
-                for (roff, rlen) in sb.modified().iter() {
-                    let tmp = &mut self.scratch.tmp;
-                    tmp.resize(rlen as usize, 0);
-                    sb.read(roff, &mut tmp[..rlen as usize]);
-                    append_shard(
-                        inner,
-                        &mut self.lane,
-                        primary_shard,
-                        &mut sec,
-                        &mut self.log_chunks,
-                        EntryKind::Data,
-                        sb.oid().off + roff,
-                        &self.scratch.tmp[..rlen as usize],
-                    )?;
-                }
-                let h = sb.header();
-                append_shard(
-                    inner,
-                    &mut self.lane,
-                    primary_shard,
-                    &mut sec,
-                    &mut self.log_chunks,
-                    EntryKind::Data,
-                    sb.header_off(),
-                    bytes_of(&h),
-                )?;
-                logged = true;
-                continue;
+        for b in modified() {
+            for (at, new) in b.spans() {
+                log(EntryKind::Data, at, new)?;
             }
-            let Some(b) = self.ubufs.get(off) else { continue };
-            if b.state() != UBufState::Modified {
-                continue;
-            }
-            if is_whole_object(b) {
-                // Whole-object fast path: header and data are adjacent,
-                // so one redo entry carries both (the header already
-                // holds the refreshed checksum).
-                append_shard(
-                    inner,
-                    &mut self.lane,
-                    primary_shard,
-                    &mut sec,
-                    &mut self.log_chunks,
-                    EntryKind::Data,
-                    b.header_off(),
-                    b.header_and_user(),
-                )?;
-                logged = true;
-                continue;
-            }
-            for (roff, rlen) in b.modified().iter() {
-                let data = &b.user()[roff as usize..(roff + rlen) as usize];
-                append_shard(
-                    inner,
-                    &mut self.lane,
-                    primary_shard,
-                    &mut sec,
-                    &mut self.log_chunks,
-                    EntryKind::Data,
-                    b.oid().off + roff,
-                    data,
-                )?;
-            }
-            // The header (with its refreshed checksum) is part of the
-            // atomic update (paper §3.2: data, checksum and parity must
-            // change together).
-            let hdr_bytes: [u8; 16] = {
-                let h = b.header();
-                let mut out = [0u8; 16];
-                out.copy_from_slice(bytes_of(&h));
-                out
-            };
-            append_shard(
-                inner,
-                &mut self.lane,
-                primary_shard,
-                &mut sec,
-                &mut self.log_chunks,
-                EntryKind::Data,
-                b.header_off(),
-                &hdr_bytes,
-            )?;
             logged = true;
         }
         for op in &ops {
             let (kind, off, payload) = op.encode();
-            append_shard(
-                inner,
-                &mut self.lane,
-                primary_shard,
-                &mut sec,
-                &mut self.log_chunks,
-                kind,
-                off,
-                &payload,
-            )?;
+            log(kind, off, &payload)?;
             logged = true;
         }
         let fatal =
             |e: PglError| PglError::unrecoverable(format!("failure after commit point: {e}"));
         if logged || !new_offs.is_empty() {
-            if sec.is_empty() {
-                append_with_overflow(
-                    inner,
-                    &mut self.lane,
-                    &mut self.log_chunks,
-                    EntryKind::Commit,
-                    0,
-                    &[],
-                )?;
-                self.lane.persist_log()?; // COMMIT POINT
-            } else {
-                // Ordered cross-shard commit (module docs): make every
-                // secondary half durable WITHOUT a commit record, then
-                // commit the primary with one CrossShard marker per
-                // secondary — that fence is the commit point — and only
-                // then seal the secondaries in ascending shard order.
-                for (_, l) in &mut sec {
-                    l.persist_log().map_err(PglError::from)?;
-                }
-                for (_, l) in &sec {
-                    let marker = payload::cross_shard(l.index(), l.gen());
-                    append_with_overflow(
-                        inner,
-                        &mut self.lane,
-                        &mut self.log_chunks,
-                        EntryKind::CrossShard,
-                        0,
-                        &marker,
-                    )?;
-                }
-                append_with_overflow(
-                    inner,
-                    &mut self.lane,
-                    &mut self.log_chunks,
-                    EntryKind::Commit,
-                    0,
-                    &[],
-                )?;
-                self.lane.persist_log()?; // COMMIT POINT (first fence)
-                for (_, l) in &mut sec {
-                    append_with_overflow(inner, l, &mut self.log_chunks, EntryKind::Commit, 0, &[])
-                        .map_err(fatal)?;
-                    l.persist_log().map_err(|e| fatal(e.into()))?; // second fence
-                }
+            // Ordered commit (module docs; with no secondary lane this is
+            // the commit record and one fence): make every secondary half
+            // durable WITHOUT a commit record, then commit the primary
+            // with one CrossShard marker per secondary — that fence is
+            // the commit point — and only then seal the secondaries in
+            // ascending shard order.
+            for (_, l) in &mut sec {
+                l.persist_log().map_err(PglError::from)?;
+            }
+            let (lane, chunks) = (&mut self.lane, &mut self.log_chunks);
+            for (_, l) in &sec {
+                let marker = payload::cross_shard(l.index(), l.gen());
+                append_with_overflow(inner, lane, chunks, EntryKind::CrossShard, 0, &marker)?;
+            }
+            append_with_overflow(inner, lane, chunks, EntryKind::Commit, 0, &[])?;
+            lane.persist_log()?; // COMMIT POINT (first fence)
+            for (_, l) in &mut sec {
+                append_with_overflow(inner, l, chunks, EntryKind::Commit, 0, &[]).map_err(fatal)?;
+                l.persist_log().map_err(|e| fatal(e.into()))?; // second fence
             }
         }
 
-        // (6) Write back modified ranges and headers, updating parity.
-        // Each object's ranges and refreshed header go out under ONE parity
-        // span guard covering `[header, data end)`: writers of disjoint
-        // columns proceed in parallel, writers of overlapping columns
-        // commute through atomic XOR under shared guards, and the scrubber
-        // (which takes the same locks exclusively) can only observe the
-        // object entirely-before or entirely-after this transaction.
-        // Parity patches consume the pre-images stage (2) assembled in the
-        // commit scratch — packed in this exact walk order, so a byte
-        // cursor pairs them back up without any lookup — and the
-        // refreshed 16-byte header is patched against the loaded one.
-        // Failures past the commit point cannot abort; recovery would
-        // replay the redo log, so report them as unrecoverable here.
-        let CommitScratch { old, tmp, stripe_ids, .. } = &mut self.scratch;
+        // (6) Write back every span, updating parity. An object's spans go
+        // out under ONE parity span guard covering `[header, data end)`:
+        // writers of disjoint columns proceed in parallel, writers of
+        // overlapping columns commute through atomic XOR under shared
+        // guards, and the scrubber (which takes the same locks
+        // exclusively) can only observe the object entirely-before or
+        // entirely-after this transaction. Parity patches consume the
+        // pre-images stage (2) packed in the commit scratch — in this
+        // exact walk order, so a byte cursor pairs them back up without
+        // any lookup. Failures past the commit point cannot abort;
+        // recovery would replay the redo log, so report them as
+        // unrecoverable here.
+        let CommitScratch { old, stripe_ids, .. } = &mut self.scratch;
         let old: &[u8] = old;
         let mut cur = 0usize;
         let mut pre = |len: usize| -> &[u8] {
             if !parity {
-                return &[]; // stage (2) did not run; nothing consumes it
+                return &[]; // nothing consumes it
             }
             cur += len;
             &old[cur - len..cur]
         };
-        for off in &self.order {
-            if let Some(sb) = self.sparse.get(off) {
-                if !sb.is_modified() {
-                    continue;
-                }
-                let largest = sb.modified().iter().map(|(_, l)| l).max().unwrap_or(0);
-                let guard = inner
-                    .lock_span_scratch(
-                        stripe_ids,
-                        sb.header_off(),
-                        OBJ_HEADER_SIZE + sb.user_size(),
-                        inner.span_exclusive(largest),
-                    )
-                    .map_err(fatal)?;
-                // Invalidate the verified-generation entry under the span
-                // guard, before the first store: post-commit verified
-                // reads must re-verify the new content.
-                inner.vcache.bump(*off);
-                for (roff, rlen) in sb.modified().iter() {
-                    let n = rlen as usize;
-                    tmp.resize(n, 0);
-                    sb.read(roff, &mut tmp[..n]);
-                    inner
-                        .protected_write_locked_old(&guard, sb.oid().off + roff, &tmp[..n], pre(n))
-                        .map_err(fatal)?;
-                }
-                inner
-                    .protected_write_locked_old(
-                        &guard,
-                        sb.header_off(),
-                        bytes_of(&sb.header()),
-                        bytes_of(&sb.loaded_header()),
-                    )
-                    .map_err(fatal)?;
-                continue;
-            }
-            let Some(b) = self.ubufs.get(off) else { continue };
-            if b.state() != UBufState::Modified {
-                continue;
-            }
+        for b in modified() {
             let largest = b.modified().iter().map(|(_, l)| l).max().unwrap_or(0);
             let guard = inner
                 .lock_span_scratch(
@@ -1134,32 +775,13 @@ impl<'p> PglTx<'p> {
                     inner.span_exclusive(largest),
                 )
                 .map_err(fatal)?;
-            // Same invalidation as the sparse path: under the guard,
-            // before the write-back's first store.
-            inner.vcache.bump(*off);
-            if is_whole_object(b) {
-                // Whole-object fast path: ONE non-temporal store + fence
-                // and ONE parity patch cover header and data together.
-                let data = b.header_and_user();
-                inner
-                    .protected_write_locked_old(&guard, b.header_off(), data, pre(data.len()))
-                    .map_err(fatal)?;
-                continue;
+            // Invalidate the verified-generation entry under the span
+            // guard, before the first store: post-commit verified reads
+            // must re-verify the new content.
+            inner.vcache.bump(b.oid().off);
+            for (at, new) in b.spans() {
+                inner.protected_write_locked_old(&guard, at, new, pre(new.len())).map_err(fatal)?;
             }
-            for (roff, rlen) in b.modified().iter() {
-                let data = &b.user()[roff as usize..(roff + rlen) as usize];
-                inner
-                    .protected_write_locked_old(&guard, b.oid().off + roff, data, pre(data.len()))
-                    .map_err(fatal)?;
-            }
-            inner
-                .protected_write_locked_old(
-                    &guard,
-                    b.header_off(),
-                    bytes_of(&b.header()),
-                    bytes_of(&b.loaded_header()),
-                )
-                .map_err(fatal)?;
         }
         debug_assert!(!parity || cur == old.len(), "stage-6 walk diverged from stage 2");
 
@@ -1197,9 +819,6 @@ impl<'p> PglTx<'p> {
         }
         self.allocs.clear();
         self.frees.clear();
-        self.ubufs.clear();
-        self.sparse.clear();
-        self.lazy.clear();
         self.lane.bump_gen(!self.log_chunks.is_empty()).map_err(PglError::from)?;
         release_log_chunks(self.inner, &mut self.log_chunks)?;
         Ok(())

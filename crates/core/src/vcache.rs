@@ -17,7 +17,7 @@
 //! every point the library changes an object's NVMM bytes:
 //!
 //! * transaction commit write-back, under the object's parity span guard
-//!   (both the micro-buffered and the sparse-shadow paths);
+//!   (every object's spans);
 //! * construction write-back of a fresh allocation (the offset may have
 //!   carried a cached entry from a previously freed object);
 //! * `free` publication (the slot's size/type may change at realloc);
@@ -69,6 +69,10 @@ use parking_lot::Mutex;
 use crate::parity::ShardMap;
 use crate::scratch::OffMap;
 
+/// Lock stripes of the table: more stripes cut contention between
+/// concurrent readers and committers; each costs one mutex + map.
+const STRIPES: usize = 64;
+
 /// One shard: verified sizes keyed by object offset, plus the mutation
 /// stamp that makes optimistic insertion safe.
 #[derive(Default)]
@@ -104,10 +108,16 @@ pub(crate) struct VCache {
 pub(crate) struct VerifyStamp(u64);
 
 impl VCache {
-    /// Builds a cache of `capacity` total entries across `shards` stripes
-    /// (both from [`crate::config::PglConfig`]); `enabled == false`
-    /// yields a no-op cache.
-    pub fn new(shards: usize, capacity: usize, enabled: bool) -> VCache {
+    /// Builds a cache of `capacity` total entries
+    /// ([`crate::config::PglConfig::vcache_capacity`]) across [`STRIPES`]
+    /// lock stripes; `enabled == false` yields a no-op cache.
+    pub fn new(capacity: usize, enabled: bool) -> VCache {
+        Self::striped(STRIPES, capacity, enabled)
+    }
+
+    /// [`VCache::new`] with an explicit stripe count (rounded up to a
+    /// power of two).
+    fn striped(shards: usize, capacity: usize, enabled: bool) -> VCache {
         let shards = shards.next_power_of_two().max(1);
         let per_shard = capacity.div_ceil(shards).max(1);
         let table = (0..shards).map(|_| Mutex::new(Shard::default())).collect();
@@ -207,7 +217,7 @@ mod tests {
     use super::*;
 
     fn cache() -> VCache {
-        VCache::new(4, 64, true)
+        VCache::striped(4, 64, true)
     }
 
     #[test]
@@ -232,11 +242,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_inert() {
-        let c = VCache::new(4, 0, true);
+        let c = VCache::striped(4, 0, true);
         let st = c.begin_verify(64);
         c.publish(64, 8, st);
         assert_eq!(c.probe(64), None);
-        let c = VCache::new(4, 64, false);
+        let c = VCache::striped(4, 64, false);
         let st = c.begin_verify(64);
         c.publish(64, 8, st);
         assert_eq!(c.probe(64), None);
@@ -245,7 +255,7 @@ mod tests {
     #[test]
     fn overflow_clears_shard_but_stays_correct() {
         // 1 shard × capacity 4: the 5th distinct offset clears the shard.
-        let c = VCache::new(1, 4, true);
+        let c = VCache::striped(1, 4, true);
         for off in [1u64, 2, 3, 4] {
             let st = c.begin_verify(off);
             c.publish(off, 16, st);
@@ -266,7 +276,7 @@ mod tests {
         let layout = Layout::new(cfg).unwrap();
         let map = ShardMap::new(&layout, 2);
         assert!(map.n_shards() > 1, "geometry must give multiple shards");
-        let c = VCache::new(8, 64, true).with_affinity(map);
+        let c = VCache::striped(8, 64, true).with_affinity(map);
         // One offset per parity shard (zone 0 → shard 0, zone 1 → shard 1).
         let a = layout.heap_off + 4096;
         let b = layout.heap_off + layout.cfg.zone_size as u64 + 4096;
@@ -282,7 +292,7 @@ mod tests {
 
     #[test]
     fn republish_of_resident_key_keeps_others() {
-        let c = VCache::new(1, 2, true);
+        let c = VCache::striped(1, 2, true);
         for off in [1u64, 2] {
             let st = c.begin_verify(off);
             c.publish(off, 16, st);

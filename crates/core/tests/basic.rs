@@ -286,7 +286,7 @@ fn is_invalid_oid(e: &PglError) -> bool {
 #[test]
 fn out_of_range_write_is_a_typed_error_not_a_panic() {
     // `off + len` wraps: it must fail the bounds check, not pass it (or
-    // panic under overflow checks), on whole and sparse shadows alike.
+    // panic under overflow checks), whether the object loads whole or not.
     for size in [64, 4 * pangolin::txn::SPARSE_THRESHOLD] {
         let (pool, oid) = pool_and_obj(size);
         for off in [u64::MAX - 2, size - 5, size + 1] {
@@ -321,13 +321,13 @@ fn out_of_range_read_of_an_open_object_is_a_typed_error_not_a_panic() {
         })
         .unwrap();
     };
-    // Micro-buffered (`ubufs`).
+    // Loaded whole.
     let (pool, oid) = pool_and_obj(64);
     read_past(&pool, oid, 64, &|tx| tx.write(oid, 0, b"x").unwrap());
-    // Lazily opened (`lazy`): verified-fresh, nothing written.
+    // Lazily opened: verified-fresh, nothing written.
     pool.read_verified(oid).unwrap();
     read_past(&pool, oid, 64, &|tx| tx.open(oid).unwrap());
-    // Block-shadowed (`sparse`).
+    // Above the load-whole threshold: one small resident run.
     let big = 4 * pangolin::txn::SPARSE_THRESHOLD;
     let (pool, oid) = pool_and_obj(big);
     read_past(&pool, oid, big, &|tx| tx.write(oid, 0, b"x").unwrap());

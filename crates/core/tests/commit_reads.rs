@@ -1,9 +1,9 @@
 //! Regression tests for the commit pipeline's read traffic and for where
-//! its pre-images come from. A transaction keeps the bytes it loaded at
-//! open (micro-buffers save them before a range is first handed out for
-//! mutation; sparse blocks keep their loaded image), and the commit
-//! assembles every modified range's pre-image — for the incremental
-//! checksum and for the parity patch — from those, in DRAM. So a commit
+//! its pre-images come from. A transaction keeps the bytes it loaded
+//! (micro-buffers save them before a range is first handed out for
+//! mutation), and the commit assembles every modified range's pre-image
+//! — for the incremental checksum and for the parity patch — from
+//! those, in DRAM. So a commit
 //! reads the device **zero times** for old data, and what lands on the
 //! media between open and commit (a scribble, a poisoned page) never
 //! enters the parity row. Counter-pinned through `NvmDevice::stats()`
@@ -224,15 +224,8 @@ fn steady_state_commits_do_not_allocate() {
     // the span guard holds its stripes inline and the shard list lives in
     // the commit scratch.
     let cfg = PglConfig::small();
-    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
-    let pool = PglPool::create(dev, cfg).unwrap();
-    let oid = pool
-        .tx(|tx| {
-            let oid = tx.alloc(OBJ, 1)?;
-            tx.write(oid, 0, &[1u8; OBJ as usize])?;
-            Ok(oid)
-        })
-        .unwrap();
+    let (_dev, pool) = new_pool_with(cfg);
+    let oid = make_obj(&pool, OBJ, 1);
     let payload = [7u8; 96];
     for _ in 0..10 {
         pool.tx(|tx| {
@@ -253,6 +246,76 @@ fn steady_state_commits_do_not_allocate() {
         .unwrap();
     }
     assert_eq!(thread_allocs() - a0, 0, "allocations over {TXNS} steady-state transactions");
+
+    // The same for range writes into an object too large to load whole:
+    // the runs they make resident live in the recycled frame. What is
+    // left is outside the micro-buffer: the object-wide span guard holds
+    // four stripes inline and spills the rest to a list, so at the default
+    // 8 KiB lock granule a 256 KiB object costs that one allocation.
+    for (granule, per_txn) in [(64 << 10, 0), (cfg.parity_lock_granule, 1)] {
+        let (_dev, pool) = new_pool_with(PglConfig { parity_lock_granule: granule, ..cfg });
+        let big = make_obj(&pool, 4 * SPARSE_THRESHOLD, 1);
+        let write_two = |round: u64| {
+            pool.tx(|tx| {
+                tx.write(big, 1000 + 64 * (round % 7), &payload[..64])?;
+                tx.write(big, 200_000 - 64 * (round % 5), &payload[..64])
+            })
+            .unwrap();
+        };
+        (0..10).for_each(write_two);
+        let a0 = thread_allocs();
+        (10..10 + TXNS).for_each(write_two);
+        assert_eq!(thread_allocs() - a0, per_txn * TXNS, "big-object transactions, {granule} B");
+    }
+}
+
+#[test]
+fn range_write_into_a_big_object_reads_exactly_its_own_bytes() {
+    // Above the threshold nothing is loaded at open and a write loads the
+    // bytes it covers, not a block around them: 16 (header) + 64.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 4 * SPARSE_THRESHOLD, 0x11);
+    let s0 = dev.stats();
+    pool.tx(|tx| tx.write(oid, 100_000, &[0x22; 64])).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((d.bytes_read, d.read_ops), (16 + 64, 2), "header check + the range");
+    assert_eq!((d.commit_old_reads, d.csum_passes), (0, 0));
+    assert_sound(&pool);
+}
+
+#[test]
+fn write_at_offset_zero_takes_the_header_along() {
+    // The header sits in front of offset 0 on NVMM and in the
+    // micro-buffer, so a range that starts there is one span with it: one
+    // redo entry, one store + fence, one parity patch. The same write at
+    // offset 8 logs and stores range and header separately.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 4096, 0x11);
+    let cost = |off: u64, fill: u8| {
+        let s0 = dev.stats();
+        pool.tx(|tx| tx.write(oid, off, &[fill; 8])).unwrap();
+        dev.stats().delta_since(&s0)
+    };
+    cost(8, 0x01); // settle the lane's lazy log invalidation
+    let (at0, at8) = (cost(0, 0x22), cost(8, 0x33));
+    let commit = ulog::entry_space(0);
+    assert_eq!(
+        at0.bytes_written_nt,
+        (16 + 8) + 2 * (ulog::entry_space(16 + 8) + commit),
+        "one Data entry per log copy, one object store"
+    );
+    assert_eq!(
+        at8.bytes_written_nt,
+        (8 + 16) + 2 * (ulog::entry_space(8) + ulog::entry_space(16) + commit),
+        "range and header logged and stored apart"
+    );
+    assert_eq!((at0.fences, at8.fences), (2, 3), "commit point + one fence per stored span");
+    assert_eq!(at0.bytes_read, at8.bytes_read);
+    let mut want = vec![0x11; 4096];
+    want[..8].fill(0x22);
+    want[8..16].fill(0x33);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
 }
 
 #[test]
@@ -313,8 +376,8 @@ fn scribble_between_open_and_commit_stays_out_of_parity() {
 
 #[test]
 fn scribble_between_open_and_commit_stays_out_of_parity_sparse() {
-    // Same, for an object above the sparse threshold: the shadow blocks
-    // keep their loaded image.
+    // Same, for an object above the load-whole threshold: the run the
+    // marked range made resident keeps its loaded bytes.
     const BIG: u64 = 2 * SPARSE_THRESHOLD;
     let mut cfg = PglConfig::small();
     cfg.pool.size = 32 << 20;
@@ -322,7 +385,7 @@ fn scribble_between_open_and_commit_stays_out_of_parity_sparse() {
     let (dev, pool) = new_pool_with(cfg);
     let oid = make_obj(&pool, BIG, 0x11);
     pool.tx(|tx| {
-        tx.add_range(oid, 70_000, 300)?; // loads the covering blocks
+        tx.add_range(oid, 70_000, 300)?; // loads the range
         dev.scribble(oid.off + 70_100, &[0xAB; 40]).unwrap();
         tx.write(oid, 70_000, &[0x22; 300])
     })

@@ -203,6 +203,55 @@ fn multi_object_tx_atomic_at_sampled_crash_points() {
 }
 
 #[test]
+fn big_object_ranges_atomic_at_every_crash_point() {
+    // An object above the load-whole threshold: the transaction shadows
+    // only the ranges it writes. One commit carries a range at offset 0
+    // (which takes the header along in its span), a range that spans two
+    // earlier-loaded runs plus the gap between them (merged into one run),
+    // and a range in a second, distant run — all or none of them.
+    const BIG: u64 = pangolin::txn::SPARSE_THRESHOLD + (32 << 10);
+    const RANGES: [(u64, usize); 3] = [(0, 40), (1050, 300), (80_000, 200)];
+    let workload = FnWorkload::new(
+        "big-object-ranges",
+        |pool| {
+            pool.tx(|tx| {
+                let oid = tx.alloc(BIG, 7)?;
+                tx.write(oid, 0, &vec![0xAA; BIG as usize])
+            })
+        },
+        |pool, ctx| {
+            let oid = find_by_type(pool, 7)?;
+            pool.tx(|tx| {
+                tx.write(oid, 1000, &[0xB1; 100])?;
+                tx.write(oid, 1300, &[0xB2; 100])?;
+                for (off, len) in RANGES {
+                    tx.write(oid, off, &vec![0xBB; len])?;
+                }
+                Ok(())
+            })?;
+            ctx.commit_point(pool)
+        },
+    )
+    .with_verify(|pool, committed| {
+        let data = pool.read_verified(find_by_type(pool, 7)?)?;
+        let mut want = vec![0xAA; BIG as usize];
+        if committed == 1 {
+            want[1000..1050].fill(0xB1);
+            want[1350..1400].fill(0xB2);
+            for (off, len) in RANGES {
+                want[off as usize..off as usize + len].fill(0xBB);
+            }
+        }
+        if data != want {
+            return Err(PglError::Config("torn big-object commit after recovery".into()));
+        }
+        Ok(())
+    });
+    let report = crashcheck::sweep(&workload);
+    assert_eq!(report.swept, report.boundaries, "every boundary crashed");
+}
+
+#[test]
 fn crash_then_media_error_still_recovers() {
     // The end-to-end story: crash mid-commit, recover, then lose a page —
     // the recomputed parity must still reconstruct it. This scenario layers

@@ -1,13 +1,14 @@
-//! Tests for sparse micro-buffers: large objects (above the 64 KiB
-//! threshold) are shadowed block-by-block, yet keep every guarantee —
-//! atomicity, checksum correctness, parity consistency, and recovery.
+//! Tests for partly resident micro-buffers: an object above the 64 KiB
+//! threshold is never loaded whole — a transaction shadows just the
+//! ranges it writes — yet keeps every guarantee: isolation, checksum
+//! correctness, parity consistency, and recovery. (Crash atomicity of the
+//! same shape is swept in `crash_atomicity.rs`.)
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pangolin::txn::SPARSE_THRESHOLD;
 use pangolin::{inject, PMEMoid, PglConfig, PglPool};
-use pgl_nvm::{CrashPoint, DeviceConfig, NvmDevice, RandomPlan};
+use pgl_nvm::{DeviceConfig, NvmDevice};
 
 const BIG: u64 = SPARSE_THRESHOLD * 4; // 256 KiB: well into sparse territory
 
@@ -18,11 +19,16 @@ fn big_cfg() -> PglConfig {
     cfg
 }
 
+/// The byte `make_big` stored at offset `i`.
+fn pattern(i: usize) -> u8 {
+    (i % 249) as u8
+}
+
 fn make_big(pool: &PglPool) -> PMEMoid {
     pool.tx(|tx| {
         let oid = tx.alloc(BIG, 1)?;
-        let pattern: Vec<u8> = (0..BIG).map(|i| (i % 249) as u8).collect();
-        tx.write(oid, 0, &pattern)?;
+        let content: Vec<u8> = (0..BIG as usize).map(pattern).collect();
+        tx.write(oid, 0, &content)?;
         Ok(oid)
     })
     .unwrap()
@@ -109,50 +115,69 @@ fn sparse_aborts_leave_nvmm_untouched() {
 }
 
 #[test]
-fn sparse_writes_atomic_at_sampled_crash_points() {
-    let count_ops = || {
-        let cfg = big_cfg();
-        let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
-        let pool = PglPool::create(dev.clone(), cfg).unwrap();
-        let oid = make_big(&pool);
-        const HUGE: u64 = 1 << 40;
-        dev.arm_crash_after(HUGE);
-        pool.tx(|tx| {
-            tx.write(oid, 1000, &[0xAB; 600])?;
-            tx.write(oid, 200_000, &[0xCD; 600])
-        })
-        .unwrap();
-        let total = HUGE - dev.crash_countdown() as u64;
-        dev.disarm_crash();
-        total
-    };
-    let total = count_ops();
-    let step = (total / 16).max(1);
-    for k in (0..total).step_by(step as usize) {
-        let cfg = big_cfg();
-        let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
-        let pool = PglPool::create(dev.clone(), cfg).unwrap();
-        let oid = make_big(&pool);
-        dev.arm_crash_after(k);
-        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.tx(|tx| {
-                tx.write(oid, 1000, &[0xAB; 600])?;
-                tx.write(oid, 200_000, &[0xCD; 600])
-            })
-        }));
-        dev.disarm_crash();
-        if let Err(p) = r {
-            assert!(p.downcast_ref::<CrashPoint>().is_some());
-        }
-        drop(pool);
-        dev.simulate_crash(&mut RandomPlan::seeded(k)).unwrap();
-        let pool = PglPool::options().open(dev).unwrap();
-        assert!(pool.verify_parity().unwrap(), "parity at crash point {k}");
-        let data = pool.read_verified(PMEMoid::new(pool.uuid(), oid.off)).unwrap();
-        let a = data[1000] == 0xAB;
-        let b = data[200_000] == 0xCD;
-        assert_eq!(a, b, "both sparse ranges commit together (crash at {k})");
-    }
+fn read_of_a_partly_resident_range_overlays_the_transactions_own_writes() {
+    let cfg = big_cfg();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = make_big(&pool);
+    pool.tx(|tx| {
+        tx.write(oid, 250, &[9; 20])?;
+        let s0 = dev.stats();
+        let mut got = [0u8; 600];
+        tx.read(oid, 0, &mut got)?;
+        let d = dev.stats().delta_since(&s0);
+        assert_eq!((d.read_ops, d.bytes_read), (1, 600), "one range-sized read, then the overlay");
+        let mut want: Vec<u8> = (0..600).map(pattern).collect();
+        want[250..270].fill(9);
+        assert_eq!(got[..], want[..], "read-your-writes inside a larger range");
+        Ok(())
+    })
+    .unwrap();
+}
+
+#[test]
+fn ubuf_mut_makes_a_big_object_fully_resident_like_any_other() {
+    let cfg = big_cfg();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev, cfg).unwrap();
+    let oid = make_big(&pool);
+    let v0 = pool.vuln();
+    pool.tx(|tx| {
+        tx.write(oid, 1000, &[7; 10])?; // an earlier run is merged, not re-read
+        let b = tx.ubuf_mut(oid)?;
+        assert_eq!(b.user().len() as u64, BIG);
+        assert_eq!((b.user()[1000], b.user()[5000]), (7, pattern(5000)));
+        b.user_mut()[5000..5008].fill(0x33); // paper style: modify, then mark
+        tx.add_range(oid, 5000, 8)
+    })
+    .unwrap();
+    assert_eq!(pool.vuln().unverified - v0.unverified, BIG, "loaded unverified, every byte once");
+    let data = pool.read_verified(oid).unwrap();
+    let mut want: Vec<u8> = (0..BIG as usize).map(pattern).collect();
+    want[1000..1010].fill(7);
+    want[5000..5008].fill(0x33);
+    assert_eq!(data, want);
+    assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
+fn add_range_on_a_big_object_marks_it_and_a_never_stored_mark_commits_a_zero_diff() {
+    let cfg = big_cfg();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = make_big(&pool);
+    let s0 = dev.stats();
+    let ((), stats) = pool.tx_with_stats(|tx| tx.add_range(oid, 1000, 64)).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((stats.modified_objects, stats.modified_bytes), (1, 64), "the range is marked");
+    assert_eq!(d.bytes_read, 16 + 64, "header + exactly the marked bytes");
+    assert_eq!((d.atomic_xors, d.xor_bytes), (0, 0), "zero diff");
+    assert_eq!(d.lines_flushed, 2, "generation words only");
+    assert_eq!(
+        pool.read_verified(oid).unwrap(),
+        (0..BIG as usize).map(pattern).collect::<Vec<_>>()
+    );
+    assert!(pool.verify_parity().unwrap());
 }
 
 #[test]
@@ -162,7 +187,7 @@ fn scribble_on_sparse_object_detected_and_repaired() {
     let pool = PglPool::create(dev, cfg).unwrap();
     let oid = make_big(&pool);
     inject::scribble_object(&pool, oid, 12345, 500, 0xEE).unwrap();
-    // Sparse writes skip open-time verification, but full verification
+    // Opens of big objects skip verification, but full verification
     // (read_verified / scrub) still detects and repairs.
     let data = pool.read_verified(oid).unwrap();
     assert_eq!(data[12345], (12345 % 249) as u8);
@@ -176,7 +201,7 @@ fn media_error_under_sparse_write_recovers() {
     let pool = PglPool::create(dev.clone(), cfg).unwrap();
     let oid = make_big(&pool);
     // Poison a page inside the object, then write a range on that page:
-    // the block load must recover online first.
+    // the range load must recover online first.
     let page = (oid.off + 131072) / pgl_nvm::PAGE_SIZE as u64;
     dev.poison_page(page).unwrap();
     pool.tx(|tx| tx.write_pod(oid, 131100, &7u64)).unwrap();

@@ -68,6 +68,16 @@ impl BHead {
         self.n as usize
     }
 
+    /// A head as read from media: under `CsumPolicy::Default` reads are
+    /// unverified, so the count that bounds every index into the node is
+    /// checked before anything uses it.
+    fn checked(self) -> KvResult<BHead> {
+        if self.n > MAX_ITEMS as u64 {
+            return Err(KvError::Corrupt("btree: item count out of bounds"));
+        }
+        Ok(self)
+    }
+
     /// First index with `key <= keys[i]`, and whether it holds `key`.
     fn search(&self, key: u64) -> (usize, bool) {
         let n = self.len();
@@ -153,7 +163,7 @@ fn child_field(i: usize) -> Field<BNode, PObj<BNode>> {
 }
 
 fn read_head(tx: &mut dyn TxOps, h: PObj<BNode>) -> KvResult<BHead> {
-    tx.read_at(h, field!(BNode, head: BHead))
+    tx.read_at(h, field!(BNode, head: BHead)).and_then(BHead::checked)
 }
 
 fn read_child(tx: &mut dyn TxOps, h: PObj<BNode>, i: usize) -> KvResult<PObj<BNode>> {
@@ -555,7 +565,7 @@ impl PersistentMap for BTree {
         // Under a leaf the child pointer read is null and ends the walk.
         while !cur.is_null() {
             let head: BHead = store.read_at_direct(cur, field!(BNode, head: BHead))?;
-            let (i, found) = head.search(key);
+            let (i, found) = head.checked()?.search(key);
             if found {
                 let values = field!(BNode, values: [u64; MAX_ITEMS]);
                 return store.read_at_direct(cur, values.index(i)).map(Some);

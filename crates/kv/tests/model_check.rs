@@ -229,6 +229,59 @@ fn btree_split_borrow_and_merge_paths_in_one_run() {
     assert!(store.pool().find_corrupt_objects().unwrap().is_empty());
 }
 
+/// A node count scribbled above the node's capacity bounds every index
+/// into the node: under `CsumPolicy::Default` (unverified reads) it must
+/// surface as a typed error on every path that reads a head, not as an
+/// index panic, and only for the keys whose path crosses the node.
+#[test]
+fn btree_scribbled_item_count_is_a_typed_error_not_a_panic() {
+    let corrupt = |e: pgl_kv::KvError| {
+        matches!(e, pgl_kv::KvError::Corrupt("btree: item count out of bounds"))
+    };
+    let store = pgl_store();
+    let map = BTree::create(&store).unwrap();
+    for k in 0..200u64 {
+        map.insert(&store, k, k + 1).unwrap();
+    }
+    // The first node ever allocated is the leftmost leaf by now.
+    let pool = store.pool();
+    let (leaf, _) = pool
+        .live_objects()
+        .unwrap()
+        .into_iter()
+        .filter(|(_, h)| (h.size, h.type_num) == (304, 121))
+        .min_by_key(|(oid, _)| oid.off)
+        .unwrap();
+    pangolin::inject::scribble_object(pool, leaf, 0, 1, 9).unwrap(); // n = 9 > 7
+
+    let (mut lost, mut served) = (Vec::new(), 0);
+    for k in 0..200u64 {
+        match map.get(&store, k) {
+            Ok(v) => {
+                assert_eq!(v, Some(k + 1), "a served key is served right");
+                served += 1;
+            }
+            Err(e) => {
+                assert!(corrupt(e), "get({k})");
+                lost.push(k);
+            }
+        }
+    }
+    assert!(!lost.is_empty() && served >= 190, "one leaf lost, the rest serve: {lost:?}");
+    for &k in &lost {
+        assert!(corrupt(map.insert(&store, k, 0).unwrap_err()), "insert({k})");
+        assert!(corrupt(map.remove(&store, k).unwrap_err()), "remove({k})");
+    }
+    assert_eq!(map.get(&store, 199).unwrap(), Some(200), "failed writes aborted cleanly");
+
+    // The scribble is ordinary detectable corruption: a scrub repairs it.
+    pool.scrub_now().unwrap();
+    for k in 0..200u64 {
+        assert_eq!(map.get(&store, k).unwrap(), Some(k + 1));
+    }
+    assert_eq!(btree::check_invariants(&map, &store).unwrap(), 200);
+}
+
 #[test]
 fn hashmap_rehash_via_overflow_is_correct() {
     // Push the hashmap through several rehashes (64 -> 2048 buckets); the
