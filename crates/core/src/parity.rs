@@ -16,12 +16,47 @@
 //! Chunks holding overflowed transaction logs ([`ChunkType::Log`]) are
 //! treated as zeros in all parity math, preventing parity contention
 //! between log appends and object updates (paper §3.1).
+//!
+//! # The reserved-chunk watermark
+//!
+//! Each zone carries a watermark `W` under one invariant: **no chunk
+//! numbered at or above `W` has been written by the library since pool
+//! creation**, so such a chunk is zero on media and zero in parity's
+//! account. The row fold behind reconstruction and column recompute
+//! leaves those rows out (no chunk-metadata read, no data read), so
+//! rebuilding a range costs the rows that hold data, not all data rows.
+//!
+//! * **Raise before write.** `W` only goes up. A reservation that takes a
+//!   chunk at or above `W` — `PglTx::alloc` (a Large object to the end of
+//!   its run of chunks) and the log-overflow claim — makes the raise
+//!   durable in both zone-header copies ([`ParityEngine::raise_watermark`],
+//!   two 8-byte stores and one fence) before the reservation returns. So
+//!   the raise precedes the commit's allocation intents, its construction
+//!   write-back, run formatting, log appends and every parity patch into
+//!   the chunk. A freed chunk keeps its stale bytes, and its parity
+//!   share, under `W`.
+//! * **Open.** The effective value is `max(primary, replica)`, at least
+//!   `cm_chunks`, re-persisted when the copies disagree with it; a copy
+//!   that is unreadable, fails its check or exceeds `n_chunks` does not
+//!   count. A zone with no valid copy — every image written before the
+//!   record existed — folds every row and persists `n_chunks`. After the
+//!   heap scan `W` is also raised to `1 +` the highest non-`Free` CM
+//!   index. Either copy alone therefore carries the value: a single lost,
+//!   zeroed, lowered or raised copy changes nothing.
+//! * **Outside the model.** Both copies lowered below a written chunk is
+//!   a double fault. The fold then misses a row, and the rebuilt bytes
+//!   fail the object checksum and surface as a typed error.
+//! * [`ParityEngine::verify_zone`] still reads every row: it checks parity
+//!   over the rows below `W` and reports any non-zero byte at or above it
+//!   — the one place a scribble into never-reserved space shows.
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pgl_nvm::{NvmDevice, PAGE_SIZE};
 use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
-use pgl_pmemobj::{Layout, PoolIo};
+use pgl_pmemobj::{zonehdr, Layout, PoolIo};
 
 use crate::error::{PglError, Result};
 use crate::scratch;
@@ -169,10 +204,17 @@ pub struct ParityEngine {
     /// stripe `(zone * granules_per_zone + g) & stripe_mask`.
     stripes: Box<[RwLock<()>]>,
     stripe_mask: u64,
+    /// Reserved-chunk watermark per zone (module docs); only the zones
+    /// this engine owns are ever loaded or raised.
+    marks: Box<[AtomicU64]>,
+    /// Serializes watermark stores, so a lower raise never overwrites a
+    /// higher one on media.
+    raising: Mutex<()>,
 }
 
 impl ParityEngine {
-    /// Builds the engine for a parity-enabled layout.
+    /// Builds the engine for a parity-enabled layout. Every zone starts at
+    /// the all-rows watermark `n_chunks` until one is loaded.
     ///
     /// # Panics
     ///
@@ -190,7 +232,99 @@ impl ParityEngine {
             granules_per_zone,
             stripes,
             stripe_mask: n_stripes - 1,
+            marks: (0..layout.n_zones).map(|_| AtomicU64::new(layout.zone.n_chunks)).collect(),
+            raising: Mutex::new(()),
         }
+    }
+
+    /// `zone`'s reserved-chunk watermark (module docs).
+    pub fn watermark(&self, zone: u64) -> u64 {
+        self.marks[zone as usize].load(Ordering::Acquire)
+    }
+
+    /// Raises `zone`'s watermark to `end` (at most `n_chunks`), durable in
+    /// both zone-header copies before this returns. Storage already under
+    /// the watermark costs one atomic load and no device op.
+    pub fn raise_watermark(&self, io: &PoolIo, zone: u64, end: u64) -> Result<()> {
+        debug_assert!(end <= self.layout.zone.n_chunks);
+        if end <= self.watermark(zone) {
+            return Ok(());
+        }
+        let _held = self.raising.lock();
+        if end > self.watermark(zone) {
+            self.store_watermark(io, zone, end)?;
+        }
+        Ok(())
+    }
+
+    /// Persists `w` as `zone`'s watermark, then publishes it. Callers hold
+    /// `raising` or run before the pool is shared.
+    fn store_watermark(&self, io: &PoolIo, zone: u64, w: u64) -> Result<()> {
+        zonehdr::store(io, &self.layout, zone, w)?;
+        self.marks[zone as usize].store(w, Ordering::Release);
+        Ok(())
+    }
+
+    /// The copies of `zone`'s record that can be a watermark at all: a
+    /// value past `n_chunks` is a damaged copy, not a record.
+    fn read_copies(&self, io: &PoolIo, zone: u64) -> [Option<u64>; 2] {
+        let n_chunks = self.layout.zone.n_chunks;
+        zonehdr::read(io, &self.layout, zone).map(|c| c.filter(|&w| w <= n_chunks))
+    }
+
+    /// Open-time load of `zone`'s watermark: the larger valid copy, at
+    /// least `cm_chunks`, or `n_chunks` when neither copy is valid. Both
+    /// copies are rewritten unless they already hold it.
+    pub(crate) fn load_watermark(&self, io: &PoolIo, zone: u64) -> Result<()> {
+        let geo = &self.layout.zone;
+        let copies = self.read_copies(io, zone);
+        let w = copies.iter().flatten().max().map_or(geo.n_chunks, |&w| w.max(geo.cm_chunks));
+        if copies == [Some(w); 2] {
+            self.marks[zone as usize].store(w, Ordering::Release);
+            Ok(())
+        } else {
+            self.store_watermark(io, zone, w)
+        }
+    }
+
+    /// Rewrites `zone`'s header copies when either no longer holds the
+    /// watermark (zeroed, scribbled, lowered or raised by a fault); `true`
+    /// if it did. The scrubber's metadata pass runs this per zone.
+    pub(crate) fn heal_watermark(&self, io: &PoolIo, zone: u64) -> Result<bool> {
+        let _held = self.raising.lock();
+        let w = self.watermark(zone);
+        let stale = zonehdr::read(io, &self.layout, zone) != [Some(w); 2];
+        if stale {
+            self.store_watermark(io, zone, w)?;
+        }
+        Ok(stale)
+    }
+
+    /// Rebuilds the lost `page` of `zone`'s header reserve: a watermark
+    /// copy from its twin (the larger of the twin and DRAM, should the
+    /// twin be lost or lowered too), any other reserve page as the zeros
+    /// it always holds.
+    pub(crate) fn repair_reserve_page(&self, io: &PoolIo, zone: u64, page: u64) -> Result<()> {
+        let _held = self.raising.lock();
+        let [primary, replica] =
+            zonehdr::record_offs(&self.layout, zone).map(|o| o / PAGE_SIZE as u64);
+        let image = if page == primary || page == replica {
+            let twin = self.read_copies(io, zone)[usize::from(page == primary)];
+            let w = twin.unwrap_or(0).max(self.watermark(zone));
+            self.marks[zone as usize].store(w, Ordering::Release);
+            zonehdr::page_image(zone, w)
+        } else {
+            vec![0u8; PAGE_SIZE]
+        };
+        io.dev().repair_page(page, &image).map_err(PglError::from)
+    }
+
+    /// Data rows of `zone` whose chunk in chunk column `chunk_col` lies
+    /// below the watermark — the rows the fold reads.
+    fn live_rows(&self, zone: u64, chunk_col: u64) -> u64 {
+        let geo = &self.layout.zone;
+        let w = self.watermark(zone);
+        w.saturating_sub(chunk_col).div_ceil(geo.chunks_per_row).min(geo.data_rows)
     }
 
     /// Size of the striped lock table (the §4.4 discussion reports "20 K
@@ -507,10 +641,11 @@ impl ParityEngine {
     /// recomputation and verification. Rows `0..data_rows` are the data
     /// rows (Log chunks counting as zeros), row `data_rows` is the parity
     /// row: skipping a data row rebuilds it, skipping the parity row
-    /// yields what parity should hold. Per chunk column the range touches,
-    /// the data rows to leave out (`skip` and the `Log` chunks, one
-    /// chunk-metadata read per row) are resolved once, then every
-    /// remaining row is folded straight from the device.
+    /// yields what parity should hold. Rows whose chunk lies at or above
+    /// the zone's watermark are zero and never read. Per chunk column the
+    /// range touches, the rows below it to leave out (`skip` and the `Log`
+    /// chunks, one chunk-metadata read per row) are resolved once, then
+    /// every remaining row is folded straight from the device.
     fn fold_rows(&self, io: &PoolIo, zone: u64, skip: u64, col: u64, acc: &mut [u8]) -> Result<()> {
         let geo = &self.layout.zone;
         let chunk_size = self.layout.cfg.chunk_size as u64;
@@ -520,13 +655,14 @@ impl ParityEngine {
             while done < acc.len() {
                 let cur = col + done as u64;
                 let n = ((chunk_size - cur % chunk_size) as usize).min(acc.len() - done);
+                let live = self.live_rows(zone, cur / chunk_size);
                 left_out.clear();
-                for row in 0..geo.data_rows {
+                for row in 0..live {
                     let chunk = row * geo.chunks_per_row + cur / chunk_size;
                     left_out.push(row == skip || self.chunk_is_log(io, zone, chunk)?);
                 }
                 let part = &mut acc[done..done + n];
-                for row in (0..geo.data_rows).filter(|&r| !left_out[r as usize]) {
+                for row in (0..live).filter(|&r| !left_out[r as usize]) {
                     xor_into(part, io.dev().read_slice(rows_base + row * geo.row_size + cur, n)?);
                 }
                 if skip != geo.data_rows {
@@ -545,7 +681,8 @@ impl ParityEngine {
     }
 
     /// Verifies the parity invariant for every column of every zone:
-    /// `parity == XOR of data rows` (Log chunks as zeros). Diagnostic
+    /// `parity == XOR of data rows` (Log chunks as zeros), and every byte
+    /// of a row at or above the zone's watermark is zero. Diagnostic
     /// helper; returns **every** mismatching `(zone, column)` — one entry
     /// per [`ParityEngine::VERIFY_STEP`]-sized window with at least one
     /// divergent byte — so a stress-test failure shows the full damage
@@ -582,7 +719,7 @@ impl ParityEngine {
                 let guard = self.lock_columns(zone, col, len, true);
                 self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
                 let parity = io.dev().read_slice(self.layout.parity_off(zone, col), acc.len())?;
-                if acc != parity {
+                if acc != parity || self.stray_above_watermark(io, zone, col, len)? {
                     mismatches.push((zone, col));
                 }
                 drop(guard);
@@ -590,6 +727,29 @@ impl ParityEngine {
             }
             Ok(())
         })
+    }
+
+    /// `true` when a row at or above the watermark holds a non-zero byte
+    /// in columns `[col, col + len)` — what the invariant rules out, so a
+    /// scribble into never-reserved space (which the fold no longer
+    /// reads) still shows.
+    fn stray_above_watermark(&self, io: &PoolIo, zone: u64, col: u64, len: u64) -> Result<bool> {
+        let geo = &self.layout.zone;
+        let chunk_size = self.layout.cfg.chunk_size as u64;
+        let rows_base = self.layout.zone_base(zone) + geo.rows_base;
+        let mut cur = col;
+        while cur < col + len {
+            let n = (chunk_size - cur % chunk_size).min(col + len - cur);
+            for row in self.live_rows(zone, cur / chunk_size)..geo.data_rows {
+                let bytes =
+                    io.dev().read_slice(rows_base + row * geo.row_size + cur, n as usize)?;
+                if bytes.iter().any(|&b| b != 0) {
+                    return Ok(true);
+                }
+            }
+            cur += n;
+        }
+        Ok(false)
     }
 
     /// Column window size used by [`ParityEngine::verify_all`].
@@ -815,6 +975,27 @@ impl ParityDomains {
         self.engine_for(page_off).reconstruct_page(io, page_off, out)
     }
 
+    /// `zone`'s reserved-chunk watermark (module docs).
+    pub fn watermark(&self, zone: u64) -> u64 {
+        self.engine_for_zone(zone).watermark(zone)
+    }
+
+    /// Open-time load of every zone's watermark except the `skip`ped
+    /// (quarantined) ones, which keep folding every row.
+    pub(crate) fn load_watermarks(&self, io: &PoolIo, skip: &dyn Fn(u64) -> bool) -> Result<()> {
+        (0..self.map.n_zones())
+            .filter(|&z| !skip(z))
+            .try_for_each(|z| self.engine_for_zone(z).load_watermark(io, z))
+    }
+
+    /// Creation-time watermarks: `cm_chunks` in every zone of a freshly
+    /// zeroed pool.
+    pub(crate) fn format_watermarks(&self, io: &PoolIo) -> Result<()> {
+        let cm_chunks = self.engines[0].layout.zone.cm_chunks;
+        (0..self.map.n_zones())
+            .try_for_each(|z| self.engine_for_zone(z).store_watermark(io, z, cm_chunks))
+    }
+
     /// Verifies the parity invariant pool-wide, reporting every
     /// mismatching `(shard, zone, column)` triple — each zone checked by
     /// its owning shard's engine (so the sweep contends only with that
@@ -994,6 +1175,56 @@ mod tests {
         io.dev().poison_page(base / PAGE_SIZE as u64).unwrap();
         let rebuilt = rebuilt_page(&io, &eng, base).unwrap();
         assert_eq!(rebuilt, expected);
+    }
+
+    /// `(bytes, read ops)` one `reconstruct_range` of `len` bytes at `off`
+    /// costs the device.
+    fn rebuild_reads(io: &PoolIo, eng: &ParityEngine, off: u64, len: usize) -> (u64, u64) {
+        let s0 = io.dev().stats();
+        eng.reconstruct_range(io, off, &mut vec![0u8; len]).unwrap();
+        let d = io.dev().stats().delta_since(&s0);
+        (d.bytes_read, d.read_ops)
+    }
+
+    #[test]
+    fn reconstruct_reads_only_the_rows_under_the_watermark() {
+        let (io, layout, eng) = setup();
+        let geo = layout.zone;
+        let (k_col, len) = (3u64, 512u64);
+        let off = layout.chunk_base(0, k_col) + 100; // row 0, chunk column 3
+                                                     // Every other row costs its CM entry and `len` data bytes; the
+                                                     // parity row `len` more. (The target row's own entry is never
+                                                     // read.) `n_chunks` folds all rows — the parent's exact traffic.
+        let reads = |rows: u64| ((rows - 1) * (len + 16) + len, 2 * (rows - 1) + 1);
+        assert_eq!(eng.watermark(0), geo.n_chunks);
+        assert_eq!(rebuild_reads(&io, &eng, off, len as usize), reads(geo.data_rows));
+        for k in 1..=geo.data_rows {
+            // `k` reserved rows in this column: the watermark sits just
+            // past row `k - 1`'s chunk.
+            eng.marks[0].store((k - 1) * geo.chunks_per_row + k_col + 1, Ordering::Release);
+            assert_eq!(rebuild_reads(&io, &eng, off, len as usize), reads(k), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_bounded_fold_rebuilds_what_the_full_fold_does() {
+        let (io, layout, eng) = setup();
+        let row = layout.zone.row_size;
+        let base = layout.chunk_base(0, layout.zone.cm_chunks);
+        protected_write(&io, &eng, base + 40, &[0x3C; 3000]);
+        protected_write(&io, &eng, base + row, &[0xC3; 5000]);
+        let full = rebuilt_page(&io, &eng, base).unwrap();
+        // Rows 0 and 1 hold data in this column; nothing above them does.
+        eng.marks[0]
+            .store(layout.zone.chunks_per_row + layout.zone.cm_chunks + 1, Ordering::Release);
+        assert_eq!(rebuilt_page(&io, &eng, base).unwrap(), full);
+        assert_eq!(eng.verify_all(&io).unwrap(), vec![]);
+        // A stray byte above the watermark is invisible to the fold but
+        // not to verification.
+        io.write(base + 2 * row + 7, &[1]).unwrap();
+        assert_eq!(rebuilt_page(&io, &eng, base).unwrap(), full);
+        let (_, _, col) = layout.row_col_of(base).unwrap();
+        assert_eq!(eng.verify_all(&io).unwrap(), vec![(0, col)]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::checksum::adler32;
 use crate::config::{CsumPolicy, PglConfig, PglMode};
 use crate::detect::{Freeze, Vuln, VulnSnapshot};
 use crate::error::{PglError, Result};
-use crate::parity::{ParityDomains, ParityEngine, RangeGuard, ShardMap};
+use crate::parity::{ParityDomains, RangeGuard, ShardMap};
 use crate::quarantine::QuarantineSet;
 use crate::scrub::{self, ScrubReport, ScrubTotals};
 use crate::txn::{PglTx, TxStats, SPARSE_THRESHOLD};
@@ -569,6 +569,16 @@ impl Inner {
         self.protected_write_locked_old(&guard, off, &f(w).to_le_bytes(), &w.to_le_bytes())
     }
 
+    /// Raises its zone's reserved-chunk watermark over freshly reserved
+    /// storage `[off, off + len)` before anything writes it (see
+    /// [`crate::parity`]): every reservation path calls this before
+    /// handing the storage out. Nothing to do without parity.
+    pub(crate) fn reserve_rows(&self, off: u64, len: u64) -> Result<()> {
+        let Some(domains) = &self.parity else { return Ok(()) };
+        let (zone, last, _) = self.layout.chunk_of(off + len - 1)?;
+        domains.engine_for_zone(zone).raise_watermark(&self.io, zone, last + 1)
+    }
+
     /// The calling thread's allocation affinity as a `(shard, n_shards)`
     /// zone-order preference for the heap (see `Heap::reserve_alloc_in`).
     pub(crate) fn alloc_pref(&self) -> Option<(u64, u64)> {
@@ -699,16 +709,19 @@ impl PglPool {
             if cfg.mode.replicates_logs() { LogMirror::SameDevice } else { LogMirror::None };
         Lanes::format(&io, &layout, LogMirror::SameDevice).map_err(PglError::from)?;
         Heap::format(&io, &layout).map_err(PglError::from)?;
-        if cfg.mode.has_parity() {
-            // Heap formatting wrote the CM region with plain stores; level
-            // the parity of those columns once, at creation time.
-            let engine = ParityEngine::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold);
+        let parity = cfg.mode.has_parity().then(|| parity_domains(layout, &cfg));
+        if let Some(domains) = &parity {
+            // Nothing past the CM chunks is written yet. Heap formatting
+            // wrote the CM region with plain stores; level the parity of
+            // those columns once, at creation time.
+            domains.format_watermarks(&io)?;
             let cm_span = layout.zone.cm_chunks * layout.cfg.chunk_size as u64;
             for z in 0..layout.n_zones {
-                engine.recompute_columns(&io, z, 0, cm_span)?;
+                domains.recompute_columns(&io, z, 0, cm_span)?;
             }
         }
-        Self::assemble(io, layout, uuid, cfg, mirror, Vec::new(), QuarantineSet::default())
+        let quarantine = QuarantineSet::default();
+        Self::assemble(io, layout, uuid, cfg, mirror, parity, Vec::new(), quarantine)
     }
 
     /// Returns the pool-construction builder — the one entry point for
@@ -785,10 +798,12 @@ impl PglPool {
         // skip zones already known lost (their pages may be poisoned beyond
         // reconstruction, and reading them would fail the whole open).
         let quarantine = crate::quarantine::load(&io, &layout)?;
-        // Crash recovery must run before the heap scan.
-        let parity = mode.has_parity().then(|| {
-            ParityDomains::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold, cfg.shards)
-        });
+        // Crash recovery must run before the heap scan; its column
+        // recomputes already fold only the rows under each watermark.
+        let parity = mode.has_parity().then(|| parity_domains(layout, &cfg));
+        if let Some(domains) = &parity {
+            domains.load_watermarks(&io, &|z| quarantine.contains(z))?;
+        }
         let shard_map = ShardMap::new(&layout, cfg.shards);
         crate::recover::crash_recover(
             &io,
@@ -808,44 +823,44 @@ impl PglPool {
             parity.as_ref(),
             mode.has_checksums(),
         )?;
-        Self::assemble(io, layout, hdr.uuid, cfg, mirror, cas_recoveries, quarantine)
+        Self::assemble(io, layout, hdr.uuid, cfg, mirror, parity, cas_recoveries, quarantine)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         io: PoolIo,
         layout: Layout,
         uuid: u64,
         cfg: PglConfig,
         mirror: LogMirror,
+        parity: Option<ParityDomains>,
         cas_recoveries: Vec<crate::ploc::CasRecovery>,
         quarantine: QuarantineSet,
     ) -> Result<Self> {
         let shard_map = ShardMap::new(&layout, cfg.shards);
         let workers = shard_map.n_shards() as usize;
         let banned = quarantine.zone_set();
-        let heap = match Heap::rebuild_excluding(
-            &io,
-            layout,
-            cfg.mode.has_checksums(),
-            workers,
-            &banned,
-        ) {
-            Ok(h) => h,
-            Err(ObjError::Corruption { off, .. }) if cfg.mode.has_parity() => {
+        let scan = Heap::rebuild_excluding(&io, layout, cfg.mode.has_checksums(), workers, &banned);
+        let heap = match (scan, &parity) {
+            (Ok(h), _) => h,
+            (Err(ObjError::Corruption { off, .. }), Some(domains)) => {
                 // Chunk metadata corrupt: repair its page from parity and
                 // retry (paper §3.1: zone parity protects chunk metadata).
-                let engine =
-                    ParityEngine::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold);
-                crate::recover::repair_page_by_compare(&io, &engine, off)?;
+                crate::recover::repair_page_by_compare(&io, domains.engine_for(off), off)?;
                 Heap::rebuild_excluding(&io, layout, true, workers, &banned)
                     .map_err(PglError::from)?
             }
-            Err(e) => return Err(e.into()),
+            (Err(e), _) => return Err(e.into()),
         };
+        if let Some(domains) = &parity {
+            // Defence in depth: no watermark below a chunk the CM calls in
+            // use (a no-op unless both zone-header copies were lowered).
+            for z in (0..layout.n_zones).filter(|&z| !banned.contains(&z)) {
+                let end = heap.used_chunk_end(z);
+                domains.engine_for_zone(z).raise_watermark(&io, z, end)?;
+            }
+        }
         let lanes = Lanes::load(&io, layout, mirror).map_err(PglError::from)?;
-        let parity = cfg.mode.has_parity().then(|| {
-            ParityDomains::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold, cfg.shards)
-        });
         // Background self-healing spawns one worker per parity shard —
         // each sweeps only its own zones under its own stripe locks, so
         // workers never contend with each other. Workers wake on
@@ -1247,6 +1262,15 @@ impl PglPool {
         .collect())
     }
 
+    /// `zone`'s reserved-chunk watermark: chunks at or above it have never
+    /// been written and stay out of every parity fold (see
+    /// [`crate::parity`]). `None` in modes without parity or for a zone
+    /// the pool does not have.
+    pub fn watermark(&self, zone: u64) -> Option<u64> {
+        let domains = self.inner.parity.as_ref()?;
+        (zone < self.inner.layout.n_zones).then(|| domains.watermark(zone))
+    }
+
     /// Verifies the parity invariant across the whole pool (diagnostics).
     pub fn verify_parity(&self) -> Result<bool> {
         Ok(self.verify_parity_detailed()?.is_empty())
@@ -1368,6 +1392,10 @@ impl PglPool {
     pub(crate) fn vcache_bump(&self, off: u64) {
         self.inner.vcache.bump(off);
     }
+}
+
+fn parity_domains(layout: Layout, cfg: &PglConfig) -> ParityDomains {
+    ParityDomains::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold, cfg.shards)
 }
 
 fn fresh_uuid() -> u64 {

@@ -12,7 +12,10 @@
 //! media error's lost page from its *page column*, under a persistent
 //! repair record that re-executes an interrupted repair at the next open;
 //! a checksum failure's object (header + slot) from its *range column*,
-//! rewriting only the cache lines that differ.
+//! rewriting only the cache lines that differ. Every column fold — these
+//! and the crash-recovery recompute — reads only the rows under the zone's
+//! reserved-chunk watermark ([`crate::parity`]). A lost page of the zone
+//! header reserve is rebuilt from the watermark's other copy.
 
 use pgl_nvm::{NvmDevice, CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
@@ -468,14 +471,13 @@ impl Inner {
                 format!("page {page} lost and this mode has no parity (mode {:?})", self.mode),
             ));
         };
-        // Pages in the inter-row gap (zone header reserve) hold no state.
+        // Pages outside the rows and the parity row belong to the zone's
+        // header reserve: the watermark copies rebuild from each other.
         if layout.row_col_of(page_off).is_err() {
-            let (_, zoff) = layout.zone_and_rel(page_off).map_err(PglError::from)?;
+            let (zone, zoff) = layout.zone_and_rel(page_off).map_err(PglError::from)?;
             let pbase = layout.zone.parity_base.unwrap_or(u64::MAX);
-            let in_parity = zoff >= pbase && zoff < pbase + layout.zone.row_size;
-            if !in_parity {
-                self.io.dev().repair_page(page, &[0u8; PAGE_SIZE]).map_err(PglError::from)?;
-                return Ok(());
+            if !(pbase..pbase + layout.zone.row_size).contains(&zoff) {
+                return engine.engine_for_zone(zone).repair_reserve_page(&self.io, zone, page);
             }
         }
         write_repair_record(&self.io, layout, page_off)?;

@@ -4,8 +4,9 @@
 //!
 //! 1. a **brief frozen phase** that verifies both pool-header copies
 //!    (rewriting a damaged copy from the other), repairs known-bad pages,
-//!    and checks every chunk-metadata entry (repairing corrupt ones from
-//!    parity), and
+//!    rewrites zone-header watermark copies that no longer hold the
+//!    zone's watermark, and checks every chunk-metadata entry (repairing
+//!    corrupt ones from parity), and
 //! 2. a **live object sweep** that verifies every live object's checksum
 //!    *concurrently with running transactions*: each object is inspected
 //!    under an exclusive parity range-lock over its span — the same
@@ -154,10 +155,14 @@ fn scrub_metadata_frozen(inner: &Inner, only_shard: Option<u64>) -> Result<Scrub
         }
     }
 
-    // 2. Chunk metadata: every entry must carry a valid checksum (or be
+    // 2. Zone headers: both watermark copies must hold the watermark.
+    //    Chunk metadata: every entry must carry a valid checksum (or be
     //    all-zero, i.e. never written). Parity repairs scribbled entries.
     if let Some(engine) = &inner.parity {
         for z in (0..layout.n_zones).filter(|&z| mine(Some(z))) {
+            if engine.engine_for_zone(z).heal_watermark(io, z)? {
+                report.pages_repaired += 1;
+            }
             for c in 0..layout.zone.n_chunks {
                 let off = layout.cm_entry_off(z, c);
                 let mut buf = [0u8; 16];

@@ -12,7 +12,10 @@
 //!    the Adler32 refresh here and the parity XOR patch at stage (6) —
 //!    the commit reads no old data from the device;
 //! 3. **allocation intents** — persisted so a pre-commit crash can
-//!    recompute parity for torn construction writes;
+//!    recompute parity for torn construction writes (the storage went
+//!    under its zone's reserved-chunk watermark when [`PglTx::alloc`]
+//!    reserved it, so that recompute folds its rows; see
+//!    [`crate::parity`]);
 //! 4. **construction write-back** of new objects (their content is *not*
 //!    redo-logged, matching the paper's observation that allocations do
 //!    not pay object-logging cost);
@@ -144,6 +147,10 @@ fn append_with_overflow(
 fn claim_log_chunk(inner: &Inner) -> Result<LogChunk> {
     let (zone, chunk, base) =
         inner.heap.reserve_log_chunk_in(inner.alloc_pref()).map_err(PglError::from)?;
+    if let Err(e) = inner.reserve_rows(base, inner.layout.cfg.chunk_size as u64) {
+        inner.heap.release_log_chunk(zone, chunk);
+        return Err(e);
+    }
     Ok(LogChunk { zone, chunk, base })
 }
 
@@ -304,9 +311,14 @@ impl<'p> PglTx<'p> {
     }
 
     /// Allocates a new `size`-byte object of `type_num`, returning its OID.
-    /// The object exists only as a micro-buffer until commit.
+    /// The object exists only as a micro-buffer until commit; storage past
+    /// the zone's watermark raises it durably before this returns.
     pub fn alloc(&mut self, size: u64, type_num: u32) -> Result<PMEMoid> {
         let r = self.inner.heap.reserve_alloc_in(size, type_num, self.inner.alloc_pref())?;
+        if let Err(e) = self.inner.reserve_rows(r.start_off, r.total_len) {
+            self.inner.heap.cancel_alloc(&r);
+            return Err(e);
+        }
         let oid = PMEMoid::new(self.inner.uuid, r.oid_off);
         let parts = self.scratch.frames.pop().unwrap_or_default();
         let ubuf = UBuf::for_alloc_in(oid, size, type_num, parts);

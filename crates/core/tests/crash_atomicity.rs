@@ -252,6 +252,81 @@ fn big_object_ranges_atomic_at_every_crash_point() {
 }
 
 #[test]
+fn watermark_raise_precedes_every_write_into_fresh_chunks() {
+    // Setup fills the rest of row 0, and row 1's first chunk, with
+    // one-chunk objects, so the swept transaction's storage lands in row 1
+    // above the watermark and over them: a fresh run chunk (chunk column
+    // 1) and a Large object over two fresh chunks (columns 2 and 3).
+    // Whatever the crash point, the fold of those columns must still
+    // count every byte the transaction put there — so each recovered pool
+    // loses a page of the lower row in each column and must rebuild it.
+    const FILLER: u32 = 1;
+    const LARGE: u64 = 20_000; // two 16 KiB chunks with its header
+    let filler = |pool: &PglPool, chunk: u64| {
+        let l = pool.layout();
+        let oid = PMEMoid::new(pool.uuid(), l.chunk_base(0, chunk) + 16);
+        (oid, vec![0x40 ^ chunk as u8; l.cfg.chunk_size - 16])
+    };
+    let workload = FnWorkload::new(
+        "watermark-raise",
+        move |pool| {
+            let l = *pool.layout();
+            pool.tx(|tx| {
+                for chunk in l.zone.cm_chunks..=l.zone.chunks_per_row {
+                    let (_, bytes) = filler(pool, chunk);
+                    let o = tx.alloc(bytes.len() as u64, FILLER)?;
+                    tx.write(o, 0, &bytes)?;
+                }
+                Ok(())
+            })
+        },
+        |pool, ctx| {
+            pool.tx(|tx| {
+                let a = tx.alloc(64, 2)?;
+                tx.write(a, 0, &[0xA2; 64])?;
+                let b = tx.alloc(LARGE, 3)?;
+                tx.write(b, 0, &vec![0xB3; LARGE as usize])
+            })?;
+            ctx.commit_point(pool)
+        },
+    )
+    .with_verify(move |pool, committed| {
+        let l = *pool.layout();
+        let cpr = l.zone.chunks_per_row;
+        if committed == 1 && pool.watermark(0) < Some(cpr + 4) {
+            return Err(PglError::Config(format!("watermark {:?} below row 1", pool.watermark(0))));
+        }
+        // Lose a filler page in each column — a header page under the run
+        // chunk, data pages under the Large object — and rebuild it on a
+        // verified read.
+        for (chunk, page_in_chunk) in [(1, 0), (2, 1), (3, 1)] {
+            let (oid, want) = filler(pool, chunk);
+            let off = l.chunk_base(0, chunk) + page_in_chunk * pgl_nvm::PAGE_SIZE as u64;
+            pangolin::inject::poison_page(pool, off / pgl_nvm::PAGE_SIZE as u64)?;
+            let mut got = vec![0u8; want.len()];
+            pool.read_verified_into(oid, &mut got)?;
+            if got != want {
+                return Err(PglError::Config(format!("chunk {chunk} rebuilt wrong")));
+            }
+        }
+        if !pool.verify_parity()? {
+            return Err(PglError::Config("parity broken after the rebuilds".into()));
+        }
+        Ok(())
+    });
+    // Every boundary under AllOld, AllNew and two random plans in the
+    // smoke run (~10 s in a debug build); the nightly deep config adds its
+    // twelve seeds and the exhaustive line enumeration.
+    let mut config = SweepConfig::from_env();
+    if !config.deep {
+        config.exhaustive_max_lines = 0;
+        config.seeds.truncate(2);
+    }
+    let report = crashcheck::sweep_with(&workload, &config);
+    assert_eq!(report.swept, report.boundaries, "every boundary crashed");
+}
+
+#[test]
 fn crash_then_media_error_still_recovers() {
     // The end-to-end story: crash mid-commit, recover, then lose a page —
     // the recomputed parity must still reconstruct it. This scenario layers

@@ -22,6 +22,19 @@ fn make_object(pool: &PglPool, size: u64, fill: u8) -> PMEMoid {
     .unwrap()
 }
 
+/// Fills `victim`'s zone past the same column one row down, so that row
+/// holds data. A row no allocation ever reached sits above the zone's
+/// watermark: it is zero by invariant and outside every parity fold, so
+/// losing a page of it is no second fault at all.
+fn reserve_next_row(pool: &PglPool, victim: PMEMoid) {
+    let layout = *pool.layout();
+    let (zone, chunk, _) = layout.chunk_of(victim.off).unwrap();
+    pool.bind_thread_to_shard(pool.shard_map().shard_of_zone(zone) as usize);
+    make_object(pool, layout.zone.row_size, 0x0F);
+    pool.unbind_thread_from_shard();
+    assert!(pool.watermark(zone).unwrap() > chunk + layout.zone.chunks_per_row);
+}
+
 #[test]
 fn media_error_recovers_online_during_read() {
     let pool = pool();
@@ -206,6 +219,7 @@ fn vulnerability_accounting_matches_policy() {
 fn double_page_failure_in_one_column_is_unrecoverable() {
     let pool = pool();
     let oid = make_object(&pool, 100, 0x55);
+    reserve_next_row(&pool, oid);
     let layout = *pool.layout();
     let page = oid.off / PAGE_SIZE as u64;
     let same_column_next_row = page + layout.zone.row_size / PAGE_SIZE as u64;
@@ -410,6 +424,7 @@ fn scribbles_in_a_large_multi_chunk_object_are_repaired() {
 fn scribble_in_a_second_row_of_the_range_is_typed_unrecoverable_and_quarantines() {
     let pool = pool();
     let oid = make_object(&pool, 300, 0x5A);
+    reserve_next_row(&pool, oid);
     let layout = *pool.layout();
     let (zone, _) = layout.zone_and_rel(oid.off).unwrap();
     // The same columns one row down: two damaged rows of one range column.
@@ -513,6 +528,7 @@ fn double_fault_quarantines_zone_while_other_shards_serve() {
     let layout = *pool.layout();
     let victim = oids[0];
     let (zone, _) = layout.zone_and_rel(victim.off).unwrap();
+    reserve_next_row(&pool, victim);
 
     // Two poisoned pages sharing a parity column: beyond the guarantee.
     let page = victim.off / PAGE_SIZE as u64;
@@ -615,6 +631,7 @@ fn quarantine_survives_reopen_and_skips_rebuild() {
     let layout = *pool.layout();
     let victim = oids[0];
     let (zone, _) = layout.zone_and_rel(victim.off).unwrap();
+    reserve_next_row(&pool, victim);
 
     // Double fault → quarantine, while the pool is live.
     let page = victim.off / PAGE_SIZE as u64;

@@ -764,6 +764,18 @@ impl Heap {
         zones[zone as usize].return_free_chunks(chunk, 1);
     }
 
+    /// One past the highest chunk of `zone` outside the volatile free pool.
+    /// Right after a rebuild (no reservation yet) that is `1 +` the highest
+    /// non-`Free` CM index, never below `cm_chunks`; a zone the rebuild
+    /// skipped reports `n_chunks`.
+    pub fn used_chunk_end(&self, zone: u64) -> u64 {
+        let n_chunks = self.layout.zone.n_chunks;
+        match self.zones.lock()[zone as usize].free.last_key_value() {
+            Some((&start, &len)) if start + len == n_chunks => start,
+            _ => n_chunks,
+        }
+    }
+
     /// Occupancy counters.
     pub fn stats(&self) -> HeapStats {
         let zones = self.zones.lock();
@@ -897,6 +909,22 @@ mod tests {
         let f = heap.reserve_free(&io, r.oid_off).unwrap();
         publish_free(&io, &heap, &f);
         assert_eq!(heap.stats().free_chunks, before + 4);
+    }
+
+    #[test]
+    fn used_chunk_end_tracks_the_highest_non_free_chunk_at_rebuild() {
+        let (io, heap) = fresh_heap();
+        let cm = heap.layout().zone.cm_chunks;
+        assert_eq!(heap.used_chunk_end(0), cm, "a fresh zone uses only its CM chunks");
+        let chunk = heap.layout().cfg.chunk_size as u64;
+        let low = heap.reserve_alloc(chunk, 1).unwrap(); // two chunks
+        publish_alloc(&io, &heap, &low);
+        let high = heap.reserve_alloc(chunk, 1).unwrap();
+        publish_alloc(&io, &heap, &high);
+        let f = heap.reserve_free(&io, high.oid_off).unwrap();
+        publish_free(&io, &heap, &f);
+        let rebuilt = Heap::rebuild(&io, *heap.layout(), true).unwrap();
+        assert_eq!(rebuilt.used_chunk_end(0), cm + 2, "a freed tail is Free again");
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! ```text
 //! | pool hdr | pool hdr' | lanes (logs) | lanes' | zone 0 | zone 1 | ...
 //!
-//! zone:  | zone hdr | zone hdr' | row 0 | row 1 | ... | row N-1 | parity |
+//! zone:  | zone hdr | zone hdr' | (reserve) | row 0 | row 1 | ... | row N-1 | parity |
+//!             W          W'
 //! row:   | chunk | chunk | ... |                (rows are contiguous NVMM)
 //! ```
+//!
+//! The two zone-header pages hold the zone's reserved-chunk watermark `W`
+//! and its copy `W'` ([`crate::zonehdr`]): chunks numbered at or above `W`
+//! have never been written since pool creation. The rest of the header
+//! reserve, up to the chunk-aligned `rows_base`, holds nothing.
 //!
 //! The first chunks of row 0 hold the chunk-metadata (CM) array and are
 //! typed `Meta` so the allocator never hands them out; being ordinary chunk
@@ -100,9 +106,9 @@ impl PoolConfig {
 /// Geometry of a single zone, all offsets relative to the zone base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneGeo {
-    /// Zone header (primary) offset: 0.
+    /// Zone header (primary) offset: 0. Holds the watermark record.
     pub hdr_off: u64,
-    /// Zone header replica offset.
+    /// Zone header replica offset (the record's copy).
     pub hdr_replica_off: u64,
     /// Start of the chunk-row grid.
     pub rows_base: u64,

@@ -53,6 +53,7 @@ pub mod pool;
 pub mod tx;
 pub mod ulog;
 pub mod util;
+pub mod zonehdr;
 
 pub use error::{ObjError, Result};
 pub use io::PoolIo;

@@ -63,7 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Layer 4: the guarantee's limit ---------------------------------
     println!("[4] limit: two pages lost in the same page column are unrecoverable");
-    let row_pages = pool.layout().zone.row_size / PAGE_SIZE as u64;
+    // Only rows that hold data count: a row no allocation ever reached lies
+    // above the zone's reserved-chunk watermark, is zero and is never read.
+    // A row-sized object fills the row below ours.
+    let row = pool.layout().zone.row_size;
+    pool.tx(|tx| tx.alloc(row, 2))?;
+    let row_pages = row / PAGE_SIZE as u64;
     dev.poison_page(page)?;
     dev.poison_page(page + row_pages)?;
     let err = pool.get_verified(h);
