@@ -11,26 +11,22 @@
 //! Run: `cargo run --release -p pgl-bench --bin fig9_scaling`
 //! (`--threads 1,2,4,8 --ops N` to adjust; ops are per thread.)
 //!
-//! Objects are 4 KiB — page-sized, above the measured ~1 KiB hybrid
-//! threshold, so commits take exclusive range-locks with vectorized
-//! parity XOR; concurrency comes from the striped lock table (disjoint
-//! objects rarely share a stripe). The second table drives the same
+//! Objects are 4 KiB — page-sized, above the default 1 KiB hybrid
+//! threshold (`ablation_hybrid_parity` measures the crossover), so
+//! commits take exclusive range-locks with vectorized parity XOR;
+//! concurrency comes from the striped lock table (disjoint objects rarely
+//! share a stripe). The second table drives the same
 //! thread counts through the `ctree` key-value structure (one map per
 //! thread, shared pool) — node-sized objects below the threshold, so
 //! that table exercises the shared-lock atomic-XOR path too.
 
-use std::io::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use pangolin::PglPool;
 use pgl_bench::{fmt_rate, make_store, print_table, AnyStore, Args, Mode};
 use pgl_kv::ctree::CTree;
-use pgl_kv::lockfree::{LfHash, LfQueue, LfStack, LockedQueue, LockedStack};
-use pgl_kv::maps::PersistentMap;
 use pgl_kv::store::Store;
 use pgl_kv::workload::{concurrent_mixed_phase, random_keys, raw_mix_op, RawOp};
-use pgl_kv::HashMap as ChainedHash;
 use pgl_pmemobj::PMEMoid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,120 +100,6 @@ fn bench(store: &Arc<AnyStore>, threads: usize, ops_per_thread: usize, seed: u64
     });
     let secs = t0.elapsed().as_secs_f64();
     (threads * ops_per_thread) as f64 / secs
-}
-
-// ---- locked vs lock-free structures (ploc detectable CAS) --------------
-
-/// Runs `threads` workers of `ops` calls each and returns aggregate
-/// ops/sec; the closure receives `(thread, op_index)`.
-fn timed<F: Fn(usize, usize) + Sync>(threads: usize, ops: usize, f: F) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let f = &f;
-            s.spawn(move || {
-                for i in 0..ops {
-                    f(t, i);
-                }
-            });
-        }
-    });
-    (threads * ops) as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Per-operation recovery tag, unique across threads and ops.
-fn lf_tag(t: usize, i: usize) -> u64 {
-    ((t as u64 + 1) << 40) | (i as u64 + 1)
-}
-
-/// Per-thread disjoint key space for the hash benchmarks.
-fn lf_key(t: usize, i: usize) -> u64 {
-    ((t as u64 + 1) << 32) | i as u64
-}
-
-fn bench_locked_stack(store: &AnyStore, threads: usize, ops: usize) -> f64 {
-    let s = LockedStack::create(store).expect("locked stack");
-    timed(threads, ops, |t, i| {
-        if i % 2 == 0 {
-            s.push(store, lf_key(t, i)).expect("push");
-        } else {
-            s.try_pop(store).expect("pop");
-        }
-    })
-}
-
-fn bench_lf_stack(pool: &PglPool, threads: usize, ops: usize) -> f64 {
-    let s = LfStack::create(pool).expect("lf stack");
-    timed(threads, ops, |t, i| {
-        if i % 2 == 0 {
-            s.push(pool, lf_key(t, i), lf_tag(t, i)).expect("push");
-        } else {
-            s.try_pop(pool, lf_tag(t, i)).expect("pop");
-        }
-    })
-}
-
-fn bench_locked_queue(store: &AnyStore, threads: usize, ops: usize) -> f64 {
-    let q = LockedQueue::create(store).expect("locked queue");
-    timed(threads, ops, |t, i| {
-        if i % 2 == 0 {
-            q.enqueue(store, lf_key(t, i)).expect("enq");
-        } else {
-            q.try_dequeue(store).expect("deq");
-        }
-    })
-}
-
-fn bench_lf_queue(pool: &PglPool, threads: usize, ops: usize) -> f64 {
-    let q = LfQueue::create(pool).expect("lf queue");
-    timed(threads, ops, |t, i| {
-        if i % 2 == 0 {
-            q.enqueue(pool, lf_key(t, i), lf_tag(t, i)).expect("enq");
-        } else {
-            q.try_dequeue(pool, lf_tag(t, i)).expect("deq");
-        }
-    })
-}
-
-/// Insert/get/remove mix over per-thread disjoint keys: `i % 4` of
-/// 0,1 → insert fresh key, 2 → get a key inserted two ops ago,
-/// 3 → remove one. Never updates a live key from two threads, so the
-/// comparison measures the linearizing-CAS path, not conflict retries.
-fn bench_locked_hash(store: &AnyStore, threads: usize, ops: usize) -> f64 {
-    let m = ChainedHash::create(store).expect("locked hash");
-    let lock = Mutex::new(());
-    timed(threads, ops, |t, i| {
-        let _g = lock.lock().unwrap();
-        match i % 4 {
-            0 | 1 => {
-                m.insert(store, lf_key(t, i), i as u64).expect("insert");
-            }
-            2 => {
-                m.get(store, lf_key(t, i - 2)).expect("get");
-            }
-            _ => {
-                m.remove(store, lf_key(t, i - 2)).expect("remove");
-            }
-        }
-    })
-}
-
-fn bench_lf_hash(pool: &PglPool, threads: usize, ops: usize) -> f64 {
-    // Pre-size so the run measures the CAS path, not table migration
-    // (net load stays under 50% of capacity for this op mix).
-    let cap = ((threads * ops) as u64).next_power_of_two().max(64);
-    let h = LfHash::create(pool, cap).expect("lf hash");
-    timed(threads, ops, |t, i| match i % 4 {
-        0 | 1 => {
-            h.insert(pool, lf_key(t, i), i as u64, lf_tag(t, i)).expect("insert");
-        }
-        2 => {
-            h.get(pool, lf_key(t, i - 2)).expect("get");
-        }
-        _ => {
-            h.remove(pool, lf_key(t, i - 2), lf_tag(t, i)).expect("remove");
-        }
-    })
 }
 
 fn main() {
@@ -303,87 +185,11 @@ fn main() {
         &rows,
     );
 
-    // ---- locked vs lock-free structures --------------------------------
-    // Same pgl-MLPC pool for both columns; the locked variants serialize
-    // every operation (simulated NVM stalls included) behind one mutex,
-    // the lock-free ones go through the ploc detectable-CAS path where
-    // disjoint words never wait on each other.
-    let lf_threads: Vec<usize> =
-        if args.threads_explicit { args.threads.clone() } else { vec![1, 4, 8, 16, 32] };
-    let lf_ops = args.ops.min(2_000);
-    println!(
-        "\nLocked vs lock-free structures: {lf_ops} ops/thread, threads \
-         {lf_threads:?} (ops are 50/50 push/pop, enq/deq; hash is 2:1:1 \
-         insert/get/remove)"
-    );
-    struct LfRow {
-        threads: usize,
-        rates: [f64; 6], // [stack lk, stack lf, queue lk, queue lf, hash lk, hash lf]
-    }
-    let mut lf_rows: Vec<LfRow> = Vec::new();
-    for &threads in &lf_threads {
-        let store = make_store(Mode::PglMlpc, 512 << 20, args.latency);
-        let pool = store.pgl_pool().expect("pgl store").clone();
-        let rates = [
-            bench_locked_stack(&store, threads, lf_ops),
-            bench_lf_stack(&pool, threads, lf_ops),
-            bench_locked_queue(&store, threads, lf_ops),
-            bench_lf_queue(&pool, threads, lf_ops),
-            bench_locked_hash(&store, threads, lf_ops),
-            bench_lf_hash(&pool, threads, lf_ops),
-        ];
-        assert!(pool.verify_parity().expect("verify"), "parity after lock-free run");
-        lf_rows.push(LfRow { threads, rates });
-    }
-    let rows: Vec<Vec<String>> = lf_rows
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.threads.to_string()];
-            for s in 0..3 {
-                let (lk, lf) = (r.rates[2 * s], r.rates[2 * s + 1]);
-                row.push(fmt_rate(lk));
-                row.push(fmt_rate(lf));
-                row.push(format!("{:.2}x", lf / lk.max(f64::MIN_POSITIVE)));
-            }
-            row
-        })
-        .collect();
-    print_table(
-        "Locked vs lock-free on pgl-MLPC (x = lock-free / locked at the same thread count)",
-        &[
-            "threads", "stack-lk", "stack-lf", "x", "queue-lk", "queue-lf", "x", "hash-lk",
-            "hash-lf", "x",
-        ],
-        &rows,
-    );
-
-    if let Some(path) = &args.json {
-        let mut rows_json = Vec::new();
-        for r in &lf_rows {
-            rows_json.push(format!(
-                "{{\"threads\":{},\"stack_locked\":{:.1},\"stack_lockfree\":{:.1},\
-                 \"queue_locked\":{:.1},\"queue_lockfree\":{:.1},\
-                 \"hash_locked\":{:.1},\"hash_lockfree\":{:.1}}}",
-                r.threads, r.rates[0], r.rates[1], r.rates[2], r.rates[3], r.rates[4], r.rates[5]
-            ));
-        }
-        let json = format!(
-            "{{\"bench\":\"fig9_lockfree\",\"mode\":\"pgl-MLPC\",\
-             \"ops_per_thread\":{lf_ops},\"unit\":\"ops_per_sec\",\"rows\":[{}]}}\n",
-            rows_json.join(",")
-        );
-        let mut f = std::fs::File::create(path).expect("create --json file");
-        f.write_all(json.as_bytes()).expect("write --json file");
-        println!("\nwrote {path}");
-    }
-
     println!(
         "\nExpected shape: throughput grows with threads until the simulated \
          device (or the host's cores) saturates; per-thread lanes and striped \
          parity locks keep disjoint-object transactions off each other's \
          critical paths. The paper's §3.5/§4.4 discussion predicts near-linear \
-         scaling for >64 B objects. In the locked-vs-lock-free table the \
-         mutex columns stay flat (one op at a time regardless of threads) \
-         while the detectable-CAS columns keep scaling."
+         scaling for >64 B objects."
     );
 }

@@ -69,8 +69,8 @@ pub struct PglConfig {
     /// range-lock and use vectorized XOR; smaller ones use lock-free atomic
     /// XOR under a shared lock. The paper measured 8 KiB as the crossover
     /// on its Optane hardware; following the same methodology on this
-    /// simulated device (`cargo bench -p pgl-bench --bench micro`, the
-    /// `parity_xor` group) puts vectorized XOR ahead at every size, so the
+    /// simulated device (the `ablation_hybrid_parity` bin) puts vectorized
+    /// XOR ahead at every size, so the
     /// default keeps only sub-KiB patches — where commuting concurrent
     /// writers matter most — on the shared atomic path.
     pub hybrid_threshold: u64,
@@ -95,12 +95,6 @@ pub struct PglConfig {
     /// can be reopened with any shard count and `shards = 1` is
     /// byte-compatible with pre-sharding pools.
     pub shards: usize,
-    /// Pacing delay (milliseconds) background scrub workers sleep between
-    /// object batches, bounding the scrubber's read bandwidth next to live
-    /// traffic. `0` means no pacing (the worker only yields). Under load
-    /// (commits observed during a batch) workers back off exponentially up
-    /// to 8x this value.
-    pub scrub_pace_ms: u64,
     /// Periodic wake-up interval (milliseconds) for background scrub
     /// workers: each worker re-scrubs its shard this often even without a
     /// commit-tick trigger, so faults on cold data are still found and
@@ -121,7 +115,6 @@ impl PglConfig {
             background_scrub: false,
             vcache_capacity: 64 << 10,
             shards: 1,
-            scrub_pace_ms: 0,
             scrub_interval_ms: 0,
         }
     }
@@ -137,7 +130,6 @@ impl PglConfig {
             background_scrub: false,
             vcache_capacity: 64 << 10,
             shards: 0,
-            scrub_pace_ms: 0,
             scrub_interval_ms: 0,
         }
     }

@@ -124,14 +124,6 @@ impl OpenOptions {
         self
     }
 
-    /// Pacing delay (milliseconds) background scrub workers sleep between
-    /// object batches; `0` = no pacing. Workers back off up to 8x under
-    /// commit load.
-    pub fn scrub_pace_ms(mut self, ms: u64) -> Self {
-        self.cfg.scrub_pace_ms = ms;
-        self
-    }
-
     /// Periodic background-scrub wake-up interval (milliseconds); `0`
     /// disables periodic passes (workers then only run on
     /// [`CsumPolicy::ScrubEvery`] commit ticks).

@@ -787,7 +787,6 @@ impl PglPool {
             background_scrub: opts.background_scrub,
             vcache_capacity: opts.vcache_capacity,
             shards: opts.shards,
-            scrub_pace_ms: opts.scrub_pace_ms,
             scrub_interval_ms: opts.scrub_interval_ms,
         };
         cfg.validate().map_err(PglError::Config)?;
@@ -904,10 +903,10 @@ impl PglPool {
             // Each worker holds a Weak reference, so dropping the last pool
             // handle disconnects its kick channel and the thread exits.
             let weak = Arc::downgrade(&inner);
-            let (pace_ms, interval_ms) = (cfg.scrub_pace_ms, cfg.scrub_interval_ms);
+            let interval_ms = cfg.scrub_interval_ms;
             std::thread::Builder::new()
                 .name(format!("pgl-scrub-{shard}"))
-                .spawn(move || scrub::bg_worker(weak, shard as u64, rx, pace_ms, interval_ms))
+                .spawn(move || scrub::bg_worker(weak, shard as u64, rx, interval_ms))
                 .map_err(|e| PglError::Config(format!("cannot spawn scrub worker: {e}")))?;
         }
         Ok(PglPool { inner })

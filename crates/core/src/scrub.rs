@@ -440,18 +440,17 @@ fn scrub_objects_frozen(
     Ok(())
 }
 
-/// Objects swept per pacing batch by a background shard worker.
+/// Objects a background shard worker sweeps between yields.
 const BG_BATCH: usize = 32;
 
 /// One background worker's scrub pass over its own shard: a brief freeze
 /// for the shard's share of the metadata sweep (plus live-object
-/// discovery), then a *paced* sweep of the shard's live objects under the
-/// shard's own parity range-locks. Pacing sleeps `pace` between
-/// [`BG_BATCH`]-object batches and backs off exponentially (up to 8×)
-/// while commits are observed landing, so the self-healing read bandwidth
-/// yields to live traffic. Unrecoverable double faults quarantine their
-/// zone and are absorbed as skips — a dead zone never kills the worker.
-pub(crate) fn scrub_shard(inner: &Inner, shard: u64, pace: Duration) -> Result<ScrubReport> {
+/// discovery), then a sweep of the shard's live objects under the shard's
+/// own parity range-locks, yielding the CPU between [`BG_BATCH`]-object
+/// batches so live traffic interleaves with it. Unrecoverable double
+/// faults quarantine their zone and are absorbed as skips — a dead zone
+/// never kills the worker.
+pub(crate) fn scrub_shard(inner: &Inner, shard: u64) -> Result<ScrubReport> {
     inner.freeze.freeze();
     let meta = scrub_metadata_frozen(inner, Some(shard)).and_then(|r| {
         scan_live_excluding(&inner.io, &inner.layout, &inner.quarantine.zone_set())
@@ -466,21 +465,13 @@ pub(crate) fn scrub_shard(inner: &Inner, shard: u64, pace: Duration) -> Result<S
     done.store(0, Ordering::Relaxed);
     total.store(objs.len() as u64, Ordering::Relaxed);
     if inner.parity.is_some() {
-        let mut backoff = pace;
         for batch in objs.chunks(BG_BATCH) {
-            let commits_before = inner.counters.commits.load(Ordering::Relaxed);
             for (off, hint) in batch {
                 let oid = PMEMoid::new(inner.uuid, *off);
                 scrub_contained(inner, oid, hint.size, &mut report)?;
                 done.fetch_add(1, Ordering::Relaxed);
             }
-            if pace.is_zero() {
-                std::thread::yield_now();
-            } else {
-                let busy = inner.counters.commits.load(Ordering::Relaxed) != commits_before;
-                backoff = if busy { (backoff * 2).min(pace * 8) } else { pace };
-                std::thread::sleep(backoff);
-            }
+            std::thread::yield_now();
         }
         inner.io.dev().note_scrub_pass(shard as usize);
     } else {
@@ -501,13 +492,7 @@ pub(crate) fn scrub_shard(inner: &Inner, shard: u64, pace: Duration) -> Result<S
 /// dropping the last pool handle disconnects the kick channel and the
 /// worker exits; a failed pass (e.g. pool-wide I/O trouble) is dropped and
 /// retried at the next trigger rather than crashing the thread.
-pub(crate) fn bg_worker(
-    weak: Weak<Inner>,
-    shard: u64,
-    rx: Receiver<()>,
-    pace_ms: u64,
-    interval_ms: u64,
-) {
+pub(crate) fn bg_worker(weak: Weak<Inner>, shard: u64, rx: Receiver<()>, interval_ms: u64) {
     loop {
         if interval_ms == 0 {
             if rx.recv().is_err() {
@@ -520,7 +505,7 @@ pub(crate) fn bg_worker(
             }
         }
         let Some(inner) = weak.upgrade() else { return };
-        if let Ok(report) = scrub_shard(&inner, shard, Duration::from_millis(pace_ms)) {
+        if let Ok(report) = scrub_shard(&inner, shard) {
             inner.note_bg_pass(shard, &report);
         }
     }

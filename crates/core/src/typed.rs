@@ -19,10 +19,9 @@
 //!
 //! All typed operations are built on the public raw interface
 //! ([`PglTx::write`], [`PglTx::read`], …), which is what makes them
-//! zero-cost: release builds compile down to exactly the raw calls (the
-//! `api_overhead` bench in `pgl-bench` keeps this honest). Debug builds
-//! additionally verify the handle's brand against the object header
-//! (size and `type_num`), catching cross-type aliasing early.
+//! zero-cost: release builds compile down to exactly the raw calls.
+//! Debug builds additionally verify the handle's brand against the object
+//! header (size and `type_num`), catching cross-type aliasing early.
 //!
 //! The raw interface remains public and documented as the low-level escape
 //! hatch (see `examples/quickstart_raw.rs`).

@@ -20,6 +20,9 @@
 //! corruption can be folded into the parity delta — real storms model
 //! media decay on data at rest, not wild stores racing the write path.
 //!
+//! Under `PGL_DEEP_SWEEP=1` (the nightly job) the soak runs ten times
+//! the storm budget and a second seed.
+//!
 //! [`DeviceStats`]: pgl_nvm::stats::DeviceStats
 
 use std::collections::HashMap;
@@ -27,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pangolin::crashcheck::SweepConfig;
 use pangolin::inject::{self, FaultPlan, FaultStorm};
 use pangolin::{PMEMoid, PglError, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
@@ -129,6 +133,16 @@ fn assert_acked_writes(pool: &PglPool, expect: &HashMap<u64, u8>) {
 
 #[test]
 fn seeded_fault_storm_soak_self_heals_and_loses_no_acked_write() {
+    if SweepConfig::from_env().deep {
+        soak(0xDEAD_BEEF_0042, 800);
+        soak(0xDEAD_BEEF_0043, 800);
+    } else {
+        soak(0xDEAD_BEEF_0042, 80);
+    }
+}
+
+/// One soak: `max_events` storm events drawn from `seed`.
+fn soak(seed: u64, max_events: u64) {
     let dev = Arc::new(NvmDevice::new(16 << 20, DeviceConfig::fast()).unwrap());
     let pool = soak_pool(&dev);
     let sets = working_set(&pool);
@@ -155,8 +169,8 @@ fn seeded_fault_storm_soak_self_heals_and_loses_no_acked_write() {
     let storm = FaultStorm::launch(
         &pool,
         FaultPlan {
-            seed: 0xDEAD_BEEF_0042,
-            max_events: 80,
+            seed,
+            max_events,
             mean_gap: Duration::from_micros(800),
             poison_per_mille: 250,
             zones: Some(vec![storm_zone]),

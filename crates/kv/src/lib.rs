@@ -52,7 +52,7 @@ pub mod workload;
 pub use btree::BTree;
 pub use ctree::CTree;
 pub use hashmap::HashMap;
-pub use lockfree::{LfHash, LfQueue, LfStack, LockedQueue, LockedStack};
+pub use lockfree::{LfHash, LfQueue, LfStack};
 pub use maps::PersistentMap;
 pub use rbtree::RbTree;
 pub use rtree::RTree;

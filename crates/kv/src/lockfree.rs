@@ -10,15 +10,12 @@
 //! persists a per-lane operation descriptor so a crashed operation is
 //! decidable after recovery.
 //!
-//! Three structures, each with a locked counterpart for the Figure 9
-//! comparison:
+//! Three structures:
 //!
-//! * [`LfStack`] — a Treiber stack (vs [`LockedStack`]).
-//! * [`LfQueue`] — a Michael–Scott queue with a *volatile* tail hint
-//!   (vs [`LockedQueue`]).
+//! * [`LfStack`] — a Treiber stack.
+//! * [`LfQueue`] — a Michael–Scott queue with a *volatile* tail hint.
 //! * [`LfHash`] — an open-addressing hash table with Clevel-style
-//!   incremental resize driven by single-CAS steps (vs the transactional
-//!   chained [`crate::HashMap`] under an external mutex).
+//!   incremental resize driven by single-CAS steps.
 //!
 //! # Detectable recovery contract
 //!
@@ -53,12 +50,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use pangolin::{CasOutcome, PglPool};
 use pgl_pmemobj::PMEMoid;
 
-use crate::store::{KvError, KvResult, Store};
+use crate::store::{KvError, KvResult};
 
 /// Tag for internal helper CASes (retargeting, migration); never reported
 /// as an application operation's outcome.
@@ -731,117 +726,9 @@ impl LfHash {
     }
 }
 
-// ---------------------------------------------------------------------
-// Locked counterparts (the Figure 9 baseline)
-// ---------------------------------------------------------------------
-
-/// The locked baseline for [`LfStack`]: same node layout, but every
-/// mutation is a transaction on the shared anchor under a global mutex
-/// (the repo's §3.4 rule — concurrent transactions must not modify the
-/// same object — makes the mutex mandatory, which is exactly the
-/// serialization the lock-free version removes). Popped nodes are freed:
-/// that is the one thing the locked version does better.
-pub struct LockedStack {
-    anchor: PMEMoid,
-    lock: Mutex<()>,
-}
-
-impl LockedStack {
-    /// Allocates a new empty stack.
-    pub fn create<S: Store>(store: &S) -> KvResult<LockedStack> {
-        let anchor = store.txn(&mut |tx| tx.alloc(16, TYPE_LFS_ANCHOR))?;
-        Ok(LockedStack { anchor, lock: Mutex::new(()) })
-    }
-
-    /// Pushes `value` in one locked transaction.
-    pub fn push<S: Store>(&self, store: &S, value: u64) -> KvResult<()> {
-        let _g = self.lock.lock();
-        let anchor = self.anchor;
-        store.txn(&mut |tx| {
-            let head: u64 = tx.read_pod(anchor, 0)?;
-            let n = tx.alloc(16, TYPE_LFS_NODE)?;
-            tx.write_pod(n, 0, &head)?;
-            tx.write_pod(n, 8, &value)?;
-            tx.write_pod(anchor, 0, &n.off)
-        })
-    }
-
-    /// Pops the top value in one locked transaction (freeing the node).
-    pub fn try_pop<S: Store>(&self, store: &S) -> KvResult<Option<u64>> {
-        let _g = self.lock.lock();
-        let anchor = self.anchor;
-        store.txn(&mut |tx| {
-            let head: u64 = tx.read_pod(anchor, 0)?;
-            if head == 0 {
-                return Ok(None);
-            }
-            let node = PMEMoid::new(anchor.pool, head);
-            let next: u64 = tx.read_pod(node, 0)?;
-            let value: u64 = tx.read_pod(node, 8)?;
-            tx.write_pod(anchor, 0, &next)?;
-            tx.free(node)?;
-            Ok(Some(value))
-        })
-    }
-}
-
-/// The locked baseline for [`LfQueue`]: anchor `[head, tail]`, every
-/// mutation a transaction under a global mutex, dequeued nodes freed.
-pub struct LockedQueue {
-    anchor: PMEMoid,
-    lock: Mutex<()>,
-}
-
-impl LockedQueue {
-    /// Allocates a new empty queue.
-    pub fn create<S: Store>(store: &S) -> KvResult<LockedQueue> {
-        let anchor = store.txn(&mut |tx| tx.alloc(16, TYPE_LFQ_ANCHOR))?;
-        Ok(LockedQueue { anchor, lock: Mutex::new(()) })
-    }
-
-    /// Enqueues `value` in one locked transaction.
-    pub fn enqueue<S: Store>(&self, store: &S, value: u64) -> KvResult<()> {
-        let _g = self.lock.lock();
-        let anchor = self.anchor;
-        store.txn(&mut |tx| {
-            let n = tx.alloc(16, TYPE_LFQ_NODE)?;
-            tx.write_pod(n, 8, &value)?;
-            let tail: u64 = tx.read_pod(anchor, 8)?;
-            if tail == 0 {
-                tx.write_pod(anchor, 0, &n.off)?;
-            } else {
-                tx.write_pod(PMEMoid::new(anchor.pool, tail), 0, &n.off)?;
-            }
-            tx.write_pod(anchor, 8, &n.off)
-        })
-    }
-
-    /// Dequeues the oldest value in one locked transaction.
-    pub fn try_dequeue<S: Store>(&self, store: &S) -> KvResult<Option<u64>> {
-        let _g = self.lock.lock();
-        let anchor = self.anchor;
-        store.txn(&mut |tx| {
-            let head: u64 = tx.read_pod(anchor, 0)?;
-            if head == 0 {
-                return Ok(None);
-            }
-            let node = PMEMoid::new(anchor.pool, head);
-            let next: u64 = tx.read_pod(node, 0)?;
-            let value: u64 = tx.read_pod(node, 8)?;
-            tx.write_pod(anchor, 0, &next)?;
-            if next == 0 {
-                tx.write_pod(anchor, 8, &0u64)?;
-            }
-            tx.free(node)?;
-            Ok(Some(value))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::PglStore;
     use pangolin::PglConfig;
     use pgl_nvm::{DeviceConfig, NvmDevice};
     use std::sync::Arc;
@@ -974,29 +861,5 @@ mod tests {
         assert_eq!(s.len(&p).unwrap(), 200 - popped);
         assert!(p.verify_parity().unwrap());
         assert!(p.find_corrupt_objects().unwrap().is_empty());
-    }
-
-    #[test]
-    fn locked_counterparts_match_semantics() {
-        let cfg = PglConfig::small();
-        let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
-        let store = PglStore::new(PglPool::create(dev, cfg).unwrap());
-        let s = LockedStack::create(&store).unwrap();
-        s.push(&store, 1).unwrap();
-        s.push(&store, 2).unwrap();
-        assert_eq!(s.try_pop(&store).unwrap(), Some(2));
-        assert_eq!(s.try_pop(&store).unwrap(), Some(1));
-        assert_eq!(s.try_pop(&store).unwrap(), None);
-
-        let q = LockedQueue::create(&store).unwrap();
-        q.enqueue(&store, 1).unwrap();
-        q.enqueue(&store, 2).unwrap();
-        q.enqueue(&store, 3).unwrap();
-        assert_eq!(q.try_dequeue(&store).unwrap(), Some(1));
-        q.enqueue(&store, 4).unwrap();
-        assert_eq!(q.try_dequeue(&store).unwrap(), Some(2));
-        assert_eq!(q.try_dequeue(&store).unwrap(), Some(3));
-        assert_eq!(q.try_dequeue(&store).unwrap(), Some(4));
-        assert_eq!(q.try_dequeue(&store).unwrap(), None);
     }
 }

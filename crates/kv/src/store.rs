@@ -179,7 +179,7 @@ pub type BatchOp<'a> = Box<dyn FnMut(&mut dyn TxOps) -> KvResult<Option<u64>> + 
 /// *concurrent* transactions must not modify the same object. Structures
 /// in this crate are single-writer per map; run one map per thread (or add
 /// external synchronization) for write-parallel workloads, as
-/// [`crate::workload::concurrent_insert_phase`] does.
+/// [`crate::workload::concurrent_mixed_phase`] does.
 ///
 /// ```
 /// use std::sync::Arc;

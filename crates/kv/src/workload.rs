@@ -1,14 +1,13 @@
 //! Key-value workload drivers: the insert/remove/lookup loops behind
 //! Figures 5 and 6, the transaction-size instrumentation behind Table 3,
-//! and the multi-threaded drivers behind the Figure 9 scaling runs.
+//! and the multi-threaded driver behind the Figure 9 scaling runs.
 //!
-//! The concurrent drivers follow the paper's concurrency rule (§3.4): the
+//! The concurrent driver follows the paper's concurrency rule (§3.4): the
 //! *pool* is shared by all threads (one [`Store`] handle each), but no two
 //! threads transact on the same *object* — each thread drives its own map
 //! over its own key partition.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use pgl_pmemobj::TxStats;
@@ -58,39 +57,6 @@ impl PhaseStats {
     }
 }
 
-/// A seeded zipfian rank sampler: rank 0 is the hottest, with weight
-/// `1/(rank+1)^theta`. Sampling is a binary search over the precomputed
-/// CDF (the vendored `rand` shim has no zipfian distribution, so the
-/// table is built by hand once per workload).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// A sampler over ranks `0..n` with skew `theta` (`0.99` is the
-    /// YCSB-standard default; `0.0` degrades to uniform).
-    pub fn new(n: usize, theta: f64) -> Zipf {
-        assert!(n > 0, "zipf over an empty rank set");
-        let mut cdf = Vec::with_capacity(n);
-        let mut total = 0.0f64;
-        for rank in 0..n {
-            total += 1.0 / ((rank + 1) as f64).powf(theta);
-            cdf.push(total);
-        }
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws one rank.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
 /// One step of the shuffled insert/remove scheduler. See [`MixedOps`].
 #[derive(Debug, Clone, Copy)]
 pub enum MixedOp {
@@ -100,10 +66,9 @@ pub enum MixedOp {
     Remove(u64),
 }
 
-/// The live-set insert/remove scheduler shared by [`mixed_phase`],
-/// [`concurrent_mixed_phase`] and the service load driver: each step
-/// either removes a random live key (with probability `remove_ratio`,
-/// once any are live) or inserts the next offered key.
+/// The live-set insert/remove scheduler behind [`concurrent_mixed_phase`]:
+/// each step either removes a random live key (with probability
+/// `remove_ratio`, once any are live) or inserts the next offered key.
 #[derive(Debug)]
 pub struct MixedOps {
     rng: StdRng,
@@ -127,13 +92,6 @@ impl MixedOps {
             MixedOp::Insert(key)
         }
     }
-
-    /// Consumes the scheduler, returning the still-live keys shuffled by
-    /// its own RNG (the sequential driver's historical tail behavior).
-    pub fn into_live_shuffled(mut self) -> Vec<u64> {
-        self.live.shuffle(&mut self.rng);
-        self.live
-    }
 }
 
 /// One step of the raw alloc/overwrite/free object mix the Figure 9
@@ -149,103 +107,13 @@ pub enum RawOp {
     Overwrite,
 }
 
-/// The deterministic raw-mix schedule (step `i` of a thread's loop),
-/// extracted from `fig9_scaling` so the scaling bench and the service
-/// load driver share one scheduler.
+/// The deterministic raw-mix schedule (step `i` of a thread's loop) of
+/// the Figure 9 transaction scaling table.
 pub fn raw_mix_op(i: usize) -> RawOp {
     match i % 8 {
         0 => RawOp::Alloc,
         1 => RawOp::Free,
         _ => RawOp::Overwrite,
-    }
-}
-
-/// One client request of a service [`Workload`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadOp {
-    /// Point lookup.
-    Get(u64),
-    /// Insert / overwrite.
-    Put(u64, u64),
-    /// Delete.
-    Del(u64),
-    /// Ordered range scan: `(start_key, limit)`.
-    Scan(u64, u32),
-}
-
-/// Relative operation weights of a service [`Workload`].
-#[derive(Debug, Clone, Copy)]
-pub struct OpMix {
-    /// GET weight.
-    pub get: u32,
-    /// PUT weight.
-    pub put: u32,
-    /// DEL weight.
-    pub del: u32,
-    /// SCAN weight.
-    pub scan: u32,
-}
-
-impl OpMix {
-    /// The load driver's default: read-heavy with a write tail
-    /// (75% GET / 20% PUT / 4% DEL / 1% SCAN).
-    pub fn read_heavy() -> OpMix {
-        OpMix { get: 75, put: 20, del: 4, scan: 1 }
-    }
-
-    /// Write-heavy mix for group-commit stress (70% PUT / 20% GET /
-    /// 10% DEL).
-    pub fn write_heavy() -> OpMix {
-        OpMix { get: 20, put: 70, del: 10, scan: 0 }
-    }
-
-    fn total(&self) -> u32 {
-        self.get + self.put + self.del + self.scan
-    }
-}
-
-/// A reusable client workload: zipfian key popularity over a bounded
-/// keyspace plus a weighted GET/PUT/DEL/SCAN mix. One `Workload` is
-/// shared (immutably) by every simulated client; each client draws with
-/// its own seeded RNG, so runs are deterministic per client.
-#[derive(Debug, Clone)]
-pub struct Workload {
-    keys: Vec<u64>,
-    zipf: Zipf,
-    mix: OpMix,
-}
-
-impl Workload {
-    /// A zipfian workload over `n_keys` distinct random keys (hotness
-    /// rank-ordered by [`random_keys`] position) with skew `theta`.
-    pub fn zipfian(n_keys: usize, theta: f64, mix: OpMix, seed: u64) -> Workload {
-        assert!(mix.total() > 0, "workload op mix has zero total weight");
-        Workload { keys: random_keys(n_keys, seed), zipf: Zipf::new(n_keys, theta), mix }
-    }
-
-    /// The key universe (rank order: hottest first).
-    pub fn keyspace(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Draws one key by zipfian popularity.
-    pub fn key(&self, rng: &mut StdRng) -> u64 {
-        self.keys[self.zipf.sample(rng)]
-    }
-
-    /// Draws one client request: a weighted op kind over a zipfian key.
-    pub fn next_op(&self, rng: &mut StdRng) -> WorkloadOp {
-        let k = self.key(rng);
-        let r = rng.gen_range(0..self.mix.total());
-        if r < self.mix.get {
-            WorkloadOp::Get(k)
-        } else if r < self.mix.get + self.mix.put {
-            WorkloadOp::Put(k, k ^ 0xFEED_FACE)
-        } else if r < self.mix.get + self.mix.put + self.mix.del {
-            WorkloadOp::Del(k)
-        } else {
-            WorkloadOp::Scan(k, 16)
-        }
     }
 }
 
@@ -314,58 +182,20 @@ pub fn lookup_phase<M: PersistentMap, S: Store>(
     Ok(stats)
 }
 
-/// A mixed workload: shuffled inserts and removes with the given ratio of
-/// removals, exercising allocate/overwrite/free paths together.
-pub fn mixed_phase<M: PersistentMap, S: Store>(
-    map: &M,
-    store: &S,
-    keys: &[u64],
-    remove_ratio: f64,
-    seed: u64,
-) -> KvResult<PhaseStats> {
-    let mut sched = MixedOps::new(remove_ratio, seed);
-    let mut stats = PhaseStats::default();
-    let start = std::time::Instant::now();
-    for &k in keys {
-        let (_, tx) = match sched.next(k) {
-            MixedOp::Remove(victim) => map.remove_with_stats(store, victim)?,
-            MixedOp::Insert(k) => map.insert_with_stats(store, k, k)?,
-        };
-        stats.tx.accumulate(&tx);
-        stats.ops += 1;
-    }
-    let _ = sched.into_live_shuffled();
-    stats.secs = start.elapsed().as_secs_f64();
-    Ok(stats)
-}
-
 /// Splits `keys` into `n` near-equal contiguous partitions (the per-thread
-/// key sets of the concurrent drivers).
+/// key sets of the concurrent driver).
 pub fn partition_keys(keys: &[u64], n: usize) -> Vec<&[u64]> {
     let n = n.max(1);
     let per = keys.len().div_ceil(n);
     keys.chunks(per.max(1)).take(n).collect()
 }
 
-/// Runs one insert phase per thread — each thread creates its **own** map
-/// over the **shared** store and inserts its partition of `keys` — and
-/// returns the aggregate throughput. Wall-clock time is measured across
-/// the whole scope, so `ops_per_sec` reflects real concurrent throughput.
-pub fn concurrent_insert_phase<M: PersistentMap + Send + Sync, S: Store + Clone>(
-    store: &S,
-    keys: &[u64],
-    threads: usize,
-) -> KvResult<PhaseStats> {
-    concurrent_phase(store, keys, threads, |map: &M, store: &S, part| {
-        for &k in part {
-            map.insert(store, k, k ^ 0xDEAD_BEEF)?;
-        }
-        Ok(part.len() as u64)
-    })
-}
-
-/// Runs one mixed insert/remove phase per thread (own map, own keys,
-/// shared store), exercising allocate, overwrite and free concurrently.
+/// Runs one mixed insert/remove phase per thread — each thread creates its
+/// **own** map over the **shared** store and drives its partition of
+/// `keys` — exercising allocate, overwrite and free concurrently. The
+/// maps are created before the clock starts, and wall-clock time spans
+/// the whole scope, so `ops_per_sec` is the real concurrent throughput.
+/// `tx` stays zeroed: per-thread `TxStats` are not aggregated.
 pub fn concurrent_mixed_phase<M: PersistentMap + Send + Sync, S: Store + Clone>(
     store: &S,
     keys: &[u64],
@@ -373,36 +203,8 @@ pub fn concurrent_mixed_phase<M: PersistentMap + Send + Sync, S: Store + Clone>(
     remove_ratio: f64,
     seed: u64,
 ) -> KvResult<PhaseStats> {
-    concurrent_phase(store, keys, threads, move |map: &M, store: &S, part| {
-        let mut sched = MixedOps::new(remove_ratio, seed ^ part.first().copied().unwrap_or(0));
-        for &k in part {
-            match sched.next(k) {
-                MixedOp::Remove(victim) => map.remove(store, victim)?,
-                MixedOp::Insert(k) => map.insert(store, k, k)?,
-            };
-        }
-        Ok(part.len() as u64)
-    })
-}
-
-/// Shared scaffolding of the concurrent drivers: partitions the keys,
-/// spawns one thread per partition with its own map and store handle, and
-/// times the whole scope.
-fn concurrent_phase<M, S, F>(
-    store: &S,
-    keys: &[u64],
-    threads: usize,
-    body: F,
-) -> KvResult<PhaseStats>
-where
-    M: PersistentMap + Send + Sync,
-    S: Store + Clone,
-    F: Fn(&M, &S, &[u64]) -> KvResult<u64> + Send + Sync,
-{
     let parts = partition_keys(keys, threads);
-    // Create the maps up front so setup cost stays out of the timing.
     let maps: Vec<M> = parts.iter().map(|_| M::create(store)).collect::<KvResult<_>>()?;
-    let body = &body;
     let start = std::time::Instant::now();
     let ops = std::thread::scope(|s| -> KvResult<u64> {
         let handles: Vec<_> = maps
@@ -410,7 +212,17 @@ where
             .zip(&parts)
             .map(|(map, part)| {
                 let store = store.clone();
-                s.spawn(move || body(map, &store, part))
+                s.spawn(move || -> KvResult<u64> {
+                    let first = part.first().copied().unwrap_or(0);
+                    let mut sched = MixedOps::new(remove_ratio, seed ^ first);
+                    for &k in *part {
+                        match sched.next(k) {
+                            MixedOp::Remove(victim) => map.remove(&store, victim)?,
+                            MixedOp::Insert(k) => map.insert(&store, k, k)?,
+                        };
+                    }
+                    Ok(part.len() as u64)
+                })
             })
             .collect();
         let mut total = 0;
@@ -419,8 +231,6 @@ where
         }
         Ok(total)
     })?;
-    // `tx` stays zeroed: per-thread TxStats are not aggregated across the
-    // scope (the sequential drivers serve the Table 3 instrumentation).
     Ok(PhaseStats { ops, secs: start.elapsed().as_secs_f64(), ..Default::default() })
 }
 
@@ -442,21 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_skewed_and_deterministic() {
-        let z = Zipf::new(1000, 0.99);
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        let draws: Vec<usize> = (0..5000).map(|_| z.sample(&mut a)).collect();
-        assert!(draws.iter().all(|&r| r < 1000));
-        assert_eq!(draws, (0..5000).map(|_| z.sample(&mut b)).collect::<Vec<_>>());
-        // Rank 0 must dominate any cold rank by a wide margin.
-        let hot = draws.iter().filter(|&&r| r == 0).count();
-        let cold = draws.iter().filter(|&&r| r >= 500).count();
-        assert!(hot > 100, "rank 0 drawn only {hot} times");
-        assert!(hot > cold, "zipf not skewed: hot={hot} cold-half={cold}");
-    }
-
-    #[test]
     fn mixed_ops_only_remove_live_keys() {
         let mut sched = MixedOps::new(0.4, 99);
         let mut live = std::collections::HashSet::new();
@@ -466,38 +261,6 @@ mod tests {
                 MixedOp::Remove(v) => assert!(live.remove(&v), "removed dead key {v}"),
             }
         }
-        let left = sched.into_live_shuffled();
-        assert_eq!(left.len(), live.len());
-        assert!(left.iter().all(|k| live.contains(k)));
-    }
-
-    #[test]
-    fn workload_draws_valid_ops_over_its_keyspace() {
-        let w = Workload::zipfian(256, 0.99, OpMix::read_heavy(), 11);
-        let keys: std::collections::HashSet<u64> = w.keyspace().iter().copied().collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let (mut gets, mut puts) = (0, 0);
-        for _ in 0..2000 {
-            let k = match w.next_op(&mut rng) {
-                WorkloadOp::Get(k) => {
-                    gets += 1;
-                    k
-                }
-                WorkloadOp::Put(k, v) => {
-                    puts += 1;
-                    assert_eq!(v, k ^ 0xFEED_FACE);
-                    k
-                }
-                WorkloadOp::Del(k) => k,
-                WorkloadOp::Scan(k, limit) => {
-                    assert!(limit > 0);
-                    k
-                }
-            };
-            assert!(keys.contains(&k));
-        }
-        // The read-heavy mix must actually be read-heavy.
-        assert!(gets > puts, "gets={gets} puts={puts}");
     }
 
     #[test]
@@ -520,7 +283,7 @@ mod tests {
     fn concurrent_phases_share_one_pool() {
         let store = store();
         let keys = random_keys(400, 42);
-        let ins = concurrent_insert_phase::<CTree, _>(&store, &keys, 4).unwrap();
+        let ins = concurrent_mixed_phase::<CTree, _>(&store, &keys, 4, 0.0, 1).unwrap();
         assert_eq!(ins.ops, 400);
         let mixed = concurrent_mixed_phase::<CTree, _>(&store, &keys, 4, 0.3, 99).unwrap();
         assert_eq!(mixed.ops, 400);

@@ -275,8 +275,7 @@ fn ctree_insert_walks_the_path_once() {
     ctree::check_invariants(&map, &store).unwrap();
 }
 
-/// Prints EXPERIMENTS.md's "Traversal diet" per-tree table (mean device
-/// traffic per operation on a 10 000-key map, modelled time priced like
+/// Prints a per-tree table (mean device traffic per operation on a 10 000-key map, modelled time priced like
 /// `bench_all`'s `device_us_per_op`):
 /// `cargo test --release -p pgl-kv --test traversal_reads -- --ignored --nocapture`
 #[test]

@@ -6,22 +6,39 @@
 //! [`KvService::call`], and writes one response frame; pipelining across
 //! connections is what feeds the group-commit batcher.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use pgl_kv::store::Store;
 
 use crate::proto::{decode_requests, encode_responses, read_frame, write_frame, Response};
 use crate::service::{KvService, ServiceConfig};
 
-/// Live-connection registry so shutdown can unblock reader threads.
+/// Pause after a failed `accept` (e.g. `EMFILE`) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Live-connection registry so shutdown can unblock reader threads: a
+/// dup of each open connection's stream plus its thread's handle. A
+/// connection thread removes its own entry when it ends, so the table
+/// (and the fds its dups hold) tracks open connections, not every
+/// connection ever accepted.
 #[derive(Default)]
 struct ConnTable {
-    streams: Mutex<Vec<TcpStream>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    live: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
+}
+
+impl ConnTable {
+    /// Every update is a single insert, remove or drain, so the map stays
+    /// consistent even if a holder panicked; `stop` runs in `Drop` and
+    /// must not panic on a poisoned lock.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, (TcpStream, JoinHandle<()>)>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running KV server: the service plus its TCP accept loop.
@@ -54,16 +71,35 @@ impl<S: Store + Clone + 'static> KvServer<S> {
             let running = Arc::clone(&running);
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || {
-                while let Ok((stream, _)) = listener.accept() {
+                for id in 0u64.. {
+                    let accepted = listener.accept();
                     if !running.load(Ordering::Acquire) {
                         break; // woken by shutdown's dummy connect
                     }
+                    let Ok((stream, _)) = accepted else {
+                        // Out of fds or a transient network error: the
+                        // listener is still good, so keep serving.
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
+                    let Ok(dup) = stream.try_clone() else { continue };
                     let service = Arc::clone(&service);
-                    if let Ok(dup) = stream.try_clone() {
-                        conns.streams.lock().unwrap().push(dup);
+                    let table = Arc::clone(&conns);
+                    // Spawn under the lock: the thread's own removal then
+                    // always finds the entry inserted below.
+                    let mut live = conns.lock();
+                    let spawned = std::thread::Builder::new().spawn(move || {
+                        serve_conn(stream, &service);
+                        // Release the service before leaving the table:
+                        // once `stop` no longer sees this thread, it must
+                        // hold nothing teardown waits for.
+                        drop(service);
+                        table.lock().remove(&id);
+                    });
+                    // A failed spawn drops the closure, closing the stream.
+                    if let Ok(handle) = spawned {
+                        live.insert(id, (dup, handle));
                     }
-                    let handle = std::thread::spawn(move || serve_conn(stream, &service));
-                    conns.handles.lock().unwrap().push(handle);
                 }
             })
         };
@@ -107,12 +143,12 @@ impl<S: Store + Clone + 'static> KvServer<S> {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for s in self.conns.streams.lock().unwrap().drain(..) {
-            let _ = s.shutdown(how);
+        let live: Vec<_> = self.conns.lock().drain().map(|(_, c)| c).collect();
+        for (stream, _) in &live {
+            let _ = stream.shutdown(how);
         }
-        let handles: Vec<_> = self.conns.handles.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        for (_, handle) in live {
+            let _ = handle.join();
         }
     }
 }
