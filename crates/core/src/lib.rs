@@ -101,7 +101,7 @@ pub use error::{PglError, Result};
 pub use inject::{FaultKind, FaultPlan, FaultStorm, StormReport};
 pub use options::OpenOptions;
 pub use parity::{ParityDomains, ShardMap};
-pub use ploc::{CasOutcome, CasRecovery, DetectableCas, WordCas};
+pub use ploc::{CasOutcome, CasRecovery, DetectableCas, NewCas, WordCas};
 pub use pool::{ObjHandle, PglCounters, PglPool};
 pub use quarantine::QuarantineSet;
 pub use scrub::ScrubReport;

@@ -83,6 +83,9 @@ pub struct Inner {
     /// CAS descriptors replayed at open (see [`crate::ploc`]); empty for
     /// freshly created pools and after clean shutdowns.
     pub(crate) cas_recoveries: Vec<crate::ploc::CasRecovery>,
+    /// Nodes linked by an allocate-and-publish whose allocator bit may not
+    /// be durable yet (see [`crate::ploc`]).
+    pub(crate) linking: crate::ploc::Linking,
     /// Zones containing data lost beyond the fault-tolerance guarantee
     /// (see [`crate::quarantine`]): reads there fail fast with a located
     /// [`PglError::Unrecoverable`], allocation and scrub skip them.
@@ -531,6 +534,28 @@ impl Inner {
         Ok(())
     }
 
+    /// Construction write-back of a fresh object's header + content
+    /// (`data`) at `off`, not redo-logged. The pre-image — stale slot
+    /// bytes the caller's reservation owns — stages through `old`, and one
+    /// span guard covers the store and its parity patch, so the concurrent
+    /// scrubber never sees a half-constructed object.
+    pub(crate) fn construct_write(
+        &self,
+        off: u64,
+        data: &[u8],
+        old: &mut Vec<u8>,
+        stripe_ids: &mut Vec<usize>,
+    ) -> Result<()> {
+        if self.parity.is_none() {
+            return self.protected_write(off, data);
+        }
+        old.resize(data.len(), 0);
+        self.io.read(off, old).map_err(PglError::from)?;
+        let len = data.len() as u64;
+        let guard = self.lock_span_scratch(stripe_ids, off, len, self.span_exclusive(len))?;
+        self.protected_write_locked_old(&guard, off, data, old)
+    }
+
     /// Applies allocator meta ops with parity maintenance, serialized
     /// against other publishers.
     pub(crate) fn apply_meta_ops(&self, ops: &[MetaOp]) -> Result<()> {
@@ -544,7 +569,9 @@ impl Inner {
         Ok(())
     }
 
-    fn apply_meta_op(&self, op: &MetaOp) -> Result<()> {
+    /// One allocator meta op with parity maintenance; the caller holds the
+    /// heap's publish guard.
+    pub(crate) fn apply_meta_op(&self, op: &MetaOp) -> Result<()> {
         if self.parity.is_none() {
             return op.apply(&self.io).map_err(PglError::from);
         }
@@ -895,6 +922,7 @@ impl PglPool {
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect(),
             cas_recoveries,
+            linking: crate::ploc::Linking::new(),
             quarantine,
             scrub_totals: std::sync::Mutex::new(ScrubTotals::default()),
             background_scrub: want_bg.then_some(kick_txs),
@@ -1096,6 +1124,28 @@ impl PglPool {
     ) -> Result<crate::ploc::WordCas> {
         let lane = self.inner.lanes.claim(&self.inner.io);
         self.inner.word_cas(&lane, oid, off, expected, new, tag)
+    }
+
+    /// Allocate-and-publish: builds a new `init.len()`-byte object of
+    /// `type_num` holding `init` in a run block and links its offset into
+    /// the 8-byte word at `off` inside `target` with one detectable CAS
+    /// against `expected` — four fences, no transaction, no redo log (see
+    /// [`crate::ploc`]). `tag` names the operation as in
+    /// [`PglPool::atomic_update`]. On [`crate::ploc::NewCas::Applied`] the
+    /// node is durably constructed, linked and allocated; on
+    /// [`crate::ploc::NewCas::Mismatch`] nothing was allocated. Objects
+    /// too large for a run block are refused with [`PglError::Config`].
+    pub fn atomic_publish_new(
+        &self,
+        target: PMEMoid,
+        off: u64,
+        expected: u64,
+        type_num: u32,
+        init: &[u8],
+        tag: u64,
+    ) -> Result<crate::ploc::NewCas> {
+        let mut lane = self.inner.lanes.claim(&self.inner.io);
+        self.inner.publish_new(&mut lane, target, off, expected, type_num, init, tag)
     }
 
     /// Atomically reads the 8-byte word at `off` inside `oid`'s user data

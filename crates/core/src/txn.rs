@@ -483,11 +483,12 @@ impl<'p> PglTx<'p> {
     /// `oid`'s user data, using this transaction's lane for the operation
     /// descriptor (see [`crate::ploc`]). Unlike buffered writes this is
     /// **immediate and durable**: it publishes the moment it returns
-    /// [`crate::ploc::WordCas::Applied`] and is *not* undone by abort —
-    /// lock-free structures use it to publish nodes their enclosing
-    /// transaction allocated and initialized. The target object must not
-    /// be open in this transaction's micro-buffers (the buffered copy
-    /// would go stale and its write-back would clobber the CAS).
+    /// [`crate::ploc::WordCas::Applied`] and is *not* undone by abort, so
+    /// it must not link anything this transaction has yet to commit (a new
+    /// node is linked with [`crate::PglPool::atomic_publish_new`]). The
+    /// target object must not be open in this transaction's micro-buffers
+    /// (the buffered copy would go stale and its write-back would clobber
+    /// the CAS).
     pub fn cas_word(
         &mut self,
         oid: PMEMoid,
@@ -677,35 +678,19 @@ impl<'p> PglTx<'p> {
         }
 
         // (4) Construction write-back: header + content of new objects,
-        // with parity maintenance. Not redo-logged (paper Figure 3's
-        // "allocation does not involve object logging"). The parity span
-        // guard is held across the whole contiguous header+content store,
-        // so the concurrent scrubber never sees a half-constructed
-        // object. The pre-image (stale chunk content, owned by this
-        // transaction's reservation) stages through the commit scratch —
-        // no allocation.
+        // with parity maintenance (`Inner::construct_write`). Not
+        // redo-logged (paper Figure 3's "allocation does not involve
+        // object logging"). The pre-image stages through the commit
+        // scratch — no allocation.
         {
             let CommitScratch { tmp, stripe_ids, .. } = &mut self.scratch;
             for off in &new_offs {
                 let b = &self.objs[off];
-                let data = b.header_and_user();
                 // The offset may carry a verified-generation cache entry
                 // from a previously freed object; construction reuses the
                 // slot, so drop it before the new bytes land.
                 inner.vcache.bump(*off);
-                if parity {
-                    tmp.resize(data.len(), 0);
-                    inner.io.read(b.header_off(), tmp).map_err(PglError::from)?;
-                    let guard = inner.lock_span_scratch(
-                        stripe_ids,
-                        b.header_off(),
-                        data.len() as u64,
-                        inner.span_exclusive(data.len() as u64),
-                    )?;
-                    inner.protected_write_locked_old(&guard, b.header_off(), data, tmp)?;
-                } else {
-                    inner.protected_write(b.header_off(), data)?;
-                }
+                inner.construct_write(b.header_off(), b.header_and_user(), tmp, stripe_ids)?;
             }
         }
 

@@ -1,14 +1,18 @@
 //! The detectable-CAS subsystem (`pangolin::ploc`): fast-path cost
 //! accounting, vcache invalidation ordering, descriptor retirement
-//! semantics, transactional `cas_word`, and a bare-CAS crash sweep that
-//! exercises every boundary of the two-fence protocol — including the
-//! window between the descriptor's persist fence and the CAS publication.
+//! semantics, transactional `cas_word`, allocate-and-publish, recovery
+//! against hostile descriptor targets, and crash sweeps that exercise
+//! every boundary of the two-fence and four-fence protocols — including
+//! the window between the descriptor's persist fence and the CAS
+//! publication, and a fresh run's format.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pangolin::crashcheck::{self, FnWorkload, SweepConfig};
-use pangolin::{CasOutcome, PglConfig, PglError, PglPool, WordCas};
-use pgl_nvm::{DeviceConfig, NvmDevice};
+use pangolin::{inject, CasOutcome, NewCas, PglConfig, PglError, PglPool, WordCas};
+use pgl_nvm::{AllOld, DeviceConfig, NvmDevice};
+use pgl_pmemobj::heap::run_slot;
 use pgl_pmemobj::PMEMoid;
 
 fn make_pool() -> (PglPool, Arc<NvmDevice>) {
@@ -91,6 +95,7 @@ fn single_word_cas_costs_one_parity_line_and_no_preimage_reads() {
     assert_eq!(pool.atomic_update(oid, 0, old, 0x2222, 3).unwrap(), WordCas::Applied);
     let d = dev.stats().delta_since(&s0);
 
+    assert_eq!(d.fences, 2, "descriptor, then publish");
     // One CAS on the data word, one on the header (type_num, csum) word.
     assert_eq!(d.atomic_cas_ops, 2, "data-word CAS + header-word CAS");
     // Both words sit on one cache line, so one parity line is patched.
@@ -293,4 +298,266 @@ fn bare_cas_survives_crash_sweep() {
         Ok(())
     });
     crashcheck::sweep_with(&w, &SweepConfig::from_env().budget(16));
+}
+
+/// A 16-byte `[a, b]` node.
+fn node(a: u64, b: u64) -> Vec<u8> {
+    [a.to_le_bytes(), b.to_le_bytes()].concat()
+}
+
+fn applied(r: NewCas) -> PMEMoid {
+    match r {
+        NewCas::Applied(oid) => oid,
+        NewCas::Mismatch(cur) => panic!("publish mismatched against {cur:#x}"),
+    }
+}
+
+fn live_offsets(pool: &PglPool) -> Vec<u64> {
+    pool.live_objects().unwrap().iter().map(|(oid, _)| oid.off).collect()
+}
+
+/// An allocating publish into an existing run costs exactly four fences
+/// and writes, non-temporally, the node and one allocator bitmap word —
+/// no redo log. The node reads back verified and parity holds.
+#[test]
+fn publish_new_costs_four_fences_and_no_redo_log() {
+    let (pool, dev) = make_pool();
+    let root = pool.root(16, 91).unwrap();
+    let first = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 1), 1).unwrap());
+
+    let s0 = dev.stats();
+    let second =
+        applied(pool.atomic_publish_new(root, 0, first.off, 7, &node(first.off, 2), 2).unwrap());
+    let d = dev.stats().delta_since(&s0);
+
+    assert_eq!(d.fences, 4, "descriptor, node, publish, allocator bit");
+    assert_eq!(d.bytes_written_nt, 16 + 16 + 8, "header + content, then the bitmap word");
+    assert_eq!(d.atomic_cas_ops, 2, "target word + its header word");
+    assert_eq!(pool.atomic_load(root, 0).unwrap(), second.off);
+    assert_eq!(pool.read_verified(second).unwrap(), node(first.off, 2));
+    let live = live_offsets(&pool);
+    assert!(live.contains(&first.off) && live.contains(&second.off));
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+/// A publish whose compare fails allocates nothing: the reserved slot
+/// stays free on media, the descriptor retires (a third fence), parity
+/// holds and no reopen resurrects the node.
+#[test]
+fn publish_new_mismatch_leaves_the_slot_free() {
+    let (pool, dev) = make_pool();
+    let root = pool.root(16, 91).unwrap();
+    let first = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 1), 1).unwrap());
+    let live = live_offsets(&pool);
+
+    let s0 = dev.stats();
+    let r = pool.atomic_publish_new(root, 0, 0, 7, &node(0, 2), 2).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(r, NewCas::Mismatch(first.off));
+    assert_eq!(d.fences, 3, "descriptor, node, retirement");
+    assert_eq!(live_offsets(&pool), live);
+    assert!(pool.verify_parity().unwrap());
+
+    drop(pool);
+    let pool = PglPool::options().open(dev).unwrap();
+    assert_eq!(live_offsets(&pool), live);
+    assert!(!pool.cas_recoveries().iter().any(|r| r.tag == 2), "the mismatch retired");
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+/// A node whose link is durable but whose allocator bit is not (a crash
+/// between the publish and the bit) is allocated by replay.
+#[test]
+fn replay_allocates_a_linked_node_whose_bit_is_clear() {
+    let (pool, dev) = make_pool();
+    let root = pool.root(16, 91).unwrap();
+    let n = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 5), 1).unwrap());
+    let slot = run_slot(pool.io(), pool.layout(), n.off).expect("a run block");
+    let w = pool.io().read_u64(slot.bit_word).unwrap();
+    inject::scribble_raw(&pool, slot.bit_word, &(w & !slot.mask).to_le_bytes()).unwrap();
+    assert!(!live_offsets(&pool).contains(&n.off));
+
+    drop(pool);
+    let pool = PglPool::options().open(dev).unwrap();
+    let report = pool.cas_recoveries().iter().find(|r| r.tag == 1).copied();
+    assert_eq!(report.map(|r| r.outcome), Some(CasOutcome::Completed));
+    assert!(live_offsets(&pool).contains(&n.off));
+    assert_eq!(pool.read_verified(n).unwrap(), node(0, 5));
+    assert!(pool.verify_parity().unwrap(), "replay recomputed the bitmap word's parity");
+}
+
+/// Two linkers race on one word. A's publish of `N` stops after its CAS
+/// and before its allocator bit (a crash point fires in A alone), and B,
+/// on another thread, links `M` past it (`M.next = N`) to completion;
+/// then the machine crashes. Replay rolls A back, its word having moved
+/// on, so `N` is still allocated only if B made `N`'s bit durable before
+/// its own CAS. Every boundary of A's window is tried.
+#[test]
+fn linking_past_an_unallocated_node_makes_its_bit_durable() {
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let root = pool.root(16, 91).unwrap();
+    let p = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 1), 1).unwrap());
+    drop(pool);
+    let base = dev.snapshot();
+
+    let mut windows = 0;
+    for k in 0.. {
+        dev.restore(&base).unwrap();
+        let pool = PglPool::options().open(dev.clone()).unwrap();
+        dev.arm_crash_after(k);
+        let a = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.atomic_publish_new(root, 0, p.off, 7, &node(p.off, 2), 2)
+        }));
+        dev.disarm_crash();
+        if let Ok(r) = a {
+            applied(r.unwrap());
+            break;
+        }
+        let n = pool.atomic_load(root, 0).unwrap();
+        if n == p.off {
+            continue; // A's CAS has not taken effect
+        }
+        let slot = run_slot(pool.io(), pool.layout(), n).expect("a run block");
+        if pool.io().read_u64(slot.bit_word).unwrap() & slot.mask != 0 {
+            continue; // A's bit is set: past the window
+        }
+        windows += 1;
+        let b = pool.clone();
+        let m = std::thread::spawn(move || b.atomic_publish_new(root, 0, n, 7, &node(n, 3), 3))
+            .join()
+            .unwrap();
+        let m = applied(m.unwrap());
+        drop(pool);
+        dev.simulate_crash(&mut AllOld).unwrap();
+
+        let pool = PglPool::options().open(dev.clone()).unwrap();
+        assert_eq!(pool.atomic_load(root, 0).unwrap(), m.off, "boundary {k}");
+        let live = live_offsets(&pool);
+        assert!(live.contains(&n), "boundary {k}: the linked node {n:#x} was freed");
+        assert!(live.contains(&m.off), "boundary {k}");
+        assert!(pool.verify_parity().unwrap(), "boundary {k}");
+        assert!(pool.find_corrupt_objects().unwrap().is_empty(), "boundary {k}");
+        let fresh = applied(pool.atomic_publish_new(root, 8, 0, 7, &node(0, 4), 4).unwrap());
+        assert!(!live.contains(&fresh.off), "boundary {k}: allocated {:#x} twice", fresh.off);
+    }
+    assert!(windows > 0, "no boundary fell between A's CAS and its bit");
+}
+
+#[test]
+fn publish_new_refuses_what_no_run_block_holds() {
+    let (pool, _dev) = make_pool();
+    let root = pool.root(16, 91).unwrap();
+    let big = vec![0u8; pool.layout().cfg.chunk_size];
+    let r = pool.atomic_publish_new(root, 0, 0, 7, &big, 1);
+    assert!(matches!(r, Err(PglError::Config(_))), "{r:?}");
+    assert_eq!(pool.atomic_load(root, 0).unwrap(), 0);
+}
+
+/// Allocate-and-publish crash sweep: the first publish needs a fresh run
+/// (its 128-byte class has none yet), so the sweep crashes inside the
+/// run's format commit and watermark raise as well as inside the four
+/// fences; then a publish into that run, a mismatch, and a plain CAS.
+/// Recovery must land on a committed state (the harness checks live
+/// objects, bytes, checksums and parity), never promote the mismatch,
+/// and leave the allocator able to hand out a block no live node holds.
+#[test]
+fn publish_new_survives_crash_sweep() {
+    let w = FnWorkload::new(
+        "publish-new",
+        |pool| {
+            pool.root(32, 91)?;
+            Ok(())
+        },
+        |pool, ctx| {
+            let root = pool.root(32, 91)?;
+            let a = applied(pool.atomic_publish_new(root, 0, 0, 7, &[0xA1; 100], 1)?);
+            let chunk = |off| pool.layout().chunk_of(off).expect("heap offset").1;
+            assert_ne!(chunk(a.off), chunk(root.off), "the first node formats a run of its own");
+            ctx.commit_point(pool)?;
+            applied(pool.atomic_publish_new(root, 8, 0, 7, &[0xB2; 100], 2)?);
+            ctx.commit_point(pool)?;
+            let r = pool.atomic_publish_new(root, 0, 0, 7, &[0xC3; 100], 3)?;
+            assert_eq!(r, NewCas::Mismatch(a.off));
+            ctx.commit_point(pool)?;
+            assert!(pool.atomic_update(root, 16, 0, 9, 4)?.is_applied());
+            ctx.commit_point(pool)?;
+            Ok(())
+        },
+    )
+    .with_verify(|pool, committed| {
+        for r in pool.cas_recoveries() {
+            let done = r.outcome == CasOutcome::Completed;
+            if done && (r.tag == 3 || r.tag as usize > committed) {
+                return Err(PglError::unrecoverable(format!(
+                    "tag {} reported Completed after {committed} commits",
+                    r.tag
+                )));
+            }
+        }
+        let root = pool.root(32, 91)?;
+        let live = live_offsets(pool);
+        match pool.atomic_publish_new(root, 24, 0, 7, &[0xD4; 100], 99)? {
+            NewCas::Applied(n) if !live.contains(&n.off) => Ok(()),
+            r => Err(PglError::unrecoverable(format!("allocator after recovery: {r:?}"))),
+        }
+    });
+    crashcheck::sweep_with(&w, &SweepConfig::from_env().budget(24));
+}
+
+/// A lingering descriptor whose target object's header `size` is
+/// scribbled to nonsense: replay must neither overflow, allocate nor read
+/// past the device end by that media word, and must not fold a checksum
+/// over bytes that are not the object's. The pool reopens, serves, and the
+/// header is repaired from parity at first touch.
+#[test]
+fn hostile_object_size_under_a_lingering_descriptor_is_bounded() {
+    let dev_len = PglConfig::small().pool.size as u64;
+    for case in 0..4 {
+        let (pool, dev) = make_pool();
+        let layout = *pool.layout();
+        let max = layout.max_alloc();
+        // The last case parks the target behind a filler object, far
+        // enough in that `max_alloc` bytes from it run off the device.
+        let filler = (case == 3)
+            .then(|| dev_len - max - layout.chunk_base(0, 1) + layout.cfg.chunk_size as u64);
+        let (target, other) = pool
+            .tx(|tx| {
+                if let Some(len) = filler {
+                    tx.alloc(len, 4)?;
+                }
+                let a = tx.alloc(16, 5)?;
+                tx.write(a, 0, &1u64.to_le_bytes())?;
+                let b = tx.alloc(16, 5)?;
+                tx.write(b, 0, &[0x42; 16])?;
+                Ok((a, b))
+            })
+            .unwrap();
+        assert!(pool.atomic_update(target, 0, 1, 2, 7).unwrap().is_applied());
+        let size = match case {
+            0 => u64::MAX,
+            1 => dev_len,
+            // The rest of the device: in bounds, far too big.
+            2 => dev_len - target.off,
+            // No larger than an allocation, but past the device end.
+            _ => max,
+        };
+        assert!(size > max || target.off + size > dev_len, "case {case}");
+        inject::scribble_raw(&pool, target.header_off(), &size.to_le_bytes()).unwrap();
+        drop(pool);
+
+        let pool = PglPool::options().open(dev).unwrap();
+        let report = pool.cas_recoveries().iter().find(|r| r.tag == 7).copied();
+        assert_eq!(report.map(|r| r.outcome), Some(CasOutcome::Completed), "size {size:#x}");
+        assert_eq!(pool.read_verified(other).unwrap(), [0x42; 16]);
+        pool.tx(|tx| tx.write(other, 0, &[0x43; 8])).unwrap();
+        let mut want = 2u64.to_le_bytes().to_vec();
+        want.extend([0; 8]);
+        assert_eq!(pool.read_verified(target).unwrap(), want, "size {size:#x}");
+        assert!(pool.quarantined_zones().is_empty());
+        assert!(pool.verify_parity().unwrap());
+    }
 }

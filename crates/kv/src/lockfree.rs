@@ -5,10 +5,11 @@
 //! node serialize. The structures here take the other route the paper's
 //! design space allows: **persistent lock-free algorithms** whose
 //! linearization points are single 8-byte CASes issued through
-//! [`PglPool::atomic_update`] — Pangolin's detectable CAS (`ploc`), which
-//! patches the object checksum and parity column at word granularity and
-//! persists a per-lane operation descriptor so a crashed operation is
-//! decidable after recovery.
+//! [`PglPool::atomic_update`] or, when the CAS links a new node,
+//! [`PglPool::atomic_publish_new`] — Pangolin's detectable CAS (`ploc`),
+//! which patches the object checksum and parity column at word
+//! granularity and persists a per-lane operation descriptor so a crashed
+//! operation is decidable after recovery.
 //!
 //! Three structures:
 //!
@@ -27,35 +28,38 @@
 //! caller knows was in flight is meaningful; reports for operations that
 //! completed long before the crash may linger (their descriptors retire
 //! lazily) and must be ignored. Tag `0` is reserved for internal helper
-//! CASes (node retargeting, resize migration) and never decides an
-//! application operation.
+//! CASes (resize migration) and never decides an application operation.
 //!
 //! # Crash-step granularity
 //!
-//! Each operation splits into *prepare* (allocate the node in its own
-//! transaction) and *commit* (the single linearizing CAS), exposed
-//! separately (e.g. [`LfStack::push_prepare`] / [`LfStack::push_commit`])
-//! so the crash-oracle sweeps can place a commit point after every atomic
-//! transition. The plain entry points ([`LfStack::push`], …) are
-//! prepare + commit fused.
+//! Every operation has **one commit point**: its linearizing CAS. An
+//! operation that links a new node (push, enqueue, insert) allocates,
+//! constructs and links it in one [`PglPool::atomic_publish_new`] — no
+//! transaction, no redo log — whose protocol makes the node's allocator
+//! bit durable only after the CAS (see `pangolin::ploc`). A crash
+//! therefore leaves either the whole operation or none of it, with no
+//! allocated-but-unlinked node, and the crash-oracle sweeps place one
+//! commit point after each operation. Only [`LfQueue::create`],
+//! [`LfStack::create`], [`LfHash::create`] and the resize's table
+//! allocation run transactions.
 //!
 //! # Memory reclamation
 //!
 //! Unlinked nodes (popped stack nodes, dequeued sentinels, replaced hash
-//! entries) are **leaked**, the standard first cut for persistent
-//! lock-free structures: safe reclamation needs an epoch/hazard scheme,
-//! and a leaked node is merely dead space with a valid checksum. The
-//! leak is also what makes tags safe: a node offset is never reused while
-//! any operation that read it can still be replayed.
+//! entries) are still **leaked**, the standard first cut for persistent
+//! lock-free structures: safe reclamation needs an epoch/hazard scheme
+//! (Memento's §D), and a leaked node is merely dead space with a valid
+//! checksum. The leak is also what makes tags safe: a node offset is never
+//! reused while any operation that read it can still be replayed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pangolin::{CasOutcome, PglPool};
+use pangolin::{CasOutcome, NewCas, PglPool};
 use pgl_pmemobj::PMEMoid;
 
 use crate::store::{KvError, KvResult};
 
-/// Tag for internal helper CASes (retargeting, migration); never reported
+/// Tag for internal helper CASes (resize migration); never reported
 /// as an application operation's outcome.
 pub const INTERNAL_TAG: u64 = 0;
 
@@ -70,6 +74,14 @@ const TYPE_LFH_NODE: u32 = 166;
 /// Brands a raw user-data offset as an oid in `pool`.
 fn oid_at(pool: &PglPool, off: u64) -> PMEMoid {
     PMEMoid::new(pool.uuid(), off)
+}
+
+/// The bytes of a `[a: u64, b: u64]` node.
+fn node_bytes(a: u64, b: u64) -> [u8; 16] {
+    let mut n = [0u8; 16];
+    n[..8].copy_from_slice(&a.to_le_bytes());
+    n[8..].copy_from_slice(&b.to_le_bytes());
+    n
 }
 
 /// What recovery decided about the operation tagged `tag`, if it was in
@@ -95,10 +107,11 @@ pub fn op_completed(pool: &PglPool, tag: u64) -> bool {
 /// A lock-free persistent Treiber stack of `u64` values.
 ///
 /// Layout: anchor `[head: u64, pad]`; node `[next: u64, value: u64]`.
-/// `push` allocates the node transactionally with `next` pre-pointed at
-/// the observed head, then publishes it with one detectable CAS on the
-/// anchor's head word; `pop` swings the head past the top node with one
-/// CAS. Popped nodes are leaked (see the module docs).
+/// `push` builds the node with `next` pointed at the observed head and
+/// links it with one allocate-and-publish CAS on the anchor's head word
+/// (a moved head costs a retry with a fresh node); `pop` swings the head
+/// past the top node with one CAS. Popped nodes are leaked (see the
+/// module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct LfStack {
     anchor: PMEMoid,
@@ -122,40 +135,16 @@ impl LfStack {
         self.anchor
     }
 
-    /// Prepare half of a push: allocates the node in its own transaction,
-    /// `next` pre-pointed at the currently observed head.
-    pub fn push_prepare(&self, pool: &PglPool, value: u64) -> KvResult<PMEMoid> {
-        let head = pool.atomic_load(self.anchor, 0)?;
-        Ok(pool.tx(|tx| {
-            let n = tx.alloc(16, TYPE_LFS_NODE)?;
-            tx.write(n, 0, &head.to_le_bytes())?;
-            tx.write(n, 8, &value.to_le_bytes())?;
-            Ok(n)
-        })?)
-    }
-
-    /// Commit half of a push: publishes a prepared node with one
-    /// detectable CAS tagged `tag` (retargeting the unpublished node's
-    /// `next` first if the head moved since prepare).
-    pub fn push_commit(&self, pool: &PglPool, node: PMEMoid, tag: u64) -> KvResult<()> {
-        loop {
-            let head = pool.atomic_load(self.anchor, 0)?;
-            let next = pool.atomic_load(node, 0)?;
-            if next != head {
-                // We still own the unpublished node; point it at the new
-                // head (internal helper CAS, not the operation itself).
-                pool.atomic_update(node, 0, next, head, INTERNAL_TAG)?;
-            }
-            if pool.atomic_update(self.anchor, 0, head, node.off, tag)?.is_applied() {
-                return Ok(());
-            }
-        }
-    }
-
     /// Pushes `value`; `tag` names the operation for crash recovery.
     pub fn push(&self, pool: &PglPool, value: u64, tag: u64) -> KvResult<()> {
-        let node = self.push_prepare(pool, value)?;
-        self.push_commit(pool, node, tag)
+        let mut head = pool.atomic_load(self.anchor, 0)?;
+        loop {
+            let node = node_bytes(head, value);
+            match pool.atomic_publish_new(self.anchor, 0, head, TYPE_LFS_NODE, &node, tag)? {
+                NewCas::Applied(_) => return Ok(()),
+                NewCas::Mismatch(cur) => head = cur,
+            }
+        }
     }
 
     /// Pops the top value, or `None` when empty; `tag` names the
@@ -247,37 +236,21 @@ impl LfQueue {
         self.anchor
     }
 
-    /// Prepare half of an enqueue: allocates the node (`next = 0`) in its
-    /// own transaction.
-    pub fn enqueue_prepare(&self, pool: &PglPool, value: u64) -> KvResult<PMEMoid> {
-        Ok(pool.tx(|tx| {
-            let n = tx.alloc(16, TYPE_LFQ_NODE)?;
-            tx.write(n, 8, &value.to_le_bytes())?;
-            Ok(n)
-        })?)
-    }
-
-    /// Commit half of an enqueue: links a prepared node after the current
-    /// last node with one detectable CAS tagged `tag`.
-    pub fn enqueue_commit(&self, pool: &PglPool, node: PMEMoid, tag: u64) -> KvResult<()> {
+    /// Enqueues `value` with one allocate-and-publish CAS on the last
+    /// node's `next` word; `tag` names the operation for crash recovery.
+    pub fn enqueue(&self, pool: &PglPool, value: u64, tag: u64) -> KvResult<()> {
+        let node = node_bytes(0, value);
         let mut t = self.find_tail(pool)?;
         loop {
-            match pool.atomic_update(oid_at(pool, t), 0, 0, node.off, tag)? {
-                w if w.is_applied() => {
-                    self.tail.store(node.off, Ordering::Relaxed);
+            match pool.atomic_publish_new(oid_at(pool, t), 0, 0, TYPE_LFQ_NODE, &node, tag)? {
+                NewCas::Applied(n) => {
+                    self.tail.store(n.off, Ordering::Relaxed);
                     return Ok(());
                 }
                 // Someone appended behind our back; chase the new link.
-                pangolin::WordCas::Mismatch(next) => t = self.walk_to_tail(pool, next)?,
-                pangolin::WordCas::Applied => unreachable!("covered by is_applied"),
+                NewCas::Mismatch(next) => t = self.walk_to_tail(pool, next)?,
             }
         }
-    }
-
-    /// Enqueues `value`; `tag` names the operation for crash recovery.
-    pub fn enqueue(&self, pool: &PglPool, value: u64, tag: u64) -> KvResult<()> {
-        let node = self.enqueue_prepare(pool, value)?;
-        self.enqueue_commit(pool, node, tag)
     }
 
     /// Dequeues the oldest value, or `None` when empty; `tag` names the
@@ -457,26 +430,19 @@ impl LfHash {
         Ok(None)
     }
 
-    /// Prepare half of an insert/update: allocates the entry node in its
-    /// own transaction.
-    pub fn insert_prepare(&self, pool: &PglPool, key: u64, value: u64) -> KvResult<PMEMoid> {
-        Ok(pool.tx(|tx| {
-            let n = tx.alloc(16, TYPE_LFH_NODE)?;
-            tx.write(n, 0, &key.to_le_bytes())?;
-            tx.write(n, 8, &value.to_le_bytes())?;
-            Ok(n)
-        })?)
-    }
-
-    /// Commit half of an insert/update: publishes a prepared entry node
-    /// with one detectable CAS on its slot, tagged `tag`. Returns the
-    /// replaced value for an update, `None` for a fresh insert.
+    /// Inserts or updates `key → value` with one allocate-and-publish CAS
+    /// of a new entry node into its slot; `tag` names the operation for
+    /// crash recovery. Returns the replaced value for an update, `None`
+    /// for a fresh insert.
     ///
     /// Helps any in-flight resize to completion first, so the linearizing
     /// CAS targets the single live table.
-    pub fn insert_commit(&self, pool: &PglPool, node: PMEMoid, tag: u64) -> KvResult<Option<u64>> {
+    pub fn insert(&self, pool: &PglPool, key: u64, value: u64, tag: u64) -> KvResult<Option<u64>> {
         self.help_resize(pool)?;
-        let key = pool.atomic_load(node, 0)?;
+        let node = node_bytes(key, value);
+        let publish = |table, so, expected| {
+            pool.atomic_publish_new(table, so, expected, TYPE_LFH_NODE, &node, tag)
+        };
         loop {
             let t = pool.atomic_load(self.anchor, 0)?;
             let table = oid_at(pool, t);
@@ -509,7 +475,7 @@ impl LfHash {
             }
             if let Some((so, old_node)) = found {
                 let old = pool.atomic_load(oid_at(pool, old_node), 8)?;
-                if pool.atomic_update(table, so, old_node, node.off, tag)?.is_applied() {
+                if let NewCas::Applied(_) = publish(table, so, old_node)? {
                     return Ok(Some(old));
                 }
                 continue;
@@ -518,7 +484,7 @@ impl LfHash {
                 self.grow(pool, cap * 2)?;
                 continue;
             };
-            if pool.atomic_update(table, so, exp, node.off, tag)?.is_applied() {
+            if let NewCas::Applied(_) = publish(table, so, exp)? {
                 let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
                 if n * 4 >= cap * 3 {
                     self.grow(pool, cap * 2)?;
@@ -526,13 +492,6 @@ impl LfHash {
                 return Ok(None);
             }
         }
-    }
-
-    /// Inserts or updates `key → value`; `tag` names the operation for
-    /// crash recovery. Returns the replaced value, if any.
-    pub fn insert(&self, pool: &PglPool, key: u64, value: u64, tag: u64) -> KvResult<Option<u64>> {
-        let node = self.insert_prepare(pool, key, value)?;
-        self.insert_commit(pool, node, tag)
     }
 
     /// Removes `key`, returning its value, with one detectable CAS
@@ -546,8 +505,12 @@ impl LfHash {
                 Some((so, node)) => {
                     let old = pool.atomic_load(oid_at(pool, node), 8)?;
                     if pool.atomic_update(oid_at(pool, t), so, node, TOMB, tag)?.is_applied() {
-                        let c = self.count.load(Ordering::Relaxed);
-                        self.count.store(c.saturating_sub(1), Ordering::Relaxed);
+                        // One read-modify-write, like insert's increment: a
+                        // separate load and store would lose a concurrent
+                        // update, and a count drifting up grows the table.
+                        // (At 0 the count stays 0.)
+                        let dec = |c: u64| c.checked_sub(1);
+                        let _ = self.count.fetch_update(Ordering::Relaxed, Ordering::Relaxed, dec);
                         return Ok(Some(old));
                     }
                 }
@@ -830,6 +793,34 @@ mod tests {
         h.insert(&p, 1, 101, 3).unwrap();
         assert_eq!(h.get(&p, 1).unwrap(), Some(101));
         assert_eq!(h.len(&p).unwrap(), 1);
+    }
+
+    /// Two threads insert and remove their own keys on one small table:
+    /// at most two entries are ever live, so an exact count never reaches
+    /// the growth threshold (48 of 64 slots). A remove that loses a
+    /// concurrent update to the count lets it drift up until it does.
+    #[test]
+    fn hash_count_stays_exact_under_concurrent_insert_remove() {
+        let p = pool();
+        let h = LfHash::create(&p, 64).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (p, h, start) = (p.clone(), &h, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..1_000u64 {
+                        let key = (t << 32) | i;
+                        let tag = 1 + (t << 32) + 2 * i;
+                        assert_eq!(h.insert(&p, key, i, tag).unwrap(), None);
+                        assert_eq!(h.remove(&p, key, tag + 1).unwrap(), Some(i));
+                    }
+                });
+            }
+        });
+        assert_eq!(h.capacity(&p).unwrap(), 64, "the count drifted and grew the table");
+        assert!(h.is_empty(&p).unwrap());
+        assert!(p.verify_parity().unwrap());
     }
 
     #[test]

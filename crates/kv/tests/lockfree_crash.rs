@@ -1,11 +1,13 @@
 //! Crash-point sweeps for the lock-free structures (`pgl_kv::lockfree`).
 //!
 //! Each workload drives a scripted op sequence with a commit point after
-//! **every** atomic transition — the prepare transaction and the
-//! linearizing detectable CAS are separate commit points — so the oracle
-//! harness crashes at every device-op boundary in between, including the
-//! window between the operation descriptor's persist fence and the CAS
-//! publication. Recovery must then satisfy the detectability contract:
+//! every operation — its one linearizing detectable CAS, which for push,
+//! enqueue and insert also allocates and constructs the node it links —
+//! so the oracle harness crashes at every device-op boundary in between:
+//! inside a fresh node's construction, between the operation descriptor's
+//! persist fence and the CAS publication, and between the CAS and the
+//! node's allocator bit. Recovery must then satisfy the detectability
+//! contract:
 //! the in-flight operation either never happened or completed exactly
 //! once, decidable from [`pgl_kv::lockfree::op_completed`] for the tag
 //! that was in flight. `verify` replays the script against that rule and
@@ -54,15 +56,6 @@ enum StackOp {
 }
 
 impl StackOp {
-    /// Commit points the op contributes (prepare tx + linearizing CAS for
-    /// a push; just the CAS for a pop).
-    fn cps(&self) -> usize {
-        match self {
-            StackOp::Push(_) => 2,
-            StackOp::Pop => 1,
-        }
-    }
-
     fn apply(&self, model: &mut Vec<u64>) {
         match self {
             StackOp::Push(v) => model.insert(0, *v),
@@ -101,17 +94,12 @@ impl CrashWorkload for StackWorkload {
         for (i, op) in stack_script().into_iter().enumerate() {
             let tag = (i + 1) as u64;
             match op {
-                StackOp::Push(v) => {
-                    let node = kv(s.push_prepare(pool, v))?;
-                    ctx.commit_point(pool)?;
-                    kv(s.push_commit(pool, node, tag))?;
-                    ctx.commit_point(pool)?;
-                }
+                StackOp::Push(v) => kv(s.push(pool, v, tag))?,
                 StackOp::Pop => {
                     kv(s.try_pop(pool, tag))?;
-                    ctx.commit_point(pool)?;
                 }
             }
+            ctx.commit_point(pool)?;
         }
         Ok(())
     }
@@ -119,16 +107,14 @@ impl CrashWorkload for StackWorkload {
     fn verify(&self, pool: &PglPool, committed: usize) -> Result<()> {
         let s = LfStack::attach(read_anchor(pool)?);
         let mut model: Vec<u64> = Vec::new();
-        let mut cp = 0usize;
         for (i, op) in stack_script().into_iter().enumerate() {
             let tag = (i + 1) as u64;
-            if cp + op.cps() <= committed {
+            if i < committed {
                 op.apply(&mut model);
-                cp += op.cps();
                 continue;
             }
-            // The boundary op: its linearizing CAS is the last commit
-            // point, so it applied iff recovery proves the tag completed.
+            // The in-flight op: its linearizing CAS is its commit point,
+            // so it applied iff recovery proves the tag completed.
             if op_completed(pool, tag) {
                 op.apply(&mut model);
             }
@@ -160,13 +146,6 @@ enum QueueOp {
 }
 
 impl QueueOp {
-    fn cps(&self) -> usize {
-        match self {
-            QueueOp::Enq(_) => 2,
-            QueueOp::Deq => 1,
-        }
-    }
-
     fn apply(&self, model: &mut Vec<u64>) {
         match self {
             QueueOp::Enq(v) => model.push(*v),
@@ -205,17 +184,12 @@ impl CrashWorkload for QueueWorkload {
         for (i, op) in queue_script().into_iter().enumerate() {
             let tag = (i + 1) as u64;
             match op {
-                QueueOp::Enq(v) => {
-                    let node = kv(q.enqueue_prepare(pool, v))?;
-                    ctx.commit_point(pool)?;
-                    kv(q.enqueue_commit(pool, node, tag))?;
-                    ctx.commit_point(pool)?;
-                }
+                QueueOp::Enq(v) => kv(q.enqueue(pool, v, tag))?,
                 QueueOp::Deq => {
                     kv(q.try_dequeue(pool, tag))?;
-                    ctx.commit_point(pool)?;
                 }
             }
+            ctx.commit_point(pool)?;
         }
         Ok(())
     }
@@ -223,12 +197,10 @@ impl CrashWorkload for QueueWorkload {
     fn verify(&self, pool: &PglPool, committed: usize) -> Result<()> {
         let q = LfQueue::attach(read_anchor(pool)?);
         let mut model: Vec<u64> = Vec::new();
-        let mut cp = 0usize;
         for (i, op) in queue_script().into_iter().enumerate() {
             let tag = (i + 1) as u64;
-            if cp + op.cps() <= committed {
+            if i < committed {
                 op.apply(&mut model);
-                cp += op.cps();
                 continue;
             }
             if op_completed(pool, tag) {
@@ -262,13 +234,6 @@ enum HashOp {
 }
 
 impl HashOp {
-    fn cps(&self) -> usize {
-        match self {
-            HashOp::Ins(..) => 2,
-            HashOp::Del(_) => 1,
-        }
-    }
-
     fn apply(&self, model: &mut std::collections::BTreeMap<u64, u64>) {
         match self {
             HashOp::Ins(k, v) => {
@@ -316,16 +281,13 @@ impl CrashWorkload for HashWorkload {
             let tag = (i + 1) as u64;
             match op {
                 HashOp::Ins(k, v) => {
-                    let node = kv(h.insert_prepare(pool, k, v))?;
-                    ctx.commit_point(pool)?;
-                    kv(h.insert_commit(pool, node, tag))?;
-                    ctx.commit_point(pool)?;
+                    kv(h.insert(pool, k, v, tag))?;
                 }
                 HashOp::Del(k) => {
                     kv(h.remove(pool, k, tag))?;
-                    ctx.commit_point(pool)?;
                 }
             }
+            ctx.commit_point(pool)?;
         }
         // Stepped resize: every transition of the migration state machine
         // (allocate, publish, per-slot copy/seal, table swing, retire) is
@@ -342,12 +304,10 @@ impl CrashWorkload for HashWorkload {
     fn verify(&self, pool: &PglPool, committed: usize) -> Result<()> {
         let h = kv(LfHash::attach(pool, read_anchor(pool)?))?;
         let mut model = std::collections::BTreeMap::new();
-        let mut cp = 0usize;
         for (i, op) in hash_script().into_iter().enumerate() {
             let tag = (i + 1) as u64;
-            if cp + op.cps() <= committed {
+            if i < committed {
                 op.apply(&mut model);
-                cp += op.cps();
                 continue;
             }
             if op_completed(pool, tag) {

@@ -161,6 +161,81 @@ pub struct AllocReservation {
     kind: ReserveKind,
 }
 
+impl AllocReservation {
+    /// The ops that format a fresh run for this block (`RunFmt` and its
+    /// `WriteCm`, ahead of the block's `SetBits`); empty for a block of an
+    /// existing run and for a Large allocation.
+    pub fn run_format_ops(&self) -> &[MetaOp] {
+        match self.kind {
+            ReserveKind::Run { fresh_run: true, .. } => &self.ops[..self.ops.len() - 1],
+            _ => &[],
+        }
+    }
+}
+
+/// A run block located from persistent metadata (see [`run_slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSlot {
+    /// Offset of the block (its object header).
+    pub start: u64,
+    /// Block size in bytes.
+    pub len: u64,
+    /// Offset of the bitmap word holding the block's bit.
+    pub bit_word: u64,
+    /// The block's bit in that word.
+    pub mask: u64,
+}
+
+/// Where persistent metadata places an object's storage (see [`placement`]).
+enum Placement {
+    /// A run block, and whether its allocator bit is set.
+    Block(RunSlot, bool),
+    /// The start of a `Large` chunk span.
+    Large,
+}
+
+/// Places the object whose user data starts at `oid_off`, trusting nothing
+/// on media: `None` unless `oid_off - 16` is the start of a block inside a
+/// `Run` chunk or the start of a `Large` chunk, whose metadata entry
+/// verifies and, for a run, whose run header validates.
+fn placement(io: &PoolIo, layout: &Layout, oid_off: u64) -> Option<Placement> {
+    let start = oid_off.checked_sub(OBJ_HEADER_SIZE)?;
+    let (z, c, within) = layout.chunk_of(start).ok()?;
+    let cm = Heap::read_cm(io, layout, z, c).ok()?;
+    if !cm.verify() {
+        return None; // torn or scribbled entry
+    }
+    let base = layout.chunk_base(z, c);
+    match cm.chunk_type()? {
+        ChunkType::Run => {
+            let hdr = RunHeader::read(io, base).ok()?;
+            hdr.validate(layout.cfg.chunk_size).ok()?;
+            let rel = within.checked_sub(RUN_HEADER_SIZE)?;
+            let len = hdr.block_size as u64;
+            let block = rel / len;
+            if rel % len != 0 || block >= hdr.nblocks as u64 {
+                return None;
+            }
+            let (bit_word, mask) = RunHeader::bit_pos(base, block as u32);
+            let slot = RunSlot { start, len, bit_word, mask };
+            Some(Placement::Block(slot, hdr.is_set(block as u32)))
+        }
+        ChunkType::Large => (start == base).then_some(Placement::Large),
+        _ => None,
+    }
+}
+
+/// Locates the run block whose object user data starts at `oid_off`,
+/// trusting nothing on media: `None` unless `oid_off - 16` is the start of
+/// a block inside a `Run` chunk whose metadata entry verifies and whose run
+/// header validates.
+pub fn run_slot(io: &PoolIo, layout: &Layout, oid_off: u64) -> Option<RunSlot> {
+    match placement(io, layout, oid_off)? {
+        Placement::Block(slot, _) => Some(slot),
+        Placement::Large => None,
+    }
+}
+
 /// A reserved-but-unpublished deallocation.
 #[derive(Debug)]
 pub struct FreeReservation {
@@ -661,37 +736,10 @@ impl Heap {
     /// pass, never touch the wrong one. Callers that go on to repair must
     /// re-confirm under their own range-locks (the scrubber does).
     pub fn is_live(&self, io: &PoolIo, oid_off: u64) -> bool {
-        let Some(start) = oid_off.checked_sub(OBJ_HEADER_SIZE) else {
-            return false;
-        };
-        let Ok((z, c, within)) = self.layout.chunk_of(start) else {
-            return false;
-        };
-        let Ok(cm) = Self::read_cm(io, &self.layout, z, c) else {
-            return false;
-        };
-        if !cm.verify() {
-            return false; // torn or scribbled entry: treat as not live
-        }
-        match cm.chunk_type() {
-            Some(ChunkType::Run) => {
-                let base = self.layout.chunk_base(z, c);
-                let Ok(hdr) = RunHeader::read(io, base) else {
-                    return false;
-                };
-                if hdr.validate(self.layout.cfg.chunk_size).is_err() {
-                    return false;
-                }
-                let Some(rel) = within.checked_sub(RUN_HEADER_SIZE) else {
-                    return false;
-                };
-                let block = (rel / hdr.block_size as u64) as u32;
-                block < hdr.nblocks
-                    && hdr.is_set(block)
-                    && RunHeader::block_off(base, hdr.block_size, block) == start
-            }
-            Some(ChunkType::Large) => start == self.layout.chunk_base(z, c),
-            _ => false,
+        match placement(io, &self.layout, oid_off) {
+            Some(Placement::Block(_, set)) => set,
+            Some(Placement::Large) => true,
+            None => false,
         }
     }
 
@@ -700,6 +748,20 @@ impl Heap {
         if let ReserveKind::Run { zone, chunk, fresh_run: true, .. } = r.kind {
             let mut zones = self.zones.lock();
             zones[zone as usize].publish_run(chunk);
+        }
+    }
+
+    /// Volatile completion of a fresh run whose format
+    /// ([`AllocReservation::run_format_ops`]) was published on its own,
+    /// ahead of the block: the run becomes reservable by others, and `r` is
+    /// left a plain block reservation whose only op is its `SetBits`.
+    pub fn complete_run_format(&self, r: &mut AllocReservation) {
+        if let ReserveKind::Run { zone, chunk, ref mut fresh_run, .. } = r.kind {
+            if *fresh_run {
+                self.zones.lock()[zone as usize].publish_run(chunk);
+                *fresh_run = false;
+                r.ops.drain(..r.ops.len() - 1);
+            }
         }
     }
 
@@ -936,6 +998,42 @@ mod tests {
         let after = heap.stats();
         assert_eq!(before.free_chunks, after.free_chunks);
         assert_eq!(before.run_chunks, after.run_chunks, "pending run removed");
+    }
+
+    #[test]
+    fn run_format_published_ahead_leaves_a_plain_block_reservation() {
+        let (io, heap) = fresh_heap();
+        let mut r = heap.reserve_alloc(56, 1).unwrap();
+        assert_eq!(r.run_format_ops().len(), 2, "RunFmt + WriteCm");
+        heap.apply_ops(&io, r.run_format_ops()).unwrap();
+        heap.complete_run_format(&mut r);
+        assert!(r.run_format_ops().is_empty());
+        assert!(matches!(r.ops[..], [MetaOp::SetBits { .. }]));
+        // The run serves other reservations now; this block is not live.
+        let other = heap.reserve_alloc(56, 1).unwrap();
+        assert_eq!(other.ops.len(), 1);
+        assert!(!heap.is_live(&io, r.oid_off));
+        // Cancelling the block keeps the run: the block is reserved again.
+        heap.cancel_alloc(&r);
+        assert_eq!(heap.reserve_alloc(56, 1).unwrap().start_off, r.start_off);
+    }
+
+    #[test]
+    fn run_slot_finds_block_starts_only() {
+        let (io, heap) = fresh_heap();
+        let layout = *heap.layout();
+        let r = heap.reserve_alloc(56, 1).unwrap();
+        assert_eq!(run_slot(&io, &layout, r.oid_off), None, "the run is not formatted yet");
+        publish_alloc(&io, &heap, &r);
+        let slot = run_slot(&io, &layout, r.oid_off).unwrap();
+        assert_eq!((slot.start, slot.len), (r.start_off, 96));
+        assert_eq!(r.ops.last(), Some(&MetaOp::SetBits { off: slot.bit_word, mask: slot.mask }));
+        for off in [r.oid_off + 8, r.start_off, 0, u64::MAX] {
+            assert_eq!(run_slot(&io, &layout, off), None, "{off:#x}");
+        }
+        let large = heap.reserve_alloc(layout.cfg.chunk_size as u64, 2).unwrap();
+        publish_alloc(&io, &heap, &large);
+        assert_eq!(run_slot(&io, &layout, large.oid_off), None, "a Large object is no run block");
     }
 
     #[test]
