@@ -2,8 +2,10 @@
 //!
 //! The paper switches from atomic-XOR (lock-free, shared range-lock) to
 //! vectorized XOR (exclusive range-lock) at 8 KB, where the per-word atomic
-//! cost overtakes the locking cost. This sweep measures both strategies per
-//! patch size and reports the measured crossover on this machine.
+//! cost overtakes the locking cost. This sweep forces each strategy per
+//! patch size — the guard mode picks it — and reports the measured
+//! crossover on this machine, the measurement behind
+//! `pangolin::parity::HYBRID_THRESHOLD`.
 //!
 //! Run: `cargo run --release -p pgl-bench --bin ablation_hybrid_parity`
 
@@ -17,17 +19,18 @@ use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
 
 const SIZES: &[usize] = &[64, 256, 1024, 4096, 8192, 16384, 65536];
 
-fn bench_engine(io: &PoolIo, layout: &Layout, threshold: u64, size: usize, iters: usize) -> f64 {
-    // threshold = 0 forces the vectorized (exclusive-lock) path for all
-    // sizes; threshold = u64::MAX forces atomic XOR for all sizes.
-    let engine = ParityEngine::new(*layout, 8 << 10, threshold.max(1));
+/// Mean ns per patch of `size` bytes: vectorized XOR under an exclusive
+/// guard, word-atomic XOR under a shared one.
+fn bench_engine(io: &PoolIo, layout: &Layout, exclusive: bool, size: usize, iters: usize) -> f64 {
+    let engine = ParityEngine::new(*layout);
     let base = layout.chunk_base(0, layout.zone.cm_chunks);
     let old = vec![0x55u8; size];
     let new = vec![0xAAu8; size];
     let t = Instant::now();
     for i in 0..iters {
         let off = base + ((i * 64) % 4096) as u64;
-        engine.update(io, off, &old, &new).expect("patch");
+        let guard = engine.lock_span(off, size as u64, exclusive).expect("lock");
+        engine.update_under(&guard, io, off, &old, &new).expect("patch");
     }
     t.elapsed().as_nanos() as f64 / iters as f64
 }
@@ -47,8 +50,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut crossover: Option<usize> = None;
     for &size in SIZES {
-        let atomic_ns = bench_engine(&io, &layout, u64::MAX, size, iters);
-        let vector_ns = bench_engine(&io, &layout, 1, size, iters);
+        let atomic_ns = bench_engine(&io, &layout, false, size, iters);
+        let vector_ns = bench_engine(&io, &layout, true, size, iters);
         if crossover.is_none() && vector_ns < atomic_ns {
             crossover = Some(size);
         }
@@ -67,7 +70,8 @@ fn main() {
     match crossover {
         Some(s) => println!(
             "\nvectorized wins from ~{s} B on this machine; the paper measured \
-             8 KB on Optane — Pangolin's default hybrid threshold."
+             8 KB on Optane. Pangolin's HYBRID_THRESHOLD is {} B.",
+            pangolin::parity::HYBRID_THRESHOLD
         ),
         None => println!("\natomic XOR won at every size on this machine (no crossover seen)."),
     }

@@ -1,14 +1,14 @@
 //! §4.6: error detection and correction — inject media errors and
 //! scribbles, verify online repair, and measure page-repair latency
 //! (the paper reports ~180 µs per page at 100 GB/1 GB-parity scale) —
-//! plus the **sharded restart-recovery sweep**: crash-recovery wall time
-//! at `open` across a shard-count × pool-size grid (parity shards sweep
-//! their zones on parallel workers; the lane scan before it is serial
-//! and reads only as far as each log reaches).
+//! plus **restart recovery**: crash-recovery wall time at `open` per pool
+//! size (one serial pass: a lane scan that reads only as far as each log
+//! reaches, replay, column recompute and the orphan-log sweep; the shard
+//! count does not enter it).
 //!
 //! Run: `cargo run --release -p pgl-bench --bin sec46_recovery`
-//! Options: `--shards a,b,c` picks the shard counts swept, `--pool-mb N`
-//! the largest pool size, `--json PATH` writes the recovery grid as JSON.
+//! Options: `--pool-mb N` the largest pool size, `--json PATH` writes the
+//! restart table as JSON.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,13 +136,12 @@ fn main() {
         pool.counters().scrubs.load(std::sync::atomic::Ordering::Relaxed),
     );
 
-    // Experiment 5: sharded restart recovery — a shard-count × pool-size
-    // grid. Each cell builds a pool, spreads objects over every parity
-    // shard (thread→shard affinity), leaves the pool *dirty* (no clean
-    // shutdown, so the lanes still carry their lazily-invalidated commit
-    // records), and times the crash-recovery sweep that `open` runs:
-    // lane replay, per-zone orphan-log sweeps and parity recomputation,
-    // partitioned over one worker per shard.
+    // Experiment 5: restart recovery per pool size. Each row builds a
+    // pool, spreads objects over its zones (thread→shard affinity), leaves
+    // the pool *dirty* (no clean shutdown, so the lanes still carry their
+    // lazily-invalidated commit records), and times the crash-recovery
+    // pass that `open` runs: lane replay, parity recomputation and the
+    // per-zone orphan-log sweep.
     let sizes: Vec<usize> = {
         let mut v = vec![args.pool_bytes / 2, args.pool_bytes];
         // The bench geometry (64 MiB zones, 64 mirrored 512 KiB lanes)
@@ -154,106 +153,68 @@ fn main() {
         v.dedup();
         v
     };
-    struct RecRow {
-        pool_mb: usize,
-        shards: usize,
-        ms: f64,
-    }
-    let mut rec_rows: Vec<RecRow> = Vec::new();
+    let mut rec_rows: Vec<(usize, f64)> = Vec::new();
     for &size in &sizes {
-        for &shards in &args.shards {
-            let dev = Arc::new(
-                NvmDevice::new(
-                    size,
-                    DeviceConfig { latency: args.latency, ..DeviceConfig::fast() },
-                )
+        let dev = Arc::new(
+            NvmDevice::new(size, DeviceConfig { latency: args.latency, ..DeviceConfig::fast() })
                 .expect("device"),
-            );
-            let mut cfg = PglConfig::bench(size, PglMode::Mlpc);
-            cfg.shards = shards;
-            let pool = PglPool::create(dev.clone(), cfg).expect("create");
-            let resolved = pool.shards();
-            // One round of allocations and one of overwrites, striped over
-            // every shard, so each recovery worker finds live objects,
-            // parity state and log traffic in its own zones.
-            let mut spread = Vec::new();
-            for i in 0..256u64 {
-                pool.bind_thread_to_shard(i as usize % resolved);
-                let oid = pool
-                    .tx(|tx| {
-                        let oid = tx.alloc(1024, 9)?;
-                        tx.write(oid, 0, &[i as u8; 1024])?;
-                        Ok(oid)
-                    })
-                    .expect("spread");
-                spread.push(oid);
-            }
-            for (i, oid) in spread.iter().enumerate() {
-                pool.bind_thread_to_shard(i % resolved);
-                pool.tx(|tx| tx.write(*oid, 0, &[0xD1; 1024])).expect("dirty");
-            }
-            pool.unbind_thread_from_shard();
-            // Crash the device mid-commit so recovery finds genuinely
-            // unfinished lanes, then abandon the handle without the
-            // clean-shutdown path.
-            dev.arm_crash_after(150);
-            let hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for oid in spread.iter().cycle() {
-                    pool.tx(|tx| tx.write(*oid, 0, &[0xC4; 1024])).expect("crash burst");
-                }
-            }));
-            std::panic::set_hook(hook);
-            dev.disarm_crash();
-            assert!(crashed.is_err(), "armed crash must interrupt the burst");
-            std::mem::forget(pool);
-            let start = Instant::now();
-            let pool = PglPool::options().shards(shards).open(dev).expect("recover");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(pool.shards(), resolved);
-            assert!(pool.verify_parity().expect("verify"), "parity after recovery");
-            for (i, oid) in spread.iter().enumerate() {
-                let data = pool.read_verified(*oid).expect("read after recovery");
-                let ok = data == vec![0xD1; 1024] || data == vec![0xC4; 1024];
-                assert!(ok, "object {i} torn after recovery");
-            }
-            rec_rows.push(RecRow { pool_mb: size >> 20, shards: resolved, ms });
+        );
+        let pool =
+            PglPool::create(dev.clone(), PglConfig::bench(size, PglMode::Mlpc)).expect("create");
+        // One round of allocations and one of overwrites, spread over the
+        // zones, so recovery finds live objects, parity state and log
+        // traffic across the pool.
+        let mut spread = Vec::new();
+        for i in 0..256u64 {
+            pool.bind_thread_to_shard(i as usize % pool.shards());
+            let oid = pool
+                .tx(|tx| {
+                    let oid = tx.alloc(1024, 9)?;
+                    tx.write(oid, 0, &[i as u8; 1024])?;
+                    Ok(oid)
+                })
+                .expect("spread");
+            spread.push(oid);
         }
+        for (i, oid) in spread.iter().enumerate() {
+            pool.bind_thread_to_shard(i % pool.shards());
+            pool.tx(|tx| tx.write(*oid, 0, &[0xD1; 1024])).expect("dirty");
+        }
+        pool.unbind_thread_from_shard();
+        // Crash the device mid-commit so recovery finds genuinely
+        // unfinished lanes, then abandon the handle without the
+        // clean-shutdown path.
+        dev.arm_crash_after(150);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for oid in spread.iter().cycle() {
+                pool.tx(|tx| tx.write(*oid, 0, &[0xC4; 1024])).expect("crash burst");
+            }
+        }));
+        std::panic::set_hook(hook);
+        dev.disarm_crash();
+        assert!(crashed.is_err(), "armed crash must interrupt the burst");
+        std::mem::forget(pool);
+        let start = Instant::now();
+        let pool = PglPool::options().open(dev).expect("recover");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(pool.verify_parity().expect("verify"), "parity after recovery");
+        for (i, oid) in spread.iter().enumerate() {
+            let data = pool.read_verified(*oid).expect("read after recovery");
+            let ok = data == vec![0xD1; 1024] || data == vec![0xC4; 1024];
+            assert!(ok, "object {i} torn after recovery");
+        }
+        rec_rows.push((size >> 20, ms));
     }
-    let base_ms = |pool_mb: usize| {
-        rec_rows.iter().filter(|r| r.pool_mb == pool_mb).map(|r| r.ms).next().unwrap_or(f64::NAN)
-    };
-    let rows: Vec<Vec<String>> = rec_rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.pool_mb),
-                format!("{}", r.shards),
-                format!("{:.1}", r.ms),
-                format!("{:.2}x", base_ms(r.pool_mb) / r.ms),
-            ]
-        })
-        .collect();
-    print_table(
-        "Sharded restart recovery (x = speedup vs this pool size's first shard count)",
-        &["pool MB", "shards", "recover ms", "x"],
-        &rows,
-    );
+    let rows: Vec<Vec<String>> =
+        rec_rows.iter().map(|(mb, ms)| vec![format!("{mb}"), format!("{ms:.1}")]).collect();
+    print_table("Restart recovery", &["pool MB", "recover ms"], &rows);
 
     if let Some(path) = &args.json {
         let rows_json: Vec<String> = rec_rows
             .iter()
-            .map(|r| {
-                format!(
-                    "{{\"pool_mb\":{},\"shards\":{},\"recover_ms\":{:.3},\
-                     \"speedup_vs_first\":{:.3}}}",
-                    r.pool_mb,
-                    r.shards,
-                    r.ms,
-                    base_ms(r.pool_mb) / r.ms
-                )
-            })
+            .map(|(mb, ms)| format!("{{\"pool_mb\":{mb},\"recover_ms\":{ms:.3}}}"))
             .collect();
         let json = format!(
             "{{\"bench\":\"sec46_recovery\",\"mode\":\"pgl-MLPC\",\"unit\":\"ms\",\

@@ -184,8 +184,6 @@ pub struct Args {
     /// Machine-readable results path (`--json PATH`); binaries that
     /// support it write a one-line JSON summary there.
     pub json: Option<String>,
-    /// Parity-shard counts for sharded-recovery sweeps (`--shards a,b,c`).
-    pub shards: Vec<usize>,
 }
 
 impl Args {
@@ -200,7 +198,6 @@ impl Args {
             threads_explicit: false,
             seed: 0xC0FFEE,
             json: None,
-            shards: vec![1, 2, 4],
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -230,15 +227,10 @@ impl Args {
                     i += 1;
                     args.json = Some(argv[i].clone());
                 }
-                "--shards" => {
-                    i += 1;
-                    args.shards =
-                        argv[i].split(',').map(|s| s.parse().expect("--shards a,b,c")).collect();
-                }
                 other => {
                     eprintln!(
                         "unknown option {other}; supported: --ops N --pool-mb N \
-                         --no-latency --threads a,b,c --seed N --json PATH --shards a,b,c"
+                         --no-latency --threads a,b,c --seed N --json PATH"
                     );
                     std::process::exit(2);
                 }

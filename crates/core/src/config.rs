@@ -1,4 +1,8 @@
 //! Pangolin operation modes and tuning knobs (paper Table 2 and §3.3).
+//!
+//! The hybrid parity update's crossover and range-lock size are design
+//! constants, not knobs: [`crate::parity::HYBRID_THRESHOLD`] (1 KiB) and
+//! [`crate::parity::LOCK_GRANULE`] (8 KiB).
 
 use pgl_pmemobj::PoolConfig;
 
@@ -65,18 +69,6 @@ pub struct PglConfig {
     pub mode: PglMode,
     /// Checksum verification policy.
     pub policy: CsumPolicy,
-    /// Parity updates at or above this many bytes take an exclusive
-    /// range-lock and use vectorized XOR; smaller ones use lock-free atomic
-    /// XOR under a shared lock. The paper measured 8 KiB as the crossover
-    /// on its Optane hardware; following the same methodology on this
-    /// simulated device (the `ablation_hybrid_parity` bin) puts vectorized
-    /// XOR ahead at every size, so the
-    /// default keeps only sub-KiB patches — where commuting concurrent
-    /// writers matter most — on the shared atomic path.
-    pub hybrid_threshold: u64,
-    /// Bytes of parity covered by one range-lock (the paper's 1 % / 16 GiB
-    /// zone configuration yields ~8 KiB granules, "20 K range-locks").
-    pub parity_lock_granule: u64,
     /// Run the scrubber on a background thread (otherwise scrubs happen
     /// synchronously inside the triggering commit).
     pub background_scrub: bool,
@@ -88,8 +80,8 @@ pub struct PglConfig {
     /// DRAM; the default covers 64 Ki hot objects.
     pub vcache_capacity: usize,
     /// Parity shard (domain) count. Each shard owns the zones with
-    /// `zone % shards == shard`, with its own parity stripe-lock table,
-    /// recovery sweep and scrub partition. `0` picks an automatic count
+    /// `zone % shards == shard`, with its own parity stripe-lock table
+    /// and scrub partition. `0` picks an automatic count
     /// (`min(n_zones, 8)`); any explicit value is clamped to the zone
     /// count. Runtime-only — not persisted in the pool header, so a pool
     /// can be reopened with any shard count and `shards = 1` is
@@ -110,8 +102,6 @@ impl PglConfig {
             pool: PoolConfig::small(),
             mode: PglMode::Mlpc,
             policy: CsumPolicy::Default,
-            hybrid_threshold: 1 << 10,
-            parity_lock_granule: 8 << 10,
             background_scrub: false,
             vcache_capacity: 64 << 10,
             shards: 1,
@@ -125,8 +115,6 @@ impl PglConfig {
             pool: PoolConfig::bench(pool_size),
             mode,
             policy: CsumPolicy::Default,
-            hybrid_threshold: 1 << 10,
-            parity_lock_granule: 8 << 10,
             background_scrub: false,
             vcache_capacity: 64 << 10,
             shards: 0,
@@ -150,12 +138,6 @@ impl PglConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.mode.has_parity() && !self.pool.parity {
             return Err("parity mode requires PoolConfig::parity".into());
-        }
-        if self.hybrid_threshold == 0 {
-            return Err("hybrid threshold must be positive".into());
-        }
-        if self.parity_lock_granule < 8 || self.parity_lock_granule % 8 != 0 {
-            return Err("parity lock granule must be a positive multiple of 8".into());
         }
         if matches!(self.policy, CsumPolicy::ScrubEvery(0)) {
             return Err("scrub interval must be positive".into());

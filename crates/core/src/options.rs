@@ -1,9 +1,7 @@
-//! Builder-style pool construction ([`PglPool::options`]).
-//!
-//! Historically `PglPool::create` took a full [`PglConfig`] while
-//! `PglPool::open` took loose positional arguments — an asymmetry that
-//! made call sites hard to read and extend. [`OpenOptions`] unifies both
-//! paths behind one builder:
+//! Builder-style pool construction ([`PglPool::options`]): one builder
+//! for both creating and opening a pool. The hybrid parity crossover and
+//! the range-lock size are not options but constants
+//! ([`crate::parity::HYBRID_THRESHOLD`], [`crate::parity::LOCK_GRANULE`]).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -38,8 +36,7 @@ use crate::pool::PglPool;
 /// Builder for creating or opening a [`PglPool`] (see the module docs).
 ///
 /// Defaults match [`PglConfig::small`]: full `Mlpc` mode, the paper's
-/// default checksum policy, synchronous scrubbing, and the 8 KiB hybrid
-/// parity thresholds.
+/// default checksum policy, synchronous scrubbing and one parity shard.
 #[derive(Debug, Clone)]
 pub struct OpenOptions {
     cfg: PglConfig,
@@ -96,19 +93,6 @@ impl OpenOptions {
         self
     }
 
-    /// Parity updates at or above this many bytes use the exclusive
-    /// vectorized-XOR strategy (paper §3.1's hybrid crossover).
-    pub fn hybrid_threshold(mut self, bytes: u64) -> Self {
-        self.cfg.hybrid_threshold = bytes;
-        self
-    }
-
-    /// Bytes of data covered by one parity range-lock.
-    pub fn parity_lock_granule(mut self, bytes: u64) -> Self {
-        self.cfg.parity_lock_granule = bytes;
-        self
-    }
-
     /// Total entry capacity of the DRAM verified-generation cache
     /// (`0` disables it; every verified read then re-checksums).
     pub fn vcache_capacity(mut self, entries: usize) -> Self {
@@ -146,8 +130,8 @@ impl OpenOptions {
 
     /// Opens an existing pool on `dev`, running crash recovery. Geometry
     /// and mode come from the pool header; the builder contributes the
-    /// run-time knobs (checksum policy, background scrubbing, parity
-    /// thresholds).
+    /// run-time knobs (checksum policy, background scrubbing, the
+    /// verification cache, the shard count).
     pub fn open(self, dev: Arc<NvmDevice>) -> Result<PglPool> {
         PglPool::open_with(dev, &self.cfg)
     }
@@ -164,14 +148,12 @@ mod tests {
 
     #[test]
     fn builder_roundtrips_mode_and_policy() {
-        let opts = OpenOptions::new()
-            .mode(PglMode::Mlp)
-            .csum_policy(CsumPolicy::Conservative)
-            .hybrid_threshold(4 << 10);
+        let opts =
+            OpenOptions::new().mode(PglMode::Mlp).csum_policy(CsumPolicy::Conservative).shards(2);
         let cfg = opts.config();
         assert_eq!(cfg.mode, PglMode::Mlp);
         assert_eq!(cfg.policy, CsumPolicy::Conservative);
-        assert_eq!(cfg.hybrid_threshold, 4 << 10);
+        assert_eq!(cfg.shards, 2);
 
         let dev = dev(&opts);
         let pool = opts.clone().create(dev.clone()).unwrap();

@@ -6,12 +6,15 @@
 //! transactions updating *overlapping* parity (same column, different rows)
 //! need no ordering — they only need atomicity per word:
 //!
-//! * **small patches** (< [`crate::config::PglConfig::hybrid_threshold`])
-//!   take a *shared* parity range-lock and apply the patch with lock-free
-//!   atomic XOR instructions;
+//! * **small patches** (< [`HYBRID_THRESHOLD`], 1 KiB) take a *shared*
+//!   parity range-lock and apply the patch with lock-free atomic XOR
+//!   instructions;
 //! * **large patches** take the range-locks *exclusively* and use plain
 //!   vectorized XOR, which is faster per byte (paper §3.5's hybrid scheme;
 //!   the paper measured the crossover at 8 KiB).
+//!
+//! A range-lock covers [`LOCK_GRANULE`] (8 KiB) of a zone's parity
+//! columns. Both are design constants, as the paper's crossover is.
 //!
 //! Chunks holding overflowed transaction logs ([`ChunkType::Log`]) are
 //! treated as zeros in all parity math, preventing parity contention
@@ -137,6 +140,24 @@ pub fn segments(layout: &Layout, off: u64, len: u64) -> Result<Vec<Segment>> {
     SegIter::new(layout, off, len).collect()
 }
 
+/// Parity patches of at least this many bytes take their range-locks
+/// exclusively and XOR vectorized; smaller ones XOR word-atomically under a
+/// shared lock. The paper measured 8 KiB as the crossover on its Optane
+/// hardware; on this simulated device the `ablation_hybrid_parity` bin puts
+/// vectorized XOR ahead at every size, so only sub-KiB patches — where
+/// commuting concurrent writers matter most — stay on the atomic path.
+pub const HYBRID_THRESHOLD: u64 = 1 << 10;
+
+/// Bytes of parity columns one range-lock covers (the paper's 1 % / 16 GiB
+/// zone configuration yields ~8 KiB granules, "20 K range-locks").
+pub const LOCK_GRANULE: u64 = 8 << 10;
+
+/// `true` when a write-back of `len` bytes should take its range-locks
+/// exclusively (vectorized XOR) rather than shared (atomic XOR).
+pub fn prefers_exclusive(len: u64) -> bool {
+    len >= HYBRID_THRESHOLD
+}
+
 /// Upper bound on the striped lock table size. At paper scale a zone has
 /// ~20 K granules; a dedicated lock per granule would waste memory, so
 /// granules hash onto a fixed power-of-two stripe table instead. As long as
@@ -197,8 +218,6 @@ impl RangeGuard<'_> {
 /// logic.
 pub struct ParityEngine {
     layout: Layout,
-    granule: u64,
-    threshold: u64,
     granules_per_zone: u64,
     /// Striped lock table shared by all zones; granule `(zone, g)` maps to
     /// stripe `(zone * granules_per_zone + g) & stripe_mask`.
@@ -219,16 +238,14 @@ impl ParityEngine {
     /// # Panics
     ///
     /// Panics if the layout has no parity row (callers validate the mode).
-    pub fn new(layout: Layout, granule: u64, threshold: u64) -> ParityEngine {
+    pub fn new(layout: Layout) -> ParityEngine {
         assert!(layout.zone.parity_base.is_some(), "parity engine needs a parity row");
-        let granules_per_zone = layout.zone.row_size.div_ceil(granule);
+        let granules_per_zone = layout.zone.row_size.div_ceil(LOCK_GRANULE);
         let total = (layout.n_zones * granules_per_zone).max(1);
         let n_stripes = total.next_power_of_two().min(MAX_STRIPES);
         let stripes = (0..n_stripes).map(|_| RwLock::new(())).collect();
         ParityEngine {
             layout,
-            granule,
-            threshold,
             granules_per_zone,
             stripes,
             stripe_mask: n_stripes - 1,
@@ -333,18 +350,6 @@ impl ParityEngine {
         self.stripes.len()
     }
 
-    /// The hybrid-update crossover: patches at or above this size prefer
-    /// the exclusive vectorized strategy.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// `true` when a write-back of `len` bytes should take its range-locks
-    /// exclusively (large vectorized XOR) rather than shared (atomic XOR).
-    pub fn prefers_exclusive(&self, len: u64) -> bool {
-        len >= self.threshold
-    }
-
     #[inline]
     fn stripe_of(&self, zone: u64, g: u64) -> usize {
         ((zone * self.granules_per_zone + g) & self.stripe_mask) as usize
@@ -353,8 +358,8 @@ impl ParityEngine {
     /// Collects the stripe ids covering columns `[col, col+len)` of `zone`
     /// into `ids` (unsorted, may contain duplicates).
     fn push_stripes(&self, zone: u64, col: u64, len: u64, ids: &mut Vec<usize>) {
-        let g0 = col / self.granule;
-        let g1 = (col + len.max(1) - 1) / self.granule;
+        let g0 = col / LOCK_GRANULE;
+        let g1 = (col + len.max(1) - 1) / LOCK_GRANULE;
         for g in g0..=g1 {
             ids.push(self.stripe_of(zone, g));
         }
@@ -452,7 +457,7 @@ impl ParityEngine {
             if o == n {
                 continue;
             }
-            let exclusive = self.prefers_exclusive(seg.len);
+            let exclusive = prefers_exclusive(seg.len);
             let guard = self.lock_columns(seg.zone, seg.col, seg.len, exclusive);
             let parity_off = self.layout.parity_off(seg.zone, seg.col);
             Self::xor_diff(io, parity_off, o, n, exclusive, true)?;
@@ -760,8 +765,8 @@ impl ParityEngine {
 /// owning shard. Shard membership is `zone % n_shards` — round-robin, so
 /// shards stay balanced however many zones the pool has.
 ///
-/// `Copy` so the commit path, recovery workers and the service layer can
-/// all carry the routing rule by value.
+/// `Copy` so the commit path, the scrubber and the service layer can all
+/// carry the routing rule by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     heap_off: u64,
@@ -817,24 +822,6 @@ impl ShardMap {
         let zone = ((off - self.heap_off) / self.zone_size).min(self.n_zones - 1);
         self.shard_of_zone(zone)
     }
-
-    /// Iterates the zones owned by `shard`.
-    pub fn zones_of(&self, shard: u64) -> impl Iterator<Item = u64> + '_ {
-        let n_shards = self.n_shards;
-        (0..self.n_zones).filter(move |z| z % n_shards == shard % n_shards)
-    }
-
-    /// The pool byte ranges `[lo, hi)` covered by `shard`'s zones — what a
-    /// shard's recovery sweep arms as its read scope
-    /// (`pgl_nvm::NvmDevice::arm_read_scope`).
-    pub fn zone_ranges(&self, shard: u64) -> Vec<(u64, u64)> {
-        self.zones_of(shard)
-            .map(|z| {
-                let lo = self.heap_off + z * self.zone_size;
-                (lo, lo + self.zone_size)
-            })
-            .collect()
-    }
 }
 
 /// N self-contained parity shards: one [`ParityEngine`] per shard, each
@@ -842,7 +829,8 @@ impl ShardMap {
 /// partitioned into independent persistence domains à la the Parallel
 /// Persistent Memory Model). Each shard has its **own** striped lock
 /// table, so commits in different shards never contend on a stripe, and
-/// recovery/scrub sweep shards on parallel workers.
+/// scrub sweeps shards on parallel workers. Crash recovery is one serial
+/// pass over every zone ([`crate::recover::crash_recover`]).
 ///
 /// All routing is by the zone of the target offset; object data, CM
 /// entries and parity columns are all zone-local, so every span a
@@ -855,10 +843,9 @@ pub struct ParityDomains {
 impl ParityDomains {
     /// Builds `shards` (resolved via [`ShardMap::resolve`]) engines over
     /// `layout`.
-    pub fn new(layout: Layout, granule: u64, threshold: u64, shards: usize) -> ParityDomains {
+    pub fn new(layout: Layout, shards: usize) -> ParityDomains {
         let map = ShardMap::new(&layout, shards);
-        let engines =
-            (0..map.n_shards()).map(|_| ParityEngine::new(layout, granule, threshold)).collect();
+        let engines = (0..map.n_shards()).map(|_| ParityEngine::new(layout)).collect();
         ParityDomains { engines, map }
     }
 
@@ -885,17 +872,6 @@ impl ParityDomains {
     /// The engine owning `zone`.
     pub fn engine_for_zone(&self, zone: u64) -> &ParityEngine {
         self.engine(self.map.shard_of_zone(zone))
-    }
-
-    /// The hybrid-update crossover (identical across shards).
-    pub fn threshold(&self) -> u64 {
-        self.engines[0].threshold()
-    }
-
-    /// `true` when a `len`-byte write-back should take its range-locks
-    /// exclusively (see [`ParityEngine::prefers_exclusive`]).
-    pub fn prefers_exclusive(&self, len: u64) -> bool {
-        self.engines[0].prefers_exclusive(len)
     }
 
     /// Routes [`ParityEngine::lock_span`] to the owning shard.
@@ -1039,7 +1015,7 @@ mod tests {
         let layout = Layout::new(cfg).unwrap();
         let dev = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
         let io = PoolIo::new(dev);
-        let engine = ParityEngine::new(layout, 8 << 10, 8 << 10);
+        let engine = ParityEngine::new(layout);
         (io, layout, engine)
     }
 
@@ -1377,18 +1353,6 @@ mod tests {
             let off = layout.heap_off + z * layout.cfg.zone_size as u64;
             assert_eq!(map.shard_of_off(off), map.shard_of_zone(z));
         }
-        // Every zone is owned by exactly one shard.
-        let owned: u64 = (0..map.n_shards()).map(|s| map.zones_of(s).count() as u64).sum();
-        assert_eq!(owned, layout.n_zones);
-        // zone_ranges are zone-size spans inside the heap, disjoint by
-        // construction of zones_of.
-        for s in 0..map.n_shards() {
-            for (lo, hi) in map.zone_ranges(s) {
-                assert!(lo >= layout.heap_off);
-                assert_eq!(hi - lo, layout.cfg.zone_size as u64);
-                assert_eq!(map.shard_of_off(lo), s);
-            }
-        }
     }
 
     #[test]
@@ -1397,7 +1361,7 @@ mod tests {
         let layout = Layout::new(cfg).unwrap();
         let dev = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
         let io = PoolIo::new(dev);
-        let domains = ParityDomains::new(layout, 8 << 10, 8 << 10, 2);
+        let domains = ParityDomains::new(layout, 2);
         assert_eq!(domains.verify_all(&io).unwrap(), vec![]);
         // Tear a byte in zone 0 (no parity patch): the detailed verify
         // must attribute it to the owning shard.

@@ -22,9 +22,6 @@ use crate::txn::{PglTx, TxStats, SPARSE_THRESHOLD};
 use crate::ubuf::{FrameParts, UBuf};
 use crate::vcache::VCache;
 
-const POOL_VERSION_MAGIC: u64 = 0x50_41_4E_47_4F_4C_49_4E; // "PANGOLIN"
-const _: u64 = POOL_VERSION_MAGIC; // reserved for future format versioning
-
 thread_local! {
     /// The calling thread's preferred parity shard for new allocations
     /// (set via [`PglPool::bind_thread_to_shard`]); `None` = no affinity.
@@ -70,7 +67,7 @@ pub struct Inner {
     pub(crate) policy: CsumPolicy,
     pub(crate) parity: Option<ParityDomains>,
     /// Zone→shard routing, present in every mode (parity or not): it also
-    /// partitions recovery sweeps, scrubbing and allocation affinity.
+    /// partitions scrubbing and allocation affinity.
     pub(crate) shard_map: ShardMap,
     pub(crate) freeze: Freeze,
     pub(crate) vuln: Vuln,
@@ -453,7 +450,7 @@ impl Inner {
     /// `true` when a write-back of `len` bytes should take its span guard
     /// exclusively (large vectorized parity XOR).
     pub(crate) fn span_exclusive(&self, len: u64) -> bool {
-        self.parity.as_ref().is_some_and(|e| e.prefers_exclusive(len))
+        self.parity.is_some() && crate::parity::prefers_exclusive(len)
     }
 
     /// Like [`Inner::protected_write`], but under a span guard the caller
@@ -736,7 +733,7 @@ impl PglPool {
             if cfg.mode.replicates_logs() { LogMirror::SameDevice } else { LogMirror::None };
         Lanes::format(&io, &layout, LogMirror::SameDevice).map_err(PglError::from)?;
         Heap::format(&io, &layout).map_err(PglError::from)?;
-        let parity = cfg.mode.has_parity().then(|| parity_domains(layout, &cfg));
+        let parity = cfg.mode.has_parity().then(|| ParityDomains::new(layout, cfg.shards));
         if let Some(domains) = &parity {
             // Nothing past the CM chunks is written yet. Heap formatting
             // wrote the CM region with plain stores; level the parity of
@@ -785,7 +782,8 @@ impl PglPool {
     /// Opens an existing Pangolin pool, reading mode and geometry from the
     /// pool header and running crash recovery (redo replay plus parity
     /// recomputation, paper §3.6). `opts` contributes only the run-time
-    /// knobs: checksum policy, background scrubbing and parity thresholds.
+    /// knobs: checksum policy, background scrubbing, the verification
+    /// cache and the shard count.
     pub(crate) fn open_with(dev: Arc<NvmDevice>, opts: &PglConfig) -> Result<Self> {
         let io = PoolIo::new(dev);
         let hdr = read_header(&io).map_err(PglError::from)?;
@@ -809,8 +807,6 @@ impl PglPool {
             pool: pool_cfg,
             mode,
             policy: opts.policy,
-            hybrid_threshold: opts.hybrid_threshold,
-            parity_lock_granule: opts.parity_lock_granule,
             background_scrub: opts.background_scrub,
             vcache_capacity: opts.vcache_capacity,
             shards: opts.shards,
@@ -826,19 +822,11 @@ impl PglPool {
         let quarantine = crate::quarantine::load(&io, &layout)?;
         // Crash recovery must run before the heap scan; its column
         // recomputes already fold only the rows under each watermark.
-        let parity = mode.has_parity().then(|| parity_domains(layout, &cfg));
+        let parity = mode.has_parity().then(|| ParityDomains::new(layout, cfg.shards));
         if let Some(domains) = &parity {
             domains.load_watermarks(&io, &|z| quarantine.contains(z))?;
         }
-        let shard_map = ShardMap::new(&layout, cfg.shards);
-        crate::recover::crash_recover(
-            &io,
-            &layout,
-            mirror,
-            parity.as_ref(),
-            &shard_map,
-            &quarantine,
-        )?;
+        crate::recover::crash_recover(&io, &layout, mirror, parity.as_ref(), &quarantine)?;
         crate::recover::finish_page_repair_if_pending(&io, &layout, parity.as_ref(), &quarantine)?;
         // Detectable-CAS replay runs after redo replay: transactions win
         // the recovery order, and the ploc recompute is idempotent.
@@ -864,17 +852,15 @@ impl PglPool {
         quarantine: QuarantineSet,
     ) -> Result<Self> {
         let shard_map = ShardMap::new(&layout, cfg.shards);
-        let workers = shard_map.n_shards() as usize;
         let banned = quarantine.zone_set();
-        let scan = Heap::rebuild_excluding(&io, layout, cfg.mode.has_checksums(), workers, &banned);
+        let scan = Heap::rebuild_excluding(&io, layout, cfg.mode.has_checksums(), &banned);
         let heap = match (scan, &parity) {
             (Ok(h), _) => h,
             (Err(ObjError::Corruption { off, .. }), Some(domains)) => {
                 // Chunk metadata corrupt: repair its page from parity and
                 // retry (paper §3.1: zone parity protects chunk metadata).
                 crate::recover::repair_page_by_compare(&io, domains.engine_for(off), off)?;
-                Heap::rebuild_excluding(&io, layout, true, workers, &banned)
-                    .map_err(PglError::from)?
+                Heap::rebuild_excluding(&io, layout, true, &banned).map_err(PglError::from)?
             }
             (Err(e), _) => return Err(e.into()),
         };
@@ -896,7 +882,7 @@ impl PglPool {
         let mut kick_txs = Vec::new();
         let mut kick_rxs = Vec::new();
         if want_bg {
-            for _ in 0..workers {
+            for _ in 0..shard_map.n_shards() {
                 let (a, b) = std::sync::mpsc::sync_channel::<()>(1);
                 kick_txs.push(a);
                 kick_rxs.push(b);
@@ -1441,10 +1427,6 @@ impl PglPool {
     pub(crate) fn vcache_bump(&self, off: u64) {
         self.inner.vcache.bump(off);
     }
-}
-
-fn parity_domains(layout: Layout, cfg: &PglConfig) -> ParityDomains {
-    ParityDomains::new(layout, cfg.parity_lock_granule, cfg.hybrid_threshold, cfg.shards)
 }
 
 fn fresh_uuid() -> u64 {

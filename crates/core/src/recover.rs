@@ -5,7 +5,10 @@
 //! allocator ops) and then *recomputes* every parity column the transaction
 //! could have torn — the replayed ranges, the allocator-op targets, and any
 //! construction areas named by allocation-intent records. Recomputation
-//! (rather than patching) makes recovery idempotent.
+//! (rather than patching) makes recovery idempotent. It is one serial
+//! pass at open: neither the shard count nor the parity-lock constants
+//! ([`crate::parity::HYBRID_THRESHOLD`], [`crate::parity::LOCK_GRANULE`])
+//! change which device operations it issues.
 //!
 //! **Online corruption recovery** freezes the pool (no commit may be
 //! mid-parity-update) and rebuilds at the granularity of the damage: a
@@ -17,7 +20,7 @@
 //! reserved-chunk watermark ([`crate::parity`]). A lost page of the zone
 //! header reserve is rebuilt from the watermark's other copy.
 
-use pgl_nvm::{NvmDevice, CACHELINE, PAGE_SIZE};
+use pgl_nvm::{CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
 use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::layout::RUN_HEADER_SIZE;
@@ -26,7 +29,7 @@ use pgl_pmemobj::{Layout, PoolIo};
 
 use crate::checksum::adler32;
 use crate::error::{PglError, Result};
-use crate::parity::{segments, ParityDomains, ParityEngine, ShardMap};
+use crate::parity::{segments, ParityDomains, ParityEngine};
 use crate::pool::Inner;
 use crate::quarantine::QuarantineSet;
 use crate::scratch;
@@ -35,50 +38,29 @@ use crate::scratch;
 const REPAIR_RECORD_OFF: u64 = 1024;
 const REPAIR_MAGIC: u64 = 0x5245_5041_4952_3031; // "REPAIR01"
 
-/// One shard-routed recovery effect of a committed lane, applied in lane
-/// order by that shard's sweep worker.
-enum Op<'a> {
-    /// Redo a logged data range.
-    Write {
-        /// Target pool offset.
-        off: u64,
-        /// Logged content.
-        payload: &'a [u8],
-    },
-    /// Re-apply an allocator meta op (idempotent).
-    Meta(MetaOp),
-}
-
 /// Replays all lanes after a crash: committed transactions complete,
 /// uncommitted ones leave no trace, and parity is re-levelled for every
-/// column they might have torn.
+/// column they might have torn. One serial pass, whatever the pool's shard
+/// count:
 ///
-/// The sweep runs in three phases:
-///
-/// 1. **Scan** (serial): read every lane's log (the lane region is
-///    outside every shard's zones), decide commit status, and then
-///    apply the cross-shard roll-forward rule — a committed lane carrying a
+/// 1. **Scan**: read every lane's log, decide commit status, and apply the
+///    cross-shard roll-forward rule — a committed lane carrying a
 ///    [`EntryKind::CrossShard`] marker vouches for its secondary lane iff
 ///    that lane's generation still matches the marker (the ordered
 ///    two-shard commit wrote the secondary's entries, then the primary's
 ///    commit fence, then the secondary's own commit record; a crash in the
 ///    window leaves the secondary commit-less but vouched-for).
-/// 2. **Sweep** (parallel): effects partition by the parity shard of their
-///    target zone, and one worker per non-empty shard replays writes,
-///    re-applies meta ops, recomputes torn parity columns and sweeps its
-///    own zones' orphan log chunks. Conflicting bitmap RMWs always share a
-///    zone, hence a shard, hence a worker — cross-shard effects never
-///    race. Each worker arms a read scope over its shard's zones
-///    (`NvmDevice::arm_read_scope`), pinning the zero-reads-outside-
-///    own-zones invariant.
-/// 3. **Invalidate** (serial): bump every swept lane's generation. Any
-///    crash before this phase re-runs the whole (idempotent) sweep.
+/// 2. **Replay**: in lane order, redo committed data ranges and re-apply
+///    committed allocator meta ops; then recompute every column they, or
+///    an allocation intent (committed or not), may have torn; then return
+///    the orphan log chunks of every zone that is not quarantined.
+/// 3. **Invalidate**: bump every swept lane's generation. Any crash before
+///    this phase re-runs the whole (idempotent) pass.
 pub fn crash_recover(
     io: &PoolIo,
     layout: &Layout,
     mirror: LogMirror,
     parity: Option<&ParityDomains>,
-    shard_map: &ShardMap,
     quarantine: &QuarantineSet,
 ) -> Result<()> {
     // Phase 1: scan lanes, in lane order. The scan reads each log copy in
@@ -112,127 +94,57 @@ pub fn crash_recover(
         }
     }
 
-    // Partition effects by shard, preserving lane order within a shard.
-    // Effects targeting quarantined zones are dropped: the data there is
-    // already lost beyond reconstruction, and replaying into (or
-    // recomputing parity over) unreadable pages would fail the open.
-    let n_shards = shard_map.n_shards() as usize;
+    // Phase 2: replay. Effects targeting quarantined zones are dropped:
+    // the data there is already lost beyond reconstruction, and replaying
+    // into (or recomputing parity over) unreadable pages would fail the
+    // open.
     let skip = |off: u64| {
         !quarantine.is_empty()
             && layout.zone_and_rel(off).is_ok_and(|(z, _)| quarantine.contains(z))
     };
-    let mut ops: Vec<Vec<Op<'_>>> = (0..n_shards).map(|_| Vec::new()).collect();
-    let mut dirty: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_shards];
+    let mut dirty: Vec<(u64, u64)> = Vec::new();
     for (_, entries, committed) in &lanes {
         for e in entries {
             match e.kind {
                 EntryKind::Data if *committed && !skip(e.off) => {
-                    let s = shard_map.shard_of_off(e.off) as usize;
-                    ops[s].push(Op::Write { off: e.off, payload: &e.payload });
-                    dirty[s].push((e.off, e.payload.len() as u64));
+                    io.write(e.off, &e.payload).map_err(PglError::from)?;
+                    io.persist(e.off, e.payload.len()).map_err(PglError::from)?;
+                    dirty.push((e.off, e.payload.len() as u64));
                 }
                 EntryKind::AllocIntent if !skip(e.off) => {
                     // Construction write-back may have torn parity whether
                     // or not the transaction committed.
-                    let len =
-                        u64::from_le_bytes(e.payload[..8].try_into().expect("intent payload"));
-                    dirty[shard_map.shard_of_off(e.off) as usize].push((e.off, len));
+                    let len = u64::from_le_bytes(e.payload[..8].try_into().expect("len checked"));
+                    dirty.push((e.off, len));
                 }
-                EntryKind::Data | EntryKind::AllocIntent => {}
-                EntryKind::Commit | EntryKind::CrossShard => {}
                 _ if *committed => {
                     if let Some(op) = MetaOp::decode(e) {
                         let (off, len) = meta_target(&op);
-                        if skip(off) {
-                            continue;
+                        if !skip(off) {
+                            op.apply(io).map_err(PglError::from)?;
+                            dirty.push((off, len));
                         }
-                        let s = shard_map.shard_of_off(off) as usize;
-                        dirty[s].push((off, len));
-                        ops[s].push(Op::Meta(op));
                     }
                 }
                 _ => {}
             }
         }
     }
-
-    // Phase 2: sweep shards — inline when single-sharded, on a worker
-    // pool otherwise.
-    if n_shards == 1 {
-        sweep_shard(io, layout, parity, shard_map, 0, &ops[0], &dirty[0], quarantine)?;
-    } else {
-        let results: Vec<Result<()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = ops
-                .iter()
-                .zip(dirty.iter())
-                .enumerate()
-                .map(|(shard, (ops, dirty))| {
-                    s.spawn(move || {
-                        let ranges = shard_map.zone_ranges(shard as u64);
-                        NvmDevice::arm_read_scope(&ranges);
-                        let r = sweep_shard(
-                            io,
-                            layout,
-                            parity,
-                            shard_map,
-                            shard as u64,
-                            ops,
-                            dirty,
-                            quarantine,
-                        );
-                        NvmDevice::disarm_read_scope();
-                        r
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("recovery worker panicked")).collect()
-        });
-        for r in results {
-            r?;
+    if let Some(domains) = parity {
+        for &(off, len) in &dirty {
+            for seg in segments(layout, off, len)? {
+                domains.recompute_columns(io, seg.zone, seg.col, seg.len)?;
+            }
         }
+    }
+    for z in (0..layout.n_zones).filter(|z| !quarantine.contains(*z)) {
+        sweep_orphan_log_chunks_zone(io, layout, parity, z)?;
     }
 
     // Phase 3: invalidate swept lanes.
     for (l, _, _) in &lanes {
         Lanes::invalidate(io, layout, *l, mirror).map_err(PglError::from)?;
     }
-    Ok(())
-}
-
-/// One shard's recovery sweep: replay its routed effects in lane order,
-/// recompute the parity columns they may have torn, and sweep the shard's
-/// own zones for orphan log chunks. Reads stay inside the shard's zones.
-#[allow(clippy::too_many_arguments)]
-fn sweep_shard(
-    io: &PoolIo,
-    layout: &Layout,
-    parity: Option<&ParityDomains>,
-    shard_map: &ShardMap,
-    shard: u64,
-    ops: &[Op<'_>],
-    dirty: &[(u64, u64)],
-    quarantine: &QuarantineSet,
-) -> Result<()> {
-    for op in ops {
-        match op {
-            Op::Write { off, payload } => {
-                io.write(*off, payload).map_err(PglError::from)?;
-                io.persist(*off, payload.len()).map_err(PglError::from)?;
-            }
-            Op::Meta(m) => m.apply(io).map_err(PglError::from)?,
-        }
-    }
-    if let Some(domains) = parity {
-        for &(off, len) in dirty {
-            for seg in segments(layout, off, len)? {
-                domains.recompute_columns(io, seg.zone, seg.col, seg.len)?;
-            }
-        }
-    }
-    for z in shard_map.zones_of(shard).filter(|z| !quarantine.contains(*z)) {
-        sweep_orphan_log_chunks_zone(io, layout, parity, z)?;
-    }
-    io.dev().note_recovery_sweep(shard as usize);
     Ok(())
 }
 

@@ -51,15 +51,13 @@
 //! # Cross-shard commits
 //!
 //! With more than one parity shard (see [`crate::parity::ShardMap`]),
-//! recovery sweeps each shard's lanes on its own worker, so a
-//! transaction whose effects span shards must not leave a single log
-//! that one worker would replay into another worker's zones. Commit
-//! therefore routes each redo entry to a per-shard lane and runs an
-//! **ordered commit protocol**: the lowest-id touched shard is the
-//! *primary*; its lane carries one `CrossShard` marker per secondary
-//! lane (recording the secondary's index and generation), then the
-//! primary's commit record — the commit point. Only after that fence do
-//! the secondary lanes get their own commit records (ascending shard
+//! commit routes each redo entry to a lane of the shard whose zones it
+//! names, so a transaction whose effects span shards commits several
+//! lanes. It runs an **ordered commit protocol**: the lowest-id touched
+//! shard is the *primary*; its lane carries one `CrossShard` marker per
+//! secondary lane (recording the secondary's index and generation), then
+//! the primary's commit record — the commit point. Only after that fence
+//! do the secondary lanes get their own commit records (ascending shard
 //! order, second fence). Recovery rolls a secondary half forward iff
 //! the primary committed *and* the secondary lane still carries the
 //! generation named by the marker — so a crash between the two fences
@@ -649,8 +647,7 @@ impl<'p> PglTx<'p> {
 
         // (3) Persist allocation intents (parity modes) so a pre-commit
         // crash can re-level parity over torn construction writes. Each
-        // intent goes to the lane of the shard whose zones it names, so
-        // that shard's recovery worker re-levels it.
+        // intent goes to the lane of the shard whose zones it names.
         let new_offs: Vec<u64> =
             self.order.iter().copied().filter(|o| self.objs[o].state() == UBufState::New).collect();
         if parity && !new_offs.is_empty() {

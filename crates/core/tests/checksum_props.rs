@@ -265,16 +265,17 @@ proptest! {
     #[test]
     fn parity_update_paths_preserve_invariant(
         writes in proptest::collection::vec(
-            (0u64..6000, 1usize..1200, any::<u8>()), 1..16),
+            (0u64..6000, 1usize..2048, any::<u8>()), 1..16),
     ) {
-        // Random protected writes straddle the hybrid threshold (forced
-        // low), so both the atomic word-XOR span and the vectorized
-        // diff-XOR run; the zone parity invariant must survive all of it.
+        // Random protected writes draw sizes on both sides of the 1 KiB
+        // hybrid threshold, so both the atomic word-XOR span and the
+        // vectorized diff-XOR run; the zone parity invariant must survive
+        // all of it.
         let cfg = PoolConfig::small();
         let layout = Layout::new(cfg).unwrap();
         let dev = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
         let io = PoolIo::new(dev);
-        let eng = ParityEngine::new(layout, 4 << 10, 256);
+        let eng = ParityEngine::new(layout);
         let base = layout.chunk_base(0, layout.zone.cm_chunks);
         let span: u64 = 8 << 10;
         for (off_frac, len, fill) in writes.iter().copied() {

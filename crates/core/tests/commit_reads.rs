@@ -223,8 +223,7 @@ fn steady_state_commits_do_not_allocate() {
     // open, three writes, commit — must perform ZERO heap allocations:
     // the span guard holds its stripes inline and the shard list lives in
     // the commit scratch.
-    let cfg = PglConfig::small();
-    let (_dev, pool) = new_pool_with(cfg);
+    let (_dev, pool) = new_pool();
     let oid = make_obj(&pool, OBJ, 1);
     let payload = [7u8; 96];
     for _ in 0..10 {
@@ -250,23 +249,20 @@ fn steady_state_commits_do_not_allocate() {
     // The same for range writes into an object too large to load whole:
     // the runs they make resident live in the recycled frame. What is
     // left is outside the micro-buffer: the object-wide span guard holds
-    // four stripes inline and spills the rest to a list, so at the default
-    // 8 KiB lock granule a 256 KiB object costs that one allocation.
-    for (granule, per_txn) in [(64 << 10, 0), (cfg.parity_lock_granule, 1)] {
-        let (_dev, pool) = new_pool_with(PglConfig { parity_lock_granule: granule, ..cfg });
-        let big = make_obj(&pool, 4 * SPARSE_THRESHOLD, 1);
-        let write_two = |round: u64| {
-            pool.tx(|tx| {
-                tx.write(big, 1000 + 64 * (round % 7), &payload[..64])?;
-                tx.write(big, 200_000 - 64 * (round % 5), &payload[..64])
-            })
-            .unwrap();
-        };
-        (0..10).for_each(write_two);
-        let a0 = thread_allocs();
-        (10..10 + TXNS).for_each(write_two);
-        assert_eq!(thread_allocs() - a0, per_txn * TXNS, "big-object transactions, {granule} B");
-    }
+    // four stripes inline and spills the rest to a list, so at the 8 KiB
+    // lock granule a 256 KiB object costs that one allocation.
+    let big = make_obj(&pool, 4 * SPARSE_THRESHOLD, 1);
+    let write_two = |round: u64| {
+        pool.tx(|tx| {
+            tx.write(big, 1000 + 64 * (round % 7), &payload[..64])?;
+            tx.write(big, 200_000 - 64 * (round % 5), &payload[..64])
+        })
+        .unwrap();
+    };
+    (0..10).for_each(write_two);
+    let a0 = thread_allocs();
+    (10..10 + TXNS).for_each(write_two);
+    assert_eq!(thread_allocs() - a0, TXNS, "one spilled stripe list per big-object transaction");
 }
 
 #[test]
@@ -515,17 +511,17 @@ fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
 
 #[test]
 fn parity_patch_flushes_the_lines_it_dirtied_not_its_span() {
-    // A 4 KiB overwrite that changes one word: the diff-XOR knows which
-    // parity line it dirtied and flushes that one, on the exclusive
-    // (vectorized) path and under a shared guard (word-atomic) alike.
-    // (Flushing the patched span cost 64-65 lines here.)
-    for exclusive in [true, false] {
-        let mut cfg = PglConfig::small();
-        cfg.hybrid_threshold = if exclusive { 1 << 10 } else { 64 << 10 };
-        let (dev, pool) = new_pool_with(cfg);
-        let oid = make_obj(&pool, 4096, 0x77);
-        let mut new = vec![0x77u8; 4096];
-        new[2000..2008].fill(0x78);
+    // A whole-object overwrite that changes one word: the diff-XOR knows
+    // which parity line it dirtied and flushes that one, on the exclusive
+    // (vectorized) path and under a shared guard (word-atomic) alike. The
+    // write size picks the side of the 1 KiB hybrid threshold: 4 KiB is
+    // exclusive, 512 B shared. (Flushing the patched 4 KiB span cost 64-65
+    // lines.)
+    for (size, exclusive) in [(4096, true), (512, false)] {
+        let (dev, pool) = new_pool();
+        let oid = make_obj(&pool, size as u64, 0x77);
+        let mut new = vec![0x77u8; size];
+        new[size / 2..size / 2 + 8].fill(0x78);
         let s0 = dev.stats();
         pool.tx(|tx| tx.write(oid, 0, &new)).unwrap();
         let d = dev.stats().delta_since(&s0);
@@ -555,7 +551,7 @@ fn parity_patch_flushes_the_same_lines_on_the_replica() {
     let dev = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
     let rep = Arc::new(NvmDevice::new(cfg.size, DeviceConfig::fast()).unwrap());
     let io = PoolIo::replicated(dev.clone(), rep.clone());
-    let eng = ParityEngine::new(layout, 4 << 10, 1 << 10);
+    let eng = ParityEngine::new(layout);
     let off = layout.chunk_base(0, layout.zone.cm_chunks);
     let old = vec![0u8; 4096];
     let mut new = old.clone();

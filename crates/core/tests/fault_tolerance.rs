@@ -651,3 +651,53 @@ fn quarantine_survives_reopen_and_skips_rebuild() {
     pool.tx(|tx| tx.write(oids[1], 0, &[0x44; 8])).unwrap();
     assert!(pool.verify_parity_detailed().unwrap().is_empty());
 }
+
+/// A log entry whose CRC is valid but whose payload is shorter than its
+/// kind needs ends the log, as a bad kind does: reopen must not panic in a
+/// payload parser, and the pool keeps serving. Each kind is written into
+/// lane 0 of a closed pool, once followed by a commit record and once as
+/// the log's last entry (where a log extension is followed).
+#[test]
+fn short_fixed_size_log_entries_end_the_log_instead_of_panicking() {
+    use pgl_pmemobj::lane::{Lanes, LogMirror, LANE_HEADER_SIZE};
+    use pgl_pmemobj::ulog::{encode_entry, EntryKind};
+    use pgl_pmemobj::PoolIo;
+
+    let kinds = [
+        (EntryKind::SetBits, 8),
+        (EntryKind::ClearBits, 8),
+        (EntryKind::RunFmt, 8),
+        (EntryKind::AllocIntent, 8),
+        (EntryKind::WriteCm, 16),
+        (EntryKind::CrossShard, 12),
+        (EntryKind::LogExt, 24),
+    ];
+    for (kind, need) in kinds {
+        for (len, commit) in [(0, true), (need - 1, true), (need - 1, false)] {
+            let case = format!("{kind:?} with {len} B, commit {commit}");
+            let cfg = PglConfig::small();
+            let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+            let pool = PglPool::create(dev.clone(), cfg).unwrap();
+            let layout = *pool.layout();
+            let oid = make_object(&pool, 64, 0x3C);
+            drop(pool);
+
+            let io = PoolIo::new(dev.clone());
+            let gen = Lanes::read_gen(&io, &layout, 0, LogMirror::SameDevice).unwrap();
+            let mut log = Vec::new();
+            encode_entry(&mut log, kind, oid.off, &vec![0xFF; len], gen);
+            if commit {
+                encode_entry(&mut log, EntryKind::Commit, 0, &[], gen);
+            }
+            let at = layout.lane_off(0) + LANE_HEADER_SIZE;
+            io.write(at, &log).unwrap();
+            io.persist(at, log.len()).unwrap();
+
+            let pool = PglPool::options().open(dev).unwrap();
+            assert_eq!(pool.read_verified(oid).unwrap(), vec![0x3C; 64], "{case}");
+            pool.tx(|tx| tx.write(oid, 0, &[0x5A; 64])).unwrap();
+            assert_eq!(pool.read_verified(oid).unwrap(), vec![0x5A; 64], "{case}");
+            assert!(pool.verify_parity().unwrap(), "{case}");
+        }
+    }
+}

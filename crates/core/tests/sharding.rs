@@ -1,5 +1,5 @@
-//! Sharded parity domains: routing, cross-shard transactions, parallel
-//! recovery/scrub, and the shard-confinement regression pin.
+//! Sharded parity domains: routing, cross-shard transactions, per-shard
+//! scrub, and recovery that does not depend on the shard count.
 //!
 //! The pool geometry here is 16 MiB with 2 MiB zones (≈7 heap zones), so
 //! explicit shard counts up to 4 resolve without clamping.
@@ -123,52 +123,73 @@ fn scrub_reports_per_shard_progress() {
     assert_eq!(total, oids.len() as u64);
 }
 
-/// Satellite pin: a shard's recovery sweep issues **zero reads outside its
-/// own zones**. Each parallel recovery worker arms a device read scope
-/// over its shard's zone ranges; any out-of-scope read counts a
-/// `scope_violations` tick. Crash a cross-shard transaction mid-commit,
-/// reopen, and require every shard to have swept with no violations.
-#[test]
-fn recovery_sweeps_read_only_their_own_zones() {
-    let opts = options().shards(4);
-    let dev = device(&opts);
-    let pool = opts.create(dev.clone()).unwrap();
-    let oids = alloc_per_shard(&pool, 0x11);
-
-    // Crash partway through a commit that spans all four shards, leaving
-    // redo entries for several shards in the lanes.
-    dev.arm_crash_after(40);
+/// Runs the cross-shard overwrite of `oids` with a crash armed after
+/// `boundary` device ops, and abandons the crashed pool.
+fn crash_cross_shard_tx(dev: &NvmDevice, pool: PglPool, oids: &[PMEMoid], boundary: u64) {
+    dev.arm_crash_after(boundary);
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         pool.tx(|tx| {
-            for oid in &oids {
+            for oid in oids {
                 tx.write(*oid, 0, &[0xEE; OBJ])?;
             }
             Ok(())
         })
     }));
     dev.disarm_crash();
+    // A crashed pool handle must not run Drop cleanups.
+    std::mem::forget(pool);
     match outcome {
         Err(p) if p.downcast_ref::<CrashPoint>().is_some() => {}
         Err(p) => panic::resume_unwind(p),
-        Ok(r) => panic!("transaction was expected to crash, got {r:?}"),
+        Ok(r) => panic!("the transaction was expected to crash at op {boundary}, got {r:?}"),
     }
-    // The crashed pool handle must not run Drop cleanups.
-    std::mem::forget(pool);
+}
 
-    let before = dev.stats();
-    let pool = PglPool::options().shards(4).open(dev.clone()).unwrap();
-    let after = dev.stats();
-    let delta = after.delta_since(&before);
-    for shard in 0..4 {
-        assert_eq!(delta.recovery_sweeps[shard], 1, "shard {shard} swept exactly once at open");
+/// Recovery is one serial pass whatever the shard count: the same crashed
+/// image reopened at 1, 2 and 4 shards recovers to byte-identical media,
+/// with parity levelled and the cross-shard commit all-or-nothing.
+#[test]
+fn recovery_does_not_depend_on_the_shard_count() {
+    let opts = options().shards(4);
+    let fresh = || {
+        let dev = device(&opts);
+        let pool = opts.clone().create(dev.clone()).unwrap();
+        let oids = alloc_per_shard(&pool, 0x11);
+        (dev, pool, oids)
+    };
+    // Count the transaction's device ops once, then crash inside it.
+    let (dev, pool, oids) = fresh();
+    let armed = 1 << 40;
+    dev.arm_crash_after(armed);
+    pool.tx(|tx| oids.iter().try_for_each(|oid| tx.write(*oid, 0, &[0xEE; OBJ]))).unwrap();
+    let ops = armed - dev.crash_countdown() as u64;
+    dev.disarm_crash();
+    assert!(ops > 8, "a four-shard commit is many device ops ({ops})");
+
+    for boundary in (0..ops).step_by(4) {
+        let (dev, pool, oids) = fresh();
+        crash_cross_shard_tx(&dev, pool, &oids, boundary);
+        let crashed = dev.snapshot();
+        let mut first: Option<Vec<u8>> = None;
+        for shards in [1usize, 2, 4] {
+            let copy = device(&opts);
+            copy.restore(&crashed).unwrap();
+            let pool = PglPool::options().shards(shards).open(copy.clone()).unwrap();
+            let image = copy.read_slice(0, copy.len()).unwrap().to_vec();
+            match &first {
+                None => first = Some(image),
+                Some(want) => assert!(
+                    *want == image,
+                    "op {boundary}: the image recovered at {shards} shards differs from 1 shard's"
+                ),
+            }
+            assert!(pool.verify_parity().unwrap(), "op {boundary}, {shards} shards: parity");
+            let data: Vec<Vec<u8>> = oids.iter().map(|o| pool.read_verified(*o).unwrap()).collect();
+            let all_old = data.iter().all(|d| d == &vec![0x11; OBJ]);
+            let all_new = data.iter().all(|d| d == &vec![0xEE; OBJ]);
+            assert!(all_old || all_new, "op {boundary}, {shards} shards: all-or-nothing");
+        }
     }
-    assert_eq!(delta.scope_violations, 0, "no recovery worker read outside its shard's zones");
-    // And the pool recovered to a consistent all-or-nothing state.
-    assert!(pool.verify_parity().unwrap());
-    let data: Vec<Vec<u8>> = oids.iter().map(|o| pool.read_verified(*o).unwrap()).collect();
-    let all_old = data.iter().all(|d| d == &vec![0x11; OBJ]);
-    let all_new = data.iter().all(|d| d == &vec![0xEE; OBJ]);
-    assert!(all_old || all_new, "cross-shard commit must be all-or-nothing");
 }
 
 #[test]

@@ -13,7 +13,6 @@
 //! use transaction ownership, allocator locks and parity range-locks).
 //! Atomic accessors may race with each other on the same 8-byte word.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use crate::crash::CrashPlan;
@@ -150,12 +149,6 @@ impl XorWindowSource for DiffWindows<'_> {
     fn byte(&self, i: usize) -> u8 {
         self.old[i] ^ self.new[i]
     }
-}
-
-thread_local! {
-    /// The current thread's armed read-scope ranges (empty = unrestricted).
-    /// See [`NvmDevice::arm_read_scope`].
-    static READ_SCOPE: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A simulated byte-addressable persistent memory device.
@@ -342,7 +335,6 @@ impl NvmDevice {
     pub fn read(&self, off: u64, dst: &mut [u8]) -> Result<()> {
         self.check_bounds(off, dst.len())?;
         self.check_poison(off, dst.len())?;
-        self.note_read_scope(off, dst.len());
         DeviceStats::add(&self.stats.bytes_read, dst.len() as u64);
         DeviceStats::add(&self.stats.read_ops, 1);
         if self.latency.read_ns_per_line > 0 {
@@ -364,7 +356,6 @@ impl NvmDevice {
     pub fn read_slice(&self, off: u64, len: usize) -> Result<&[u8]> {
         self.check_bounds(off, len)?;
         self.check_poison(off, len)?;
-        self.note_read_scope(off, len);
         DeviceStats::add(&self.stats.bytes_read, len as u64);
         DeviceStats::add(&self.stats.read_ops, 1);
         if self.latency.read_ns_per_line > 0 {
@@ -584,13 +575,6 @@ impl NvmDevice {
         DeviceStats::add(&self.stats.group_txns, txns);
     }
 
-    /// Tags one completed recovery sweep of parity shard `shard`
-    /// ([`StatsSnapshot::recovery_sweeps`]); shard ids at or above
-    /// [`crate::stats::STAT_SHARDS`] fold into the last slot.
-    pub fn note_recovery_sweep(&self, shard: usize) {
-        DeviceStats::add_shard(&self.stats.recovery_sweeps, shard, 1);
-    }
-
     /// Tags one completed scrub pass of parity shard `shard`
     /// ([`StatsSnapshot::scrub_passes`]).
     pub fn note_scrub_pass(&self, shard: usize) {
@@ -629,44 +613,6 @@ impl NvmDevice {
     /// ([`StatsSnapshot::zones_quarantined`]).
     pub fn note_zone_quarantined(&self) {
         DeviceStats::add(&self.stats.zones_quarantined, 1);
-    }
-
-    /// Declares the byte ranges the **current thread's** subsequent
-    /// [`NvmDevice::read`]/[`NvmDevice::read_slice`] calls are expected
-    /// to stay within. A read outside every armed range increments
-    /// [`StatsSnapshot::scope_violations`] (the read still succeeds —
-    /// this is an invariant monitor, not an access control). Sharded
-    /// recovery and scrub workers arm their own shard's zone ranges so
-    /// tests can pin that a shard sweep never reads another shard's
-    /// zones. Thread-local; call [`NvmDevice::disarm_read_scope`] before
-    /// the thread does unrelated work.
-    pub fn arm_read_scope(ranges: &[(u64, u64)]) {
-        READ_SCOPE.with(|s| {
-            let mut scope = s.borrow_mut();
-            scope.clear();
-            scope.extend_from_slice(ranges);
-        });
-    }
-
-    /// Clears the current thread's read scope (reads are unrestricted
-    /// again).
-    pub fn disarm_read_scope() {
-        READ_SCOPE.with(|s| s.borrow_mut().clear());
-    }
-
-    /// Counts a read against the thread's armed scope, if any.
-    #[inline]
-    fn note_read_scope(&self, off: u64, len: usize) {
-        READ_SCOPE.with(|s| {
-            let scope = s.borrow();
-            if scope.is_empty() {
-                return;
-            }
-            let end = off + len as u64;
-            if !scope.iter().any(|&(lo, hi)| off >= lo && end <= hi) {
-                DeviceStats::add(&self.stats.scope_violations, 1);
-            }
-        });
     }
 
     /// Bookkeeping for a cache line about to be dirtied by an XOR path:

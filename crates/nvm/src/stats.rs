@@ -38,9 +38,7 @@ pub struct DeviceStats {
     pub(crate) group_txns: AtomicU64,
     pub(crate) atomic_cas_ops: AtomicU64,
     pub(crate) atomic_parity_patches: AtomicU64,
-    pub(crate) recovery_sweeps: [AtomicU64; STAT_SHARDS],
     pub(crate) scrub_passes: [AtomicU64; STAT_SHARDS],
-    pub(crate) scope_violations: AtomicU64,
     pub(crate) poison_injected: AtomicU64,
     pub(crate) scribbles_injected: AtomicU64,
     pub(crate) repairs_ok: AtomicU64,
@@ -85,11 +83,7 @@ impl DeviceStats {
             group_txns: self.group_txns.load(Ordering::Relaxed),
             atomic_cas_ops: self.atomic_cas_ops.load(Ordering::Relaxed),
             atomic_parity_patches: self.atomic_parity_patches.load(Ordering::Relaxed),
-            recovery_sweeps: std::array::from_fn(|i| {
-                self.recovery_sweeps[i].load(Ordering::Relaxed)
-            }),
             scrub_passes: std::array::from_fn(|i| self.scrub_passes[i].load(Ordering::Relaxed)),
-            scope_violations: self.scope_violations.load(Ordering::Relaxed),
             poison_injected: self.poison_injected.load(Ordering::Relaxed),
             scribbles_injected: self.scribbles_injected.load(Ordering::Relaxed),
             repairs_ok: self.repairs_ok.load(Ordering::Relaxed),
@@ -156,17 +150,10 @@ pub struct StatsSnapshot {
     /// single-word CAS whose data and header words share a cache line
     /// patches exactly one — the regression tests pin that.
     pub atomic_parity_patches: u64,
-    /// Recovery sweeps completed, indexed by parity shard (see
-    /// [`crate::NvmDevice::note_recovery_sweep`]); shard ids at or above
-    /// [`STAT_SHARDS`] fold into the last slot.
-    pub recovery_sweeps: [u64; STAT_SHARDS],
     /// Scrub passes completed, indexed by parity shard (see
-    /// [`crate::NvmDevice::note_scrub_pass`]).
+    /// [`crate::NvmDevice::note_scrub_pass`]); shard ids at or above
+    /// [`STAT_SHARDS`] fold into the last slot.
     pub scrub_passes: [u64; STAT_SHARDS],
-    /// Reads that landed outside the thread's armed read scope (see
-    /// [`crate::NvmDevice::arm_read_scope`]); a shard-confined recovery
-    /// sweep keeps this at zero — the regression tests pin that.
-    pub scope_violations: u64,
     /// Media faults (uncorrectable/poisoned pages) injected by test and
     /// storm harnesses (see [`crate::NvmDevice::note_poison_injected`]).
     /// Exact fault accounting: soak tests compare this against repair and
@@ -223,13 +210,9 @@ impl StatsSnapshot {
             atomic_parity_patches: self
                 .atomic_parity_patches
                 .saturating_sub(earlier.atomic_parity_patches),
-            recovery_sweeps: std::array::from_fn(|i| {
-                self.recovery_sweeps[i].saturating_sub(earlier.recovery_sweeps[i])
-            }),
             scrub_passes: std::array::from_fn(|i| {
                 self.scrub_passes[i].saturating_sub(earlier.scrub_passes[i])
             }),
-            scope_violations: self.scope_violations.saturating_sub(earlier.scope_violations),
             poison_injected: self.poison_injected.saturating_sub(earlier.poison_injected),
             scribbles_injected: self.scribbles_injected.saturating_sub(earlier.scribbles_injected),
             repairs_ok: self.repairs_ok.saturating_sub(earlier.repairs_ok),
@@ -277,19 +260,18 @@ mod tests {
     #[test]
     fn per_shard_counters_clamp_and_delta() {
         let stats = DeviceStats::default();
-        DeviceStats::add_shard(&stats.recovery_sweeps, 0, 1);
-        DeviceStats::add_shard(&stats.recovery_sweeps, 3, 2);
+        DeviceStats::add_shard(&stats.scrub_passes, 0, 1);
+        DeviceStats::add_shard(&stats.scrub_passes, 3, 2);
         // Out-of-range shard ids fold into the last slot instead of panicking.
-        DeviceStats::add_shard(&stats.scrub_passes, STAT_SHARDS + 5, 1);
+        DeviceStats::add_shard(&stats.scrub_repairs, STAT_SHARDS + 5, 1);
         let a = stats.snapshot();
-        assert_eq!(a.recovery_sweeps[0], 1);
-        assert_eq!(a.recovery_sweeps[3], 2);
-        assert_eq!(a.scrub_passes[STAT_SHARDS - 1], 1);
-        DeviceStats::add_shard(&stats.recovery_sweeps, 3, 1);
-        DeviceStats::add(&stats.scope_violations, 4);
+        assert_eq!(a.scrub_passes[0], 1);
+        assert_eq!(a.scrub_passes[3], 2);
+        assert_eq!(a.scrub_repairs[STAT_SHARDS - 1], 1);
+        DeviceStats::add_shard(&stats.scrub_passes, 3, 1);
         let d = stats.snapshot().delta_since(&a);
-        assert_eq!(d.recovery_sweeps[3], 1);
-        assert_eq!(d.recovery_sweeps[0], 0);
-        assert_eq!(d.scope_violations, 4);
+        assert_eq!(d.scrub_passes[3], 1);
+        assert_eq!(d.scrub_passes[0], 0);
+        assert_eq!(d.total_scrub_repairs(), 0);
     }
 }

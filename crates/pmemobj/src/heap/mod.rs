@@ -298,21 +298,10 @@ impl Heap {
     /// as [`ObjError::Corruption`] carrying the entry offset (Pangolin's
     /// open path repairs it from parity and retries).
     pub fn rebuild(io: &PoolIo, layout: Layout, verify: bool) -> Result<Heap> {
-        Self::rebuild_with(io, layout, verify, 1)
+        Self::rebuild_excluding(io, layout, verify, &std::collections::BTreeSet::new())
     }
 
-    /// Like [`Heap::rebuild`], but scans zones on up to `workers` threads.
-    ///
-    /// Zone scans are independent (each zone's chunk metadata is
-    /// self-contained), so the sweep partitions zones into contiguous
-    /// ranges and merges the per-zone states in order. With a simulated
-    /// NVM latency model the per-thread stalls overlap, so open time drops
-    /// with the worker count.
-    pub fn rebuild_with(io: &PoolIo, layout: Layout, verify: bool, workers: usize) -> Result<Heap> {
-        Self::rebuild_excluding(io, layout, verify, workers, &std::collections::BTreeSet::new())
-    }
-
-    /// Like [`Heap::rebuild_with`], but never reading the zones in `skip`
+    /// Like [`Heap::rebuild`], but never reading the zones in `skip`
     /// (Pangolin passes its quarantined zones: their pages may be
     /// unreconstructably poisoned, so scanning them could fail the whole
     /// open). Skipped zones come up empty *and banned* — no free chunks,
@@ -321,47 +310,17 @@ impl Heap {
         io: &PoolIo,
         layout: Layout,
         verify: bool,
-        workers: usize,
         skip: &std::collections::BTreeSet<u64>,
     ) -> Result<Heap> {
-        let n = layout.n_zones;
-        let workers = workers.clamp(1, n as usize);
-        let scan = |z: u64| -> Result<ZoneState> {
-            if skip.contains(&z) {
-                Ok(ZoneState::new())
-            } else {
-                Self::scan_zone(io, &layout, z, verify)
-            }
-        };
-        let zones = if workers == 1 {
-            let mut zones = Vec::with_capacity(n as usize);
-            for z in 0..n {
-                zones.push(scan(z)?);
-            }
-            zones
-        } else {
-            let span = (n as usize).div_ceil(workers);
-            let mut results: Vec<Result<Vec<ZoneState>>> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let lo = (w * span) as u64;
-                        let hi = ((w + 1) * span).min(n as usize) as u64;
-                        let scan = &scan;
-                        s.spawn(move || (lo..hi).map(scan).collect::<Result<Vec<_>>>())
-                    })
-                    .collect();
-                results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("zone scan worker panicked"))
-                    .collect();
-            });
-            let mut zones = Vec::with_capacity(n as usize);
-            for r in results {
-                zones.extend(r?);
-            }
-            zones
-        };
+        let zones = (0..layout.n_zones)
+            .map(|z| {
+                if skip.contains(&z) {
+                    Ok(ZoneState::new())
+                } else {
+                    Self::scan_zone(io, &layout, z, verify)
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(Heap {
             layout,
             zones: Mutex::new(zones),

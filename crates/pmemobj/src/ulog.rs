@@ -84,6 +84,22 @@ impl EntryKind {
             _ => return None,
         })
     }
+
+    /// The payload length every entry of this kind carries, `None` for
+    /// [`EntryKind::Data`] (any length).
+    fn payload_len(self) -> Option<usize> {
+        match self {
+            EntryKind::Data => None,
+            EntryKind::Commit => Some(0),
+            EntryKind::SetBits
+            | EntryKind::ClearBits
+            | EntryKind::RunFmt
+            | EntryKind::AllocIntent => Some(8),
+            EntryKind::CrossShard => Some(12),
+            EntryKind::WriteCm => Some(16),
+            EntryKind::LogExt => Some(24),
+        }
+    }
 }
 
 /// A decoded log entry.
@@ -123,14 +139,16 @@ pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8]
     out.resize(end, 0); // pad to 8 bytes
 }
 
-/// Parses the header at `bytes` if it can start an entry of `gen`.
+/// Parses the header at `bytes` if it can start an entry of `gen`: a known
+/// kind and, for a fixed-size kind, exactly its payload length.
 fn header_for(bytes: &[u8], gen: u64) -> Option<(EntryHeader, EntryKind)> {
     if bytes.len() < ENTRY_HEADER_SIZE as usize {
         return None;
     }
     let hdr: EntryHeader = from_bytes(bytes);
     let kind = EntryKind::from_u16(hdr.kind)?;
-    (hdr.gen == gen).then_some((hdr, kind))
+    let sized = kind.payload_len().is_none_or(|len| len == hdr.len as usize);
+    (hdr.gen == gen && sized).then_some((hdr, kind))
 }
 
 /// Bytes a reader must hold at an entry boundary before [`decode_entry`]
@@ -148,8 +166,10 @@ pub fn entry_need(bytes: &[u8], gen: u64) -> Option<u64> {
 /// Decodes the entry at `bytes` (which must start at an entry boundary).
 ///
 /// Returns `Ok(None)` if the bytes do not form a valid entry for `gen`
-/// (wrong generation, bad kind, bad checksum, or truncated) — the normal
-/// "end of log" condition.
+/// (wrong generation, bad kind, a fixed-size kind with the wrong payload
+/// length, bad checksum, or truncated) — the normal "end of log"
+/// condition. A decoded entry's payload therefore always has the length
+/// its kind's `payload::parse_*` helper expects.
 pub fn decode_entry(bytes: &[u8], gen: u64) -> Result<Option<(Entry, u64)>> {
     let Some((hdr, kind)) = header_for(bytes, gen) else {
         return Ok(None);
