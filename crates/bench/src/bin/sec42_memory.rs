@@ -1,15 +1,17 @@
 //! §4.2: memory requirements — pool-initialization (zeroing) time, NVMM
-//! layout breakdown (metadata, logs, parity), and DRAM cost of
-//! micro-buffering.
+//! layout breakdown (metadata, logs, parity), the per-object sum tables,
+//! and DRAM cost of micro-buffering.
 //!
 //! Run: `cargo run --release -p pgl-bench --bin sec42_memory`
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use pangolin::segment;
 use pangolin::{PglConfig, PglMode, PglPool};
 use pgl_bench::{print_table, Args};
 use pgl_nvm::{DeviceConfig, NvmDevice};
+use pgl_pmemobj::heap::classes::{class_for, CLASS_SIZES};
 
 fn main() {
     let args = Args::parse();
@@ -59,6 +61,39 @@ fn main() {
         100.0 * parity_total as f64 / args.pool_bytes as f64,
         layout.zone.data_rows,
     );
+    println!(
+        "sum-table overhead: {} B per {}-byte segment past the first ({:.2}% of an \
+         object's bytes above {} B; none at or below)",
+        segment::ENTRY,
+        segment::SEG,
+        100.0 * segment::ENTRY as f64 / segment::SEG as f64,
+        segment::SEG,
+    );
+
+    // The table at Table 3's object sizes: bytes, and the allocation block
+    // with and without it (header 16 B included).
+    let block = |stored: u64| {
+        class_for(stored + 16, layout.cfg.chunk_size)
+            .map_or_else(|| "chunks".to_string(), |c| format!("{} B", CLASS_SIZES[c]))
+    };
+    let rows: Vec<Vec<String>> = [64u64, 256, 304, 408, 4136, 65536]
+        .iter()
+        .map(|&s| {
+            let table = segment::footprint(s) - s;
+            vec![
+                format!("{s} B object"),
+                format!("{table} B"),
+                format!("{:.2}%", 100.0 * table as f64 / s as f64),
+                block(s),
+                block(segment::footprint(s)),
+            ]
+        })
+        .collect();
+    print_table(
+        "Sum tables at Table 3's object sizes",
+        &["object", "table", "overhead", "block without", "block with"],
+        &rows,
+    );
 
     // DRAM cost of micro-buffering: proportional to in-flight transaction
     // sizes; measure the shadow-copy bytes for representative transactions.
@@ -66,8 +101,8 @@ fn main() {
     let rows: Vec<Vec<String>> = obj_sizes
         .iter()
         .map(|&s| {
-            // frame = canary(8) + header(16) + data + canary(8)
-            let frame = 8 + 16 + s + 8;
+            // frame = canary(8) + header(16) + data + table + canary(8)
+            let frame = 8 + 16 + segment::footprint(s) + 8;
             vec![
                 format!("{s} B object"),
                 format!("{frame} B"),

@@ -29,13 +29,17 @@ pub struct ModelState {
 impl ModelState {
     /// Captures the pool's current semantic state through verified reads.
     ///
-    /// Every live object is read via [`PglPool::read_verified`], so a
-    /// capture doubles as a full checksum audit of the pool.
+    /// Every live object is read whole and every segment of it checked
+    /// against its sum, so a capture doubles as a full checksum audit of
+    /// the pool. The audit publishes nothing to the verification cache: a
+    /// capture between two transactions of a swept body must not change
+    /// which segments the second one loads, or the recording pass and the
+    /// crash replays would issue different device operations.
     pub fn capture(pool: &PglPool) -> Result<Self> {
         let root = pool.root_oid()?.off;
         let mut objects = BTreeMap::new();
         for (oid, hdr) in pool.live_objects()? {
-            let data = pool.read_verified(PMEMoid::new(pool.uuid(), oid.off))?;
+            let data = pool.audit(PMEMoid::new(pool.uuid(), oid.off))?;
             objects.insert(oid.off, (hdr.type_num, data));
         }
         Ok(ModelState { root, objects })

@@ -48,6 +48,14 @@ pub enum PglError {
     },
     /// The configuration is internally inconsistent.
     Config(String),
+    /// The image was written in a pool format this library does not open
+    /// (e.g. one checksum per object instead of per segment).
+    FormatVersion {
+        /// The version the image's pool header carries.
+        found: u32,
+        /// The version this library reads and writes.
+        supported: u32,
+    },
 }
 
 impl fmt::Display for PglError {
@@ -77,6 +85,12 @@ impl fmt::Display for PglError {
                 write!(f, ": {detail}")
             }
             PglError::Config(s) => write!(f, "bad configuration: {s}"),
+            PglError::FormatVersion { found, supported } => {
+                write!(
+                    f,
+                    "pool format version {found} is not supported (this library: {supported})"
+                )
+            }
         }
     }
 }

@@ -7,9 +7,10 @@
 //! * **Micro-buffering** ([`ubuf`]): objects are modified in canary-framed
 //!   DRAM shadow copies, never in place, so buffer overruns are caught
 //!   before they reach NVMM and transactions use cheap redo logging.
-//! * **Object checksums** ([`checksum`]): an incrementally-updatable
-//!   Adler32 per object detects software scribbles that hardware ECC
-//!   cannot see.
+//! * **Object checksums** ([`checksum`], [`segment`]): an
+//!   incrementally-updatable Adler32 per 256-byte object segment detects
+//!   software scribbles that hardware ECC cannot see; a transaction loads
+//!   and checks the segments it touches, not the whole object.
 //! * **Zone parity** ([`parity`]): each zone's chunk rows are protected by
 //!   one XOR parity row (~1 % space), updated with a hybrid of lock-free
 //!   atomic XOR (small writes) and exclusively-locked vectorized XOR
@@ -90,6 +91,7 @@ pub mod quarantine;
 pub mod recover;
 pub(crate) mod scratch;
 pub mod scrub;
+pub mod segment;
 pub mod txn;
 pub mod typed;
 pub mod ubuf;

@@ -403,24 +403,26 @@ impl ParityEngine {
     /// and what the scrubber holds while verifying an object.
     pub fn lock_span(&self, off: u64, len: u64, exclusive: bool) -> Result<RangeGuard<'_>> {
         let mut ids = Vec::new();
-        self.lock_span_with(&mut ids, off, len, exclusive)
+        self.lock_spans_with(&mut ids, std::iter::once((off, len)), exclusive)
     }
 
-    /// Like [`ParityEngine::lock_span`], collecting stripe ids into
-    /// caller-provided scratch (cleared first) — the commit path threads
-    /// its `CommitScratch` stripe-id buffer through here so steady-state
-    /// span locking allocates nothing for the id set.
-    pub fn lock_span_with(
+    /// Like [`ParityEngine::lock_span`], over several data spans in one
+    /// deadlock-free guard, collecting stripe ids into caller-provided
+    /// scratch (cleared first) — the commit path threads its
+    /// `CommitScratch` stripe-id buffer through here so steady-state span
+    /// locking allocates nothing for the id set.
+    pub fn lock_spans_with(
         &self,
         ids: &mut Vec<usize>,
-        off: u64,
-        len: u64,
+        spans: impl Iterator<Item = (u64, u64)>,
         exclusive: bool,
     ) -> Result<RangeGuard<'_>> {
         ids.clear();
-        for seg in SegIter::new(&self.layout, off, len) {
-            let seg = seg?;
-            self.push_stripes(seg.zone, seg.col, seg.len, ids);
+        for (off, len) in spans {
+            for seg in SegIter::new(&self.layout, off, len) {
+                let seg = seg?;
+                self.push_stripes(seg.zone, seg.col, seg.len, ids);
+            }
         }
         Ok(self.acquire(ids, exclusive))
     }
@@ -432,13 +434,7 @@ impl ParityEngine {
     /// instead of the whole-object span guard a commit write-back takes.
     pub fn lock_words(&self, offs: &[u64], exclusive: bool) -> Result<RangeGuard<'_>> {
         let mut ids = Vec::with_capacity(offs.len());
-        for &off in offs {
-            for seg in SegIter::new(&self.layout, off, 8) {
-                let seg = seg?;
-                self.push_stripes(seg.zone, seg.col, seg.len, &mut ids);
-            }
-        }
-        Ok(self.acquire(&mut ids, exclusive))
+        self.lock_spans_with(&mut ids, offs.iter().map(|&off| (off, 8)), exclusive)
     }
 
     /// Applies the parity effect of overwriting `[off, off+len)` with `new`
@@ -879,15 +875,16 @@ impl ParityDomains {
         self.engine_for(off).lock_span(off, len, exclusive)
     }
 
-    /// Routes [`ParityEngine::lock_span_with`] to the owning shard.
-    pub fn lock_span_with(
+    /// Routes [`ParityEngine::lock_spans_with`] to the shard owning the
+    /// first span (an object's spans share its zone).
+    pub fn lock_spans_with(
         &self,
         ids: &mut Vec<usize>,
-        off: u64,
-        len: u64,
+        mut spans: impl Iterator<Item = (u64, u64)> + Clone,
         exclusive: bool,
     ) -> Result<RangeGuard<'_>> {
-        self.engine_for(off).lock_span_with(ids, off, len, exclusive)
+        let first = spans.clone().next().map_or(0, |s| s.0);
+        self.engine_for(first).lock_spans_with(ids, &mut spans, exclusive)
     }
 
     /// Routes [`ParityEngine::lock_words`] to the owning shard. All words

@@ -40,12 +40,15 @@
 //!    values) to every lane-header copy, flush, fence. From here on a
 //!    crash *replays* the operation instead of losing it.
 //! 2. **Publish + patch.** Under a *shared* stripe guard covering just the
-//!    target word's and the object header word's parity columns: bump the
-//!    object's verified-generation cache entry, CAS the word, XOR
+//!    target word's and its *sum word's* parity columns: clear the word's
+//!    segment in the verification cache, CAS the word, XOR
 //!    `expected ⊕ new` into its parity column, fold the same delta into
-//!    the object's Adler32 with a CAS loop on the header's
-//!    `(type_num, csum)` word, XOR the header-word diff into *its* parity
-//!    column, flush the touched lines, fence.
+//!    the sum of the word's segment ([`crate::segment`]) with a CAS loop
+//!    on the aligned 8-byte word holding it — the header's
+//!    `(type_num, csum)` word for segment 0, the word holding the
+//!    segment's table entry otherwise — XOR that word's diff into *its*
+//!    parity column, flush the touched lines, fence. A CAS updates exactly
+//!    one checksum word.
 //!
 //! The descriptor then stays `PREPARED` until the lane's next operation
 //! overwrites it: retiring it eagerly would need a third fence, and a
@@ -85,8 +88,8 @@
 //! the heap rebuild. For every `PREPARED` descriptor it decides the
 //! operation's fate by comparing the target word against the descriptor's
 //! `new` value — **recompute, never re-apply**: the word itself persisted
-//! atomically, so recovery only re-derives the object checksum from the
-//! bytes actually on media and recomputes the two parity columns (both
+//! atomically, so recovery only re-derives the sum of the word's segment
+//! from the bytes actually on media and recomputes the two parity columns (both
 //! idempotent), then reports a [`CasRecovery`] through
 //! [`crate::PglPool::cas_recoveries`]. A crashed operation therefore either
 //! never happened (descriptor absent or `IDLE`; the word is untouched) or
@@ -142,7 +145,8 @@ use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
 use crate::parity::{segments, ParityDomains, RangeGuard};
 use crate::pool::Inner;
-use crate::scratch::{self, CommitScratch};
+use crate::scratch::CommitScratch;
+use crate::segment::{self, SEG};
 
 /// Byte offset of the descriptor state word within a lane header.
 const DESC_STATE: u64 = 8;
@@ -332,6 +336,21 @@ fn parity_line_of(layout: &Layout, off: u64) -> Result<u64> {
     Ok(layout.parity_off(zone, col) / 64)
 }
 
+/// The aligned 8-byte word holding the sum of the segment of the word at
+/// user offset `off` inside the `size`-byte object at `obj_off`, and the
+/// sum's bit shift inside it: the header's `(type_num, csum)` word for
+/// segment 0, the word holding the segment's table entry otherwise (an
+/// entry is 4-byte aligned, so it never straddles two words).
+fn sum_word(obj_off: u64, size: u64, off: u64) -> (u64, u32) {
+    match off / SEG {
+        0 => (obj_off - OBJ_HEADER_SIZE + 8, 32),
+        k => {
+            let at = obj_off + segment::entry_off(size, k);
+            (at & !7, 8 * (at & 7) as u32)
+        }
+    }
+}
+
 /// An error raised once a CAS has taken effect: the word is already
 /// linked, so a caller that retried would apply the operation twice.
 fn after_link(e: PglError) -> PglError {
@@ -339,6 +358,16 @@ fn after_link(e: PglError) -> PglError {
 }
 
 impl Inner {
+    /// [`sum_word`], in this pool's mode: without checksums there is no
+    /// table and the header word stands in (it is locked, never changed).
+    fn sum_word(&self, obj_off: u64, size: u64, off: u64) -> (u64, u32) {
+        if self.mode.has_checksums() {
+            sum_word(obj_off, size, off)
+        } else {
+            sum_word(obj_off, size, 0)
+        }
+    }
+
     /// Validates a CAS target word (a known object, an aligned word inside
     /// it) and returns the object's user size.
     fn cas_target(&self, oid: PMEMoid, off: u64) -> Result<u64> {
@@ -406,12 +435,14 @@ impl Inner {
     ) -> Result<NewCas> {
         let size = self.cas_target(target, off)?;
         let user = init.len() as u64;
-        if classes::class_for(user + OBJ_HEADER_SIZE, self.layout.cfg.chunk_size).is_none() {
+        let footprint = self.footprint(user);
+        if classes::class_for(footprint + OBJ_HEADER_SIZE, self.layout.cfg.chunk_size).is_none() {
             return Err(PglError::Config(format!(
                 "a published node of {user} bytes does not fit a run block"
             )));
         }
-        let mut r = self.heap.reserve_alloc_in(user, type_num, self.alloc_pref())?;
+        let mut r = self.heap.reserve_alloc_in(footprint, type_num, self.alloc_pref())?;
+        r.user_size = user;
         if let Err(e) = self.reserve_rows(r.start_off, r.total_len) {
             self.heap.cancel_alloc(&r);
             return Err(e);
@@ -533,14 +564,20 @@ impl Inner {
     /// F2 of an allocate-and-publish: the node's header and content,
     /// written like a transaction's construction write-back.
     fn construct(&self, r: &AllocReservation, type_num: u32, init: &[u8]) -> Result<()> {
-        let csum = if self.mode.has_checksums() { adler32(init) } else { 0 };
-        let hdr = ObjectHeader { size: r.user_size, type_num, csum };
         // The slot may carry a verified-generation entry from an object
         // freed there before.
         self.vcache.bump(r.oid_off);
         let mut s = CommitScratch::take();
-        s.tmp.extend_from_slice(bytes_of(&hdr));
+        s.tmp.extend_from_slice(bytes_of(&ObjectHeader { size: r.user_size, type_num, csum: 0 }));
         s.tmp.extend_from_slice(init);
+        s.tmp.resize(OBJ_HEADER_SIZE as usize + self.footprint(r.user_size) as usize, 0);
+        if self.mode.has_checksums() {
+            let table = (OBJ_HEADER_SIZE + segment::table_off(r.user_size)) as usize;
+            let table = table.min(s.tmp.len());
+            let (head, table) = s.tmp.split_at_mut(table);
+            let csum = segment::fill_table(&head[OBJ_HEADER_SIZE as usize..][..init.len()], table);
+            s.tmp[12..16].copy_from_slice(&csum.to_le_bytes());
+        }
         let res = self.construct_write(r.start_off, &s.tmp, &mut s.old, &mut s.stripe_ids);
         s.recycle();
         res
@@ -549,10 +586,9 @@ impl Inner {
     /// Publish + patch (the word CAS's second fence; see the module docs).
     /// A mismatch retires lane `lane`'s descriptor with a fence of its own.
     fn publish(&self, lane: u32, op: &CasOp) -> Result<WordCas> {
-        let CasOp { oid, off, expected, new, .. } = *op;
+        let CasOp { oid, off, size, expected, new, .. } = *op;
         let word_off = oid.off + off;
-        // The 8-byte header word holding (type_num, csum).
-        let hw_off = oid.header_off() + 8;
+        let (sw_off, _) = self.sum_word(oid.off, size, off);
 
         self.settle_link(expected)?;
         // Shared stripe guard over exactly the two words' parity columns:
@@ -560,15 +596,15 @@ impl Inner {
         // while letting concurrent word CASes (whose atomic XOR patches
         // commute) through.
         let guard = match &self.parity {
-            Some(engine) => Some(engine.lock_words(&[word_off, hw_off], false)?),
+            Some(engine) => Some(engine.lock_words(&[word_off, sw_off], false)?),
             None => None,
         };
 
-        // Invalidate cached verification *before* the store can be seen:
-        // the same write-back rule the span-guard path follows, so a
+        // Invalidate the word's cached segment *before* the store can be
+        // seen: the same write-back rule the span-guard path follows, so a
         // reader racing this CAS re-verifies instead of trusting a stale
         // cached generation.
-        self.vcache.bump(oid.off);
+        self.vcache.clear(oid.off, off / SEG, off / SEG);
 
         let prev = self.io.atomic_cas_u64(word_off, expected, new).map_err(PglError::from)?;
         if prev != expected {
@@ -597,7 +633,7 @@ impl Inner {
     fn seal(&self, op: &CasOp, guard: Option<&RangeGuard<'_>>) -> Result<()> {
         let CasOp { oid, off, size, expected, new, .. } = *op;
         let word_off = oid.off + off;
-        let hw_off = oid.header_off() + 8;
+        let (hw_off, shift) = self.sum_word(oid.off, size, off);
         let oldb = expected.to_le_bytes();
         let newb = new.to_le_bytes();
         let mut patched_lines: [Option<u64>; 2] = [None, None];
@@ -607,17 +643,18 @@ impl Inner {
             }
         }
 
-        // Fold the word delta into the object's Adler32 with a CAS loop on
-        // the header word: the delta depends only on (offset, old, new,
-        // size), not on the base checksum, so concurrent CASes on the same
-        // object serialize here linearizably no matter the order their
-        // data words landed in.
+        // Fold the word delta into its segment's Adler32 with a CAS loop on
+        // the sum word: the delta depends only on (offset, old, new,
+        // segment length), not on the base checksum, so concurrent CASes
+        // on the same segment serialize here linearizably no matter the
+        // order their data words landed in.
         if self.mode.has_checksums() {
+            let (s, e) = segment::bounds(size, off / SEG);
             loop {
                 let cur = self.io.dev().atomic_load_u64(hw_off).map_err(PglError::from)?;
-                let csum = (cur >> 32) as u32;
-                let csum2 = adler32_update(csum, size, off, &oldb, &newb);
-                let neww = (cur & 0xFFFF_FFFF) | ((csum2 as u64) << 32);
+                let csum = (cur >> shift) as u32;
+                let csum2 = adler32_update(csum, e - s, off - s, &oldb, &newb);
+                let neww = (cur & !(0xFFFF_FFFF << shift)) | ((csum2 as u64) << shift);
                 let prevh = self.io.atomic_cas_u64(hw_off, cur, neww).map_err(PglError::from)?;
                 if prevh != cur {
                     continue;
@@ -638,7 +675,7 @@ impl Inner {
             }
         }
 
-        // ---- fence: data word + header word + parity lines -------------
+        // ---- fence: data word + sum word + parity lines ----------------
         self.io.flush(word_off, 8).map_err(PglError::from)?;
         self.io.drain();
 
@@ -653,31 +690,40 @@ impl Inner {
     }
 }
 
-/// Re-derives the checksum of the object at `obj_off` from the bytes on
-/// media — a crash may have persisted a CAS's data word without the
-/// delta-patched header word, or the reverse. The header's `size` is a
-/// media word: an object that cannot hold `word_off`, that is larger than
-/// any allocation or that runs off the device is left alone.
-fn refresh_checksum(io: &PoolIo, layout: &Layout, obj_off: u64, word_off: u64) -> Result<()> {
+/// Re-derives the sum of the segment holding `word_off` in the object at
+/// `obj_off` from the bytes on media — a crash may have persisted a CAS's
+/// data word without the delta-patched sum word, or the reverse. The
+/// header's `size` is a media word: an object that cannot hold `word_off`,
+/// or whose footprint is larger than any allocation or runs off the
+/// device, is left alone. Returns the sum word, if any.
+fn refresh_checksum(
+    io: &PoolIo,
+    layout: &Layout,
+    obj_off: u64,
+    word_off: u64,
+) -> Result<Option<u64>> {
     let size = io.read_u64(obj_off - OBJ_HEADER_SIZE).map_err(PglError::from)?;
-    let end = obj_off.checked_add(size);
-    let dev_len = io.dev().len() as u64;
-    if size > layout.max_alloc() || end.is_none_or(|end| word_off + 8 > end || end > dev_len) {
-        return Ok(());
+    let fits = size <= layout.max_alloc()
+        && obj_off
+            .checked_add(segment::footprint(size))
+            .is_some_and(|end| word_off + 8 <= obj_off + size && end <= io.dev().len() as u64);
+    if !fits {
+        return Ok(None);
     }
-    let csum = scratch::with_fault_scratch(|s| {
-        let data = scratch::zeroed(&mut s.current, size as usize);
-        io.read(obj_off, data).map(|()| adler32(data))
-    })
-    .map_err(PglError::from)?;
-    let hw_off = obj_off - OBJ_HEADER_SIZE + 8;
-    let cur = io.read_u64(hw_off).map_err(PglError::from)?;
-    let neww = (cur & 0xFFFF_FFFF) | ((csum as u64) << 32);
+    let off = word_off - obj_off;
+    let (s, e) = segment::bounds(size, off / SEG);
+    let mut data = [0u8; SEG as usize];
+    let data = &mut data[..(e - s) as usize];
+    io.read(obj_off + s, data).map_err(PglError::from)?;
+    let csum = adler32(data);
+    let (sw_off, shift) = sum_word(obj_off, size, off);
+    let cur = io.read_u64(sw_off).map_err(PglError::from)?;
+    let neww = (cur & !(0xFFFF_FFFF << shift)) | ((csum as u64) << shift);
     if neww != cur {
-        io.write(hw_off, &neww.to_le_bytes()).map_err(PglError::from)?;
-        io.persist(hw_off, 8).map_err(PglError::from)?;
+        io.write(sw_off, &neww.to_le_bytes()).map_err(PglError::from)?;
+        io.persist(sw_off, 8).map_err(PglError::from)?;
     }
-    Ok(())
+    Ok(Some(sw_off))
 }
 
 /// Replays every lane's CAS descriptor after a crash (pool open path,
@@ -731,9 +777,8 @@ pub(crate) fn replay_descriptors(
         } else {
             CasOutcome::RolledBack
         };
-        if has_csums {
-            refresh_checksum(io, layout, obj_off, word_off)?;
-        }
+        let sw_off =
+            if has_csums { refresh_checksum(io, layout, obj_off, word_off)? } else { None };
         if let Some(slot) = node.filter(|_| outcome == CasOutcome::Completed) {
             // Linked but possibly not yet allocated: the crash fell
             // between F3 and F4.
@@ -748,7 +793,7 @@ pub(crate) fn replay_descriptors(
             // — idempotent, so replaying an already-complete operation is
             // harmless.
             let hw_off = obj_off - OBJ_HEADER_SIZE + 8;
-            let mut ranges = vec![(word_off, 8), (hw_off, 8)];
+            let mut ranges = vec![(word_off, 8), (sw_off.unwrap_or(hw_off), 8)];
             if let Some(slot) = node {
                 ranges.extend([(slot.start, slot.len), (slot.bit_word, 8)]);
             }

@@ -11,16 +11,22 @@ use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::pool::{read_header, write_header, PoolHeader, FLAG_MODE_SHIFT, FLAG_PARITY};
 use pgl_pmemobj::{Layout, ObjError, ObjectHeader, PMEMoid, PoolIo, OID_NULL};
 
-use crate::checksum::adler32;
 use crate::config::{CsumPolicy, PglConfig, PglMode};
 use crate::detect::{Freeze, Vuln, VulnSnapshot};
 use crate::error::{PglError, Result};
 use crate::parity::{ParityDomains, RangeGuard, ShardMap};
 use crate::quarantine::QuarantineSet;
+use crate::scratch;
 use crate::scrub::{self, ScrubReport, ScrubTotals};
-use crate::txn::{PglTx, TxStats, SPARSE_THRESHOLD};
-use crate::ubuf::{FrameParts, UBuf};
+use crate::segment::{self, SEG};
+use crate::txn::{PglTx, TxStats};
+use crate::ubuf::{FrameParts, UBuf, UBufState};
 use crate::vcache::VCache;
+
+/// The pool-format version Pangolin writes and opens: objects carry
+/// per-segment sums ([`crate::segment`]). Images of other versions are
+/// refused with [`PglError::FormatVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 thread_local! {
     /// The calling thread's preferred parity shard for new allocations
@@ -198,17 +204,14 @@ impl Inner {
         let mut buf = [0u8; 16];
         self.read_with_recovery(oid.header_off(), &mut buf)?;
         let hdr: ObjectHeader = from_bytes(&buf);
-        if hdr.size == 0
-            || hdr.size > self.layout.max_alloc()
-            || oid.off + hdr.size > self.io.dev().len() as u64
-        {
+        if !self.plausible(oid.off, hdr.size) {
             // A nonsense size means the header itself is corrupt; try
             // scribble recovery once, then re-read.
             self.recover_object(oid)?;
             let mut buf = [0u8; 16];
             self.read_with_recovery(oid.header_off(), &mut buf)?;
             let hdr: ObjectHeader = from_bytes(&buf);
-            if hdr.size == 0 || hdr.size > self.layout.max_alloc() {
+            if !self.plausible(oid.off, hdr.size) {
                 return Err(PglError::ChecksumMismatch { off: oid.off });
             }
             return Ok(hdr);
@@ -216,60 +219,127 @@ impl Inner {
         Ok(hdr)
     }
 
-    /// Loads a whole-object micro-buffer for a caller-validated header.
-    /// NVMM content is read straight into the micro-buffer frame, and the
-    /// frame storage comes from `frames` (the transaction's recycled pool
-    /// or the thread-local read pool) — no allocation on the steady-state
-    /// open path.
-    ///
-    /// A successful verification publishes the object to the
-    /// verified-generation cache, stamped against concurrent mutations
-    /// (see [`crate::vcache`]): subsequent verified reads of the object
-    /// can skip this whole-object pass entirely until something mutates
-    /// it.
-    pub(crate) fn load_ubuf_hdr_in(
-        &self,
-        oid: PMEMoid,
-        hdr: ObjectHeader,
-        verify: bool,
-        frames: &mut Vec<FrameParts>,
-    ) -> Result<UBuf> {
-        let verify = verify && self.mode.has_checksums();
-        let stamp = verify.then(|| self.vcache.begin_verify(oid.off));
-        let read = |at: u64, dst: &mut [u8]| self.read_with_recovery(oid.off + at, dst);
-        let mut b = UBuf::for_load(oid, hdr, frames.pop().unwrap_or_default());
-        b.load(0, hdr.size, read)?;
-        if verify {
-            self.io.dev().note_csum_pass(hdr.size);
-            if hdr.csum != adler32(b.user()) {
-                // Scribble detected: recover and reload. Recovery verified
-                // the repaired object end to end and published it, so the
-                // reload is a cache hit — no second checksum pass — unless
-                // a commit raced in since; then it verifies afresh (with
-                // a fresh stamp: recovery bumped the cache generation).
-                self.recover_object(oid)?;
-                let hdr2 = self.obj_header_checked(oid)?;
-                let hit = self.vcache.probe(oid.off) == Some(hdr2.size);
-                let stamp2 = self.vcache.begin_verify(oid.off);
-                let mut b2 = UBuf::for_load(oid, hdr2, b.into_parts());
-                b2.load(0, hdr2.size, read)?;
-                if hit {
-                    self.vuln.note_verified_cached(hdr2.size);
-                    self.io.dev().note_vcache_hit(hdr2.size);
-                    return Ok(b2);
-                }
-                self.io.dev().note_csum_pass(hdr2.size);
-                if hdr2.csum != adler32(b2.user()) {
-                    return Err(PglError::ChecksumMismatch { off: oid.off });
-                }
-                self.vuln.note_verified(hdr2.size);
-                self.vcache.publish(oid.off, hdr2.size, stamp2);
-                return Ok(b2);
-            }
-            self.vuln.note_verified(hdr.size);
-            self.vcache.publish(oid.off, hdr.size, stamp.expect("verify implies stamp"));
+    /// Bytes a `size`-byte object occupies behind its header: user data
+    /// plus sum table in modes with checksums, user data alone otherwise.
+    pub(crate) fn footprint(&self, size: u64) -> u64 {
+        if self.mode.has_checksums() {
+            segment::footprint(size)
+        } else {
+            size
         }
-        Ok(b)
+    }
+
+    /// `true` when a header claiming `size` user bytes at `off` can be
+    /// real: a non-empty object no larger than any allocation, whose user
+    /// data and sum table end inside its zone's data rows.
+    pub(crate) fn plausible(&self, off: u64, size: u64) -> bool {
+        size > 0
+            && size <= self.layout.max_alloc()
+            && self.object_room(off).is_some_and(|room| self.footprint(size) <= room)
+    }
+
+    /// Bytes from `off` to the end of its zone's data rows: no object's
+    /// storage extends further.
+    pub(crate) fn object_room(&self, off: u64) -> Option<u64> {
+        let (_, zoff) = self.layout.zone_and_rel(off).ok()?;
+        let geo = &self.layout.zone;
+        (geo.rows_base + geo.data_rows * geo.row_size).checked_sub(zoff)
+    }
+
+    /// Makes `[off, off+len)` of `b` resident under the one open rule
+    /// ([`crate::segment`]): every byte loaded belongs to a segment that is
+    /// checked here or that the verification cache vouches for. Bytes of
+    /// segments already resident are read as they are; the other segments
+    /// the range covers are loaded whole and checked against their sums —
+    /// or, when the cache vouches for all of them, only the range is read.
+    /// Either way their sums are read (from the header for segment 0, from
+    /// the table for the others) and kept for the commit. A segment that
+    /// fails its check is repaired from parity and reloaded once.
+    pub(crate) fn load_range(&self, b: &mut UBuf, off: u64, len: u64) -> Result<()> {
+        let oid = b.oid();
+        let read = |at: u64, dst: &mut [u8]| self.read_with_recovery(oid.off + at, dst);
+        if len == 0 || !self.mode.has_checksums() || b.state() == UBufState::New {
+            return b.load(off, len, 0, read).map(drop);
+        }
+        let size = b.user_size() as u64;
+        let (k0, k1) = segment::covering(off, len);
+        let (a, z) = match b.sums_within(k0, k1) {
+            0 => (k0, k1),
+            known => {
+                let Some(a) = (k0..=k1).find(|&k| b.sum_of(k).is_none()) else {
+                    debug_assert_eq!(known as u64, k1 - k0 + 1);
+                    return b.load(off, len, 0, read).map(drop);
+                };
+                (a, (a..=k1).rev().find(|&k| b.sum_of(k).is_none()).expect("segment a is new"))
+            }
+        };
+        for attempt in 0..2 {
+            let (stamp, entry) = self.vcache.begin_verify_probe(oid.off);
+            let vouched = entry.is_some_and(|e| e.size == size && e.covers(a, z));
+            let lo = if a == k0 && !vouched { k0 * SEG } else { off };
+            let hi = if z == k1 && !vouched { segment::bounds(size, k1).1 } else { off + len };
+            // A load that reaches the object's end reads the entries behind
+            // it (the last segment's first) in the same device read, into
+            // the run's tail; others read theirs apart.
+            let (t, n) = if z > 0 { segment::entries(size, a.max(1), z) } else { (size, 0) };
+            let through = n > 0 && z + 1 == segment::count(size) && hi == size;
+            let mut fused = false;
+            b.load(lo, hi - lo, if through { t + n - size } else { 0 }, |at, dst| {
+                fused |= at + dst.len() as u64 > size;
+                read(at, dst)
+            })?;
+            let pad = (t - size) as usize;
+            let fill = |b: &UBuf, table: &mut [u8]| {
+                if fused {
+                    table.copy_from_slice(&b.tail()[pad..pad + table.len()]);
+                } else if !table.is_empty() {
+                    read(t, table)?;
+                }
+                Ok::<(), PglError>(())
+            };
+            let checked = if n <= 64 {
+                let mut apart = [0u8; 64];
+                let table = &mut apart[..n as usize];
+                fill(b, table)?;
+                check_new(b, a, z, vouched, table)
+            } else {
+                scratch::with_fault_scratch(|s| -> Result<_> {
+                    let table = scratch::zeroed(&mut s.current, n as usize);
+                    fill(b, table)?;
+                    Ok(check_new(b, a, z, vouched, table))
+                })?
+            };
+            if let Some(checked) = checked {
+                if vouched {
+                    self.vuln.note_verified_cached(len);
+                    self.io.dev().note_vcache_hit(len);
+                } else {
+                    self.io.dev().note_csum_pass(checked);
+                    self.vuln.note_verified(checked);
+                    self.vcache.publish(oid.off, size, a, z, stamp);
+                }
+                return Ok(());
+            }
+            if attempt == 1 {
+                break;
+            }
+            // Scribble detected: repair from parity, then re-read what this
+            // load read (nothing of it was handed out yet).
+            self.recover_object(oid)?;
+            let hdr = self.obj_header_checked(oid)?;
+            if hdr.size != size {
+                return Err(PglError::ChecksumMismatch { off: oid.off });
+            }
+            b.reloaded_header(hdr);
+            for k in a..=z {
+                let (s, e) = segment::bounds(size, k);
+                let (s, e) = (s.max(lo), e.min(hi));
+                if b.sum_of(k).is_none() && s < e {
+                    b.reload(s, e - s, read)?;
+                }
+            }
+        }
+        Err(PglError::ChecksumMismatch { off: oid.off })
     }
 
     /// Serves `[off, off+len)` of a cache-verified object: exactly one
@@ -290,74 +360,20 @@ impl Inner {
         off <= size && len <= size - off
     }
 
-    /// Loads a micro-buffer for a header the caller validated, skipping
-    /// the checksum pass when the verified-generation cache already
-    /// covers the object (and accounting the hit); a miss verifies and
-    /// populates. The one shared implementation behind the cache-aware
-    /// open paths (`open_object`, the first write under a lazy open), so
-    /// their accounting cannot drift apart.
-    pub(crate) fn load_ubuf_maybe_cached(
-        &self,
-        oid: PMEMoid,
-        hdr: ObjectHeader,
-        frames: &mut Vec<FrameParts>,
-    ) -> Result<UBuf> {
-        let hit = self.vcache.probe(oid.off) == Some(hdr.size);
-        let b = self.load_ubuf_hdr_in(oid, hdr, !hit, frames)?;
-        if hit {
-            self.vuln.note_verified_cached(hdr.size);
-            self.io.dev().note_vcache_hit(hdr.size);
-        }
-        Ok(b)
-    }
-
-    /// The transaction open policy, once the header has to be read: an
-    /// object at or below [`SPARSE_THRESHOLD`] is loaded whole — verified,
-    /// unless the caller opened it lazily under a verification-cache hit
-    /// (`fresh`) and it still is one — and a larger object is never loaded
-    /// or verified whole: it opens with nothing resident and its writes
-    /// load just their own ranges (the same rule [`Inner::direct_read`]
-    /// applies to Conservative reads).
-    pub(crate) fn open_ubuf(
-        &self,
-        oid: PMEMoid,
-        fresh: bool,
-        frames: &mut Vec<FrameParts>,
-    ) -> Result<UBuf> {
+    /// Reads the header of `oid` and returns an empty micro-buffer for it
+    /// (the transaction open; [`Inner::load_range`] loads what is used).
+    pub(crate) fn open_ubuf(&self, oid: PMEMoid, frames: &mut Vec<FrameParts>) -> Result<UBuf> {
         let hdr = self.obj_header_checked(oid)?;
-        if hdr.size > SPARSE_THRESHOLD {
-            Ok(UBuf::for_load(oid, hdr, frames.pop().unwrap_or_default()))
-        } else if fresh {
-            self.load_ubuf_maybe_cached(oid, hdr, frames)
-        } else {
-            self.load_ubuf_hdr_in(oid, hdr, true, frames)
-        }
+        let parts = frames.pop().unwrap_or_default();
+        Ok(UBuf::for_load(oid, hdr, parts, self.mode.has_checksums()))
     }
 
     /// Direct object read (`pgl_get`): no verification under the default
-    /// policy, full verification under Conservative. Vulnerability
-    /// accounting feeds Table 4.
-    ///
-    /// Under Conservative, an object the verified-generation cache knows
-    /// to be verified-fresh is served with a single range-sized read —
-    /// the 8-bytes-of-a-4-KiB-object access stops costing a 4 KiB read
-    /// plus a full checksum pass.
-    ///
-    /// Conservative verification applies to sizes that are loaded whole
-    /// only; objects above [`SPARSE_THRESHOLD`] (e.g. the hashmap's
-    /// multi-megabyte table) would cost O(object) per access, so their
-    /// reads stay unverified and rely on scrubbing (counted as exposure).
+    /// policy, [`Inner::verified_read_range`] under Conservative — for
+    /// objects of every size. Vulnerability accounting feeds Table 4.
     pub(crate) fn direct_read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         if self.mode.has_checksums() && matches!(self.policy, CsumPolicy::Conservative) {
-            if let Some(size) = self.vcache.probe(oid.off) {
-                if Self::range_fits(off, dst.len() as u64, size) {
-                    return self.read_cached_range(oid, off, dst);
-                }
-            }
-            let hdr = self.obj_header_checked(oid)?;
-            if hdr.size <= SPARSE_THRESHOLD {
-                return self.verify_and_read(oid, hdr, off, dst);
-            }
+            return self.verified_read_range(oid, off, dst);
         }
         let at = oid.off.checked_add(off).ok_or(ObjError::InvalidOid { off: oid.off })?;
         self.read_with_recovery(at, dst)?;
@@ -368,39 +384,89 @@ impl Inner {
     }
 
     /// Range-granular verified read: serves `[off, off+len)` of the
-    /// object with verification coverage — a single range-sized read on a
-    /// verified-generation cache hit, one whole-object verify (which
-    /// populates the cache) on a miss.
+    /// object from the segments it covers — a single range-sized read
+    /// when the verification cache vouches for them, the segments and
+    /// their sums read and checked (which publishes them) otherwise.
     pub(crate) fn verified_read_range(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        if let Some(size) = self.vcache.probe(oid.off) {
-            if Self::range_fits(off, dst.len() as u64, size) {
+        if let Some(e) = self.vcache.probe(oid.off) {
+            if Self::range_fits(off, dst.len() as u64, e.size)
+                && e.covers_range(off, dst.len() as u64)
+            {
                 return self.read_cached_range(oid, off, dst);
             }
         }
         let hdr = self.obj_header_checked(oid)?;
-        self.verify_and_read(oid, hdr, off, dst)
+        self.read_segments(oid, hdr, off, dst).map(drop)
     }
 
-    /// The miss path of the verified reads: loads and verifies the whole
-    /// object through a recycled read frame (which populates the cache)
-    /// and copies `[off, off+dst.len())` out of it.
-    fn verify_and_read(
+    /// The miss path of the verified reads, for an object whose header
+    /// reads `hdr`: reads the segments `[off, off+dst.len())` covers and
+    /// their sums (one device read when they reach the object's end, where
+    /// the table starts), checks them, publishes them and copies the range
+    /// out. A failed check repairs the object from parity and retries once
+    /// against the repaired header, which is returned.
+    pub(crate) fn read_segments(
         &self,
         oid: PMEMoid,
-        hdr: ObjectHeader,
+        mut hdr: ObjectHeader,
         off: u64,
         dst: &mut [u8],
-    ) -> Result<()> {
+    ) -> Result<ObjectHeader> {
         if !Self::range_fits(off, dst.len() as u64, hdr.size) {
             return Err(PglError::TypeMismatch { off: oid.off });
         }
-        crate::scratch::with_read_frames(|frames| {
-            let b = self.load_ubuf_hdr_in(oid, hdr, true, frames)?;
-            let o = off as usize;
-            dst.copy_from_slice(&b.user()[o..o + dst.len()]);
-            crate::scratch::park_frame(frames, b.into_parts());
-            Ok(())
-        })
+        if !self.mode.has_checksums() {
+            self.read_with_recovery(oid.off + off, dst)?;
+            return Ok(hdr);
+        }
+        if dst.is_empty() {
+            return Ok(hdr);
+        }
+        let (k0, k1) = segment::covering(off, dst.len() as u64);
+        for attempt in 0..2 {
+            let stamp = self.vcache.begin_verify(oid.off);
+            let size = hdr.size;
+            let ok = scratch::with_fault_scratch(|s| -> Result<bool> {
+                let (s0, e1) = (k0 * SEG, segment::bounds(size, k1).1);
+                let (t, n) = if k1 > 0 { segment::entries(size, k0.max(1), k1) } else { (e1, 0) };
+                if k1 + 1 == segment::count(size) {
+                    // Data, pad and entries are one contiguous read.
+                    let buf = scratch::zeroed(&mut s.current, (t + n - s0) as usize);
+                    self.read_with_recovery(oid.off + s0, buf)?;
+                } else {
+                    let buf = scratch::zeroed(&mut s.current, (e1 - s0) as usize);
+                    self.read_with_recovery(oid.off + s0, buf)?;
+                    if n > 0 {
+                        let table = scratch::zeroed(&mut s.rebuilt, n as usize);
+                        self.read_with_recovery(oid.off + t, table)?;
+                        s.current.extend_from_slice(&s.rebuilt);
+                    }
+                }
+                let (data, rest) = s.current.split_at((e1 - s0) as usize);
+                let table = &rest[rest.len() - n as usize..];
+                if segment::check(&hdr, k0, k1, data, table).is_err() {
+                    return Ok(false);
+                }
+                self.io.dev().note_csum_pass(e1 - s0);
+                self.vuln.note_verified(e1 - s0);
+                self.vcache.publish(oid.off, size, k0, k1, stamp);
+                let at = (off - s0) as usize;
+                dst.copy_from_slice(&data[at..at + dst.len()]);
+                Ok(true)
+            })?;
+            if ok {
+                return Ok(hdr);
+            }
+            if attempt == 1 {
+                break;
+            }
+            self.recover_object(oid)?;
+            hdr = self.obj_header_checked(oid)?;
+            if !Self::range_fits(off, dst.len() as u64, hdr.size) {
+                return Err(PglError::TypeMismatch { off: oid.off });
+            }
+        }
+        Err(PglError::ChecksumMismatch { off: oid.off })
     }
 
     /// Data write-back with parity maintenance: acquire the parity
@@ -430,19 +496,20 @@ impl Inner {
         }
     }
 
-    /// Like [`Inner::lock_span`], but collecting stripe ids into caller
-    /// scratch (the committing transaction threads its
-    /// [`crate::scratch::CommitScratch`] buffer through, so steady-state
-    /// span locking allocates nothing for the id set).
-    pub(crate) fn lock_span_scratch(
+    /// Like [`Inner::lock_span`], over several data spans at once and
+    /// collecting stripe ids into caller scratch (the committing
+    /// transaction threads its [`crate::scratch::CommitScratch`] buffer
+    /// through, so steady-state span locking allocates nothing for the id
+    /// set): a commit takes one guard over its object's dirty spans, not
+    /// over the whole object.
+    pub(crate) fn lock_spans_scratch(
         &self,
         ids: &mut Vec<usize>,
-        off: u64,
-        len: u64,
+        spans: impl Iterator<Item = (u64, u64)> + Clone,
         exclusive: bool,
     ) -> Result<SpanGuard<'_>> {
         match &self.parity {
-            Some(engine) => Ok(SpanGuard::Parity(engine.lock_span_with(ids, off, len, exclusive)?)),
+            Some(engine) => Ok(SpanGuard::Parity(engine.lock_spans_with(ids, spans, exclusive)?)),
             None => Ok(SpanGuard::Unlocked),
         }
     }
@@ -549,7 +616,8 @@ impl Inner {
         old.resize(data.len(), 0);
         self.io.read(off, old).map_err(PglError::from)?;
         let len = data.len() as u64;
-        let guard = self.lock_span_scratch(stripe_ids, off, len, self.span_exclusive(len))?;
+        let span = std::iter::once((off, len));
+        let guard = self.lock_spans_scratch(stripe_ids, span, self.span_exclusive(len))?;
         self.protected_write_locked_old(&guard, off, data, old)
     }
 
@@ -619,6 +687,37 @@ impl Inner {
             false
         }
     }
+}
+
+/// The check half of `Inner::load_range`: every run of segments of
+/// `a..=z` with no sum in `b` yet is checked against its sums (segment 0's
+/// in the loaded header, the others in `table`, the entries of
+/// `max(a, 1)..=z`) unless the cache `vouched` for them, and its sums
+/// noted. Returns the bytes checked, or `None` on the first mismatch.
+fn check_new(b: &mut UBuf, a: u64, z: u64, vouched: bool, table: &[u8]) -> Option<u64> {
+    let hdr = b.loaded_header();
+    let mut checked = 0;
+    let mut k = a;
+    while k <= z {
+        let e = match b.next_known(k) {
+            Some(n) if n == k => {
+                k += 1;
+                continue;
+            }
+            Some(n) => (n - 1).min(z),
+            None => z,
+        };
+        // Entries of `max(k, 1)..=e`, in table order.
+        let run = &table[(segment::ENTRY * (z - e)) as usize..];
+        if !vouched {
+            let (start, end) = (k * SEG, segment::bounds(hdr.size, e).1);
+            segment::check(&hdr, k, e, b.bytes(start, end - start), run).ok()?;
+            checked += end - start;
+        }
+        b.note_sums(k, e, |j| if j == 0 { hdr.csum } else { segment::entry_in(run, e, j) });
+        k = e + 1;
+    }
+    Some(checked)
 }
 
 /// A fault-tolerant, DAX-style persistent object pool (the Pangolin
@@ -716,7 +815,7 @@ impl PglPool {
             magic: 0x50_4D_45_4D_4F_42_4A_31, // shared pool format
             uuid,
             size: cfg.pool.size as u64,
-            version: 1,
+            version: FORMAT_VERSION,
             flags: if cfg.pool.parity { FLAG_PARITY } else { 0 } | (mode_bits << FLAG_MODE_SHIFT),
             zone_size: cfg.pool.zone_size as u64,
             chunk_size: cfg.pool.chunk_size as u64,
@@ -787,6 +886,9 @@ impl PglPool {
     pub(crate) fn open_with(dev: Arc<NvmDevice>, opts: &PglConfig) -> Result<Self> {
         let io = PoolIo::new(dev);
         let hdr = read_header(&io).map_err(PglError::from)?;
+        if hdr.version != FORMAT_VERSION {
+            return Err(PglError::FormatVersion { found: hdr.version, supported: FORMAT_VERSION });
+        }
         let mut pool_cfg = pgl_pmemobj::PoolConfig {
             size: io.dev().len(),
             zone_size: hdr.zone_size as usize,
@@ -1176,24 +1278,47 @@ impl PglPool {
     pub fn read_verified(&self, oid: PMEMoid) -> Result<Vec<u8>> {
         self.inner.check_oid(oid)?;
         let inner = &*self.inner;
-        if let Some(size) = inner.vcache.probe(oid.off) {
-            let mut v = vec![0u8; size as usize];
+        if let Some(e) = inner.vcache.probe(oid.off).filter(|e| e.covers_range(0, e.size)) {
+            let mut v = vec![0u8; e.size as usize];
             inner.read_cached_range(oid, 0, &mut v)?;
             return Ok(v);
         }
-        // Miss: verify through a recycled frame, copy out, park it — only
-        // the returned Vec is allocated. (The copy sizes itself from the
-        // loaded buffer: a mid-load repair may legitimately restore a
-        // different header size than the first header read returned.)
-        let hdr = inner.obj_header_checked(oid)?;
+        // Miss: check every segment. A repair may legitimately restore a
+        // different header size than the first header read returned; the
+        // read then starts over at the repaired size.
         let mut v = Vec::new();
-        crate::scratch::with_read_frames(|frames| -> Result<()> {
-            let b = inner.load_ubuf_hdr_in(oid, hdr, true, frames)?;
-            v.extend_from_slice(b.user());
-            crate::scratch::park_frame(frames, b.into_parts());
-            Ok(())
-        })?;
-        Ok(v)
+        for retry in [true, false] {
+            let hdr = inner.obj_header_checked(oid)?;
+            v.resize(hdr.size as usize, 0);
+            match inner.read_segments(oid, hdr, 0, &mut v) {
+                Ok(h) if h.size == hdr.size => return Ok(v),
+                Ok(_) | Err(PglError::TypeMismatch { .. }) if retry => {}
+                Ok(_) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(PglError::ChecksumMismatch { off: oid.off })
+    }
+
+    /// Reads the whole object and checks every segment, repairing nothing
+    /// and publishing nothing to the verification cache: the crash
+    /// oracle's audit ([`crate::crashcheck`]), which must not change what
+    /// the next transaction loads.
+    pub(crate) fn audit(&self, oid: PMEMoid) -> Result<Vec<u8>> {
+        let inner = &*self.inner;
+        let mut hb = [0u8; 16];
+        inner.read_with_recovery(oid.header_off(), &mut hb)?;
+        let hdr: ObjectHeader = from_bytes(&hb);
+        if !inner.plausible(oid.off, hdr.size) {
+            return Err(PglError::ChecksumMismatch { off: oid.off });
+        }
+        let mut image = vec![0u8; inner.footprint(hdr.size) as usize];
+        inner.read_with_recovery(oid.off, &mut image)?;
+        if inner.mode.has_checksums() && segment::check_all(&hdr, &image).is_err() {
+            return Err(PglError::ChecksumMismatch { off: oid.off });
+        }
+        image.truncate(hdr.size as usize);
+        Ok(image)
     }
 
     /// [`PglPool::read_verified`] into a caller-supplied buffer: fills
@@ -1207,9 +1332,9 @@ impl PglPool {
 
     /// Range-granular verified read: fills `dst` from `[off, off+len)` of
     /// the object with verification coverage — a single range-sized NVMM
-    /// read when the verified-generation cache hits, one whole-object
-    /// verification (which populates the cache) when it misses. Out-of-
-    /// bounds ranges fail with [`PglError::TypeMismatch`].
+    /// read when the verification cache vouches for the segments it
+    /// covers, those segments read and checked (which populates the cache)
+    /// otherwise. Out-of-bounds ranges fail with [`PglError::TypeMismatch`].
     pub fn read_verified_at(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         self.inner.check_oid(oid)?;
         self.inner.verified_read_range(oid, off, dst)
@@ -1217,15 +1342,14 @@ impl PglPool {
 
     /// `pgl_open`: creates a standalone micro-buffer for single-object
     /// updates, verifying the object first (paper Listing 2). The
-    /// whole-object copy is inherent to the handle; a verified-generation
-    /// cache hit skips the checksum pass over it.
+    /// whole-object copy is inherent to the handle; segments the
+    /// verification cache vouches for skip their checksum pass.
     pub fn open_object(&self, oid: PMEMoid) -> Result<ObjHandle> {
         self.inner.check_oid(oid)?;
         let inner = &*self.inner;
-        let hdr = inner.obj_header_checked(oid)?;
-        let ubuf = crate::scratch::with_read_frames(|frames| {
-            inner.load_ubuf_maybe_cached(oid, hdr, frames)
-        })?;
+        let mut ubuf = scratch::with_read_frames(|frames| inner.open_ubuf(oid, frames))?;
+        let size = ubuf.user_size() as u64;
+        inner.load_range(&mut ubuf, 0, size)?;
         Ok(ObjHandle { ubuf })
     }
 
@@ -1410,12 +1534,14 @@ impl PglPool {
     pub fn find_corrupt_objects(&self) -> Result<Vec<u64>> {
         let mut bad = Vec::new();
         for (oid, hdr) in self.live_objects()? {
-            let mut data = vec![0u8; hdr.size as usize];
-            if self.inner.io.read(oid.off, &mut data).is_err() {
+            if !self.inner.plausible(oid.off, hdr.size) {
                 bad.push(oid.off);
                 continue;
             }
-            if self.inner.mode.has_checksums() && hdr.csum != adler32(&data) {
+            let mut image = vec![0u8; self.inner.footprint(hdr.size) as usize];
+            let ok = self.inner.io.read(oid.off, &mut image).is_ok()
+                && (!self.inner.mode.has_checksums() || segment::check_all(&hdr, &image).is_ok());
+            if !ok {
                 bad.push(oid.off);
             }
         }

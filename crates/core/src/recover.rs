@@ -27,12 +27,12 @@ use pgl_pmemobj::layout::RUN_HEADER_SIZE;
 use pgl_pmemobj::ulog::{self, payload, Entry, EntryKind};
 use pgl_pmemobj::{Layout, PoolIo};
 
-use crate::checksum::adler32;
 use crate::error::{PglError, Result};
 use crate::parity::{segments, ParityDomains, ParityEngine};
 use crate::pool::Inner;
 use crate::quarantine::QuarantineSet;
 use crate::scratch;
+use crate::segment;
 
 /// Offset (within the pool-header page) of the persistent repair record.
 const REPAIR_RECORD_OFF: u64 = 1024;
@@ -496,13 +496,13 @@ impl Inner {
             }
         }
         repair_range_by_compare(&self.io, engine.engine_for(start), start, len).map_err(contain)?;
-        // Re-verify the object end to end.
+        // Re-verify every segment of the object.
         let mut hdr_buf = [0u8; 16];
         self.io.read(oid.header_off(), &mut hdr_buf).map_err(|e| {
             self.object_double_fault(oid, format!("object unreadable after repair: {e}"))
         })?;
         let hdr: pgl_pmemobj::ObjectHeader = pgl_nvm::pod::from_bytes(&hdr_buf);
-        if hdr.size == 0 || oid.off + hdr.size > start + len {
+        if hdr.size == 0 || oid.off + self.footprint(hdr.size) > start + len {
             return Err(
                 self.object_double_fault(oid, "object header still invalid after repair".into())
             );
@@ -510,9 +510,9 @@ impl Inner {
         if self.mode.has_checksums() {
             let stamp = self.vcache.begin_verify(oid.off);
             // The pool is frozen: nothing writes under the borrowed view.
-            let data = self.io.dev().read_slice(oid.off, hdr.size as usize)?;
+            let data = self.io.dev().read_slice(oid.off, self.footprint(hdr.size) as usize)?;
             self.io.dev().note_csum_pass(hdr.size);
-            if hdr.csum != adler32(data) {
+            if segment::check_all(&hdr, data).is_err() {
                 return Err(self.object_double_fault(
                     oid,
                     "object fails checksum even after parity repair \
@@ -522,7 +522,7 @@ impl Inner {
             }
             // The repaired object just verified end to end; the pool is
             // frozen (no concurrent commits), so the publish is race-free.
-            self.vcache.publish(oid.off, hdr.size, stamp);
+            self.vcache.publish(oid.off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         Ok(())
     }

@@ -124,12 +124,12 @@ impl CommitScratch {
 }
 
 /// Byte bound on a parked frame: [`MAX_FRAMES`] caps the count, this
-/// caps each frame's pinned capacity. Transactions load whole only what
-/// fits the threshold, but `ubuf_mut` and the pool-level verified-read
-/// paths load objects up to `max_alloc` — parking those would pin
-/// object-sized DRAM per thread indefinitely, so oversized frames are
-/// dropped and simply re-allocated on the next large read.
-const MAX_FRAME_BYTES: usize = crate::txn::SPARSE_THRESHOLD as usize + 64;
+/// caps each frame's pinned capacity. Transactions load the segments they
+/// touch, but `ubuf_mut` and `open_object` load objects up to `max_alloc`
+/// — parking those would pin object-sized DRAM per thread indefinitely,
+/// so frames above 64 KiB are dropped and simply re-allocated on the next
+/// large load.
+const MAX_FRAME_BYTES: usize = (64 << 10) + 64;
 
 /// Parks micro-buffer storage in `frames`, bounded by [`MAX_FRAMES`]
 /// entries of at most [`MAX_FRAME_BYTES`] each (shared by the commit
@@ -143,9 +143,9 @@ pub(crate) fn park_frame(frames: &mut Vec<FrameParts>, parts: FrameParts) {
 }
 
 thread_local! {
-    /// Recycled frames for the pool-level read paths (`load_ubuf`, the
-    /// Conservative `direct_read`, `read_verified*`, `commit_object`'s
-    /// diff buffer), which run outside any transaction and therefore
+    /// Recycled frames for the pool-level paths (`open_object`,
+    /// `commit_object`'s diff buffer, parity pre-image reads), which run
+    /// outside any transaction and therefore
     /// cannot use the commit scratch an in-flight transaction owns.
     static READ_FRAMES: RefCell<Vec<FrameParts>> = const { RefCell::new(Vec::new()) };
 }

@@ -7,8 +7,9 @@
 //!    rewrites zone-header watermark copies that no longer hold the
 //!    zone's watermark, and checks every chunk-metadata entry (repairing
 //!    corrupt ones from parity), and
-//! 2. a **live object sweep** that verifies every live object's checksum
-//!    *concurrently with running transactions*: each object is inspected
+//! 2. a **live object sweep** that verifies every segment of every live
+//!    object ([`crate::segment`]) *concurrently with running transactions*:
+//!    each object is inspected
 //!    under an exclusive parity range-lock over its span — the same
 //!    striped locks a committing transaction holds (shared) across that
 //!    object's write-back — so the scrubber always observes a
@@ -35,10 +36,10 @@ use pgl_pmemobj::heap::scan_live_excluding;
 use pgl_pmemobj::pool::read_header;
 use pgl_pmemobj::{ObjError, ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 
-use crate::checksum::adler32;
 use crate::error::{PglError, Result};
 use crate::pool::Inner;
 use crate::recover::repair_page_by_compare;
+use crate::segment;
 
 /// Outcome of one scrub pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -287,13 +288,14 @@ fn scrub_one_object(
     report: &mut ScrubReport,
 ) -> Result<()> {
     let engine = inner.parity.as_ref().expect("parity mode");
-    let layout = &inner.layout;
     // No object extends past its zone's data rows (nor could a span guard
-    // cover one that did): a larger size — from the discovery scan or the
-    // header re-read below — means the header itself is scribbled.
-    let (_, zoff) = layout.zone_and_rel(oid.off).map_err(PglError::from)?;
-    let room = layout.zone.rows_base + layout.zone.data_rows * layout.zone.row_size - zoff;
-    let mut span = size_hint.clamp(1, room);
+    // cover one that did): a larger footprint — from the discovery scan or
+    // the header re-read below — means the header itself is scribbled.
+    let room = inner
+        .object_room(oid.off)
+        .ok_or(ObjError::InvalidOid { off: oid.off })
+        .map_err(PglError::from)?;
+    let mut span = inner.footprint(size_hint.max(1)).min(room);
     // A handful of attempts absorbs media-error repairs and size churn;
     // an object that keeps churning is left for the next pass.
     for _ in 0..4 {
@@ -316,7 +318,7 @@ fn scrub_one_object(
             Err(e) => return Err(e.into()),
         }
         let hdr: ObjectHeader = from_bytes(&hb);
-        if hdr.size == 0 || hdr.size > room {
+        if !inner.plausible(oid.off, hdr.size) {
             // Nonsense size on a live slot: the header itself is
             // scribbled. Recovery freezes, repairs from parity and
             // re-verifies end to end.
@@ -326,17 +328,17 @@ fn scrub_one_object(
             }
             return Ok(());
         }
-        if hdr.size != span {
+        if inner.footprint(hdr.size) != span {
             // Reallocated with a different size: retry with a guard that
             // covers the actual span.
-            span = hdr.size;
+            span = inner.footprint(hdr.size);
             drop(guard);
             continue;
         }
         let stamp = inner.vcache.begin_verify(oid.off);
         // Checksummed in place: the exclusive span guard keeps every
         // library writer of these bytes out while the view is borrowed.
-        let data = match inner.io.dev().read_slice(oid.off, hdr.size as usize) {
+        let data = match inner.io.dev().read_slice(oid.off, span as usize) {
             Ok(data) => data,
             Err(MemError::Poisoned { page }) => {
                 drop(guard);
@@ -348,7 +350,7 @@ fn scrub_one_object(
         };
         let ok = !inner.mode.has_checksums() || {
             inner.io.dev().note_csum_pass(hdr.size);
-            hdr.csum == adler32(data)
+            segment::check_all(&hdr, data).is_ok()
         };
         if !ok && !inner.heap.is_live(&inner.io, oid.off) {
             // The object was freed between our liveness check and the data
@@ -361,7 +363,7 @@ fn scrub_one_object(
             // Refresh the verified-generation entry while still under the
             // exclusive guard's stamp: a commit racing in after the guard
             // drops bumps the generation and defeats this publish.
-            inner.vcache.publish(oid.off, hdr.size, stamp);
+            inner.vcache.publish(oid.off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         drop(guard);
         if !ok && !recover_unless_churned(inner, oid, report)? {
@@ -406,32 +408,32 @@ fn scrub_objects_frozen(
     report: &mut ScrubReport,
 ) -> Result<()> {
     let io = &inner.io;
-    let layout = &inner.layout;
     for &(off, hdr) in live {
         let oid = PMEMoid::new(inner.uuid, off);
-        let sane = hdr.size > 0 && hdr.size <= layout.max_alloc();
+        let sane = inner.plausible(off, hdr.size);
         let mut ok = sane;
         let stamp = inner.vcache.begin_verify(off);
         if sane {
             // Frozen pool: the object is checksummed in place.
-            let data = match io.dev().read_slice(off, hdr.size as usize) {
+            let len = inner.footprint(hdr.size) as usize;
+            let data = match io.dev().read_slice(off, len) {
                 Err(MemError::Poisoned { page }) => {
                     inner.recover_page_frozen(page)?;
                     report.pages_repaired += 1;
-                    io.dev().read_slice(off, hdr.size as usize)
+                    io.dev().read_slice(off, len)
                 }
                 r => r,
             }?;
             if inner.mode.has_checksums() {
                 inner.io.dev().note_csum_pass(hdr.size);
-                ok = hdr.csum == adler32(data);
+                ok = segment::check_all(&hdr, data).is_ok();
             }
         }
         if !ok {
             inner.recover_object_frozen(oid)?;
             report.objects_repaired += 1;
         } else if inner.mode.has_checksums() {
-            inner.vcache.publish(off, hdr.size, stamp);
+            inner.vcache.publish(off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         report.objects_verified += 1;
         report.bytes_verified += hdr.size;

@@ -31,22 +31,26 @@
 //! under the intents); a crash after (5) replays the redo log and
 //! recomputes the affected parity columns (paper §3.6).
 //!
-//! A span is one modified range's new bytes (`UBuf::spans`). The object
-//! header, with its refreshed checksum, is part of the atomic update; it
-//! sits directly in front of offset 0 both on NVMM and in the
-//! micro-buffer, so a range that starts at 0 takes it along — one redo
-//! entry, one store and fence, one parity patch for header and data
-//! together (a whole-object overwrite is the case where that range is
-//! the object) — and otherwise it is the object's last, 16-byte span.
+//! A span is one modified range's new bytes (`UBuf::spans`). The sums of
+//! the segments it dirtied ([`crate::segment`]) are part of the atomic
+//! update: segment 0's is the object header's, which sits directly in
+//! front of offset 0 both on NVMM and in the micro-buffer, so a range that
+//! starts at 0 takes it along — one redo entry, one store and fence, one
+//! parity patch for header and data together (a whole-object overwrite is
+//! the case where that range is the object) — and otherwise it is a
+//! 16-byte span of its own, written only when segment 0 changed. The other
+//! segments' sums are table entries behind the user data: a run of them
+//! rides behind a range that reaches the object's end, or is one span.
 //!
-//! # The open policy
+//! # The open rule
 //!
-//! How much of an object [`PglTx::open`] loads is decided in one place
-//! (`Inner::open_ubuf`) by one constant, [`SPARSE_THRESHOLD`]: an object
-//! at or below it is loaded and verified whole — lazily, at the first
-//! write and without the checksum pass, when the verification cache
-//! vouches for it — and an object above it is never loaded or verified
-//! whole: its writes make just their own bytes resident.
+//! [`PglTx::open`] reads an object's header (nothing at all when the
+//! verification cache knows the object: the open is lazy). What a
+//! transaction then loads follows one rule, in one place
+//! (`Inner::load_range`): every byte loaded belongs to a segment that is
+//! checked on the spot or vouched for by the verification cache, and a
+//! write loads the segments it covers — 256 bytes around an 8-byte
+//! store, whatever the object's size.
 //!
 //! # Cross-shard commits
 //!
@@ -77,7 +81,7 @@ use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
 use pgl_pmemobj::heap::{AllocReservation, FreeReservation, MetaOp};
 use pgl_pmemobj::lane::LaneHandle;
 use pgl_pmemobj::ulog::{payload, EntryKind};
-use pgl_pmemobj::{ObjError, PMEMoid, OBJ_HEADER_SIZE};
+use pgl_pmemobj::{ObjError, PMEMoid};
 
 pub use pgl_pmemobj::TxStats;
 
@@ -85,11 +89,6 @@ use crate::error::{PglError, Result};
 use crate::pool::Inner;
 use crate::scratch::{CommitScratch, OffMap};
 use crate::ubuf::{UBuf, UBufState};
-
-/// Objects larger than this are never loaded or verified whole: a
-/// transaction shadows only the ranges it writes, and Conservative reads
-/// of them stay unverified (see the module docs and `Inner::direct_read`).
-pub const SPARSE_THRESHOLD: u64 = 64 << 10;
 
 /// A heap chunk claimed for log overflow.
 #[derive(Debug, Clone, Copy)]
@@ -277,31 +276,31 @@ impl<'p> PglTx<'p> {
     }
 
     /// Ensures a micro-buffer exists for `oid` (the `pgl_tx_open`
-    /// operation). An object the verified-generation cache knows to be
-    /// verified-fresh opens **lazily**: no device read at all, reads are
-    /// served straight from NVMM (counted in the `verified_cached`
-    /// bucket) and the O(object) load is deferred to the first write — so
-    /// read-mostly transactions (the ctree/rbtree/skiplist traversal
-    /// shape) stop paying per touched node. Otherwise the header is read
-    /// and the open policy (module docs) decides what is loaded; a whole
-    /// load verifies the checksum and runs online recovery if that fails.
-    /// (Full overwrites must verify too, even though the old bytes don't
-    /// flow into the refreshed checksum: the bytes loaded here are the
-    /// commit's pre-image, and a *scribble* bypasses parity, so the
-    /// parity row still reflects the pre-scribble content — patching it
-    /// with a scribbled pre-image would leave a permanent residue in
-    /// every column of the stripe. Verification detects the scribble and
-    /// repairs the object from parity first, keeping the pre-image and
-    /// the parity row consistent. A scribble that lands *after* the load
-    /// never enters the pre-image at all.)
+    /// operation). An object the verification cache knows opens
+    /// **lazily**: no device read at all — reads of segments the cache
+    /// vouches for are served straight from NVMM (counted in the
+    /// `verified_cached` bucket) and the header read is deferred to the
+    /// first write — so read-mostly transactions (the
+    /// ctree/rbtree/skiplist traversal shape) stop paying per touched
+    /// node. Otherwise the header is read. Either way nothing of the user
+    /// data is loaded yet: writes load the segments they cover, under the
+    /// open rule (module docs). (Full overwrites load and check too, even
+    /// though the old bytes don't flow into the refreshed sums: the bytes
+    /// loaded are the commit's pre-image, and a *scribble* bypasses parity,
+    /// so the parity row still reflects the pre-scribble content —
+    /// patching it with a scribbled pre-image would leave a permanent
+    /// residue in every column of the stripe. The check detects the
+    /// scribble and repairs the object from parity first, keeping the
+    /// pre-image and the parity row consistent. A scribble that lands
+    /// *after* the load never enters the pre-image at all.)
     pub fn open(&mut self, oid: PMEMoid) -> Result<()> {
         self.inner.check_oid(oid)?;
         if self.objs.contains_key(&oid.off) {
             return Ok(());
         }
         let b = match self.inner.vcache.probe(oid.off) {
-            Some(size) if size <= SPARSE_THRESHOLD => UBuf::lazy(oid, size),
-            _ => self.inner.open_ubuf(oid, false, &mut self.scratch.frames)?,
+            Some(e) => UBuf::lazy(oid, e.size),
+            None => self.inner.open_ubuf(oid, &mut self.scratch.frames)?,
         };
         self.objs.insert(oid.off, b);
         self.order.push(oid.off);
@@ -312,14 +311,16 @@ impl<'p> PglTx<'p> {
     /// The object exists only as a micro-buffer until commit; storage past
     /// the zone's watermark raises it durably before this returns.
     pub fn alloc(&mut self, size: u64, type_num: u32) -> Result<PMEMoid> {
-        let r = self.inner.heap.reserve_alloc_in(size, type_num, self.inner.alloc_pref())?;
-        if let Err(e) = self.inner.reserve_rows(r.start_off, r.total_len) {
-            self.inner.heap.cancel_alloc(&r);
+        let inner = self.inner;
+        let r = inner.heap.reserve_alloc_in(inner.footprint(size), type_num, inner.alloc_pref())?;
+        if let Err(e) = inner.reserve_rows(r.start_off, r.total_len) {
+            inner.heap.cancel_alloc(&r);
             return Err(e);
         }
-        let oid = PMEMoid::new(self.inner.uuid, r.oid_off);
+        let oid = PMEMoid::new(inner.uuid, r.oid_off);
         let parts = self.scratch.frames.pop().unwrap_or_default();
-        let ubuf = UBuf::for_alloc_in(oid, size, type_num, parts);
+        let table = inner.mode.has_checksums();
+        let ubuf = UBuf::for_alloc_in(oid, size, type_num, parts, table);
         self.stats.allocated_bytes += size;
         self.stats.alloc_objects += 1;
         self.objs.insert(oid.off, ubuf);
@@ -333,8 +334,12 @@ impl<'p> PglTx<'p> {
     pub fn free(&mut self, oid: PMEMoid) -> Result<()> {
         self.inner.check_oid(oid)?;
         // Freeing an opened object: its modifications are moot.
+        let mut size = None;
         if let Some(b) = self.objs.remove(&oid.off) {
             self.order.retain(|&o| o != oid.off);
+            if b.state() != UBufState::Lazy {
+                size = Some(b.user_size() as u64);
+            }
             if b.state() == UBufState::New {
                 let i = self
                     .allocs
@@ -342,13 +347,16 @@ impl<'p> PglTx<'p> {
                     .position(|a| a.oid_off == oid.off)
                     .expect("new ubuf implies a reservation");
                 let r = self.allocs.swap_remove(i);
-                self.stats.allocated_bytes -= r.user_size;
+                self.stats.allocated_bytes -= b.user_size() as u64;
                 self.stats.alloc_objects -= 1;
                 self.inner.heap.cancel_alloc(&r);
                 return Ok(());
             }
         }
-        let size = self.inner.obj_header_checked(oid)?.size;
+        let size = match size {
+            Some(size) => size,
+            None => self.inner.obj_header_checked(oid)?.size,
+        };
         let f = self.inner.heap.reserve_free(&self.inner.io, oid.off)?;
         self.stats.freed_bytes += size;
         self.stats.freed_objects += 1;
@@ -358,25 +366,19 @@ impl<'p> PglTx<'p> {
 
     /// Makes `[off, off+len)` of `oid` resident in its micro-buffer, ready
     /// to be marked or written: opens the object, pays a lazy open's
-    /// deferred load (still without a checksum pass while the object is
-    /// verified-fresh), bounds-checks the range and loads what part of it
-    /// no run holds yet — nothing for an object loaded whole; for one
-    /// above [`SPARSE_THRESHOLD`] exactly the missing bytes, unverified
-    /// and so counted as exposure in the Table 4 accounting.
+    /// deferred header read, bounds-checks the range and loads it under
+    /// the open rule (module docs).
     fn open_range(&mut self, oid: PMEMoid, off: u64, len: u64) -> Result<&mut UBuf> {
         self.open(oid)?;
         let inner = self.inner;
         let b = self.objs.get_mut(&oid.off).expect("just opened");
         if b.state() == UBufState::Lazy {
-            *b = inner.open_ubuf(oid, true, &mut self.scratch.frames)?;
+            *b = inner.open_ubuf(oid, &mut self.scratch.frames)?;
         }
         if !Inner::range_fits(off, len, b.user_size() as u64) {
             return Err(ObjError::InvalidOid { off: oid.off.saturating_add(off) }.into());
         }
-        let loaded = b.load(off, len, |at, dst| inner.read_with_recovery(oid.off + at, dst))?;
-        if loaded > 0 && inner.mode.has_checksums() {
-            inner.vuln.note_unverified(loaded);
-        }
+        inner.load_range(b, off, len)?;
         Ok(b)
     }
 
@@ -432,10 +434,11 @@ impl<'p> PglTx<'p> {
 
     /// Reads object bytes. Inside a transaction this is `pgl_get`: bytes
     /// resident in the object's micro-buffer come from there (isolation,
-    /// read-your-writes) and the rest from NVMM — one range-sized read,
-    /// then the overlay — without checksum verification (unless the pool
-    /// runs the Conservative policy; a lazily opened object is
-    /// verified-fresh and counted as such).
+    /// read-your-writes) and the rest from NVMM, then the overlay. For an
+    /// object the transaction opened, the rest comes from segments that
+    /// are checked on the spot or vouched for by the verification cache
+    /// (the open rule); for any other object the policy decides, as for
+    /// [`crate::PglPool::read`].
     ///
     /// Takes `&self`: reads never mutate transaction state, so read-only
     /// helpers compose with mutable access to other parts of the caller.
@@ -449,14 +452,15 @@ impl<'p> PglTx<'p> {
         if !Inner::range_fits(off, dst.len() as u64, b.user_size() as u64) {
             return Err(PglError::TypeMismatch { off: oid.off });
         }
-        if !b.read(off, dst) {
+        if let Some((lo, len)) = b.missing(off, dst.len() as u64) {
+            let part = &mut dst[(lo - off) as usize..(lo - off + len) as usize];
             if b.state() == UBufState::Lazy {
-                self.inner.read_cached_range(oid, off, dst)?;
+                self.inner.verified_read_range(oid, lo, part)?;
             } else {
-                self.inner.direct_read(oid, off, dst)?;
+                self.inner.read_segments(oid, b.loaded_header(), lo, part)?;
             }
-            b.read(off, dst);
         }
+        b.read(off, dst);
         Ok(())
     }
 
@@ -687,7 +691,7 @@ impl<'p> PglTx<'p> {
                 // from a previously freed object; construction reuses the
                 // slot, so drop it before the new bytes land.
                 inner.vcache.bump(*off);
-                inner.construct_write(b.header_off(), b.header_and_user(), tmp, stripe_ids)?;
+                inner.construct_write(b.header_off(), b.construction(), tmp, stripe_ids)?;
             }
         }
 
@@ -738,7 +742,7 @@ impl<'p> PglTx<'p> {
         }
 
         // (6) Write back every span, updating parity. An object's spans go
-        // out under ONE parity span guard covering `[header, data end)`:
+        // out under ONE parity guard covering exactly those spans:
         // writers of disjoint columns proceed in parallel, writers of
         // overlapping columns commute through atomic XOR under shared
         // guards, and the scrubber (which takes the same locks
@@ -761,18 +765,16 @@ impl<'p> PglTx<'p> {
         };
         for b in modified() {
             let largest = b.modified().iter().map(|(_, l)| l).max().unwrap_or(0);
+            let spans = b.spans().map(|(at, new)| (at, new.len() as u64));
             let guard = inner
-                .lock_span_scratch(
-                    stripe_ids,
-                    b.header_off(),
-                    OBJ_HEADER_SIZE + b.user_size() as u64,
-                    inner.span_exclusive(largest),
-                )
+                .lock_spans_scratch(stripe_ids, spans, inner.span_exclusive(largest))
                 .map_err(fatal)?;
-            // Invalidate the verified-generation entry under the span
+            // Invalidate the dirtied segments' cache bits under the span
             // guard, before the first store: post-commit verified reads
             // must re-verify the new content.
-            inner.vcache.bump(b.oid().off);
+            if let Some((k0, k1)) = b.dirty_segments() {
+                inner.vcache.clear(b.oid().off, k0, k1);
+            }
             for (at, new) in b.spans() {
                 inner.protected_write_locked_old(&guard, at, new, pre(new.len())).map_err(fatal)?;
             }

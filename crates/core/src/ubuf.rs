@@ -3,22 +3,26 @@
 //! Applications never store to NVMM directly. The parts of an object a
 //! transaction works on are copied into DRAM, modified there, and written
 //! back atomically at commit. A [`UBuf`] is the one shadow an object has:
-//! its header (working and as loaded) plus a sorted set of disjoint
-//! **resident runs** of the user area. An object loaded whole has the one
-//! run `[0, size)`, a lazily opened one has none, and a write into an
-//! object too large to load whole makes exactly the bytes it covers
-//! resident (`UBuf::load`).
+//! its header (working and as loaded), a sorted set of disjoint **resident
+//! runs** of the user area, and the loaded sum of every segment
+//! ([`crate::segment`]) those runs touch. An object loaded whole has the
+//! one run `[0, size)`, a freshly opened one has none, and a write makes
+//! the segments it covers resident (`Inner::load_range` decides what
+//! exactly is read, `UBuf::load` reads it).
 //!
 //! Every run sits in one recycled frame as
-//! `[canary 8][slot 16][bytes][canary 8]`. A destroyed canary at commit
-//! means the application overran a boundary, and the transaction aborts
-//! *before* the corruption can reach NVMM. The slot of the run at offset
-//! 0 holds the working header, so header and data are adjacent in DRAM
-//! exactly as they are on NVMM: a modified range that starts at 0 is
+//! `[canary 8][slot 16][bytes][tail][canary 8]`. A destroyed canary at
+//! commit means the application overran a boundary, and the transaction
+//! aborts *before* the corruption can reach NVMM. The slot of the run at
+//! offset 0 holds the working header, so header and data are adjacent in
+//! DRAM exactly as they are on NVMM: a modified range that starts at 0 is
 //! logged, stored and parity-patched together with the header as one
-//! span (`UBuf::spans`). Loading a range that touches resident runs
-//! merges them into one run, so runs never touch and every marked range
-//! lies inside a single run — contiguous in DRAM.
+//! span (`UBuf::spans`). The tail is symmetric: the run that reaches the
+//! object's end has room behind it for the sum table, so a range in the
+//! last segment goes out as one span with the entries it changes. Loading
+//! a range that touches resident runs merges them into one run, so runs
+//! never touch and every marked range lies inside a single run —
+//! contiguous in DRAM.
 //!
 //! # Pre-images
 //!
@@ -30,7 +34,9 @@
 //! store, at a cost proportional to the bytes saved, and the loaded header
 //! is kept beside the working one. `UBuf::seal` then serves the commit
 //! from DRAM — no second device read. A range that was marked but never
-//! handed out needs no save: its run still holds the loaded bytes.
+//! handed out needs no save: its run still holds the loaded bytes. The
+//! loaded sums are kept the same way, so the commit refreshes each dirtied
+//! segment's sum incrementally and patches parity with the old entries.
 
 use pgl_nvm::pod::{bytes_of, from_bytes, Pod};
 use pgl_pmemobj::util::RangeSet;
@@ -38,6 +44,7 @@ use pgl_pmemobj::{ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 
 use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
+use crate::segment::{self, ENTRY, SEG};
 
 const CANARY_SEED: u64 = 0x70_61_6E_67_6F_6C_69_6E; // "pangolin"
 const CANARY: usize = 8;
@@ -132,8 +139,8 @@ struct Span {
     len: usize,
 }
 
-/// A micro-buffer's recyclable storage: frame bytes, run and span tables,
-/// range-set buffer and pre-image store, all capacity-preserving.
+/// A micro-buffer's recyclable storage: frame bytes, run, span and sum
+/// tables, range-set buffer and pre-image store, all capacity-preserving.
 #[derive(Debug, Default)]
 pub(crate) struct FrameParts {
     pub(crate) frame: Vec<u8>,
@@ -141,12 +148,14 @@ pub(crate) struct FrameParts {
     spans: Vec<Span>,
     pub(crate) modified: RangeSet,
     pre: PreImage,
+    sums: Vec<(u64, u32)>,
+    dirty: Vec<(u64, u32)>,
 }
 
 /// Lifecycle state of a micro-buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UBufState {
-    /// Opened while verified-fresh in the verification cache: only the
+    /// Opened while the verification cache knew the object: only the
     /// size is known, the header was not read and nothing is resident.
     Lazy,
     /// Header read from NVMM, nothing modified.
@@ -182,6 +191,16 @@ pub struct UBuf {
     pre: PreImage,
     /// The write-back [`UBuf::seal`] laid out (see [`UBuf::spans`]).
     spans: Vec<Span>,
+    /// `(segment, loaded sum)` of every segment with resident bytes,
+    /// sorted (segment 0's is the loaded header's).
+    sums: Vec<(u64, u32)>,
+    /// `(segment, new sum)` of every segment [`UBuf::seal`] dirtied,
+    /// sorted.
+    dirty: Vec<(u64, u32)>,
+    /// Sum-table bytes behind the user data (pad included): the tail the
+    /// run that reaches the object's end carries. 0 for an object with no
+    /// table, or in modes without checksums.
+    tail: u64,
 }
 
 impl UBuf {
@@ -189,38 +208,65 @@ impl UBuf {
         (CANARY_SEED ^ oid.off.rotate_left(17)).to_le_bytes()
     }
 
-    fn new_in(parts: FrameParts, oid: PMEMoid, header: ObjectHeader, state: UBufState) -> UBuf {
-        let FrameParts { mut frame, mut runs, mut spans, mut modified, mut pre } = parts;
+    fn new_in(
+        parts: FrameParts,
+        oid: PMEMoid,
+        header: ObjectHeader,
+        state: UBufState,
+        table: bool,
+    ) -> UBuf {
+        let FrameParts {
+            mut frame,
+            mut runs,
+            mut spans,
+            mut modified,
+            mut pre,
+            mut sums,
+            mut dirty,
+        } = parts;
         frame.clear();
         runs.clear();
         spans.clear();
         modified.clear();
         pre.clear();
-        UBuf { oid, state, header, loaded_header: header, runs, frame, modified, pre, spans }
+        sums.clear();
+        dirty.clear();
+        let tail = if table { segment::footprint(header.size) - header.size } else { 0 };
+        let loaded_header = header;
+        UBuf {
+            oid,
+            state,
+            header,
+            loaded_header,
+            runs,
+            frame,
+            modified,
+            pre,
+            spans,
+            sums,
+            dirty,
+            tail,
+        }
     }
 
     /// A placeholder for an object opened under a verification-cache hit
     /// of `size` bytes: no header read, nothing resident, no storage.
     pub(crate) fn lazy(oid: PMEMoid, size: u64) -> UBuf {
         let header = ObjectHeader { size, type_num: 0, csum: 0 };
-        Self::new_in(FrameParts::default(), oid, header, UBufState::Lazy)
+        Self::new_in(FrameParts::default(), oid, header, UBufState::Lazy, false)
     }
 
     /// Builds a `Clean` micro-buffer with no resident run, for the pool to
     /// read NVMM content into (`UBuf::load`). `parts` is recycled
-    /// storage (any content; empty containers work).
-    pub(crate) fn for_load(oid: PMEMoid, header: ObjectHeader, parts: FrameParts) -> UBuf {
-        Self::new_in(parts, oid, header, UBufState::Clean)
-    }
-
-    /// Builds a fully resident micro-buffer from the object's NVMM content.
-    pub fn from_nvmm(oid: PMEMoid, header: ObjectHeader, user: &[u8]) -> UBuf {
-        debug_assert_eq!(user.len() as u64, header.size);
-        let mut b = Self::for_load(oid, header, FrameParts::default());
-        let run = b.frame_run(0, header.size);
-        b.frame[run.start..run.at(run.end())].copy_from_slice(user);
-        b.runs.push(run);
-        b
+    /// storage (any content; empty containers work); `table` says whether
+    /// the object carries a sum table (modes with checksums).
+    pub(crate) fn for_load(
+        oid: PMEMoid,
+        header: ObjectHeader,
+        parts: FrameParts,
+        table: bool,
+    ) -> UBuf {
+        Self::new_in(parts, oid, header, UBufState::Clean, table)
     }
 
     /// Consumes the buffer, returning its storage for recycling.
@@ -231,23 +277,36 @@ impl UBuf {
             spans: self.spans,
             modified: self.modified,
             pre: self.pre,
+            sums: self.sums,
+            dirty: self.dirty,
         }
     }
 
-    /// Builds a zero-filled micro-buffer for a fresh allocation; the whole
-    /// object counts as modified.
-    pub fn for_alloc(oid: PMEMoid, size: u64, type_num: u32) -> UBuf {
-        Self::for_alloc_in(oid, size, type_num, FrameParts::default())
-    }
-
-    /// [`UBuf::for_alloc`] in recycled frame storage.
-    pub(crate) fn for_alloc_in(oid: PMEMoid, size: u64, type_num: u32, parts: FrameParts) -> UBuf {
+    /// Builds a zero-filled micro-buffer for a fresh allocation in
+    /// recycled frame storage; the whole object counts as modified.
+    pub(crate) fn for_alloc_in(
+        oid: PMEMoid,
+        size: u64,
+        type_num: u32,
+        parts: FrameParts,
+        table: bool,
+    ) -> UBuf {
         let header = ObjectHeader { size, type_num, csum: 0 };
-        let mut b = Self::new_in(parts, oid, header, UBufState::New);
+        let mut b = Self::new_in(parts, oid, header, UBufState::New, table);
         let run = b.frame_run(0, size);
         b.runs.push(run);
         b.modified.insert(0, size);
         b
+    }
+
+    /// Table bytes framed behind run `r`: the tail, if `r` reaches the
+    /// object's end.
+    fn tail_of(&self, r: &Piece) -> usize {
+        if r.end() == self.header.size {
+            self.tail as usize
+        } else {
+            0
+        }
     }
 
     /// Frames a zeroed run for `[off, off+len)` at the end of the arena
@@ -255,25 +314,32 @@ impl UBuf {
     fn frame_run(&mut self, off: u64, len: u64) -> Piece {
         let base = self.frame.len();
         let start = base + CANARY + SLOT;
-        self.frame.resize(start + len as usize + CANARY, 0);
+        let run = Piece { off, len, start };
+        let back = run.at(run.end()) + self.tail_of(&run);
+        self.frame.resize(back + CANARY, 0);
         let canary = Self::canary_for(self.oid);
         self.frame[base..base + CANARY].copy_from_slice(&canary);
-        self.frame[start + len as usize..].copy_from_slice(&canary);
+        self.frame[back..].copy_from_slice(&canary);
         if off == 0 {
             self.frame[start - SLOT..start].copy_from_slice(bytes_of(&self.header));
         }
-        Piece { off, len, start }
+        run
     }
 
     /// Makes `[off, off+len)` resident, as part of one run: the parts no
     /// run holds yet are filled by `read(user offset, destination)`, and
     /// every run the range overlaps or touches is merged into the result.
-    /// Returns the number of bytes read. A range that already lies in a
-    /// run costs one lookup. On a read error nothing changes.
+    /// A fill that ends at the object's end reads on over the first
+    /// `tail` bytes of the run's tail — the pad and the leading sum-table
+    /// entries behind the user bytes — in the same device read
+    /// ([`UBuf::tail`]). Returns the number of user bytes read. A range
+    /// that already lies in a run costs one lookup. On a read error
+    /// nothing changes.
     pub(crate) fn load(
         &mut self,
         off: u64,
         len: u64,
+        tail: u64,
         mut read: impl FnMut(u64, &mut [u8]) -> Result<()>,
     ) -> Result<u64> {
         let end = off + len;
@@ -285,10 +351,12 @@ impl UBuf {
         let lo = self.runs[i..j].first().map_or(off, |r| r.off.min(off));
         let hi = self.runs[i..j].last().map_or(end, |r| r.end().max(end));
         let new = self.frame_run(lo, hi - lo);
+        let tail = (tail as usize).min(self.tail_of(&new));
         let (mut at, mut loaded) = (lo, 0);
         let mut fill = |frame: &mut [u8], at: u64, upto: u64| {
             loaded += upto - at;
-            read(at, &mut frame[new.at(at)..new.at(upto)])
+            let more = if upto == hi { tail } else { 0 };
+            read(at, &mut frame[new.at(at)..new.at(upto) + more])
         };
         for r in &self.runs[i..j] {
             if at < r.off {
@@ -303,6 +371,69 @@ impl UBuf {
         self.runs.drain(i..j);
         self.runs.insert(i, new);
         Ok(loaded)
+    }
+
+    /// The tail of the run that reaches the object's end: the pad and sum
+    /// table bytes behind the user data, as far as a load read them
+    /// (empty when no run reaches the end).
+    pub(crate) fn tail(&self) -> &[u8] {
+        match self.runs.last().filter(|r| r.end() == self.header.size) {
+            Some(r) => &self.frame[r.at(r.end())..r.at(r.end()) + self.tail as usize],
+            None => &[],
+        }
+    }
+
+    /// Overwrites the resident, never handed out bytes of `[off, off+len)`
+    /// with `read(user offset, destination)`: a segment repaired on media
+    /// right after it loaded is re-read in place.
+    pub(crate) fn reload(
+        &mut self,
+        off: u64,
+        len: u64,
+        mut read: impl FnMut(u64, &mut [u8]) -> Result<()>,
+    ) -> Result<()> {
+        let r = self.run_of(off, len).expect("reloaded range is resident");
+        read(off, &mut self.frame[r.at(off)..r.at(off + len)])
+    }
+
+    /// The loaded sum of segment `k`, if any of its bytes are resident.
+    pub(crate) fn sum_of(&self, k: u64) -> Option<u32> {
+        let i = self.sums.binary_search_by_key(&k, |s| s.0).ok()?;
+        Some(self.sums[i].1)
+    }
+
+    /// The first segment at or after `k` with a loaded sum.
+    pub(crate) fn next_known(&self, k: u64) -> Option<u64> {
+        self.sums.get(self.sums.partition_point(|s| s.0 < k)).map(|s| s.0)
+    }
+
+    /// How many segments of `k0..=k1` have a loaded sum.
+    pub(crate) fn sums_within(&self, k0: u64, k1: u64) -> usize {
+        let i = self.sums.partition_point(|s| s.0 < k0);
+        self.sums[i..].partition_point(|s| s.0 <= k1)
+    }
+
+    /// Records `sum(k)` as the loaded sum of each segment of `k0..=k1`,
+    /// none of which has one yet: their bytes are about to become
+    /// resident.
+    pub(crate) fn note_sums(&mut self, k0: u64, k1: u64, sum: impl Fn(u64) -> u32) {
+        debug_assert_eq!(self.sums_within(k0, k1), 0);
+        let i = self.sums.partition_point(|s| s.0 < k0);
+        if i == self.sums.len() {
+            self.sums.extend((k0..=k1).map(|k| (k, sum(k))));
+        } else {
+            self.sums.splice(i..i, (k0..=k1).map(|k| (k, sum(k))));
+        }
+    }
+
+    /// Takes the header as repaired on media (same size): the loaded and
+    /// working copies follow it, so segment 0 verifies against the
+    /// repaired sum.
+    pub(crate) fn reloaded_header(&mut self, hdr: ObjectHeader) {
+        debug_assert_eq!(hdr.size, self.header.size);
+        self.loaded_header = hdr;
+        self.header.type_num = hdr.type_num;
+        self.set_csum(hdr.csum);
     }
 
     /// The run `[0, size)` of a fully resident buffer.
@@ -325,7 +456,7 @@ impl UBuf {
     /// # Panics
     ///
     /// Panics if the range is not resident in one run.
-    fn bytes(&self, off: u64, len: u64) -> &[u8] {
+    pub(crate) fn bytes(&self, off: u64, len: u64) -> &[u8] {
         let r = self.run_of(off, len).expect("range is not resident");
         &self.frame[r.at(off)..r.at(off + len)]
     }
@@ -376,6 +507,23 @@ impl UBuf {
             covered += hi - lo;
         }
         covered == dst.len() as u64
+    }
+
+    /// The first and last non-resident byte of `[off, off+len)`, as a
+    /// range: what a read of it still has to fetch.
+    pub(crate) fn missing(&self, off: u64, len: u64) -> Option<(u64, u64)> {
+        let end = off + len;
+        let i = self.runs.partition_point(|r| r.end() <= off);
+        let lo = match self.runs.get(i) {
+            Some(r) if r.off <= off => r.end(),
+            _ => off,
+        };
+        let j = self.runs.partition_point(|r| r.off < end);
+        let hi = match j.checked_sub(1).map(|j| self.runs[j]) {
+            Some(r) if r.end() >= end => r.off,
+            _ => end,
+        };
+        (lo < hi).then(|| (lo, hi - lo))
     }
 
     /// The header as loaded from NVMM (unaffected by [`UBuf::set_csum`]):
@@ -479,7 +627,7 @@ impl UBuf {
     pub fn check_canaries(&self) -> Result<()> {
         let canary = Self::canary_for(self.oid);
         let intact = |r: &Piece| {
-            let (front, back) = (r.start - SLOT - CANARY, r.at(r.end()));
+            let (front, back) = (r.start - SLOT - CANARY, r.at(r.end()) + self.tail_of(r));
             self.frame[front..front + CANARY] == canary && self.frame[back..back + CANARY] == canary
         };
         if self.runs.iter().all(intact) {
@@ -487,11 +635,6 @@ impl UBuf {
         } else {
             Err(PglError::CanaryMismatch { off: self.oid.off })
         }
-    }
-
-    /// Verifies the user data against the header checksum.
-    pub fn verify_checksum(&self) -> bool {
-        self.header.csum == adler32(self.user())
     }
 
     /// Stores `csum` into the shadowed header.
@@ -502,11 +645,12 @@ impl UBuf {
         }
     }
 
-    /// Returns the raw header+user bytes (what gets written back for `New`
-    /// objects, starting at the NVMM header offset).
-    pub fn header_and_user(&self) -> &[u8] {
+    /// The header, user bytes and sum table of a fully resident buffer:
+    /// what a `New` object's construction writes, from its header offset
+    /// on.
+    pub(crate) fn construction(&self) -> &[u8] {
         let r = self.whole();
-        &self.frame[r.start - SLOT..r.at(r.end())]
+        &self.frame[r.start - SLOT..r.at(r.end()) + self.tail_of(&r)]
     }
 
     /// NVMM offset of the object header.
@@ -515,46 +659,115 @@ impl UBuf {
     }
 
     /// Commit stage 2 for a `Modified` buffer: lays out its write-back as
-    /// spans, each contiguous in DRAM — one per modified range, the one
+    /// spans, each contiguous in DRAM — one per modified range (the one
     /// that starts at offset 0 extended downwards over the working header
-    /// in front of it, and otherwise the 16 header bytes as a last span
-    /// of their own (data, checksum and parity change together, §3.2).
+    /// in front of it), then the dirtied sum-table entries, then the 16
+    /// header bytes as a span of their own when segment 0 changed and no
+    /// range took them along (data, checksums and parity change together,
+    /// §3.2). A range in the last segment of an object whose table starts
+    /// right behind its user bytes is extended to the end of the object
+    /// and takes the leading dirtied entries along, through the run's
+    /// tail.
+    ///
     /// With `old`, the loaded bytes of every span are appended to it in
-    /// span order, and with `csums` the working checksum is refreshed
-    /// from them — incrementally per modified range, or in one pass over
-    /// the new bytes when the range is the whole object. A `New` buffer
-    /// has no spans and no loaded bytes; it just checksums its content.
+    /// span order, and with `csums` each dirtied segment's sum is
+    /// refreshed from them — incrementally, or in one pass over the new
+    /// bytes when the segment is overwritten whole. A `New` buffer has no
+    /// spans and no loaded bytes; it just checksums its content.
     pub(crate) fn seal(&mut self, csums: bool, mut old: Option<&mut Vec<u8>>) {
         debug_assert!(old.is_some() || !csums, "the checksum refresh consumes the loaded bytes");
         match self.state {
             UBufState::Lazy | UBufState::Clean => return,
-            UBufState::New if csums => return self.set_csum(adler32(self.user())),
+            UBufState::New if csums => {
+                let r = self.whole();
+                let end = r.at(r.end());
+                let pad = (segment::table_off(self.header.size) - self.header.size) as usize;
+                let (user, table) = self.frame.split_at_mut(end);
+                let table = &mut table[pad.min(self.tail as usize)..self.tail as usize];
+                let c = segment::fill_table(&user[r.start..end], table);
+                return self.set_csum(c);
+            }
             UBufState::New => return,
             UBufState::Modified => {}
         }
-        let total = self.header.size;
-        let mut c = self.loaded_header.csum;
+        let size = self.header.size;
         self.spans.clear();
+        self.dirty.clear();
+        let mut last = None;
         for (roff, rlen) in self.modified.iter() {
             let lead = if roff == 0 { SLOT } else { 0 };
             let r = self.run_of(roff, rlen).expect("marked ranges are resident");
             let (off, start) = (self.oid.off + roff - lead as u64, r.at(roff) - lead);
             self.spans.push(Span { off, start, len: lead + rlen as usize });
+            last = Some((r, roff + rlen));
             let Some(old) = old.as_deref_mut() else { continue };
             old.extend_from_slice(&bytes_of(&self.loaded_header)[..lead]);
             let at = old.len();
             self.pre.assemble(&self.frame[r.start..r.at(r.end())], r.off, roff, rlen, old);
-            let new = &self.frame[r.at(roff)..r.at(roff + rlen)];
-            if csums && rlen == total {
-                c = adler32(new);
-            } else if csums {
-                c = adler32_update(c, total, roff, &old[at..], new);
+            if csums {
+                let new = &self.frame[r.at(roff)..r.at(roff + rlen)];
+                refresh_sums(&self.sums, &mut self.dirty, size, roff, &old[at..], new);
             }
         }
-        if csums {
+        if let Some(&(0, c)) = self.dirty.first() {
             self.set_csum(c);
         }
-        if self.spans[0].off != self.header_off() {
+        // Dirtied table entries, entry order (descending segment).
+        let n = segment::count(size);
+        let mut i = self.dirty.len();
+        if let Some((r, end)) = last.filter(|(r, _)| {
+            self.dirty.last().is_some_and(|d| d.0 == n - 1 && d.0 > 0)
+                && r.end() == size
+                && segment::table_off(size) == size
+        }) {
+            // The leading run of entries rides behind the last range.
+            let mut k = n;
+            while i > 0 && self.dirty[i - 1].0 == k - 1 && k > 1 {
+                i -= 1;
+                k -= 1;
+            }
+            let back = r.at(size);
+            for &(k, sum) in &self.dirty[i..] {
+                let at = back + (ENTRY * (n - 1 - k)) as usize;
+                self.frame[at..at + 4].copy_from_slice(&sum.to_le_bytes());
+            }
+            let span = self.spans.last_mut().expect("a range reaches the last segment");
+            span.len += (size - end) as usize + self.dirty[i..].len() * ENTRY as usize;
+            if let Some(old) = old.as_deref_mut() {
+                self.pre.assemble(&self.frame[r.start..r.at(r.end())], r.off, end, size - end, old);
+                // Both tables are sorted: walk the loaded sums down with
+                // the dirtied ones.
+                let mut j = self.sums.len();
+                for &(k, _) in self.dirty[i..].iter().rev() {
+                    j -= 1;
+                    while self.sums[j].0 > k {
+                        j -= 1;
+                    }
+                    old.extend_from_slice(&self.sums[j].1.to_le_bytes());
+                }
+            }
+        }
+        while i > 0 && self.dirty[i - 1].0 > 0 {
+            // One span per run of consecutive segments.
+            let hi = i;
+            i -= 1;
+            while i > 0 && self.dirty[i - 1].0 > 0 && self.dirty[i - 1].0 + 1 == self.dirty[i].0 {
+                i -= 1;
+            }
+            let start = self.frame.len();
+            let (k_hi, _) = self.dirty[hi - 1];
+            for j in (i..hi).rev() {
+                let (k, sum) = self.dirty[j];
+                self.frame.extend_from_slice(&sum.to_le_bytes());
+                if let Some(old) = old.as_deref_mut() {
+                    old.extend_from_slice(&self.loaded_sum(k).to_le_bytes());
+                }
+            }
+            let off = self.oid.off + segment::entry_off(size, k_hi);
+            self.spans.push(Span { off, start, len: (hi - i) * ENTRY as usize });
+        }
+        let first = self.modified.iter().next().map_or(SEG, |(off, _)| off);
+        if first < SEG && first > 0 {
             let start = self.frame.len();
             self.frame.extend_from_slice(bytes_of(&self.header));
             self.spans.push(Span { off: self.header_off(), start, len: SLOT });
@@ -564,17 +777,64 @@ impl UBuf {
         }
     }
 
+    /// The loaded sum of segment `k`, which has resident bytes.
+    fn loaded_sum(&self, k: u64) -> u32 {
+        self.sum_of(k).expect("a segment with resident bytes has a loaded sum")
+    }
+
+    /// First and last segment [`UBuf::seal`] dirtied.
+    pub(crate) fn dirty_segments(&self) -> Option<(u64, u64)> {
+        Some((self.dirty.first()?.0, self.dirty.last()?.0))
+    }
+
     /// The write-back [`UBuf::seal`] laid out, as `(NVMM offset, new
     /// bytes)` spans.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (u64, &[u8])> + Clone + '_ {
         self.spans.iter().map(|s| (s.off, &self.frame[s.start..s.start + s.len]))
     }
 
     /// Deliberately corrupts a canary (test/fault-injection helper
     /// simulating a buffer overrun).
     pub fn smash_back_canary(&mut self) {
-        if let Some(r) = self.runs.last() {
-            self.frame[r.at(r.end()) + CANARY - 1] ^= 0xFF;
+        if let Some(&r) = self.runs.last() {
+            let back = r.at(r.end()) + self.tail_of(&r);
+            self.frame[back + CANARY - 1] ^= 0xFF;
+        }
+    }
+}
+
+/// Folds the modified range `[roff, roff+len)` (loaded bytes `old`, new
+/// bytes `new`) into the new sums of the segments it covers: `dirty`
+/// starts each segment from its sum in `sums` and keeps what earlier
+/// ranges made of it. A segment the range covers whole is summed afresh.
+fn refresh_sums(
+    sums: &[(u64, u32)],
+    dirty: &mut Vec<(u64, u32)>,
+    size: u64,
+    roff: u64,
+    old: &[u8],
+    new: &[u8],
+) {
+    let (k0, k1) = segment::covering(roff, new.len() as u64);
+    for k in k0..=k1 {
+        let (s, e) = segment::bounds(size, k);
+        let (lo, hi) = (roff.max(s), (roff + new.len() as u64).min(e));
+        let part = (lo - roff) as usize..(hi - roff) as usize;
+        let sum = if (lo, hi) == (s, e) {
+            adler32(&new[part])
+        } else {
+            let cur = match dirty.last() {
+                Some(&(dk, c)) if dk == k => c,
+                _ => {
+                    let i = sums.binary_search_by_key(&k, |s| s.0);
+                    sums[i.expect("a segment with resident bytes has a loaded sum")].1
+                }
+            };
+            adler32_update(cur, e - s, lo - s, &old[part.clone()], &new[part])
+        };
+        match dirty.last_mut() {
+            Some(d) if d.0 == k => d.1 = sum,
+            _ => dirty.push((k, sum)),
         }
     }
 }
@@ -587,6 +847,57 @@ mod tests {
         PMEMoid::new(1, 4096)
     }
 
+    /// The object `user` as stored: its header (segment 0's sum, `type_num`
+    /// 1) and its user bytes, pad and sum table.
+    fn stored(user: &[u8]) -> (ObjectHeader, Vec<u8>) {
+        let size = user.len() as u64;
+        let mut image = user.to_vec();
+        image.resize(segment::footprint(size) as usize, 0);
+        let t = (segment::table_off(size) as usize).min(image.len());
+        let csum = segment::fill_table(user, &mut image[t..]);
+        (ObjectHeader { size, type_num: 1, csum }, image)
+    }
+
+    /// A fully resident buffer of the stored object `image` (the sums it
+    /// loads are the ones `stored` computed).
+    fn loaded(hdr: ObjectHeader, image: &[u8]) -> UBuf {
+        let mut b = UBuf::for_load(oid(), hdr, FrameParts::default(), true);
+        load_from(&mut b, image, 0, hdr.size);
+        b
+    }
+
+    /// Loads `[off, off+len)` of `image` into `b`, noting every covered
+    /// segment's stored sum.
+    fn load_from(b: &mut UBuf, image: &[u8], off: u64, len: u64) -> u64 {
+        let size = b.user_size() as u64;
+        let got = b
+            .load(off, len, 0, |at, dst| {
+                let at = at as usize;
+                dst.copy_from_slice(&image[at..at + dst.len()]);
+                Ok(())
+            })
+            .unwrap();
+        if len > 0 {
+            let (k0, k1) = segment::covering(off, len);
+            let new: Vec<u64> = (k0..=k1).filter(|&k| b.sum_of(k).is_none()).collect();
+            for k in new {
+                let sum = match k {
+                    0 => b.loaded_header().csum,
+                    k => {
+                        let at = segment::entry_off(size, k) as usize;
+                        u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+                    }
+                };
+                b.note_sums(k, k, |_| sum);
+            }
+        }
+        got
+    }
+
+    fn fresh(size: u64) -> UBuf {
+        UBuf::for_alloc_in(oid(), size, 1, FrameParts::default(), true)
+    }
+
     /// Appends the loaded bytes of the resident `[off, off+len)` to `out`.
     fn preimage_into(b: &UBuf, off: u64, len: u64, out: &mut Vec<u8>) {
         let r = b.run_of(off, len).expect("range is not resident");
@@ -595,11 +906,11 @@ mod tests {
 
     #[test]
     fn from_nvmm_preserves_content() {
-        let hdr = ObjectHeader { size: 32, type_num: 5, csum: 77 };
         let data: Vec<u8> = (0..32).collect();
-        let b = UBuf::from_nvmm(oid(), hdr, &data);
+        let (hdr, image) = stored(&data);
+        let b = loaded(hdr, &image);
         assert_eq!(b.user(), &data[..]);
-        assert_eq!(b.header().type_num, 5);
+        assert_eq!(b.header().type_num, 1);
         assert_eq!(b.state(), UBufState::Clean);
         assert!(b.modified().is_empty());
         b.check_canaries().unwrap();
@@ -607,12 +918,12 @@ mod tests {
 
     #[test]
     fn writes_track_ranges_and_state() {
-        let b = UBuf::for_alloc(oid(), 64, 1);
+        let b = fresh(64);
         assert_eq!(b.state(), UBufState::New);
         assert_eq!(b.modified().total_bytes(), 64, "new objects fully modified");
 
-        let hdr = ObjectHeader { size: 64, type_num: 1, csum: 0 };
-        let mut b = UBuf::from_nvmm(oid(), hdr, &[0u8; 64]);
+        let (hdr, image) = stored(&[0u8; 64]);
+        let mut b = loaded(hdr, &image);
         b.write(8, &[1, 2, 3]);
         b.write_pod(32, &0xABCDu64);
         assert_eq!(b.state(), UBufState::Modified);
@@ -622,12 +933,10 @@ mod tests {
 
     /// Random loads, writes and marks against a byte-wise model of the
     /// device image, the working view and the residency map: overlapping,
-    /// adjacent, nested and gap-spanning ranges in any order.
+    /// adjacent, nested and gap-spanning ranges in any order, on objects
+    /// of one segment and of several (with and without table pad).
     #[test]
     fn preimage_is_the_loaded_bytes_after_any_write_sequence() {
-        const SIZE: u64 = 600;
-        let device: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8).collect();
-        let hdr = ObjectHeader { size: SIZE, type_num: 1, csum: 9 };
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |below: u64| {
             x ^= x << 13;
@@ -635,23 +944,18 @@ mod tests {
             x ^= x << 17;
             (x >> 11) % below
         };
-        for round in 0..8 {
-            let mut b = UBuf::for_load(oid(), hdr, FrameParts::default());
+        for (round, size) in [600u64, 600, 200, 1023, 600, 1024, 256, 777].into_iter().enumerate() {
+            let device: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+            let (hdr, image) = stored(&device);
+            let mut b = UBuf::for_load(oid(), hdr, FrameParts::default(), true);
             let mut working = device.clone();
-            let mut resident = vec![false; SIZE as usize];
+            let mut resident = vec![false; size as usize];
             for step in 0..400u32 {
-                let off = next(SIZE);
-                let len = next(SIZE - off + 1).min(1 + next(if round == 0 { SIZE } else { 40 }));
+                let off = next(size);
+                let len = next(size - off + 1).min(1 + next(if round == 0 { size } else { 40 }));
                 let (lo, hi) = (off as usize, (off + len) as usize);
                 let want = resident[lo..hi].iter().filter(|r| !**r).count() as u64;
-                let got = b
-                    .load(off, len, |at, dst| {
-                        let at = at as usize;
-                        assert!(resident[at..at + dst.len()].iter().all(|r| !r), "re-read");
-                        dst.copy_from_slice(&device[at..at + dst.len()]);
-                        Ok(())
-                    })
-                    .unwrap();
+                let got = load_from(&mut b, &image, off, len);
                 assert_eq!(got, want, "step {step}: exactly the missing bytes were read");
                 resident[lo..hi].fill(true);
                 match step % 3 {
@@ -666,8 +970,8 @@ mod tests {
                 b.check_canaries().unwrap();
 
                 // The working view: resident bytes overlay the device's.
-                let q_off = next(SIZE);
-                let q_len = next(SIZE - q_off + 1);
+                let q_off = next(size);
+                let q_len = next(size - q_off + 1);
                 let (q_lo, q_hi) = (q_off as usize, (q_off + q_len) as usize);
                 let mut out = device[q_lo..q_hi].to_vec();
                 let covered = b.read(q_off, &mut out);
@@ -687,33 +991,34 @@ mod tests {
                     );
                 }
             }
-            // The commit walk pairs every span with its loaded bytes.
+            // The commit walk pairs every span with its loaded bytes, and
+            // the image it leaves checks in every segment.
             let mut old = Vec::new();
             b.seal(true, Some(&mut old));
-            let mut image = vec![0u8; SLOT];
-            image[..SLOT].copy_from_slice(bytes_of(&hdr));
-            image.extend_from_slice(&device);
+            let mut media = bytes_of(&hdr).to_vec();
+            media.extend_from_slice(&image);
             let mut cur = 0;
             for (at, new) in b.spans() {
                 let i = (at + OBJ_HEADER_SIZE - oid().off) as usize;
-                assert_eq!(old[cur..cur + new.len()], image[i..i + new.len()], "loaded bytes");
-                image[i..i + new.len()].copy_from_slice(new);
+                assert_eq!(old[cur..cur + new.len()], media[i..i + new.len()], "loaded bytes");
+                media[i..i + new.len()].copy_from_slice(new);
                 cur += new.len();
             }
             assert_eq!(cur, old.len());
-            let sealed: ObjectHeader = from_bytes(&image[..SLOT]);
-            let whole = b.modified().iter().next() == Some((0, SIZE));
-            let delta = adler32_update(9, SIZE, 0, &device, &working);
-            assert_eq!(sealed.csum, if whole { adler32(&working) } else { delta });
-            assert_eq!(image[SLOT..], working);
-            assert_eq!(b.loaded_header().csum, 9);
-            // The header goes out once: in front of the range at offset 0
-            // (the first span), or else as the last span, on its own.
-            let rides = b.modified().iter().next().is_some_and(|(off, _)| off == 0);
-            let at = if rides { 0 } else { b.spans().count() - 1 };
-            let (off, new) = b.spans().nth(at).unwrap();
-            assert_eq!((off, new.len() == SLOT), (b.header_off(), !rides));
-            assert_eq!(b.spans().filter(|(off, _)| *off < oid().off).count(), 1);
+            let sealed: ObjectHeader = from_bytes(&media[..SLOT]);
+            assert_eq!(media[SLOT..SLOT + size as usize], working);
+            assert_eq!(segment::check_all(&sealed, &media[SLOT..]), Ok(()), "size {size}");
+            assert_eq!(b.loaded_header().csum, hdr.csum);
+            // The header goes out at most once: in front of the range at
+            // offset 0 (the first span), or else on its own when segment 0
+            // changed.
+            let first = b.modified().iter().next().map(|(off, _)| off).unwrap();
+            let alone = b.spans().filter(|(off, new)| *off < oid().off && new.len() == SLOT);
+            assert_eq!(alone.count(), (first > 0 && first < SEG) as usize);
+            assert_eq!(
+                b.spans().filter(|(off, _)| *off < oid().off).count(),
+                (first < SEG) as usize
+            );
             // An overrun of any run is caught, not only of the first.
             b.smash_back_canary();
             assert!(matches!(b.check_canaries(), Err(PglError::CanaryMismatch { .. })));
@@ -721,10 +1026,34 @@ mod tests {
     }
 
     #[test]
+    fn a_range_in_the_last_segment_takes_its_entries_along() {
+        // 4 136 B (the radix-tree node): segment 16 is 40 bytes, and its
+        // entry sits right behind them. A write into it is one span that
+        // runs to the object's end and over the entry; a write into
+        // segment 3 leaves its entry a 4-byte span of its own.
+        let user: Vec<u8> = (0..4136u32).map(|i| (i % 13) as u8).collect();
+        let (hdr, image) = stored(&user);
+        let mut b = UBuf::for_load(oid(), hdr, FrameParts::default(), true);
+        load_from(&mut b, &image, 16 * 256, 40);
+        load_from(&mut b, &image, 3 * 256, 256);
+        b.write(16 * 256 + 24, &[7; 8]);
+        b.write(3 * 256 + 8, &[9; 8]);
+        let mut old = Vec::new();
+        b.seal(true, Some(&mut old));
+        let spans: Vec<(u64, usize)> =
+            b.spans().map(|(at, new)| (at - oid().off, new.len())).collect();
+        assert_eq!(
+            spans,
+            [(3 * 256 + 8, 8), (16 * 256 + 24, 16 + 4), (segment::entry_off(4136, 3), 4)]
+        );
+        assert_eq!(b.dirty_segments(), Some((3, 16)));
+    }
+
+    #[test]
     fn raw_view_saves_the_whole_object_once_and_new_buffers_save_nothing() {
-        let loaded = [7u8; 64];
-        let hdr = ObjectHeader { size: 64, type_num: 1, csum: 9 };
-        let mut b = UBuf::from_nvmm(oid(), hdr, &loaded);
+        let loaded_bytes = [7u8; 64];
+        let (hdr, image) = stored(&loaded_bytes);
+        let mut b = loaded(hdr, &image);
         b.write(8, &[1; 8]); // saved before the raw view is taken
         b.user_mut()[..32].fill(2); // modify first ...
         b.mark_modified(0, 32); // ... mark afterwards
@@ -732,41 +1061,47 @@ mod tests {
         assert_eq!(b.pre.bytes.len(), 64);
         let mut out = Vec::new();
         preimage_into(&b, 0, 64, &mut out);
-        assert_eq!(out, loaded);
+        assert_eq!(out, loaded_bytes);
         b.set_csum(0xDEAD);
-        assert_eq!((b.header().csum, b.loaded_header().csum), (0xDEAD, 9));
-        let slot: ObjectHeader = from_bytes(&b.header_and_user()[..SLOT]);
+        assert_eq!((b.header().csum, b.loaded_header().csum), (0xDEAD, hdr.csum));
+        let slot: ObjectHeader = from_bytes(&b.construction()[..SLOT]);
         assert_eq!(slot.csum, 0xDEAD, "the run at offset 0 carries the working header");
 
-        let mut fresh = UBuf::for_alloc(oid(), 64, 1);
+        let mut fresh = fresh(64);
         fresh.write(0, &[1; 16]);
         fresh.user_mut()[20] = 5;
         assert!(fresh.pre.bytes.is_empty() && fresh.pre.pieces.is_empty());
     }
 
     #[test]
+    fn checksum_roundtrip() {
+        // A new buffer constructs header, user bytes and sum table; every
+        // segment checks, and a wrong header sum fails segment 0.
+        let mut b = fresh(700);
+        b.user_mut().iter_mut().enumerate().for_each(|(i, x)| *x = i as u8);
+        b.seal(true, Some(&mut Vec::new()));
+        let image = b.construction();
+        assert_eq!(image.len(), SLOT + segment::footprint(700) as usize);
+        let hdr: ObjectHeader = from_bytes(&image[..SLOT]);
+        assert_eq!(segment::check_all(&hdr, &image[SLOT..]), Ok(()));
+        let bad = ObjectHeader { csum: hdr.csum ^ 1, ..hdr };
+        assert_eq!(segment::check_all(&bad, &image[SLOT..]), Err(0));
+        b.check_canaries().unwrap();
+        b.smash_back_canary();
+        assert!(b.check_canaries().is_err(), "the back canary sits behind the table");
+    }
+
+    #[test]
     fn canary_detects_overrun() {
-        let mut b = UBuf::for_alloc(oid(), 16, 1);
+        let mut b = fresh(16);
         b.check_canaries().unwrap();
         b.smash_back_canary();
         assert!(matches!(b.check_canaries(), Err(PglError::CanaryMismatch { .. })));
     }
 
     #[test]
-    fn checksum_roundtrip() {
-        let data = [9u8; 48];
-        let hdr = ObjectHeader { size: 48, type_num: 2, csum: adler32(&data) };
-        let b = UBuf::from_nvmm(oid(), hdr, &data);
-        assert!(b.verify_checksum());
-
-        let hdr_bad = ObjectHeader { csum: 123, ..hdr };
-        let b = UBuf::from_nvmm(oid(), hdr_bad, &data);
-        assert!(!b.verify_checksum());
-    }
-
-    #[test]
     fn set_csum_updates_header_only() {
-        let mut b = UBuf::for_alloc(oid(), 8, 3);
+        let mut b = fresh(8);
         b.set_csum(0xDEAD);
         assert_eq!(b.header().csum, 0xDEAD);
         assert_eq!(b.header().size, 8);
@@ -776,7 +1111,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds object")]
     fn out_of_bounds_mark_panics() {
-        let mut b = UBuf::for_alloc(oid(), 8, 1);
+        let mut b = fresh(8);
         b.mark_modified(4, 8);
     }
 }

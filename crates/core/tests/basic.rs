@@ -268,7 +268,7 @@ fn read_only_tx_commits_nothing() {
     assert_eq!(after.lines_flushed, before.lines_flushed, "read-only tx is free");
 }
 
-/// An object of `size` bytes in a pool big enough to hold a sparse one.
+/// An object of `size` bytes in a pool big enough to hold a 256 KiB one.
 fn pool_and_obj(size: u64) -> (PglPool, pangolin::PMEMoid) {
     let mut cfg = PglConfig::small();
     cfg.pool.size = 32 << 20;
@@ -286,8 +286,8 @@ fn is_invalid_oid(e: &PglError) -> bool {
 #[test]
 fn out_of_range_write_is_a_typed_error_not_a_panic() {
     // `off + len` wraps: it must fail the bounds check, not pass it (or
-    // panic under overflow checks), whether the object loads whole or not.
-    for size in [64, 4 * pangolin::txn::SPARSE_THRESHOLD] {
+    // panic under overflow checks), for one segment or a thousand.
+    for size in [64, 256 << 10] {
         let (pool, oid) = pool_and_obj(size);
         for off in [u64::MAX - 2, size - 5, size + 1] {
             let e = pool.tx(|tx| tx.write(oid, off, b"abcdef")).unwrap_err();
@@ -321,14 +321,14 @@ fn out_of_range_read_of_an_open_object_is_a_typed_error_not_a_panic() {
         })
         .unwrap();
     };
-    // Loaded whole.
+    // One segment, resident.
     let (pool, oid) = pool_and_obj(64);
     read_past(&pool, oid, 64, &|tx| tx.write(oid, 0, b"x").unwrap());
     // Lazily opened: verified-fresh, nothing written.
     pool.read_verified(oid).unwrap();
     read_past(&pool, oid, 64, &|tx| tx.open(oid).unwrap());
-    // Above the load-whole threshold: one small resident run.
-    let big = 4 * pangolin::txn::SPARSE_THRESHOLD;
+    // 1 024 segments: one resident, the read past the end in another.
+    let big = 256 << 10;
     let (pool, oid) = pool_and_obj(big);
     read_past(&pool, oid, big, &|tx| tx.write(oid, 0, b"x").unwrap());
     // Not open at all: the offset itself must not wrap.

@@ -3,13 +3,15 @@
 //! diff+zero-skip XOR paths are pinned against straight-from-the-spec
 //! byte-wise reference implementations across random lengths,
 //! misalignments and edit sequences, and at the kernels' own block
-//! boundaries.
+//! boundaries — and the per-segment sums a commit maintains against a
+//! full recomputation of every segment.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pangolin::checksum::{adler32, adler32_update};
 use pangolin::parity::ParityEngine;
+use pangolin::segment;
 use pgl_nvm::{DeviceConfig, NvmDevice};
 use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
 use proptest::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
@@ -168,6 +170,64 @@ proptest! {
             data[off..off + elen].copy_from_slice(&new);
             csum = by_swar;
             prop_assert_eq!(csum, ref_adler32(&data), "update vs full recompute");
+        }
+    }
+
+    #[test]
+    fn per_segment_deltas_over_random_ranges_match_a_full_recompute(
+        len in 1usize..3000,
+        seed in any::<u64>(),
+        edits in proptest::collection::vec(edit_strategy(), 1..10),
+    ) {
+        // What a commit does to a segmented object (`pangolin::segment`):
+        // each range is cut at segment boundaries, a segment overwritten
+        // whole is summed afresh and any other one takes the incremental
+        // update at its segment-relative offset. The sums must equal a
+        // full recomputation of every segment after every edit.
+        let mut data = pattern(len, seed);
+        let size = len as u64;
+        let t = (segment::table_off(size) as usize).min(segment::footprint(size) as usize);
+        let mut image = data.clone();
+        image.resize(segment::footprint(size) as usize, 0);
+        let mut head = segment::fill_table(&data, &mut image[t..]);
+        for (off_frac, elen, fill) in edits.iter().copied() {
+            let elen = elen.min(len);
+            let off = (off_frac % (len - elen + 1) as u64) as usize;
+            let new: Vec<u8> = (0..elen).map(|i| fill.wrapping_add((i as u8).wrapping_mul(3))).collect();
+            let (k0, k1) = segment::covering(off as u64, elen as u64);
+            for k in k0..=k1 {
+                let (s, e) = segment::bounds(size, k);
+                let lo = (off as u64).max(s) as usize;
+                let hi = ((off + elen) as u64).min(e) as usize;
+                let fresh = &new[lo - off..hi - off];
+                let sum = |image: &[u8]| match k {
+                    0 => head,
+                    k => {
+                        let at = segment::entry_off(size, k) as usize;
+                        u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+                    }
+                };
+                let was = sum(&image);
+                let now = if (lo as u64, hi as u64) == (s, e) {
+                    adler32(fresh)
+                } else {
+                    adler32_update(was, e - s, lo as u64 - s, &data[lo..hi], fresh)
+                };
+                match k {
+                    0 => head = now,
+                    k => {
+                        let at = segment::entry_off(size, k) as usize;
+                        image[at..at + 4].copy_from_slice(&now.to_le_bytes());
+                    }
+                }
+            }
+            data[off..off + elen].copy_from_slice(&new);
+            image[..len].copy_from_slice(&data);
+            let hdr = pgl_pmemobj::ObjectHeader { size, type_num: 1, csum: head };
+            prop_assert_eq!(segment::check_all(&hdr, &image), Ok(()), "edit at {} +{}", off, elen);
+            let mut want = image.clone();
+            let want_head = segment::fill_table(&data, &mut want[t..]);
+            prop_assert_eq!((head, &image), (want_head, &want), "vs a full recompute");
         }
     }
 

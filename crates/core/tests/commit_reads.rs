@@ -13,7 +13,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pangolin::txn::SPARSE_THRESHOLD;
 use pangolin::{PMEMoid, PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
 use pgl_pmemobj::ulog;
@@ -115,13 +114,19 @@ fn partial_overwrite_commit_reads_the_device_zero_times() {
     // The invariant itself: no commit-time old-data read at all.
     assert_eq!((d.commit_old_reads, d.commit_old_bytes), (0, 0), "pre-images come from DRAM");
 
-    // Total read traffic per transaction is the open and nothing else:
+    // Total read traffic per transaction is the loads and nothing else:
     //   16 B   object header read at open (`obj_header_checked`)
-    // + 1024 B whole-object load + verify at open (`load_ubuf`)
-    // The fused-read pipeline this replaced added the three ranges'
-    // pre-images (144 B) and the header's (16 B) at commit.
-    assert_eq!(d.bytes_read, TXNS * (16 + OBJ), "the commit path reads nothing");
-    assert_eq!(d.read_ops, TXNS * 2, "header check + open load");
+    // + 256 B  segment 0, loaded and checked for the writes at 0 and 128
+    //          (its sum is the header's)
+    // + 256 B  segment 2, loaded and checked for the write at 512
+    // +   4 B  segment 2's sum-table entry
+    // Segments 1 and 3 are never read. The commit clears the segments it
+    // dirtied from the verification cache, so every transaction loads
+    // afresh. The fused-read pipeline this replaced added the three
+    // ranges' pre-images (144 B) and the header's (16 B) at commit.
+    assert_eq!(d.bytes_read, TXNS * (16 + 256 + 256 + 4), "the commit path reads nothing");
+    assert_eq!(d.read_ops, TXNS * 4, "header check + two segment loads + one entry");
+    assert_eq!(d.csum_passes, TXNS * 2, "one check per load");
     assert!(d.bytes_read < TXNS * (16 + OBJ + total_range_bytes() + 16));
 
     // And the data actually committed correctly.
@@ -146,9 +151,10 @@ fn whole_object_overwrite_commit_reads_the_device_zero_times() {
     }
     let d = dev.stats().delta_since(&s0);
     assert_eq!((d.commit_old_reads, d.commit_old_bytes), (0, 0), "pre-image comes from DRAM");
-    // Reads per txn: 16 (header check) + OBJ (open load) — strictly half
-    // of the 2·(16 + OBJ) the commit-time pre-image read used to make it.
-    assert_eq!(d.bytes_read, TXNS * (16 + OBJ), "no hidden reads");
+    // Reads per txn: 16 (header check) + OBJ (the four segments) + 12
+    // (their three table entries) — about half of the 2·(16 + OBJ) the
+    // commit-time pre-image read used to make it.
+    assert_eq!(d.bytes_read, TXNS * (16 + OBJ + 12), "no hidden reads");
     assert_sound(&pool);
 }
 
@@ -178,11 +184,18 @@ fn redo_log_reaches_media_by_nt_stores_only() {
     pool.tx(|tx| tx.write(oid, 0, &[0xAA; BIG as usize])).unwrap();
     let d = dev.stats().delta_since(&s0);
 
-    let (start, end) = (oid.off - 16, oid.off + BIG);
+    // One span: header, user bytes and the 15 sum-table entries behind
+    // them (60 bytes).
+    const TABLE: u64 = 60;
+    let (start, end) = (oid.off - 16, oid.off + BIG + TABLE);
     let object_lines = (end - 1) / 64 - start / 64 + 1;
     assert_eq!(d.lines_flushed, object_lines + 2, "parity span + two generation words");
-    let log_bytes = ulog::entry_space(16 + BIG as usize) + ulog::entry_space(0);
-    assert_eq!(d.bytes_written_nt, (16 + BIG) + 2 * log_bytes, "write-back + two log copies");
+    let log_bytes = ulog::entry_space((16 + BIG + TABLE) as usize) + ulog::entry_space(0);
+    assert_eq!(
+        d.bytes_written_nt,
+        (16 + BIG + TABLE) + 2 * log_bytes,
+        "write-back + two log copies"
+    );
     assert_eq!(d.fences, 2, "commit point + write-back, as before");
     assert!(pool.verify_parity().unwrap());
 }
@@ -246,12 +259,12 @@ fn steady_state_commits_do_not_allocate() {
     }
     assert_eq!(thread_allocs() - a0, 0, "allocations over {TXNS} steady-state transactions");
 
-    // The same for range writes into an object too large to load whole:
-    // the runs they make resident live in the recycled frame. What is
-    // left is outside the micro-buffer: the object-wide span guard holds
-    // four stripes inline and spills the rest to a list, so at the 8 KiB
-    // lock granule a 256 KiB object costs that one allocation.
-    let big = make_obj(&pool, 4 * SPARSE_THRESHOLD, 1);
+    // The same for range writes into a 256 KiB object: the segments they
+    // make resident live in the recycled frame, and the parity guard
+    // covers the commit's dirty spans only (two ranges, their two entries:
+    // four stripes, held inline) — not the whole object, whose 32 stripes
+    // at the 8 KiB lock granule would spill to a list.
+    let big = make_obj(&pool, 256 << 10, 1);
     let write_two = |round: u64| {
         pool.tx(|tx| {
             tx.write(big, 1000 + 64 * (round % 7), &payload[..64])?;
@@ -262,20 +275,24 @@ fn steady_state_commits_do_not_allocate() {
     (0..10).for_each(write_two);
     let a0 = thread_allocs();
     (10..10 + TXNS).for_each(write_two);
-    assert_eq!(thread_allocs() - a0, TXNS, "one spilled stripe list per big-object transaction");
+    assert_eq!(thread_allocs() - a0, 0, "big-object transactions allocate nothing either");
 }
 
 #[test]
-fn range_write_into_a_big_object_reads_exactly_its_own_bytes() {
-    // Above the threshold nothing is loaded at open and a write loads the
-    // bytes it covers, not a block around them: 16 (header) + 64.
+fn range_write_into_a_big_object_reads_its_segment_its_entry_and_the_header() {
+    // Nothing is loaded at open, and a write loads the segment it covers
+    // and that segment's sum, not the object: 16 (header) + 256 + 4, one
+    // check of 256 bytes. Warm, the transaction allocates nothing.
     let (dev, pool) = new_pool();
-    let oid = make_obj(&pool, 4 * SPARSE_THRESHOLD, 0x11);
-    let s0 = dev.stats();
-    pool.tx(|tx| tx.write(oid, 100_000, &[0x22; 64])).unwrap();
+    let oid = make_obj(&pool, 256 << 10, 0x11);
+    let write = |round: u8| pool.tx(|tx| tx.write(oid, 100_000, &[round; 64])).unwrap();
+    (0..10).for_each(write);
+    let (s0, a0) = (dev.stats(), thread_allocs());
+    write(0x22);
+    assert_eq!(thread_allocs() - a0, 0, "a warm transaction allocates nothing");
     let d = dev.stats().delta_since(&s0);
-    assert_eq!((d.bytes_read, d.read_ops), (16 + 64, 2), "header check + the range");
-    assert_eq!((d.commit_old_reads, d.csum_passes), (0, 0));
+    assert_eq!((d.bytes_read, d.read_ops), (16 + 256 + 4, 3), "header + segment 390 + entry");
+    assert_eq!((d.commit_old_reads, d.csum_passes), (0, 1));
     assert_sound(&pool);
 }
 
@@ -372,9 +389,9 @@ fn scribble_between_open_and_commit_stays_out_of_parity() {
 
 #[test]
 fn scribble_between_open_and_commit_stays_out_of_parity_sparse() {
-    // Same, for an object above the load-whole threshold: the run the
-    // marked range made resident keeps its loaded bytes.
-    const BIG: u64 = 2 * SPARSE_THRESHOLD;
+    // Same, for a 128 KiB object: the segments the marked range made
+    // resident keep their loaded bytes.
+    const BIG: u64 = 128 << 10;
     let mut cfg = PglConfig::small();
     cfg.pool.size = 32 << 20;
     cfg.pool.zone_size = 16 << 20;
@@ -488,7 +505,8 @@ fn repeated_writes_keep_the_first_loaded_bytes_as_pre_image() {
 #[test]
 fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
     // A verified-fresh object opens lazily (no device read); the first
-    // write pays the load — without a checksum pass — and the commit
+    // write pays the header read and loads just its own bytes — the cache
+    // vouches for their segment, so no checksum pass — and the commit
     // still reads nothing.
     let (dev, pool) = new_pool();
     let oid = make_obj(&pool, OBJ, 0x11);
@@ -501,7 +519,7 @@ fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
     })
     .unwrap();
     let d = dev.stats().delta_since(&s0);
-    assert_eq!(d.bytes_read, 16 + OBJ, "header check + materializing load");
+    assert_eq!(d.bytes_read, 16 + 8, "header check + the vouched range");
     assert_eq!((d.commit_old_reads, d.csum_passes), (0, 0));
     let mut want = vec![0x11; OBJ as usize];
     want[8..16].fill(0x22);

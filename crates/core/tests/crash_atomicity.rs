@@ -204,12 +204,12 @@ fn multi_object_tx_atomic_at_sampled_crash_points() {
 
 #[test]
 fn big_object_ranges_atomic_at_every_crash_point() {
-    // An object above the load-whole threshold: the transaction shadows
-    // only the ranges it writes. One commit carries a range at offset 0
+    // A 96 KiB object (384 segments): the transaction loads only the
+    // segments its ranges cover. One commit carries a range at offset 0
     // (which takes the header along in its span), a range that spans two
     // earlier-loaded runs plus the gap between them (merged into one run),
     // and a range in a second, distant run — all or none of them.
-    const BIG: u64 = pangolin::txn::SPARSE_THRESHOLD + (32 << 10);
+    const BIG: u64 = 96 << 10;
     const RANGES: [(u64, usize); 3] = [(0, 40), (1050, 300), (80_000, 200)];
     let workload = FnWorkload::new(
         "big-object-ranges",
@@ -251,6 +251,86 @@ fn big_object_ranges_atomic_at_every_crash_point() {
     assert_eq!(report.swept, report.boundaries, "every boundary crashed");
 }
 
+/// The multi-segment shape: a 4 136-byte object (17 segments, the last
+/// one 40 bytes with its sum-table entry right behind it).
+const SEGMENTED: u64 = 4136;
+
+/// `SEGMENTED`'s content after the first `n` operations of
+/// `multi_segment_object_atomic_at_every_crash_point` (the CAS, op 3, is
+/// decided by its recovery report and applied by the caller).
+fn segmented_after(n: usize) -> Vec<u8> {
+    let mut want: Vec<u8> = (0..SEGMENTED as usize).map(|i| (i % 241) as u8).collect();
+    if n >= 1 {
+        want[5 * 256 + 16..5 * 256 + 40].fill(0x51);
+        want[4100..4110].fill(0x52);
+    }
+    if n >= 2 {
+        want[40..56].fill(0x53);
+    }
+    if n >= 3 {
+        want.fill(0xC3);
+    }
+    want
+}
+
+#[test]
+fn multi_segment_object_atomic_at_every_crash_point() {
+    // Every way a commit touches a segmented object, each its own commit
+    // point: sparse writes into segment 5 (its entry, a span of its own)
+    // and segment 16 (the write runs on over the entry behind the user
+    // bytes); a write into segment 0 (the header's sum); a whole overwrite
+    // (header, user bytes and table in one span); then a detectable CAS
+    // into segment 7, which folds its delta into that segment's entry.
+    // Whatever the crash point, the recovered object is one of the
+    // committed states and every segment checks against its sum.
+    const CAS_AT: u64 = 7 * 256 + 64;
+    const CAS_NEW: u64 = 0x1122_3344_5566_7788;
+    let workload = FnWorkload::new(
+        "multi-segment",
+        |pool| {
+            pool.tx(|tx| {
+                let oid = tx.alloc(SEGMENTED, 8)?;
+                tx.write(oid, 0, &segmented_after(0))
+            })
+        },
+        |pool, ctx| {
+            let oid = find_by_type(pool, 8)?;
+            pool.tx(|tx| {
+                tx.write(oid, 5 * 256 + 16, &[0x51; 24])?;
+                tx.write(oid, 4100, &[0x52; 10])
+            })?;
+            ctx.commit_point(pool)?;
+            pool.tx(|tx| tx.write(oid, 40, &[0x53; 16]))?;
+            ctx.commit_point(pool)?;
+            pool.tx(|tx| tx.write(oid, 0, &segmented_after(3)))?;
+            ctx.commit_point(pool)?;
+            let res =
+                pool.atomic_update(oid, CAS_AT, u64::from_le_bytes([0xC3; 8]), CAS_NEW, 42)?;
+            assert!(res.is_applied());
+            ctx.commit_point(pool)
+        },
+    )
+    .with_verify(|pool, committed| {
+        let oid = find_by_type(pool, 8)?;
+        let mut want = segmented_after(committed.min(3));
+        let cas_done = committed == 4
+            || (committed == 3
+                && pool
+                    .cas_recoveries()
+                    .iter()
+                    .any(|r| r.tag == 42 && r.outcome == pangolin::CasOutcome::Completed));
+        if cas_done {
+            want[CAS_AT as usize..CAS_AT as usize + 8].copy_from_slice(&CAS_NEW.to_le_bytes());
+        }
+        if pool.read_verified(oid)? != want {
+            return Err(PglError::Config(format!("torn segmented object (committed {committed})")));
+        }
+        Ok(())
+    });
+    let report = crashcheck::sweep(&workload);
+    assert_eq!(report.swept, report.boundaries, "every boundary crashed");
+}
+
 #[test]
 fn watermark_raise_precedes_every_write_into_fresh_chunks() {
     // Setup fills the rest of row 0, and row 1's first chunk, with
@@ -265,7 +345,11 @@ fn watermark_raise_precedes_every_write_into_fresh_chunks() {
     let filler = |pool: &PglPool, chunk: u64| {
         let l = pool.layout();
         let oid = PMEMoid::new(pool.uuid(), l.chunk_base(0, chunk) + 16);
-        (oid, vec![0x40 ^ chunk as u8; l.cfg.chunk_size - 16])
+        // The largest object whose header, user bytes and sum table fill
+        // exactly one chunk.
+        let room = l.cfg.chunk_size as u64 - 16;
+        let size = (1..=room).rev().find(|&s| pangolin::segment::footprint(s) <= room).unwrap();
+        (oid, vec![0x40 ^ chunk as u8; size as usize])
     };
     let workload = FnWorkload::new(
         "watermark-raise",

@@ -172,8 +172,9 @@ fn online_repair_repopulates_with_repaired_content() {
     assert_eq!((d.csum_passes, d.vcache_hits), (0, 1), "served from the repaired entry");
 }
 
-/// Conservative-policy `pgl_get`s ride the cache: first access verifies
-/// the whole object, subsequent accesses are range reads.
+/// Conservative-policy `pgl_get`s ride the cache: the first access to a
+/// segment verifies that segment (256 bytes and its sum, not the object),
+/// subsequent accesses are range reads.
 #[test]
 fn conservative_gets_verify_once_then_range_read() {
     let cfg = PglConfig::small().with_policy(CsumPolicy::Conservative);
@@ -186,6 +187,14 @@ fn conservative_gets_verify_once_then_range_read() {
     pool.read(oid, 0, &mut buf).unwrap();
     let d = dev.stats().delta_since(&s0);
     assert_eq!(d.csum_passes, 1, "first get verifies");
+    assert_eq!(d.bytes_read, 16 + 256, "the header and segment 0, whose sum it holds");
+    let s0 = dev.stats();
+    pool.read(oid, 300, &mut buf).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((d.csum_passes, d.bytes_read), (1, 16 + 256 + 4), "segment 1 and its entry");
+    for k in 2..16u64 {
+        pool.read(oid, k * 256, &mut buf).unwrap();
+    }
 
     let s1 = dev.stats();
     for i in 0..64u64 {

@@ -1,16 +1,15 @@
-//! Tests for partly resident micro-buffers: an object above the 64 KiB
-//! threshold is never loaded whole — a transaction shadows just the
-//! ranges it writes — yet keeps every guarantee: isolation, checksum
-//! correctness, parity consistency, and recovery. (Crash atomicity of the
-//! same shape is swept in `crash_atomicity.rs`.)
+//! Tests for partly resident micro-buffers: a large object is never
+//! loaded whole — a transaction loads and checks just the 256-byte
+//! segments its ranges cover — yet keeps every guarantee: isolation,
+//! checksum correctness, parity consistency, and recovery. (Crash
+//! atomicity of the same shape is swept in `crash_atomicity.rs`.)
 
 use std::sync::Arc;
 
-use pangolin::txn::SPARSE_THRESHOLD;
 use pangolin::{inject, PMEMoid, PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
 
-const BIG: u64 = SPARSE_THRESHOLD * 4; // 256 KiB: well into sparse territory
+const BIG: u64 = 256 << 10; // 256 KiB: 1 024 segments
 
 fn big_cfg() -> PglConfig {
     let mut cfg = PglConfig::small();
@@ -126,7 +125,11 @@ fn read_of_a_partly_resident_range_overlays_the_transactions_own_writes() {
         let mut got = [0u8; 600];
         tx.read(oid, 0, &mut got)?;
         let d = dev.stats().delta_since(&s0);
-        assert_eq!((d.read_ops, d.bytes_read), (1, 600), "one range-sized read, then the overlay");
+        // Segments 0 and 1 are resident; the missing [512, 600) is read
+        // with the rest of its segment and that segment's entry, checked,
+        // then overlaid.
+        assert_eq!((d.read_ops, d.bytes_read), (2, 256 + 4), "segment 2 and its sum");
+        assert_eq!(d.csum_passes, 1);
         let mut want: Vec<u8> = (0..600).map(pattern).collect();
         want[250..270].fill(9);
         assert_eq!(got[..], want[..], "read-your-writes inside a larger range");
@@ -151,7 +154,9 @@ fn ubuf_mut_makes_a_big_object_fully_resident_like_any_other() {
         tx.add_range(oid, 5000, 8)
     })
     .unwrap();
-    assert_eq!(pool.vuln().unverified - v0.unverified, BIG, "loaded unverified, every byte once");
+    let v = pool.vuln();
+    assert_eq!(v.unverified - v0.unverified, 0, "nothing loaded unverified");
+    assert_eq!(v.verified - v0.verified, BIG, "every segment checked once");
     let data = pool.read_verified(oid).unwrap();
     let mut want: Vec<u8> = (0..BIG as usize).map(pattern).collect();
     want[1000..1010].fill(7);
@@ -170,7 +175,9 @@ fn add_range_on_a_big_object_marks_it_and_a_never_stored_mark_commits_a_zero_dif
     let ((), stats) = pool.tx_with_stats(|tx| tx.add_range(oid, 1000, 64)).unwrap();
     let d = dev.stats().delta_since(&s0);
     assert_eq!((stats.modified_objects, stats.modified_bytes), (1, 64), "the range is marked");
-    assert_eq!(d.bytes_read, 16 + 64, "header + exactly the marked bytes");
+    // [1000, 1064) straddles segments 3 and 4: both are loaded and
+    // checked, with their two sums.
+    assert_eq!(d.bytes_read, 16 + 2 * 256 + 2 * 4, "header + the two covering segments");
     assert_eq!((d.atomic_xors, d.xor_bytes), (0, 0), "zero diff");
     assert_eq!(d.lines_flushed, 2, "generation words only");
     assert_eq!(
@@ -187,8 +194,8 @@ fn scribble_on_sparse_object_detected_and_repaired() {
     let pool = PglPool::create(dev, cfg).unwrap();
     let oid = make_big(&pool);
     inject::scribble_object(&pool, oid, 12345, 500, 0xEE).unwrap();
-    // Opens of big objects skip verification, but full verification
-    // (read_verified / scrub) still detects and repairs.
+    // A verified read (like a transaction's load, or the scrub) checks
+    // the segments it covers, detects the scribble and repairs it.
     let data = pool.read_verified(oid).unwrap();
     assert_eq!(data[12345], (12345 % 249) as u8);
     assert!(pool.verify_parity().unwrap());

@@ -204,14 +204,17 @@ fn btree_get_reads_a_head_and_one_slot_per_level() {
             assert_eq!(reads[0], (0, 64), "the head comes first");
             assert!(reads[1].1 <= 16, "then one child pointer or one value: {reads:?}");
         }
-        assert!(log.lines() <= 3 * levels + 1, "{} lines, {levels} levels", log.lines());
+        // A node block is 328 bytes (304 user bytes, a 4-byte sum-table
+        // entry, the header), not a multiple of the 64-byte line: the head
+        // spans at most two lines and the slot read at most two more.
+        assert!(log.lines() <= 4 * levels + 1, "{} lines, {levels} levels", log.lines());
         assert_eq!(d.read_ops as usize, 2 * levels + 1, "nothing else reads the device");
         assert!(d.bytes_read as usize <= 16 + 80 * levels);
     }
     assert_eq!(map.get(&rec, 2).unwrap(), None);
     let log = rec.take();
     log.assert_visit_once("miss");
-    assert!(log.lines() <= 3 * log.nodes().count() + 1);
+    assert!(log.lines() <= 4 * log.nodes().count() + 1);
 }
 
 #[test]

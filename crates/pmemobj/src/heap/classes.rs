@@ -10,8 +10,8 @@ use crate::layout::{RUN_HEADER_SIZE, RUN_MAX_BLOCKS};
 /// Block sizes (bytes) of the run classes, ascending. Each includes room
 /// for the 16-byte object header.
 pub const CLASS_SIZES: &[u32] = &[
-    64, 96, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024, 1280, 1536, 2048,
-    2560, 3072, 4160, 5120, 6144, 8192, 10240, 12288, 16384,
+    64, 96, 128, 160, 192, 224, 256, 320, 328, 384, 448, 512, 640, 768, 896, 1024, 1280, 1536,
+    2048, 2560, 3072, 4160, 4224, 5120, 6144, 8192, 10240, 12288, 16384,
 ];
 
 /// Number of blocks a run of `block_size` manages in a chunk of
@@ -64,6 +64,13 @@ mod tests {
         for (user, want) in [(56u64, 96u32), (80, 96), (304, 320), (408, 448), (4136, 4160)] {
             let ci = class_for(user + 16, chunk).unwrap();
             assert_eq!(CLASS_SIZES[ci], want, "user size {user}");
+        }
+        // The same nodes with a per-segment sum table behind their user
+        // bytes (one 4-byte entry per 256-byte segment past the first),
+        // and a 256-byte object with none.
+        for (stored, want) in [(304 + 4, 328u32), (4136 + 64, 4224), (256, 320)] {
+            let ci = class_for(stored + 16, chunk).unwrap();
+            assert_eq!(CLASS_SIZES[ci], want, "stored size {stored}");
         }
     }
 

@@ -789,16 +789,20 @@ mod tests {
 
     #[test]
     fn concurrent_claims_get_distinct_lanes() {
+        // Every claimer holds its lane until all eight hold one: the
+        // claims overlap by construction, not by a sleep that a loaded
+        // host can outlast.
         let (io, _, lanes) = setup(LogMirror::None);
         let io = &io;
         let lanes = &lanes;
+        let all_held = &std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(move || {
                         let h = lanes.claim(io);
                         let idx = h.index();
-                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        all_held.wait();
                         drop(h);
                         idx
                     })

@@ -18,7 +18,10 @@ use crate::ulog::{self, EntryKind};
 use crate::util::crc32;
 
 const POOL_MAGIC: u64 = 0x50_4D_45_4D_4F_42_4A_31; // "PMEMOBJ1"
-const POOL_VERSION: u32 = 1;
+/// The pool-format version this crate's [`PmemPool`] writes and opens.
+/// Layers with object formats of their own (Pangolin's per-segment sums)
+/// write and check theirs; [`read_header`] accepts any version.
+pub const POOL_VERSION: u32 = 1;
 
 /// The persistent pool header (one copy per header page).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +71,7 @@ impl PoolHeader {
     }
 
     fn verify(&self) -> bool {
-        self.magic == POOL_MAGIC && self.version == POOL_VERSION && self.csum == self.compute_csum()
+        self.magic == POOL_MAGIC && self.csum == self.compute_csum()
     }
 
     fn to_config(self, total_size: usize) -> PoolConfig {
@@ -190,6 +193,9 @@ impl PmemPool {
 
     fn open_io(io: PoolIo) -> Result<Self> {
         let hdr = read_header(&io)?;
+        if hdr.version != POOL_VERSION {
+            return Err(ObjError::BadPool(format!("pool format version {}", hdr.version)));
+        }
         let cfg = hdr.to_config(io.dev().len());
         let layout = Layout::new(cfg)?;
         recover(&io, &layout, LogMirror::None)?;
