@@ -72,9 +72,9 @@ pub struct PglConfig {
     /// Run the scrubber on a background thread (otherwise scrubs happen
     /// synchronously inside the triggering commit).
     pub background_scrub: bool,
-    /// Total entry capacity of the DRAM verified-generation cache, which
-    /// lets repeated verified reads skip the whole-object copy + checksum
-    /// pass (see `vcache` module docs). `0` disables the cache — every
+    /// Total entry capacity of the DRAM verification cache, which lets
+    /// repeated loads and verified reads of a segment skip its read and
+    /// checksum pass (see `vcache` module docs). `0` disables the cache — every
     /// verified read then re-verifies, the pre-cache behaviour. Modes
     /// without checksums never consult it. Each entry is ~24 bytes of
     /// DRAM; the default covers 64 Ki hot objects.

@@ -429,9 +429,9 @@ impl ParityEngine {
 
     /// Locks the range-locks covering each of the given disjoint 8-byte
     /// data words in one deadlock-free guard — the detectable-CAS fast
-    /// path holds a single *shared* guard over its target word and its
-    /// object's header word while it XOR-patches both parity columns,
-    /// instead of the whole-object span guard a commit write-back takes.
+    /// path holds a single *shared* guard over its target word and the
+    /// word holding its segment's sum while it XOR-patches both parity
+    /// columns, instead of the span guard a commit write-back takes.
     pub fn lock_words(&self, offs: &[u64], exclusive: bool) -> Result<RangeGuard<'_>> {
         let mut ids = Vec::with_capacity(offs.len());
         self.lock_spans_with(&mut ids, offs.iter().map(|&off| (off, 8)), exclusive)

@@ -1196,7 +1196,7 @@ impl PglPool {
 
     /// Detectable compare-and-swap on the 8-byte word at `off` inside
     /// `oid`'s user data (the `ploc` fast path, see [`crate::ploc`]):
-    /// patches the object's Adler32 and the word's parity column at word
+    /// patches the word's segment sum and the word's parity column at word
     /// granularity under a shared stripe guard — no whole-object span
     /// guard, no redo log, two fences. `tag` names the operation; after a
     /// crash, [`PglPool::cas_recoveries`] reports whether the tagged
@@ -1271,8 +1271,8 @@ impl PglPool {
     }
 
     /// Reads the whole object with checksum verification (and online
-    /// recovery), regardless of policy. A verified-generation cache hit
-    /// serves the object with one range-sized read and no checksum pass;
+    /// recovery), regardless of policy. A verification-cache hit on every
+    /// segment serves the object with one read and no checksum pass;
     /// hot callers that also want to skip the returned `Vec` should use
     /// [`PglPool::read_verified_into`].
     pub fn read_verified(&self, oid: PMEMoid) -> Result<Vec<u8>> {
