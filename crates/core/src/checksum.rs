@@ -130,9 +130,6 @@ fn row_sums(rows: &[u8]) -> (u64, u64) {
 
 /// Computes the Adler32 checksum of `data`.
 pub fn adler32(data: &[u8]) -> u32 {
-    if let Ok(seg) = <&[u8; SUB_BLOCK]>::try_from(data) {
-        return sub_block_adler32(seg);
-    }
     let mut a: u64 = 1;
     let mut b: u64 = 0;
     for chunk in data.chunks(BLOCK) {
@@ -141,26 +138,6 @@ pub fn adler32(data: &[u8]) -> u32 {
         a = (a + s) % MOD;
     }
     ((b as u32) << 16) | a as u32
-}
-
-/// [`adler32`] of exactly one sub-block — an object segment
-/// ([`crate::segment::SEG`]): one lane pass and a fold written as three
-/// independent reductions (`S = Σⱼ va[j]`, `W = Σⱼ (16−j)·va[j]`,
-/// `Q = Σⱼ vb[j]`), which vectorize, where the block fold's running
-/// prefix is one serial chain. From `A = 1`: `B = 256 + W + 16·Q` and
-/// `A = 1 + S`, all far below 2³².
-#[inline]
-fn sub_block_adler32(seg: &[u8; SUB_BLOCK]) -> u32 {
-    let (va, vb) = lane_sums(seg);
-    let (mut s, mut w, mut q) = (0u32, 0u32, 0u32);
-    for j in 0..LANES {
-        s += va[j] as u32;
-        w += (LANES - j) as u32 * va[j] as u32;
-        q += vb[j] as u32;
-    }
-    let a = (1 + s) % MOD as u32;
-    let b = (SUB_BLOCK as u32 + w + LANES as u32 * q) % MOD as u32;
-    (b << 16) | a
 }
 
 /// Incrementally updates an Adler32 checksum after replacing the bytes at
@@ -253,16 +230,6 @@ mod tests {
         let (s, t) = block_sums(&[0xFF; BLOCK]);
         assert_eq!(s, 255 * BLOCK as u64);
         assert_eq!(t, 255 * (BLOCK as u64 * (BLOCK as u64 + 1) / 2));
-    }
-
-    #[test]
-    fn one_segment_takes_the_short_path_and_agrees() {
-        for fill in [0u8, 1, 0x7F, 0xFF] {
-            let seg = [fill; SUB_BLOCK];
-            assert_eq!(adler32(&seg), ref_adler32(&seg), "fill {fill}");
-        }
-        let seg: Vec<u8> = (0..SUB_BLOCK as u32).map(|i| (i * 131 % 256) as u8).collect();
-        assert_eq!(adler32(&seg), ref_adler32(&seg));
     }
 
     #[test]

@@ -246,6 +246,30 @@ impl Inner {
         (geo.rows_base + geo.data_rows * geo.row_size).checked_sub(zoff)
     }
 
+    /// Reads the whole object whose header reads `hdr` — user bytes, pad
+    /// and sum table — and checks every segment, publishing nothing to the
+    /// verification cache: the whole-image check of the crash oracle's
+    /// audit and of [`PglPool::find_corrupt_objects`]. `heal` repairs
+    /// media errors on the way; without it they fail the check. Returns
+    /// the user bytes.
+    fn check_image(&self, oid: PMEMoid, hdr: &ObjectHeader, heal: bool) -> Result<Vec<u8>> {
+        let bad = PglError::ChecksumMismatch { off: oid.off };
+        if !self.plausible(oid.off, hdr.size) {
+            return Err(bad);
+        }
+        let mut image = vec![0u8; self.footprint(hdr.size) as usize];
+        if heal {
+            self.read_with_recovery(oid.off, &mut image)?;
+        } else {
+            self.io.read(oid.off, &mut image)?;
+        }
+        if self.mode.has_checksums() && segment::check_all(hdr, &image).is_err() {
+            return Err(bad);
+        }
+        image.truncate(hdr.size as usize);
+        Ok(image)
+    }
+
     /// Makes `[off, off+len)` of `b` resident under the one open rule
     /// ([`crate::segment`]): every byte loaded belongs to a segment that is
     /// checked here or that the verification cache vouches for. Bytes of
@@ -405,6 +429,12 @@ impl Inner {
     /// the table starts), checks them, publishes them and copies the range
     /// out. A failed check repairs the object from parity and retries once
     /// against the repaired header, which is returned.
+    ///
+    /// This is [`Inner::load_range`]'s read and check without a
+    /// micro-buffer: run through a recycled read frame instead, a
+    /// Conservative miss costs about 150 ns more (runs, canaries and the
+    /// sum list a read never uses), which is 7 % of `kv_read` throughput
+    /// on a 2-vCPU host.
     pub(crate) fn read_segments(
         &self,
         oid: PMEMoid,
@@ -1308,17 +1338,7 @@ impl PglPool {
         let inner = &*self.inner;
         let mut hb = [0u8; 16];
         inner.read_with_recovery(oid.header_off(), &mut hb)?;
-        let hdr: ObjectHeader = from_bytes(&hb);
-        if !inner.plausible(oid.off, hdr.size) {
-            return Err(PglError::ChecksumMismatch { off: oid.off });
-        }
-        let mut image = vec![0u8; inner.footprint(hdr.size) as usize];
-        inner.read_with_recovery(oid.off, &mut image)?;
-        if inner.mode.has_checksums() && segment::check_all(&hdr, &image).is_err() {
-            return Err(PglError::ChecksumMismatch { off: oid.off });
-        }
-        image.truncate(hdr.size as usize);
-        Ok(image)
+        inner.check_image(oid, &from_bytes(&hb), true)
     }
 
     /// [`PglPool::read_verified`] into a caller-supplied buffer: fills
@@ -1534,14 +1554,7 @@ impl PglPool {
     pub fn find_corrupt_objects(&self) -> Result<Vec<u64>> {
         let mut bad = Vec::new();
         for (oid, hdr) in self.live_objects()? {
-            if !self.inner.plausible(oid.off, hdr.size) {
-                bad.push(oid.off);
-                continue;
-            }
-            let mut image = vec![0u8; self.inner.footprint(hdr.size) as usize];
-            let ok = self.inner.io.read(oid.off, &mut image).is_ok()
-                && (!self.inner.mode.has_checksums() || segment::check_all(&hdr, &image).is_ok());
-            if !ok {
+            if self.inner.check_image(oid, &hdr, false).is_err() {
                 bad.push(oid.off);
             }
         }

@@ -454,10 +454,16 @@ impl<'p> PglTx<'p> {
         }
         if let Some((lo, len)) = b.missing(off, dst.len() as u64) {
             let part = &mut dst[(lo - off) as usize..(lo - off + len) as usize];
-            if b.state() == UBufState::Lazy {
-                self.inner.verified_read_range(oid, lo, part)?;
+            let size = b.user_size() as u64;
+            let entry = self.inner.vcache.probe(oid.off);
+            if entry.is_some_and(|e| e.size == size && e.covers_range(lo, len)) {
+                self.inner.read_cached_range(oid, lo, part)?;
             } else {
-                self.inner.read_segments(oid, b.loaded_header(), lo, part)?;
+                let hdr = match b.state() {
+                    UBufState::Lazy => self.inner.obj_header_checked(oid)?,
+                    _ => b.loaded_header(),
+                };
+                self.inner.read_segments(oid, hdr, lo, part)?;
             }
         }
         b.read(off, dst);

@@ -534,11 +534,14 @@ impl UBuf {
 
     /// Mutable view of the user data *without* range tracking; callers must
     /// mark ranges with [`UBuf::mark_modified`] (the `pgl_tx_add_range`
-    /// pattern), before or after modifying. Misuse is caught at commit:
-    /// unmarked changes simply do not persist, exactly like forgetting
-    /// `add_range` in `libpmemobj`. The whole view is about to be exposed,
-    /// so the first call saves whatever part of the loaded object was not
-    /// saved yet (an O(object) copy; [`UBuf::write`] saves only its range).
+    /// pattern), before or after modifying. An unmarked change is not
+    /// guaranteed to persist, exactly like forgetting `add_range` in
+    /// `libpmemobj`; one the commit writes back anyway (the rest of the
+    /// last segment rides behind a range into it) goes with its segment's
+    /// sum and parity, so it never fails a check. The whole view is about
+    /// to be exposed, so the first call saves whatever part of the loaded
+    /// object was not saved yet (an O(object) copy; [`UBuf::write`] saves
+    /// only its range).
     ///
     /// # Panics
     ///
@@ -720,6 +723,18 @@ impl UBuf {
                 && r.end() == size
                 && segment::table_off(size) == size
         }) {
+            // The rest of the last segment rides along to reach the
+            // entries behind it: its loaded bytes join the pre-image, and
+            // whatever the frame holds there joins the segment's sum, so
+            // the span writes back nothing its sum does not cover.
+            if let Some(old) = old.as_deref_mut().filter(|_| end < size) {
+                let at = old.len();
+                self.pre.assemble(&self.frame[r.start..r.at(r.end())], r.off, end, size - end, old);
+                if csums {
+                    let new = &self.frame[r.at(end)..r.at(size)];
+                    refresh_sums(&self.sums, &mut self.dirty, size, end, &old[at..], new);
+                }
+            }
             // The leading run of entries rides behind the last range.
             let mut k = n;
             while i > 0 && self.dirty[i - 1].0 == k - 1 && k > 1 {
@@ -734,7 +749,6 @@ impl UBuf {
             let span = self.spans.last_mut().expect("a range reaches the last segment");
             span.len += (size - end) as usize + self.dirty[i..].len() * ENTRY as usize;
             if let Some(old) = old.as_deref_mut() {
-                self.pre.assemble(&self.frame[r.start..r.at(r.end())], r.off, end, size - end, old);
                 // Both tables are sorted: walk the loaded sums down with
                 // the dirtied ones.
                 let mut j = self.sums.len();

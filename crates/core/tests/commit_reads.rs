@@ -471,6 +471,31 @@ fn raw_user_mut_then_add_range_commits_consistently() {
 }
 
 #[test]
+fn unmarked_change_behind_a_range_in_the_last_segment_keeps_its_sum() {
+    // A range in the last segment of a 4 136-byte object (17 segments)
+    // is written back through the segment's end, to reach the sum entry
+    // behind it. A change made through the raw view further on in that
+    // segment, and never marked, rides along: it must go with the
+    // segment's sum and parity, not leave a segment that fails its check.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 4136, 0x11);
+    let s0 = dev.stats();
+    pool.tx(|tx| {
+        let user = tx.ubuf_mut(oid)?.user_mut();
+        user[4130] = 0x33;
+        user[4100] = 0x22;
+        tx.add_range(oid, 4100, 1)
+    })
+    .unwrap();
+    assert_eq!(dev.stats().delta_since(&s0).commit_old_reads, 0);
+    let got = pool.read_verified(oid).unwrap();
+    assert_eq!((got[4100], got[4099], got[4101]), (0x22, 0x11, 0x11));
+    let repairs = &pool.counters().object_recoveries;
+    assert_eq!(repairs.load(std::sync::atomic::Ordering::Relaxed), 0, "no repair needed");
+    assert_sound(&pool);
+}
+
+#[test]
 fn repeated_writes_keep_the_first_loaded_bytes_as_pre_image() {
     // Overlapping and adjacent writes to one object, in one transaction
     // and across the bodies of one `tx_batch`: a range's pre-image is what
