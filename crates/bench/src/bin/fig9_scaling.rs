@@ -11,14 +11,13 @@
 //! Run: `cargo run --release -p pgl-bench --bin fig9_scaling`
 //! (`--threads 1,2,4,8 --ops N` to adjust; ops are per thread.)
 //!
-//! Objects are 4 KiB — page-sized, above the default 1 KiB hybrid
-//! threshold (`ablation_hybrid_parity` measures the crossover), so
-//! commits take exclusive range-locks with vectorized parity XOR;
-//! concurrency comes from the striped lock table (disjoint objects rarely
-//! share a stripe). The second table drives the same
-//! thread counts through the `ctree` key-value structure (one map per
-//! thread, shared pool) — node-sized objects below the threshold, so
-//! that table exercises the shared-lock atomic-XOR path too.
+//! Objects are 4 KiB (page-sized). Every commit patches parity with plain
+//! diff XOR under exclusive range-locks over its spans; concurrency comes
+//! from the striped lock table (disjoint objects rarely share a stripe;
+//! `ablation_parity_contention` prices two writers of one granule). The
+//! second table drives the same thread counts through the `ctree`
+//! key-value structure (one map per thread, shared pool) — node-sized
+//! objects, whose small patches take the same path.
 
 use std::sync::Arc;
 use std::time::Instant;

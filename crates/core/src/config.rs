@@ -1,8 +1,8 @@
 //! Pangolin operation modes and tuning knobs (paper Table 2 and §3.3).
 //!
-//! The hybrid parity update's crossover and range-lock size are design
-//! constants, not knobs: [`crate::parity::HYBRID_THRESHOLD`] (1 KiB) and
-//! [`crate::parity::LOCK_GRANULE`] (8 KiB).
+//! The parity range-lock size is a design constant, not a knob:
+//! [`crate::parity::LOCK_GRANULE`] (8 KiB). Every parity patch takes its
+//! range-locks exclusively, so there is no patch-size crossover to tune.
 
 use pgl_pmemobj::PoolConfig;
 

@@ -12,9 +12,9 @@
 //!   software scribbles that hardware ECC cannot see; a transaction loads
 //!   and checks the segments it touches, not the whole object.
 //! * **Zone parity** ([`parity`]): each zone's chunk rows are protected by
-//!   one XOR parity row (~1 % space), updated with a hybrid of lock-free
-//!   atomic XOR (small writes) and exclusively-locked vectorized XOR
-//!   (large writes).
+//!   one XOR parity row (~1 % space), patched with plain diff XOR under
+//!   the range-locks of the patched columns, whatever the write's size
+//!   (the paper's small-write atomic XOR is retired; see [`parity`]).
 //! * **Online detection and recovery** ([`recover`], [`scrub`]): media
 //!   errors (the `SIGBUS` analogue) and checksum mismatches freeze the
 //!   pool, reconstruct the lost page from its page column, and resume —

@@ -1,7 +1,7 @@
 //! Builder-style pool construction ([`PglPool::options`]): one builder
-//! for both creating and opening a pool. The hybrid parity crossover and
-//! the range-lock size are not options but constants
-//! ([`crate::parity::HYBRID_THRESHOLD`], [`crate::parity::LOCK_GRANULE`]).
+//! for both creating and opening a pool. The parity range-lock size is not
+//! an option but a constant ([`crate::parity::LOCK_GRANULE`]), and there
+//! is one parity patch path, so no patch-size crossover to set.
 //!
 //! ```
 //! use std::sync::Arc;

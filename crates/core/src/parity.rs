@@ -1,20 +1,28 @@
-//! Zone parity: RAID-style XOR protection with hybrid update strategies.
+//! Zone parity: RAID-style XOR protection under striped range-locks.
 //!
 //! Each zone's chunk rows form a 2-D array whose last row is the XOR of all
 //! data rows (paper Figure 2). Updating object data therefore requires an
 //! incremental parity update: `P' = P ⊕ (old ⊕ new)`. Because XOR commutes,
 //! transactions updating *overlapping* parity (same column, different rows)
-//! need no ordering — they only need atomicity per word:
+//! need no ordering — only that no two patches of one parity word
+//! interleave.
 //!
-//! * **small patches** (< [`HYBRID_THRESHOLD`], 1 KiB) take a *shared*
-//!   parity range-lock and apply the patch with lock-free atomic XOR
-//!   instructions;
-//! * **large patches** take the range-locks *exclusively* and use plain
-//!   vectorized XOR, which is faster per byte (paper §3.5's hybrid scheme;
-//!   the paper measured the crossover at 8 KiB).
+//! Every patch, whatever its size, takes the range-locks covering its
+//! columns *exclusively* and applies `old ⊕ new` with plain stores
+//! ([`pgl_nvm::NvmDevice::xor_diff_range`]): whole parity lines are
+//! diffed and XORed a line at a time, partial lines a device word at a
+//! time, and all-zero words are skipped. This is a deliberate deviation
+//! from the paper's §3.5 hybrid, which patches below 8 KiB with
+//! lock-prefixed word XOR under a *shared* range-lock so that writers of
+//! one granule overlap. The plain patch costs less modelled device time
+//! at every size (the atomic one also paid a read-modify-write per
+//! dirtied line) and no more host time per transaction; what it gives up
+//! is overlap between two writers of the same 8 KiB granule, which now
+//! take turns, each paying its flush and fence inside the guard (the
+//! `ablation_parity_contention` bin prices it).
 //!
 //! A range-lock covers [`LOCK_GRANULE`] (8 KiB) of a zone's parity
-//! columns. Both are design constants, as the paper's crossover is.
+//! columns, a design constant.
 //!
 //! Chunks holding overflowed transaction logs ([`ChunkType::Log`]) are
 //! treated as zeros in all parity math, preventing parity contention
@@ -55,9 +63,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard};
 
-use pgl_nvm::{NvmDevice, PAGE_SIZE};
+use pgl_nvm::PAGE_SIZE;
 use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
 use pgl_pmemobj::{zonehdr, Layout, PoolIo};
 
@@ -140,23 +148,9 @@ pub fn segments(layout: &Layout, off: u64, len: u64) -> Result<Vec<Segment>> {
     SegIter::new(layout, off, len).collect()
 }
 
-/// Parity patches of at least this many bytes take their range-locks
-/// exclusively and XOR vectorized; smaller ones XOR word-atomically under a
-/// shared lock. The paper measured 8 KiB as the crossover on its Optane
-/// hardware; on this simulated device the `ablation_hybrid_parity` bin puts
-/// vectorized XOR ahead at every size, so only sub-KiB patches — where
-/// commuting concurrent writers matter most — stay on the atomic path.
-pub const HYBRID_THRESHOLD: u64 = 1 << 10;
-
 /// Bytes of parity columns one range-lock covers (the paper's 1 % / 16 GiB
 /// zone configuration yields ~8 KiB granules, "20 K range-locks").
 pub const LOCK_GRANULE: u64 = 8 << 10;
-
-/// `true` when a write-back of `len` bytes should take its range-locks
-/// exclusively (vectorized XOR) rather than shared (atomic XOR).
-pub fn prefers_exclusive(len: u64) -> bool {
-    len >= HYBRID_THRESHOLD
-}
 
 /// Upper bound on the striped lock table size. At paper scale a zone has
 /// ~20 K granules; a dedicated lock per granule would waste memory, so
@@ -172,45 +166,63 @@ const MAX_STRIPES: u64 = 4096;
 /// Acquired through [`ParityEngine::lock_span`] /
 /// [`ParityEngine::lock_columns`]. Stripes are always acquired in ascending
 /// table order (deduplicated), so any number of concurrent lockers —
-/// committing transactions, the scrubber, recovery — are deadlock-free.
-///
-/// *Shared* guards allow concurrent writers whose patches commute through
-/// atomic XOR; the *exclusive* mode is taken by large vectorized patches,
-/// parity recomputation and the scrubber (which needs a moment of
-/// object-consistent quiet). See the crate's lock-order contract: micro-
+/// committing transactions, the detectable CAS, the scrubber, recovery —
+/// are deadlock-free. Every guard is exclusive: it is what makes the
+/// plain-store parity patch safe, and what gives the scrubber a moment of
+/// object-consistent quiet. See the crate's lock-order contract: micro-
 /// buffer state → lane → parity range; a guard is always the innermost
 /// lock.
 pub struct RangeGuard<'a> {
-    /// Held exclusively — or over no stripes at all, which excludes
-    /// nobody and counts as exclusive too.
-    exclusive: bool,
     /// The first [`INLINE_STRIPES`] held stripes — a commit's span guard
-    /// rarely needs more, so acquiring it allocates nothing.
-    inline: [Option<StripeGuard<'a>>; INLINE_STRIPES],
+    /// rarely needs more, so acquiring it allocates nothing. Only held,
+    /// never read: dropping one releases its stripe.
+    inline: [Option<MutexGuard<'a, ()>>; INLINE_STRIPES],
     /// Held stripes beyond the inline ones.
-    spill: Vec<StripeGuard<'a>>,
+    spill: Vec<MutexGuard<'a, ()>>,
 }
 
-/// Stripes a [`RangeGuard`] holds without heap storage.
+/// Stripes a [`RangeGuard`] holds, and a guard collects the ids of,
+/// without heap storage.
 const INLINE_STRIPES: usize = 4;
 
-/// One held stripe lock. Only held, never read: dropping it releases the
-/// stripe.
-enum StripeGuard<'a> {
-    Shared { _held: RwLockReadGuard<'a, ()> },
-    Exclusive { _held: RwLockWriteGuard<'a, ()> },
+/// The stripe ids one guard is about to take, kept sorted and
+/// deduplicated as they are collected: inline up to [`INLINE_STRIPES`]
+/// distinct ids, on the heap past that.
+struct StripeIds {
+    inline: [usize; INLINE_STRIPES],
+    n: usize,
+    spill: Vec<usize>,
 }
 
-impl RangeGuard<'_> {
-    /// `true` when the span is held exclusively (vectorized XOR and plain
-    /// stores are safe; shared guards must stick to atomic word XOR).
-    pub fn is_exclusive(&self) -> bool {
-        self.exclusive
+impl StripeIds {
+    fn new() -> StripeIds {
+        StripeIds { inline: [0; INLINE_STRIPES], n: 0, spill: Vec::new() }
     }
 
-    /// Number of lock stripes this guard holds.
-    pub fn stripes_held(&self) -> usize {
-        self.inline.iter().flatten().count() + self.spill.len()
+    fn insert(&mut self, id: usize) {
+        if self.spill.is_empty() {
+            match self.inline[..self.n].binary_search(&id) {
+                Ok(_) => return,
+                Err(at) if self.n < INLINE_STRIPES => {
+                    self.inline.copy_within(at..self.n, at + 1);
+                    self.inline[at] = id;
+                    self.n += 1;
+                    return;
+                }
+                Err(_) => self.spill.extend_from_slice(&self.inline),
+            }
+        }
+        if let Err(at) = self.spill.binary_search(&id) {
+            self.spill.insert(at, id);
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        if self.spill.is_empty() {
+            &self.inline[..self.n]
+        } else {
+            &self.spill
+        }
     }
 }
 
@@ -221,7 +233,7 @@ pub struct ParityEngine {
     granules_per_zone: u64,
     /// Striped lock table shared by all zones; granule `(zone, g)` maps to
     /// stripe `(zone * granules_per_zone + g) & stripe_mask`.
-    stripes: Box<[RwLock<()>]>,
+    stripes: Box<[Mutex<()>]>,
     stripe_mask: u64,
     /// Reserved-chunk watermark per zone (module docs); only the zones
     /// this engine owns are ever loaded or raised.
@@ -243,7 +255,7 @@ impl ParityEngine {
         let granules_per_zone = layout.zone.row_size.div_ceil(LOCK_GRANULE);
         let total = (layout.n_zones * granules_per_zone).max(1);
         let n_stripes = total.next_power_of_two().min(MAX_STRIPES);
-        let stripes = (0..n_stripes).map(|_| RwLock::new(())).collect();
+        let stripes = (0..n_stripes).map(|_| Mutex::new(())).collect();
         ParityEngine {
             layout,
             granules_per_zone,
@@ -344,44 +356,30 @@ impl ParityEngine {
         w.saturating_sub(chunk_col).div_ceil(geo.chunks_per_row).min(geo.data_rows)
     }
 
-    /// Size of the striped lock table (the §4.4 discussion reports "20 K
-    /// range-locks per zone" at paper scale; striping caps the memory).
-    pub fn n_stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
     #[inline]
     fn stripe_of(&self, zone: u64, g: u64) -> usize {
         ((zone * self.granules_per_zone + g) & self.stripe_mask) as usize
     }
 
-    /// Collects the stripe ids covering columns `[col, col+len)` of `zone`
-    /// into `ids` (unsorted, may contain duplicates).
-    fn push_stripes(&self, zone: u64, col: u64, len: u64, ids: &mut Vec<usize>) {
+    /// Adds the stripe ids covering columns `[col, col+len)` of `zone` to
+    /// `ids`.
+    fn push_stripes(&self, zone: u64, col: u64, len: u64, ids: &mut StripeIds) {
         let g0 = col / LOCK_GRANULE;
         let g1 = (col + len.max(1) - 1) / LOCK_GRANULE;
         for g in g0..=g1 {
-            ids.push(self.stripe_of(zone, g));
+            ids.insert(self.stripe_of(zone, g));
         }
     }
 
-    /// Acquires the given stripes in ascending deduplicated order. The id
-    /// buffer is caller scratch (sorted/deduplicated in place), so hot
-    /// paths reuse one grown `Vec` across commits instead of allocating.
-    fn acquire(&self, ids: &mut Vec<usize>, exclusive: bool) -> RangeGuard<'_> {
-        ids.sort_unstable();
-        ids.dedup();
+    /// Acquires the given stripes, in their ascending order.
+    fn acquire(&self, ids: &StripeIds) -> RangeGuard<'_> {
+        let ids = ids.as_slice();
         let mut guard = RangeGuard {
-            exclusive: exclusive || ids.is_empty(),
             inline: [const { None }; INLINE_STRIPES],
             spill: Vec::with_capacity(ids.len().saturating_sub(INLINE_STRIPES)),
         };
         for (i, &id) in ids.iter().enumerate() {
-            let held = if exclusive {
-                StripeGuard::Exclusive { _held: self.stripes[id].write() }
-            } else {
-                StripeGuard::Shared { _held: self.stripes[id].read() }
-            };
+            let held = self.stripes[id].lock();
             match guard.inline.get_mut(i) {
                 Some(slot) => *slot = Some(held),
                 None => guard.spill.push(held),
@@ -391,86 +389,51 @@ impl ParityEngine {
     }
 
     /// Locks the range-locks covering columns `[col, col+len)` of `zone`.
-    pub fn lock_columns(&self, zone: u64, col: u64, len: u64, exclusive: bool) -> RangeGuard<'_> {
-        let mut ids = Vec::new();
+    pub fn lock_columns(&self, zone: u64, col: u64, len: u64) -> RangeGuard<'_> {
+        let mut ids = StripeIds::new();
         self.push_stripes(zone, col, len, &mut ids);
-        self.acquire(&mut ids, exclusive)
+        self.acquire(&ids)
     }
 
     /// Locks the range-locks covering the *data span* `[off, off+len)`:
     /// every (zone, column) range any of its row segments map to. This is
     /// what a committing transaction holds around an object's write-back
     /// and what the scrubber holds while verifying an object.
-    pub fn lock_span(&self, off: u64, len: u64, exclusive: bool) -> Result<RangeGuard<'_>> {
-        let mut ids = Vec::new();
-        self.lock_spans_with(&mut ids, std::iter::once((off, len)), exclusive)
+    pub fn lock_span(&self, off: u64, len: u64) -> Result<RangeGuard<'_>> {
+        self.lock_spans(std::iter::once((off, len)))
     }
 
     /// Like [`ParityEngine::lock_span`], over several data spans in one
-    /// deadlock-free guard, collecting stripe ids into caller-provided
-    /// scratch (cleared first) — the commit path threads its
-    /// `CommitScratch` stripe-id buffer through here so steady-state span
-    /// locking allocates nothing for the id set.
-    pub fn lock_spans_with(
-        &self,
-        ids: &mut Vec<usize>,
-        spans: impl Iterator<Item = (u64, u64)>,
-        exclusive: bool,
-    ) -> Result<RangeGuard<'_>> {
-        ids.clear();
+    /// deadlock-free guard. A guard over at most four stripes allocates
+    /// nothing.
+    pub fn lock_spans(&self, spans: impl Iterator<Item = (u64, u64)>) -> Result<RangeGuard<'_>> {
+        let mut ids = StripeIds::new();
         for (off, len) in spans {
             for seg in SegIter::new(&self.layout, off, len) {
                 let seg = seg?;
-                self.push_stripes(seg.zone, seg.col, seg.len, ids);
+                self.push_stripes(seg.zone, seg.col, seg.len, &mut ids);
             }
         }
-        Ok(self.acquire(ids, exclusive))
+        Ok(self.acquire(&ids))
     }
 
     /// Locks the range-locks covering each of the given disjoint 8-byte
-    /// data words in one deadlock-free guard — the detectable-CAS fast
-    /// path holds a single *shared* guard over its target word and the
-    /// word holding its segment's sum while it XOR-patches both parity
-    /// columns, instead of the span guard a commit write-back takes.
-    pub fn lock_words(&self, offs: &[u64], exclusive: bool) -> Result<RangeGuard<'_>> {
-        let mut ids = Vec::with_capacity(offs.len());
-        self.lock_spans_with(&mut ids, offs.iter().map(|&off| (off, 8)), exclusive)
+    /// data words in one deadlock-free guard — the detectable CAS holds
+    /// one over its target word and the word holding its segment's sum
+    /// while it patches both parity columns, instead of the span guard a
+    /// commit write-back takes.
+    pub fn lock_words(&self, offs: &[u64]) -> Result<RangeGuard<'_>> {
+        self.lock_spans(offs.iter().map(|&off| (off, 8)))
     }
 
     /// Applies the parity effect of overwriting `[off, off+len)` with `new`
     /// where the current NVMM content is `old`: for each row segment,
-    /// patches the parity row with `old ⊕ new`. Acquires its own
-    /// range-locks per patch (per-patch hybrid strategy choice). Segments
-    /// whose old and new bytes are identical are skipped before any lock
-    /// is taken or patch is built — no allocation happens either way.
-    pub fn update(&self, io: &PoolIo, off: u64, old: &[u8], new: &[u8]) -> Result<()> {
-        debug_assert_eq!(old.len(), new.len());
-        for seg in SegIter::new(&self.layout, off, new.len() as u64) {
-            let seg = seg?;
-            let base = (seg.off - off) as usize;
-            let o = &old[base..base + seg.len as usize];
-            let n = &new[base..base + seg.len as usize];
-            if o == n {
-                continue;
-            }
-            let exclusive = prefers_exclusive(seg.len);
-            let guard = self.lock_columns(seg.zone, seg.col, seg.len, exclusive);
-            let parity_off = self.layout.parity_off(seg.zone, seg.col);
-            Self::xor_diff(io, parity_off, o, n, exclusive, true)?;
-            drop(guard);
-        }
-        Ok(())
-    }
-
-    /// Like [`ParityEngine::update`], but under a [`RangeGuard`] the caller
-    /// already holds over the span (committing transactions hold one guard
-    /// across a whole object's write-back). The XOR strategy follows the
-    /// guard mode: shared guards use lock-free atomic word XOR (concurrent
-    /// small patches to the same columns commute), exclusive guards use the
-    /// faster vectorized XOR. Both strategies fuse diff, zero-skip and XOR
-    /// into one allocation-free pass: all-zero diff words never reach the
-    /// device, and a range whose diff is entirely zero skips the trailing
-    /// flush+fence too.
+    /// patches the parity row with `old ⊕ new`, under a [`RangeGuard`] the
+    /// caller already holds over the span (committing transactions hold
+    /// one guard across a whole object's write-back). Diff, zero-skip and
+    /// XOR are one allocation-free pass: all-zero diff words never reach
+    /// the device, and a range whose diff is entirely zero skips the
+    /// trailing flush+fence too.
     pub fn update_under(
         &self,
         guard: &RangeGuard<'_>,
@@ -503,7 +466,7 @@ impl ParityEngine {
 
     fn update_under_inner(
         &self,
-        guard: &RangeGuard<'_>,
+        _guard: &RangeGuard<'_>,
         io: &PoolIo,
         off: u64,
         old: &[u8],
@@ -518,35 +481,20 @@ impl ParityEngine {
             let o = &old[base..base + seg.len as usize];
             let n = &new[base..base + seg.len as usize];
             let parity_off = self.layout.parity_off(seg.zone, seg.col);
-            flushed |= Self::xor_diff(io, parity_off, o, n, guard.is_exclusive(), fence)?;
+            flushed |= Self::xor_diff(io, parity_off, o, n, fence)?;
         }
         Ok(flushed)
     }
 
     /// `old ⊕ new` parity patch of one row segment, primary + replica:
-    /// the device's fused diff / zero-skip / XOR pass — vectorized when the
-    /// caller holds the covering range-locks exclusively, word-atomic (safe
-    /// under a *shared* guard) otherwise. The device flushes exactly the
-    /// lines it dirtied; this adds the fence, when asked and when anything
-    /// was XORed at all. Returns `true` if parity lines were flushed.
-    fn xor_diff(
-        io: &PoolIo,
-        parity_off: u64,
-        old: &[u8],
-        new: &[u8],
-        exclusive: bool,
-        fence: bool,
-    ) -> Result<bool> {
-        let patch = |dev: &NvmDevice| {
-            if exclusive {
-                dev.xor_diff_range(parity_off, old, new)
-            } else {
-                dev.atomic_xor_diff_span(parity_off, old, new)
-            }
-        };
-        let touched = patch(io.dev())?;
+    /// the device's fused diff / zero-skip / XOR pass. The device flushes
+    /// exactly the lines it dirtied; this adds the fence, when asked and
+    /// when anything was XORed at all. Returns `true` if parity lines were
+    /// flushed.
+    fn xor_diff(io: &PoolIo, parity_off: u64, old: &[u8], new: &[u8], fence: bool) -> Result<bool> {
+        let touched = io.dev().xor_diff_range(parity_off, old, new)?;
         if let Some(rep) = io.replica() {
-            patch(rep)?;
+            rep.xor_diff_range(parity_off, old, new)?;
         }
         if touched && fence {
             io.drain();
@@ -562,12 +510,12 @@ impl ParityEngine {
     /// column exactly when the entry still reads `Log` — parity-first
     /// keeps it reading `Log` throughout the vulnerable window. (The
     /// `Free→Log` direction needs the normal data-first order for the
-    /// same reason.) The shared range guard spans both halves, so a
-    /// concurrent scrubber or `verify_all` never observes them split.
+    /// same reason.) The range guard spans both halves, so a concurrent
+    /// scrubber or `verify_all` never observes them split.
     pub fn flip_cm_parity_first(&self, io: &PoolIo, cm_off: u64, new_cm: &[u8]) -> Result<()> {
         let mut cur = [0u8; 16];
         io.read(cm_off, &mut cur).map_err(PglError::from)?;
-        let guard = self.lock_span(cm_off, 16, false)?;
+        let guard = self.lock_span(cm_off, 16)?;
         self.update_under(&guard, io, cm_off, &cur, new_cm)?;
         io.write_nt(cm_off, new_cm).map_err(PglError::from)?;
         io.drain();
@@ -584,7 +532,7 @@ impl ParityEngine {
             let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
             self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
             let parity_off = self.layout.parity_off(zone, col);
-            let _guard = self.lock_columns(zone, col, len, true);
+            let _guard = self.lock_columns(zone, col, len);
             io.write(parity_off, acc)?;
             io.persist(parity_off, acc.len())?;
             Ok(())
@@ -690,7 +638,7 @@ impl ParityEngine {
     /// pattern instead of just the first hit. An empty vector means the
     /// invariant holds pool-wide.
     ///
-    /// Each window is checked under an exclusive range-lock, so the sweep
+    /// Each window is checked under its range-locks, so the sweep
     /// may run concurrently with committing transactions (which hold the
     /// same locks across their write-backs).
     pub fn verify_all(&self, io: &PoolIo) -> Result<Vec<(u64, u64)>> {
@@ -717,7 +665,7 @@ impl ParityEngine {
             while col < self.layout.zone.row_size {
                 let len = STEP.min(self.layout.zone.row_size - col);
                 let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
-                let guard = self.lock_columns(zone, col, len, true);
+                let guard = self.lock_columns(zone, col, len);
                 self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
                 let parity = io.dev().read_slice(self.layout.parity_off(zone, col), acc.len())?;
                 if acc != parity || self.stray_above_watermark(io, zone, col, len)? {
@@ -871,41 +819,29 @@ impl ParityDomains {
     }
 
     /// Routes [`ParityEngine::lock_span`] to the owning shard.
-    pub fn lock_span(&self, off: u64, len: u64, exclusive: bool) -> Result<RangeGuard<'_>> {
-        self.engine_for(off).lock_span(off, len, exclusive)
+    pub fn lock_span(&self, off: u64, len: u64) -> Result<RangeGuard<'_>> {
+        self.engine_for(off).lock_span(off, len)
     }
 
-    /// Routes [`ParityEngine::lock_spans_with`] to the shard owning the
-    /// first span (an object's spans share its zone).
-    pub fn lock_spans_with(
+    /// Routes [`ParityEngine::lock_spans`] to the shard owning the first
+    /// span (an object's spans share its zone).
+    pub fn lock_spans(
         &self,
-        ids: &mut Vec<usize>,
         mut spans: impl Iterator<Item = (u64, u64)> + Clone,
-        exclusive: bool,
     ) -> Result<RangeGuard<'_>> {
         let first = spans.clone().next().map_or(0, |s| s.0);
-        self.engine_for(first).lock_spans_with(ids, &mut spans, exclusive)
+        self.engine_for(first).lock_spans(&mut spans)
     }
 
     /// Routes [`ParityEngine::lock_words`] to the owning shard. All words
     /// must live in one shard (the detectable-CAS path locks a target word
     /// and its object header, which share a zone).
-    pub fn lock_words(&self, offs: &[u64], exclusive: bool) -> Result<RangeGuard<'_>> {
+    pub fn lock_words(&self, offs: &[u64]) -> Result<RangeGuard<'_>> {
         debug_assert!(
             offs.iter().all(|&o| self.map.shard_of_off(o) == self.map.shard_of_off(offs[0])),
             "word set crosses parity shards"
         );
-        self.engine_for(offs[0]).lock_words(offs, exclusive)
-    }
-
-    /// Routes [`ParityEngine::lock_columns`] to the zone's shard.
-    pub fn lock_columns(&self, zone: u64, col: u64, len: u64, exclusive: bool) -> RangeGuard<'_> {
-        self.engine_for_zone(zone).lock_columns(zone, col, len, exclusive)
-    }
-
-    /// Routes [`ParityEngine::update`] to the owning shard.
-    pub fn update(&self, io: &PoolIo, off: u64, old: &[u8], new: &[u8]) -> Result<()> {
-        self.engine_for(off).update(io, off, old, new)
+        self.engine_for(offs[0]).lock_words(offs)
     }
 
     /// Routes [`ParityEngine::update_under`] to the owning shard.
@@ -1003,7 +939,7 @@ impl ParityDomains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgl_nvm::{align_down, DeviceConfig};
+    use pgl_nvm::{align_down, DeviceConfig, NvmDevice};
     use pgl_pmemobj::PoolConfig;
     use std::sync::Arc;
 
@@ -1016,13 +952,15 @@ mod tests {
         (io, layout, engine)
     }
 
-    /// Writes through the data+parity protocol: read old, write new, patch.
+    /// Writes through the data+parity protocol under the span's guard:
+    /// read old, write new, patch.
     fn protected_write(io: &PoolIo, eng: &ParityEngine, off: u64, new: &[u8]) {
+        let guard = eng.lock_span(off, new.len() as u64).unwrap();
         let mut old = vec![0u8; new.len()];
         io.read(off, &mut old).unwrap();
         io.write(off, new).unwrap();
         io.persist(off, new.len()).unwrap();
-        eng.update(io, off, &old, new).unwrap();
+        eng.update_under(&guard, io, off, &old, new).unwrap();
     }
 
     fn rebuilt_page(io: &PoolIo, eng: &ParityEngine, page_off: u64) -> Result<Vec<u8>> {
@@ -1050,9 +988,9 @@ mod tests {
     fn small_and_large_patches_keep_invariant() {
         let (io, layout, eng) = setup();
         let base = layout.chunk_base(0, layout.zone.cm_chunks);
-        // Small (atomic path), unaligned.
+        // Small and unaligned: partial lines only.
         protected_write(&io, &eng, base + 3, &[0xAB; 100]);
-        // Large (vectorized path).
+        // Large, across a lock granule.
         protected_write(&io, &eng, base + 4096, &vec![0xCD; 10 << 10]);
         // Overwrite part of the first write again.
         protected_write(&io, &eng, base + 3, &[0x11; 50]);
@@ -1298,13 +1236,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_atomic_patches_commute() {
+    fn concurrent_same_column_patches_keep_parity() {
         let (io, layout, eng) = setup();
         let io = Arc::new(io);
         let eng = Arc::new(eng);
         let base = layout.chunk_base(0, layout.zone.cm_chunks);
         let row = layout.zone.row_size;
-        // 4 threads patch the SAME columns from different rows concurrently.
+        // 4 threads patch the SAME columns from different rows
+        // concurrently; their guards take turns on the shared stripe.
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let io = io.clone();
@@ -1313,16 +1252,26 @@ mod tests {
                     let off = base + t * row;
                     for i in 0..50u64 {
                         let val = [(t as u8 + 1) * 17; 64];
-                        let mut old = [0u8; 64];
-                        io.read(off + i * 64, &mut old).unwrap();
-                        io.write(off + i * 64, &val).unwrap();
-                        io.persist(off + i * 64, 64).unwrap();
-                        eng.update(&io, off + i * 64, &old, &val).unwrap();
+                        protected_write(&io, &eng, off + i * 64, &val);
                     }
                 });
             }
         });
         assert_eq!(eng.verify_all(&io).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn stripe_ids_stay_sorted_and_deduplicated_past_the_inline_slots() {
+        let mut ids = StripeIds::new();
+        for id in [7, 3, 7, 9, 3, 1] {
+            ids.insert(id);
+        }
+        assert_eq!(ids.as_slice(), [1, 3, 7, 9]);
+        assert!(ids.spill.is_empty(), "four distinct ids stay inline");
+        for id in [5, 9, 0, 5] {
+            ids.insert(id);
+        }
+        assert_eq!(ids.as_slice(), [0, 1, 3, 5, 7, 9]);
     }
 
     #[test]

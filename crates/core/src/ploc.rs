@@ -39,7 +39,7 @@
 //! 1. **Prepare.** Write the descriptor (`PREPARED`, tag, addresses,
 //!    values) to every lane-header copy, flush, fence. From here on a
 //!    crash *replays* the operation instead of losing it.
-//! 2. **Publish + patch.** Under a *shared* stripe guard covering just the
+//! 2. **Publish + patch.** Under a stripe guard covering just the
 //!    target word's and its *sum word's* parity columns: clear the word's
 //!    segment in the verification cache, CAS the word, XOR
 //!    `expected ⊕ new` into its parity column, fold the same delta into
@@ -578,7 +578,7 @@ impl Inner {
             let csum = segment::fill_table(&head[OBJ_HEADER_SIZE as usize..][..init.len()], table);
             s.tmp[12..16].copy_from_slice(&csum.to_le_bytes());
         }
-        let res = self.construct_write(r.start_off, &s.tmp, &mut s.old, &mut s.stripe_ids);
+        let res = self.construct_write(r.start_off, &s.tmp, &mut s.old);
         s.recycle();
         res
     }
@@ -591,12 +591,12 @@ impl Inner {
         let (sw_off, _) = self.sum_word(oid.off, size, off);
 
         self.settle_link(expected)?;
-        // Shared stripe guard over exactly the two words' parity columns:
-        // excludes the scrubber's and commit write-backs' exclusive guards
-        // while letting concurrent word CASes (whose atomic XOR patches
-        // commute) through.
+        // Stripe guard over exactly the two words' parity columns: the
+        // scrubber, commit write-backs and other CASes whose columns share
+        // a granule take turns with this one, so its parity patches are
+        // plain stores.
         let guard = match &self.parity {
-            Some(engine) => Some(engine.lock_words(&[word_off, sw_off], false)?),
+            Some(engine) => Some(engine.lock_words(&[word_off, sw_off])?),
             None => None,
         };
 

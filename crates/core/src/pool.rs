@@ -508,7 +508,7 @@ impl Inner {
     /// when the transaction commit path already holds an object-wide
     /// guard.
     pub(crate) fn protected_write(&self, off: u64, new: &[u8]) -> Result<()> {
-        let guard = self.lock_span(off, new.len() as u64, self.span_exclusive(new.len() as u64))?;
+        let guard = self.lock_span(off, new.len() as u64)?;
         self.protected_write_locked(&guard, off, new)
     }
 
@@ -516,46 +516,31 @@ impl Inner {
     /// `[off, off+len)`, or a no-op guard in modes without parity. A
     /// committing transaction holds one guard across an object's entire
     /// write-back (all modified ranges plus the header), which is what lets
-    /// the scrubber — taking the same locks exclusively — observe every
-    /// object in a data/checksum/parity-consistent state without freezing
-    /// the pool.
-    pub(crate) fn lock_span(&self, off: u64, len: u64, exclusive: bool) -> Result<SpanGuard<'_>> {
-        match &self.parity {
-            Some(engine) => Ok(SpanGuard::Parity(engine.lock_span(off, len, exclusive)?)),
-            None => Ok(SpanGuard::Unlocked),
-        }
+    /// the scrubber — taking the same locks — observe every object in a
+    /// data/checksum/parity-consistent state without freezing the pool.
+    pub(crate) fn lock_span(&self, off: u64, len: u64) -> Result<SpanGuard<'_>> {
+        self.lock_spans(std::iter::once((off, len)))
     }
 
-    /// Like [`Inner::lock_span`], over several data spans at once and
-    /// collecting stripe ids into caller scratch (the committing
-    /// transaction threads its [`crate::scratch::CommitScratch`] buffer
-    /// through, so steady-state span locking allocates nothing for the id
-    /// set): a commit takes one guard over its object's dirty spans, not
-    /// over the whole object.
-    pub(crate) fn lock_spans_scratch(
+    /// Like [`Inner::lock_span`], over several data spans at once: a
+    /// commit takes one guard over its object's dirty spans, not over the
+    /// whole object.
+    pub(crate) fn lock_spans(
         &self,
-        ids: &mut Vec<usize>,
         spans: impl Iterator<Item = (u64, u64)> + Clone,
-        exclusive: bool,
     ) -> Result<SpanGuard<'_>> {
         match &self.parity {
-            Some(engine) => Ok(SpanGuard::Parity(engine.lock_spans_with(ids, spans, exclusive)?)),
+            Some(engine) => Ok(SpanGuard::Parity(engine.lock_spans(spans)?)),
             None => Ok(SpanGuard::Unlocked),
         }
-    }
-
-    /// `true` when a write-back of `len` bytes should take its span guard
-    /// exclusively (large vectorized parity XOR).
-    pub(crate) fn span_exclusive(&self, len: u64) -> bool {
-        self.parity.is_some() && crate::parity::prefers_exclusive(len)
     }
 
     /// Like [`Inner::protected_write`], but under a span guard the caller
-    /// already holds over `[off, off+len)` (no lock acquisition here; the
-    /// parity XOR strategy follows the guard mode). Reads the pre-image
-    /// itself — into a stack buffer for small writes (chunk metadata, run
-    /// headers), into a recycled read-path frame for large ones (zeroing
-    /// a log-overflow chunk) — so the path stays allocation-free. Callers
+    /// already holds over `[off, off+len)` (no lock acquisition here).
+    /// Reads the pre-image itself — into a stack buffer for small writes
+    /// (chunk metadata, run headers), into a recycled read-path frame for
+    /// large ones (zeroing a log-overflow chunk) — so the path stays
+    /// allocation-free. Callers
     /// that already hold the pre-image use
     /// [`Inner::protected_write_locked_old`] instead and skip the read
     /// entirely.
@@ -633,21 +618,13 @@ impl Inner {
     /// bytes the caller's reservation owns — stages through `old`, and one
     /// span guard covers the store and its parity patch, so the concurrent
     /// scrubber never sees a half-constructed object.
-    pub(crate) fn construct_write(
-        &self,
-        off: u64,
-        data: &[u8],
-        old: &mut Vec<u8>,
-        stripe_ids: &mut Vec<usize>,
-    ) -> Result<()> {
+    pub(crate) fn construct_write(&self, off: u64, data: &[u8], old: &mut Vec<u8>) -> Result<()> {
         if self.parity.is_none() {
             return self.protected_write(off, data);
         }
         old.resize(data.len(), 0);
         self.io.read(off, old).map_err(PglError::from)?;
-        let len = data.len() as u64;
-        let span = std::iter::once((off, len));
-        let guard = self.lock_spans_scratch(stripe_ids, span, self.span_exclusive(len))?;
+        let guard = self.lock_span(off, data.len() as u64)?;
         self.protected_write_locked_old(&guard, off, data, old)
     }
 
@@ -686,7 +663,7 @@ impl Inner {
     /// patch's pre-image (one device read; the publisher lock keeps the
     /// word stable).
     fn update_meta_word(&self, off: u64, f: impl FnOnce(u64) -> u64) -> Result<()> {
-        let guard = self.lock_span(off, 8, self.span_exclusive(8))?;
+        let guard = self.lock_span(off, 8)?;
         let w = self.io.read_u64(off).map_err(PglError::from)?;
         self.protected_write_locked_old(&guard, off, &f(w).to_le_bytes(), &w.to_le_bytes())
     }
@@ -1227,11 +1204,12 @@ impl PglPool {
     /// Detectable compare-and-swap on the 8-byte word at `off` inside
     /// `oid`'s user data (the `ploc` fast path, see [`crate::ploc`]):
     /// patches the word's segment sum and the word's parity column at word
-    /// granularity under a shared stripe guard — no whole-object span
-    /// guard, no redo log, two fences. `tag` names the operation; after a
-    /// crash, [`PglPool::cas_recoveries`] reports whether the tagged
-    /// operation completed or rolled back. Durable (and crash-replayable)
-    /// the moment it returns [`crate::ploc::WordCas::Applied`].
+    /// granularity under a stripe guard over just those two words — no
+    /// whole-object span guard, no redo log, two fences. `tag` names the
+    /// operation; after a crash, [`PglPool::cas_recoveries`] reports
+    /// whether the tagged operation completed or rolled back. Durable (and
+    /// crash-replayable) the moment it returns
+    /// [`crate::ploc::WordCas::Applied`].
     pub fn atomic_update(
         &self,
         oid: PMEMoid,

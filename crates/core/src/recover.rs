@@ -6,9 +6,10 @@
 //! could have torn — the replayed ranges, the allocator-op targets, and any
 //! construction areas named by allocation-intent records. Recomputation
 //! (rather than patching) makes recovery idempotent. It is one serial
-//! pass at open: neither the shard count nor the parity-lock constants
-//! ([`crate::parity::HYBRID_THRESHOLD`], [`crate::parity::LOCK_GRANULE`])
-//! change which device operations it issues.
+//! pass at open: neither the shard count nor the parity-lock granule
+//! ([`crate::parity::LOCK_GRANULE`]) changes which device operations it
+//! issues; it recomputes columns with plain stores, as every parity patch
+//! now does.
 //!
 //! **Online corruption recovery** freezes the pool (no commit may be
 //! mid-parity-update) and rebuilds at the granularity of the damage: a

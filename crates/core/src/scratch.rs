@@ -3,7 +3,7 @@
 //! ([`FaultScratch`]: reconstruction, column recompute, parity
 //! verification, scribble repair).
 //!
-//! A committing transaction needs three kinds of transient memory:
+//! A committing transaction needs two kinds of transient memory:
 //!
 //! 1. **old-data bytes** — the pre-image of every write-back span,
 //!    assembled from what the transaction's micro-buffers loaded (never
@@ -11,10 +11,9 @@
 //!    incremental Adler32 delta (commit stage 2) and by the parity XOR
 //!    patch at write-back (stage 6);
 //! 2. **a staging buffer** for the on-NVMM pre-image a construction
-//!    write-back needs for parity;
-//! 3. **stripe-id scratch** for parity range-lock acquisition.
+//!    write-back needs for parity.
 //!
-//! [`CommitScratch`] owns all three as growable buffers that are *cleared
+//! [`CommitScratch`] owns both as growable buffers that are *cleared
 //! but never shrunk* between transactions: finished transactions recycle
 //! their scratch into a thread-local slot, so steady-state commits of
 //! small objects perform **zero heap allocations**. The regression tests
@@ -75,8 +74,6 @@ pub(crate) struct CommitScratch {
     pub old: Vec<u8>,
     /// Staging buffer for construction-write pre-images.
     pub tmp: Vec<u8>,
-    /// Stripe-id scratch for parity span-lock acquisition.
-    pub stripe_ids: Vec<usize>,
     /// The parity shards a commit's effects land in (cross-shard routing).
     pub shards: Vec<u64>,
     /// Recycled (empty) micro-buffer table for the next transaction.
@@ -111,7 +108,6 @@ impl CommitScratch {
     pub fn reset(&mut self) {
         self.old.clear();
         self.tmp.clear();
-        self.stripe_ids.clear();
         self.shards.clear();
         self.ubuf_map.clear();
         self.order.clear();
@@ -239,11 +235,10 @@ mod tests {
         let mut s = CommitScratch::take();
         s.old.extend_from_slice(&[1, 2, 3]);
         s.tmp.resize(100, 7);
-        s.stripe_ids.push(9);
         let cap = s.tmp.capacity();
         s.recycle();
         let s2 = CommitScratch::take();
-        assert!(s2.old.is_empty() && s2.stripe_ids.is_empty());
+        assert!(s2.old.is_empty());
         assert!(s2.tmp.is_empty());
         assert!(s2.tmp.capacity() >= cap, "capacity survives recycling");
         // The slot is empty now; a second take yields a fresh default.

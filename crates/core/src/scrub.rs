@@ -10,9 +10,8 @@
 //! 2. a **live object sweep** that verifies every segment of every live
 //!    object ([`crate::segment`]) *concurrently with running transactions*:
 //!    each object is inspected
-//!    under an exclusive parity range-lock over its span — the same
-//!    striped locks a committing transaction holds (shared) across that
-//!    object's write-back — so the scrubber always observes a
+//!    under the parity range-locks over its span — the same striped locks
+//!    a committing transaction holds across that object's write-back — so the scrubber always observes a
 //!    data/checksum/parity-consistent object without stopping the world.
 //!
 //! Objects that fail verification are recovered online (which briefly
@@ -278,7 +277,7 @@ fn scrub_contained(
     }
 }
 
-/// Verifies one object under an exclusive parity range-lock over its span
+/// Verifies one object under the parity range-locks over its span
 /// (header + data). Handles churn: objects freed or resized between
 /// discovery and locking are skipped or re-locked with the right span.
 fn scrub_one_object(
@@ -299,7 +298,7 @@ fn scrub_one_object(
     // A handful of attempts absorbs media-error repairs and size churn;
     // an object that keeps churning is left for the next pass.
     for _ in 0..4 {
-        let guard = engine.lock_span(oid.header_off(), OBJ_HEADER_SIZE + span, true)?;
+        let guard = engine.lock_span(oid.header_off(), OBJ_HEADER_SIZE + span)?;
         // The slot may have been freed (and possibly repurposed) since
         // scan_live; repairing it now would be a false positive.
         if !inner.heap.is_live(&inner.io, oid.off) {

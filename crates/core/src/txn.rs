@@ -22,7 +22,7 @@
 //! 5. **redo log** (replicated in `-ML` modes) of every span and the
 //!    allocator ops, sealed by a commit record — the commit point;
 //! 6. **write-back** of every span with a non-temporal store, paired
-//!    with a hybrid parity update consuming its stage-(2) pre-image (one
+//!    with a parity patch consuming its stage-(2) pre-image (one
 //!    fence covers store and patch together);
 //! 7. **allocator publication** (parity-aware) and log invalidation
 //!    (lazy — flushed, fenced by the lane's next transaction).
@@ -690,14 +690,14 @@ impl<'p> PglTx<'p> {
         // object logging"). The pre-image stages through the commit
         // scratch — no allocation.
         {
-            let CommitScratch { tmp, stripe_ids, .. } = &mut self.scratch;
+            let tmp = &mut self.scratch.tmp;
             for off in &new_offs {
                 let b = &self.objs[off];
                 // The offset may carry a verified-generation cache entry
                 // from a previously freed object; construction reuses the
                 // slot, so drop it before the new bytes land.
                 inner.vcache.bump(*off);
-                inner.construct_write(b.header_off(), b.construction(), tmp, stripe_ids)?;
+                inner.construct_write(b.header_off(), b.construction(), tmp)?;
             }
         }
 
@@ -750,17 +750,16 @@ impl<'p> PglTx<'p> {
         // (6) Write back every span, updating parity. An object's spans go
         // out under ONE parity guard covering exactly those spans:
         // writers of disjoint columns proceed in parallel, writers of
-        // overlapping columns commute through atomic XOR under shared
-        // guards, and the scrubber (which takes the same locks
-        // exclusively) can only observe the object entirely-before or
-        // entirely-after this transaction. Parity patches consume the
+        // overlapping columns take turns (their patches commute, so the
+        // order is free), and the scrubber (which takes the same locks)
+        // can only observe the object entirely-before or entirely-after
+        // this transaction. Parity patches consume the
         // pre-images stage (2) packed in the commit scratch — in this
         // exact walk order, so a byte cursor pairs them back up without
         // any lookup. Failures past the commit point cannot abort;
         // recovery would replay the redo log, so report them as
         // unrecoverable here.
-        let CommitScratch { old, stripe_ids, .. } = &mut self.scratch;
-        let old: &[u8] = old;
+        let old: &[u8] = &self.scratch.old;
         let mut cur = 0usize;
         let mut pre = |len: usize| -> &[u8] {
             if !parity {
@@ -770,11 +769,8 @@ impl<'p> PglTx<'p> {
             &old[cur - len..cur]
         };
         for b in modified() {
-            let largest = b.modified().iter().map(|(_, l)| l).max().unwrap_or(0);
             let spans = b.spans().map(|(at, new)| (at, new.len() as u64));
-            let guard = inner
-                .lock_spans_scratch(stripe_ids, spans, inner.span_exclusive(largest))
-                .map_err(fatal)?;
+            let guard = inner.lock_spans(spans).map_err(fatal)?;
             // Invalidate the dirtied segments' cache bits under the span
             // guard, before the first store: post-commit verified reads
             // must re-verify the new content.

@@ -129,6 +129,33 @@ fn xor_diff_model(off: u64, old: &[u8], new: &[u8]) -> (u64, BTreeSet<u64>) {
     (touched, lines)
 }
 
+/// Runs `xor_diff_range(off, old, new)` over `base` on `dev` and checks it
+/// against [`xor_diff_model`]: bytes, return value, the two byte counters
+/// and the flushed-line count, and on a `precise` device the exact
+/// dirty-line set.
+fn check_xor_diff(dev: &NvmDevice, precise: bool, off: u64, base: &[u8], old: &[u8], new: &[u8]) {
+    let (want_bytes, want_lines) = xor_diff_model(off, old, new);
+    dev.write(off, base).unwrap();
+    dev.persist(off, base.len()).unwrap();
+    assert!(dev.dirty_line_choices().is_empty(), "settled before the call");
+    let s0 = dev.stats();
+    let touched = dev.xor_diff_range(off, old, new).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(touched, old != new, "at {off} len {}", old.len());
+    assert_eq!(d.xor_bytes, want_bytes, "at {off} len {}", old.len());
+    assert_eq!(d.bytes_written, want_bytes);
+    assert_eq!(d.lines_flushed, want_lines.len() as u64, "at {off} len {}", old.len());
+    let got = dev.read_slice(off, base.len()).unwrap();
+    for i in 0..base.len() {
+        assert_eq!(got[i], base[i] ^ old[i] ^ new[i], "byte {i} at {off}");
+    }
+    if precise {
+        let dirty: BTreeSet<u64> =
+            dev.dirty_line_choices().into_iter().map(|(line, _)| line).collect();
+        assert_eq!(dirty, want_lines, "at {off} len {}", old.len());
+    }
+}
+
 /// One random edit: offset fraction, length, fill pattern.
 fn edit_strategy() -> impl Strategy<Value = (u64, usize, u8)> {
     (any::<u64>(), 1usize..700, any::<u8>())
@@ -286,6 +313,10 @@ proptest! {
         // two pages, and diffs from empty through sparse (most lines
         // equal) to dense. Bytes, return value and the two byte counters
         // on a fast device; on a precise one also the exact dirty-line set.
+        // Then, on the fast device, every 1-24-byte span at each of the 64
+        // start alignments in a line, cut from the same diff: the
+        // partial-line word walk over one to four device words, inside one
+        // line or across two.
         let base = pattern(len, seed);
         let old = pattern(len, seed ^ 0x9E37_79B9);
         let flips = pattern(len, seed ^ 0x7F4A_7C15);
@@ -298,26 +329,17 @@ proptest! {
                 if changed && (density == 3 || flips[i] & 1 == 1) { old[i] ^ (flips[i] | 1) } else { old[i] }
             })
             .collect();
-        let (want_bytes, want_lines) = xor_diff_model(off, &old, &new);
-        for cfg in [DeviceConfig::fast(), DeviceConfig::precise()] {
-            let dev = NvmDevice::new(8 << 12, cfg).unwrap();
-            dev.write(off, &base).unwrap();
-            dev.persist(off, len).unwrap();
-            prop_assert!(dev.dirty_line_choices().is_empty(), "settled before the call");
-            let s0 = dev.stats();
-            let touched = dev.xor_diff_range(off, &old, &new).unwrap();
-            let d = dev.stats().delta_since(&s0);
-            prop_assert_eq!(touched, old != new);
-            prop_assert_eq!(d.xor_bytes, want_bytes);
-            prop_assert_eq!(d.bytes_written, want_bytes);
-            let got = dev.read_slice(off, len).unwrap();
-            for i in 0..len {
-                prop_assert_eq!(got[i], base[i] ^ old[i] ^ new[i], "byte {}", i);
-            }
-            if cfg.mode == pgl_nvm::PersistenceMode::Precise {
-                let dirty: BTreeSet<u64> =
-                    dev.dirty_line_choices().into_iter().map(|(line, _)| line).collect();
-                prop_assert_eq!(&dirty, &want_lines);
+        let devs = [(DeviceConfig::fast(), false), (DeviceConfig::precise(), true)]
+            .map(|(cfg, precise)| (NvmDevice::new(8 << 12, cfg).unwrap(), precise));
+        for (dev, precise) in &devs {
+            check_xor_diff(dev, *precise, off, &base, &old, &new);
+        }
+        let at = (len.saturating_sub(24) / 2).min(64);
+        for start in 0..64u64 {
+            for n in 1..=len.min(24) {
+                let cut = at..at + n;
+                let (b, o, w) = (&base[cut.clone()], &old[cut.clone()], &new[cut]);
+                check_xor_diff(&devs[0].0, false, 4096 + start, b, o, w);
             }
         }
     }
@@ -327,9 +349,9 @@ proptest! {
         writes in proptest::collection::vec(
             (0u64..6000, 1usize..2048, any::<u8>()), 1..16),
     ) {
-        // Random protected writes draw sizes on both sides of the 1 KiB
-        // hybrid threshold, so both the atomic word-XOR span and the
-        // vectorized diff-XOR run; the zone parity invariant must survive
+        // Random protected writes, 1 B to 2 KiB at any alignment, each
+        // patched under its span's guard: partial lines, whole lines and
+        // lock-granule straddles; the zone parity invariant must survive
         // all of it.
         let cfg = PoolConfig::small();
         let layout = Layout::new(cfg).unwrap();
@@ -341,11 +363,12 @@ proptest! {
         for (off_frac, len, fill) in writes.iter().copied() {
             let off = base + off_frac % (span - len as u64);
             let new: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8 / 7)).collect();
+            let guard = eng.lock_span(off, len as u64).unwrap();
             let mut old = vec![0u8; len];
             io.read(off, &mut old).unwrap();
             io.write(off, &new).unwrap();
             io.persist(off, len).unwrap();
-            eng.update(&io, off, &old, &new).unwrap();
+            eng.update_under(&guard, &io, off, &old, &new).unwrap();
         }
         prop_assert!(eng.verify_all(&io).unwrap().is_empty());
     }

@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use pangolin::ploc::WordCas;
 use pangolin::{PMEMoid, PglConfig, PglPool};
 use pgl_nvm::{DeviceConfig, NvmDevice};
 use pgl_pmemobj::ulog;
@@ -276,6 +277,25 @@ fn steady_state_commits_do_not_allocate() {
     let a0 = thread_allocs();
     (10..10 + TXNS).for_each(write_two);
     assert_eq!(thread_allocs() - a0, 0, "big-object transactions allocate nothing either");
+}
+
+#[test]
+fn steady_state_detectable_cas_does_not_allocate() {
+    // A detectable CAS takes one stripe guard over its word and the word
+    // holding its segment's sum; the guard collects its stripe ids inline,
+    // so a warm CAS allocates nothing.
+    let (_dev, pool) = new_pool();
+    let oid = make_obj(&pool, 512, 0);
+    let cas = |round: u64| {
+        let at = 8 * (round % 40);
+        let res = pool.atomic_update(oid, at, round / 40, round / 40 + 1, round).unwrap();
+        assert_eq!(res, WordCas::Applied);
+    };
+    (0..40).for_each(cas);
+    const OPS: u64 = 50;
+    let a0 = thread_allocs();
+    (40..40 + OPS).for_each(cas);
+    assert_eq!(thread_allocs() - a0, 0, "allocations over {OPS} steady-state CASes");
 }
 
 #[test]
@@ -555,12 +575,10 @@ fn lazy_open_materializes_at_first_write_and_commits_without_reads() {
 #[test]
 fn parity_patch_flushes_the_lines_it_dirtied_not_its_span() {
     // A whole-object overwrite that changes one word: the diff-XOR knows
-    // which parity line it dirtied and flushes that one, on the exclusive
-    // (vectorized) path and under a shared guard (word-atomic) alike. The
-    // write size picks the side of the 1 KiB hybrid threshold: 4 KiB is
-    // exclusive, 512 B shared. (Flushing the patched 4 KiB span cost 64-65
-    // lines.)
-    for (size, exclusive) in [(4096, true), (512, false)] {
+    // which parity line it dirtied and flushes that one, at 4 KiB and at
+    // 512 B alike — one plain-store patch path, no atomic XOR at any size.
+    // (Flushing the patched 4 KiB span cost 64-65 lines.)
+    for size in [4096, 512] {
         let (dev, pool) = new_pool();
         let oid = make_obj(&pool, size as u64, 0x77);
         let mut new = vec![0x77u8; size];
@@ -568,11 +586,12 @@ fn parity_patch_flushes_the_lines_it_dirtied_not_its_span() {
         let s0 = dev.stats();
         pool.tx(|tx| tx.write(oid, 0, &new)).unwrap();
         let d = dev.stats().delta_since(&s0);
-        assert_eq!(d.xor_bytes > 0, exclusive, "the vectorized path runs iff exclusive");
+        assert!(d.xor_bytes > 0, "the plain diff XOR patched parity ({size} B)");
+        assert_eq!(d.atomic_xors, 0, "no word-atomic patch ({size} B)");
         assert_eq!(
             d.lines_flushed,
             2 + 1 + 1,
-            "two generation words, the data's one parity line, the header's (exclusive: {exclusive})"
+            "two generation words, the data's one parity line, the header's ({size} B)"
         );
         assert_eq!(pool.read_verified(oid).unwrap(), new);
 
@@ -600,20 +619,56 @@ fn parity_patch_flushes_the_same_lines_on_the_replica() {
     let mut new = old.clone();
     new[100..108].fill(0xEE); // one line
     new[3000..3008].fill(0xEE); // and another, far away
-    for exclusive in [true, false] {
-        let guard = eng.lock_span(off, 4096, exclusive).unwrap();
-        let (p0, r0) = (dev.stats(), rep.stats());
-        // Patch in, then out again: a diff XORed twice restores the row.
-        assert!(eng.update_under_flush_only(&guard, &io, off, &old, &new).unwrap());
-        assert!(eng.update_under_flush_only(&guard, &io, off, &new, &old).unwrap());
-        assert!(!eng.update_under_flush_only(&guard, &io, off, &old, &old).unwrap());
-        for d in [dev.stats().delta_since(&p0), rep.stats().delta_since(&r0)] {
-            assert_eq!(
-                d.lines_flushed,
-                2 * 2,
-                "two dirtied lines per patch (exclusive: {exclusive})"
-            );
-            assert_eq!(d.fences, 0, "flush-only: the caller owns the fence");
-        }
+    let guard = eng.lock_span(off, 4096).unwrap();
+    let (p0, r0) = (dev.stats(), rep.stats());
+    // Patch in, then out again: a diff XORed twice restores the row.
+    assert!(eng.update_under_flush_only(&guard, &io, off, &old, &new).unwrap());
+    assert!(eng.update_under_flush_only(&guard, &io, off, &new, &old).unwrap());
+    assert!(!eng.update_under_flush_only(&guard, &io, off, &old, &old).unwrap());
+    for d in [dev.stats().delta_since(&p0), rep.stats().delta_since(&r0)] {
+        assert_eq!(d.lines_flushed, 2 * 2, "two dirtied lines per patch");
+        assert_eq!(d.fences, 0, "flush-only: the caller owns the fence");
     }
+}
+
+#[test]
+fn no_write_path_patches_parity_with_atomic_xor() {
+    // Every parity patch is a plain diff XOR under an exclusive stripe
+    // guard: a small-object overwrite (the `tx_small` shape), a
+    // transaction that allocates one object and frees another (allocator
+    // meta ops and a construction write-back) and a detectable CAS each
+    // leave the device's atomic-XOR counter untouched.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 256, 0x11);
+    let victim = make_obj(&pool, 64, 0x22);
+    let s0 = dev.stats();
+    pool.tx(|tx| {
+        tx.write(oid, 8, &[0x33; 16])?;
+        tx.write(oid, 100, &[0x44; 120])
+    })
+    .unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.atomic_xors, 0, "small-object overwrite");
+    assert!(d.xor_bytes > 0, "it patched parity");
+
+    let s0 = dev.stats();
+    let fresh = pool
+        .tx(|tx| {
+            tx.free(victim)?;
+            let fresh = tx.alloc(64, 1)?;
+            tx.write(fresh, 0, &[0x55; 64])?;
+            Ok(fresh)
+        })
+        .unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.atomic_xors, 0, "alloc + free");
+    assert!(d.xor_bytes > 0, "it patched parity");
+
+    let s0 = dev.stats();
+    let old = u64::from_le_bytes([0x55; 8]);
+    assert_eq!(pool.atomic_update(fresh, 8, old, 7, 1).unwrap(), WordCas::Applied);
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.atomic_xors, 0, "detectable CAS");
+    assert!(d.xor_bytes > 0, "it patched parity");
+    assert_sound(&pool);
 }

@@ -96,59 +96,28 @@ impl std::fmt::Debug for DeviceSnapshot {
     }
 }
 
-/// Window-word source for the atomic span-XOR walker: one monomorphized
-/// loop serves both a prebuilt patch and a fused `old ⊕ new` diff,
-/// building interior words with 8-byte loads.
-trait XorWindowSource {
-    /// Source length in bytes.
-    fn len(&self) -> usize;
-    /// The little-endian patch word at byte index `i` (`i + 8 <= len`).
-    fn word(&self, i: usize) -> u64;
-    /// The patch byte at index `i` (unaligned edge windows only).
-    fn byte(&self, i: usize) -> u8;
+/// The part of the 8-byte device word at `w_off` that the range
+/// `[off, end)` covers: its first byte inside the word and its length.
+#[inline]
+fn window(off: u64, end: u64, w_off: u64) -> (usize, usize) {
+    let lo = w_off.max(off);
+    ((lo - w_off) as usize, ((w_off + 8).min(end) - lo) as usize)
 }
 
-struct PatchWindows<'a>(&'a [u8]);
-
-impl XorWindowSource for PatchWindows<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.0.len()
+/// The native-endian word `src` — the bytes of a range starting at device
+/// offset `off` — puts into the 8-byte device word at `w_off`: one
+/// unaligned load where the range covers the whole word, zero-padded
+/// where it starts or ends inside it.
+#[inline]
+fn window_word(src: &[u8], off: u64, w_off: u64) -> u64 {
+    let (at, n) = window(off, off + src.len() as u64, w_off);
+    let i = (w_off + at as u64 - off) as usize;
+    if n == 8 {
+        return u64::from_ne_bytes(src[i..i + 8].try_into().expect("8-byte window"));
     }
-
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.0[i..i + 8].try_into().expect("8-byte window"))
-    }
-
-    #[inline]
-    fn byte(&self, i: usize) -> u8 {
-        self.0[i]
-    }
-}
-
-struct DiffWindows<'a> {
-    old: &'a [u8],
-    new: &'a [u8],
-}
-
-impl XorWindowSource for DiffWindows<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.new.len()
-    }
-
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        let o = u64::from_le_bytes(self.old[i..i + 8].try_into().expect("8-byte window"));
-        let n = u64::from_le_bytes(self.new[i..i + 8].try_into().expect("8-byte window"));
-        o ^ n
-    }
-
-    #[inline]
-    fn byte(&self, i: usize) -> u8 {
-        self.old[i] ^ self.new[i]
-    }
+    let mut word = [0u8; 8];
+    word[at..at + n].copy_from_slice(&src[i..i + n]);
+    u64::from_ne_bytes(word)
 }
 
 /// A simulated byte-addressable persistent memory device.
@@ -648,16 +617,17 @@ impl NvmDevice {
     /// built and OR-reduced first, so an untouched line costs no store, no
     /// flush, no tracker bookkeeping and no latency charge, and a touched
     /// one does its bookkeeping once and is flushed (`CLWB`) on the spot.
-    /// All-zero diff words never count as written
+    /// A partial first or last line is walked a device word at a time
+    /// instead. All-zero diff words never count as written
     /// (`xor_bytes`/`bytes_written` advance by 8 per non-zero aligned word
     /// and 1 per non-zero byte of the unaligned edges). Returns `true` if
     /// any byte was actually modified: the caller then owes the fence,
     /// and nothing otherwise.
     ///
-    /// This is the bulk parity path for write-backs where the caller holds
-    /// both the old and the new content; callers must hold an exclusive
-    /// parity range-lock covering the range (paper §3.5's "hybrid"
-    /// scheme). `old` and `new` must be equal-length.
+    /// This is the parity patch of every write-back, whatever its size:
+    /// the caller holds both the old and the new content and an exclusive
+    /// parity range-lock covering the range. `old` and `new` must be
+    /// equal-length.
     pub fn xor_diff_range(&self, off: u64, old: &[u8], new: &[u8]) -> Result<bool> {
         assert_eq!(old.len(), new.len(), "diff XOR requires equal-length ranges");
         self.check_bounds(off, new.len())?;
@@ -723,38 +693,56 @@ impl NvmDevice {
     }
 
     /// The partial first or last cache line of
-    /// [`NvmDevice::xor_diff_range`]. Returns the bytes XORed, counted in
-    /// single bytes up to the first 8-byte device boundary and after the
-    /// last, and in whole words between.
+    /// [`NvmDevice::xor_diff_range`], walked one 8-byte device word at a
+    /// time: each word's diff is built with unaligned loads (zero-padded
+    /// where the range starts or ends inside it), an all-zero one is
+    /// skipped, a non-zero one is XORed in with plain stores, and the line
+    /// is flushed once if any word was. Returns the bytes XORed: 8 per
+    /// whole word, 1 per non-zero byte of a partial one.
     fn xor_diff_edge(&self, pos: u64, old: &[u8], new: &[u8]) -> u64 {
-        if old == new {
-            return 0;
+        let end = pos + new.len() as u64;
+        let line = pos / CACHELINE as u64;
+        let mut touched = 0u64;
+        let mut w_off = pos & !7;
+        while w_off < end {
+            let (at, n) = window(pos, end, w_off);
+            let diff = window_word(old, pos, w_off) ^ window_word(new, pos, w_off);
+            if diff != 0 {
+                if touched == 0 {
+                    self.note_xor_line(line);
+                }
+                let ptr = self.ptr_at(w_off);
+                if n == 8 {
+                    touched += 8;
+                    // SAFETY: an aligned word inside the bounds-checked
+                    // range, which the caller holds exclusively.
+                    unsafe { *(ptr as *mut u64) ^= diff };
+                } else {
+                    for (k, &b) in diff.to_ne_bytes().iter().enumerate().skip(at).take(n) {
+                        touched += (b != 0) as u64;
+                        // SAFETY: as above; only the range's own bytes of
+                        // the word are written.
+                        unsafe { *ptr.add(k) ^= b };
+                    }
+                }
+            }
+            w_off += 8;
         }
-        self.note_xor_line(pos / CACHELINE as u64);
-        let len = new.len();
-        let head = ((pos.wrapping_neg() % 8) as usize).min(len);
-        let words_end = head + (len - head) / 8 * 8;
-        let differing = |range: std::ops::Range<usize>, unit: usize| {
-            range.step_by(unit).filter(|&i| old[i..i + unit] != new[i..i + unit]).count() * unit
-        };
-        let touched =
-            differing(0..head, 1) + differing(head..words_end, 8) + differing(words_end..len, 1);
-        let ptr = self.ptr_at(pos);
-        for i in 0..len {
-            // SAFETY: within the bounds-checked range, which the caller
-            // holds exclusively. XORing a zero byte changes nothing.
-            unsafe { *ptr.add(i) ^= old[i] ^ new[i] };
+        if touched > 0 {
+            self.note_xor_line_flushed(line);
         }
-        self.note_xor_line_flushed(pos / CACHELINE as u64);
-        touched as u64
+        touched
     }
 
-    /// Shared walker of the atomic span-XOR paths: visits every
-    /// 8-byte-aligned window overlapping `[off, off+len)`, assembles the
-    /// window's patch word from `src` (zero-padded at the two unaligned
-    /// edges), atomically XORs the non-zero words in, and flushes (`CLWB`)
-    /// each cache line it dirtied once it moves past it. Returns `true`
-    /// if any word was applied: the caller then owes the fence.
+    /// Atomically XORs `patch` into the range at `off` with lock-free
+    /// word atomics: visits every 8-byte-aligned word overlapping the
+    /// range, builds its patch word (zero-padded at the two unaligned
+    /// edges), `fetch_xor`s the non-zero ones in, and flushes (`CLWB`)
+    /// each cache line it dirtied once it moves past it. Returns `true` if
+    /// anything was applied — callers skip their trailing fence otherwise.
+    /// The library patches parity with [`NvmDevice::xor_diff_range`] under
+    /// an exclusive stripe guard; this primitive stays as the priced
+    /// reference for the lock-free alternative.
     ///
     /// Latency accounting: unlike [`NvmDevice::atomic_xor_u64`] (an
     /// isolated RMW, charged a full NVM round trip), a span of adjacent
@@ -762,31 +750,20 @@ impl NvmDevice {
     /// instructions to one cached line pipeline and the line takes a
     /// single media write-back — so the charge here is
     /// `atomic_rmw_ns` per *touched cache line*, not per word.
-    fn atomic_xor_span_walk<S: XorWindowSource>(&self, off: u64, src: &S) -> Result<bool> {
-        let len = src.len() as u64;
-        if len == 0 {
+    pub fn atomic_xor_patch_span(&self, off: u64, patch: &[u8]) -> Result<bool> {
+        let end = off + patch.len() as u64;
+        if patch.is_empty() {
             return Ok(false);
         }
-        let a_start = crate::align_down(off as usize, 8) as u64;
-        let a_end = crate::align_up((off + len) as usize, 8) as u64;
-        self.check_bounds(a_start, (a_end - a_start) as usize)?;
+        let a_start = off & !7;
+        self.check_bounds(a_start, crate::align_up(end as usize, 8) - a_start as usize)?;
         self.maybe_crash();
         let mut words = 0u64;
         let mut lines = 0u64;
         let mut noted = u64::MAX;
         let mut w_off = a_start;
-        while w_off < a_end {
-            let lo = w_off.max(off);
-            let hi = (w_off + 8).min(off + len);
-            let v = if hi - lo == 8 {
-                src.word((lo - off) as usize)
-            } else {
-                let mut word = [0u8; 8];
-                for i in lo..hi {
-                    word[(i - w_off) as usize] = src.byte((i - off) as usize);
-                }
-                u64::from_le_bytes(word)
-            };
+        while w_off < end {
+            let v = window_word(patch, off, w_off);
             if v != 0 {
                 // An aligned 8-byte word never straddles a cache line.
                 let line = w_off / CACHELINE as u64;
@@ -816,28 +793,10 @@ impl NvmDevice {
         Ok(words > 0)
     }
 
-    /// Atomically XORs `patch` into the range at `off`, word by word, with
-    /// lock-free atomics (the small-parity-update primitive batched over a
-    /// span; see `atomic_xor_span_walk` for the latency accounting and
-    /// the flushes). All-zero patch words are skipped. Returns `true` if
-    /// anything was applied — callers skip their trailing fence
-    /// otherwise.
-    pub fn atomic_xor_patch_span(&self, off: u64, patch: &[u8]) -> Result<bool> {
-        self.atomic_xor_span_walk(off, &PatchWindows(patch))
-    }
-
-    /// Like [`NvmDevice::atomic_xor_patch_span`] with the patch computed
-    /// on the fly as `old ⊕ new` — diff, zero-skip and atomic XOR fused,
-    /// no intermediate patch buffer. `old` and `new` must be equal-length.
-    pub fn atomic_xor_diff_span(&self, off: u64, old: &[u8], new: &[u8]) -> Result<bool> {
-        assert_eq!(old.len(), new.len(), "diff XOR requires equal-length ranges");
-        self.atomic_xor_span_walk(off, &DiffWindows { old, new })
-    }
-
     /// XORs `src` into the range at `off` with plain (vectorized) stores.
     ///
-    /// This is the bulk parity path; callers must hold an exclusive parity
-    /// range-lock covering the range (paper §3.5's "hybrid" scheme).
+    /// Callers must hold an exclusive parity range-lock covering the
+    /// range.
     pub fn xor_range(&self, off: u64, src: &[u8]) -> Result<()> {
         self.check_bounds(off, src.len())?;
         self.maybe_crash();

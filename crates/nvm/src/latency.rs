@@ -48,11 +48,12 @@ pub struct LatencyModel {
     pub flush_ns_per_line: u64,
     /// Charged per store fence (`SFENCE`).
     pub fence_ns: u64,
-    /// Charged per 8-byte atomic read-modify-write (e.g. lock xor). The
-    /// span-batched atomic XOR (`NvmDevice::atomic_xor_patch_span` /
-    /// `atomic_xor_diff_span`) charges this per touched *cache line*
-    /// instead: adjacent lock-prefixed RMWs keep their line cached and
-    /// pipeline on real hardware, paying the media round trip once per
+    /// Charged per 8-byte atomic read-modify-write (e.g. lock xor or a
+    /// CAS). The span-batched atomic XOR
+    /// (`NvmDevice::atomic_xor_patch_span`, a priced reference: library
+    /// parity patches use plain stores) charges this per touched *cache
+    /// line* instead: adjacent lock-prefixed RMWs keep their line cached
+    /// and pipeline on real hardware, paying the media round trip once per
     /// line.
     pub atomic_rmw_ns: u64,
     /// Charged per cache line of non-temporal store.

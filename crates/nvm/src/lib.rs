@@ -12,8 +12,9 @@
 //!   crash can persist *any* subset of unflushed lines — exactly the
 //!   adversarial behaviour crash-consistent software must tolerate.
 //! * **8-byte atomic stores** and **atomic XOR** ([`NvmDevice::atomic_store_u64`],
-//!   [`NvmDevice::atomic_xor_u64`]) mirroring the x86 guarantees Pangolin's
-//!   parity scheme relies on.
+//!   [`NvmDevice::atomic_xor_u64`]) mirroring the x86 guarantees the
+//!   paper's lock-free parity patch relies on (this library patches parity
+//!   with plain stores under a stripe guard instead).
 //! * **Non-temporal stores** ([`NvmDevice::write_nt`]) that bypass the cache
 //!   and only await a fence.
 //! * **Media errors.** 4 KB pages can be *poisoned*; loads from a poisoned

@@ -111,9 +111,10 @@ pub struct StatsSnapshot {
     pub fences: u64,
     /// 8-byte atomic stores.
     pub atomic_stores: u64,
-    /// 8-byte atomic XOR operations (the parity fast path).
+    /// 8-byte atomic XOR operations (`atomic_xor_u64`,
+    /// `atomic_xor_patch_span`; no library parity patch issues one).
     pub atomic_xors: u64,
-    /// Bytes processed by vectorized XOR (the parity bulk path).
+    /// Bytes processed by plain diff XOR (every parity patch).
     pub xor_bytes: u64,
     /// Reads that faulted on poisoned pages.
     pub poison_hits: u64,
