@@ -6,6 +6,10 @@
 //! reaches, replay, column recompute and the orphan-log sweep; the shard
 //! count does not enter it).
 //!
+//! Each repair path's device traffic — bytes read and read operations per
+//! repaired poisoned page, per repaired scribble and per scrubbed object —
+//! is printed from `NvmDevice::stats()` deltas.
+//!
 //! Run: `cargo run --release -p pgl-bench --bin sec46_recovery`
 //! Options: `--pool-mb N` the largest pool size, `--json PATH` writes the
 //! restart table as JSON.
@@ -50,6 +54,8 @@ fn main() {
     // Experiment 1: media errors (poisoned pages) repaired online.
     let trials = 100;
     let mut repair_ns = Vec::with_capacity(trials);
+    let stats = || pool.io().dev().stats();
+    let s0 = stats();
     for t in 0..trials {
         let (oid, size, fill) = oids[rng.gen_range(0..oids.len())];
         inject::poison_object_page(&pool, oid).expect("poison");
@@ -58,6 +64,7 @@ fn main() {
         repair_ns.push(start.elapsed().as_nanos() as f64);
         assert_eq!(data, vec![fill; size as usize], "trial {t} content");
     }
+    let poison_io = stats().delta_since(&s0);
     repair_ns.sort_by(|a, b| a.partial_cmp(b).expect("ordered"));
     let mean = repair_ns.iter().sum::<f64>() / repair_ns.len() as f64;
     let p50 = repair_ns[repair_ns.len() / 2];
@@ -65,6 +72,7 @@ fn main() {
 
     // Experiment 2: scribbles detected by checksums and repaired.
     let mut scribble_ok = 0;
+    let s0 = stats();
     for _ in 0..trials {
         let (oid, size, fill) = oids[rng.gen_range(0..oids.len())];
         let off = rng.gen_range(0..size / 2);
@@ -75,6 +83,12 @@ fn main() {
             scribble_ok += 1;
         }
     }
+    let scribble_io = stats().delta_since(&s0);
+
+    // A clean scrub pass: what verifying one live object costs.
+    let s0 = stats();
+    let clean = pool.scrub_now().expect("scrub");
+    let scrub_io = stats().delta_since(&s0);
 
     // Experiment 3: canary catches a buffer overrun before commit.
     let (oid, size, fill) = oids[0];
@@ -121,6 +135,19 @@ fn main() {
         ],
     ];
     print_table("§4.6: detection and correction", &["fault", "outcome", "notes"], &rows);
+
+    // Read traffic per event (each repaired fault's verified read included).
+    let per = |d: &pgl_nvm::StatsSnapshot, n: u64| {
+        let n = n.max(1) as f64;
+        vec![format!("{:.0}", d.bytes_read as f64 / n), format!("{:.1}", d.read_ops as f64 / n)]
+    };
+    let io_rows = vec![
+        [vec!["repaired poisoned page".into()], per(&poison_io, trials as u64)].concat(),
+        [vec!["repaired scribble".into()], per(&scribble_io, trials as u64)].concat(),
+        [vec!["scrub pass, per object verified".into()], per(&scrub_io, clean.objects_verified)]
+            .concat(),
+    ];
+    print_table("Device reads per event", &["event", "bytes read", "read ops"], &io_rows);
 
     assert!(pool.verify_parity().expect("verify"), "parity consistent after all repairs");
     assert!(pool.find_corrupt_objects().expect("sweep").is_empty());

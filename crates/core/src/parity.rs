@@ -148,6 +148,32 @@ pub fn segments(layout: &Layout, off: u64, len: u64) -> Result<Vec<Segment>> {
     SegIter::new(layout, off, len).collect()
 }
 
+/// The rows a row fold leaves out of one chunk column — the rebuilt row
+/// and the `Log` chunks — as the fold resolved them (one chunk-metadata
+/// read per row), kept for the next range in the same column. Obtained
+/// fresh from `scratch::with_left_out`; it describes chunk metadata as it
+/// was, so it lives no longer than one reconstruction or one frozen
+/// repair.
+#[derive(Default)]
+pub(crate) struct LeftOut {
+    /// `(zone, skipped row, chunk column)` the flags describe.
+    key: Option<(u64, u64, u64)>,
+    /// Per row below the watermark: leave it out of the fold.
+    rows: Vec<bool>,
+}
+
+impl LeftOut {
+    /// An empty memo (for the thread-local scratch slot).
+    pub(crate) const fn new() -> LeftOut {
+        LeftOut { key: None, rows: Vec::new() }
+    }
+
+    /// Forgets the resolved column, keeping the capacity.
+    pub(crate) fn forget(&mut self) {
+        self.key = None;
+    }
+}
+
 /// Bytes of parity columns one range-lock covers (the paper's 1 % / 16 GiB
 /// zone configuration yields ~8 KiB granules, "20 K range-locks").
 pub const LOCK_GRANULE: u64 = 8 << 10;
@@ -530,7 +556,8 @@ impl ParityEngine {
         debug_assert!(col + len <= self.layout.zone.row_size);
         scratch::with_fault_scratch(|s| {
             let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
-            self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
+            let skip = self.layout.zone.data_rows;
+            scratch::with_left_out(|lo| self.fold_rows(io, zone, skip, col, acc, lo))?;
             let parity_off = self.layout.parity_off(zone, col);
             let _guard = self.lock_columns(zone, col, len);
             io.write(parity_off, acc)?;
@@ -551,19 +578,46 @@ impl ParityEngine {
     /// column range is also unreadable, or the range leaves the
     /// parity-protected area.
     pub fn reconstruct_range(&self, io: &PoolIo, off: u64, out: &mut [u8]) -> Result<()> {
-        let lost = |zone: u64, e: PglError| {
-            let detail = format!("double failure: the same column range is lost elsewhere ({e})");
-            PglError::unrecoverable_at(u64::MAX, zone, off, detail)
-        };
+        scratch::with_left_out(|lo| {
+            self.reconstruct_ranges(io, &[(off, out.len() as u64)], out, lo)
+        })
+    }
+
+    /// [`ParityEngine::reconstruct_range`] of every `(off, len)` of
+    /// `ranges`, into consecutive pieces of `out` (their total length), in
+    /// one pass: the rows each chunk column leaves out are resolved once in
+    /// `left_out` and reused by every later range in that column, however
+    /// many there are. `left_out` must not outlive a change of chunk
+    /// metadata (callers hold it for one frozen repair).
+    pub(crate) fn reconstruct_ranges(
+        &self,
+        io: &PoolIo,
+        ranges: &[(u64, u64)],
+        out: &mut [u8],
+        left_out: &mut LeftOut,
+    ) -> Result<()> {
         out.fill(0);
-        if let Some((zone, col)) = self.parity_col_of(off, out.len() as u64) {
-            let parity_row = self.layout.zone.data_rows;
-            return self.fold_rows(io, zone, parity_row, col, out).map_err(|e| lost(zone, e));
-        }
-        for seg in SegIter::new(&self.layout, off, out.len() as u64) {
-            let seg = seg.map_err(|e| lost(u64::MAX, e))?;
-            let part = &mut out[(seg.off - off) as usize..][..seg.len as usize];
-            self.fold_rows(io, seg.zone, seg.row, seg.col, part).map_err(|e| lost(seg.zone, e))?;
+        let mut at = 0;
+        for &(off, len) in ranges {
+            let lost = |zone: u64, e: PglError| {
+                let detail =
+                    format!("double failure: the same column range is lost elsewhere ({e})");
+                PglError::unrecoverable_at(u64::MAX, zone, off, detail)
+            };
+            let piece = &mut out[at..at + len as usize];
+            at += len as usize;
+            if let Some((zone, col)) = self.parity_col_of(off, len) {
+                let parity_row = self.layout.zone.data_rows;
+                self.fold_rows(io, zone, parity_row, col, piece, left_out)
+                    .map_err(|e| lost(zone, e))?;
+                continue;
+            }
+            for seg in SegIter::new(&self.layout, off, len) {
+                let seg = seg.map_err(|e| lost(u64::MAX, e))?;
+                let part = &mut piece[(seg.off - off) as usize..][..seg.len as usize];
+                self.fold_rows(io, seg.zone, seg.row, seg.col, part, left_out)
+                    .map_err(|e| lost(seg.zone, e))?;
+            }
         }
         Ok(())
     }
@@ -593,34 +647,46 @@ impl ParityEngine {
     /// yields what parity should hold. Rows whose chunk lies at or above
     /// the zone's watermark are zero and never read. Per chunk column the
     /// range touches, the rows below it to leave out (`skip` and the `Log`
-    /// chunks, one chunk-metadata read per row) are resolved once, then
-    /// every remaining row is folded straight from the device.
-    fn fold_rows(&self, io: &PoolIo, zone: u64, skip: u64, col: u64, acc: &mut [u8]) -> Result<()> {
+    /// chunks, one chunk-metadata read per row) are resolved once — unless
+    /// `left_out` already holds them — then every remaining row is folded
+    /// straight from the device.
+    fn fold_rows(
+        &self,
+        io: &PoolIo,
+        zone: u64,
+        skip: u64,
+        col: u64,
+        acc: &mut [u8],
+        left_out: &mut LeftOut,
+    ) -> Result<()> {
         let geo = &self.layout.zone;
         let chunk_size = self.layout.cfg.chunk_size as u64;
         let rows_base = self.layout.zone_base(zone) + geo.rows_base;
-        scratch::with_row_flags(|left_out| {
-            let mut done = 0usize;
-            while done < acc.len() {
-                let cur = col + done as u64;
-                let n = ((chunk_size - cur % chunk_size) as usize).min(acc.len() - done);
-                let live = self.live_rows(zone, cur / chunk_size);
-                left_out.clear();
+        let mut done = 0usize;
+        while done < acc.len() {
+            let cur = col + done as u64;
+            let n = ((chunk_size - cur % chunk_size) as usize).min(acc.len() - done);
+            let live = self.live_rows(zone, cur / chunk_size);
+            let key = (zone, skip, cur / chunk_size);
+            if left_out.key != Some(key) || left_out.rows.len() != live as usize {
+                left_out.key = None;
+                left_out.rows.clear();
                 for row in 0..live {
                     let chunk = row * geo.chunks_per_row + cur / chunk_size;
-                    left_out.push(row == skip || self.chunk_is_log(io, zone, chunk)?);
+                    left_out.rows.push(row == skip || self.chunk_is_log(io, zone, chunk)?);
                 }
-                let part = &mut acc[done..done + n];
-                for row in (0..live).filter(|&r| !left_out[r as usize]) {
-                    xor_into(part, io.dev().read_slice(rows_base + row * geo.row_size + cur, n)?);
-                }
-                if skip != geo.data_rows {
-                    xor_into(part, io.dev().read_slice(self.layout.parity_off(zone, cur), n)?);
-                }
-                done += n;
+                left_out.key = Some(key);
             }
-            Ok(())
-        })
+            let part = &mut acc[done..done + n];
+            for row in (0..live).filter(|&r| !left_out.rows[r as usize]) {
+                xor_into(part, io.dev().read_slice(rows_base + row * geo.row_size + cur, n)?);
+            }
+            if skip != geo.data_rows {
+                xor_into(part, io.dev().read_slice(self.layout.parity_off(zone, cur), n)?);
+            }
+            done += n;
+        }
+        Ok(())
     }
 
     fn chunk_is_log(&self, io: &PoolIo, zone: u64, chunk_idx: u64) -> Result<bool> {
@@ -666,7 +732,8 @@ impl ParityEngine {
                 let len = STEP.min(self.layout.zone.row_size - col);
                 let acc = scratch::zeroed(&mut s.rebuilt, len as usize);
                 let guard = self.lock_columns(zone, col, len);
-                self.fold_rows(io, zone, self.layout.zone.data_rows, col, acc)?;
+                let skip = self.layout.zone.data_rows;
+                scratch::with_left_out(|lo| self.fold_rows(io, zone, skip, col, acc, lo))?;
                 let parity = io.dev().read_slice(self.layout.parity_off(zone, col), acc.len())?;
                 if acc != parity || self.stray_above_watermark(io, zone, col, len)? {
                     mismatches.push((zone, col));
@@ -1115,6 +1182,31 @@ mod tests {
             eng.marks[0].store((k - 1) * geo.chunks_per_row + k_col + 1, Ordering::Release);
             assert_eq!(rebuild_reads(&io, &eng, off, len as usize), reads(k), "k = {k}");
         }
+    }
+
+    #[test]
+    fn ranges_of_one_column_resolve_its_left_out_rows_once() {
+        let (io, layout, eng) = setup();
+        let rows = layout.zone.data_rows;
+        let base = layout.chunk_base(0, 3);
+        protected_write(&io, &eng, base + 90, &[0x5A; 900]);
+        let ranges = [(base + 64, 16), (base + 256, 256), (base + 1000, 4)];
+        let mut got = vec![0u8; 276];
+        let s0 = io.dev().stats();
+        scratch::with_left_out(|lo| eng.reconstruct_ranges(&io, &ranges, &mut got, lo)).unwrap();
+        let d = io.dev().stats().delta_since(&s0);
+        // One chunk-metadata entry per other row, once; then each range
+        // reads every other row and the parity row.
+        assert_eq!(d.read_ops, (rows - 1) + 3 * rows);
+        assert_eq!(d.bytes_read, (rows - 1) * 16 + 276 * rows);
+        let mut want = Vec::new();
+        for (off, len) in ranges {
+            let mut one = vec![0u8; len as usize];
+            eng.reconstruct_range(&io, off, &mut one).unwrap();
+            want.extend_from_slice(&one);
+        }
+        assert_eq!(got, want);
+        assert_eq!(&got[..16], io.dev().read_slice(base + 64, 16).unwrap());
     }
 
     #[test]

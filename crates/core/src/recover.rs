@@ -15,9 +15,11 @@
 //! mid-parity-update) and rebuilds at the granularity of the damage: a
 //! media error's lost page from its *page column*, under a persistent
 //! repair record that re-executes an interrupted repair at the next open;
-//! a checksum failure's object (header + slot) from its *range column*,
-//! rewriting only the cache lines that differ. Every column fold — these
-//! and the crash-recovery recompute — reads only the rows under the zone's
+//! a checksum failure from its *range column*, rewriting only the cache
+//! lines that differ — the object's header first, then only the segments
+//! that fail their sums ([`crate::segment`]), each with its sum, in one
+//! fold (`Inner::recover_object_frozen`). Every column fold — these and
+//! the crash-recovery recompute — reads only the rows under the zone's
 //! reserved-chunk watermark ([`crate::parity`]). A lost page of the zone
 //! header reserve is rebuilt from the watermark's other copy.
 
@@ -26,14 +28,17 @@ use pgl_pmemobj::heap::MetaOp;
 use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::layout::RUN_HEADER_SIZE;
 use pgl_pmemobj::ulog::{self, payload, Entry, EntryKind};
-use pgl_pmemobj::{Layout, PoolIo};
+use pgl_pmemobj::{Layout, ObjectHeader, PoolIo, OBJ_HEADER_SIZE};
 
 use crate::error::{PglError, Result};
-use crate::parity::{segments, ParityDomains, ParityEngine};
+use crate::parity::{segments, LeftOut, ParityDomains, ParityEngine};
 use crate::pool::Inner;
 use crate::quarantine::QuarantineSet;
-use crate::scratch;
+use crate::scratch::{self, FaultScratch};
 use crate::segment;
+
+/// Bytes of an object header, as an index.
+const HDR: usize = OBJ_HEADER_SIZE as usize;
 
 /// Offset (within the pool-header page) of the persistent repair record.
 const REPAIR_RECORD_OFF: u64 = 1024;
@@ -223,36 +228,88 @@ pub fn repair_range_by_compare(
     off: u64,
     len: u64,
 ) -> Result<bool> {
-    // Long ranges (Large objects) go window by window: bounded scratch.
-    const WINDOW: u64 = 64 << 10;
     scratch::with_fault_scratch(|s| {
-        let mut repaired = false;
-        let mut at = off;
-        while at < off + len {
-            let n = (off + len - at).min(WINDOW) as usize;
-            let rebuilt = scratch::zeroed(&mut s.rebuilt, n);
-            engine.reconstruct_range(io, at, rebuilt)?;
-            let current = scratch::zeroed(&mut s.current, n);
-            io.read(at, current).map_err(PglError::from)?;
-            // Device cache lines are absolute, so the first piece of an
-            // unaligned range is short.
-            let mut i = 0;
-            while i < n {
-                let end = n.min(i + CACHELINE - (at as usize + i) % CACHELINE);
-                if current[i..end] != rebuilt[i..end] {
-                    io.write(at + i as u64, &rebuilt[i..end]).map_err(PglError::from)?;
-                    io.flush(at + i as u64, end - i).map_err(PglError::from)?;
-                    repaired = true;
-                }
-                i = end;
-            }
-            at += n as u64;
-        }
-        if repaired {
-            io.drain();
-        }
-        Ok(repaired)
+        scratch::with_left_out(|lo| {
+            io.read(off, scratch::zeroed(&mut s.current, len as usize)).map_err(PglError::from)?;
+            repair_image(io, engine, lo, s, off, &[(off, len)])
+        })
     })
+}
+
+/// The compare-repair pass behind [`repair_range_by_compare`] and object
+/// repair: rebuilds every `(off, len)` of `ranges` — sorted, disjoint,
+/// inside the image — from parity in one fold (each chunk column's
+/// left-out rows resolved once, in `left_out`), and rewrites exactly the
+/// cache lines whose bytes in the image differ, patching the image to
+/// match. The image is `s.current`: what media holds from `base`. One
+/// drain covers every rewritten line. Returns `true` if a line was
+/// rewritten.
+fn repair_image(
+    io: &PoolIo,
+    engine: &ParityEngine,
+    left_out: &mut LeftOut,
+    s: &mut FaultScratch,
+    base: u64,
+    ranges: &[(u64, u64)],
+) -> Result<bool> {
+    let total = ranges.iter().map(|&(_, len)| len as usize).sum();
+    let rebuilt = scratch::zeroed(&mut s.rebuilt, total);
+    engine.reconstruct_ranges(io, ranges, rebuilt, left_out)?;
+    let mut repaired = false;
+    let mut from = 0;
+    for &(off, len) in ranges {
+        let (n, at) = (len as usize, (off - base) as usize);
+        let (new, current) = (&rebuilt[from..from + n], &mut s.current[at..at + n]);
+        from += n;
+        // Device cache lines are absolute, so the first piece of an
+        // unaligned range is short.
+        let mut i = 0;
+        while i < n {
+            let end = n.min(i + CACHELINE - (off as usize + i) % CACHELINE);
+            if current[i..end] != new[i..end] {
+                io.write(off + i as u64, &new[i..end]).map_err(PglError::from)?;
+                io.flush(off + i as u64, end - i).map_err(PglError::from)?;
+                current[i..end].copy_from_slice(&new[i..end]);
+                repaired = true;
+            }
+            i = end;
+        }
+    }
+    if repaired {
+        io.drain();
+    }
+    Ok(repaired)
+}
+
+/// The storage object repair rebuilds for the `failing` segments (in
+/// ascending order) of a `size`-byte object whose slot is `[start, end)`:
+/// each segment with its sum — segment 0 with the header in front of it, a
+/// middle segment with its table entry, the last segment through the end
+/// of the slot (pad, table and unused tail: what an overrun leaving the
+/// object through its tail hits). Sorted, adjacent ranges coalesced, as
+/// `(off, len)`.
+fn segment_ranges(size: u64, start: u64, end: u64, failing: &[u64]) -> Vec<(u64, u64)> {
+    let user = start + OBJ_HEADER_SIZE;
+    let last = segment::count(size) - 1;
+    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(2 * failing.len());
+    for &k in failing {
+        let (s, e) = segment::bounds(size, k);
+        let lo = if k == 0 { start } else { user + s };
+        spans.push((lo, if k == last { end } else { user + e }));
+        if k != 0 && k != last {
+            let entry = user + segment::entry_off(size, k);
+            spans.push((entry, entry + segment::ENTRY));
+        }
+    }
+    spans.sort_unstable();
+    let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (lo, hi) in spans {
+        match ranges.last_mut() {
+            Some((off, len)) if lo <= *off + *len => *len = (*len).max(hi - *off),
+            _ => ranges.push((lo, hi - lo)),
+        }
+    }
+    ranges
 }
 
 /// [`repair_range_by_compare`] over the page containing `off` — the unit
@@ -466,65 +523,131 @@ impl Inner {
         }
     }
 
+    /// Repairs `oid` from parity with the pool frozen, rebuilding what
+    /// failed and nothing else: the header first, then — classified by
+    /// one read of the repaired object — only its failing segments, each
+    /// with its sum ([`segment_ranges`]), in one compare-repair pass.
+    /// Modes without checksums cannot classify, so there the whole slot is
+    /// the one range. The repaired segments are re-checked before the
+    /// object is vouched for.
     pub(crate) fn recover_object_frozen(&self, oid: pgl_pmemobj::PMEMoid) -> Result<()> {
-        let Some(engine) = &self.parity else {
+        let Some(domains) = &self.parity else {
             return Err(PglError::ChecksumMismatch { off: oid.off });
         };
         self.check_quarantine(oid.off)?;
-        // Header + slot, from allocator metadata (a scribbled object header
-        // cannot change what gets rebuilt).
-        let (start, len) = self.heap.storage_of(&self.io, oid.off).map_err(PglError::from)?;
+        // The slot, from allocator metadata: a scribbled object header
+        // cannot widen what gets rewritten.
+        let slot = self.heap.storage_of(&self.io, oid.off).map_err(PglError::from)?;
+        let (start, len) = slot;
         // The repair rewrites the object's bytes: any verified-generation
         // entry describes pre-repair bytes, so it must not survive —
         // otherwise a cached read could serve the scribble the repair
         // just undid.
         self.vcache.bump(oid.off);
-        // A double fault mid-repair (another row of the range, or its
-        // parity, is also lost): contain it like any other terminal repair
-        // failure so the error carries the quarantined location.
-        let contain = |e: PglError| {
-            if e.is_unrecoverable() {
-                self.object_double_fault(oid, format!("repair double-faulted: {e}"))
-            } else {
-                e
-            }
-        };
         // Media errors cost whole pages (the page column); everything else
         // is localised to the object's own bytes (the range column).
         for page in start / PAGE_SIZE as u64..=(start + len - 1) / PAGE_SIZE as u64 {
             if self.io.dev().is_poisoned_page(page) {
-                self.recover_page_frozen(page).map_err(contain)?;
+                self.recover_page_frozen(page).map_err(|e| self.contain(oid, e))?;
             }
         }
-        repair_range_by_compare(&self.io, engine.engine_for(start), start, len).map_err(contain)?;
-        // Re-verify every segment of the object.
-        let mut hdr_buf = [0u8; 16];
-        self.io.read(oid.header_off(), &mut hdr_buf).map_err(|e| {
-            self.object_double_fault(oid, format!("object unreadable after repair: {e}"))
+        let stamp = self.vcache.begin_verify(oid.off);
+        let engine = domains.engine_for(start);
+        let hdr = scratch::with_fault_scratch(|s| {
+            scratch::with_left_out(|lo| self.repair_slot(engine, oid, slot, s, lo))
         })?;
-        let hdr: pgl_pmemobj::ObjectHeader = pgl_nvm::pod::from_bytes(&hdr_buf);
-        if hdr.size == 0 || oid.off + self.footprint(hdr.size) > start + len {
-            return Err(
-                self.object_double_fault(oid, "object header still invalid after repair".into())
-            );
-        }
         if self.mode.has_checksums() {
-            let stamp = self.vcache.begin_verify(oid.off);
-            // The pool is frozen: nothing writes under the borrowed view.
-            let data = self.io.dev().read_slice(oid.off, self.footprint(hdr.size) as usize)?;
-            self.io.dev().note_csum_pass(hdr.size);
-            if segment::check_all(&hdr, data).is_err() {
-                return Err(self.object_double_fault(
-                    oid,
-                    "object fails checksum even after parity repair \
-                     (corruption in more than one row of a column?)"
-                        .into(),
-                ));
-            }
-            // The repaired object just verified end to end; the pool is
-            // frozen (no concurrent commits), so the publish is race-free.
+            // Every segment just verified — the repaired ones after their
+            // rewrite; the pool is frozen (no concurrent commits), so the
+            // publish is race-free.
             self.vcache.publish(oid.off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         Ok(())
+    }
+
+    /// A double fault mid-repair (another row of the range, or its
+    /// parity, is also lost) is contained like any other terminal repair
+    /// failure, so the error carries the quarantined location.
+    fn contain(&self, oid: pgl_pmemobj::PMEMoid, e: PglError) -> PglError {
+        if e.is_unrecoverable() {
+            self.object_double_fault(oid, format!("repair double-faulted: {e}"))
+        } else {
+            e
+        }
+    }
+
+    /// The body of [`Inner::recover_object_frozen`] for the slot
+    /// `(start, len)`, with the fault scratch and one row-fold memo for
+    /// every fold of the repair: returns the repaired header.
+    fn repair_slot(
+        &self,
+        engine: &ParityEngine,
+        oid: pgl_pmemobj::PMEMoid,
+        (start, len): (u64, u64),
+        s: &mut FaultScratch,
+        lo: &mut LeftOut,
+    ) -> Result<ObjectHeader> {
+        let io = &self.io;
+        let end = start + len;
+        let read = |off: u64, dst: &mut [u8]| {
+            io.read(off, dst).map_err(|e| {
+                self.object_double_fault(oid, format!("object unreadable during repair: {e}"))
+            })
+        };
+        let repair = |s: &mut FaultScratch, lo: &mut LeftOut, ranges: &[(u64, u64)]| {
+            repair_image(io, engine, lo, s, start, ranges).map_err(|e| self.contain(oid, e))
+        };
+        let header = |s: &FaultScratch| {
+            let hdr: ObjectHeader = pgl_nvm::pod::from_bytes(&s.current[..HDR]);
+            if hdr.size == 0 || oid.off + self.footprint(hdr.size) > end {
+                return Err(self
+                    .object_double_fault(oid, "object header still invalid after repair".into()));
+            }
+            Ok(hdr)
+        };
+        if !self.mode.has_checksums() {
+            read(start, scratch::zeroed(&mut s.current, len as usize))?;
+            repair(s, lo, &[(start, len)])?;
+            return header(s);
+        }
+        // The header first, so a size scribbled to another plausible value
+        // cannot mis-aim the rest.
+        read(start, scratch::zeroed(&mut s.current, HDR))?;
+        repair(s, lo, &[(start, OBJ_HEADER_SIZE)])?;
+        let hdr = header(s)?;
+        // The object once — header again, user bytes, pad and table — and
+        // every segment classified against the repaired header.
+        let image_len = OBJ_HEADER_SIZE + self.footprint(hdr.size);
+        read(start, scratch::zeroed(&mut s.current, image_len as usize))?;
+        io.dev().note_csum_pass(hdr.size);
+        let n = segment::count(hdr.size);
+        let ok = |s: &FaultScratch, k| segment::segment_ok(&hdr, &s.current[HDR..], k);
+        let failing: Vec<u64> = (0..n).filter(|&k| !ok(s, k)).collect();
+        if failing.is_empty() {
+            return Ok(hdr);
+        }
+        if failing.last() == Some(&(n - 1)) && image_len < len {
+            // The last segment's range runs to the end of the slot.
+            s.current.resize(len as usize, 0);
+            read(start + image_len, &mut s.current[image_len as usize..])?;
+        }
+        repair(s, lo, &segment_ranges(hdr.size, start, end, &failing))?;
+        let repaired: u64 = failing
+            .iter()
+            .map(|&k| {
+                let (a, b) = segment::bounds(hdr.size, k);
+                b - a
+            })
+            .sum();
+        io.dev().note_csum_pass(repaired);
+        if failing.iter().any(|&k| !ok(s, k)) {
+            return Err(self.object_double_fault(
+                oid,
+                "object fails checksum even after parity repair \
+                 (corruption in more than one row of a column?)"
+                    .into(),
+            ));
+        }
+        Ok(hdr)
     }
 }

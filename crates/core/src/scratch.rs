@@ -24,6 +24,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::parity::LeftOut;
 use crate::ubuf::{FrameParts, UBuf};
 
 /// Multiply–xorshift hasher for `u64` pool offsets. Transaction maps are
@@ -182,9 +183,9 @@ pub(crate) struct FaultScratch {
 thread_local! {
     static FAULT: RefCell<FaultScratch> =
         const { RefCell::new(FaultScratch { rebuilt: Vec::new(), current: Vec::new() }) };
-    /// Per-row "leave this row out of the fold" flags of the parity
-    /// engine's row fold (the rebuilt row itself, and `Log` chunks).
-    static ROW_FLAGS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+    /// The parity engine's row-fold memo: per row, "leave it out of the
+    /// fold" (the rebuilt row itself, and `Log` chunks).
+    static LEFT_OUT: RefCell<LeftOut> = const { RefCell::new(LeftOut::new()) };
 }
 
 /// Runs `f` on the value parked in `slot`, parking it again afterwards.
@@ -213,10 +214,13 @@ pub(crate) fn with_fault_scratch<R>(f: impl FnOnce(&mut FaultScratch) -> R) -> R
     })
 }
 
-/// Runs `f` with this thread's row-flag scratch (see `ParityEngine`'s row
-/// fold).
-pub(crate) fn with_row_flags<R>(f: impl FnOnce(&mut Vec<bool>) -> R) -> R {
-    with_parked(&ROW_FLAGS, f)
+/// Runs `f` with this thread's row-fold memo ([`LeftOut`]), emptied of
+/// any column an earlier use resolved.
+pub(crate) fn with_left_out<R>(f: impl FnOnce(&mut LeftOut) -> R) -> R {
+    with_parked(&LEFT_OUT, |lo| {
+        lo.forget();
+        f(lo)
+    })
 }
 
 /// Resizes `buf` to `len` zero bytes, keeping its capacity.

@@ -13,6 +13,10 @@
 //!    under the parity range-locks over its span — the same striped locks
 //!    a committing transaction holds across that object's write-back — so the scrubber always observes a
 //!    data/checksum/parity-consistent object without stopping the world.
+//!    Under the guard an object costs a liveness probe (its chunk-metadata
+//!    entry and the first 64 bytes of its run header,
+//!    `pgl_pmemobj::heap::Heap::is_live`) and one device read of header
+//!    and image together.
 //!
 //! Objects that fail verification are recovered online (which briefly
 //! freezes the pool, exactly like a media error would). Objects freed or
@@ -305,22 +309,26 @@ fn scrub_one_object(
             report.objects_skipped += 1;
             return Ok(());
         }
-        let mut hb = [0u8; 16];
-        match inner.io.read(oid.header_off(), &mut hb) {
-            Ok(()) => {}
-            Err(ObjError::Mem(MemError::Poisoned { page })) => {
+        let stamp = inner.vcache.begin_verify(oid.off);
+        // Header and image in one read, checksummed in place: the
+        // exclusive span guard keeps every library writer of these bytes
+        // out while the view is borrowed.
+        let image = inner.io.dev().read_slice(oid.header_off(), (OBJ_HEADER_SIZE + span) as usize);
+        let (hb, data) = match image {
+            Ok(bytes) => bytes.split_at(OBJ_HEADER_SIZE as usize),
+            Err(MemError::Poisoned { page }) => {
                 drop(guard);
                 inner.online_recover_page(page)?;
                 report.pages_repaired += 1;
                 continue;
             }
             Err(e) => return Err(e.into()),
-        }
-        let hdr: ObjectHeader = from_bytes(&hb);
+        };
+        let hdr: ObjectHeader = from_bytes(hb);
         if !inner.plausible(oid.off, hdr.size) {
             // Nonsense size on a live slot: the header itself is
             // scribbled. Recovery freezes, repairs from parity and
-            // re-verifies end to end.
+            // re-verifies.
             drop(guard);
             if recover_unless_churned(inner, oid, report)? {
                 report.objects_verified += 1;
@@ -334,19 +342,6 @@ fn scrub_one_object(
             drop(guard);
             continue;
         }
-        let stamp = inner.vcache.begin_verify(oid.off);
-        // Checksummed in place: the exclusive span guard keeps every
-        // library writer of these bytes out while the view is borrowed.
-        let data = match inner.io.dev().read_slice(oid.off, span as usize) {
-            Ok(data) => data,
-            Err(MemError::Poisoned { page }) => {
-                drop(guard);
-                inner.online_recover_page(page)?;
-                report.pages_repaired += 1;
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
         let ok = !inner.mode.has_checksums() || {
             inner.io.dev().note_csum_pass(hdr.size);
             segment::check_all(&hdr, data).is_ok()

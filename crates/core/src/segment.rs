@@ -120,6 +120,20 @@ pub fn check_all(hdr: &ObjectHeader, image: &[u8]) -> Result<(), u64> {
     check(hdr, 0, n - 1, user, table)
 }
 
+/// `true` when segment `k` of the whole-object `image` (as [`check_all`]
+/// takes it) matches its sum: the per-segment verdict object repair
+/// classifies with.
+pub fn segment_ok(hdr: &ObjectHeader, image: &[u8], k: u64) -> bool {
+    let (s, e) = bounds(hdr.size, k);
+    let table = if k == 0 {
+        &[][..]
+    } else {
+        let at = entry_off(hdr.size, k) as usize;
+        &image[at..at + ENTRY as usize]
+    };
+    check(hdr, k, k, &image[s as usize..e as usize], table).is_ok()
+}
+
 /// Computes every sum of the `user.len()`-byte object `user`: returns
 /// segment 0's (the header's) and writes the others into `table` (the
 /// object's `footprint − table_off` table bytes).
@@ -181,5 +195,10 @@ mod tests {
         let last = entry_off(1000, 3) as usize;
         image[last] ^= 1; // a table entry, not its data
         assert_eq!(check_all(&hdr, &image), Err(3));
+        let failing: Vec<u64> = (0..4).filter(|&k| !segment_ok(&hdr, &image, k)).collect();
+        assert_eq!(failing, [3], "only the segment whose entry changed");
+        image[10] ^= 1;
+        let failing: Vec<u64> = (0..4).filter(|&k| !segment_ok(&hdr, &image, k)).collect();
+        assert_eq!(failing, [0, 3]);
     }
 }

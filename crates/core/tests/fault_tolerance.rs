@@ -35,6 +35,20 @@ fn reserve_next_row(pool: &PglPool, victim: PMEMoid) {
     assert!(pool.watermark(zone).unwrap() > chunk + layout.zone.chunks_per_row);
 }
 
+/// Allocates the rest of `victim`'s zone to one object, so every row of
+/// the victim's column lies under the watermark and every fold reads all
+/// of them.
+fn reserve_every_row(pool: &PglPool, victim: PMEMoid) {
+    let layout = *pool.layout();
+    let (zone, chunk, _) = layout.chunk_of(victim.off).unwrap();
+    let geo = layout.zone;
+    pool.bind_thread_to_shard(pool.shard_map().shard_of_zone(zone) as usize);
+    pool.tx(|tx| tx.alloc((geo.data_rows - 1) * geo.row_size, 2)).unwrap();
+    pool.unbind_thread_from_shard();
+    let w = pool.watermark(zone).unwrap();
+    assert!(w > chunk + (geo.data_rows - 1) * geo.chunks_per_row, "watermark {w}");
+}
+
 #[test]
 fn media_error_recovers_online_during_read() {
     let pool = pool();
@@ -332,6 +346,7 @@ fn scribble_repair_reads_the_range_column_and_rewrites_only_scribbled_lines() {
     let pool = pool();
     let (objs, slot) = kib_objects(&pool, 8);
     let victim = objs[3];
+    reserve_every_row(&pool, victim);
     // 40 bytes inside one device cache line of the victim's data.
     let line = (victim.off + 200).next_multiple_of(64);
     inject::scribble_object(&pool, victim, line + 8 - victim.off, 40, 0xEE).unwrap();
@@ -341,17 +356,106 @@ fn scribble_repair_reads_the_range_column_and_rewrites_only_scribbled_lines() {
     assert_eq!(pool.read_verified(victim).unwrap(), vec![3; 1024]);
     let d = dev.stats().delta_since(&s0);
 
-    // Column traffic is the slot times the rows (the other data rows, the
-    // parity row, the current bytes) — not the 4 KiB pages it touches.
+    // Column traffic is the failing segments with their sums times the
+    // rows (the other data rows, the parity row) — not the slot, nor the
+    // 4 KiB pages it touches. The scribble straddles segments 0 and 1:
+    // they are rebuilt with the header and segment 1's table entry. The
+    // constant is the header's own fold, the object read the repair
+    // classifies with, and the verified read's two passes over the object.
     let rows = pool.layout().zone.data_rows;
+    let rebuilt = 2 * 256 + 16 + 4;
     assert!(
-        d.bytes_read <= slot * (rows + 2) + 4096,
-        "repair read {} B for a {slot} B slot over {rows} rows",
+        d.bytes_read <= rebuilt * (rows + 2) + 4096,
+        "repair read {} B for {rebuilt} B of failing segments over {rows} rows ({slot} B slot)",
         d.bytes_read
     );
     assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (64, 1, 1), "one line rewritten");
-    assert_eq!(d.csum_passes, 2, "detection + post-repair verify; the reload is a cache hit");
+    assert_eq!(
+        d.csum_passes, 3,
+        "the repair's classification, its re-check of the two rebuilt segments, the retried read"
+    );
     assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
+fn scribble_on_a_middle_segments_table_entry_rewrites_only_that_line() {
+    let pool = pool();
+    let (objs, _) = kib_objects(&pool, 4);
+    let victim = objs[1];
+    reserve_every_row(&pool, victim);
+    // 1 KiB is four segments; the table behind the user bytes lists the
+    // sums of segments 3, 2, 1. Segment 1's entry is the last of them.
+    let entry = 1024 + 2 * 4;
+    let before = raw(&pool, victim.off - 16, 1280);
+    inject::scribble_object(&pool, victim, entry, 4, 0xEE).unwrap();
+
+    let dev = pool.io().dev();
+    let s0 = dev.stats();
+    assert_eq!(pool.read_verified(victim).unwrap(), vec![1; 1024]);
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (4, 1, 1), "the entry's line only");
+    // Segment 1 and its entry are rebuilt, not the slot.
+    let rows = pool.layout().zone.data_rows;
+    assert!(d.bytes_read <= (256 + 4) * (rows + 2) + 4096, "read {} B", d.bytes_read);
+    assert_eq!(raw(&pool, victim.off - 16, 1280), before);
+    assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
+fn header_scribbled_to_a_plausible_size_or_a_wrong_csum_is_repaired_without_quarantine() {
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let (objs, _) = kib_objects(&pool, 4);
+    drop(pool);
+    let size_at = |oid: PMEMoid| oid.off - 16;
+    let csum_at = |oid: PMEMoid| oid.off - 4;
+    // A smaller and a larger size whose sum tables still fit the slot:
+    // each aims the checks at other bytes, so the object fails them, and
+    // the repair must not let that size aim what it rebuilds.
+    dev.scribble(size_at(objs[0]), &700u64.to_le_bytes()).unwrap();
+    dev.scribble(size_at(objs[1]), &1100u64.to_le_bytes()).unwrap();
+    dev.scribble(csum_at(objs[2]), &[0x5C; 4]).unwrap();
+    let pool = PglPool::options().open(dev).unwrap();
+    for (i, &oid) in objs.iter().enumerate().take(3) {
+        assert_eq!(pool.read_verified(oid).unwrap(), vec![i as u8; 1024], "object {i}");
+    }
+    // The scrubber takes the same path.
+    inject::scribble_raw(&pool, size_at(objs[3]), &600u64.to_le_bytes()).unwrap();
+    let report = pool.scrub_now().unwrap();
+    assert_eq!(report.objects_repaired, 1, "{report:?}");
+    assert_eq!(pool.read_verified(objs[3]).unwrap(), vec![3; 1024]);
+    assert!(pool.quarantined_zones().is_empty());
+    assert_eq!(pool.io().dev().stats().repairs_failed, 0);
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
+}
+
+#[test]
+fn stray_oid_past_a_runs_last_block_is_a_typed_error_and_writes_nothing() {
+    let pool = pool();
+    let (objs, slot) = kib_objects(&pool, 2);
+    let layout = *pool.layout();
+    let (zone, chunk, _) = layout.chunk_of(objs[0].off - 16).unwrap();
+    let header = pgl_pmemobj::layout::RUN_HEADER_SIZE;
+    let nblocks = (layout.cfg.chunk_size as u64 - header) / slot;
+    let tail = layout.chunk_base(zone, chunk) + header + nblocks * slot;
+    assert!(tail + 64 <= layout.chunk_base(zone, chunk + 1), "the run has a tail");
+    // Junk in the run's tail, where a block `nblocks` would start: a slot
+    // computed from it would reach into the next chunk.
+    inject::scribble_raw(&pool, tail, &[0xEE; 64]).unwrap();
+    let stray = PMEMoid::new(objs[0].pool, tail + 16);
+
+    let dev = pool.io().dev();
+    let s0 = dev.stats();
+    match pool.read_verified(stray) {
+        Err(PglError::Obj(pgl_pmemobj::ObjError::InvalidOid { off })) => assert_eq!(off, stray.off),
+        other => panic!("expected InvalidOid, got {other:?}"),
+    }
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!((d.bytes_written, d.lines_flushed), (0, 0), "nothing rewritten");
+    assert_eq!(raw(&pool, tail, 64), vec![0xEE; 64]);
+    assert!(pool.quarantined_zones().is_empty());
 }
 
 #[test]
@@ -421,6 +525,29 @@ fn scribbles_in_a_large_multi_chunk_object_are_repaired() {
 }
 
 #[test]
+fn scribble_in_a_large_object_rebuilds_its_segment_not_its_storage() {
+    let pool = pool();
+    let size = 80 << 10;
+    let oid = make_object(&pool, size, 0x6B);
+    reserve_every_row(&pool, oid);
+    // 100 bytes inside segment 156.
+    inject::scribble_object(&pool, oid, 40_000, 100, 0x11).unwrap();
+    let dev = pool.io().dev();
+    let s0 = dev.stats();
+    assert_eq!(pool.read_verified(oid).unwrap(), vec![0x6B; size as usize]);
+    let d = dev.stats().delta_since(&s0);
+    // One segment and its entry over the rows, plus three reads of the
+    // object: the verified read's detection and retry, the repair's
+    // classification. Folding the 96 KiB of storage read 1.8 MB.
+    let rows = pool.layout().zone.data_rows;
+    let object = 16 + pangolin::segment::footprint(size);
+    let bound = (rows + 2) * (256 + 4) + 3 * object + 4096;
+    assert!(d.bytes_read <= bound, "read {} B, bound {bound}", d.bytes_read);
+    assert_eq!(d.lines_flushed, 2, "the 100 bytes span two lines");
+    assert!(pool.verify_parity().unwrap());
+}
+
+#[test]
 fn scribble_in_a_second_row_of_the_range_is_typed_unrecoverable_and_quarantines() {
     let pool = pool();
     let oid = make_object(&pool, 300, 0x5A);
@@ -446,7 +573,10 @@ fn scribble_repair_is_idempotent_across_a_crash_at_every_device_op() {
     // The repair writes no record and never touches parity, so a crash at
     // any of its device ops leaves some lines restored and the rest still
     // failing the checksum: the reopened pool's next verified read must
-    // simply repair again and return the model bytes.
+    // simply repair again and return the model bytes. In the second case
+    // the header also claims a wrong but plausible size, so the repair
+    // rewrites the header first and the data after: a crash between the
+    // two leaves a sound header over a scribbled segment.
     const BIG: u64 = 1 << 40;
     let cfg = PglConfig::small();
     let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
@@ -454,42 +584,63 @@ fn scribble_repair_is_idempotent_across_a_crash_at_every_device_op() {
     let victim = make_object(&pool, 1024, 0x5A);
     let neighbour = make_object(&pool, 1024, 0xA5);
     drop(pool);
-    dev.scribble(victim.off + 100, &[0xEE; 300]).unwrap();
-    let scribbled = dev.snapshot();
+    let clean = dev.snapshot();
     let reopen = || PglPool::options().open(dev.clone()).unwrap();
+    // (case, fewest device ops its repair can take, scribbles)
+    let cases = [
+        ("data", 11, vec![(victim.off + 100, vec![0xEE; 300])]),
+        (
+            "size + data",
+            6,
+            vec![
+                (victim.off - 16, 700u64.to_le_bytes().to_vec()),
+                (victim.off + 600, vec![0x77; 40]),
+            ],
+        ),
+    ];
 
-    let pool = reopen();
-    dev.arm_crash_after(BIG);
-    assert_eq!(pool.read_verified(victim).unwrap(), vec![0x5A; 1024]);
-    let ops = BIG - dev.crash_countdown() as u64;
-    dev.disarm_crash();
-    drop(pool);
-    assert!(ops >= 11, "five or six line writes, their flushes, one fence: {ops}");
+    for (case, min_ops, scribbles) in cases {
+        dev.restore(&clean).unwrap();
+        for (off, bytes) in &scribbles {
+            dev.scribble(*off, bytes).unwrap();
+        }
+        let scribbled = dev.snapshot();
+        let pool = reopen();
+        dev.arm_crash_after(BIG);
+        assert_eq!(pool.read_verified(victim).unwrap(), vec![0x5A; 1024]);
+        let ops = BIG - dev.crash_countdown() as u64;
+        dev.disarm_crash();
+        drop(pool);
+        eprintln!("scribble repair ({case}): {ops} boundaries");
+        assert!(ops >= min_ops, "{case}: line writes, their flushes, a fence per pass: {ops}");
 
-    for op in 0..ops {
-        let plans: [Box<dyn CrashPlan>; 4] = [
-            Box::new(AllOld),
-            Box::new(AllNew),
-            Box::new(RandomPlan::seeded(op)),
-            Box::new(RandomPlan::seeded(!op)),
-        ];
-        for (p, mut plan) in plans.into_iter().enumerate() {
-            dev.restore(&scribbled).unwrap();
-            let pool = reopen();
-            dev.arm_crash_after(op);
-            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.read_verified(victim)
-            }));
-            dev.disarm_crash();
-            drop(pool);
-            assert!(crashed.is_err(), "op {op} is inside the repair");
-            dev.simulate_crash(plan.as_mut()).unwrap();
+        for op in 0..ops {
+            let plans: [Box<dyn CrashPlan>; 4] = [
+                Box::new(AllOld),
+                Box::new(AllNew),
+                Box::new(RandomPlan::seeded(op)),
+                Box::new(RandomPlan::seeded(!op)),
+            ];
+            for (p, mut plan) in plans.into_iter().enumerate() {
+                dev.restore(&scribbled).unwrap();
+                let pool = reopen();
+                dev.arm_crash_after(op);
+                let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.read_verified(victim)
+                }));
+                dev.disarm_crash();
+                drop(pool);
+                assert!(crashed.is_err(), "{case}: op {op} is inside the repair");
+                dev.simulate_crash(plan.as_mut()).unwrap();
 
-            let pool = reopen();
-            assert_eq!(pool.read_verified(victim).unwrap(), vec![0x5A; 1024], "op {op} plan {p}");
-            assert_eq!(pool.read_verified(neighbour).unwrap(), vec![0xA5; 1024]);
-            assert!(pool.verify_parity().unwrap(), "op {op} plan {p}");
-            assert!(pool.find_corrupt_objects().unwrap().is_empty());
+                let pool = reopen();
+                let got = pool.read_verified(victim).unwrap();
+                assert_eq!(got, vec![0x5A; 1024], "{case}: op {op} plan {p}");
+                assert_eq!(pool.read_verified(neighbour).unwrap(), vec![0xA5; 1024]);
+                assert!(pool.verify_parity().unwrap(), "{case}: op {op} plan {p}");
+                assert!(pool.find_corrupt_objects().unwrap().is_empty());
+                assert!(pool.quarantined_zones().is_empty(), "{case}: op {op} plan {p}");
+            }
         }
     }
 }

@@ -29,7 +29,7 @@ use crate::oid::{ObjectHeader, OBJ_HEADER_SIZE};
 use crate::ulog::{payload, Entry, EntryKind};
 use pgl_nvm::pod::{bytes_of, from_bytes};
 
-use run::{ChunkMeta, ChunkType, RunHeader};
+use run::{ChunkMeta, ChunkType, RunHeader, RunPrefix};
 use state::{RunState, ZoneState};
 
 /// A persistent allocator effect, published at transaction commit.
@@ -188,8 +188,9 @@ pub struct RunSlot {
 
 /// Where persistent metadata places an object's storage (see [`placement`]).
 enum Placement {
-    /// A run block, and whether its allocator bit is set.
-    Block(RunSlot, bool),
+    /// A run block, and its bitmap word when the run header's first line
+    /// holds it (blocks `0..256`).
+    Block(RunSlot, Option<u64>),
     /// The start of a `Large` chunk span.
     Large,
 }
@@ -197,7 +198,8 @@ enum Placement {
 /// Places the object whose user data starts at `oid_off`, trusting nothing
 /// on media: `None` unless `oid_off - 16` is the start of a block inside a
 /// `Run` chunk or the start of a `Large` chunk, whose metadata entry
-/// verifies and, for a run, whose run header validates.
+/// verifies and, for a run, whose run header validates. Reads the 16-byte
+/// chunk-metadata entry and, for a run, the header's first 64 bytes.
 fn placement(io: &PoolIo, layout: &Layout, oid_off: u64) -> Option<Placement> {
     let start = oid_off.checked_sub(OBJ_HEADER_SIZE)?;
     let (z, c, within) = layout.chunk_of(start).ok()?;
@@ -208,21 +210,39 @@ fn placement(io: &PoolIo, layout: &Layout, oid_off: u64) -> Option<Placement> {
     let base = layout.chunk_base(z, c);
     match cm.chunk_type()? {
         ChunkType::Run => {
-            let hdr = RunHeader::read(io, base).ok()?;
-            hdr.validate(layout.cfg.chunk_size).ok()?;
-            let rel = within.checked_sub(RUN_HEADER_SIZE)?;
-            let len = hdr.block_size as u64;
-            let block = rel / len;
-            if rel % len != 0 || block >= hdr.nblocks as u64 {
-                return None;
-            }
-            let (bit_word, mask) = RunHeader::bit_pos(base, block as u32);
-            let slot = RunSlot { start, len, bit_word, mask };
-            Some(Placement::Block(slot, hdr.is_set(block as u32)))
+            let (slot, word) = run_block(io, layout, base, within, oid_off).ok()?;
+            Some(Placement::Block(slot, word))
         }
         ChunkType::Large => (start == base).then_some(Placement::Large),
         _ => None,
     }
+}
+
+/// Locates the block whose storage starts `within` bytes into the run
+/// chunk at `base`, from the run header's first line ([`RunPrefix`]): the
+/// slot, and its bitmap word when that line holds it. A header that fails
+/// validation is [`ObjError::Corruption`]; an offset that is not the start
+/// of one of the run's blocks is [`ObjError::InvalidOid`].
+fn run_block(
+    io: &PoolIo,
+    layout: &Layout,
+    base: u64,
+    within: u64,
+    oid_off: u64,
+) -> Result<(RunSlot, Option<u64>)> {
+    let hdr = RunPrefix::read(io, base)?;
+    hdr.validate(layout.cfg.chunk_size)
+        .map_err(|_| ObjError::Corruption { off: base, what: "run header" })?;
+    let invalid = || ObjError::InvalidOid { off: oid_off };
+    let rel = within.checked_sub(RUN_HEADER_SIZE).ok_or_else(invalid)?;
+    let len = hdr.block_size as u64;
+    let block = rel / len;
+    if rel % len != 0 || block >= hdr.nblocks as u64 {
+        return Err(invalid());
+    }
+    let (bit_word, mask) = RunHeader::bit_pos(base, block as u32);
+    let slot = RunSlot { start: base + within, len, bit_word, mask };
+    Ok((slot, hdr.word_of(block as u32)))
 }
 
 /// Locates the run block whose object user data starts at `oid_off`,
@@ -652,7 +672,12 @@ impl Heap {
 
     /// Returns the storage footprint `(start_off, len)` backing the object
     /// whose user data is at `oid_off`, from persistent metadata. Used by
-    /// corruption recovery to bound the pages it must inspect.
+    /// corruption recovery to bound what it may rewrite, so a run block is
+    /// located as [`Heap::is_live`] locates it (the run header's first
+    /// line, validated): an offset that is not the start of one of the
+    /// run's blocks is [`ObjError::InvalidOid`], a header that fails
+    /// validation [`ObjError::Corruption`]. The chunk-metadata entry is
+    /// taken as read, checksum or not.
     pub fn storage_of(&self, io: &PoolIo, oid_off: u64) -> Result<(u64, u64)> {
         let start =
             oid_off.checked_sub(OBJ_HEADER_SIZE).ok_or(ObjError::InvalidOid { off: oid_off })?;
@@ -661,15 +686,8 @@ impl Heap {
         match cm.chunk_type() {
             Some(ChunkType::Run) => {
                 let base = self.layout.chunk_base(z, c);
-                let hdr = RunHeader::read(io, base)?;
-                hdr.validate(self.layout.cfg.chunk_size)
-                    .map_err(|_| ObjError::Corruption { off: base, what: "run header" })?;
-                let rel = within
-                    .checked_sub(RUN_HEADER_SIZE)
-                    .ok_or(ObjError::InvalidOid { off: oid_off })?;
-                let block = rel / hdr.block_size as u64;
-                let bstart = RunHeader::block_off(base, hdr.block_size, block as u32);
-                Ok((bstart, hdr.block_size as u64))
+                let (slot, _) = run_block(io, &self.layout, base, within, oid_off)?;
+                Ok((slot.start, slot.len))
             }
             Some(ChunkType::Large) => {
                 let n = cm.size_idx.max(1) as u64;
@@ -694,9 +712,16 @@ impl Heap {
     /// torn observation can only make the scrubber skip an object for one
     /// pass, never touch the wrong one. Callers that go on to repair must
     /// re-confirm under their own range-locks (the scrubber does).
+    ///
+    /// The probe reads the 16-byte chunk-metadata entry and the run
+    /// header's first 64 bytes ([`RunPrefix`]: the geometry and the bitmap
+    /// words of blocks `0..256`); a block past those takes one more 8-byte
+    /// word read.
     pub fn is_live(&self, io: &PoolIo, oid_off: u64) -> bool {
         match placement(io, &self.layout, oid_off) {
-            Some(Placement::Block(_, set)) => set,
+            Some(Placement::Block(slot, word)) => {
+                word.or_else(|| io.read_u64(slot.bit_word).ok()).is_some_and(|w| w & slot.mask != 0)
+            }
             Some(Placement::Large) => true,
             None => false,
         }
@@ -993,6 +1018,72 @@ mod tests {
         let large = heap.reserve_alloc(layout.cfg.chunk_size as u64, 2).unwrap();
         publish_alloc(&io, &heap, &large);
         assert_eq!(run_slot(&io, &layout, large.oid_off), None, "a Large object is no run block");
+    }
+
+    #[test]
+    fn liveness_probe_reads_the_entry_and_the_run_headers_first_line() {
+        // 64 KiB chunks: a 64-byte class run has more than 256 blocks.
+        let layout =
+            Layout::new(PoolConfig { chunk_size: 64 << 10, ..PoolConfig::small() }).unwrap();
+        let dev = Arc::new(NvmDevice::new(layout.cfg.size, DeviceConfig::fast()).unwrap());
+        let io = PoolIo::new(dev);
+        Heap::format(&io, &layout).unwrap();
+        let heap = Heap::rebuild(&io, layout, true).unwrap();
+        let rs: Vec<AllocReservation> = (0..300)
+            .map(|_| {
+                let r = heap.reserve_alloc(40, 1).unwrap();
+                publish_alloc(&io, &heap, &r);
+                r
+            })
+            .collect();
+        let base = rs[0].start_off - RUN_HEADER_SIZE;
+        let block = |b: u64| base + RUN_HEADER_SIZE + b * 64 + OBJ_HEADER_SIZE;
+        assert!(rs.iter().all(|r| r.total_len == 64 && r.start_off - base < 320 + 300 * 64));
+        for b in [7, 270] {
+            let f = heap.reserve_free(&io, block(b)).unwrap();
+            publish_free(&io, &heap, &f);
+        }
+        // (liveness, bytes read, read ops) of one probe.
+        let probe = |off: u64| {
+            let s0 = io.dev().stats();
+            let live = heap.is_live(&io, off);
+            let d = io.dev().stats().delta_since(&s0);
+            (live, d.bytes_read, d.read_ops)
+        };
+        // Blocks 0..256: the entry and the header's first line.
+        assert_eq!(probe(block(3)), (true, 80, 2), "set");
+        assert_eq!(probe(block(7)), (false, 80, 2), "freed");
+        // Past them: one more 8-byte word.
+        assert_eq!(probe(block(299)), (true, 88, 3), "set");
+        assert_eq!(probe(block(270)), (false, 88, 3), "freed");
+        assert_eq!(probe(block(600)), (false, 88, 3), "never set");
+        // Inside a block: no block at all.
+        assert_eq!(probe(block(3) + 8), (false, 80, 2));
+        // run_slot never needs the bit.
+        let s0 = io.dev().stats();
+        let slot = run_slot(&io, &layout, block(299)).unwrap();
+        let d = io.dev().stats().delta_since(&s0);
+        assert_eq!((d.bytes_read, d.read_ops), (80, 2));
+        assert_eq!(slot.bit_word, base + run::RUN_BITMAP_OFF + 4 * 8);
+        assert_eq!(slot.mask, 1 << (299 - 256));
+    }
+
+    #[test]
+    fn storage_of_a_block_past_the_runs_last_is_a_typed_error() {
+        let (io, heap) = fresh_heap();
+        let r = heap.reserve_alloc(1000, 1).unwrap(); // 1 024-byte class
+        publish_alloc(&io, &heap, &r);
+        assert_eq!(heap.storage_of(&io, r.oid_off).unwrap(), (r.start_off, 1024));
+        let base = r.start_off - RUN_HEADER_SIZE;
+        let nblocks = classes::nblocks(heap.layout().cfg.chunk_size, 1024) as u64;
+        let past = base + RUN_HEADER_SIZE + nblocks * 1024 + OBJ_HEADER_SIZE;
+        for off in [past, r.oid_off + 8] {
+            assert_eq!(heap.storage_of(&io, off), Err(ObjError::InvalidOid { off }), "{off:#x}");
+        }
+        // A run header that fails validation is corruption, not a block.
+        io.write(base, &[0u8; 8]).unwrap();
+        let err = heap.storage_of(&io, r.oid_off).unwrap_err();
+        assert_eq!(err, ObjError::Corruption { off: base, what: "run header" });
     }
 
     #[test]

@@ -11,6 +11,10 @@ use crate::util::crc32;
 /// Byte offset of the bitmap words inside a run header.
 pub const RUN_BITMAP_OFF: u64 = 32;
 
+/// Bitmap words in a run header's first cache line ([`RunPrefix`]): the
+/// bits of blocks `0..256`.
+pub const PREFIX_BITMAP_WORDS: usize = 4;
+
 /// Chunk types stored in chunk metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -134,14 +138,7 @@ impl RunHeader {
 
     /// Validates geometry against the chunk size.
     pub fn validate(&self, chunk_size: usize) -> Result<()> {
-        let fits = self.block_size >= 8
-            && self.nblocks >= 1
-            && RUN_HEADER_SIZE + self.block_size as u64 * self.nblocks as u64 <= chunk_size as u64;
-        if fits {
-            Ok(())
-        } else {
-            Err(ObjError::Corruption { off: 0, what: "run header" })
-        }
+        validate_geometry(self.block_size, self.nblocks, chunk_size)
     }
 
     /// Returns `true` if block `b` is allocated.
@@ -166,6 +163,53 @@ impl RunHeader {
     #[inline]
     pub fn block_off(chunk_base: u64, block_size: u32, b: u32) -> u64 {
         chunk_base + RUN_HEADER_SIZE + b as u64 * block_size as u64
+    }
+}
+
+fn validate_geometry(block_size: u32, nblocks: u32, chunk_size: usize) -> Result<()> {
+    let fits = block_size >= 8
+        && nblocks >= 1
+        && RUN_HEADER_SIZE + block_size as u64 * nblocks as u64 <= chunk_size as u64;
+    if fits {
+        Ok(())
+    } else {
+        Err(ObjError::Corruption { off: 0, what: "run header" })
+    }
+}
+
+/// The first cache line of a [`RunHeader`]: the block geometry and the
+/// bitmap words of blocks `0..256` — all a liveness probe of those blocks
+/// reads. A block past them costs one more 8-byte word read.
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+pub struct RunPrefix {
+    /// Size of each block in bytes.
+    pub block_size: u32,
+    /// Number of managed blocks.
+    pub nblocks: u32,
+    /// Reserved.
+    pub reserved: [u64; 3],
+    /// Bitmap words `0..PREFIX_BITMAP_WORDS`.
+    pub bitmap: [u64; PREFIX_BITMAP_WORDS],
+}
+impl_pod!(RunPrefix, 64);
+
+impl RunPrefix {
+    /// Reads the prefix of the run header at `chunk_base` (one 64-byte read).
+    pub fn read(io: &PoolIo, chunk_base: u64) -> Result<RunPrefix> {
+        let mut buf = [0u8; 64];
+        io.read(chunk_base, &mut buf)?;
+        Ok(from_bytes(&buf))
+    }
+
+    /// Validates geometry against the chunk size (as [`RunHeader::validate`]).
+    pub fn validate(&self, chunk_size: usize) -> Result<()> {
+        validate_geometry(self.block_size, self.nblocks, chunk_size)
+    }
+
+    /// Block `b`'s bitmap word, when the prefix holds it (`b < 256`).
+    pub fn word_of(&self, b: u32) -> Option<u64> {
+        self.bitmap.get((b / 64) as usize).copied()
     }
 }
 
