@@ -1,6 +1,8 @@
 //! Table 3: data structure and transaction sizes — average allocated
 //! ("New") and modified ("Mod") bytes per insert/remove, with the average
-//! number of objects involved in parentheses.
+//! number of objects involved in parentheses, and beside "Mod" the bytes
+//! one copy of the redo log took ("Log": entry headers, payloads,
+//! allocation intents and the commit).
 //!
 //! Run: `cargo run --release -p pgl-bench --bin table3_txsizes`
 
@@ -27,7 +29,7 @@ fn main() {
     let args = Args::parse();
     println!(
         "Table 3 reproduction: transaction sizes over {} inserts + removes \
-         (measured on pgl-MLPC; 'Mod' = redo-logged bytes)",
+         (measured on pgl-MLPC; 'Mod' = redo-logged bytes, 'Log' = one log copy)",
         args.ops
     );
     let keys = random_keys(args.ops, args.seed);
@@ -66,15 +68,26 @@ fn main() {
                 r.object_size.to_string(),
                 format!("{:.1} ({:.2})", r.insert.avg_new_bytes(), r.insert.avg_new_objects()),
                 format!("{:.1} ({:.2})", r.insert.avg_mod_bytes(), r.insert.avg_mod_objects()),
+                format!("{:.1}", r.insert.avg_log_bytes()),
                 format!("{:.1} ({:.2})", r.remove.avg_new_bytes(), r.remove.avg_new_objects()),
                 format!("{:.1} ({:.2})", r.remove.avg_mod_bytes(), r.remove.avg_mod_objects()),
+                format!("{:.1}", r.remove.avg_log_bytes()),
             ]
         })
         .collect();
 
     print_table(
         "Table 3: avg bytes (objects) per transaction",
-        &["structure", "obj size", "Insert New", "Insert Mod", "Remove New", "Remove Mod"],
+        &[
+            "structure",
+            "obj size",
+            "Insert New",
+            "Insert Mod",
+            "Insert Log",
+            "Remove New",
+            "Remove Mod",
+            "Remove Log",
+        ],
         &table,
     );
     println!(

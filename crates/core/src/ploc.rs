@@ -138,7 +138,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pgl_nvm::pod::bytes_of;
 use pgl_pmemobj::heap::{classes, run_slot, AllocReservation, MetaOp};
 use pgl_pmemobj::lane::{LaneHandle, LogMirror};
-use pgl_pmemobj::ulog::EntryKind;
 use pgl_pmemobj::{Layout, ObjectHeader, PMEMoid, PoolIo, OBJ_HEADER_SIZE};
 
 use crate::checksum::{adler32, adler32_update};
@@ -512,7 +511,7 @@ impl Inner {
         }
         let s = run_slot(&self.io, &self.layout, node)
             .ok_or_else(|| self.unrecoverable_here(node, "a linked node is no run block"))?;
-        self.apply_meta_op(&MetaOp::SetBits { off: s.bit_word, mask: s.mask })?;
+        self.publish_meta_ops(&[MetaOp::SetBits { off: s.bit_word, mask: s.mask }])?;
         let _ = slot.compare_exchange(node, node | SETTLED, Ordering::AcqRel, Ordering::Relaxed);
         Ok(())
     }
@@ -537,8 +536,7 @@ impl Inner {
             let (kind, off, payload) = op.encode();
             lane.append(kind, off, &payload)?;
         }
-        lane.append(EntryKind::Commit, 0, &[])?;
-        lane.persist_log()?; // commit point
+        lane.persist_commit()?; // commit point
         let fatal =
             |e: PglError| PglError::unrecoverable(format!("failure after commit point: {e}"));
         self.apply_meta_ops(ops).map_err(fatal)?;

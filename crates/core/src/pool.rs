@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pgl_nvm::pod::{bytes_of, from_bytes, Pod};
+use pgl_nvm::pod::{from_bytes, Pod};
 use pgl_nvm::NvmDevice;
 use pgl_pmemobj::heap::{scan_live_excluding, Heap, MetaOp};
 use pgl_pmemobj::lane::{Lanes, LogMirror};
@@ -24,9 +24,14 @@ use crate::ubuf::{FrameParts, UBuf, UBufState};
 use crate::vcache::VCache;
 
 /// The pool-format version Pangolin writes and opens: objects carry
-/// per-segment sums ([`crate::segment`]). Images of other versions are
-/// refused with [`PglError::FormatVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+/// per-segment sums ([`crate::segment`], since 2) and lanes log 16-byte
+/// entries with the commit folded into a flag ([`pgl_pmemobj::ulog`],
+/// since 3). Images of other versions are refused with
+/// [`PglError::FormatVersion`]. The `libpmemobj`-style pool numbers its
+/// formats in the same header field and skips these numbers
+/// ([`pgl_pmemobj::pool::POOL_VERSION`] is 4), so the next revision here
+/// is 5.
+pub const FORMAT_VERSION: u32 = 3;
 
 thread_local! {
     /// The calling thread's preferred parity shard for new allocations
@@ -605,11 +610,28 @@ impl Inner {
         new: &[u8],
         old: &[u8],
     ) -> Result<()> {
+        self.store_locked(guard, off, new, old)?;
+        self.io.drain();
+        Ok(())
+    }
+
+    /// [`Inner::protected_write_locked_old`] without its fence: the
+    /// non-temporal store and the flushed parity patch, durable at the
+    /// caller's next fence — which the caller issues before it releases
+    /// `guard`, so a reader under the same locks never sees the store
+    /// without its patch. A commit's write-back stores every span of an
+    /// object this way and fences once per object.
+    pub(crate) fn store_locked(
+        &self,
+        guard: &SpanGuard<'_>,
+        off: u64,
+        new: &[u8],
+        old: &[u8],
+    ) -> Result<()> {
         self.io.write_nt(off, new).map_err(PglError::from)?;
         if let (Some(engine), SpanGuard::Parity(g)) = (&self.parity, guard) {
             engine.update_under_flush_only(g, &self.io, off, old, new)?;
         }
-        self.io.drain();
         Ok(())
     }
 
@@ -635,37 +657,41 @@ impl Inner {
             return Ok(());
         }
         let _guard = self.heap.publish_guard();
-        for op in ops {
-            self.apply_meta_op(op)?;
+        self.publish_meta_ops(ops)
+    }
+
+    /// Allocator meta ops with parity maintenance; the caller holds the
+    /// heap's publish guard. The ops of one parity shard go out under one
+    /// span guard and one fence, issued before the guard is released: no
+    /// op orders another (a committed log replays them all), and a reader
+    /// under the same locks sees every word with its parity.
+    pub(crate) fn publish_meta_ops(&self, ops: &[MetaOp]) -> Result<()> {
+        let shard = |op: &MetaOp| self.shard_map.shard_of_off(op.target().0);
+        for run in ops.chunk_by(|a, b| shard(a) == shard(b)) {
+            let guard = self.lock_spans(run.iter().map(MetaOp::target))?;
+            for op in run {
+                self.store_meta_op(&guard, op)?;
+            }
+            self.io.drain();
         }
         Ok(())
     }
 
-    /// One allocator meta op with parity maintenance; the caller holds the
-    /// heap's publish guard.
-    pub(crate) fn apply_meta_op(&self, op: &MetaOp) -> Result<()> {
-        if self.parity.is_none() {
-            return op.apply(&self.io).map_err(PglError::from);
-        }
-        match op {
-            MetaOp::SetBits { off, mask } => self.update_meta_word(*off, |w| w | mask),
-            MetaOp::ClearBits { off, mask } => self.update_meta_word(*off, |w| w & !mask),
-            MetaOp::WriteCm { off, data } => self.protected_write(*off, data),
-            MetaOp::RunFmt { off, block_size, nblocks } => {
-                let hdr = pgl_pmemobj::heap::run::RunHeader::formatted(*block_size, *nblocks);
-                self.protected_write(*off, bytes_of(&hdr))
-            }
-        }
-    }
-
-    /// Read-modify-write of one allocator bitmap word with parity
-    /// maintenance: the word read for the update is also the parity
-    /// patch's pre-image (one device read; the publisher lock keeps the
-    /// word stable).
-    fn update_meta_word(&self, off: u64, f: impl FnOnce(u64) -> u64) -> Result<()> {
-        let guard = self.lock_span(off, 8)?;
-        let w = self.io.read_u64(off).map_err(PglError::from)?;
-        self.protected_write_locked_old(&guard, off, &f(w).to_le_bytes(), &w.to_le_bytes())
+    /// Stores one meta op under `guard`, unfenced. With parity, the bytes
+    /// read for the op (a bitmap word's read-modify-write) are also its
+    /// parity patch's pre-image: one device read, kept stable by the
+    /// publish guard.
+    fn store_meta_op(&self, guard: &SpanGuard<'_>, op: &MetaOp) -> Result<()> {
+        let SpanGuard::Parity(_) = guard else {
+            return op.store(&self.io).map_err(PglError::from);
+        };
+        const MAX: usize = pgl_pmemobj::layout::RUN_HEADER_SIZE as usize;
+        let (off, len) = op.target();
+        let (mut old, mut new) = ([0u8; MAX], [0u8; MAX]);
+        let (old, new) = (&mut old[..len as usize], &mut new[..len as usize]);
+        self.io.read(off, old).map_err(PglError::from)?;
+        op.image(old, new);
+        self.store_locked(guard, off, new, old)
     }
 
     /// Raises its zone's reserved-chunk watermark over freshly reserved

@@ -26,7 +26,6 @@
 use pgl_nvm::{CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
 use pgl_pmemobj::lane::{Lanes, LogMirror};
-use pgl_pmemobj::layout::RUN_HEADER_SIZE;
 use pgl_pmemobj::ulog::{self, payload, Entry, EntryKind};
 use pgl_pmemobj::{Layout, ObjectHeader, PoolIo, OBJ_HEADER_SIZE};
 
@@ -125,7 +124,7 @@ pub fn crash_recover(
                 }
                 _ if *committed => {
                     if let Some(op) = MetaOp::decode(e) {
-                        let (off, len) = meta_target(&op);
+                        let (off, len) = op.target();
                         if !skip(off) {
                             op.apply(io).map_err(PglError::from)?;
                             dirty.push((off, len));
@@ -202,14 +201,6 @@ fn sweep_orphan_log_chunks_zone(
         c += advance;
     }
     Ok(())
-}
-
-fn meta_target(op: &MetaOp) -> (u64, u64) {
-    match op {
-        MetaOp::SetBits { off, .. } | MetaOp::ClearBits { off, .. } => (*off, 8),
-        MetaOp::WriteCm { off, .. } => (*off, 16),
-        MetaOp::RunFmt { off, .. } => (*off, RUN_HEADER_SIZE),
-    }
 }
 
 /// Reconstructs `[off, off+len)` from parity and rewrites (and persists)

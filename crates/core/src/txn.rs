@@ -20,10 +20,13 @@
 //!    redo-logged, matching the paper's observation that allocations do
 //!    not pay object-logging cost);
 //! 5. **redo log** (replicated in `-ML` modes) of every span and the
-//!    allocator ops, sealed by a commit record — the commit point;
+//!    allocator ops in 16-byte-header entries ([`pgl_pmemobj::ulog`]);
+//!    the last one carries the commit flag, and its fence is the commit
+//!    point;
 //! 6. **write-back** of every span with a non-temporal store, paired
-//!    with a parity patch consuming its stage-(2) pre-image (one
-//!    fence covers store and patch together);
+//!    with a parity patch consuming its stage-(2) pre-image; one fence
+//!    per *object* covers all its stores and patches, issued before its
+//!    stripe guard is released;
 //! 7. **allocator publication** (parity-aware) and log invalidation
 //!    (lazy — flushed, fenced by the lane's next transaction).
 //!
@@ -35,8 +38,8 @@
 //! the segments it dirtied ([`crate::segment`]) are part of the atomic
 //! update: segment 0's is the object header's, which sits directly in
 //! front of offset 0 both on NVMM and in the micro-buffer, so a range that
-//! starts at 0 takes it along — one redo entry, one store and fence, one
-//! parity patch for header and data together (a whole-object overwrite is
+//! starts at 0 takes it along — one redo entry, one store, one parity
+//! patch for header and data together (a whole-object overwrite is
 //! the case where that range is the object) — and otherwise it is a
 //! 16-byte span of its own, written only when segment 0 changed. The other
 //! segments' sums are table entries behind the user data: a run of them
@@ -59,10 +62,10 @@
 //! names, so a transaction whose effects span shards commits several
 //! lanes. It runs an **ordered commit protocol**: the lowest-id touched
 //! shard is the *primary*; its lane carries one `CrossShard` marker per
-//! secondary lane (recording the secondary's index and generation), then
-//! the primary's commit record — the commit point. Only after that fence
-//! do the secondary lanes get their own commit records (ascending shard
-//! order, second fence). Recovery rolls a secondary half forward iff
+//! secondary lane (recording the secondary's index and generation), the
+//! last of them flagged as the commit — the commit point. Only after that
+//! fence do the secondary lanes get their own (standalone) commit records
+//! (ascending shard order, second fence). Recovery rolls a secondary half forward iff
 //! the primary committed *and* the secondary lane still carries the
 //! generation named by the marker — so a crash between the two fences
 //! replays both halves, and a crash before the first fence replays
@@ -702,7 +705,7 @@ impl<'p> PglTx<'p> {
         }
 
         // (5) Redo log: every modified object's spans (ranges + refreshed
-        // header) + allocator ops, sealed with the commit record.
+        // header) + allocator ops; the last entry carries the commit flag.
         let (order, objs) = (&self.order, &self.objs);
         let modified =
             || order.iter().map(|off| &objs[off]).filter(|b| b.state() == UBufState::Modified);
@@ -726,11 +729,11 @@ impl<'p> PglTx<'p> {
             |e: PglError| PglError::unrecoverable(format!("failure after commit point: {e}"));
         if logged || !new_offs.is_empty() {
             // Ordered commit (module docs; with no secondary lane this is
-            // the commit record and one fence): make every secondary half
-            // durable WITHOUT a commit record, then commit the primary
-            // with one CrossShard marker per secondary — that fence is
-            // the commit point — and only then seal the secondaries in
-            // ascending shard order.
+            // the commit flag and one fence): make every secondary half
+            // durable WITHOUT a commit, then commit the primary with one
+            // CrossShard marker per secondary — that fence is the commit
+            // point — and only then seal the secondaries in ascending
+            // shard order.
             for (_, l) in &mut sec {
                 l.persist_log().map_err(PglError::from)?;
             }
@@ -739,21 +742,26 @@ impl<'p> PglTx<'p> {
                 let marker = payload::cross_shard(l.index(), l.gen());
                 append_with_overflow(inner, lane, chunks, EntryKind::CrossShard, 0, &marker)?;
             }
-            append_with_overflow(inner, lane, chunks, EntryKind::Commit, 0, &[])?;
-            lane.persist_log()?; // COMMIT POINT (first fence)
+            // The commit flag rides on the primary's last entry; a
+            // secondary's entries are already durable, so its commit is
+            // a standalone record.
+            lane.persist_commit()?; // COMMIT POINT (first fence)
             for (_, l) in &mut sec {
-                append_with_overflow(inner, l, chunks, EntryKind::Commit, 0, &[]).map_err(fatal)?;
-                l.persist_log().map_err(|e| fatal(e.into()))?; // second fence
+                l.persist_commit().map_err(|e| fatal(e.into()))?; // second fence
             }
         }
+        self.stats.log_bytes = self.lane.used() + sec.iter().map(|(_, l)| l.used()).sum::<u64>();
 
         // (6) Write back every span, updating parity. An object's spans go
-        // out under ONE parity guard covering exactly those spans:
+        // out under ONE parity guard covering exactly those spans, and
+        // ONE fence before it is released:
         // writers of disjoint columns proceed in parallel, writers of
         // overlapping columns take turns (their patches commute, so the
         // order is free), and the scrubber (which takes the same locks)
         // can only observe the object entirely-before or entirely-after
-        // this transaction. Parity patches consume the
+        // this transaction. No store orders another here — the committed
+        // log replays them all — so the fence only has to land before the
+        // guard's release. Parity patches consume the
         // pre-images stage (2) packed in the commit scratch — in this
         // exact walk order, so a byte cursor pairs them back up without
         // any lookup. Failures past the commit point cannot abort;
@@ -778,8 +786,9 @@ impl<'p> PglTx<'p> {
                 inner.vcache.clear(b.oid().off, k0, k1);
             }
             for (at, new) in b.spans() {
-                inner.protected_write_locked_old(&guard, at, new, pre(new.len())).map_err(fatal)?;
+                inner.store_locked(&guard, at, new, pre(new.len())).map_err(fatal)?;
             }
+            inner.io.drain();
         }
         debug_assert!(!parity || cur == old.len(), "stage-6 walk diverged from stage 2");
 

@@ -161,12 +161,13 @@ fn whole_object_overwrite_commit_reads_the_device_zero_times() {
 
 #[test]
 fn redo_log_reaches_media_by_nt_stores_only() {
-    // A warm 4 KiB whole-object overwrite in MLPC: the redo entry and the
-    // commit record are staged in DRAM and go out as one NT span per log
-    // copy at the commit fence, so no log line is ever flushed. What is
-    // flushed is the object's parity span and the two generation words of
-    // the lazy log invalidation — and the fence count (commit point +
-    // write-back) is what it was when the log used cached stores.
+    // A warm 4 KiB whole-object overwrite in MLPC: the redo entry, which
+    // carries the commit flag, is staged in DRAM and goes out as one NT
+    // span per log copy at the commit fence, so no log line is ever
+    // flushed. What is flushed is the object's parity span and the two
+    // generation words of the lazy log invalidation — and the fence count
+    // (commit point + write-back) is what it was when the log used cached
+    // stores.
     const BIG: u64 = 4096;
     let cfg = PglConfig::small();
     let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
@@ -191,7 +192,7 @@ fn redo_log_reaches_media_by_nt_stores_only() {
     let (start, end) = (oid.off - 16, oid.off + BIG + TABLE);
     let object_lines = (end - 1) / 64 - start / 64 + 1;
     assert_eq!(d.lines_flushed, object_lines + 2, "parity span + two generation words");
-    let log_bytes = ulog::entry_space((16 + BIG + TABLE) as usize) + ulog::entry_space(0);
+    let log_bytes = ulog::entry_space((16 + BIG + TABLE) as usize);
     assert_eq!(
         d.bytes_written_nt,
         (16 + BIG + TABLE) + 2 * log_bytes,
@@ -320,8 +321,9 @@ fn range_write_into_a_big_object_reads_its_segment_its_entry_and_the_header() {
 fn write_at_offset_zero_takes_the_header_along() {
     // The header sits in front of offset 0 on NVMM and in the
     // micro-buffer, so a range that starts there is one span with it: one
-    // redo entry, one store + fence, one parity patch. The same write at
-    // offset 8 logs and stores range and header separately.
+    // redo entry, one store, one parity patch. The same write at offset 8
+    // logs and stores range and header separately — under the object's
+    // one guard and one write-back fence, so it fences as often.
     let (dev, pool) = new_pool();
     let oid = make_obj(&pool, 4096, 0x11);
     let cost = |off: u64, fill: u8| {
@@ -331,23 +333,74 @@ fn write_at_offset_zero_takes_the_header_along() {
     };
     cost(8, 0x01); // settle the lane's lazy log invalidation
     let (at0, at8) = (cost(0, 0x22), cost(8, 0x33));
-    let commit = ulog::entry_space(0);
     assert_eq!(
         at0.bytes_written_nt,
-        (16 + 8) + 2 * (ulog::entry_space(16 + 8) + commit),
-        "one Data entry per log copy, one object store"
+        (16 + 8) + 2 * ulog::entry_space(16 + 8),
+        "one flagged Data entry per log copy, one object store"
     );
     assert_eq!(
         at8.bytes_written_nt,
-        (8 + 16) + 2 * (ulog::entry_space(8) + ulog::entry_space(16) + commit),
+        (8 + 16) + 2 * (ulog::entry_space(8) + ulog::entry_space(16)),
         "range and header logged and stored apart"
     );
-    assert_eq!((at0.fences, at8.fences), (2, 3), "commit point + one fence per stored span");
+    assert_eq!((at0.fences, at8.fences), (2, 2), "commit point + one fence per stored object");
     assert_eq!(at0.bytes_read, at8.bytes_read);
     let mut want = vec![0x11; 4096];
     want[..8].fill(0x22);
     want[8..16].fill(0x33);
     assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
+}
+
+#[test]
+fn one_log_copy_is_16_byte_headers_and_no_commit_record() {
+    // The exact bytes of one log copy (`TxStats::log_bytes`, and the NT
+    // bytes behind it: the object stores plus two copies). A warm whole
+    // overwrite of a 64-byte object logs one entry, header and data, that
+    // carries the commit flag: 16 + 80 (144 with 32-byte headers and a
+    // commit record). An 8-byte write at offset 8 logs range and header
+    // apart: (16 + 8) + (16 + 16) = 56 (120 before).
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 64, 0x11);
+    let cost = |off: u64, len: usize, fill: u8| {
+        let s0 = dev.stats();
+        let ((), st) = pool.tx_with_stats(|tx| tx.write(oid, off, &vec![fill; len])).unwrap();
+        (st.log_bytes, dev.stats().delta_since(&s0).bytes_written_nt)
+    };
+    cost(8, 8, 0x01); // warm the lane
+    let (whole, whole_nt) = cost(0, 64, 0x22);
+    assert_eq!(whole, 16 + 80, "one flagged entry: header + object header + data");
+    assert_eq!(whole_nt, 80 + 2 * whole, "the object store and two log copies");
+    let (small, small_nt) = cost(8, 8, 0x33);
+    assert_eq!(small, (16 + 8) + (16 + 16), "range entry + flagged header entry");
+    assert_eq!(small_nt, (8 + 16) + 2 * small);
+    let mut want = vec![0x22; 64];
+    want[8..16].fill(0x33);
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
+}
+
+#[test]
+fn alloc_and_free_in_one_transaction_fence_four_times() {
+    // Allocation intents, construction write-back, the commit point, and
+    // ONE fence for the allocator's two bitmap words, stored under one
+    // guard: 4 (5 when each word was fenced on its own).
+    let (dev, pool) = new_pool();
+    let mut victims: Vec<_> = (0..3u8).map(|i| make_obj(&pool, 64, i)).collect();
+    let mut swap = || {
+        let victim = victims.pop().unwrap();
+        let s0 = dev.stats();
+        pool.tx(|tx| {
+            let oid = tx.alloc(64, 1)?;
+            tx.write(oid, 0, &[0x5A; 64])?;
+            tx.free(victim)
+        })
+        .unwrap();
+        dev.stats().delta_since(&s0)
+    };
+    swap(); // warm: the run exists, the watermark covers it
+    let d = swap();
+    assert_eq!(d.fences, 4, "intents, construction, commit, one for both bitmap words");
     assert_sound(&pool);
 }
 
@@ -365,7 +418,7 @@ fn unchanged_overwrite_skips_parity_persist() {
     assert_eq!(d.xor_bytes, 0);
     assert_eq!(d.commit_old_reads, 0, "and the pre-image was not read for it");
     assert_eq!(d.lines_flushed, 2, "only the lazy log invalidation's two generation words");
-    assert_eq!(d.fences, 3, "commit point, range store, header store — none for parity");
+    assert_eq!(d.fences, 2, "commit point, one for range and header — none for parity");
     assert_sound(&pool);
 }
 

@@ -13,10 +13,20 @@
 //!   CM already called Free);
 //! * **vcache generation coherence** — the DRAM verified-generation cache
 //!   must never serve stale bytes after recovery: commits bump the
-//!   generation, and detected corruption still repairs online.
+//!   generation, and detected corruption still repairs online;
+//! * **the commit flag behind a lost line** — the flag rides on the log's
+//!   last entry, in the same non-temporal span as the entries before it,
+//!   so a crash at the commit fence can persist the flagged entry while an
+//!   earlier entry's line is lost: nothing may be replayed.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 use pangolin::crashcheck::{self, FnWorkload, SweepConfig};
-use pangolin::{inject, PMEMoid, PglError, PglPool};
+use pangolin::{inject, PMEMoid, PglConfig, PglError, PglPool};
+use pgl_nvm::{CrashPoint, DeviceConfig, LineOutcome, MappedPlan, NvmDevice, CACHELINE};
+use pgl_pmemobj::lane::{Lanes, LogMirror, LANE_HEADER_SIZE};
+use pgl_pmemobj::{ulog, PoolIo};
 
 fn find_by_type(pool: &PglPool, type_num: u32) -> pangolin::Result<PMEMoid> {
     pool.live_objects()?
@@ -186,4 +196,102 @@ fn vcache_generations_stay_coherent_after_recovery() {
     });
 
     crashcheck::sweep_with(&workload, &SweepConfig::from_env().sampled(2));
+}
+
+/// A crash at the commit fence of a two-object overwrite, with every log
+/// line persisted except one that lies wholly inside the first entry,
+/// while the flagged last entry survives intact. Lost in both log copies,
+/// the walk ends at the torn first entry, before the flag, so the log is
+/// not committed: recovery replays nothing, and both objects and parity
+/// are as before the transaction. Each of the first entry's four lines
+/// is lost in turn; under `PGL_DEEP_SWEEP=1` each is also lost in one
+/// copy only, where the other copy commits the log and both objects
+/// replay.
+#[test]
+fn a_surviving_commit_flag_behind_a_lost_line_replays_nothing() {
+    const SIZE: usize = 256;
+    // Entry 1: A's header and bytes (16 + 16 + 256 = 288 B, lines 0..=4);
+    // entry 2, flagged: B's, from byte 288 on. Lines 0..=3 hold entry 1
+    // only.
+    const FIRST_ENTRY_LINES: u64 = 4;
+    let deep = std::env::var("PGL_DEEP_SWEEP").as_deref() == Ok("1");
+    // Which log copies lose the line: both, or (deep) one of the two.
+    let copies: &[[bool; 2]] =
+        if deep { &[[true, true], [true, false], [false, true]] } else { &[[true, true]] };
+    for (lost, &copy) in (0..FIRST_ENTRY_LINES).flat_map(|l| copies.iter().map(move |c| (l, c))) {
+        let case = format!("line {lost} lost in copies {copy:?}");
+        let cfg = PglConfig::small();
+        let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+        let pool = PglPool::create(dev.clone(), cfg).unwrap();
+        let layout = *pool.layout();
+        let (a, b) = pool
+            .tx(|tx| {
+                let a = tx.alloc(SIZE as u64, 1)?;
+                let b = tx.alloc(SIZE as u64, 2)?;
+                tx.write(a, 0, &[0x11; SIZE])?;
+                tx.write(b, 0, &[0x22; SIZE])?;
+                Ok((a, b))
+            })
+            .unwrap();
+        pool.tx(|tx| tx.write(a, 0, &[0x11; SIZE])).unwrap(); // settle the lane
+
+        // Overwrites make no device op before the log: the two log copies
+        // are ops 0 and 1, the commit fence op 2.
+        dev.arm_crash_after(2);
+        let crashed = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.tx(|tx| {
+                tx.write(a, 0, &[0x33; SIZE])?;
+                tx.write(b, 0, &[0x44; SIZE])
+            })
+        }));
+        dev.disarm_crash();
+        match crashed {
+            Err(p) if p.downcast_ref::<CrashPoint>().is_some() => {}
+            r => panic!("the commit fence did not crash: {:?}", r.map(|r| r.is_ok())),
+        }
+        drop(pool);
+
+        // The lane whose log lines the crash left dirty.
+        let line = |off: u64| off / CACHELINE as u64;
+        let choices = dev.dirty_line_choices();
+        let dirty = |off: u64| choices.iter().any(|&(l, _)| l == line(off));
+        let lane = (0..layout.cfg.n_lanes as u64)
+            .find(|&l| dirty(layout.lane_off(l) + LANE_HEADER_SIZE))
+            .expect("a lane holds the unfenced log");
+        let logs =
+            [layout.lane_off(lane), layout.lane_replica_off(lane)].map(|o| o + LANE_HEADER_SIZE);
+        assert!(logs.iter().all(|&o| o % CACHELINE as u64 == 0 && dirty(o + 6 * CACHELINE as u64)));
+        let mut plan = MappedPlan::new(LineOutcome::New);
+        for (log, lose) in logs.into_iter().zip(copy) {
+            if lose {
+                plan.set(line(log) + lost, LineOutcome::Old);
+            }
+        }
+        dev.simulate_crash(&mut plan).unwrap();
+
+        // On media: the flagged entry intact, behind a torn first entry
+        // where the line was lost.
+        let io = PoolIo::new(dev.clone());
+        let gen = Lanes::read_gen(&io, &layout, lane as u32, LogMirror::SameDevice).unwrap();
+        for (log, lose) in logs.into_iter().zip(copy) {
+            let mut bytes = vec![0u8; 1024];
+            io.read(log, &mut bytes).unwrap();
+            assert_eq!(ulog::decode_entry(&bytes, gen).unwrap().is_none(), lose, "{case}");
+            let (flagged, _) = ulog::decode_entry(&bytes[288..], gen).unwrap().expect("flagged");
+            assert!(flagged.commit && flagged.off == b.off - 16, "{case}");
+        }
+        let entries =
+            Lanes::read_entries(&io, &layout, lane as u32, LogMirror::SameDevice).unwrap();
+        let committed = copy != [true, true];
+        assert_eq!(ulog::is_committed(&entries), committed, "{case}: {entries:?}");
+
+        let pool = PglPool::options().open(dev).unwrap();
+        let (want_a, want_b) = if committed { (0x33, 0x44) } else { (0x11, 0x22) };
+        assert_eq!(pool.read_verified(a).unwrap(), vec![want_a; SIZE], "{case}: A");
+        assert_eq!(pool.read_verified(b).unwrap(), vec![want_b; SIZE], "{case}: B");
+        assert!(pool.verify_parity().unwrap(), "{case}: parity");
+        assert!(pool.find_corrupt_objects().unwrap().is_empty(), "{case}");
+        let replayed = if committed { "both objects replayed" } else { "nothing replayed" };
+        println!("commit flag behind a lost line ({case}): {replayed}");
+    }
 }

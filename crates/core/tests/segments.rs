@@ -227,12 +227,35 @@ fn a_one_sum_per_object_image_is_refused_at_open() {
     write_header(pool.io(), &layout, hdr).unwrap();
     drop(pool);
     match PglPool::options().open(dev.clone()) {
-        Err(PglError::FormatVersion { found: 1, supported: 2 }) => {}
+        Err(PglError::FormatVersion { found: 1, supported: 3 }) => {}
         r => panic!("a version-1 image must be refused: {:?}", r.err()),
     }
     // Nor does the libpmemobj-style pool take a Pangolin image.
-    hdr.version = 2;
+    hdr.version = pangolin::pool::FORMAT_VERSION;
     write_header(&pgl_pmemobj::PoolIo::new(dev.clone()), &layout, hdr).unwrap();
     assert!(pgl_pmemobj::PmemPool::open(dev.clone()).is_err());
     assert!(PglPool::options().open(dev).is_ok());
+}
+
+#[test]
+fn an_image_with_the_32_byte_log_format_is_refused_without_a_write() {
+    // Version 2 lanes logged 32-byte entries and a standalone commit
+    // record: today's decoder cannot read them, so the open refuses the
+    // image before recovery can touch it.
+    let (dev, pool) = create();
+    make(&pool);
+    let layout = *pool.layout();
+    let mut hdr = read_header(pool.io()).unwrap();
+    hdr.version = 2;
+    write_header(pool.io(), &layout, hdr).unwrap();
+    drop(pool);
+    let s0 = dev.stats();
+    match PglPool::options().open(dev.clone()) {
+        Err(PglError::FormatVersion { found: 2, supported: 3 }) => {}
+        r => panic!("a version-2 image must be refused: {:?}", r.err()),
+    }
+    let d = dev.stats().delta_since(&s0);
+    let stores = (d.bytes_written, d.bytes_written_nt, d.atomic_stores);
+    let rmws = (d.atomic_xors, d.atomic_cas_ops, d.lines_flushed, d.fences);
+    assert_eq!((stores, rmws), ((0, 0, 0), (0, 0, 0, 0)), "the refused open wrote the device");
 }

@@ -55,6 +55,12 @@ impl PhaseStats {
     pub fn avg_mod_objects(&self) -> f64 {
         self.tx.modified_objects as f64 / self.ops.max(1) as f64
     }
+
+    /// Average bytes of one log copy per operation: entry headers,
+    /// payloads, allocation intents and the commit.
+    pub fn avg_log_bytes(&self) -> f64 {
+        self.tx.log_bytes as f64 / self.ops.max(1) as f64
+    }
 }
 
 /// One step of the shuffled insert/remove scheduler. See [`MixedOps`].

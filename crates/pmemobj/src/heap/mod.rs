@@ -109,30 +109,56 @@ impl MetaOp {
         })
     }
 
+    /// The `(offset, length)` of the bytes the op writes.
+    pub fn target(&self) -> (u64, u64) {
+        match self {
+            MetaOp::SetBits { off, .. } | MetaOp::ClearBits { off, .. } => (*off, 8),
+            MetaOp::WriteCm { off, .. } => (*off, 16),
+            MetaOp::RunFmt { off, .. } => (*off, RUN_HEADER_SIZE),
+        }
+    }
+
+    /// Writes into `new` the bytes the op leaves at its target, given
+    /// `old`, the bytes there now (both [`MetaOp::target`]-long).
+    pub fn image(&self, old: &[u8], new: &mut [u8]) {
+        let word = || u64::from_le_bytes(old[..8].try_into().expect("an 8-byte target"));
+        match self {
+            MetaOp::SetBits { mask, .. } => new.copy_from_slice(&(word() | mask).to_le_bytes()),
+            MetaOp::ClearBits { mask, .. } => new.copy_from_slice(&(word() & !mask).to_le_bytes()),
+            MetaOp::WriteCm { data, .. } => new.copy_from_slice(data),
+            MetaOp::RunFmt { block_size, nblocks, .. } => {
+                new.copy_from_slice(bytes_of(&RunHeader::formatted(*block_size, *nblocks)))
+            }
+        }
+    }
+
     /// Applies the op persistently. Idempotent. Callers serialize RMW ops
     /// on shared bitmap words (the heap lock or single-threaded recovery).
     pub fn apply(&self, io: &PoolIo) -> Result<()> {
+        self.store(io)?;
+        io.drain();
+        Ok(())
+    }
+
+    /// [`MetaOp::apply`] without its fence: the op's bytes are stored and
+    /// flushed, durable at the caller's next fence.
+    pub fn store(&self, io: &PoolIo) -> Result<()> {
+        let (off, len) = self.target();
         match self {
-            MetaOp::SetBits { off, mask } => {
-                let w = io.read_u64(*off)? | mask;
-                io.write(*off, &w.to_le_bytes())?;
-                io.persist(*off, 8)
+            MetaOp::SetBits { mask, .. } => {
+                let w = io.read_u64(off)? | mask;
+                io.write(off, &w.to_le_bytes())?;
             }
-            MetaOp::ClearBits { off, mask } => {
-                let w = io.read_u64(*off)? & !mask;
-                io.write(*off, &w.to_le_bytes())?;
-                io.persist(*off, 8)
+            MetaOp::ClearBits { mask, .. } => {
+                let w = io.read_u64(off)? & !mask;
+                io.write(off, &w.to_le_bytes())?;
             }
-            MetaOp::WriteCm { off, data } => {
-                io.write(*off, data)?;
-                io.persist(*off, 16)
-            }
-            MetaOp::RunFmt { off, block_size, nblocks } => {
-                let hdr = RunHeader::formatted(*block_size, *nblocks);
-                io.write(*off, bytes_of(&hdr))?;
-                io.persist(*off, RUN_HEADER_SIZE as usize)
+            MetaOp::WriteCm { data, .. } => io.write(off, data)?,
+            MetaOp::RunFmt { block_size, nblocks, .. } => {
+                io.write(off, bytes_of(&RunHeader::formatted(*block_size, *nblocks)))?;
             }
         }
+        io.flush(off, len as usize)
     }
 }
 
@@ -1145,10 +1171,10 @@ mod tests {
         ];
         for op in &ops {
             let (kind, off, payload) = op.encode();
-            let entry = Entry { kind, off, payload };
+            let entry = Entry { kind, off, commit: false, payload };
             assert_eq!(MetaOp::decode(&entry).as_ref(), Some(op));
         }
-        let commit = Entry { kind: EntryKind::Commit, off: 0, payload: vec![] };
+        let commit = Entry { kind: EntryKind::Commit, off: 0, commit: true, payload: vec![] };
         assert_eq!(MetaOp::decode(&commit), None);
     }
 

@@ -10,7 +10,10 @@
 //! with one non-temporal span per log copy and one fence (as `libpmemobj`
 //! streams its ulog buffers). Log lines are therefore never cached,
 //! never flushed and never written twice, and no entry can reach media
-//! before the persist that publishes it.
+//! before the persist that publishes it. [`LaneHandle::persist_commit`]
+//! is the same persist with the commit folded in: it sets the commit flag
+//! on the last staged entry (16-byte headers, [`crate::ulog`]) and adds a
+//! standalone commit record only when nothing is staged.
 //!
 //! Two extensions from the paper:
 //!
@@ -51,7 +54,8 @@ pub const LANE_HEADER_SIZE: u64 = 64;
 
 /// Log bytes kept in reserve per segment so that allocation-intent entries
 /// for overflow chunks plus the `LogExt` chain entry always fit after
-/// ordinary appends report the segment full.
+/// ordinary appends report the segment full — and so does a standalone
+/// commit record, which comes last and never alongside those.
 fn segment_reserve() -> u64 {
     2 * ulog::entry_space(8) + ulog::entry_space(24) + 64
 }
@@ -63,10 +67,12 @@ const SCAN_WINDOW: usize = 4096;
 
 /// Decodes one copy of a `len`-byte log segment through `read(at, buf)`, in
 /// windows that start at the first undecoded entry, cover at least that
-/// entry and at least double each round. Stops at the first position that
-/// does not decode for `gen`, or that cannot be read: a bad page ends this
-/// copy's log only if the log actually reaches it.
-fn walk_copy(
+/// entry and at least double each round. Stops after a flagged (commit)
+/// entry, and at the first position that does not decode for `gen` or
+/// that cannot be read: a bad page ends this copy's log only if the log
+/// actually reaches it. No read is larger than the segment, whatever
+/// length a header on media claims.
+pub fn walk_copy(
     len: usize,
     gen: u64,
     read: impl Fn(u64, &mut [u8]) -> Result<()>,
@@ -90,8 +96,12 @@ fn walk_copy(
         }
         let mut used = 0;
         while let Some((entry, space)) = ulog::decode_entry(&buf[used..], gen)? {
+            let done = entry.commit;
             out.push(entry);
             used += space as usize;
+            if done {
+                return Ok(out);
+            }
         }
         // Either the log ends at `pos + used` or the window cut an entry.
         match ulog::entry_need(&buf[used..], gen) {
@@ -161,6 +171,9 @@ pub struct LaneHandle<'a> {
     /// Encoded entries not yet written to the device: the tail of the
     /// current segment, ending at its `cursor`.
     staged: Vec<u8>,
+    /// Where the last staged entry starts in `staged`, and its payload's
+    /// CRC: what [`LaneHandle::persist_commit`] needs to flag it.
+    last: Option<(usize, u32)>,
 }
 
 impl Lanes {
@@ -298,7 +311,7 @@ impl Lanes {
         let (mut segments, staged) = LANE_BUFS.with(|c| c.take()).unwrap_or_default();
         segments.clear();
         segments.push(base);
-        LaneHandle { lanes: self, io, idx, segments, staged }
+        LaneHandle { lanes: self, io, idx, segments, staged, last: None }
     }
 
     /// Reads and decodes the valid entries of lane `idx`, following
@@ -329,7 +342,7 @@ impl Lanes {
             }
             let entries = Self::walk_segment(io, primary, replica, len as usize, gen)?;
             if let Some(last) = entries.last() {
-                if last.kind == EntryKind::LogExt {
+                if last.kind == EntryKind::LogExt && !last.commit {
                     let (np, nr, ncap) = payload::parse_log_ext(&last.payload);
                     seg = Some((np, nr, ncap));
                 }
@@ -422,7 +435,9 @@ impl<'a> LaneHandle<'a> {
         if seg.cursor + space > limit {
             return Err(ObjError::LogFull);
         }
-        encode_entry(&mut self.staged, kind, off, payload, gen);
+        let at = self.staged.len();
+        let crc = encode_entry(&mut self.staged, kind, off, payload, gen);
+        self.last = Some((at, crc));
         seg.cursor += space;
         Ok(())
     }
@@ -441,6 +456,7 @@ impl<'a> LaneHandle<'a> {
             self.io.write_nt(seg.replica + at, &self.staged)?;
         }
         self.staged.clear();
+        self.last = None;
         Ok(())
     }
 
@@ -474,6 +490,25 @@ impl<'a> LaneHandle<'a> {
         self.emit()?;
         self.io.drain();
         Ok(())
+    }
+
+    /// Commits: sets the commit flag on the last staged entry (re-CRCing
+    /// its header only), or appends a standalone [`EntryKind::Commit`]
+    /// when nothing is staged (a cross-shard secondary's late commit, or
+    /// a commit whose entries were all persisted earlier), then persists
+    /// as [`LaneHandle::persist_log`] does: the fence is the commit
+    /// point. The standalone record may use the segment reserve, which
+    /// nothing else needs once a log commits, so this never reports
+    /// [`ObjError::LogFull`].
+    pub fn persist_commit(&mut self) -> Result<()> {
+        match self.last {
+            Some((at, crc)) => {
+                let gen = self.gen();
+                ulog::set_commit(&mut self.staged[at..], crc, gen)
+            }
+            None => self.append_inner(EntryKind::Commit, 0, &[], true)?,
+        }
+        self.persist_log()
     }
 
     /// Invalidates all entries by bumping the persistent generation and
@@ -512,6 +547,7 @@ impl<'a> LaneHandle<'a> {
         let seg = &mut self.segments[0];
         seg.cursor = 0;
         self.staged.clear();
+        self.last = None;
         Ok(())
     }
 
@@ -556,12 +592,11 @@ mod tests {
         let (io, layout, lanes) = setup(LogMirror::None);
         let mut h = lanes.claim(&io);
         h.append(EntryKind::Data, 0x2000, b"undo bytes").unwrap();
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         let idx = h.index();
         let entries = Lanes::read_entries(&io, &layout, idx, LogMirror::None).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(ulog::is_committed(&entries));
+        assert_eq!(entries.len(), 1, "the commit rides on the data entry");
+        assert!(entries[0].commit && ulog::is_committed(&entries));
     }
 
     #[test]
@@ -586,15 +621,14 @@ mod tests {
         let (io, layout, lanes) = setup(LogMirror::SameDevice);
         let mut h = lanes.claim(&io);
         h.append(EntryKind::Data, 0x2000, &[0xCD; 100]).unwrap();
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         let idx = h.index();
         drop(h);
         // Poison the page holding the primary log copy.
         let page = (layout.lane_off(idx as u64) + LANE_HEADER_SIZE) / pgl_nvm::PAGE_SIZE as u64;
         io.dev().poison_page(page).unwrap();
         let entries = Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap();
-        assert_eq!(entries.len(), 2, "entries recovered from the replica log");
+        assert_eq!(entries.len(), 1, "entries recovered from the replica log");
         assert!(ulog::is_committed(&entries));
     }
 
@@ -608,24 +642,39 @@ mod tests {
             h.append(EntryKind::Data, 0x2000, &vec![0xA5; len]).unwrap();
             space += ulog::entry_space(len);
         }
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        space += ulog::entry_space(0);
+        assert_eq!(space, 6 * 16 + (8 + 8 + 104 + 4096 + 5000), "16-byte headers");
         assert_eq!(io.dev().stats().delta_since(&s0), Default::default(), "append is DRAM-only");
         assert!(h.entries().unwrap().is_empty(), "entries() is the device's view");
 
-        h.persist_log().unwrap();
+        // The commit flag rides on the last entry: not one byte more.
+        h.persist_commit().unwrap();
         let d = io.dev().stats().delta_since(&s0);
         assert_eq!(d.bytes_written_nt, 2 * space);
         assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (0, 0, 1));
         let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::SameDevice).unwrap();
-        assert_eq!(entries.len(), 7);
+        assert_eq!(entries.len(), 6);
         assert!(ulog::is_committed(&entries));
+        assert_eq!(entries.iter().filter(|e| e.commit).count(), 1);
 
         // A second persist with nothing staged only fences.
         let s1 = io.dev().stats();
         h.persist_log().unwrap();
         let d = io.dev().stats().delta_since(&s1);
         assert_eq!((d.bytes_written_nt, d.fences), (0, 1));
+
+        // A commit with nothing staged is a 16-byte record of its own.
+        h.bump_gen(true).unwrap();
+        h.append(EntryKind::Data, 0x2000, &[1; 8]).unwrap();
+        h.persist_log().unwrap();
+        let s2 = io.dev().stats();
+        h.persist_commit().unwrap();
+        let d = io.dev().stats().delta_since(&s2);
+        assert_eq!((d.bytes_written_nt, d.fences), (2 * ulog::ENTRY_HEADER_SIZE, 1));
+        let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::SameDevice).unwrap();
+        assert_eq!(
+            entries.iter().map(|e| (e.kind, e.commit)).collect::<Vec<_>>(),
+            [(EntryKind::Data, false), (EntryKind::Commit, true)]
+        );
     }
 
     #[test]
@@ -640,8 +689,7 @@ mod tests {
         let read = || Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap();
         assert!(read().is_empty(), "abort leaves no trace");
         // The dropped tail does not resurface under the new generation.
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         assert_eq!(read().len(), 1);
         assert!(ulog::is_committed(&read()));
     }
@@ -661,8 +709,7 @@ mod tests {
         let (io, layout, lanes) = setup(LogMirror::SameDevice);
         let mut h = lanes.claim(&io);
         h.append(EntryKind::Data, 0x2000, &[0xCD; 100]).unwrap();
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         let idx = h.index();
         drop(h);
         // The log sits in the lane's first page. Poison the primary's
@@ -672,7 +719,7 @@ mod tests {
         io.dev().poison_page(page(layout.lane_off(idx as u64)) + 1).unwrap();
         io.dev().poison_page(page(layout.lane_replica_off(idx as u64))).unwrap();
         let entries = Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap();
-        assert_eq!(entries.len(), 2, "a bad page the log never reaches is not a log fault");
+        assert_eq!(entries.len(), 1, "a bad page the log never reaches is not a log fault");
         assert!(ulog::is_committed(&entries));
     }
 
@@ -731,19 +778,37 @@ mod tests {
         assert_eq!(d.bytes_written_nt, h.used());
         assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (0, 0, 0));
         h.append(EntryKind::Data, 0, &big).unwrap();
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         assert_eq!(h.overflow_segments(), 1);
 
         let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::None).unwrap();
-        // appended + LogExt + 1 data + commit
-        assert_eq!(entries.len() as u32, appended + 3);
+        // appended + LogExt + 1 flagged data entry
+        assert_eq!(entries.len() as u32, appended + 2);
         assert!(ulog::is_committed(&entries));
         assert_eq!(
             entries.iter().filter(|e| e.kind == EntryKind::LogExt).count(),
             1,
             "chain entry present in the decoded stream"
         );
+    }
+
+    #[test]
+    fn a_standalone_commit_fits_a_full_segment() {
+        // Entries persisted until not even a payload-less one fits,
+        // nothing staged: the commit record goes into the reserve.
+        let (io, layout, lanes) = setup(LogMirror::None);
+        let mut h = lanes.claim(&io);
+        let mut appended = 0;
+        for len in [1000, 8, 0] {
+            while h.append(EntryKind::Data, 0, &vec![7; len]).is_ok() {
+                appended += 1;
+            }
+        }
+        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
+        let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::None).unwrap();
+        assert_eq!(entries.len(), appended + 1);
+        assert!(ulog::is_committed(&entries) && entries[appended].kind == EntryKind::Commit);
     }
 
     #[test]
@@ -756,8 +821,7 @@ mod tests {
         let r = layout.chunk_base(0, layout.zone.cm_chunks + 1);
         h.add_segment(p, r, layout.cfg.chunk_size as u64).unwrap();
         h.append(EntryKind::Data, 0x42, b"in overflow").unwrap();
-        h.append(EntryKind::Commit, 0, &[]).unwrap();
-        h.persist_log().unwrap();
+        h.persist_commit().unwrap();
         // Poison the primary overflow chunk: the replica copy serves reads.
         io.dev().poison_page(p / pgl_nvm::PAGE_SIZE as u64).unwrap();
         let entries = Lanes::read_entries(&io, &layout, h.index(), LogMirror::SameDevice).unwrap();

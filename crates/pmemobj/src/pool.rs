@@ -20,8 +20,12 @@ use crate::util::crc32;
 const POOL_MAGIC: u64 = 0x50_4D_45_4D_4F_42_4A_31; // "PMEMOBJ1"
 /// The pool-format version this crate's [`PmemPool`] writes and opens.
 /// Layers with object formats of their own (Pangolin's per-segment sums)
-/// write and check theirs; [`read_header`] accepts any version.
-pub const POOL_VERSION: u32 = 1;
+/// write and check theirs; [`read_header`] accepts any version. Both
+/// number their formats in this one header field, so each revision takes
+/// a number neither has used: 1 had 32-byte log entries with a standalone
+/// commit record, 4 has the 16-byte entries of [`crate::ulog`] (Pangolin
+/// images are 1 to 3).
+pub const POOL_VERSION: u32 = 4;
 
 /// The persistent pool header (one copy per header page).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -611,12 +615,15 @@ mod tests {
 
     #[test]
     fn log_image_written_with_the_bytewise_crc_replays() {
-        // No on-media format change: a committed-but-unapplied redo log as
-        // the byte-at-a-time CRC and the cached-store append wrote it must
-        // be what `encode_entry` produces today, and must replay at open.
-        use crate::ulog::{encode_entry, payload, EntryHeader, ENTRY_HEADER_SIZE};
+        // The entry format spelled out: a committed-but-unapplied redo log
+        // assembled field by field, with the byte-at-a-time CRC, must be
+        // what `encode_entry` and `set_commit` produce, and must replay at
+        // open. One SetBits entry carrying the commit flag: word =
+        // offset | kind << 48 | flag << 52 | generation tag << 53, then
+        // the length, then the CRC of the payload, the full generation and
+        // the first 12 header bytes.
+        use crate::ulog::{encode_entry, payload, set_commit, ENTRY_HEADER_SIZE};
         use crate::util::crc32_seed_bytewise;
-        use pgl_nvm::pod::bytes_of;
 
         let (dev, pool) = new_pool();
         let layout = *pool.layout();
@@ -625,27 +632,21 @@ mod tests {
         let gen = Lanes::read_gen(&io, &layout, 0, LogMirror::None).unwrap();
         // A word in a free data chunk: replay ORs the mask into it.
         let word = layout.chunk_base(0, layout.zone.cm_chunks + 3);
-        let entries: [(EntryKind, u64, &[u8]); 2] =
-            [(EntryKind::SetBits, word, &payload::mask(0b1011)), (EntryKind::Commit, 0, &[])];
+        let mask = payload::mask(0b1011);
 
-        let (mut image, mut current) = (Vec::new(), Vec::new());
-        for (kind, off, body) in entries {
-            let mut hdr = EntryHeader {
-                kind: kind as u16,
-                flags: 0,
-                len: body.len() as u32,
-                off,
-                gen,
-                csum: 0,
-                pad: 0,
-            };
-            hdr.csum = crc32_seed_bytewise(crc32_seed_bytewise(0, bytes_of(&hdr)), body);
-            image.extend_from_slice(bytes_of(&hdr));
-            image.extend_from_slice(body);
-            image.resize(image.len().next_multiple_of(8), 0);
-            encode_entry(&mut current, kind, off, body, gen);
-        }
-        assert_eq!(image.len() as u64, 2 * ENTRY_HEADER_SIZE + 8);
+        let tag = gen & 0x7FF;
+        let mut image =
+            (word | (EntryKind::SetBits as u64) << 48 | 1 << 52 | tag << 53).to_le_bytes().to_vec();
+        image.extend_from_slice(&(mask.len() as u32).to_le_bytes());
+        let crc = crc32_seed_bytewise(0, &mask);
+        let crc = crc32_seed_bytewise(crc32_seed_bytewise(crc, &gen.to_le_bytes()), &image);
+        image.extend_from_slice(&crc.to_le_bytes());
+        image.extend_from_slice(&mask);
+
+        let mut current = Vec::new();
+        let crc = encode_entry(&mut current, EntryKind::SetBits, word, &mask, gen);
+        set_commit(&mut current, crc, gen);
+        assert_eq!(image.len() as u64, ENTRY_HEADER_SIZE + 8);
         assert_eq!(image, current, "entry bytes are bit-identical");
 
         let log = layout.lane_off(0) + crate::lane::LANE_HEADER_SIZE;
@@ -654,6 +655,29 @@ mod tests {
         let pool = PmemPool::open(dev).unwrap();
         assert_eq!(pool.io().read_u64(word).unwrap(), 0b1011, "committed redo entry replayed");
         assert!(Lanes::read_entries(pool.io(), &layout, 0, LogMirror::None).unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_image_with_the_old_log_format_is_refused_without_a_write() {
+        // Version 1 pools logged 32-byte entries: their lanes cannot be
+        // read with today's decoder, so the open refuses the image before
+        // recovery can touch it.
+        let (dev, pool) = new_pool();
+        let layout = *pool.layout();
+        let mut hdr = read_header(pool.io()).unwrap();
+        assert_eq!(hdr.version, POOL_VERSION);
+        hdr.version = 1;
+        write_header(pool.io(), &layout, hdr).unwrap();
+        drop(pool);
+        let s0 = dev.stats();
+        match PmemPool::open(dev.clone()) {
+            Err(ObjError::BadPool(why)) => assert!(why.contains("version 1"), "{why}"),
+            r => panic!("a version-1 image must be refused: {:?}", r.err()),
+        }
+        let d = dev.stats().delta_since(&s0);
+        let stores = (d.bytes_written, d.bytes_written_nt, d.atomic_stores);
+        let rmws = (d.atomic_xors, d.atomic_cas_ops, d.lines_flushed, d.fences);
+        assert_eq!((stores, rmws), ((0, 0, 0), (0, 0, 0, 0)), "the refused open wrote the device");
     }
 
     #[test]

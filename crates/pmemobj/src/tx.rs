@@ -34,6 +34,9 @@ pub struct TxStats {
     pub freed_bytes: u64,
     /// Distinct objects freed.
     pub freed_objects: u64,
+    /// Bytes one copy of the transaction's log took: entry headers,
+    /// payloads, allocation intents and the commit included.
+    pub log_bytes: u64,
 }
 
 impl TxStats {
@@ -45,6 +48,7 @@ impl TxStats {
         self.modified_objects += other.modified_objects;
         self.freed_bytes += other.freed_bytes;
         self.freed_objects += other.freed_objects;
+        self.log_bytes += other.log_bytes;
     }
 }
 
@@ -288,8 +292,8 @@ impl<'p> Tx<'p> {
             let (kind, off, payload) = op.encode();
             self.append_logged(kind, off, &payload)?;
         }
-        self.append_logged(EntryKind::Commit, 0, &[])?;
-        self.lane.persist_log()?; // commit point
+        self.lane.persist_commit()?; // commit point
+        self.stats.log_bytes = self.lane.used();
 
         // 3. Apply allocator effects (redo; idempotent under replay).
         self.heap.apply_ops(self.io, &ops)?;

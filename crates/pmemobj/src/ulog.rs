@@ -6,6 +6,46 @@
 //! (paper §3.4: "Pangolin garbage-collects its logs" — the collection is
 //! logical). A torn entry fails its checksum and terminates log replay,
 //! which is exactly the commit-record protocol's requirement.
+//!
+//! # Entry layout
+//!
+//! An entry is a 16-byte [`EntryHeader`] followed by its payload, padded
+//! to 8 bytes:
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 0..8 | one word: target offset (bits 0–47), kind (48–51), commit flag (52), generation tag (53–63) |
+//! | 8..12 | payload length (`u32`) |
+//! | 12..16 | CRC32 |
+//!
+//! The tag is the low [`GEN_TAG_BITS`] bits of the lane generation the
+//! entry was written under; the CRC covers the payload, then the *full*
+//! 64-bit generation, then the header's first 12 bytes (as `libpmemobj`'s
+//! ulog folds `gen_num` into its entry checksum after the entry). The
+//! generation and the header go last, 20 bytes together, so that setting
+//! the commit flag on a staged entry re-CRCs those 20 bytes from the
+//! payload's CRC, whatever the payload's size.
+//!
+//! **Commit.** The last entry of a committed log carries the commit flag:
+//! the transaction sets it on its last staged entry
+//! ([`crate::lane::LaneHandle::persist_commit`]) and appends a payload-less
+//! [`EntryKind::Commit`] entry (which always carries the flag) only when
+//! nothing is staged. A walk stops at the first flagged entry, and a log
+//! is committed iff its walk ends on one ([`is_committed`]). A torn
+//! earlier entry ends the walk before the flag, so that log is not
+//! committed.
+//!
+//! **Stale entries.** An entry of another generation `g'` of the same
+//! lane is rejected by its tag unless `g' ≡ g (mod 2^11)`, and then by its
+//! CRC: two CRCs of the same bytes folded with `g` and with `g'` differ by
+//! the CRC's linear part of `g ⊕ g'` followed by zeros, which vanishes
+//! only if the CRC polynomial divides `g ⊕ g'` — a polynomial whose set
+//! bits span at least 33 positions. With the low 11 bits equal, that
+//! needs a set bit at or above bit 43. Lane generations start at 1 and
+//! grow by one per transaction, so no stale entry is ever accepted before
+//! a lane has run 2^43 transactions; past that, a stale entry that also
+//! sits exactly on an entry boundary of the current log is accepted with
+//! probability about 2^-32 (the CRC's ordinary residual).
 
 use pgl_nvm::impl_pod;
 use pgl_nvm::pod::{bytes_of, from_bytes};
@@ -13,34 +53,86 @@ use pgl_nvm::pod::{bytes_of, from_bytes};
 use crate::error::Result;
 use crate::util::{crc32, crc32_seed};
 
-/// On-media entry header (32 bytes), followed by the payload padded to 8
-/// bytes.
+/// On-media entry header (16 bytes), followed by the payload padded to 8
+/// bytes. See the module docs for the layout of [`EntryHeader::word`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct EntryHeader {
-    /// Entry kind (see [`EntryKind`]).
-    pub kind: u16,
-    /// Reserved flags.
-    pub flags: u16,
+    /// Target offset, kind, commit flag and generation tag.
+    pub word: u64,
     /// Payload length in bytes (unpadded).
     pub len: u32,
-    /// Target pool offset the entry applies to.
-    pub off: u64,
-    /// Owning lane generation at append time.
-    pub gen: u64,
-    /// CRC32 over the header (with this field zeroed) and the payload.
+    /// CRC32 of the payload, the full generation and the header's first
+    /// 12 bytes (see [`seal`]).
     pub csum: u32,
-    /// Reserved.
-    pub pad: u32,
 }
-impl_pod!(EntryHeader, 32);
+impl_pod!(EntryHeader, 16);
 
 /// Size of the on-media entry header.
-pub const ENTRY_HEADER_SIZE: u64 = 32;
+pub const ENTRY_HEADER_SIZE: u64 = 16;
 
-/// Log entry kinds.
+/// Bits of the lane generation an entry header carries as its tag.
+pub const GEN_TAG_BITS: u32 = 11;
+
+/// Largest target offset an entry can name (48 bits).
+const MAX_ENTRY_OFF: u64 = (1 << 48) - 1;
+
+const KIND_SHIFT: u32 = 48;
+const COMMIT_BIT: u64 = 1 << 52;
+const TAG_SHIFT: u32 = 53;
+
+/// The header tag of generation `gen`.
+#[inline]
+fn gen_tag(gen: u64) -> u64 {
+    gen & ((1 << GEN_TAG_BITS) - 1)
+}
+
+impl EntryHeader {
+    /// A header with its CRC still zero (see [`seal`]).
+    pub fn new(kind: EntryKind, off: u64, commit: bool, gen: u64, len: u32) -> EntryHeader {
+        assert!(off <= MAX_ENTRY_OFF, "log target {off:#x} does not fit 48 bits");
+        let word = off
+            | (kind as u64) << KIND_SHIFT
+            | if commit { COMMIT_BIT } else { 0 }
+            | gen_tag(gen) << TAG_SHIFT;
+        EntryHeader { word, len, csum: 0 }
+    }
+
+    /// Target pool offset.
+    fn off(&self) -> u64 {
+        self.word & MAX_ENTRY_OFF
+    }
+
+    /// The raw 4-bit kind.
+    fn kind_bits(&self) -> u64 {
+        (self.word >> KIND_SHIFT) & 0xF
+    }
+
+    /// Whether the entry carries the commit flag.
+    fn commit(&self) -> bool {
+        self.word & COMMIT_BIT != 0
+    }
+
+    /// The generation tag.
+    fn tag(&self) -> u64 {
+        self.word >> TAG_SHIFT
+    }
+}
+
+/// Sets `hdr.csum`: the entry's payload CRC (`payload_crc`, its
+/// [`crc32`]) continued over the full generation `gen` and the header's
+/// first 12 bytes.
+#[inline]
+pub fn seal(hdr: &mut EntryHeader, payload_crc: u32, gen: u64) {
+    let mut tail = [0u8; 20];
+    tail[..8].copy_from_slice(&gen.to_le_bytes());
+    tail[8..].copy_from_slice(&bytes_of(hdr)[..12]);
+    hdr.csum = crc32_seed(payload_crc, &tail);
+}
+
+/// Log entry kinds (a 4-bit field of the header word).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u16)]
+#[repr(u8)]
 pub enum EntryKind {
     /// Object data: old content for undo logs, new content for redo logs.
     Data = 1,
@@ -55,7 +147,9 @@ pub enum EntryKind {
     /// Pangolin: a region at `off` (payload: length) is being constructed
     /// outside the log; recovery must recompute its parity columns.
     AllocIntent = 6,
-    /// Commit record: all preceding entries are intended to be applied.
+    /// Standalone commit record, for a commit with no staged entry to
+    /// carry the flag: all preceding entries are intended to be applied.
+    /// Always flagged.
     Commit = 7,
     /// Log continuation: the log continues in an overflow heap chunk
     /// (payload: primary offset, replica offset or 0, capacity).
@@ -65,12 +159,12 @@ pub enum EntryKind {
     /// (payload: lane index, expected generation). Recovery rolls the
     /// secondary's entries forward iff its generation still matches —
     /// the ordered two-shard commit writes the secondary's own commit
-    /// record only after this lane's commit fence.
+    /// only after this lane's commit fence.
     CrossShard = 9,
 }
 
 impl EntryKind {
-    fn from_u16(v: u16) -> Option<EntryKind> {
+    fn from_bits(v: u64) -> Option<EntryKind> {
         Some(match v {
             1 => EntryKind::Data,
             2 => EntryKind::SetBits,
@@ -109,6 +203,8 @@ pub struct Entry {
     pub kind: EntryKind,
     /// Target pool offset.
     pub off: u64,
+    /// Whether the entry carries the commit flag (it ends its log).
+    pub commit: bool,
     /// Payload bytes (length as written, unpadded).
     pub payload: Vec<u8>,
 }
@@ -121,34 +217,45 @@ pub fn entry_space(payload_len: usize) -> u64 {
 }
 
 /// Serializes an entry onto the end of `out` (the lane's staged log tail);
-/// `gen` tags it to the owning lane generation.
-pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8], gen: u64) {
-    let mut hdr = EntryHeader {
-        kind: kind as u16,
-        flags: 0,
-        len: payload.len() as u32,
-        off,
-        gen,
-        csum: 0,
-        pad: 0,
-    };
-    hdr.csum = crc32_seed(crc32(bytes_of(&hdr)), payload);
+/// `gen` tags it to the owning lane generation. A [`EntryKind::Commit`]
+/// entry carries the commit flag, any other kind does not (see
+/// [`set_commit`]). Returns the payload's CRC, which [`set_commit`] takes.
+pub fn encode_entry(out: &mut Vec<u8>, kind: EntryKind, off: u64, payload: &[u8], gen: u64) -> u32 {
+    let mut hdr = EntryHeader::new(kind, off, kind == EntryKind::Commit, gen, payload.len() as u32);
+    let crc = crc32(payload);
+    seal(&mut hdr, crc, gen);
     let end = out.len() + entry_space(payload.len()) as usize;
     out.extend_from_slice(bytes_of(&hdr));
     out.extend_from_slice(payload);
     out.resize(end, 0); // pad to 8 bytes
+    crc
 }
 
-/// Parses the header at `bytes` if it can start an entry of `gen`: a known
-/// kind and, for a fixed-size kind, exactly its payload length.
+/// Sets the commit flag on the encoded entry of generation `gen` starting
+/// at `entry` and re-CRCs its header from the payload CRC that
+/// [`encode_entry`] returned: the payload is not read again.
+pub fn set_commit(entry: &mut [u8], payload_crc: u32, gen: u64) {
+    let mut hdr: EntryHeader = from_bytes(&entry[..ENTRY_HEADER_SIZE as usize]);
+    hdr.word |= COMMIT_BIT;
+    seal(&mut hdr, payload_crc, gen);
+    entry[..ENTRY_HEADER_SIZE as usize].copy_from_slice(bytes_of(&hdr));
+}
+
+/// Parses the header at `bytes` if it can start an entry of `gen`: the
+/// generation's tag, a known kind, for a fixed-size kind exactly its
+/// payload length, and the flag on a standalone commit.
 fn header_for(bytes: &[u8], gen: u64) -> Option<(EntryHeader, EntryKind)> {
     if bytes.len() < ENTRY_HEADER_SIZE as usize {
         return None;
     }
-    let hdr: EntryHeader = from_bytes(bytes);
-    let kind = EntryKind::from_u16(hdr.kind)?;
+    let hdr: EntryHeader = from_bytes(&bytes[..ENTRY_HEADER_SIZE as usize]);
+    if hdr.tag() != gen_tag(gen) {
+        return None;
+    }
+    let kind = EntryKind::from_bits(hdr.kind_bits())?;
     let sized = kind.payload_len().is_none_or(|len| len == hdr.len as usize);
-    (hdr.gen == gen && sized).then_some((hdr, kind))
+    let flagged = kind != EntryKind::Commit || hdr.commit();
+    (sized && flagged).then_some((hdr, kind))
 }
 
 /// Bytes a reader must hold at an entry boundary before [`decode_entry`]
@@ -166,10 +273,10 @@ pub fn entry_need(bytes: &[u8], gen: u64) -> Option<u64> {
 /// Decodes the entry at `bytes` (which must start at an entry boundary).
 ///
 /// Returns `Ok(None)` if the bytes do not form a valid entry for `gen`
-/// (wrong generation, bad kind, a fixed-size kind with the wrong payload
-/// length, bad checksum, or truncated) — the normal "end of log"
-/// condition. A decoded entry's payload therefore always has the length
-/// its kind's `payload::parse_*` helper expects.
+/// (wrong generation tag, bad kind, a fixed-size kind with the wrong
+/// payload length, an unflagged commit, bad checksum, or truncated) — the
+/// normal "end of log" condition. A decoded entry's payload therefore
+/// always has the length its kind's `payload::parse_*` helper expects.
 pub fn decode_entry(bytes: &[u8], gen: u64) -> Result<Option<(Entry, u64)>> {
     let Some((hdr, kind)) = header_for(bytes, gen) else {
         return Ok(None);
@@ -179,23 +286,29 @@ pub fn decode_entry(bytes: &[u8], gen: u64) -> Result<Option<(Entry, u64)>> {
         return Ok(None);
     }
     let payload = &bytes[ENTRY_HEADER_SIZE as usize..ENTRY_HEADER_SIZE as usize + hdr.len as usize];
-    let claimed = hdr.csum;
-    let hdr = EntryHeader { csum: 0, ..hdr };
-    if crc32_seed(crc32(bytes_of(&hdr)), payload) != claimed {
+    let mut check = hdr;
+    seal(&mut check, crc32(payload), gen);
+    if check.csum != hdr.csum {
         return Ok(None);
     }
-    Ok(Some((Entry { kind, off: hdr.off, payload: payload.to_vec() }, space)))
+    let entry = Entry { kind, off: hdr.off(), commit: hdr.commit(), payload: payload.to_vec() };
+    Ok(Some((entry, space)))
 }
 
-/// Walks a log image, decoding consecutive valid entries for `gen`.
+/// Walks a log image, decoding consecutive valid entries for `gen` up to
+/// and including the first flagged one.
 pub fn walk(log: &[u8], gen: u64) -> Result<Vec<Entry>> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < log.len() {
         match decode_entry(&log[pos..], gen)? {
             Some((entry, space)) => {
+                let done = entry.commit;
                 out.push(entry);
                 pos += space as usize;
+                if done {
+                    break;
+                }
             }
             None => break,
         }
@@ -203,9 +316,11 @@ pub fn walk(log: &[u8], gen: u64) -> Result<Vec<Entry>> {
     Ok(out)
 }
 
-/// Returns `true` if the decoded entry list ends with a commit record.
+/// Returns `true` if the decoded entry list ends with a commit: a flagged
+/// entry, carrying data or a standalone [`EntryKind::Commit`] (which the
+/// decoder accepts only flagged).
 pub fn is_committed(entries: &[Entry]) -> bool {
-    matches!(entries.last(), Some(e) if e.kind == EntryKind::Commit)
+    entries.last().is_some_and(|e| e.commit)
 }
 
 /// Helper constructors for metadata payloads.
@@ -284,6 +399,23 @@ mod tests {
         assert_eq!(e.kind, EntryKind::Data);
         assert_eq!(e.off, 0x1000);
         assert_eq!(e.payload, b"hello world");
+        assert!(!e.commit);
+    }
+
+    #[test]
+    fn set_commit_rewrites_the_header_only() {
+        let mut buf = Vec::new();
+        let crc = encode_entry(&mut buf, EntryKind::Data, 0x1000, &[0x5A; 40], 9);
+        let before = buf.clone();
+        set_commit(&mut buf, crc, 9);
+        assert_eq!(buf[ENTRY_HEADER_SIZE as usize..], before[ENTRY_HEADER_SIZE as usize..]);
+        let (e, _) = decode_entry(&buf, 9).unwrap().expect("re-CRCed");
+        assert!(e.commit && e.payload == [0x5A; 40]);
+        // A standalone commit record is flagged as written.
+        let mut rec = Vec::new();
+        encode_entry(&mut rec, EntryKind::Commit, 0, &[], 9);
+        assert_eq!(rec.len() as u64, ENTRY_HEADER_SIZE);
+        assert!(decode_entry(&rec, 9).unwrap().expect("valid").0.commit);
     }
 
     #[test]
