@@ -7,14 +7,31 @@
 //! "the cost of updating an object's checksum proportional to the size of
 //! the modified range rather than the object size" (paper §3.5).
 //!
-//! # Lane-accumulator implementation
+//! # Kernels
 //!
-//! One kernel, `block_sums`, serves both entry points. It walks a block
-//! in rows of sixteen bytes and keeps, per byte lane `j`, a running sum
-//! `va[j]` and a running prefix sum `vb[j]` (the sum of `va[j]` before
-//! each row) in `u16` accumulators — plain array arithmetic the compiler
-//! turns into 128-bit vector adds on any target, with no `std::arch`, no
-//! `unsafe` and no per-architecture fork. After `R` rows
+//! One function, `block_sums`, serves both entry points: the two sums
+//! `S` and `T` (below) of a block of at most 4 KiB. It has two bodies,
+//! which agree bit for bit and are each pinned against a byte-wise
+//! reference (here and in `tests/checksum_props.rs`):
+//!
+//! * on x86-64 CPUs with AVX2, and blocks of 32 bytes or more, an AVX2
+//!   kernel over 32-byte rows: `_mm256_sad_epu8` for `S`, and
+//!   `_mm256_maddubs_epi16` with weights 32…1 plus a running prefix of
+//!   `S` for `T`. It is selected at run time by `is_x86_feature_detected!`,
+//!   and a 256-byte segment sums in about 40 % of the lane kernel's time
+//!   (EXPERIMENTS.md, "Checksum kernels");
+//! * everywhere else, the portable lane kernel described next.
+//!
+//! Either way the last `len mod 32` (or `mod 16`) bytes take the byte
+//! recurrence.
+//!
+//! # The portable lane kernel
+//!
+//! It walks a block in rows of sixteen bytes and keeps, per byte lane
+//! `j`, a running sum `va[j]` and a running prefix sum `vb[j]` (the sum of
+//! `va[j]` before each row) in `u16` accumulators — plain array
+//! arithmetic the compiler turns into 128-bit vector adds on any target,
+//! with no `std::arch` and no `unsafe`. After `R` rows
 //! `va[j] = Σᵣ x[r][j]` and `vb[j] = Σᵣ (R−1−r)·x[r][j]`, so for the
 //! `m = 16·R` bytes of such a sub-block
 //!
@@ -79,14 +96,34 @@ fn lane_sums(rows: &[u8]) -> ([u16; LANES], [u16; LANES]) {
 /// `(S, T)` over `data` (at most [`BLOCK`] bytes): `S = Σ xᵢ` and
 /// `T = Σ (n−i)·xᵢ` with `n = data.len()` and `i` the 0-based index — the
 /// increments Adler32's `A` and `B` take over `data` when entered with
-/// `A = 0`.
+/// `A = 0`. Takes the AVX2 kernel where the CPU has it, the lane kernel
+/// everywhere else.
 #[inline]
 fn block_sums(data: &[u8]) -> (u64, u64) {
     debug_assert!(data.len() <= BLOCK);
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= avx2::ROW && std::is_x86_feature_detected!("avx2") {
+        let (rows, tail) = data.split_at(data.len() / avx2::ROW * avx2::ROW);
+        // SAFETY: `avx2` was detected on this CPU just above.
+        return with_tail(unsafe { avx2::row_sums(rows) }, tail);
+    }
+    portable_block_sums(data)
+}
+
+/// [`block_sums`] by the portable lane kernel.
+#[inline]
+fn portable_block_sums(data: &[u8]) -> (u64, u64) {
     let (rows, tail) = data.split_at(data.len() / LANES * LANES);
     // Inputs shorter than a row (word-sized checksum deltas) skip the
     // lane machinery and its fold altogether.
-    let (mut s, mut t) = if rows.is_empty() { (0, 0) } else { row_sums(rows) };
+    with_tail(if rows.is_empty() { (0, 0) } else { row_sums(rows) }, tail)
+}
+
+/// The sums `(s, t)` of some bytes, extended over the `tail` that follows
+/// them by the byte recurrence: every earlier byte gains one weight per
+/// tail byte.
+#[inline(always)]
+fn with_tail((mut s, mut t): (u64, u64), tail: &[u8]) -> (u64, u64) {
     for &d in tail {
         s += d as u64;
         t += s;
@@ -128,12 +165,80 @@ fn row_sums(rows: &[u8]) -> (u64, u64) {
     (s as u64, SUB_BLOCK as u64 * p as u64 + w as u64 + LANES as u64 * q as u64)
 }
 
+/// [`block_sums`] over whole 32-byte rows by AVX2: per row,
+/// `_mm256_sad_epu8` adds the bytes into `S` and `_mm256_maddubs_epi16`
+/// weighs them 32…1 into `T`, while a running prefix of `S` gives every
+/// earlier row its 32 per later one.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16,
+        _mm256_sad_epu8, _mm256_set1_epi16, _mm256_set_epi8, _mm256_setzero_si256,
+        _mm256_slli_epi32, _mm256_storeu_si256,
+    };
+
+    /// Bytes per row.
+    pub(super) const ROW: usize = 32;
+
+    /// `(S, T)` over `rows`, a whole number of rows and at most
+    /// [`super::BLOCK`] bytes. For `R ≤ 128` rows every 32-bit lane stays
+    /// below 2³¹: an `S` lane (eight bytes a row) below `R·2040`, its prefix
+    /// times 32 below `32·R²/2·2040 < 2³⁰`, a weighted lane (four bytes,
+    /// weights ≤ 122 in all) below `R·31110`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_sums(rows: &[u8]) -> (u64, u64) {
+        debug_assert!(rows.len() % ROW == 0 && rows.len() <= super::BLOCK);
+        let zero = _mm256_setzero_si256();
+        let weights = _mm256_set_epi8(
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+            25, 26, 27, 28, 29, 30, 31, 32,
+        );
+        let ones = _mm256_set1_epi16(1);
+        let (mut s, mut prefix, mut t) = (zero, zero, zero);
+        for row in rows.chunks_exact(ROW) {
+            // SAFETY: `row` is 32 readable bytes, the load is unaligned,
+            // and this function runs only where `avx2` was detected.
+            let v = unsafe { _mm256_loadu_si256(row.as_ptr().cast()) };
+            prefix = _mm256_add_epi32(prefix, s);
+            s = _mm256_add_epi32(s, _mm256_sad_epu8(v, zero));
+            t = _mm256_add_epi32(t, _mm256_madd_epi16(_mm256_maddubs_epi16(v, weights), ones));
+        }
+        let t = _mm256_add_epi32(t, _mm256_slli_epi32(prefix, 5));
+        (lane_total(s), lane_total(t))
+    }
+
+    /// The sum of the eight 32-bit lanes of `v`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_total(v: __m256i) -> u64 {
+        let mut lanes = [0u32; 8];
+        // SAFETY: `lanes` is 32 writable bytes, the store is unaligned,
+        // and this function runs only where `avx2` was detected.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) };
+        lanes.iter().map(|&l| l as u64).sum()
+    }
+}
+
 /// Computes the Adler32 checksum of `data`.
 pub fn adler32(data: &[u8]) -> u32 {
+    adler32_by(block_sums, data)
+}
+
+/// [`adler32`] with `sums` as its block kernel.
+#[inline(always)]
+fn adler32_by(sums: impl Fn(&[u8]) -> (u64, u64), data: &[u8]) -> u32 {
     let mut a: u64 = 1;
     let mut b: u64 = 0;
     for chunk in data.chunks(BLOCK) {
-        let (s, t) = block_sums(chunk);
+        let (s, t) = sums(chunk);
         b = (b + chunk.len() as u64 * a + t) % MOD;
         a = (a + s) % MOD;
     }
@@ -211,25 +316,81 @@ mod tests {
         }
     }
 
+    /// A block kernel.
+    type Sums = fn(&[u8]) -> (u64, u64);
+
+    /// Both kernels: the one `block_sums` selects on this CPU, and the
+    /// portable lane kernel every other CPU runs.
+    const KERNELS: [(&str, Sums); 2] =
+        [("selected", block_sums), ("portable", portable_block_sums)];
+
     #[test]
     fn block_sums_exhaustive_per_lane() {
         // Every byte value at every position of a short leading
         // sub-block, two full ones and an odd tail, against the
         // definition of the two sums.
         const N: usize = 5 * LANES + 2 * SUB_BLOCK + 13;
-        for pos in 0..N {
-            for val in [1u8, 2, 0x7F, 0x80, 0xFE, 0xFF] {
-                let mut bytes = [0u8; N];
-                bytes[pos] = val;
-                let (s, t) = block_sums(&bytes);
-                assert_eq!(s, val as u64, "sum pos {pos} val {val}");
-                assert_eq!(t, (N - pos) as u64 * val as u64, "weighted pos {pos} val {val}");
+        for (name, sums) in KERNELS {
+            for pos in 0..N {
+                for val in [1u8, 2, 0x7F, 0x80, 0xFE, 0xFF] {
+                    let mut bytes = [0u8; N];
+                    bytes[pos] = val;
+                    let (s, t) = sums(&bytes);
+                    assert_eq!(s, val as u64, "{name}: sum pos {pos} val {val}");
+                    let want = (N - pos) as u64 * val as u64;
+                    assert_eq!(t, want, "{name}: weighted pos {pos} val {val}");
+                }
+            }
+            // The lane bound: a full block of 0xFF.
+            let (s, t) = sums(&[0xFF; BLOCK]);
+            assert_eq!(s, 255 * BLOCK as u64, "{name}");
+            assert_eq!(t, 255 * (BLOCK as u64 * (BLOCK as u64 + 1) / 2), "{name}");
+        }
+    }
+
+    #[test]
+    fn portable_kernel_matches_reference() {
+        // The lane kernel on its own, whatever this CPU selects: row and
+        // sub-block edges from every start alignment, and the lane bound
+        // over a 1 MiB all-0xFF object.
+        let data: Vec<u8> =
+            (0..8192u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        for len in [0, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257, 4095, 4096, 4097, 8000] {
+            for skip in 0..LANES {
+                let d = &data[skip..skip + len];
+                assert_eq!(adler32_by(portable_block_sums, d), ref_adler32(d), "len {len}");
             }
         }
-        // The lane bound: a full block of 0xFF.
-        let (s, t) = block_sums(&[0xFF; BLOCK]);
-        assert_eq!(s, 255 * BLOCK as u64);
-        assert_eq!(t, 255 * (BLOCK as u64 * (BLOCK as u64 + 1) / 2));
+        let ff = vec![0xFFu8; 1 << 20];
+        assert_eq!(adler32_by(portable_block_sums, &ff), ref_adler32(&ff));
+    }
+
+    /// ns per call of `adler32` by each kernel at 16 B … 16 KiB. Run it
+    /// in release:
+    /// `cargo test --release -p pangolin --lib adler32_kernel_timings -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a timing table, not a check"]
+    fn adler32_kernel_timings() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let data: Vec<u8> = (0..16384u32).map(|i| (i * 7 + 3) as u8).collect();
+        let ns = |sums: Sums, len: usize| {
+            let iters = (1 << 24) / (len + 64);
+            let mut best = f64::MAX;
+            for _ in 0..5 {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(adler32_by(sums, black_box(&data[..len])));
+                }
+                best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
+            }
+            best
+        };
+        println!("{:>6} {:>11} {:>11}", "bytes", "portable ns", "selected ns");
+        for len in [16, 32, 64, 128, 256, 512, 1024, 4096, 16384] {
+            let (old, new) = (ns(portable_block_sums, len), ns(block_sums, len));
+            println!("{len:>6} {old:>11.1} {new:>11.1}");
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Differential property suite for the data-path kernels: the
-//! lane-accumulator `adler32` / `adler32_update` and the fused
-//! diff+zero-skip XOR paths are pinned against straight-from-the-spec
-//! byte-wise reference implementations across random lengths,
-//! misalignments and edit sequences, and at the kernels' own block
-//! boundaries — and the per-segment sums a commit maintains against a
-//! full recomputation of every segment.
+//! Differential property suite for the data-path kernels: `adler32` /
+//! `adler32_update` (by whichever block kernel this CPU selects, AVX2 or
+//! the portable lane kernel) and the fused diff+zero-skip XOR paths are
+//! pinned against straight-from-the-spec byte-wise reference
+//! implementations across random lengths, misalignments and edit
+//! sequences, and at the kernels' own block boundaries — and the
+//! per-segment sums a commit maintains against a full recomputation of
+//! every segment.
+//!
+//! Smoke depth by default; `PGL_DEEP_SWEEP=1` runs sixteen times the
+//! cases.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -17,6 +21,12 @@ use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
 use proptest::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
 const MOD: u32 = 65521;
+
+/// `smoke` cases, or sixteen times as many under `PGL_DEEP_SWEEP=1`.
+fn cases(smoke: u32) -> ProptestConfig {
+    let deep = std::env::var("PGL_DEEP_SWEEP").as_deref() == Ok("1");
+    ProptestConfig::with_cases(if deep { 16 * smoke } else { smoke })
+}
 
 /// Byte-wise reference Adler32 (per-byte modulo; deliberately naive).
 fn ref_adler32(data: &[u8]) -> u32 {
@@ -62,15 +72,16 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
 
 #[test]
 fn adler32_at_block_boundaries_and_every_misalignment() {
-    // Lengths that straddle the kernel's 16-byte rows, 256-byte
-    // sub-blocks and 4 KiB deferred-modulo blocks, from every slice-start
-    // misalignment.
+    // Lengths that straddle the lane kernel's 16-byte rows and 256-byte
+    // sub-blocks, the AVX2 kernel's 32-byte rows (every length from 4 063
+    // to 4 097 ends a 4 KiB block on each row offset) and the 4 KiB
+    // deferred-modulo blocks, from every slice-start misalignment.
     let data = pattern((1 << 16) + 32, 7);
     let lens = [
-        0, 1, 15, 16, 17, 255, 256, 257, 271, 272, 4095, 4096, 4097, 4351, 4352, 8191, 8192, 8193,
-        65535, 65536, 65537,
+        0, 1, 15, 16, 17, 31, 32, 33, 255, 256, 257, 271, 272, 4351, 4352, 8191, 8192, 8193, 65535,
+        65536, 65537,
     ];
-    for len in lens {
+    for len in lens.into_iter().chain(4063..=4097) {
         for skew in 0..16 {
             let d = &data[skew..skew + len];
             assert_eq!(adler32(d), ref_adler32(d), "len {len} skew {skew}");
@@ -162,7 +173,7 @@ fn edit_strategy() -> impl Strategy<Value = (u64, usize, u8)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(cases(96))]
 
     #[test]
     fn swar_adler32_matches_bytewise_reference(

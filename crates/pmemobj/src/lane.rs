@@ -317,6 +317,11 @@ impl Lanes {
     /// Reads and decodes the valid entries of lane `idx`, following
     /// overflow chains and falling back to mirror copies for segments whose
     /// primary bytes are unreadable or torn.
+    ///
+    /// A chain that names a segment it already visited, or that is longer
+    /// than the lane plus one segment per pool chunk (each overflow
+    /// segment is a chunk of its own), is [`ObjError::Corruption`] before
+    /// that segment is read again.
     pub fn read_entries(
         io: &PoolIo,
         layout: &Layout,
@@ -334,12 +339,13 @@ impl Lanes {
             },
             layout.cfg.lane_size as u64 - LANE_HEADER_SIZE,
         ));
-        let mut hops = 0usize;
+        let max_segments = 1 + layout.n_zones * layout.zone.n_chunks;
+        let mut visited = Vec::new();
         while let Some((primary, replica, len)) = seg.take() {
-            hops += 1;
-            if hops > 100_000 {
+            if visited.contains(&primary) || visited.len() as u64 == max_segments {
                 return Err(ObjError::Corruption { off: primary, what: "log-extension chain" });
             }
+            visited.push(primary);
             let entries = Self::walk_segment(io, primary, replica, len as usize, gen)?;
             if let Some(last) = entries.last() {
                 if last.kind == EntryKind::LogExt && !last.commit {

@@ -2,8 +2,9 @@
 //! `ulog::entry_need`), the windowed segment scan (`lane::walk_copy`) and
 //! the `LogExt` link against images no writer produced — arbitrary bytes,
 //! every single-bit flip and every truncation of a committed log, lengths
-//! up to `u32::MAX`, unknown kinds, a commit flag on a middle entry, and
-//! stale entries whose generation tag matches the lane's. The decoder
+//! up to `u32::MAX`, unknown kinds, a commit flag on a middle entry,
+//! stale entries whose generation tag matches the lane's, and link chains
+//! that loop. The decoder
 //! must never panic, never read (or size a buffer) past its segment, and
 //! never accept what was not written under the lane's generation.
 //!
@@ -20,7 +21,7 @@ use pgl_pmemobj::ulog::{
     EntryHeader, EntryKind, ENTRY_HEADER_SIZE, GEN_TAG_BITS,
 };
 use pgl_pmemobj::util::crc32;
-use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
+use pgl_pmemobj::{Layout, ObjError, PoolConfig, PoolIo};
 use proptest::prelude::*;
 
 /// `smoke` cases, or sixteen times as many under `PGL_DEEP_SWEEP=1`.
@@ -296,4 +297,50 @@ fn hostile_log_ext_links_end_the_log() {
     let entries = Lanes::read_entries(&io, &layout, 0, LogMirror::None).unwrap();
     assert_eq!(entries.len(), 2);
     assert!(ulog::is_committed(&entries) && entries[1].kind == EntryKind::LogExt);
+}
+
+/// The windowed scan's first read of a segment (`lane::SCAN_WINDOW`).
+const SCAN_WINDOW: u64 = 4096;
+
+/// Reads lane 0's entries, expecting a `Corruption` for a looping chain
+/// through `distinct` segments, and returns the bytes read doing it.
+fn refused_loop(io: &PoolIo, layout: &Layout, distinct: u64) -> u64 {
+    let s0 = io.dev().stats();
+    let err = Lanes::read_entries(io, layout, 0, LogMirror::None).unwrap_err();
+    assert!(matches!(err, ObjError::Corruption { what: "log-extension chain", .. }), "{err:?}");
+    let read = io.dev().stats().delta_since(&s0).bytes_read;
+    // One scan window per distinct segment, plus the 8-byte generation.
+    assert!(read <= distinct * SCAN_WINDOW + 8, "read {read} B over {distinct} segment(s)");
+    read
+}
+
+#[test]
+fn a_log_ext_naming_its_own_segment_is_refused_at_once() {
+    let gen = 1;
+    let layout = Layout::new(PoolConfig::small()).unwrap();
+    let own = layout.lane_off(0) + LANE_HEADER_SIZE;
+    let cap = PoolConfig::small().lane_size as u64 - LANE_HEADER_SIZE;
+    let mut log = Vec::new();
+    encode_entry(&mut log, EntryKind::Data, 0x1000, &[9; 16], gen);
+    encode_entry(&mut log, EntryKind::LogExt, 0, &payload::log_ext(own, 0, cap), gen);
+    let (io, layout, _) = lane_with(&log);
+    refused_loop(&io, &layout, 1);
+}
+
+#[test]
+fn a_two_segment_log_ext_cycle_is_refused_at_once() {
+    // The lane links to a segment at 0x8000, which links back.
+    let gen = 1;
+    let layout = Layout::new(PoolConfig::small()).unwrap();
+    let own = layout.lane_off(0) + LANE_HEADER_SIZE;
+    let cap = PoolConfig::small().lane_size as u64 - LANE_HEADER_SIZE;
+    let mut log = Vec::new();
+    encode_entry(&mut log, EntryKind::Data, 0x1000, &[9; 16], gen);
+    encode_entry(&mut log, EntryKind::LogExt, 0, &payload::log_ext(0x8000, 0, SCAN_WINDOW), gen);
+    let (io, layout, _) = lane_with(&log);
+    let mut back = Vec::new();
+    encode_entry(&mut back, EntryKind::Data, 0x2000, &[7; 24], gen);
+    encode_entry(&mut back, EntryKind::LogExt, 0, &payload::log_ext(own, 0, cap), gen);
+    io.write(0x8000, &back).unwrap();
+    refused_loop(&io, &layout, 2);
 }
