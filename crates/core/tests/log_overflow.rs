@@ -6,7 +6,8 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pangolin::{PMEMoid, PglConfig, PglPool};
+use pangolin::{PMEMoid, PglConfig, PglMode, PglPool};
+use pgl_nvm::stats::StatsSnapshot;
 use pgl_nvm::{CrashPoint, DeviceConfig, NvmDevice, RandomPlan};
 
 /// A transaction whose redo payload far exceeds the 128 KiB test lane.
@@ -133,4 +134,43 @@ fn overflow_chunks_lost_pages_recover_from_replica() {
         let data = pool2.read_verified(PMEMoid::new(pool2.uuid(), oid.off)).unwrap();
         assert!(data == vec![0xCC; 512] || data == vec![i as u8; 512], "object {i} torn");
     }
+}
+
+/// A warm single-thread transaction that overflows its lane into exactly
+/// one log chunk (a primary and a replica chunk where logs replicate).
+/// Returns the device-stat delta of the transaction.
+fn one_chunk_overflow(mode: PglMode, n: usize) -> StatsSnapshot {
+    let cfg = PglConfig::small().with_mode(mode);
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oids = make_objects(&pool, n);
+    huge_tx(&pool, &oids, 0x5E); // warm-up: the same overflow once
+    let s0 = dev.stats();
+    huge_tx(&pool, &oids, 0xEE);
+    let d = dev.stats().delta_since(&s0);
+    for oid in &oids {
+        assert_eq!(pool.read_verified(*oid).unwrap(), vec![0xEE; 512]);
+    }
+    assert!(pool.verify_parity().unwrap());
+    d
+}
+
+/// Objects whose 512-byte overwrite in one transaction overflows the
+/// 128 KiB test lane into exactly one log chunk: a chunk is 16 KiB, and
+/// 240 objects already overflow, 280 need a second chunk.
+const ONE_CHUNK: usize = 250;
+
+/// The log-overflow write-back, pinned: claiming the chunk zeroes it and
+/// flips its chunk-metadata entry through the protected write (pre-image
+/// read, non-temporal store, parity patch, one fence each), and the
+/// release flips it back parity-first. With log replication a replica
+/// chunk doubles that.
+#[test]
+fn one_chunk_overflow_costs_pinned_fences_reads_and_nt_bytes() {
+    let d = one_chunk_overflow(PglMode::Mlpc, ONE_CHUNK);
+    assert_eq!((d.fences, d.bytes_read, d.bytes_written_nt), (263, 165_832, 442_008));
+    // Without parity the chunk is claimed with plain stores: one chunk,
+    // no pre-image.
+    let d = one_chunk_overflow(PglMode::Baseline, ONE_CHUNK);
+    assert_eq!((d.fences, d.bytes_read, d.bytes_written_nt), (254, 132_000, 268_040));
 }

@@ -341,6 +341,25 @@ fn publish_new_costs_four_fences_and_no_redo_log() {
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }
 
+/// Allocate-and-publish's construction, pinned with the rest of the
+/// call: the node's 32 bytes (header + content) are stored
+/// non-temporally behind a pre-image read of the slot under one stripe
+/// guard, like every protected write.
+#[test]
+fn publish_new_construction_reads_its_slot_once() {
+    let (pool, dev) = make_pool();
+    let root = pool.root(16, 91).unwrap();
+    let first = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 1), 1).unwrap());
+    let s0 = dev.stats();
+    applied(pool.atomic_publish_new(root, 0, first.off, 7, &node(first.off, 2), 2).unwrap());
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.fences, 4, "descriptor, node, publish, allocator bit");
+    // The target's header (16), the node slot's pre-image (32) and the
+    // bitmap word (8).
+    assert_eq!((d.read_ops, d.bytes_read), (3, 16 + 32 + 8));
+    assert_eq!(d.bytes_written_nt, 32 + 8, "the node, then the bitmap word");
+}
+
 /// A publish whose compare fails allocates nothing: the reserved slot
 /// stays free on media, the descriptor retires (a third fence), parity
 /// holds and no reopen resurrects the node.

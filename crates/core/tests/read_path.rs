@@ -388,3 +388,82 @@ fn typed_verified_reads_ride_the_cache() {
     // the cache-served payload, not total bytes.)
     assert_eq!((d.csum_passes, d.vcache_hit_bytes), (0, 8), "field-sized cached read");
 }
+
+/// A Conservative `pgl_get` that misses on a middle segment reads the
+/// header, then the segment and its table entry apart: three reads, one
+/// check of the segment's 256 bytes.
+#[test]
+fn conservative_miss_on_a_middle_segment_reads_the_segment_and_its_entry() {
+    let cfg = PglConfig::small().with_policy(CsumPolicy::Conservative);
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = make_object(&pool, 4096, 0x31);
+    let mut buf = [0u8; 8];
+    let s0 = dev.stats();
+    pool.read(oid, 5 * 256 + 40, &mut buf).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(buf, [0x31; 8]);
+    assert_eq!((d.read_ops, d.bytes_read), (3, 16 + 256 + 4), "header, segment, entry");
+    assert_eq!((d.csum_passes, d.csum_bytes), (1, 256));
+}
+
+/// A miss on the last segment reads its bytes, the pad and its table
+/// entry in one device read behind the header read.
+#[test]
+fn conservative_miss_on_the_last_segment_fuses_data_pad_and_table() {
+    let cfg = PglConfig::small().with_policy(CsumPolicy::Conservative);
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = make_object(&pool, 1001, 0x32);
+    let mut buf = [0u8; 8];
+    let s0 = dev.stats();
+    pool.read(oid, 990, &mut buf).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(buf, [0x32; 8]);
+    // Segment 3 is [768, 1001); its entry sits at 1004, behind 3 pad bytes.
+    assert_eq!((d.read_ops, d.bytes_read), (2, 16 + (1008 - 768)), "header, then one read");
+    assert_eq!((d.csum_passes, d.csum_bytes), (1, 1001 - 768));
+}
+
+/// `PglTx::read` of an object the transaction opened but has not loaded
+/// checks the segments it covers against the header the open read: no
+/// second header read.
+#[test]
+fn tx_read_miss_on_an_opened_object_checks_its_segment() {
+    let (pool, dev) = pool_with_dev();
+    let oid = make_object(&pool, 4096, 0x33);
+    pool.tx(|tx| {
+        tx.open(oid)?;
+        let mut buf = [0u8; 8];
+        let s0 = dev.stats();
+        tx.read(oid, 2 * 256 + 8, &mut buf)?;
+        let d = dev.stats().delta_since(&s0);
+        assert_eq!(buf, [0x33; 8]);
+        assert_eq!((d.read_ops, d.bytes_read), (2, 256 + 4), "segment and entry, no header");
+        assert_eq!((d.csum_passes, d.csum_bytes), (1, 256));
+        Ok(())
+    })
+    .unwrap();
+}
+
+/// A scribbled segment: the verified read misses, fails its check,
+/// repairs the object from parity and retries exactly once.
+#[test]
+fn scribbled_segment_is_repaired_and_read_again_once() {
+    let (pool, dev) = pool_with_dev();
+    let oid = make_object(&pool, 4096, 0x34);
+    inject::scribble_object(&pool, oid, 3 * 256 + 10, 20, 0xEE).unwrap();
+    let mut buf = [0u8; 16];
+    let r0 = pool.counters().object_recoveries.load(Ordering::Relaxed);
+    let s0 = dev.stats();
+    pool.read_verified_at(oid, 3 * 256 + 8, &mut buf).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(buf, [0x34; 16]);
+    assert_eq!(pool.counters().object_recoveries.load(Ordering::Relaxed), r0 + 1);
+    // The miss (3 reads), the repair, the header again and the one retry
+    // (3 reads).
+    assert_eq!((d.read_ops, d.bytes_read), (13, 5096));
+    // The repair classifies the whole object and re-checks the segment it
+    // rewrote; the retry checks that segment once more.
+    assert_eq!((d.csum_passes, d.csum_bytes), (3, 4096 + 256 + 256));
+}
