@@ -8,8 +8,8 @@
 //! prices what that gives up. Each cell runs `--ops` patches per thread
 //! and reports patches per second, for
 //!
-//! * the library path — `ParityEngine::lock_span` + `update_under` (plain
-//!   diff XOR, one fence);
+//! * the library path — `ParityEngine::lock_span` + `patch` (plain diff
+//!   XOR), then one fence inside the guard;
 //! * the two kernels bare, under this bin's own lock per granule and with
 //!   none of the engine's span bookkeeping: an exclusive lock around
 //!   `NvmDevice::xor_diff_range`, and a shared one around
@@ -93,7 +93,10 @@ impl Rig {
             let (old, new) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
             if let Path::Library = path {
                 let guard = self.engine.lock_span(off, size as u64).expect("lock");
-                self.engine.update_under(&guard, &self.io, off, old, new).expect("patch");
+                if self.engine.patch(&guard, &self.io, off, old, new).expect("patch") {
+                    self.io.drain();
+                }
+                drop(guard);
                 continue;
             }
             let (zone, _, col) = self.layout.row_col_of(off).expect("data offset");

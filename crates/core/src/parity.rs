@@ -452,52 +452,22 @@ impl ParityEngine {
         self.lock_spans(offs.iter().map(|&off| (off, 8)))
     }
 
-    /// Applies the parity effect of overwriting `[off, off+len)` with `new`
-    /// where the current NVMM content is `old`: for each row segment,
-    /// patches the parity row with `old ⊕ new`, under a [`RangeGuard`] the
-    /// caller already holds over the span (committing transactions hold
-    /// one guard across a whole object's write-back). Diff, zero-skip and
-    /// XOR are one allocation-free pass: all-zero diff words never reach
-    /// the device, and a range whose diff is entirely zero skips the
-    /// trailing flush+fence too.
-    pub fn update_under(
-        &self,
-        guard: &RangeGuard<'_>,
-        io: &PoolIo,
-        off: u64,
-        old: &[u8],
-        new: &[u8],
-    ) -> Result<()> {
-        self.update_under_inner(guard, io, off, old, new, true)?;
-        Ok(())
-    }
-
-    /// Like [`ParityEngine::update_under`], but only *flushes* the patched
-    /// parity lines instead of flush+fence — the caller issues one fence
-    /// covering both its data store and the parity patch (the commit
-    /// write-back's single-fence fast path; a crash between the two was
-    /// already a recovered state, via redo replay plus column recompute).
-    /// Returns `true` if any parity line was flushed (i.e. a fence is
-    /// actually owed).
-    pub fn update_under_flush_only(
-        &self,
-        guard: &RangeGuard<'_>,
-        io: &PoolIo,
-        off: u64,
-        old: &[u8],
-        new: &[u8],
-    ) -> Result<bool> {
-        self.update_under_inner(guard, io, off, old, new, false)
-    }
-
-    fn update_under_inner(
+    /// The one parity patch: applies the effect of overwriting
+    /// `[off, off+len)` with `new` where the current NVMM content is `old`,
+    /// under a [`RangeGuard`] the caller holds over the span. Per row
+    /// segment the device's fused diff / zero-skip / XOR pass patches the
+    /// parity row, primary and replica, with plain stores and flushes
+    /// exactly the lines it dirtied; all-zero diff words never reach the
+    /// device. Returns `true` when a line was flushed, i.e. a fence is owed
+    /// before the guard is released — the caller issues it, so one fence
+    /// can cover a data store and its patch together.
+    pub fn patch(
         &self,
         _guard: &RangeGuard<'_>,
         io: &PoolIo,
         off: u64,
         old: &[u8],
         new: &[u8],
-        fence: bool,
     ) -> Result<bool> {
         debug_assert_eq!(old.len(), new.len());
         let mut flushed = false;
@@ -507,25 +477,12 @@ impl ParityEngine {
             let o = &old[base..base + seg.len as usize];
             let n = &new[base..base + seg.len as usize];
             let parity_off = self.layout.parity_off(seg.zone, seg.col);
-            flushed |= Self::xor_diff(io, parity_off, o, n, fence)?;
+            flushed |= io.dev().xor_diff_range(parity_off, o, n)?;
+            if let Some(rep) = io.replica() {
+                rep.xor_diff_range(parity_off, o, n)?;
+            }
         }
         Ok(flushed)
-    }
-
-    /// `old ⊕ new` parity patch of one row segment, primary + replica:
-    /// the device's fused diff / zero-skip / XOR pass. The device flushes
-    /// exactly the lines it dirtied; this adds the fence, when asked and
-    /// when anything was XORed at all. Returns `true` if parity lines were
-    /// flushed.
-    fn xor_diff(io: &PoolIo, parity_off: u64, old: &[u8], new: &[u8], fence: bool) -> Result<bool> {
-        let touched = io.dev().xor_diff_range(parity_off, old, new)?;
-        if let Some(rep) = io.replica() {
-            rep.xor_diff_range(parity_off, old, new)?;
-        }
-        if touched && fence {
-            io.drain();
-        }
-        Ok(touched)
     }
 
     /// Flips a 16-byte chunk-metadata entry with the **parity patch
@@ -542,7 +499,9 @@ impl ParityEngine {
         let mut cur = [0u8; 16];
         io.read(cm_off, &mut cur).map_err(PglError::from)?;
         let guard = self.lock_span(cm_off, 16)?;
-        self.update_under(&guard, io, cm_off, &cur, new_cm)?;
+        if self.patch(&guard, io, cm_off, &cur, new_cm)? {
+            io.drain(); // parity first
+        }
         io.write_nt(cm_off, new_cm).map_err(PglError::from)?;
         io.drain();
         drop(guard);
@@ -911,21 +870,8 @@ impl ParityDomains {
         self.engine_for(offs[0]).lock_words(offs)
     }
 
-    /// Routes [`ParityEngine::update_under`] to the owning shard.
-    pub fn update_under(
-        &self,
-        guard: &RangeGuard<'_>,
-        io: &PoolIo,
-        off: u64,
-        old: &[u8],
-        new: &[u8],
-    ) -> Result<()> {
-        self.engine_for(off).update_under(guard, io, off, old, new)
-    }
-
-    /// Routes [`ParityEngine::update_under_flush_only`] to the owning
-    /// shard.
-    pub fn update_under_flush_only(
+    /// Routes [`ParityEngine::patch`] to the owning shard.
+    pub fn patch(
         &self,
         guard: &RangeGuard<'_>,
         io: &PoolIo,
@@ -933,7 +879,7 @@ impl ParityDomains {
         old: &[u8],
         new: &[u8],
     ) -> Result<bool> {
-        self.engine_for(off).update_under_flush_only(guard, io, off, old, new)
+        self.engine_for(off).patch(guard, io, off, old, new)
     }
 
     /// Routes [`ParityEngine::flip_cm_parity_first`] to the owning shard.
@@ -1027,7 +973,9 @@ mod tests {
         io.read(off, &mut old).unwrap();
         io.write(off, new).unwrap();
         io.persist(off, new.len()).unwrap();
-        eng.update_under(&guard, io, off, &old, new).unwrap();
+        if eng.patch(&guard, io, off, &old, new).unwrap() {
+            io.drain();
+        }
     }
 
     fn rebuilt_page(io: &PoolIo, eng: &ParityEngine, page_off: u64) -> Result<Vec<u8>> {

@@ -560,7 +560,7 @@ impl Inner {
     }
 
     /// F2 of an allocate-and-publish: the node's header and content,
-    /// written like a transaction's construction write-back.
+    /// through the one protected write, like a transaction's construction.
     fn construct(&self, r: &AllocReservation, type_num: u32, init: &[u8]) -> Result<()> {
         // The slot may carry a verified-generation entry from an object
         // freed there before.
@@ -576,7 +576,7 @@ impl Inner {
             let csum = segment::fill_table(&head[OBJ_HEADER_SIZE as usize..][..init.len()], table);
             s.tmp[12..16].copy_from_slice(&csum.to_le_bytes());
         }
-        let res = self.construct_write(r.start_off, &s.tmp, &mut s.old);
+        let res = self.protected_write(r.start_off, &s.tmp);
         s.recycle();
         res
     }
@@ -636,7 +636,7 @@ impl Inner {
         let newb = new.to_le_bytes();
         let mut patched_lines: [Option<u64>; 2] = [None, None];
         if let (Some(engine), Some(g)) = (&self.parity, guard) {
-            if engine.update_under_flush_only(g, &self.io, word_off, &oldb, &newb)? {
+            if engine.patch(g, &self.io, word_off, &oldb, &newb)? {
                 patched_lines[0] = Some(parity_line_of(&self.layout, word_off)?);
             }
         }
@@ -658,13 +658,7 @@ impl Inner {
                     continue;
                 }
                 if let (Some(engine), Some(g)) = (&self.parity, guard) {
-                    if engine.update_under_flush_only(
-                        g,
-                        &self.io,
-                        hw_off,
-                        &cur.to_le_bytes(),
-                        &neww.to_le_bytes(),
-                    )? {
+                    if engine.patch(g, &self.io, hw_off, &cur.to_le_bytes(), &neww.to_le_bytes())? {
                         patched_lines[1] = Some(parity_line_of(&self.layout, hw_off)?);
                     }
                 }

@@ -20,8 +20,8 @@ use crate::scratch;
 use crate::scrub::{self, ScrubReport, ScrubTotals};
 use crate::segment::{self, SEG};
 use crate::txn::{PglTx, TxStats};
-use crate::ubuf::{FrameParts, UBuf, UBufState};
-use crate::vcache::VCache;
+use crate::ubuf::{FrameParts, UBuf, UBufLoad, UBufState};
+use crate::vcache::{Entry, VCache, VerifyStamp};
 
 /// The pool-format version Pangolin writes and opens: objects carry
 /// per-segment sums ([`crate::segment`], since 2) and lanes log 16-byte
@@ -37,18 +37,6 @@ thread_local! {
     /// The calling thread's preferred parity shard for new allocations
     /// (set via [`PglPool::bind_thread_to_shard`]); `None` = no affinity.
     static ALLOC_SHARD: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// A held (or vacuous) set of parity range-locks over one data span.
-///
-/// Parity modes wrap a [`RangeGuard`]; modes without parity have no locks
-/// to take and every write-back already commutes (threads never share
-/// objects), so the guard is a no-op there.
-pub(crate) enum SpanGuard<'a> {
-    /// Parity range-locks held for the span.
-    Parity(RangeGuard<'a>),
-    /// No parity in this mode: nothing to lock.
-    Unlocked,
 }
 
 /// Pool-level counters.
@@ -206,22 +194,20 @@ impl Inner {
 
     /// Reads an object's header with media recovery and sanity validation.
     pub(crate) fn obj_header_checked(&self, oid: PMEMoid) -> Result<ObjectHeader> {
-        let mut buf = [0u8; 16];
-        self.read_with_recovery(oid.header_off(), &mut buf)?;
-        let hdr: ObjectHeader = from_bytes(&buf);
-        if !self.plausible(oid.off, hdr.size) {
-            // A nonsense size means the header itself is corrupt; try
-            // scribble recovery once, then re-read.
-            self.recover_object(oid)?;
+        for first in [true, false] {
             let mut buf = [0u8; 16];
             self.read_with_recovery(oid.header_off(), &mut buf)?;
             let hdr: ObjectHeader = from_bytes(&buf);
-            if !self.plausible(oid.off, hdr.size) {
-                return Err(PglError::ChecksumMismatch { off: oid.off });
+            if self.plausible(oid.off, hdr.size) {
+                return Ok(hdr);
             }
-            return Ok(hdr);
+            if first {
+                // A nonsense size means the header itself is corrupt; try
+                // scribble recovery once, then re-read.
+                self.recover_object(oid)?;
+            }
         }
-        Ok(hdr)
+        Err(PglError::ChecksumMismatch { off: oid.off })
     }
 
     /// Bytes a `size`-byte object occupies behind its header: user data
@@ -275,111 +261,72 @@ impl Inner {
         Ok(image)
     }
 
-    /// Makes `[off, off+len)` of `b` resident under the one open rule
-    /// ([`crate::segment`]): every byte loaded belongs to a segment that is
-    /// checked here or that the verification cache vouches for. Bytes of
-    /// segments already resident are read as they are; the other segments
-    /// the range covers are loaded whole and checked against their sums —
-    /// or, when the cache vouches for all of them, only the range is read.
-    /// Either way their sums are read (from the header for segment 0, from
-    /// the table for the others) and kept for the commit. A segment that
-    /// fails its check is repaired from parity and reloaded once.
-    pub(crate) fn load_range(&self, b: &mut UBuf, off: u64, len: u64) -> Result<()> {
-        let oid = b.oid();
-        let read = |at: u64, dst: &mut [u8]| self.read_with_recovery(oid.off + at, dst);
-        if len == 0 || !self.mode.has_checksums() || b.state() == UBufState::New {
-            return b.load(off, len, 0, read).map(drop);
-        }
-        let size = b.user_size() as u64;
-        let (k0, k1) = segment::covering(off, len);
-        let (a, z) = match b.sums_within(k0, k1) {
-            0 => (k0, k1),
-            known => {
-                let Some(a) = (k0..=k1).find(|&k| b.sum_of(k).is_none()) else {
-                    debug_assert_eq!(known as u64, k1 - k0 + 1);
-                    return b.load(off, len, 0, read).map(drop);
-                };
-                (a, (a..=k1).rev().find(|&k| b.sum_of(k).is_none()).expect("segment a is new"))
-            }
-        };
-        for attempt in 0..2 {
-            let (stamp, entry) = self.vcache.begin_verify_probe(oid.off);
-            let vouched = entry.is_some_and(|e| e.size == size && e.covers(a, z));
-            let lo = if a == k0 && !vouched { k0 * SEG } else { off };
-            let hi = if z == k1 && !vouched { segment::bounds(size, k1).1 } else { off + len };
-            // A load that reaches the object's end reads the entries behind
-            // it (the last segment's first) in the same device read, into
-            // the run's tail; others read theirs apart.
-            let (t, n) = if z > 0 { segment::entries(size, a.max(1), z) } else { (size, 0) };
-            let through = n > 0 && z + 1 == segment::count(size) && hi == size;
-            let mut fused = false;
-            b.load(lo, hi - lo, if through { t + n - size } else { 0 }, |at, dst| {
-                fused |= at + dst.len() as u64 > size;
-                read(at, dst)
-            })?;
-            let pad = (t - size) as usize;
-            let fill = |b: &UBuf, table: &mut [u8]| {
-                if fused {
-                    table.copy_from_slice(&b.tail()[pad..pad + table.len()]);
-                } else if !table.is_empty() {
-                    read(t, table)?;
+    /// The one verify-on-load rule, for every destination (a
+    /// transaction's micro-buffer, a verified read's bytes): each attempt
+    /// plans a window of whole segments and their sums, fused into one
+    /// device read where the window reaches the object's end (step 1);
+    /// reads and checks it — or, where the verification cache vouches for
+    /// it, reads only what was asked — then accounts for it and publishes
+    /// it under the stamp taken before the read (step 2). A failed check
+    /// repairs the object from parity, re-reads its header and retries
+    /// once, checking what the repair rewrote (step 3).
+    #[inline]
+    pub(crate) fn load_verified(&self, oid: PMEMoid, dst: &mut impl LoadDst) -> Result<()> {
+        for trust in [true, false] {
+            let mut probe = Probe { vcache: &self.vcache, off: oid.off, trust, stamp: None };
+            let Some(w) = dst.plan(&mut probe)? else { return Ok(()) };
+            let stamp = probe.stamp.expect("a planned load probed the cache");
+            let Some(bytes) = dst.fill(&w)? else {
+                if trust {
+                    self.recover_object(oid)?;
+                    dst.repaired(self.obj_header_checked(oid)?, &w)?;
                 }
-                Ok::<(), PglError>(())
+                continue;
             };
-            let checked = if n <= 64 {
-                let mut apart = [0u8; 64];
-                let table = &mut apart[..n as usize];
-                fill(b, table)?;
-                check_new(b, a, z, vouched, table)
+            if w.vouched {
+                self.vuln.note_verified_cached(bytes);
+                self.io.dev().note_vcache_hit(bytes);
             } else {
-                scratch::with_fault_scratch(|s| -> Result<_> {
-                    let table = scratch::zeroed(&mut s.current, n as usize);
-                    fill(b, table)?;
-                    Ok(check_new(b, a, z, vouched, table))
-                })?
-            };
-            if let Some(checked) = checked {
-                if vouched {
-                    self.vuln.note_verified_cached(len);
-                    self.io.dev().note_vcache_hit(len);
-                } else {
-                    self.io.dev().note_csum_pass(checked);
-                    self.vuln.note_verified(checked);
-                    self.vcache.publish(oid.off, size, a, z, stamp);
-                }
-                return Ok(());
+                self.io.dev().note_csum_pass(bytes);
+                self.vuln.note_verified(bytes);
+                self.vcache.publish(oid.off, w.size, w.a, w.z, stamp);
             }
-            if attempt == 1 {
-                break;
-            }
-            // Scribble detected: repair from parity, then re-read what this
-            // load read (nothing of it was handed out yet).
-            self.recover_object(oid)?;
-            let hdr = self.obj_header_checked(oid)?;
-            if hdr.size != size {
-                return Err(PglError::ChecksumMismatch { off: oid.off });
-            }
-            b.reloaded_header(hdr);
-            for k in a..=z {
-                let (s, e) = segment::bounds(size, k);
-                let (s, e) = (s.max(lo), e.min(hi));
-                if b.sum_of(k).is_none() && s < e {
-                    b.reload(s, e - s, read)?;
-                }
-            }
+            return Ok(());
         }
         Err(PglError::ChecksumMismatch { off: oid.off })
     }
 
-    /// Serves `[off, off+len)` of a cache-verified object: exactly one
-    /// range-sized NVMM read, zero checksum passes. Callers must have
-    /// probed the cache (and bounds-checked against the cached size)
-    /// first.
-    pub(crate) fn read_cached_range(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        self.read_with_recovery(oid.off + off, dst)?;
-        self.vuln.note_verified_cached(dst.len() as u64);
-        self.io.dev().note_vcache_hit(dst.len() as u64);
-        Ok(())
+    /// Makes `[off, off+len)` of `b` resident under the open rule
+    /// ([`Inner::load_verified`] into the micro-buffer): every byte loaded
+    /// belongs to a segment that is checked here or that the verification
+    /// cache vouches for, and the loaded segments' sums are kept for the
+    /// commit.
+    pub(crate) fn load_range(&self, b: &mut UBuf, off: u64, len: u64) -> Result<()> {
+        let oid = b.oid();
+        if len == 0 || !self.mode.has_checksums() || b.state() == UBufState::New {
+            let read = |at: u64, dst: &mut [u8]| self.read_with_recovery(oid.off + at, dst);
+            return b.load(off, len, 0, read).map(drop);
+        }
+        self.load_verified(oid, &mut UBufLoad { inner: self, b, off, len })
+    }
+
+    /// A verified read of `buf` from offset `off` of `oid` through
+    /// [`Inner::load_verified`]: one range-sized read and no checksum pass
+    /// where the verification cache vouches for the segments it covers,
+    /// those segments and their sums read and checked (which publishes
+    /// them) otherwise. `hdr` is the header when the caller read it
+    /// already; `size`, the size a cache entry must have to vouch.
+    /// Ranges past the object's end fail with [`PglError::TypeMismatch`].
+    #[inline]
+    pub(crate) fn verified_read(
+        &self,
+        oid: PMEMoid,
+        off: u64,
+        buf: ReadBuf<'_>,
+        hdr: Option<ObjectHeader>,
+        size: Option<u64>,
+    ) -> Result<()> {
+        self.load_verified(oid, &mut ReadInto { inner: self, oid, off, buf, hdr, size })
     }
 
     /// Overflow-safe "`[off, off+len)` fits in `size`" (a wrapped
@@ -398,11 +345,11 @@ impl Inner {
     }
 
     /// Direct object read (`pgl_get`): no verification under the default
-    /// policy, [`Inner::verified_read_range`] under Conservative — for
-    /// objects of every size. Vulnerability accounting feeds Table 4.
+    /// policy, a verified read under Conservative — for objects of every
+    /// size. Vulnerability accounting feeds Table 4.
     pub(crate) fn direct_read(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         if self.mode.has_checksums() && matches!(self.policy, CsumPolicy::Conservative) {
-            return self.verified_read_range(oid, off, dst);
+            return self.verified_read(oid, off, ReadBuf::Range(dst), None, None);
         }
         let at = oid.off.checked_add(off).ok_or(ObjError::InvalidOid { off: oid.off })?;
         self.read_with_recovery(at, dst)?;
@@ -412,242 +359,68 @@ impl Inner {
         Ok(())
     }
 
-    /// Range-granular verified read: serves `[off, off+len)` of the
-    /// object from the segments it covers — a single range-sized read
-    /// when the verification cache vouches for them, the segments and
-    /// their sums read and checked (which publishes them) otherwise.
-    pub(crate) fn verified_read_range(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
-        if let Some(e) = self.vcache.probe(oid.off) {
-            if Self::range_fits(off, dst.len() as u64, e.size)
-                && e.covers_range(off, dst.len() as u64)
-            {
-                return self.read_cached_range(oid, off, dst);
-            }
-        }
-        let hdr = self.obj_header_checked(oid)?;
-        self.read_segments(oid, hdr, off, dst).map(drop)
-    }
-
-    /// The miss path of the verified reads, for an object whose header
-    /// reads `hdr`: reads the segments `[off, off+dst.len())` covers and
-    /// their sums (one device read when they reach the object's end, where
-    /// the table starts), checks them, publishes them and copies the range
-    /// out. A failed check repairs the object from parity and retries once
-    /// against the repaired header, which is returned.
-    ///
-    /// This is [`Inner::load_range`]'s read and check without a
-    /// micro-buffer: run through a recycled read frame instead, a
-    /// Conservative miss costs about 150 ns more (runs, canaries and the
-    /// sum list a read never uses), which is 7 % of `kv_read` throughput
-    /// on a 2-vCPU host.
-    pub(crate) fn read_segments(
-        &self,
-        oid: PMEMoid,
-        mut hdr: ObjectHeader,
-        off: u64,
-        dst: &mut [u8],
-    ) -> Result<ObjectHeader> {
-        if !Self::range_fits(off, dst.len() as u64, hdr.size) {
-            return Err(PglError::TypeMismatch { off: oid.off });
-        }
-        if !self.mode.has_checksums() {
-            self.read_with_recovery(oid.off + off, dst)?;
-            return Ok(hdr);
-        }
-        if dst.is_empty() {
-            return Ok(hdr);
-        }
-        let (k0, k1) = segment::covering(off, dst.len() as u64);
-        for attempt in 0..2 {
-            let stamp = self.vcache.begin_verify(oid.off);
-            let size = hdr.size;
-            let ok = scratch::with_fault_scratch(|s| -> Result<bool> {
-                let (s0, e1) = (k0 * SEG, segment::bounds(size, k1).1);
-                let (t, n) = if k1 > 0 { segment::entries(size, k0.max(1), k1) } else { (e1, 0) };
-                if k1 + 1 == segment::count(size) {
-                    // Data, pad and entries are one contiguous read.
-                    let buf = scratch::zeroed(&mut s.current, (t + n - s0) as usize);
-                    self.read_with_recovery(oid.off + s0, buf)?;
-                } else {
-                    let buf = scratch::zeroed(&mut s.current, (e1 - s0) as usize);
-                    self.read_with_recovery(oid.off + s0, buf)?;
-                    if n > 0 {
-                        let table = scratch::zeroed(&mut s.rebuilt, n as usize);
-                        self.read_with_recovery(oid.off + t, table)?;
-                        s.current.extend_from_slice(&s.rebuilt);
-                    }
-                }
-                let (data, rest) = s.current.split_at((e1 - s0) as usize);
-                let table = &rest[rest.len() - n as usize..];
-                if segment::check(&hdr, k0, k1, data, table).is_err() {
-                    return Ok(false);
-                }
-                self.io.dev().note_csum_pass(e1 - s0);
-                self.vuln.note_verified(e1 - s0);
-                self.vcache.publish(oid.off, size, k0, k1, stamp);
-                let at = (off - s0) as usize;
-                dst.copy_from_slice(&data[at..at + dst.len()]);
-                Ok(true)
-            })?;
-            if ok {
-                return Ok(hdr);
-            }
-            if attempt == 1 {
-                break;
-            }
-            self.recover_object(oid)?;
-            hdr = self.obj_header_checked(oid)?;
-            if !Self::range_fits(off, dst.len() as u64, hdr.size) {
-                return Err(PglError::TypeMismatch { off: oid.off });
-            }
-        }
-        Err(PglError::ChecksumMismatch { off: oid.off })
-    }
-
-    /// Data write-back with parity maintenance: acquire the parity
-    /// range-locks covering the span, then read old content, store the new
-    /// bytes (non-temporal) and patch the parity row with `old ⊕ new` —
-    /// all under the one guard, so a concurrent range-locked reader
-    /// (scrubber, `verify_all`) can never observe new data with old
-    /// parity. See [`Inner::protected_write_locked`] for the variant used
-    /// when the transaction commit path already holds an object-wide
-    /// guard.
+    /// The one protected write: under a span guard over
+    /// `[off, off+len)`, reads the pre-image into a recycled frame, stores
+    /// `new` with its parity patch ([`Inner::store_locked`]) and drains
+    /// once, before the guard is released — so a concurrent range-locked
+    /// reader (scrubber, `verify_all`) never observes new data with old
+    /// parity. Log-overflow chunk claims, transaction construction and
+    /// allocate-and-publish's node all write through it; a committing
+    /// transaction's spans, whose pre-images it loaded, go through
+    /// [`Inner::store_locked`] under one guard per object instead.
     pub(crate) fn protected_write(&self, off: u64, new: &[u8]) -> Result<()> {
-        let guard = self.lock_span(off, new.len() as u64)?;
-        self.protected_write_locked(&guard, off, new)
-    }
-
-    /// Acquires the parity range-locks covering the data span
-    /// `[off, off+len)`, or a no-op guard in modes without parity. A
-    /// committing transaction holds one guard across an object's entire
-    /// write-back (all modified ranges plus the header), which is what lets
-    /// the scrubber — taking the same locks — observe every object in a
-    /// data/checksum/parity-consistent state without freezing the pool.
-    pub(crate) fn lock_span(&self, off: u64, len: u64) -> Result<SpanGuard<'_>> {
-        self.lock_spans(std::iter::once((off, len)))
-    }
-
-    /// Like [`Inner::lock_span`], over several data spans at once: a
-    /// commit takes one guard over its object's dirty spans, not over the
-    /// whole object.
-    pub(crate) fn lock_spans(
-        &self,
-        spans: impl Iterator<Item = (u64, u64)> + Clone,
-    ) -> Result<SpanGuard<'_>> {
-        match &self.parity {
-            Some(engine) => Ok(SpanGuard::Parity(engine.lock_spans(spans)?)),
-            None => Ok(SpanGuard::Unlocked),
-        }
-    }
-
-    /// Like [`Inner::protected_write`], but under a span guard the caller
-    /// already holds over `[off, off+len)` (no lock acquisition here).
-    /// Reads the pre-image itself — into a stack buffer for small writes
-    /// (chunk metadata, run headers), into a recycled read-path frame for
-    /// large ones (zeroing a log-overflow chunk) — so the path stays
-    /// allocation-free. Callers
-    /// that already hold the pre-image use
-    /// [`Inner::protected_write_locked_old`] instead and skip the read
-    /// entirely.
-    pub(crate) fn protected_write_locked(
-        &self,
-        guard: &SpanGuard<'_>,
-        off: u64,
-        new: &[u8],
-    ) -> Result<()> {
-        match (&self.parity, guard) {
-            (Some(_), SpanGuard::Parity(_)) => {
-                const STACK_OLD: usize = 256;
-                if new.len() <= STACK_OLD {
-                    let mut buf = [0u8; STACK_OLD];
-                    let old = &mut buf[..new.len()];
-                    self.io.read(off, old).map_err(PglError::from)?;
-                    self.protected_write_locked_old(guard, off, new, old)
-                } else {
-                    crate::scratch::with_read_frames(|frames| {
-                        let mut parts = frames.pop().unwrap_or_default();
-                        let old = crate::scratch::zeroed(&mut parts.frame, new.len());
-                        let r =
-                            self.io.read(off, old).map_err(PglError::from).and_then(|()| {
-                                self.protected_write_locked_old(guard, off, new, old)
-                            });
-                        crate::scratch::park_frame(frames, parts);
-                        r
-                    })
-                }
-            }
-            _ => {
-                self.io.write_nt(off, new).map_err(PglError::from)?;
-                self.io.drain();
-                Ok(())
-            }
-        }
-    }
-
-    /// Data write-back under a caller-held span guard with a
-    /// **caller-supplied pre-image**: stores `new` (non-temporal), then
-    /// patches parity with the fused `old ⊕ new` diff. This is the commit
-    /// pipeline's write-back primitive — the transaction kept the bytes
-    /// it loaded (micro-buffer pre-images, the loaded header), assembled
-    /// `old` from them during the checksum stage and hands it back here,
-    /// so the commit never reads old data from the device. The caller must guarantee `old` is what
-    /// the parity row currently accounts for in the range: the content
-    /// loaded (and, where the policy verifies, verified or repaired) at
-    /// open, which the §3.4 ownership rule (no two transactions modify
-    /// one object) keeps current until commit. A scribble landing in
-    /// between is *not* part of `old` — so it cannot leak into parity.
-    /// (In modes without parity nothing consumes `old`.)
-    /// One fence serves both the store and the parity patch: the
-    /// non-temporal store is issued, the parity lines are XORed and
-    /// *flushed*, and a single drain makes everything durable together.
-    /// (A crash between the two halves was already a recovered state —
-    /// committed redo logs replay the data and recompute the columns —
-    /// so splitting the fence never protected anything.)
-    pub(crate) fn protected_write_locked_old(
-        &self,
-        guard: &SpanGuard<'_>,
-        off: u64,
-        new: &[u8],
-        old: &[u8],
-    ) -> Result<()> {
-        self.store_locked(guard, off, new, old)?;
+        let guard = self.lock_spans(std::iter::once((off, new.len() as u64)))?;
+        scratch::with_read_frames(|frames| {
+            let mut parts = frames.pop().unwrap_or_default();
+            let old = scratch::zeroed(&mut parts.frame, new.len());
+            let r = match guard {
+                Some(_) => self.io.read(off, old).map_err(PglError::from),
+                None => Ok(()), // nothing consumes a pre-image
+            };
+            let r = r.and_then(|()| self.store_locked(&guard, off, new, old));
+            scratch::park_frame(frames, parts);
+            r
+        })?;
         self.io.drain();
         Ok(())
     }
 
-    /// [`Inner::protected_write_locked_old`] without its fence: the
-    /// non-temporal store and the flushed parity patch, durable at the
-    /// caller's next fence — which the caller issues before it releases
-    /// `guard`, so a reader under the same locks never sees the store
-    /// without its patch. A commit's write-back stores every span of an
-    /// object this way and fences once per object.
+    /// Acquires the parity range-locks covering the data spans — `None`
+    /// in modes without parity, which have no locks to take and whose
+    /// write-backs already commute (threads never share objects). A
+    /// committing transaction holds one guard across an object's dirty
+    /// spans, which is what lets the scrubber — taking the same locks —
+    /// observe every object in a data/checksum/parity-consistent state
+    /// without freezing the pool.
+    pub(crate) fn lock_spans(
+        &self,
+        spans: impl Iterator<Item = (u64, u64)> + Clone,
+    ) -> Result<Option<RangeGuard<'_>>> {
+        self.parity.as_ref().map(|engine| engine.lock_spans(spans)).transpose()
+    }
+
+    /// Stores `new` at `off` (non-temporal) and patches parity with
+    /// `old ⊕ new` under `guard`, unfenced: durable at the caller's next
+    /// fence, which it issues before it releases `guard`, so a reader
+    /// under the same locks never sees the store without its patch. `old`
+    /// must be what the parity row accounts for in the range — for a
+    /// commit, the bytes the transaction loaded (and, where the policy
+    /// verifies, verified or repaired), which the §3.4 ownership rule
+    /// keeps current until commit; a scribble landing in between is not
+    /// part of `old`, so it cannot leak into parity. (Without parity
+    /// nothing consumes `old`.)
     pub(crate) fn store_locked(
         &self,
-        guard: &SpanGuard<'_>,
+        guard: &Option<RangeGuard<'_>>,
         off: u64,
         new: &[u8],
         old: &[u8],
     ) -> Result<()> {
         self.io.write_nt(off, new).map_err(PglError::from)?;
-        if let (Some(engine), SpanGuard::Parity(g)) = (&self.parity, guard) {
-            engine.update_under_flush_only(g, &self.io, off, old, new)?;
+        if let (Some(engine), Some(g)) = (&self.parity, guard) {
+            engine.patch(g, &self.io, off, old, new)?;
         }
         Ok(())
-    }
-
-    /// Construction write-back of a fresh object's header + content
-    /// (`data`) at `off`, not redo-logged. The pre-image — stale slot
-    /// bytes the caller's reservation owns — stages through `old`, and one
-    /// span guard covers the store and its parity patch, so the concurrent
-    /// scrubber never sees a half-constructed object.
-    pub(crate) fn construct_write(&self, off: u64, data: &[u8], old: &mut Vec<u8>) -> Result<()> {
-        if self.parity.is_none() {
-            return self.protected_write(off, data);
-        }
-        old.resize(data.len(), 0);
-        self.io.read(off, old).map_err(PglError::from)?;
-        let guard = self.lock_span(off, data.len() as u64)?;
-        self.protected_write_locked_old(&guard, off, data, old)
     }
 
     /// Applies allocator meta ops with parity maintenance, serialized
@@ -681,10 +454,10 @@ impl Inner {
     /// read for the op (a bitmap word's read-modify-write) are also its
     /// parity patch's pre-image: one device read, kept stable by the
     /// publish guard.
-    fn store_meta_op(&self, guard: &SpanGuard<'_>, op: &MetaOp) -> Result<()> {
-        let SpanGuard::Parity(_) = guard else {
+    fn store_meta_op(&self, guard: &Option<RangeGuard<'_>>, op: &MetaOp) -> Result<()> {
+        if guard.is_none() {
             return op.store(&self.io).map_err(PglError::from);
-        };
+        }
         const MAX: usize = pgl_pmemobj::layout::RUN_HEADER_SIZE as usize;
         let (off, len) = op.target();
         let (mut old, mut new) = ([0u8; MAX], [0u8; MAX]);
@@ -722,35 +495,176 @@ impl Inner {
     }
 }
 
-/// The check half of `Inner::load_range`: every run of segments of
-/// `a..=z` with no sum in `b` yet is checked against its sums (segment 0's
-/// in the loaded header, the others in `table`, the entries of
-/// `max(a, 1)..=z`) unless the cache `vouched` for them, and its sums
-/// noted. Returns the bytes checked, or `None` on the first mismatch.
-fn check_new(b: &mut UBuf, a: u64, z: u64, vouched: bool, table: &[u8]) -> Option<u64> {
-    let hdr = b.loaded_header();
-    let mut checked = 0;
-    let mut k = a;
-    while k <= z {
-        let e = match b.next_known(k) {
-            Some(n) if n == k => {
-                k += 1;
-                continue;
-            }
-            Some(n) => (n - 1).min(z),
-            None => z,
-        };
-        // Entries of `max(k, 1)..=e`, in table order.
-        let run = &table[(segment::ENTRY * (z - e)) as usize..];
-        if !vouched {
-            let (start, end) = (k * SEG, segment::bounds(hdr.size, e).1);
-            segment::check(&hdr, k, e, b.bytes(start, end - start), run).ok()?;
-            checked += end - start;
-        }
-        b.note_sums(k, e, |j| if j == 0 { hdr.csum } else { segment::entry_in(run, e, j) });
-        k = e + 1;
+/// What one attempt of a verified load reads of a `size`-byte object
+/// (step 1 of [`Inner::load_verified`]): the user bytes `[lo, hi)`,
+/// which hold segments `a..=z`, and the `n` bytes of their sum-table
+/// entries — those of `max(a, 1)..=z`, at user offset `t` — in the same
+/// device read as the bytes when `through`: the window then reaches the
+/// object's end, where the table starts. A `vouched` window is one the
+/// verification cache vouches for: read, not checked.
+#[derive(Clone, Copy)]
+pub(crate) struct Window {
+    pub(crate) size: u64,
+    pub(crate) a: u64,
+    pub(crate) z: u64,
+    pub(crate) lo: u64,
+    pub(crate) hi: u64,
+    pub(crate) t: u64,
+    pub(crate) n: u64,
+    pub(crate) through: bool,
+    pub(crate) vouched: bool,
+}
+
+impl Window {
+    pub(crate) fn new(size: u64, (a, z): (u64, u64), (lo, hi): (u64, u64), vouched: bool) -> Self {
+        let (t, n) = if z > 0 { segment::entries(size, a.max(1), z) } else { (size, 0) };
+        let through = n > 0 && z + 1 == segment::count(size) && hi == size;
+        Window { size, a, z, lo, hi, t, n, through, vouched }
     }
-    Some(checked)
+}
+
+/// One load attempt's look at the verification cache, taken when the
+/// plan asks for it — a load with nothing left to check takes no lock —
+/// together with the stamp its publish is validated against.
+pub(crate) struct Probe<'a> {
+    vcache: &'a VCache,
+    off: u64,
+    /// `false` on the retry after a repair, which checks what the repair
+    /// rewrote rather than trusting the entry the repair published.
+    trust: bool,
+    stamp: Option<VerifyStamp>,
+}
+
+impl Probe<'_> {
+    /// What the cache vouches for, if this attempt trusts it.
+    pub(crate) fn entry(&mut self) -> Option<Entry> {
+        let (stamp, entry) = self.vcache.begin_verify_probe(self.off);
+        self.stamp = Some(stamp);
+        entry.filter(|_| self.trust)
+    }
+}
+
+/// Where a verified load lands: the destination side of
+/// [`Inner::load_verified`], which drives the attempts, accounts for
+/// them, publishes and repairs.
+pub(crate) trait LoadDst {
+    /// Plans the next attempt, asking `probe` what the cache vouches for:
+    /// `None` when nothing is left to read or check.
+    fn plan(&mut self, probe: &mut Probe<'_>) -> Result<Option<Window>>;
+
+    /// Reads `w` and checks it: the bytes checked — or, for a vouched
+    /// window, the bytes handed out — and `None` on a mismatch.
+    fn fill(&mut self, w: &Window) -> Result<Option<u64>>;
+
+    /// Takes the object as repaired from parity, its header now `hdr`.
+    fn repaired(&mut self, hdr: ObjectHeader, w: &Window) -> Result<()>;
+}
+
+/// A verified read's destination bytes.
+pub(crate) enum ReadBuf<'a> {
+    /// `dst.len()` bytes from the read's offset.
+    Range(&'a mut [u8]),
+    /// The whole object: the buffer takes the object's size.
+    Whole(&'a mut Vec<u8>),
+}
+
+impl ReadBuf<'_> {
+    /// The destination, sized for an object of `size` bytes if whole.
+    fn sized(&mut self, size: u64) -> &mut [u8] {
+        match self {
+            ReadBuf::Range(dst) => dst,
+            ReadBuf::Whole(v) => {
+                v.resize(size as usize, 0);
+                v
+            }
+        }
+    }
+}
+
+/// [`Inner::verified_read`]'s destination. A miss reads the covering
+/// segments into the fault scratch, checks them and copies the range out
+/// — no micro-buffer: run through a read frame instead, a Conservative
+/// miss costs about 150 ns more (runs, canaries and the sum list a read
+/// never uses), 7 % of `kv_read` throughput on a 2-vCPU host.
+struct ReadInto<'a> {
+    inner: &'a Inner,
+    oid: PMEMoid,
+    off: u64,
+    buf: ReadBuf<'a>,
+    hdr: Option<ObjectHeader>,
+    size: Option<u64>,
+}
+
+impl LoadDst for ReadInto<'_> {
+    #[inline]
+    fn plan(&mut self, probe: &mut Probe<'_>) -> Result<Option<Window>> {
+        let (inner, off) = (self.inner, self.off);
+        if let Some(e) = probe.entry().filter(|e| self.size.is_none_or(|s| s == e.size)) {
+            let len = self.buf.sized(e.size).len() as u64;
+            if Inner::range_fits(off, len, e.size) && e.covers_range(off, len) {
+                return Ok(Some(Window::new(e.size, (0, 0), (off, off + len), true)));
+            }
+        }
+        let hdr = match self.hdr {
+            Some(hdr) => hdr,
+            None => inner.obj_header_checked(self.oid)?,
+        };
+        self.hdr = Some(hdr);
+        let dst = self.buf.sized(hdr.size);
+        let len = dst.len() as u64;
+        if !Inner::range_fits(off, len, hdr.size) {
+            return Err(PglError::TypeMismatch { off: self.oid.off });
+        }
+        if !inner.mode.has_checksums() {
+            inner.read_with_recovery(self.oid.off + off, dst)?;
+            return Ok(None);
+        }
+        if len == 0 {
+            return Ok(None);
+        }
+        let (k0, k1) = segment::covering(off, len);
+        Ok(Some(Window::new(
+            hdr.size,
+            (k0, k1),
+            (k0 * SEG, segment::bounds(hdr.size, k1).1),
+            false,
+        )))
+    }
+
+    #[inline]
+    fn fill(&mut self, w: &Window) -> Result<Option<u64>> {
+        let dst = self.buf.sized(w.size);
+        let read = |at: u64, buf: &mut [u8]| self.inner.read_with_recovery(self.oid.off + at, buf);
+        if w.vouched {
+            read(self.off, dst)?;
+            return Ok(Some(dst.len() as u64));
+        }
+        let hdr = self.hdr.expect("a checked window has its header");
+        scratch::with_fault_scratch(|s| {
+            let len = (w.hi - w.lo) as usize;
+            if w.through {
+                read(w.lo, scratch::zeroed(&mut s.current, (w.t + w.n - w.lo) as usize))?;
+            } else {
+                read(w.lo, scratch::zeroed(&mut s.current, len))?;
+                if w.n > 0 {
+                    read(w.t, scratch::zeroed(&mut s.rebuilt, w.n as usize))?;
+                    s.current.extend_from_slice(&s.rebuilt);
+                }
+            }
+            let (data, rest) = s.current.split_at(len);
+            if segment::check(&hdr, w.a, w.z, data, &rest[rest.len() - w.n as usize..]).is_err() {
+                return Ok(None);
+            }
+            let at = (self.off - w.lo) as usize;
+            dst.copy_from_slice(&data[at..at + dst.len()]);
+            Ok(Some(len as u64))
+        })
+    }
+
+    fn repaired(&mut self, hdr: ObjectHeader, _: &Window) -> Result<()> {
+        self.hdr = Some(hdr);
+        Ok(())
+    }
 }
 
 /// A fault-tolerant, DAX-style persistent object pool (the Pangolin
@@ -1311,27 +1225,9 @@ impl PglPool {
     /// [`PglPool::read_verified_into`].
     pub fn read_verified(&self, oid: PMEMoid) -> Result<Vec<u8>> {
         self.inner.check_oid(oid)?;
-        let inner = &*self.inner;
-        if let Some(e) = inner.vcache.probe(oid.off).filter(|e| e.covers_range(0, e.size)) {
-            let mut v = vec![0u8; e.size as usize];
-            inner.read_cached_range(oid, 0, &mut v)?;
-            return Ok(v);
-        }
-        // Miss: check every segment. A repair may legitimately restore a
-        // different header size than the first header read returned; the
-        // read then starts over at the repaired size.
         let mut v = Vec::new();
-        for retry in [true, false] {
-            let hdr = inner.obj_header_checked(oid)?;
-            v.resize(hdr.size as usize, 0);
-            match inner.read_segments(oid, hdr, 0, &mut v) {
-                Ok(h) if h.size == hdr.size => return Ok(v),
-                Ok(_) | Err(PglError::TypeMismatch { .. }) if retry => {}
-                Ok(_) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(PglError::ChecksumMismatch { off: oid.off })
+        self.inner.verified_read(oid, 0, ReadBuf::Whole(&mut v), None, None)?;
+        Ok(v)
     }
 
     /// Reads the whole object and checks every segment, repairing nothing
@@ -1361,7 +1257,7 @@ impl PglPool {
     /// otherwise. Out-of-bounds ranges fail with [`PglError::TypeMismatch`].
     pub fn read_verified_at(&self, oid: PMEMoid, off: u64, dst: &mut [u8]) -> Result<()> {
         self.inner.check_oid(oid)?;
-        self.inner.verified_read_range(oid, off, dst)
+        self.inner.verified_read(oid, off, ReadBuf::Range(dst), None, None)
     }
 
     /// `pgl_open`: creates a standalone micro-buffer for single-object
@@ -1378,56 +1274,30 @@ impl PglPool {
     }
 
     /// `pgl_commit`: atomically writes a single-object handle back,
-    /// updating checksum and parity. Unmarked changes are detected by
-    /// diffing against NVMM at cache-line granularity, so paper-style
-    /// `obj.field = x` edits (without explicit range marking) commit too.
-    /// The diff runs in place against a recycled scratch frame — no heap
-    /// copies of the object on this path.
-    pub fn commit_object(&self, mut handle: ObjHandle) -> Result<()> {
+    /// updating checksum and parity. The handle is diffed at cache-line
+    /// granularity against the commit transaction's own checked load of
+    /// the object — the one read of it — so paper-style `obj.field = x`
+    /// edits (without explicit range marking) commit too, and a scribble
+    /// that landed since the open is repaired by that load instead of
+    /// being taken for a change.
+    pub fn commit_object(&self, handle: ObjHandle) -> Result<()> {
         handle.ubuf.check_canaries()?;
         let oid = handle.ubuf.oid();
-        let size = handle.ubuf.user_size();
-        crate::scratch::with_read_frames(|frames| {
-            let mut parts = frames.pop().unwrap_or_default();
-            let FrameParts { frame: cur, modified: ranges, .. } = &mut parts;
-            let cur = crate::scratch::zeroed(cur, size);
-            ranges.clear();
-            let r = self.inner.read_with_recovery(oid.off, cur);
-            if r.is_ok() {
-                const GRAN: usize = 64;
-                let new = handle.ubuf.user();
-                let mut i = 0;
-                while i < size {
-                    let end = (i + GRAN).min(size);
-                    if cur[i..end] != new[i..end] {
-                        ranges.insert(i as u64, (end - i) as u64);
-                    }
-                    i = end;
+        let result = self.tx(|tx| {
+            tx.open(oid)?;
+            let b = tx.ubuf_mut(oid)?;
+            let new = handle.ubuf.user();
+            for at in (0..new.len()).step_by(64) {
+                let end = (at + 64).min(new.len());
+                if b.user()[at..end] != new[at..end] {
+                    b.write(at as u64, &new[at..end]);
                 }
             }
-            for (roff, rlen) in ranges.iter() {
-                handle.ubuf.mark_modified(roff, rlen);
-            }
-            crate::scratch::park_frame(frames, parts);
-            r
-        })?;
-        let result: Result<()> = if handle.ubuf.modified().is_empty() {
             Ok(())
-        } else {
-            self.tx(|tx| {
-                tx.open(oid)?;
-                let b = tx.ubuf_mut(oid)?;
-                for (roff, rlen) in handle.ubuf.modified().iter() {
-                    b.write(roff, &handle.ubuf.user()[roff as usize..(roff + rlen) as usize]);
-                }
-                Ok(())
-            })
-        };
+        });
         // Recycle the handle's frame: the open/commit cycle (paper
         // Listing 2) then allocates nothing in steady state.
-        crate::scratch::with_read_frames(|frames| {
-            crate::scratch::park_frame(frames, handle.ubuf.into_parts());
-        });
+        scratch::with_read_frames(|frames| scratch::park_frame(frames, handle.ubuf.into_parts()));
         result
     }
 

@@ -73,7 +73,7 @@ pub(crate) struct CommitScratch {
     /// commit processing order — the exact order the write-back stage
     /// re-walks them, so a byte cursor pairs them back up.
     pub old: Vec<u8>,
-    /// Staging buffer for construction-write pre-images.
+    /// Staging buffer for an allocate-and-publish node's image.
     pub tmp: Vec<u8>,
     /// The parity shards a commit's effects land in (cross-shard routing).
     pub shards: Vec<u64>,
@@ -140,10 +140,9 @@ pub(crate) fn park_frame(frames: &mut Vec<FrameParts>, parts: FrameParts) {
 }
 
 thread_local! {
-    /// Recycled frames for the pool-level paths (`open_object`,
-    /// `commit_object`'s diff buffer, parity pre-image reads), which run
-    /// outside any transaction and therefore
-    /// cannot use the commit scratch an in-flight transaction owns.
+    /// Recycled frames for the paths that cannot use the commit scratch an
+    /// in-flight transaction owns: `open_object`'s load and the protected
+    /// write's pre-image.
     static READ_FRAMES: RefCell<Vec<FrameParts>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -43,6 +43,7 @@ use crate::error::{PglError, Result};
 use crate::pool::Inner;
 use crate::recover::repair_page_by_compare;
 use crate::segment;
+use crate::vcache::VerifyStamp;
 
 /// Outcome of one scrub pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -342,22 +343,16 @@ fn scrub_one_object(
             drop(guard);
             continue;
         }
-        let ok = !inner.mode.has_checksums() || {
-            inner.io.dev().note_csum_pass(hdr.size);
-            segment::check_all(&hdr, data).is_ok()
-        };
+        // A pass refreshes the verified-generation entry while still under
+        // the exclusive guard's stamp: a commit racing in after the guard
+        // drops bumps the generation and defeats the publish.
+        let ok = scrub_check(inner, oid.off, &hdr, data, stamp);
         if !ok && !inner.heap.is_live(&inner.io, oid.off) {
             // The object was freed between our liveness check and the data
             // read, and its bytes were already repurposed (e.g. zeroed for
             // a log-overflow claim). Not a scribble.
             report.objects_skipped += 1;
             return Ok(());
-        }
-        if ok && inner.mode.has_checksums() {
-            // Refresh the verified-generation entry while still under the
-            // exclusive guard's stamp: a commit racing in after the guard
-            // drops bumps the generation and defeats this publish.
-            inner.vcache.publish(oid.off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         drop(guard);
         if !ok && !recover_unless_churned(inner, oid, report)? {
@@ -370,6 +365,28 @@ fn scrub_one_object(
     }
     report.objects_skipped += 1;
     Ok(())
+}
+
+/// The scrub's check of one object's `image` — user bytes, pad and table,
+/// read under its span guard or with the pool frozen — against `hdr`:
+/// counts the pass and, when it holds, vouches for every segment under
+/// `stamp`. Modes without checksums have nothing to check.
+fn scrub_check(
+    inner: &Inner,
+    off: u64,
+    hdr: &ObjectHeader,
+    image: &[u8],
+    stamp: VerifyStamp,
+) -> bool {
+    if !inner.mode.has_checksums() {
+        return true;
+    }
+    inner.io.dev().note_csum_pass(hdr.size);
+    let ok = segment::check_all(hdr, image).is_ok();
+    if ok {
+        inner.vcache.publish(off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
+    }
+    ok
 }
 
 /// Recovers a corrupt-looking object, tolerating the free/realloc race:
@@ -418,16 +435,11 @@ fn scrub_objects_frozen(
                 }
                 r => r,
             }?;
-            if inner.mode.has_checksums() {
-                inner.io.dev().note_csum_pass(hdr.size);
-                ok = segment::check_all(&hdr, data).is_ok();
-            }
+            ok = scrub_check(inner, off, &hdr, data, stamp);
         }
         if !ok {
             inner.recover_object_frozen(oid)?;
             report.objects_repaired += 1;
-        } else if inner.mode.has_checksums() {
-            inner.vcache.publish(off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
         }
         report.objects_verified += 1;
         report.bytes_verified += hdr.size;

@@ -16,17 +16,18 @@
 //!    under its zone's reserved-chunk watermark when [`PglTx::alloc`]
 //!    reserved it, so that recompute folds its rows; see
 //!    [`crate::parity`]);
-//! 4. **construction write-back** of new objects (their content is *not*
+//! 4. **construction write-back** of new objects through the one
+//!    protected write (`Inner::protected_write`); their content is *not*
 //!    redo-logged, matching the paper's observation that allocations do
-//!    not pay object-logging cost);
+//!    not pay object-logging cost;
 //! 5. **redo log** (replicated in `-ML` modes) of every span and the
 //!    allocator ops in 16-byte-header entries ([`pgl_pmemobj::ulog`]);
 //!    the last one carries the commit flag, and its fence is the commit
 //!    point;
 //! 6. **write-back** of every span with a non-temporal store, paired
-//!    with a parity patch consuming its stage-(2) pre-image; one fence
-//!    per *object* covers all its stores and patches, issued before its
-//!    stripe guard is released;
+//!    with a parity patch consuming its stage-(2) pre-image
+//!    (`Inner::store_locked`); one fence per *object* covers all its
+//!    stores and patches, issued before its stripe guard is released;
 //! 7. **allocator publication** (parity-aware) and log invalidation
 //!    (lazy — flushed, fenced by the lane's next transaction).
 //!
@@ -50,10 +51,12 @@
 //! [`PglTx::open`] reads an object's header (nothing at all when the
 //! verification cache knows the object: the open is lazy). What a
 //! transaction then loads follows one rule, in one place
-//! (`Inner::load_range`): every byte loaded belongs to a segment that is
-//! checked on the spot or vouched for by the verification cache, and a
-//! write loads the segments it covers — 256 bytes around an 8-byte
-//! store, whatever the object's size.
+//! (`Inner::load_verified`, the load core every verified read shares):
+//! every byte loaded belongs to a segment that is checked on the spot or
+//! vouched for by the verification cache, and a write loads the segments
+//! it covers — 256 bytes around an 8-byte store, whatever the object's
+//! size. Writes load into the micro-buffer (`Inner::load_range`); a
+//! [`PglTx::read`] miss loads into the caller's bytes.
 //!
 //! # Cross-shard commits
 //!
@@ -89,7 +92,7 @@ use pgl_pmemobj::{ObjError, PMEMoid};
 pub use pgl_pmemobj::TxStats;
 
 use crate::error::{PglError, Result};
-use crate::pool::Inner;
+use crate::pool::{Inner, ReadBuf};
 use crate::scratch::{CommitScratch, OffMap};
 use crate::ubuf::{UBuf, UBufState};
 
@@ -457,17 +460,9 @@ impl<'p> PglTx<'p> {
         }
         if let Some((lo, len)) = b.missing(off, dst.len() as u64) {
             let part = &mut dst[(lo - off) as usize..(lo - off + len) as usize];
-            let size = b.user_size() as u64;
-            let entry = self.inner.vcache.probe(oid.off);
-            if entry.is_some_and(|e| e.size == size && e.covers_range(lo, len)) {
-                self.inner.read_cached_range(oid, lo, part)?;
-            } else {
-                let hdr = match b.state() {
-                    UBufState::Lazy => self.inner.obj_header_checked(oid)?,
-                    _ => b.loaded_header(),
-                };
-                self.inner.read_segments(oid, hdr, lo, part)?;
-            }
+            let hdr = (b.state() != UBufState::Lazy).then(|| b.loaded_header());
+            let size = Some(b.user_size() as u64);
+            self.inner.verified_read(oid, lo, ReadBuf::Range(part), hdr, size)?;
         }
         b.read(off, dst);
         Ok(())
@@ -688,20 +683,16 @@ impl<'p> PglTx<'p> {
         }
 
         // (4) Construction write-back: header + content of new objects,
-        // with parity maintenance (`Inner::construct_write`). Not
-        // redo-logged (paper Figure 3's "allocation does not involve
-        // object logging"). The pre-image stages through the commit
-        // scratch — no allocation.
-        {
-            let tmp = &mut self.scratch.tmp;
-            for off in &new_offs {
-                let b = &self.objs[off];
-                // The offset may carry a verified-generation cache entry
-                // from a previously freed object; construction reuses the
-                // slot, so drop it before the new bytes land.
-                inner.vcache.bump(*off);
-                inner.construct_write(b.header_off(), b.construction(), tmp)?;
-            }
+        // through the protected write (the pre-image is the stale slot
+        // bytes this transaction's reservation owns). Not redo-logged
+        // (paper Figure 3's "allocation does not involve object logging").
+        for off in &new_offs {
+            // The offset may carry a verified-generation cache entry from
+            // a previously freed object; construction reuses the slot, so
+            // drop it before the new bytes land.
+            inner.vcache.bump(*off);
+            let b = &self.objs[off];
+            inner.protected_write(b.header_off(), b.construction())?;
         }
 
         // (5) Redo log: every modified object's spans (ranges + refreshed

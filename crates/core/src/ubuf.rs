@@ -7,8 +7,9 @@
 //! runs** of the user area, and the loaded sum of every segment
 //! ([`crate::segment`]) those runs touch. An object loaded whole has the
 //! one run `[0, size)`, a freshly opened one has none, and a write makes
-//! the segments it covers resident (`Inner::load_range` decides what
-//! exactly is read, `UBuf::load` reads it).
+//! the segments it covers resident: the load core (`Inner::load_verified`)
+//! drives it, `UBufLoad` decides what exactly is read and checks it,
+//! and `UBuf::load` reads it.
 //!
 //! Every run sits in one recycled frame as
 //! `[canary 8][slot 16][bytes][tail][canary 8]`. A destroyed canary at
@@ -44,6 +45,8 @@ use pgl_pmemobj::{ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 
 use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
+use crate::pool::{Inner, LoadDst, Probe, Window};
+use crate::scratch;
 use crate::segment::{self, ENTRY, SEG};
 
 const CANARY_SEED: u64 = 0x70_61_6E_67_6F_6C_69_6E; // "pangolin"
@@ -436,6 +439,38 @@ impl UBuf {
         self.set_csum(hdr.csum);
     }
 
+    /// The check half of a load into this buffer: every run of segments
+    /// of `w.a..=w.z` with no sum yet is checked against its sums
+    /// (segment 0's in the loaded header, the others in `table`, the
+    /// entries of `max(a, 1)..=z`) unless the cache vouched for the
+    /// window, and its sums noted. Returns the bytes checked, or `None` on
+    /// the first mismatch.
+    fn check_new(&mut self, w: &Window, table: &[u8]) -> Option<u64> {
+        let hdr = self.loaded_header;
+        let mut checked = 0;
+        let mut k = w.a;
+        while k <= w.z {
+            let e = match self.next_known(k) {
+                Some(n) if n == k => {
+                    k += 1;
+                    continue;
+                }
+                Some(n) => (n - 1).min(w.z),
+                None => w.z,
+            };
+            // Entries of `max(k, 1)..=e`, in table order.
+            let run = &table[(ENTRY * (w.z - e)) as usize..];
+            if !w.vouched {
+                let (start, end) = (k * SEG, segment::bounds(hdr.size, e).1);
+                segment::check(&hdr, k, e, self.bytes(start, end - start), run).ok()?;
+                checked += end - start;
+            }
+            self.note_sums(k, e, |j| if j == 0 { hdr.csum } else { segment::entry_in(run, e, j) });
+            k = e + 1;
+        }
+        Some(checked)
+    }
+
     /// The run `[0, size)` of a fully resident buffer.
     ///
     /// # Panics
@@ -814,6 +849,106 @@ impl UBuf {
             let back = r.at(r.end()) + self.tail_of(&r);
             self.frame[back + CANARY - 1] ^= 0xFF;
         }
+    }
+}
+
+/// A transaction's load of `[off, off+len)` into its micro-buffer: the
+/// destination side of [`Inner::load_verified`] for the open rule. The
+/// window is the segments of the range with no loaded sum yet, read into
+/// a run — the entries behind it into the run's tail when it reaches the
+/// object's end — and a repaired segment is re-read in place.
+pub(crate) struct UBufLoad<'a> {
+    pub(crate) inner: &'a Inner,
+    pub(crate) b: &'a mut UBuf,
+    pub(crate) off: u64,
+    pub(crate) len: u64,
+}
+
+impl<'a> UBufLoad<'a> {
+    /// The device reader of the object's bytes: `(user offset, destination)`.
+    fn reader(&self) -> impl Fn(u64, &mut [u8]) -> Result<()> + 'a {
+        let (inner, oid) = (self.inner, self.b.oid);
+        move |at, dst| inner.read_with_recovery(oid.off + at, dst)
+    }
+}
+
+impl LoadDst for UBufLoad<'_> {
+    fn plan(&mut self, probe: &mut Probe<'_>) -> Result<Option<Window>> {
+        let (off, len) = (self.off, self.len);
+        let (k0, k1) = segment::covering(off, len);
+        let unloaded = |b: &UBuf, k: &u64| b.sum_of(*k).is_none();
+        let (a, z) = match self.b.sums_within(k0, k1) {
+            0 => (k0, k1),
+            _ => match (k0..=k1).find(|k| unloaded(self.b, k)) {
+                Some(a) => {
+                    (a, (a..=k1).rev().find(|k| unloaded(self.b, k)).expect("segment a is new"))
+                }
+                None => {
+                    // Every segment has its sum already: the range's
+                    // bytes are read as they are.
+                    self.b.load(off, len, 0, self.reader())?;
+                    return Ok(None);
+                }
+            },
+        };
+        let size = self.b.user_size() as u64;
+        // A vouched window reads the range (and the entries) only.
+        let vouched = probe.entry().is_some_and(|e| e.size == size && e.covers(a, z));
+        let lo = if a == k0 && !vouched { k0 * SEG } else { off };
+        let hi = if z == k1 && !vouched { segment::bounds(size, k1).1 } else { off + len };
+        Ok(Some(Window::new(size, (a, z), (lo, hi), vouched)))
+    }
+
+    fn fill(&mut self, w: &Window) -> Result<Option<u64>> {
+        let read = self.reader();
+        let mut fused = false;
+        self.b.load(
+            w.lo,
+            w.hi - w.lo,
+            if w.through { w.t + w.n - w.size } else { 0 },
+            |at, dst| {
+                fused |= at + dst.len() as u64 > w.size;
+                read(at, dst)
+            },
+        )?;
+        let pad = (w.t - w.size) as usize;
+        let fill = |b: &UBuf, table: &mut [u8]| {
+            if fused {
+                table.copy_from_slice(&b.tail()[pad..pad + table.len()]);
+            } else if !table.is_empty() {
+                read(w.t, table)?;
+            }
+            Ok::<(), PglError>(())
+        };
+        let checked = if w.n <= 64 {
+            let mut apart = [0u8; 64];
+            let table = &mut apart[..w.n as usize];
+            fill(self.b, table)?;
+            self.b.check_new(w, table)
+        } else {
+            scratch::with_fault_scratch(|s| {
+                let table = scratch::zeroed(&mut s.current, w.n as usize);
+                fill(self.b, table)?;
+                Ok::<_, PglError>(self.b.check_new(w, table))
+            })?
+        };
+        Ok(checked.map(|c| if w.vouched { self.len } else { c }))
+    }
+
+    fn repaired(&mut self, hdr: ObjectHeader, w: &Window) -> Result<()> {
+        if hdr.size != w.size {
+            return Err(PglError::ChecksumMismatch { off: self.b.oid.off });
+        }
+        self.b.reloaded_header(hdr);
+        // Nothing of the window was handed out yet: re-read it in place.
+        for k in w.a..=w.z {
+            let (s, e) = segment::bounds(w.size, k);
+            let (s, e) = (s.max(w.lo), e.min(w.hi));
+            if self.b.sum_of(k).is_none() && s < e {
+                self.b.reload(s, e - s, self.reader())?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -379,7 +379,9 @@ proptest! {
             io.read(off, &mut old).unwrap();
             io.write(off, &new).unwrap();
             io.persist(off, len).unwrap();
-            eng.update_under(&guard, &io, off, &old, &new).unwrap();
+            if eng.patch(&guard, &io, off, &old, &new).unwrap() {
+                io.drain();
+            }
         }
         prop_assert!(eng.verify_all(&io).unwrap().is_empty());
     }

@@ -461,6 +461,46 @@ fn scribble_between_open_and_commit_stays_out_of_parity() {
 }
 
 #[test]
+fn commit_object_reads_the_object_once() {
+    // `pgl_commit` diffs the handle against its transaction's own load:
+    // the deferred header read of the lazy open and one read of the object
+    // with its sum table, which the open just verified — no second read
+    // to diff against, and none at commit.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    let mut obj = pool.open_object(oid).unwrap();
+    obj.user_mut()[700] = 0x22; // unmarked
+    let s0 = dev.stats();
+    pool.commit_object(obj).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    let footprint = OBJ + 12; // user bytes and the sums of segments 1..=3
+    assert_eq!((d.read_ops, d.bytes_read), (2, 16 + footprint));
+    assert_eq!((d.commit_old_reads, d.csum_passes), (0, 0));
+    let mut want = vec![0x11; OBJ as usize];
+    want[700] = 0x22;
+    assert_eq!(pool.read_verified(oid).unwrap(), want);
+    assert_sound(&pool);
+}
+
+#[test]
+fn scribble_between_open_object_and_commit_object_is_repaired_not_committed() {
+    // The commit's checked load finds the scribble and repairs it from
+    // parity before the diff: the handle holds the object as opened, so
+    // nothing differs, nothing is logged and nothing is written back.
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, OBJ, 0x11);
+    let obj = pool.open_object(oid).unwrap();
+    pangolin::inject::scribble_object(&pool, oid, 300, 40, 0xAB).unwrap();
+    let s0 = dev.stats();
+    pool.commit_object(obj).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(d.bytes_written_nt, 0, "no redo log and no write-back");
+    assert_eq!(pool.counters().object_recoveries.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(pool.read_verified(oid).unwrap(), vec![0x11; OBJ as usize]);
+    assert_sound(&pool);
+}
+
+#[test]
 fn scribble_between_open_and_commit_stays_out_of_parity_sparse() {
     // Same, for a 128 KiB object: the segments the marked range made
     // resident keep their loaded bytes.
@@ -675,12 +715,12 @@ fn parity_patch_flushes_the_same_lines_on_the_replica() {
     let guard = eng.lock_span(off, 4096).unwrap();
     let (p0, r0) = (dev.stats(), rep.stats());
     // Patch in, then out again: a diff XORed twice restores the row.
-    assert!(eng.update_under_flush_only(&guard, &io, off, &old, &new).unwrap());
-    assert!(eng.update_under_flush_only(&guard, &io, off, &new, &old).unwrap());
-    assert!(!eng.update_under_flush_only(&guard, &io, off, &old, &old).unwrap());
+    assert!(eng.patch(&guard, &io, off, &old, &new).unwrap());
+    assert!(eng.patch(&guard, &io, off, &new, &old).unwrap());
+    assert!(!eng.patch(&guard, &io, off, &old, &old).unwrap());
     for d in [dev.stats().delta_since(&p0), rep.stats().delta_since(&r0)] {
         assert_eq!(d.lines_flushed, 2 * 2, "two dirtied lines per patch");
-        assert_eq!(d.fences, 0, "flush-only: the caller owns the fence");
+        assert_eq!(d.fences, 0, "the caller owns the fence");
     }
 }
 
