@@ -76,8 +76,12 @@ pub struct PglConfig {
     /// repeated loads and verified reads of a segment skip its read and
     /// checksum pass (see `vcache` module docs). `0` disables the cache — every
     /// verified read then re-verifies, the pre-cache behaviour. Modes
-    /// without checksums never consult it. Each entry is ~24 bytes of
-    /// DRAM; the default covers 64 Ki hot objects.
+    /// without checksums never consult it. The capacity is split evenly
+    /// over 64 lock stripes that every object hashes across, whatever its
+    /// parity shard; a full stripe evicts the entry a hit touched least
+    /// recently by second chance. Each entry is ~50 bytes of DRAM; the
+    /// default covers up to 64 Ki hot objects (somewhat fewer where the
+    /// hash loads stripes unevenly).
     pub vcache_capacity: usize,
     /// Parity shard (domain) count. Each shard owns the zones with
     /// `zone % shards == shard`, with its own parity stripe-lock table

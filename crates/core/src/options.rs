@@ -93,8 +93,10 @@ impl OpenOptions {
         self
     }
 
-    /// Total entry capacity of the DRAM verified-generation cache
-    /// (`0` disables it; every verified read then re-checksums).
+    /// Total entry capacity of the DRAM verified-generation cache, usable
+    /// whole by objects of any parity shard; a full lock stripe evicts
+    /// one entry by second chance (`0` disables it; every verified read
+    /// then re-checksums).
     pub fn vcache_capacity(mut self, entries: usize) -> Self {
         self.cfg.vcache_capacity = entries;
         self

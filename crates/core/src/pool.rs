@@ -277,6 +277,8 @@ impl Inner {
             let Some(w) = dst.plan(&mut probe)? else { return Ok(()) };
             let stamp = probe.stamp.expect("a planned load probed the cache");
             let Some(bytes) = dst.fill(&w)? else {
+                // A failed check is a pass too: it read the window's bytes.
+                self.io.dev().note_csum_pass(w.hi - w.lo);
                 if trust {
                     self.recover_object(oid)?;
                     dst.repaired(self.obj_header_checked(oid)?, &w)?;

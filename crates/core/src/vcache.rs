@@ -54,22 +54,27 @@
 //! ownership rule, exactly as for unverified `pgl_get`s; cross-object
 //! races are covered by the stamp.
 //!
-//! The table is lock-striped: offsets hash onto `shards` (a power of
-//! two), each a small mutex-protected map with a bounded entry count —
-//! overflow clears the shard (absence is always safe, it only costs a
-//! re-verification).
+//! # Stripes, stamps and eviction
 //!
-//! # Parity-shard affinity
+//! The table is lock-striped: every offset hashes onto one of 64
+//! stripes, each a mutex over a slab of at most `⌈capacity / 64⌉` slots
+//! and an offset → slot map, so the whole configured capacity is usable
+//! whatever parity shard a working set sits in. Mutation stamps are
+//! stripe-wide pessimism — a commit defeats every in-flight verification
+//! on its stripe — so a stripe keeps one stamp **per parity shard**
+//! ([`crate::parity::ShardMap`]; shards past eight share one, wrapping):
+//! a commit in shard A's zones never defeats a concurrent verification of
+//! an object in shard B, even on the same stripe, matching the engine's
+//! promise that shards are independent contention domains.
 //!
-//! With multiple parity shards ([`crate::parity::ShardMap`]) the stripe
-//! array is partitioned into one group per parity shard and an offset
-//! hashes *within its parity shard's group*. Mutation stamps are
-//! shard-wide pessimism: a commit bumping a stripe defeats every
-//! in-flight verification hashing onto it. Affinity confines that
-//! aliasing to the parity shard where the mutation happened — a commit
-//! in shard A's zones can never invalidate a concurrent verification of
-//! an object in shard B, matching the engine's promise that shards are
-//! independent contention domains.
+//! A full stripe makes room by second chance (CLOCK): a hit sets its
+//! slot's referenced bit under the lock the probe takes anyway, and an
+//! insert advances the stripe's hand, clearing set bits, until it
+//! reaches a slot not referenced since the hand last passed; that one
+//! entry goes. Hot objects (tree tops) stay resident under a scan of cold
+//! ones, and the choice is a pure function of the operation order, so
+//! device counts repeat run to run. Absence is always safe: an evicted
+//! entry only costs a re-verification.
 
 use parking_lot::Mutex;
 
@@ -146,32 +151,93 @@ fn bit_range(lo: u64, hi: u64) -> u64 {
     upper & !((1u64 << lo) - 1)
 }
 
-/// One shard: verified segments keyed by object offset, plus the mutation
-/// stamp that makes optimistic insertion safe.
-#[derive(Default)]
-struct Shard {
-    /// Object offset → verified segments. Presence means "something
-    /// verified since the last mutation".
-    entries: OffMap<Entry>,
-    /// Monotonic count of mutations (clears and bumps) in this shard. A
-    /// publish is valid only if no mutation happened between the
-    /// verifier's data read and the publish — compared shard-wide, which
-    /// can only err toward *not* caching.
-    mutations: u64,
+/// Mutation stamps per stripe: one per parity shard, shards past this
+/// many sharing one (module docs).
+const STAMPS: usize = 8;
+
+/// One cached object: where it is, what of it is verified, and CLOCK's
+/// referenced bit (set by a hit, cleared as the hand passes).
+struct Slot {
+    off: u64,
+    entry: Entry,
+    referenced: bool,
 }
 
-/// A sharded map `object offset → verified segments` (see module docs).
+/// One lock stripe: its cached objects, plus the mutation stamps that
+/// make optimistic insertion safe.
+#[derive(Default)]
+struct Stripe {
+    /// The resident entries, never more than the stripe's capacity.
+    /// Presence means "something verified since the last mutation".
+    slots: Vec<Slot>,
+    /// Object offset → its index in `slots`.
+    index: OffMap<usize>,
+    /// CLOCK's hand: the next slot an insert into a full stripe looks at.
+    hand: usize,
+    /// Monotonic count of mutations (clears and bumps) per parity shard
+    /// in this stripe. A publish is valid only if no mutation of its
+    /// shard happened between the verifier's data read and the publish —
+    /// compared stripe-wide, which can only err toward *not* caching.
+    mutations: [u64; STAMPS],
+}
+
+impl Stripe {
+    /// The entry at `off`, marked referenced: a hit.
+    fn hit(&mut self, off: u64) -> Option<Entry> {
+        let &i = self.index.get(&off)?;
+        let slot = &mut self.slots[i];
+        slot.referenced = true;
+        Some(slot.entry)
+    }
+
+    /// Drops the entry at `off`, if any: the last slot moves into its
+    /// place.
+    fn remove(&mut self, off: u64) {
+        let Some(i) = self.index.remove(&off) else { return };
+        self.slots.swap_remove(i);
+        if let Some(moved) = self.slots.get(i) {
+            self.index.insert(moved.off, i);
+        }
+    }
+
+    /// Adds an entry for `off`, which has none, evicting one by second
+    /// chance when the stripe already holds `cap`.
+    fn insert(&mut self, off: u64, entry: Entry, cap: usize) {
+        let new = Slot { off, entry, referenced: false };
+        if self.slots.len() < cap {
+            self.index.insert(off, self.slots.len());
+            self.slots.push(new);
+            return;
+        }
+        loop {
+            if self.hand >= self.slots.len() {
+                self.hand = 0;
+            }
+            let slot = &mut self.slots[self.hand];
+            if !std::mem::take(&mut slot.referenced) {
+                self.index.remove(&slot.off);
+                *slot = new;
+                self.index.insert(off, self.hand);
+                self.hand += 1;
+                return;
+            }
+            self.hand += 1;
+        }
+    }
+}
+
+/// A striped map `object offset → verified segments` (see module docs).
 pub(crate) struct VCache {
-    shards: Box<[Mutex<Shard>]>,
+    stripes: Box<[Mutex<Stripe>]>,
     mask: u64,
-    /// Max entries per shard; a full shard is cleared on insert.
-    per_shard: usize,
+    /// Max entries per stripe; a full stripe evicts one on insert.
+    per_stripe: usize,
     /// `false` disables every operation (modes without checksums, or
     /// `vcache_capacity == 0`).
     enabled: bool,
     /// Parity-shard router: when present (and the pool runs more than
-    /// one parity shard), stripes are partitioned per parity shard so
-    /// mutation stamps never alias across shards (module docs).
+    /// one parity shard), each stripe keeps one mutation stamp per parity
+    /// shard so stamps never alias across shards (module docs).
     affinity: Option<ShardMap>,
 }
 
@@ -190,21 +256,21 @@ impl VCache {
 
     /// [`VCache::new`] with an explicit stripe count (rounded up to a
     /// power of two).
-    fn striped(shards: usize, capacity: usize, enabled: bool) -> VCache {
-        let shards = shards.next_power_of_two().max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
-        let table = (0..shards).map(|_| Mutex::new(Shard::default())).collect();
+    fn striped(stripes: usize, capacity: usize, enabled: bool) -> VCache {
+        let stripes = stripes.next_power_of_two().max(1);
+        let per_stripe = capacity.div_ceil(stripes).max(1);
+        let table = (0..stripes).map(|_| Mutex::new(Stripe::default())).collect();
         VCache {
-            shards: table,
-            mask: shards as u64 - 1,
-            per_shard,
+            stripes: table,
+            mask: stripes as u64 - 1,
+            per_stripe,
             enabled: enabled && capacity > 0,
             affinity: None,
         }
     }
 
-    /// Routes stripe selection by parity shard (module docs). A
-    /// single-shard map is a no-op: plain hashing spreads better.
+    /// Keeps mutation stamps per parity shard (module docs). A
+    /// single-shard map is a no-op.
     pub fn with_affinity(mut self, map: ShardMap) -> VCache {
         if map.n_shards() > 1 {
             self.affinity = Some(map);
@@ -212,26 +278,21 @@ impl VCache {
         self
     }
 
+    /// The stripe `off` hashes onto.
     #[inline]
-    fn shard(&self, off: u64) -> &Mutex<Shard> {
+    fn stripe(&self, off: u64) -> &Mutex<Stripe> {
         // Same multiply-xorshift the transaction maps use: offsets are
         // unique with low-entropy low bits.
         let mut h = off.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 32;
-        let i = match &self.affinity {
-            Some(m) => {
-                // Group the stripe array by parity shard; hash within
-                // the group. When parity shards outnumber stripes the
-                // groups wrap (modulo), which degrades gracefully to
-                // partial isolation.
-                let n = self.shards.len() as u64;
-                let groups = m.n_shards().min(n);
-                let per = n / groups;
-                (m.shard_of_off(off) % groups) * per + h % per
-            }
-            None => h & self.mask,
-        };
-        &self.shards[i as usize]
+        &self.stripes[(h & self.mask) as usize]
+    }
+
+    /// Which of its stripe's mutation stamps guards `off`: its parity
+    /// shard's, wrapping past [`STAMPS`].
+    #[inline]
+    fn stamp_of(&self, off: u64) -> usize {
+        self.affinity.map_or(0, |m| (m.shard_of_off(off) % STAMPS as u64) as usize)
     }
 
     /// Cache lookup: what is verified of the object at `off`, if anything.
@@ -240,7 +301,7 @@ impl VCache {
         if !self.enabled {
             return None;
         }
-        self.shard(off).lock().entries.get(&off).copied()
+        self.stripe(off).lock().hit(off)
     }
 
     /// Takes the mutation stamp a subsequent [`VCache::publish`] for
@@ -251,7 +312,7 @@ impl VCache {
         if !self.enabled {
             return VerifyStamp(0);
         }
-        VerifyStamp(self.shard(off).lock().mutations)
+        VerifyStamp(self.stripe(off).lock().mutations[self.stamp_of(off)])
     }
 
     /// [`VCache::begin_verify`] and [`VCache::probe`] under one lock: the
@@ -262,8 +323,8 @@ impl VCache {
         if !self.enabled {
             return (VerifyStamp(0), None);
         }
-        let s = self.shard(off).lock();
-        (VerifyStamp(s.mutations), s.entries.get(&off).copied())
+        let mut s = self.stripe(off).lock();
+        (VerifyStamp(s.mutations[self.stamp_of(off)]), s.hit(off))
     }
 
     /// Publishes a successful verification of segments `k0..=k1` of the
@@ -278,49 +339,52 @@ impl VCache {
         if bits == 0 {
             return;
         }
-        let mut s = self.shard(off).lock();
-        if s.mutations != stamp.0 {
+        let mut s = self.stripe(off).lock();
+        if s.mutations[self.stamp_of(off)] != stamp.0 {
             return; // something in the shard mutated mid-verify
         }
-        if let Some(e) = s.entries.get_mut(&off).filter(|e| e.size == size) {
-            e.mask |= bits;
-            return;
+        match s.index.get(&off) {
+            Some(&i) => {
+                let e = &mut s.slots[i].entry;
+                if e.size == size {
+                    e.mask |= bits;
+                } else {
+                    *e = Entry { size, mask: bits };
+                }
+            }
+            None => s.insert(off, Entry { size, mask: bits }, self.per_stripe),
         }
-        if s.entries.len() >= self.per_shard && !s.entries.contains_key(&off) {
-            s.entries.clear(); // bounded memory; absence is always safe
-        }
-        s.entries.insert(off, Entry { size, mask: bits });
     }
 
     /// Records a commit that dirtied segments `k0..=k1` of the object at
     /// `off`: drops their groups (the entry goes when none is left) and
-    /// advances the shard stamp so in-flight verifications of shard
-    /// neighbours cannot publish stale segments.
+    /// advances the shard's stamp so in-flight verifications of stripe
+    /// neighbours in the shard cannot publish stale segments.
     #[inline]
     pub fn clear(&self, off: u64, k0: u64, k1: u64) {
         if !self.enabled {
             return;
         }
-        let mut s = self.shard(off).lock();
-        s.mutations += 1;
-        if let Some(e) = s.entries.get_mut(&off) {
-            e.mask &= !Entry::touched(e.size, k0, k1);
-            if e.mask == 0 {
-                s.entries.remove(&off);
-            }
+        let mut s = self.stripe(off).lock();
+        s.mutations[self.stamp_of(off)] += 1;
+        let Some(&i) = s.index.get(&off) else { return };
+        let e = &mut s.slots[i].entry;
+        e.mask &= !Entry::touched(e.size, k0, k1);
+        if e.mask == 0 {
+            s.remove(off);
         }
     }
 
     /// Records a mutation of the whole object at `off` (construction,
-    /// free, repair): drops its entry and advances the shard stamp.
+    /// free, repair): drops its entry and advances the shard's stamp.
     #[inline]
     pub fn bump(&self, off: u64) {
         if !self.enabled {
             return;
         }
-        let mut s = self.shard(off).lock();
-        s.mutations += 1;
-        s.entries.remove(&off);
+        let mut s = self.stripe(off).lock();
+        s.mutations[self.stamp_of(off)] += 1;
+        s.remove(off);
     }
 }
 
@@ -470,17 +534,181 @@ mod tests {
         assert_eq!(c.probe(64), None);
     }
 
+    /// The stripe's slab and its offset map agree: no stale slot, no
+    /// index without its slot, never more than the stripe's capacity.
+    fn assert_consistent(c: &VCache) {
+        for stripe in c.stripes.iter() {
+            let s = stripe.lock();
+            assert!(s.slots.len() <= c.per_stripe, "stripe over capacity");
+            assert_eq!(s.index.len(), s.slots.len(), "stale slot or dangling index");
+            for (i, slot) in s.slots.iter().enumerate() {
+                assert_eq!(s.index.get(&slot.off), Some(&i), "slot {i} not indexed");
+            }
+        }
+    }
+
     #[test]
     fn overflow_clears_shard_but_stays_correct() {
-        // 1 shard × capacity 4: the 5th distinct offset clears the shard.
+        // 1 stripe × capacity 4: the 5th distinct offset evicts exactly
+        // one entry no probe referenced since the hand last passed; the
+        // probed ones stay.
         let c = VCache::striped(1, 4, true);
         for off in [1u64, 2, 3, 4] {
             whole(&c, off, 16);
         }
-        assert!(c.probe(1).is_some());
+        assert!(c.probe(1).is_some() && c.probe(3).is_some());
         whole(&c, 5, 16);
-        assert!(c.probe(5).is_some());
-        assert_eq!(c.probe(1), None, "evicted on overflow");
+        assert!(c.probe(5).is_some(), "the new entry is in");
+        assert!(c.probe(1).is_some() && c.probe(3).is_some(), "probed entries survive");
+        let gone: Vec<u64> = [2u64, 4].into_iter().filter(|&o| c.probe(o).is_none()).collect();
+        assert_eq!(gone.len(), 1, "exactly one unreferenced entry goes: {gone:?}");
+        assert_consistent(&c);
+        // Everything referenced: the hand clears every bit, comes round
+        // and takes the first slot it cleared.
+        for off in 6..64u64 {
+            for o in [1u64, 3, 5] {
+                c.probe(o);
+            }
+            whole(&c, off, 16);
+            assert!(c.probe(off).is_some());
+            assert_consistent(&c);
+        }
+    }
+
+    #[test]
+    fn clock_keeps_a_hot_set_under_a_cold_scan() {
+        // A hot set of half the capacity, probed between every cold
+        // insert, survives a scan of 100× the capacity.
+        let c = VCache::striped(2, 16, true);
+        let hot: Vec<u64> = (0..8u64).map(|i| 64 * (i + 1)).collect();
+        for &off in &hot {
+            whole(&c, off, 64);
+        }
+        for cold in 0..1_600u64 {
+            for &off in &hot {
+                assert!(c.probe(off).is_some(), "hot {off} evicted at cold {cold}");
+            }
+            whole(&c, (1 << 20) + cold * 64, 64);
+        }
+        assert_consistent(&c);
+        // Clears and bumps of resident and evicted entries leave the slab
+        // and its map in step.
+        for (i, off) in (0..1_600u64).map(|k| (1 << 20) + k * 64).enumerate() {
+            if i % 2 == 0 {
+                c.bump(off);
+            } else {
+                c.clear(off, 0, 0);
+            }
+        }
+        for &off in &hot {
+            c.bump(off);
+        }
+        assert_consistent(&c);
+        assert!(c.stripes.iter().all(|s| s.lock().slots.is_empty()));
+    }
+
+    #[test]
+    fn one_parity_shard_reaches_every_stripe() {
+        use pgl_pmemobj::{Layout, PoolConfig};
+        let mut cfg = PoolConfig::small();
+        cfg.size = 16 << 20;
+        cfg.zone_size = 2 << 20;
+        let layout = Layout::new(cfg).unwrap();
+        let c = VCache::striped(8, 64, true).with_affinity(ShardMap::new(&layout, 2));
+        // Every object in zone 0 (parity shard 0): the whole capacity is
+        // there for them.
+        for k in 0..48u64 {
+            whole(&c, layout.heap_off + 4096 + 64 * k, 32);
+        }
+        assert!(c.stripes.iter().all(|s| !s.lock().slots.is_empty()), "a stripe unused");
+        assert_consistent(&c);
+    }
+
+    #[test]
+    fn stale_publishes_never_land_under_eviction_pressure() {
+        // Two parity shards, two stripes of 4: readers publish a stream of
+        // objects from both shards, so every publish evicts. A committer
+        // mutates objects of one parity shard that share one stripe,
+        // advancing each object's version before its clear or bump; a
+        // reader publishes the version it read after taking its stamp
+        // (as the entry's size). Once the committer's mutation returns,
+        // a publish whose stamp predates it must not land: the object is
+        // then absent or carries the version the committer wrote.
+        use pgl_pmemobj::{Layout, PoolConfig};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+        let mut cfg = PoolConfig::small();
+        cfg.size = 16 << 20;
+        cfg.zone_size = 2 << 20;
+        let layout = Layout::new(cfg).unwrap();
+        let c = Arc::new(VCache::striped(2, 8, true).with_affinity(ShardMap::new(&layout, 2)));
+        let (base, zone_size) = (layout.heap_off, layout.cfg.zone_size as u64);
+        let zone = move |z: u64, k: u64| base + z * zone_size + 64 * k;
+        let stripe_of = |off: u64| c.stripe(off) as *const _ as usize;
+        let first = zone(0, 1);
+        let hot: Vec<u64> = (1..10_000)
+            .map(|k| zone(0, k))
+            .filter(|&o| stripe_of(o) == stripe_of(first))
+            .take(4)
+            .collect();
+        assert_eq!(hot.len(), 4);
+        let versions: Arc<Vec<AtomicU64>> =
+            Arc::new(hot.iter().map(|_| AtomicU64::new(0)).collect());
+        // One segment whatever the version: sizes 1..=255.
+        let size_of = |v: u64| v % 255 + 1;
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (c, hot, versions) = (c.clone(), hot.clone(), versions.clone());
+                let (stop, start) = (stop.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut k = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = (k % hot.len() as u64) as usize;
+                        let st = c.begin_verify(hot[i]);
+                        let v = versions[i].load(Ordering::SeqCst);
+                        for _ in 0..64 {
+                            std::hint::spin_loop(); // the checksum pass
+                        }
+                        c.publish(hot[i], size_of(v), 0, 0, st);
+                        c.probe(hot[i]);
+                        // Cold objects of both shards keep the stripes full.
+                        for z in 0..2 {
+                            let cold = zone(z, 10_000 + (k * 2 + t) % 4_096);
+                            let st = c.begin_verify(cold);
+                            c.publish(cold, 64, 0, 0, st);
+                        }
+                        k += 1;
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for round in 0..100_000u64 {
+            let i = (round % hot.len() as u64) as usize;
+            versions[i].fetch_add(1, Ordering::SeqCst);
+            if round % 3 == 0 {
+                c.bump(hot[i]);
+            } else {
+                c.clear(hot[i], 0, 0);
+            }
+            // Only this thread writes versions: nothing older than the
+            // current one may be cached, whatever lands before the next
+            // mutation.
+            for (j, &off) in hot.iter().enumerate() {
+                let v = versions[j].load(Ordering::SeqCst);
+                if let Some(e) = c.probe(off) {
+                    assert_eq!(e.size, size_of(v), "stale publish landed, round {round}");
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_consistent(&c);
     }
 
     #[test]

@@ -371,8 +371,9 @@ fn scribble_repair_reads_the_range_column_and_rewrites_only_scribbled_lines() {
     );
     assert_eq!((d.bytes_written, d.lines_flushed, d.fences), (64, 1, 1), "one line rewritten");
     assert_eq!(
-        d.csum_passes, 3,
-        "the repair's classification, its re-check of the two rebuilt segments, the retried read"
+        d.csum_passes, 4,
+        "the failed check, the repair's classification, its re-check of the two rebuilt \
+         segments, the retried read"
     );
     assert!(pool.verify_parity().unwrap());
 }

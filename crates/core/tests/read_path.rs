@@ -463,7 +463,51 @@ fn scribbled_segment_is_repaired_and_read_again_once() {
     // The miss (3 reads), the repair, the header again and the one retry
     // (3 reads).
     assert_eq!((d.read_ops, d.bytes_read), (13, 5096));
-    // The repair classifies the whole object and re-checks the segment it
-    // rewrote; the retry checks that segment once more.
-    assert_eq!((d.csum_passes, d.csum_bytes), (3, 4096 + 256 + 256));
+    // The failed check of the segment; the repair classifies the whole
+    // object and re-checks the segment it rewrote; the retry checks that
+    // segment once more.
+    assert_eq!((d.csum_passes, d.csum_bytes), (4, 256 + 4096 + 256 + 256));
+}
+
+/// The verification cache's whole capacity serves a working set that
+/// sits in one parity shard: with two shards and every object in zone 0
+/// (shard 0), three quarters of the capacity in objects is verified once
+/// and then served from the cache on every later Conservative get.
+#[test]
+fn one_parity_shard_uses_the_whole_cache_capacity() {
+    const CAP: usize = 4096;
+    let dev = Arc::new(NvmDevice::new(16 << 20, DeviceConfig::fast()).unwrap());
+    let pool = PglPool::options()
+        .size(16 << 20)
+        .zone_size(2 << 20)
+        .shards(2)
+        .csum_policy(CsumPolicy::Conservative)
+        .vcache_capacity(CAP)
+        .create(dev.clone())
+        .unwrap();
+    assert_eq!(pool.shards(), 2);
+    let n = 3 * CAP / 4;
+    let oids: Vec<PMEMoid> = (0..n / 64)
+        .flat_map(|_| {
+            pool.tx(|tx| (0..64).map(|_| tx.alloc(64, 1)).collect::<Result<Vec<_>, _>>()).unwrap()
+        })
+        .collect();
+    let map = pool.shard_map();
+    assert!(oids.iter().all(|o| map.shard_of_off(o.off) == 0), "the working set is in shard 0");
+    let mut buf = [0u8; 8];
+    let mut sweep = || {
+        let s0 = dev.stats();
+        for &oid in &oids {
+            pool.read(oid, 8, &mut buf).unwrap();
+        }
+        dev.stats().delta_since(&s0)
+    };
+    let first = sweep();
+    assert_eq!(first.csum_passes, n as u64, "the first sweep verifies every object once");
+    let second = sweep();
+    assert_eq!(
+        (second.csum_passes, second.vcache_hits),
+        (0, n as u64),
+        "all served from the cache"
+    );
 }
