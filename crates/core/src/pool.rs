@@ -276,14 +276,17 @@ impl Inner {
             let mut probe = Probe { vcache: &self.vcache, off: oid.off, trust, stamp: None };
             let Some(w) = dst.plan(&mut probe)? else { return Ok(()) };
             let stamp = probe.stamp.expect("a planned load probed the cache");
-            let Some(bytes) = dst.fill(&w)? else {
-                // A failed check is a pass too: it read the window's bytes.
-                self.io.dev().note_csum_pass(w.hi - w.lo);
-                if trust {
-                    self.recover_object(oid)?;
-                    dst.repaired(self.obj_header_checked(oid)?, &w)?;
+            let bytes = match dst.fill(&w)? {
+                Filled::Held(bytes) => bytes,
+                Filled::Mismatch(checked) => {
+                    // A failed check is a pass too, over what it checked.
+                    self.io.dev().note_csum_pass(checked);
+                    if trust {
+                        self.recover_object(oid)?;
+                        dst.repaired(self.obj_header_checked(oid)?, &w)?;
+                    }
+                    continue;
                 }
-                continue;
             };
             if w.vouched {
                 self.vuln.note_verified_cached(bytes);
@@ -567,12 +570,21 @@ pub(crate) trait LoadDst {
     /// `None` when nothing is left to read or check.
     fn plan(&mut self, probe: &mut Probe<'_>) -> Result<Option<Window>>;
 
-    /// Reads `w` and checks it: the bytes checked — or, for a vouched
-    /// window, the bytes handed out — and `None` on a mismatch.
-    fn fill(&mut self, w: &Window) -> Result<Option<u64>>;
+    /// Reads `w` and checks it.
+    fn fill(&mut self, w: &Window) -> Result<Filled>;
 
     /// Takes the object as repaired from parity, its header now `hdr`.
     fn repaired(&mut self, hdr: ObjectHeader, w: &Window) -> Result<()>;
+}
+
+/// What one [`LoadDst::fill`] found.
+pub(crate) enum Filled {
+    /// The window holds: the bytes checked — or, for a vouched window,
+    /// the bytes handed out.
+    Held(u64),
+    /// A segment failed its check: the bytes checked, through the
+    /// failing segment.
+    Mismatch(u64),
 }
 
 /// A verified read's destination bytes.
@@ -639,7 +651,7 @@ impl LoadDst for ReadInto<'_> {
     }
 
     #[inline]
-    fn fill(&mut self, w: &Window) -> Result<Option<u64>> {
+    fn fill(&mut self, w: &Window) -> Result<Filled> {
         let dst = self.buf.sized(w.size);
         let read = |at: u64, buf: &mut [u8]| self.inner.read_with_recovery(self.oid.off + at, buf);
         let hdr = self.hdr.expect("a checked window has its header");
@@ -655,12 +667,13 @@ impl LoadDst for ReadInto<'_> {
                 }
             }
             let (data, rest) = s.current.split_at(len);
-            if segment::check(&hdr, w.a, w.z, data, &rest[rest.len() - w.n as usize..]).is_err() {
-                return Ok(None);
+            if let Err(k) = segment::check(&hdr, w.a, w.z, data, &rest[rest.len() - w.n as usize..])
+            {
+                return Ok(Filled::Mismatch(segment::bounds(w.size, k).1 - w.lo));
             }
             let at = (self.off - w.lo) as usize;
             dst.copy_from_slice(&data[at..at + dst.len()]);
-            Ok(Some(len as u64))
+            Ok(Filled::Held(len as u64))
         })
     }
 

@@ -45,7 +45,7 @@ use pgl_pmemobj::{ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 
 use crate::checksum::{adler32, adler32_update};
 use crate::error::{PglError, Result};
-use crate::pool::{Inner, LoadDst, Probe, Window};
+use crate::pool::{Filled, Inner, LoadDst, Probe, Window};
 use crate::scratch;
 use crate::segment::{self, ENTRY, SEG};
 
@@ -443,9 +443,8 @@ impl UBuf {
     /// of `w.a..=w.z` with no sum yet is checked against its sums
     /// (segment 0's in the loaded header, the others in `table`, the
     /// entries of `max(a, 1)..=z`) unless the cache vouched for the
-    /// window, and its sums noted. Returns the bytes checked, or `None` on
-    /// the first mismatch.
-    fn check_new(&mut self, w: &Window, table: &[u8]) -> Option<u64> {
+    /// window, and its sums noted. Stops at the first mismatch.
+    fn check_new(&mut self, w: &Window, table: &[u8]) -> Filled {
         let hdr = self.loaded_header;
         let mut checked = 0;
         let mut k = w.a;
@@ -462,13 +461,15 @@ impl UBuf {
             let run = &table[(ENTRY * (w.z - e)) as usize..];
             if !w.vouched {
                 let (start, end) = (k * SEG, segment::bounds(hdr.size, e).1);
-                segment::check(&hdr, k, e, self.bytes(start, end - start), run).ok()?;
+                if let Err(bad) = segment::check(&hdr, k, e, self.bytes(start, end - start), run) {
+                    return Filled::Mismatch(checked + segment::bounds(hdr.size, bad).1 - start);
+                }
                 checked += end - start;
             }
             self.note_sums(k, e, |j| if j == 0 { hdr.csum } else { segment::entry_in(run, e, j) });
             k = e + 1;
         }
-        Some(checked)
+        Filled::Held(checked)
     }
 
     /// The run `[0, size)` of a fully resident buffer.
@@ -899,7 +900,7 @@ impl LoadDst for UBufLoad<'_> {
         Ok(Some(Window::new(size, (a, z), (lo, hi), vouched)))
     }
 
-    fn fill(&mut self, w: &Window) -> Result<Option<u64>> {
+    fn fill(&mut self, w: &Window) -> Result<Filled> {
         let read = self.reader();
         let mut fused = false;
         self.b.load(
@@ -932,7 +933,10 @@ impl LoadDst for UBufLoad<'_> {
                 Ok::<_, PglError>(self.b.check_new(w, table))
             })?
         };
-        Ok(checked.map(|c| if w.vouched { self.len } else { c }))
+        Ok(match checked {
+            Filled::Held(_) if w.vouched => Filled::Held(self.len),
+            f => f,
+        })
     }
 
     fn repaired(&mut self, hdr: ObjectHeader, w: &Window) -> Result<()> {

@@ -62,10 +62,11 @@
 //! whatever parity shard a working set sits in. Mutation stamps are
 //! stripe-wide pessimism — a commit defeats every in-flight verification
 //! on its stripe — so a stripe keeps one stamp **per parity shard**
-//! ([`crate::parity::ShardMap`]; shards past eight share one, wrapping):
-//! a commit in shard A's zones never defeats a concurrent verification of
-//! an object in shard B, even on the same stripe, matching the engine's
-//! promise that shards are independent contention domains.
+//! ([`crate::parity::ShardMap`]; up to 64 shards, past that they share
+//! stamps, wrapping): a commit in shard A's zones never defeats a
+//! concurrent verification of an object in shard B, even on the same
+//! stripe, matching the engine's promise that shards are independent
+//! contention domains.
 //!
 //! A full stripe makes room by second chance (CLOCK): a hit sets its
 //! slot's referenced bit under the lock the probe takes anyway, and an
@@ -153,7 +154,7 @@ fn bit_range(lo: u64, hi: u64) -> u64 {
 
 /// Mutation stamps per stripe: one per parity shard, shards past this
 /// many sharing one (module docs).
-const STAMPS: usize = 8;
+const STAMPS: usize = 64;
 
 /// One cached object: where it is, what of it is verified, and CLOCK's
 /// referenced bit (set by a hit, cleared as the hand passes).
@@ -165,7 +166,6 @@ struct Slot {
 
 /// One lock stripe: its cached objects, plus the mutation stamps that
 /// make optimistic insertion safe.
-#[derive(Default)]
 struct Stripe {
     /// The resident entries, never more than the stripe's capacity.
     /// Presence means "something verified since the last mutation".
@@ -179,6 +179,12 @@ struct Stripe {
     /// shard happened between the verifier's data read and the publish —
     /// compared stripe-wide, which can only err toward *not* caching.
     mutations: [u64; STAMPS],
+}
+
+impl Default for Stripe {
+    fn default() -> Stripe {
+        Stripe { slots: Vec::new(), index: OffMap::default(), hand: 0, mutations: [0; STAMPS] }
+    }
 }
 
 impl Stripe {
@@ -235,10 +241,9 @@ pub(crate) struct VCache {
     /// `false` disables every operation (modes without checksums, or
     /// `vcache_capacity == 0`).
     enabled: bool,
-    /// Parity-shard router: when present (and the pool runs more than
-    /// one parity shard), each stripe keeps one mutation stamp per parity
-    /// shard so stamps never alias across shards (module docs).
-    affinity: Option<ShardMap>,
+    /// Which parity shard's mutation stamp guards an offset: present
+    /// when the pool runs more than one parity shard (module docs).
+    stamp_map: Option<ShardMap>,
 }
 
 /// The stamp a verifier takes before reading object data (see
@@ -265,15 +270,16 @@ impl VCache {
             mask: stripes as u64 - 1,
             per_stripe,
             enabled: enabled && capacity > 0,
-            affinity: None,
+            stamp_map: None,
         }
     }
 
-    /// Keeps mutation stamps per parity shard (module docs). A
+    /// Ties each offset's mutation stamp to its parity shard in `map`
+    /// (module docs); where an offset is cached does not depend on it. A
     /// single-shard map is a no-op.
     pub fn with_affinity(mut self, map: ShardMap) -> VCache {
         if map.n_shards() > 1 {
-            self.affinity = Some(map);
+            self.stamp_map = Some(map);
         }
         self
     }
@@ -292,7 +298,7 @@ impl VCache {
     /// shard's, wrapping past [`STAMPS`].
     #[inline]
     fn stamp_of(&self, off: u64) -> usize {
-        self.affinity.map_or(0, |m| (m.shard_of_off(off) % STAMPS as u64) as usize)
+        self.stamp_map.map_or(0, |m| (m.shard_of_off(off) % STAMPS as u64) as usize)
     }
 
     /// Cache lookup: what is verified of the object at `off`, if anything.
@@ -547,6 +553,7 @@ mod tests {
         }
     }
 
+    // The name is historical: a full stripe was once cleared whole.
     #[test]
     fn overflow_clears_shard_but_stays_correct() {
         // 1 stripe × capacity 4: the 5th distinct offset evicts exactly
@@ -732,6 +739,29 @@ mod tests {
         }
         c.publish(b, 32, 0, 0, st);
         assert!(c.probe(b).is_some(), "cross-shard bump must not alias");
+    }
+
+    #[test]
+    fn stamps_stay_apart_past_eight_parity_shards() {
+        use pgl_pmemobj::{Layout, PoolConfig};
+        let mut cfg = PoolConfig::small();
+        cfg.size = 40 << 20;
+        cfg.zone_size = 2 << 20;
+        let layout = Layout::new(cfg).unwrap();
+        let map = ShardMap::new(&layout, 16);
+        assert_eq!(map.n_shards(), 16, "geometry must give sixteen shards");
+        let zone_size = layout.cfg.zone_size as u64;
+        let obj = |z: u64| layout.heap_off + z * zone_size + 4096;
+        // One stripe: every shard's objects share it, and a mutation in
+        // each other shard leaves shard 0's verification publishable.
+        let c = VCache::striped(1, 64, true).with_affinity(map);
+        let st = c.begin_verify(obj(0));
+        for z in 1..16 {
+            assert_eq!(map.shard_of_off(obj(z)), z);
+            c.bump(obj(z));
+        }
+        c.publish(obj(0), 32, 0, 0, st);
+        assert!(c.probe(obj(0)).is_some(), "a bump in another shard defeated the publish");
     }
 
     #[test]

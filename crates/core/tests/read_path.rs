@@ -469,6 +469,52 @@ fn scribbled_segment_is_repaired_and_read_again_once() {
     assert_eq!((d.csum_passes, d.csum_bytes), (4, 256 + 4096 + 256 + 256));
 }
 
+/// A scribbled segment inside a verified read's window: the failed check
+/// counts the bytes it checked, through the failing segment, not the
+/// whole window.
+#[test]
+fn failed_read_check_counts_the_segments_it_checked() {
+    let (pool, dev) = pool_with_dev();
+    let oid = make_object(&pool, 4096, 0x35);
+    inject::scribble_object(&pool, oid, 2 * 256 + 10, 20, 0xEE).unwrap();
+    let mut buf = [0u8; 3 * 256];
+    let s0 = dev.stats();
+    pool.read_verified_at(oid, 256 + 8, &mut buf).unwrap();
+    let d = dev.stats().delta_since(&s0);
+    assert_eq!(buf, [0x35; 3 * 256]);
+    // Window: segments 1..=4. The failed check reads segments 1 and 2;
+    // the repair classifies the object and re-checks segment 2; the
+    // retry checks all four.
+    assert_eq!((d.csum_passes, d.csum_bytes), (4, 2 * 256 + 4096 + 256 + 4 * 256));
+}
+
+/// A scribbled transaction load whose window starts inside a segment
+/// and skips a resident one: the failed check counts the new segments
+/// it checked (1, then 3, which fails), not the window's bytes.
+#[test]
+fn failed_transaction_load_counts_the_segments_it_checked() {
+    let (pool, dev) = pool_with_dev();
+    let oid = make_object(&pool, 4096, 0x36);
+    inject::scribble_object(&pool, oid, 3 * 256 + 10, 20, 0xEE).unwrap();
+    let r0 = pool.counters().object_recoveries.load(Ordering::Relaxed);
+    pool.tx(|tx| {
+        tx.add_range(oid, 8, 8)?; // segment 0
+        tx.add_range(oid, 2 * 256, 8)?; // segment 2
+        let s0 = dev.stats();
+        tx.add_range(oid, 10, 4 * 256 - 10)?; // segments 0..=3, 1 and 3 new
+        let d = dev.stats().delta_since(&s0);
+        // The failed check (segments 1 and 3); the repair classifies the
+        // object and re-checks segment 3; the retry checks segment 3.
+        assert_eq!((d.csum_passes, d.csum_bytes), (4, 2 * 256 + 4096 + 256 + 256));
+        let mut buf = [0u8; 4 * 256 - 10];
+        tx.read(oid, 10, &mut buf)?;
+        assert_eq!(buf, [0x36; 4 * 256 - 10]);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(pool.counters().object_recoveries.load(Ordering::Relaxed), r0 + 1);
+}
+
 /// The verification cache's whole capacity serves a working set that
 /// sits in one parity shard: with two shards and every object in zone 0
 /// (shard 0), three quarters of the capacity in objects is verified once
