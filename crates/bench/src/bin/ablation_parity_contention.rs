@@ -24,12 +24,12 @@
 //! (`--no-latency` skips the latency-model half, `--threads a,b` and
 //! `--ops N` resize it).
 
-use std::sync::{Arc, Barrier, RwLock};
+use std::sync::{Barrier, RwLock};
 use std::time::Instant;
 
 use pangolin::parity::{ParityEngine, LOCK_GRANULE};
-use pgl_bench::{fmt_rate, print_table, Args};
-use pgl_nvm::{DeviceConfig, LatencyModel, NvmDevice};
+use pgl_bench::{device, fmt_rate, print_table, Args};
+use pgl_nvm::LatencyModel;
 use pgl_pmemobj::{Layout, PoolConfig, PoolIo};
 
 const SIZES: &[usize] = &[16, 64, 256];
@@ -61,10 +61,9 @@ impl Rig {
     fn new(latency: LatencyModel) -> Rig {
         let cfg = PoolConfig::bench(512 << 20);
         let layout = Layout::new(cfg).expect("layout");
-        let dev = NvmDevice::new(cfg.size, DeviceConfig { latency, ..DeviceConfig::fast() });
         let granules = layout.zone.row_size.div_ceil(LOCK_GRANULE) as usize;
         Rig {
-            io: PoolIo::new(Arc::new(dev.expect("device"))),
+            io: PoolIo::new(device(cfg.size, latency)),
             layout,
             engine: ParityEngine::new(layout),
             granules: (0..granules).map(|_| RwLock::new(())).collect(),
@@ -136,9 +135,7 @@ impl Rig {
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = if args.ops_explicit { args.ops } else { 200_000 };
-    let threads = if args.threads_explicit { args.threads.clone() } else { vec![1, 2] };
+    let args = Args::parse_with(200_000, &[1, 2]);
     let mut models = vec![("off", LatencyModel::disabled())];
     if args.latency != LatencyModel::disabled() {
         models.push(("on", args.latency));
@@ -148,11 +145,11 @@ fn main() {
     let mut rows = Vec::new();
     for (label, latency) in models {
         let rig = Rig::new(latency);
-        for &t in &threads {
+        for &t in &args.threads {
             for same in [true, false] {
                 for &size in SIZES {
                     let [lib, plain, atomic] = [Path::Library, Path::BarePlain, Path::BareAtomic]
-                        .map(|path| rig.rate(path, t, same, size, n));
+                        .map(|path| rig.rate(path, t, same, size, args.ops));
                     rows.push(vec![
                         label.to_string(),
                         t.to_string(),

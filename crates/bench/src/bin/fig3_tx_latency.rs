@@ -3,67 +3,70 @@
 //!
 //! Run: `cargo run --release -p pgl-bench --bin fig3_tx_latency`
 //! (`--ops N` sets transactions per cell, `--no-latency` disables the
-//! Optane latency model.)
+//! Optane latency model.) Each latency table is followed by the cells'
+//! modelled device time per transaction.
 
-use std::time::Instant;
+use std::sync::Arc;
 
-use pgl_bench::{fmt_latency, make_store, print_table, AnyStore, Args, Mode};
+use pgl_bench::{fmt_device, fmt_latency, print_table, run_cell, Args, Cell, Mode, Phase};
 use pgl_kv::store::Store;
+use pgl_nvm::NvmDevice;
 use pgl_pmemobj::PMEMoid;
 
 const SIZES: &[u64] = &[64, 256, 1024, 4096, 16384, 65536];
 
-fn bench_mode(store: &AnyStore, size: u64, ops: usize) -> (f64, f64, f64) {
-    let payload = vec![0xABu8; size as usize];
+/// `ops` transactions of each kind on objects of `size` bytes.
+struct AllocOverwriteFree {
+    size: u64,
+    ops: usize,
+}
 
-    // Alloc phase.
-    let t = Instant::now();
-    let mut oids: Vec<PMEMoid> = Vec::with_capacity(ops);
-    for _ in 0..ops {
-        let oid = store
-            .txn(&mut |tx| {
-                let oid = tx.alloc(size, 1)?;
-                tx.write_bytes(oid, 0, &payload)?;
-                Ok(oid)
-            })
-            .expect("alloc tx");
-        oids.push(oid);
+impl Cell<[Phase; 3]> for AllocOverwriteFree {
+    fn run<S: Store>(self, store: &S, devs: &[Arc<NvmDevice>]) -> [Phase; 3] {
+        let payload = vec![0xABu8; self.size as usize];
+        let (oids, alloc) = Phase::measure(devs, self.ops, || {
+            (0..self.ops)
+                .map(|_| {
+                    store
+                        .txn(&mut |tx| {
+                            let oid = tx.alloc(self.size, 1)?;
+                            tx.write_bytes(oid, 0, &payload)?;
+                            Ok(oid)
+                        })
+                        .expect("alloc tx")
+                })
+                .collect::<Vec<PMEMoid>>()
+        });
+        // Whole-object update, like the paper.
+        let (_, overwrite) = Phase::measure(devs, self.ops, || {
+            for oid in &oids {
+                store.txn(&mut |tx| tx.write_bytes(*oid, 0, &payload)).expect("overwrite tx");
+            }
+        });
+        let (_, free) = Phase::measure(devs, self.ops, || {
+            for oid in &oids {
+                store.txn(&mut |tx| tx.free(*oid)).expect("free tx");
+            }
+        });
+        [alloc, overwrite, free]
     }
-    let alloc_ns = t.elapsed().as_nanos() as f64 / ops as f64;
-
-    // Overwrite phase (whole-object update, like the paper).
-    let t = Instant::now();
-    for oid in &oids {
-        store.txn(&mut |tx| tx.write_bytes(*oid, 0, &payload)).expect("overwrite tx");
-    }
-    let overwrite_ns = t.elapsed().as_nanos() as f64 / ops as f64;
-
-    // Free phase.
-    let t = Instant::now();
-    for oid in &oids {
-        store.txn(&mut |tx| tx.free(*oid)).expect("free tx");
-    }
-    let free_ns = t.elapsed().as_nanos() as f64 / ops as f64;
-
-    (alloc_ns, overwrite_ns, free_ns)
 }
 
 fn main() {
-    let mut args = Args::parse();
-    args.ops = args.ops.min(20_000); // per-cell transaction count
+    let args = Args::parse_with(20_000, &[1]);
     println!(
         "Figure 3 reproduction: tx latency, {} ops/cell, latency model {}",
         args.ops,
         if args.latency.is_disabled() { "off" } else { "on" }
     );
 
-    let mut alloc_rows = Vec::new();
-    let mut over_rows = Vec::new();
-    let mut free_rows = Vec::new();
+    // Per operation kind: latency rows and device-time rows.
+    let mut latency: [Vec<Vec<String>>; 3] = Default::default();
+    let mut device: [Vec<Vec<String>>; 3] = Default::default();
     for &size in SIZES {
-        let mut a_row = vec![format!("{size}B")];
-        let mut o_row = vec![format!("{size}B")];
-        let mut f_row = vec![format!("{size}B")];
+        for rows in latency.iter_mut().chain(&mut device) {
+            rows.push(vec![format!("{size}B")]);
+        }
         for mode in Mode::all() {
             // Size the pool for the alloc phase: large objects consume
             // whole 64 KiB chunks, small ones a size class (~1.5x slack).
@@ -74,22 +77,21 @@ fn main() {
                 (size + 64) * 3 / 2
             };
             let need = (args.ops as u64 * footprint * 3 / 2 + (256 << 20)) as usize;
-            let store = make_store(mode, need.min(6 << 30), args.latency);
-            let (a, o, f) = bench_mode(&store, size, args.ops);
-            a_row.push(fmt_latency(a));
-            o_row.push(fmt_latency(o));
-            f_row.push(fmt_latency(f));
+            let cell = AllocOverwriteFree { size, ops: args.ops };
+            let phases = run_cell(mode, need.min(6 << 30), args.latency, cell);
+            for (i, p) in phases.iter().enumerate() {
+                latency[i].last_mut().expect("row").push(fmt_latency(1e9 / p.ops_per_sec()));
+                device[i].last_mut().expect("row").push(fmt_device(p));
+            }
         }
-        alloc_rows.push(a_row);
-        over_rows.push(o_row);
-        free_rows.push(f_row);
     }
 
     let headers: Vec<&str> =
         std::iter::once("size").chain(Mode::all().iter().map(|m| m.label())).collect();
-    print_table("Figure 3a: allocate (latency/tx)", &headers, &alloc_rows);
-    print_table("Figure 3b: overwrite (latency/tx)", &headers, &over_rows);
-    print_table("Figure 3c: free (latency/tx)", &headers, &free_rows);
+    for (i, name) in ["3a: allocate", "3b: overwrite", "3c: free"].iter().enumerate() {
+        print_table(&format!("Figure {name} (latency/tx)"), &headers, &latency[i]);
+        print_table(&format!("Figure {name} (device_us/op)"), &headers, &device[i]);
+    }
     println!(
         "\nExpected shape (paper): pgl within ~10% of pmemobj; pgl-MLP beats \
          pmemobj-R for alloc (1.2-1.9x) and for overwrites >64B (1.1-1.5x); \

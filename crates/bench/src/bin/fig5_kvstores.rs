@@ -2,117 +2,77 @@
 //! PMDK-toolkit data structures, across all six library modes.
 //!
 //! Run: `cargo run --release -p pgl-bench --bin fig5_kvstores`
-//! (`--ops N` keys per phase; the paper uses 1M, default 50k.)
+//! (`--ops N` keys per phase; the paper uses 1M, default 50k.) Each
+//! throughput table is followed by the cells' modelled device time per
+//! operation.
 
-use pgl_bench::{fmt_rate, make_store, print_table, AnyStore, Args, Mode};
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+use pgl_bench::{
+    each_structure, fmt_device, fmt_rate, print_table, run_cell, Args, Cell, Mode, Phase,
+    Structures,
+};
 use pgl_kv::maps::PersistentMap;
+use pgl_kv::store::Store;
 use pgl_kv::workload::{insert_phase, lookup_phase, random_keys, remove_phase};
-use pgl_kv::{BTree, CTree, HashMap, RTree, RbTree, SkipList};
+use pgl_nvm::NvmDevice;
 
-/// Insert/lookup/remove throughput (ops/s) for one structure on one store.
-type OpRates = (f64, f64, f64);
+/// Inserts, lookups and removes of every key on a fresh map `M`.
+struct InsertLookupRemove<'a, M>(&'a [u64], PhantomData<M>);
 
-fn run_structure<M: PersistentMap>(store: &AnyStore, keys: &[u64]) -> OpRates {
-    let map = M::create(store).expect("create map");
-    let ins = insert_phase(&map, store, keys).expect("insert phase");
-    assert_eq!(map.len(store).unwrap(), keys.len() as u64);
-    let look = lookup_phase(&map, store, keys).expect("lookup phase");
-    let rem = remove_phase(&map, store, keys).expect("remove phase");
-    assert_eq!(map.len(store).unwrap(), 0);
-    (ins.ops_per_sec(), look.ops_per_sec(), rem.ops_per_sec())
+impl<M: PersistentMap> Cell<[Phase; 3]> for InsertLookupRemove<'_, M> {
+    fn run<S: Store>(self, store: &S, devs: &[Arc<NvmDevice>]) -> [Phase; 3] {
+        let (keys, n) = (self.0, self.0.len());
+        let map = M::create(store).expect("create map");
+        let (_, ins) = Phase::measure(devs, n, || insert_phase(&map, store, keys).expect("insert"));
+        assert_eq!(map.len(store).unwrap(), n as u64);
+        let (_, get) = Phase::measure(devs, n, || lookup_phase(&map, store, keys).expect("lookup"));
+        let (_, rem) = Phase::measure(devs, n, || remove_phase(&map, store, keys).expect("remove"));
+        assert_eq!(map.len(store).unwrap(), 0);
+        [ins, get, rem]
+    }
+}
+
+/// Rows of the insert, lookup and remove tables: throughput and device time.
+struct Fig5 {
+    args: Args,
+    keys: Vec<u64>,
+    rates: [Vec<Vec<String>>; 3],
+    device: [Vec<Vec<String>>; 3],
+}
+
+impl Structures for Fig5 {
+    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize) {
+        for rows in self.rates.iter_mut().chain(&mut self.device) {
+            rows.push(vec![M::NAME.to_string()]);
+        }
+        for mode in Mode::all() {
+            let cell = InsertLookupRemove::<M>(&self.keys, PhantomData);
+            let phases = run_cell(mode, pool_bytes, self.args.latency, cell);
+            for (i, p) in phases.iter().enumerate() {
+                self.rates[i].last_mut().expect("row").push(fmt_rate(p.ops_per_sec()));
+                self.device[i].last_mut().expect("row").push(fmt_device(p));
+            }
+        }
+    }
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_with(50_000, &[1]);
     println!("Figure 5 reproduction: {} inserts + removes per structure", args.ops);
     let keys = random_keys(args.ops, args.seed);
+    let mut fig = Fig5 { args, keys, rates: Default::default(), device: Default::default() };
+    each_structure(fig.args.pool_bytes, &mut fig);
 
-    let headers: Vec<String> = std::iter::once("structure".to_string())
-        .chain(Mode::all().iter().map(|m| m.label().to_string()))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-
-    let mut insert_rows: Vec<Vec<String>> = Vec::new();
-    let mut remove_rows: Vec<Vec<String>> = Vec::new();
-    let mut lookup_rows: Vec<Vec<String>> = Vec::new();
-
-    // The rtree allocates ~4.2 KB per key; give it a bigger pool.
-    let run_all = |name: &str,
-                   pool_mult: usize,
-                   f: &dyn Fn(&AnyStore, &[u64]) -> OpRates,
-                   insert_rows: &mut Vec<Vec<String>>,
-                   lookup_rows: &mut Vec<Vec<String>>,
-                   remove_rows: &mut Vec<Vec<String>>| {
-        let mut i_row = vec![name.to_string()];
-        let mut l_row = vec![name.to_string()];
-        let mut r_row = vec![name.to_string()];
-        for mode in Mode::all() {
-            let store = make_store(mode, args.pool_bytes * pool_mult, args.latency);
-            let (ins, look, rem) = f(&store, &keys);
-            i_row.push(fmt_rate(ins));
-            l_row.push(fmt_rate(look));
-            r_row.push(fmt_rate(rem));
-            if let Some(pool) = store.pgl_pool() {
-                assert!(pool.verify_parity().expect("verify"), "parity after {name}");
-            }
-        }
-        insert_rows.push(i_row);
-        lookup_rows.push(l_row);
-        remove_rows.push(r_row);
-    };
-
-    run_all(
-        "ctree",
-        1,
-        &run_structure::<CTree>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-    run_all(
-        "rbtree",
-        1,
-        &run_structure::<RbTree>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-    run_all(
-        "btree",
-        1,
-        &run_structure::<BTree>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-    run_all(
-        "skiplist",
-        1,
-        &run_structure::<SkipList>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-    run_all(
-        "rtree",
-        2,
-        &run_structure::<RTree>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-    run_all(
-        "hashmap",
-        1,
-        &run_structure::<HashMap>,
-        &mut insert_rows,
-        &mut lookup_rows,
-        &mut remove_rows,
-    );
-
-    print_table("Figure 5a: inserts (throughput)", &header_refs, &insert_rows);
-    print_table("Figure 5b: removes (throughput)", &header_refs, &remove_rows);
-    print_table("Figure 5 (lookup, unmeasured in paper figure)", &header_refs, &lookup_rows);
+    let headers: Vec<&str> =
+        std::iter::once("structure").chain(Mode::all().iter().map(|m| m.label())).collect();
+    // The paper's two panels, then the lookups it does not plot.
+    let titles = [(0, "Figure 5a: inserts"), (2, "Figure 5b: removes"), (1, "Figure 5 lookups")];
+    for (i, title) in titles {
+        print_table(&format!("{title} (throughput)"), &headers, &fig.rates[i]);
+        print_table(&format!("{title} (device_us/op)"), &headers, &fig.device[i]);
+    }
     println!(
         "\nExpected shape (paper): pgl close to pmemobj (faster for ctree/btree \
          inserts, slower where modified size << object size, e.g. skiplist, \

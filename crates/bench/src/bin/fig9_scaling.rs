@@ -22,10 +22,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pgl_bench::{fmt_rate, make_store, print_table, AnyStore, Args, Mode};
+use pangolin::{CsumPolicy, PglMode};
+use pgl_bench::{fmt_rate, print_table, run_cell, run_pgl, Args, Cell, Mode};
 use pgl_kv::ctree::CTree;
 use pgl_kv::store::Store;
 use pgl_kv::workload::{concurrent_mixed_phase, random_keys, raw_mix_op, RawOp};
+use pgl_nvm::NvmDevice;
 use pgl_pmemobj::PMEMoid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +37,7 @@ const PER_THREAD_OBJECTS: usize = 128;
 
 /// One thread's slice of the mixed workload: mostly overwrites of its own
 /// objects, with an alloc+write and a free every eighth transaction.
-fn worker(store: &AnyStore, oids: &mut Vec<PMEMoid>, ops: usize, seed: u64) {
+fn worker<S: Store>(store: &S, oids: &mut Vec<PMEMoid>, ops: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let payload = vec![seed as u8; OBJ_SIZE as usize];
     for i in 0..ops {
@@ -64,51 +66,53 @@ fn worker(store: &AnyStore, oids: &mut Vec<PMEMoid>, ops: usize, seed: u64) {
     }
 }
 
-/// Measures aggregate transactions/sec for `threads` workers on one pool.
-fn bench(store: &Arc<AnyStore>, threads: usize, ops_per_thread: usize, seed: u64) -> f64 {
-    // Pre-populate each thread's private object set (outside the timing).
-    // Each thread is pinned to a parity shard (round-robin), so its
-    // objects — and later its commits — stay inside one parity domain:
-    // no stripe-lock sharing across threads and no cross-shard commits.
-    let mut sets: Vec<Vec<PMEMoid>> = Vec::new();
-    for t in 0..threads {
-        store.bind_shard(t);
-        let mut oids = Vec::with_capacity(PER_THREAD_OBJECTS * 2);
-        for _ in 0..PER_THREAD_OBJECTS {
-            let oid = store
-                .txn(&mut |tx| {
-                    let oid = tx.alloc(OBJ_SIZE, 7)?;
-                    tx.write_bytes(oid, 0, &vec![t as u8; OBJ_SIZE as usize])?;
-                    Ok(oid)
-                })
-                .expect("prealloc");
-            oids.push(oid);
-        }
-        sets.push(oids);
-    }
+/// Aggregate transactions/sec of `threads` workers on one pool.
+struct Mixed {
+    threads: usize,
+    ops_per_thread: usize,
+    seed: u64,
+}
 
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for (tid, oids) in sets.iter_mut().enumerate() {
-            let store = store.clone();
-            s.spawn(move || {
-                store.bind_shard(tid);
-                worker(&store, oids, ops_per_thread, seed ^ tid as u64)
-            });
+impl Cell<f64> for Mixed {
+    fn run<S: Store>(self, store: &S, _: &[Arc<NvmDevice>]) -> f64 {
+        let Mixed { threads, ops_per_thread, seed } = self;
+        // Pre-populate each thread's private object set (outside the timing).
+        // Each thread is pinned to a parity shard (round-robin), so its
+        // objects — and later its commits — stay inside one parity domain:
+        // no stripe-lock sharing across threads and no cross-shard commits.
+        let mut sets: Vec<Vec<PMEMoid>> = Vec::new();
+        for t in 0..threads {
+            store.bind_shard(t);
+            let mut oids = Vec::with_capacity(PER_THREAD_OBJECTS * 2);
+            for _ in 0..PER_THREAD_OBJECTS {
+                let oid = store
+                    .txn(&mut |tx| {
+                        let oid = tx.alloc(OBJ_SIZE, 7)?;
+                        tx.write_bytes(oid, 0, &vec![t as u8; OBJ_SIZE as usize])?;
+                        Ok(oid)
+                    })
+                    .expect("prealloc");
+                oids.push(oid);
+            }
+            sets.push(oids);
         }
-    });
-    let secs = t0.elapsed().as_secs_f64();
-    (threads * ops_per_thread) as f64 / secs
+
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            for (tid, oids) in sets.iter_mut().enumerate() {
+                s.spawn(move || {
+                    store.bind_shard(tid);
+                    worker(store, oids, ops_per_thread, seed ^ tid as u64)
+                });
+            }
+        });
+        let secs = t0.elapsed().as_secs_f64();
+        (threads * ops_per_thread) as f64 / secs
+    }
 }
 
 fn main() {
-    let mut args = Args::parse();
-    if !args.ops_explicit {
-        args.ops = 8_000; // trim the harness default; explicit --ops wins
-    }
-    if !args.threads_explicit {
-        args.threads = vec![1, 2, 4, 8]; // Figure 9 sweeps to 8 by default
-    }
+    let mut args = Args::parse_with(8_000, &[1, 2, 4, 8]);
     // Scaling is about the *device-bound* regime (the paper's machine has
     // 8 real cores; the simulator host may have 1, and only simulated NVM
     // stalls overlap across threads there). Double the charges so the
@@ -130,8 +134,8 @@ fn main() {
     for &threads in &args.threads {
         let mut row = vec![threads.to_string()];
         for (m, &mode) in modes.iter().enumerate() {
-            let store = Arc::new(make_store(mode, 512 << 20, args.latency));
-            let rate = bench(&store, threads, args.ops, args.seed);
+            let cell = Mixed { threads, ops_per_thread: args.ops, seed: args.seed };
+            let rate = run_cell(mode, 512 << 20, args.latency, cell);
             if threads == args.threads[0] {
                 base[m] = rate;
             }
@@ -157,16 +161,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut kv_base = 0.0f64;
     for &threads in &args.threads {
-        let store = make_store(Mode::PglMlpc, 512 << 20, args.latency);
         let slice = &keys[..args.ops.min(4_000) * threads];
-        let stats = concurrent_mixed_phase::<CTree, _>(&store, slice, threads, 0.25, args.seed)
-            .expect("kv phase");
+        let stats = run_pgl(PglMode::Mlpc, CsumPolicy::Default, 512 << 20, args.latency, |s, _| {
+            concurrent_mixed_phase::<CTree, _>(s, slice, threads, 0.25, args.seed)
+        })
+        .expect("kv phase");
         let rate = stats.ops_per_sec();
         if threads == args.threads[0] {
             kv_base = rate;
-        }
-        if let Some(pool) = store.pgl_pool() {
-            assert!(pool.verify_parity().expect("verify"), "parity after concurrent kv run");
         }
         rows.push(vec![
             threads.to_string(),

@@ -4,27 +4,19 @@
 //!
 //! Run: `cargo run --release -p pgl-bench --bin sec42_memory`
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pangolin::segment;
 use pangolin::{PglConfig, PglMode, PglPool};
-use pgl_bench::{print_table, Args};
-use pgl_nvm::{DeviceConfig, NvmDevice};
+use pgl_bench::{device, print_table, Args};
 use pgl_pmemobj::heap::classes::{class_for, CLASS_SIZES};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_with(50_000, &[1]);
     println!("§4.2 reproduction: memory requirements for a {} MiB pool", args.pool_bytes >> 20);
 
     // Pool creation (dominated by zeroing, the paper's 130s for 100 GB).
-    let dev = Arc::new(
-        NvmDevice::new(
-            args.pool_bytes,
-            DeviceConfig { latency: args.latency, ..DeviceConfig::fast() },
-        )
-        .expect("device"),
-    );
+    let dev = device(args.pool_bytes, args.latency);
     let t = Instant::now();
     let pool = PglPool::create(dev, PglConfig::bench(args.pool_bytes, PglMode::Mlpc))
         .expect("create pool");

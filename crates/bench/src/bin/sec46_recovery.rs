@@ -14,27 +14,19 @@
 //! Options: `--pool-mb N` the largest pool size, `--json PATH` writes the
 //! restart table as JSON.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pangolin::{inject, PglConfig, PglError, PglMode, PglPool};
-use pgl_bench::{print_table, Args};
-use pgl_nvm::{DeviceConfig, NvmDevice, PAGE_SIZE};
+use pgl_bench::{device, print_table, Args};
+use pgl_nvm::PAGE_SIZE;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_with(50_000, &[1]);
     println!("§4.6 reproduction: error injection and online recovery");
-    let dev = Arc::new(
-        NvmDevice::new(
-            args.pool_bytes,
-            DeviceConfig { latency: args.latency, ..DeviceConfig::fast() },
-        )
-        .expect("device"),
-    );
-    let pool =
-        PglPool::create(dev, PglConfig::bench(args.pool_bytes, PglMode::Mlpc)).expect("create");
+    let cfg = PglConfig::bench(args.pool_bytes, PglMode::Mlpc);
+    let pool = PglPool::create(device(args.pool_bytes, args.latency), cfg).expect("create");
 
     // Populate with objects of assorted sizes.
     let mut rng = StdRng::seed_from_u64(args.seed);
@@ -182,10 +174,7 @@ fn main() {
     };
     let mut rec_rows: Vec<(usize, f64)> = Vec::new();
     for &size in &sizes {
-        let dev = Arc::new(
-            NvmDevice::new(size, DeviceConfig { latency: args.latency, ..DeviceConfig::fast() })
-                .expect("device"),
-        );
+        let dev = device(size, args.latency);
         let pool =
             PglPool::create(dev.clone(), PglConfig::bench(size, PglMode::Mlpc)).expect("create");
         // One round of allocations and one of overwrites, spread over the

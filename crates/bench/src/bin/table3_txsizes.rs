@@ -6,75 +6,66 @@
 //!
 //! Run: `cargo run --release -p pgl-bench --bin table3_txsizes`
 
-use pgl_bench::{make_store, print_table, AnyStore, Args, Mode};
+use pangolin::{CsumPolicy, PglMode};
+use pgl_bench::{each_structure, fmt_device, print_table, run_pgl, Args, Phase, Structures};
 use pgl_kv::maps::PersistentMap;
 use pgl_kv::workload::{insert_phase, random_keys, remove_phase, PhaseStats};
-use pgl_kv::{BTree, CTree, HashMap, RTree, RbTree, SkipList};
 
-struct Row {
-    name: &'static str,
-    object_size: &'static str,
-    insert: PhaseStats,
-    remove: PhaseStats,
+struct Table3 {
+    args: Args,
+    keys: Vec<u64>,
+    sizes: Vec<Vec<String>>,
+    device: Vec<Vec<String>>,
 }
 
-fn measure<M: PersistentMap>(store: &AnyStore, keys: &[u64], object_size: &'static str) -> Row {
-    let map = M::create(store).expect("create");
-    let insert = insert_phase(&map, store, keys).expect("insert");
-    let remove = remove_phase(&map, store, keys).expect("remove");
-    Row { name: M::NAME, object_size, insert, remove }
+impl Structures for Table3 {
+    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize) {
+        let (keys, n) = (&self.keys, self.keys.len());
+        let policy = CsumPolicy::Default;
+        let [ins, rem] =
+            run_pgl(PglMode::Mlpc, policy, pool_bytes, self.args.latency, |store, devs| {
+                let map = M::create(store).expect("create");
+                [
+                    Phase::measure(devs, n, || insert_phase(&map, store, keys).expect("insert")),
+                    Phase::measure(devs, n, || remove_phase(&map, store, keys).expect("remove")),
+                ]
+            });
+        let cols = |p: &PhaseStats| {
+            [
+                format!("{:.1} ({:.2})", p.avg_new_bytes(), p.avg_new_objects()),
+                format!("{:.1} ({:.2})", p.avg_mod_bytes(), p.avg_mod_objects()),
+                format!("{:.1}", p.avg_log_bytes()),
+            ]
+        };
+        let name = [M::NAME, object_size(M::NAME)].map(String::from);
+        self.sizes.push(name.into_iter().chain(cols(&ins.0)).chain(cols(&rem.0)).collect());
+        self.device.push(vec![M::NAME.to_string(), fmt_device(&ins.1), fmt_device(&rem.1)]);
+    }
+}
+
+/// The object each structure's nodes occupy, in bytes.
+fn object_size(name: &str) -> &'static str {
+    match name {
+        "ctree" => "56",
+        "rbtree" => "80",
+        "btree" => "304",
+        "skiplist" => "408",
+        "rtree" => "4136",
+        "hashmap" => "40 (entry), table grows",
+        _ => "?",
+    }
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_with(50_000, &[1]);
     println!(
         "Table 3 reproduction: transaction sizes over {} inserts + removes \
          (measured on pgl-MLPC; 'Mod' = redo-logged bytes, 'Log' = one log copy)",
         args.ops
     );
     let keys = random_keys(args.ops, args.seed);
-
-    let mut rows: Vec<Row> = Vec::new();
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes, args.latency);
-        rows.push(measure::<CTree>(&store, &keys, "56"));
-    }
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes, args.latency);
-        rows.push(measure::<RbTree>(&store, &keys, "80"));
-    }
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes, args.latency);
-        rows.push(measure::<BTree>(&store, &keys, "304"));
-    }
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes, args.latency);
-        rows.push(measure::<SkipList>(&store, &keys, "408"));
-    }
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes * 2, args.latency);
-        rows.push(measure::<RTree>(&store, &keys, "4136"));
-    }
-    {
-        let store = make_store(Mode::PglMlpc, args.pool_bytes, args.latency);
-        rows.push(measure::<HashMap>(&store, &keys, "40 (entry), table grows"));
-    }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                r.object_size.to_string(),
-                format!("{:.1} ({:.2})", r.insert.avg_new_bytes(), r.insert.avg_new_objects()),
-                format!("{:.1} ({:.2})", r.insert.avg_mod_bytes(), r.insert.avg_mod_objects()),
-                format!("{:.1}", r.insert.avg_log_bytes()),
-                format!("{:.1} ({:.2})", r.remove.avg_new_bytes(), r.remove.avg_new_objects()),
-                format!("{:.1} ({:.2})", r.remove.avg_mod_bytes(), r.remove.avg_mod_objects()),
-                format!("{:.1}", r.remove.avg_log_bytes()),
-            ]
-        })
-        .collect();
+    let mut table = Table3 { args, keys, sizes: Vec::new(), device: Vec::new() };
+    each_structure(table.args.pool_bytes, &mut table);
 
     print_table(
         "Table 3: avg bytes (objects) per transaction",
@@ -88,8 +79,9 @@ fn main() {
             "Remove Mod",
             "Remove Log",
         ],
-        &table,
+        &table.sizes,
     );
+    print_table("Table 3: device_us/op", &["structure", "insert", "remove"], &table.device);
     println!(
         "\nPaper values for comparison (1M ops):\n\
          ctree    Insert New 56 (1.00)   Mod 127.6 (3.28)   Remove New 0      Mod 28.0 (0.50)\n\

@@ -278,8 +278,8 @@ fn ctree_insert_walks_the_path_once() {
     ctree::check_invariants(&map, &store).unwrap();
 }
 
-/// Prints a per-tree table (mean device traffic per operation on a 10 000-key map, modelled time priced like
-/// `bench_all`'s `device_us_per_op`):
+/// Prints a per-tree table (mean device traffic per operation on a 10 000-key map, modelled time priced by
+/// `StatsSnapshot::modelled_ns` under the `optane` model, as `bench_all`'s `device_us_per_op` is):
 /// `cargo test --release -p pgl-kv --test traversal_reads -- --ignored --nocapture`
 #[test]
 #[ignore = "a probe that prints a table, not a check"]
@@ -287,15 +287,8 @@ fn probe_per_tree_device_traffic() {
     fn probe<M: PersistentMap>(seed: u64) {
         let (dev, store) = store_of(512 << 20); // the rtree's 4 KiB nodes need the room
         let (map, keys) = loaded::<M>(&store, seed);
-        let m = pgl_nvm::LatencyModel::optane();
         let row = |op: &str, d: Vec<StatsSnapshot>| {
-            let device_ns = mean(&d, |d| {
-                d.lines_flushed * m.flush_ns_per_line
-                    + d.fences * m.fence_ns
-                    + d.bytes_written_nt.div_ceil(64) * m.nt_ns_per_line
-                    + d.bytes_read.div_ceil(64) * m.read_ns_per_line
-                    + (d.atomic_xors + d.atomic_cas_ops + d.atomic_stores) * m.atomic_rmw_ns
-            });
+            let device_ns = mean(&d, |d| d.modelled_ns(&pgl_nvm::LatencyModel::optane()));
             println!(
                 "| {} | {op} | {:.0} | {:.1} | {:.2} | {:.2} |",
                 M::NAME,

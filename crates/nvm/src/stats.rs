@@ -10,6 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::LatencyModel;
+
 /// Number of per-shard counter slots in [`DeviceStats`]. Shard indices at
 /// or above this are folded into the last slot, so any shard count is
 /// countable (the library's own shard cap is well below this).
@@ -230,6 +232,20 @@ impl StatsSnapshot {
     pub fn total_scrub_repairs(&self) -> u64 {
         self.scrub_repairs.iter().sum()
     }
+
+    /// Modelled device time of these operations in nanoseconds, priced by
+    /// `m`'s charges: flushed lines, fences, non-temporal and read lines
+    /// (bytes rounded up to whole lines) and 8-byte atomics. Cached stores
+    /// are not priced (the device charges them per line touched, which
+    /// these counters do not keep; `optane` charges them nothing). This is
+    /// simulated time, not host time, so it repeats wherever the counts do.
+    pub fn modelled_ns(&self, m: &LatencyModel) -> u64 {
+        self.lines_flushed * m.flush_ns_per_line
+            + self.fences * m.fence_ns
+            + self.bytes_written_nt.div_ceil(64) * m.nt_ns_per_line
+            + self.bytes_read.div_ceil(64) * m.read_ns_per_line
+            + (self.atomic_xors + self.atomic_cas_ops + self.atomic_stores) * m.atomic_rmw_ns
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +272,24 @@ mod tests {
         assert_eq!(d.group_commits, 1);
         assert_eq!(d.group_txns, 8);
         assert_eq!(b.total_bytes_written(), 150);
+    }
+
+    #[test]
+    fn modelled_time_prices_each_counter_once() {
+        let d = StatsSnapshot {
+            lines_flushed: 3,
+            fences: 2,
+            bytes_written_nt: 65, // two lines
+            bytes_read: 64,       // one line
+            atomic_xors: 1,
+            atomic_cas_ops: 1,
+            atomic_stores: 1,
+            bytes_written: 1 << 20, // cached stores are free until flushed
+            ..StatsSnapshot::default()
+        };
+        // 3 flushes · 90 + 2 fences · 30 + 2 NT lines · 60 + 1 read line · 50 + 3 atomics · 20
+        assert_eq!(d.modelled_ns(&LatencyModel::optane()), 560);
+        assert_eq!(d.modelled_ns(&LatencyModel::disabled()), 0);
     }
 
     #[test]
