@@ -43,7 +43,7 @@ struct Fig5 {
 }
 
 impl Structures for Fig5 {
-    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize) {
+    fn visit<M: PersistentMap>(&mut self, pool_bytes: usize) {
         for rows in self.rates.iter_mut().chain(&mut self.device) {
             rows.push(vec![M::NAME.to_string()]);
         }

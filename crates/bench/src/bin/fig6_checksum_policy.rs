@@ -23,7 +23,7 @@ struct Fig6 {
 }
 
 impl Structures for Fig6 {
-    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize) {
+    fn visit<M: PersistentMap>(&mut self, pool_bytes: usize) {
         let mut rates = vec![M::NAME.to_string()];
         let mut device = rates.clone();
         let mut us = Vec::new();

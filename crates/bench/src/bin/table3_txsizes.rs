@@ -19,7 +19,7 @@ struct Table3 {
 }
 
 impl Structures for Table3 {
-    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize) {
+    fn visit<M: PersistentMap>(&mut self, pool_bytes: usize) {
         let (keys, n) = (&self.keys, self.keys.len());
         let policy = CsumPolicy::Default;
         let [ins, rem] =

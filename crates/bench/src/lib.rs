@@ -110,7 +110,7 @@ pub fn run_pgl<R>(
 /// A measurement over one key-value structure, written once for all six.
 pub trait Structures {
     /// Measures structure `M` on a pool of `pool_bytes`.
-    fn visit<M: PersistentMap + Send + Sync>(&mut self, pool_bytes: usize);
+    fn visit<M: PersistentMap>(&mut self, pool_bytes: usize);
 }
 
 /// Visits the six PMDK-toolkit structures of Figures 5 and 6 and Tables 3
