@@ -148,11 +148,10 @@ fn main() {
          Page size {} B; paper reports ~180 us per page-column repair.",
         PAGE_SIZE
     );
+    let c = pool.counters();
     println!(
-        "recoveries: {} pages, {} objects, {} scrubs",
-        pool.counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed),
-        pool.counters().object_recoveries.load(std::sync::atomic::Ordering::Relaxed),
-        pool.counters().scrubs.load(std::sync::atomic::Ordering::Relaxed),
+        "recoveries: {} pages, {} objects, {} failed; {} full scrubs",
+        c.page_recoveries, c.object_recoveries, c.repairs_failed, c.full_scrubs,
     );
 
     // Experiment 5: restart recovery per pool size. Each row builds a

@@ -8,10 +8,13 @@
 //! the paper measures on 64 B transactions (§4.4).
 //!
 //! **Vulnerability accounting** (paper Table 4): Pangolin counts object
-//! bytes accessed *without* checksum verification, quantifying the exposure
-//! window of each verification policy.
+//! bytes handed out *without* checksum verification (the pool table's
+//! byte buckets, [`crate::counters`]), quantifying the exposure window of
+//! each verification policy; [`Vuln`] keeps the between-scrub window.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use crate::counters::PglCounters;
 
 /// Commit/recovery mutual exclusion: many committers XOR one freezer.
 #[derive(Debug, Default)]
@@ -75,37 +78,30 @@ impl Freeze {
     }
 }
 
-/// Point-in-time vulnerability counters (bytes).
+/// The Table 4 view of the pool's byte buckets ([`crate::PglPool::vuln`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VulnSnapshot {
-    /// Object bytes read without checksum verification.
+    /// Object bytes handed out without checksum verification.
     pub unverified: u64,
-    /// Object bytes covered by a verification.
+    /// Object bytes handed out by a load that checked them.
     pub verified: u64,
-    /// Object bytes served from the DRAM verified-generation cache: no
-    /// checksum pass ran at access time, but the object was verified
-    /// since its last library mutation (see [`crate::vcache`]). Kept
-    /// distinct from both buckets so the Table 4 exposure numbers remain
-    /// derivable under the cache.
+    /// Object bytes handed out on the word of the verification cache
+    /// (see [`crate::vcache`]), kept apart from both other buckets so the
+    /// Table 4 exposure stays derivable under the cache.
     pub verified_cached: u64,
-    /// Unverified bytes accumulated since the last scrub.
+    /// Unverified bytes handed out since the last scrub.
     pub window_unverified: u64,
     /// Largest between-scrub unverified window observed (the Table 4
     /// number for scrub policies).
     pub max_window: u64,
 }
 
-/// Vulnerability accounting, updated with relaxed atomics on hot paths.
-///
-/// An unverified read costs one shared read-modify-write: the scrub
-/// window is not counted, it is `unverified` minus its value at the last
-/// scrub, and the maximum is folded when a window closes or a snapshot
-/// looks at the open one.
+/// The scrub window over the pool table's `unverified` row: the window is
+/// `unverified` minus its value at the last scrub, so an unverified read
+/// costs the row's one bump, and the maximum is folded when a window
+/// closes or a snapshot looks at the open one.
 #[derive(Debug, Default)]
 pub struct Vuln {
-    unverified: AtomicU64,
-    verified: AtomicU64,
-    verified_cached: AtomicU64,
     /// `unverified` as of the last [`Vuln::end_scrub_window`].
     window_base: AtomicU64,
     /// Largest *closed* window.
@@ -113,46 +109,25 @@ pub struct Vuln {
 }
 
 impl Vuln {
-    /// Creates zeroed counters.
+    /// Creates a window opened at zero.
     pub fn new() -> Self {
         Vuln::default()
     }
 
-    /// Records `n` object bytes accessed without verification.
-    #[inline]
-    pub fn note_unverified(&self, n: u64) {
-        self.unverified.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` object bytes covered by checksum verification.
-    #[inline]
-    pub fn note_verified(&self, n: u64) {
-        self.verified.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` object bytes served from the verified-generation
-    /// cache: no checksum pass at access time, exposure bounded by the
-    /// object's last verification (distinct from both other buckets).
-    #[inline]
-    pub fn note_verified_cached(&self, n: u64) {
-        self.verified_cached.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Closes a scrub window: everything in the pool was just verified.
-    pub fn end_scrub_window(&self) {
-        let unverified = self.unverified.load(Ordering::Relaxed);
+    /// Closes a scrub window at `unverified` bytes: everything in the
+    /// pool was just verified.
+    pub fn end_scrub_window(&self, unverified: u64) {
         let base = self.window_base.swap(unverified, Ordering::Relaxed);
         self.max_window.fetch_max(unverified.saturating_sub(base), Ordering::Relaxed);
     }
 
-    /// Snapshots the counters.
-    pub fn snapshot(&self) -> VulnSnapshot {
-        let unverified = self.unverified.load(Ordering::Relaxed);
-        let window = unverified.saturating_sub(self.window_base.load(Ordering::Relaxed));
+    /// The buckets of `c` with the window they leave open.
+    pub fn snapshot(&self, c: &PglCounters) -> VulnSnapshot {
+        let window = c.unverified.saturating_sub(self.window_base.load(Ordering::Relaxed));
         VulnSnapshot {
-            unverified,
-            verified: self.verified.load(Ordering::Relaxed),
-            verified_cached: self.verified_cached.load(Ordering::Relaxed),
+            unverified: c.unverified,
+            verified: c.verified,
+            verified_cached: c.verified_cached,
             window_unverified: window,
             max_window: self.max_window.load(Ordering::Relaxed).max(window),
         }
@@ -201,12 +176,15 @@ mod tests {
     #[test]
     fn vuln_window_tracks_maximum() {
         let v = Vuln::new();
-        v.note_unverified(100);
-        v.note_verified(40);
-        v.note_verified_cached(8);
-        v.end_scrub_window();
-        v.note_unverified(30);
-        let s = v.snapshot();
+        let mut c = PglCounters {
+            unverified: 100,
+            verified: 40,
+            verified_cached: 8,
+            ..PglCounters::default()
+        };
+        v.end_scrub_window(c.unverified);
+        c.unverified += 30;
+        let s = v.snapshot(&c);
         assert_eq!(s.unverified, 130);
         assert_eq!(s.verified, 40);
         assert_eq!(s.verified_cached, 8, "cached bucket stays distinct");

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pgl_nvm::PAGE_SIZE;
+use pgl_nvm::{bump, PAGE_SIZE};
 use pgl_pmemobj::PMEMoid;
 
 use crate::error::{PglError, Result};
@@ -29,14 +29,14 @@ use crate::pool::PglPool;
 pub fn poison_object_page(pool: &PglPool, oid: PMEMoid) -> Result<u64> {
     let page = oid.off / PAGE_SIZE as u64;
     pool.io().dev().poison_page(page).map_err(PglError::from)?;
-    pool.io().dev().note_poison_injected();
+    bump(&pool.cells().poison_injected, 1);
     Ok(page)
 }
 
 /// Poisons an arbitrary page.
 pub fn poison_page(pool: &PglPool, page: u64) -> Result<()> {
     pool.io().dev().poison_page(page).map_err(PglError::from)?;
-    pool.io().dev().note_poison_injected();
+    bump(&pool.cells().poison_injected, 1);
     Ok(())
 }
 
@@ -52,7 +52,7 @@ pub fn scribble_object(
 ) -> Result<()> {
     let junk = vec![pattern; len];
     pool.io().dev().scribble(oid.off + off, &junk).map_err(PglError::from)?;
-    pool.io().dev().note_scribble_injected();
+    bump(&pool.cells().scribbles_injected, 1);
     pool.vcache_bump(oid.off);
     Ok(())
 }
@@ -62,7 +62,7 @@ pub fn scribble_object(
 pub fn scribble_object_header(pool: &PglPool, oid: PMEMoid, pattern: u8) -> Result<()> {
     let junk = [pattern; 16];
     pool.io().dev().scribble(oid.header_off(), &junk).map_err(PglError::from)?;
-    pool.io().dev().note_scribble_injected();
+    bump(&pool.cells().scribbles_injected, 1);
     pool.vcache_bump(oid.off);
     Ok(())
 }
@@ -73,14 +73,14 @@ pub fn scribble_chunk_meta(pool: &PglPool, zone: u64, chunk: u64, pattern: u8) -
     let off = pool.layout().cm_entry_off(zone, chunk);
     let junk = [pattern; 16];
     pool.io().dev().scribble(off, &junk).map_err(PglError::from)?;
-    pool.io().dev().note_scribble_injected();
+    bump(&pool.cells().scribbles_injected, 1);
     Ok(())
 }
 
 /// Scribbles raw pool bytes (fully general corruption).
 pub fn scribble_raw(pool: &PglPool, off: u64, bytes: &[u8]) -> Result<()> {
     pool.io().dev().scribble(off, bytes).map_err(PglError::from)?;
-    pool.io().dev().note_scribble_injected();
+    bump(&pool.cells().scribbles_injected, 1);
     Ok(())
 }
 

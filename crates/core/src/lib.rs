@@ -79,6 +79,7 @@
 
 pub mod checksum;
 pub mod config;
+pub mod counters;
 pub mod crashcheck;
 pub mod detect;
 pub mod error;
@@ -98,13 +99,14 @@ pub mod ubuf;
 pub mod vcache;
 
 pub use config::{CsumPolicy, PglConfig, PglMode};
+pub use counters::{PglCounters, STAT_SHARDS};
 pub use detect::VulnSnapshot;
 pub use error::{PglError, Result};
 pub use inject::{FaultKind, FaultPlan, FaultStorm, StormReport};
 pub use options::OpenOptions;
 pub use parity::{ParityDomains, ShardMap};
 pub use ploc::{CasOutcome, CasRecovery, DetectableCas, NewCas, WordCas};
-pub use pool::{ObjHandle, PglCounters, PglPool};
+pub use pool::{ObjHandle, PglPool};
 pub use quarantine::QuarantineSet;
 pub use scrub::ScrubReport;
 pub use txn::{PglTx, TxStats};

@@ -676,7 +676,7 @@ impl Inner {
             [a, b] => a.is_some() as u64 + b.is_some() as u64,
         };
         if distinct > 0 {
-            self.io.dev().note_atomic_parity_patch(distinct);
+            pgl_nvm::bump(&self.io.dev().cells().atomic_parity_patches, distinct);
         }
         Ok(())
     }

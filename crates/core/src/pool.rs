@@ -5,13 +5,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pgl_nvm::pod::{from_bytes, Pod};
-use pgl_nvm::NvmDevice;
+use pgl_nvm::{bump, slot, NvmDevice};
 use pgl_pmemobj::heap::{scan_live_excluding, Heap, MetaOp};
 use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::pool::{read_header, write_header, PoolHeader, FLAG_MODE_SHIFT, FLAG_PARITY};
 use pgl_pmemobj::{Layout, ObjError, ObjectHeader, PMEMoid, PoolIo, OID_NULL};
 
 use crate::config::{CsumPolicy, PglConfig, PglMode};
+use crate::counters::{csum_pass, PglCounterCells, PglCounters};
 use crate::detect::{Freeze, Vuln, VulnSnapshot};
 use crate::error::{PglError, Result};
 use crate::parity::{ParityDomains, RangeGuard, ShardMap};
@@ -39,21 +40,6 @@ thread_local! {
     static ALLOC_SHARD: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Pool-level counters.
-#[derive(Debug, Default)]
-pub struct PglCounters {
-    /// Committed transactions.
-    pub commits: AtomicU64,
-    /// Aborted transactions.
-    pub aborts: AtomicU64,
-    /// Online page recoveries (media errors).
-    pub page_recoveries: AtomicU64,
-    /// Online object recoveries (checksum mismatches / scribbles).
-    pub object_recoveries: AtomicU64,
-    /// Completed scrub passes.
-    pub scrubs: AtomicU64,
-}
-
 /// Shared pool state (public within the crate; the library API is
 /// [`PglPool`]).
 pub struct Inner {
@@ -71,7 +57,7 @@ pub struct Inner {
     pub(crate) freeze: Freeze,
     pub(crate) vuln: Vuln,
     pub(crate) vcache: VCache,
-    pub(crate) counters: PglCounters,
+    pub(crate) counters: PglCounterCells,
     pub(crate) scrub_tick: AtomicU64,
     /// Per-shard scrub progress `(objects done, objects total)` of the
     /// current (or last) pass — the scrubber's per-shard cursor.
@@ -154,10 +140,10 @@ impl Inner {
     /// Moves `zone` into quarantine: in-memory set (reads fail fast),
     /// persistent header region (survives restarts; best-effort — the
     /// in-memory containment works even if the header write fails), the
-    /// allocator ban list, and the device counter. Idempotent.
+    /// allocator ban list, and the pool counter. Idempotent.
     pub(crate) fn quarantine_zone(&self, zone: u64) {
         if self.quarantine.insert(zone) {
-            self.io.dev().note_zone_quarantined();
+            bump(&self.counters.zones_quarantined, 1);
             self.heap.ban_zone(zone);
             let _ = crate::quarantine::persist_zone(&self.io, &self.layout, zone);
         }
@@ -178,8 +164,7 @@ impl Inner {
     /// vulnerability window once every shard has completed a pass of the
     /// current round.
     pub(crate) fn note_bg_pass(&self, shard: u64, report: &ScrubReport) {
-        self.io.dev().note_scrub_repair(shard as usize, report.repairs());
-        self.counters.scrubs.fetch_add(1, Ordering::Relaxed);
+        bump(slot(&self.counters.scrub_repairs, shard as usize), report.repairs());
         let full_round = {
             let mut t = self.scrub_totals.lock().unwrap();
             t.shard_passes += 1;
@@ -188,7 +173,7 @@ impl Inner {
             t.shard_passes % self.shard_map.n_shards() == 0
         };
         if full_round {
-            self.vuln.end_scrub_window();
+            self.vuln.end_scrub_window(self.counters.unverified.load(Ordering::Relaxed));
         }
     }
 
@@ -276,11 +261,11 @@ impl Inner {
             let mut probe = Probe { vcache: &self.vcache, off: oid.off, trust, stamp: None };
             let Some(w) = dst.plan(&mut probe)? else { return Ok(()) };
             let stamp = probe.stamp.expect("a planned load probed the cache");
-            let bytes = match dst.fill(&w)? {
-                Filled::Held(bytes) => bytes,
+            let (checked, handed) = match dst.fill(&w)? {
+                Filled::Held { checked, handed } => (checked, handed),
                 Filled::Mismatch(checked) => {
                     // A failed check is a pass too, over what it checked.
-                    self.io.dev().note_csum_pass(checked);
+                    csum_pass(self.io.dev(), checked);
                     if trust {
                         self.recover_object(oid)?;
                         dst.repaired(self.obj_header_checked(oid)?, &w)?;
@@ -289,11 +274,11 @@ impl Inner {
                 }
             };
             if w.vouched {
-                self.vuln.note_verified_cached(bytes);
-                self.io.dev().note_vcache_hit(bytes);
+                bump(&self.counters.verified_cached, handed);
+                bump(&self.io.dev().cells().vcache_hits, 1);
             } else {
-                self.io.dev().note_csum_pass(bytes);
-                self.vuln.note_verified(bytes);
+                csum_pass(self.io.dev(), checked);
+                bump(&self.counters.verified, handed);
                 self.vcache.publish(oid.off, w.size, w.a, w.z, stamp);
             }
             return Ok(());
@@ -339,8 +324,8 @@ impl Inner {
             let len = dst.len() as u64;
             if Self::range_fits(off, len, e.size) && e.covers_range(off, len) {
                 self.read_with_recovery(oid.off + off, dst)?;
-                self.vuln.note_verified_cached(len);
-                self.io.dev().note_vcache_hit(len);
+                bump(&self.counters.verified_cached, len);
+                bump(&self.io.dev().cells().vcache_hits, 1);
                 return Ok(());
             }
         }
@@ -372,7 +357,7 @@ impl Inner {
         let at = oid.off.checked_add(off).ok_or(ObjError::InvalidOid { off: oid.off })?;
         self.read_with_recovery(at, dst)?;
         if self.mode.has_checksums() {
-            self.vuln.note_unverified(dst.len() as u64);
+            bump(&self.counters.unverified, dst.len() as u64);
         }
         Ok(())
     }
@@ -503,7 +488,7 @@ impl Inner {
 
     /// Bumps the scrub tick; returns `true` when a scrub pass is due.
     pub(crate) fn note_commit(&self) -> bool {
-        self.counters.commits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.commits, 1);
         if let CsumPolicy::ScrubEvery(n) = self.policy {
             let t = self.scrub_tick.fetch_add(1, Ordering::Relaxed) + 1;
             t % n == 0
@@ -579,9 +564,10 @@ pub(crate) trait LoadDst {
 
 /// What one [`LoadDst::fill`] found.
 pub(crate) enum Filled {
-    /// The window holds: the bytes checked — or, for a vouched window,
-    /// the bytes handed out.
-    Held(u64),
+    /// The window holds: the bytes it checked (none when vouched), and
+    /// the bytes it put in the caller's buffer (Table 4's buckets count
+    /// these: a verified read's range, a micro-buffer's new bytes).
+    Held { checked: u64, handed: u64 },
     /// A segment failed its check: the bytes checked, through the
     /// failing segment.
     Mismatch(u64),
@@ -673,7 +659,7 @@ impl LoadDst for ReadInto<'_> {
             }
             let at = (self.off - w.lo) as usize;
             dst.copy_from_slice(&data[at..at + dst.len()]);
-            Ok(Filled::Held(len as u64))
+            Ok(Filled::Held { checked: len as u64, handed: dst.len() as u64 })
         })
     }
 
@@ -807,7 +793,8 @@ impl PglPool {
             }
         }
         let quarantine = QuarantineSet::default();
-        Self::assemble(io, layout, uuid, cfg, mirror, parity, Vec::new(), quarantine)
+        let counters = PglCounterCells::default();
+        Self::assemble(io, layout, uuid, cfg, mirror, parity, Vec::new(), quarantine, counters)
     }
 
     /// Returns the pool-construction builder — the one entry point for
@@ -892,7 +879,14 @@ impl PglPool {
             domains.load_watermarks(&io, &|z| quarantine.contains(z))?;
         }
         crate::recover::crash_recover(&io, &layout, mirror, parity.as_ref(), &quarantine)?;
-        crate::recover::finish_page_repair_if_pending(&io, &layout, parity.as_ref(), &quarantine)?;
+        let counters = PglCounterCells::default();
+        crate::recover::finish_page_repair_if_pending(
+            &io,
+            &layout,
+            parity.as_ref(),
+            &quarantine,
+            &counters,
+        )?;
         // Detectable-CAS replay runs after redo replay: transactions win
         // the recovery order, and the ploc recompute is idempotent.
         let cas_recoveries = crate::ploc::replay_descriptors(
@@ -902,7 +896,17 @@ impl PglPool {
             parity.as_ref(),
             mode.has_checksums(),
         )?;
-        Self::assemble(io, layout, hdr.uuid, cfg, mirror, parity, cas_recoveries, quarantine)
+        Self::assemble(
+            io,
+            layout,
+            hdr.uuid,
+            cfg,
+            mirror,
+            parity,
+            cas_recoveries,
+            quarantine,
+            counters,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -915,6 +919,7 @@ impl PglPool {
         parity: Option<ParityDomains>,
         cas_recoveries: Vec<crate::ploc::CasRecovery>,
         quarantine: QuarantineSet,
+        counters: PglCounterCells,
     ) -> Result<Self> {
         let shard_map = ShardMap::new(&layout, cfg.shards);
         let banned = quarantine.zone_set();
@@ -967,7 +972,7 @@ impl PglPool {
             vuln: Vuln::new(),
             vcache: VCache::new(cfg.vcache_capacity, cfg.mode.has_checksums())
                 .with_affinity(shard_map),
-            counters: PglCounters::default(),
+            counters,
             scrub_tick: AtomicU64::new(0),
             scrub_progress: (0..shard_map.n_shards())
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
@@ -1011,14 +1016,19 @@ impl PglPool {
         &self.inner.io
     }
 
-    /// Pool counters.
-    pub fn counters(&self) -> &PglCounters {
+    /// A snapshot of the pool's counters ([`crate::counters`]).
+    pub fn counters(&self) -> PglCounters {
+        self.inner.counters.snapshot()
+    }
+
+    /// The cells behind [`PglPool::counters`] (fault injection bumps them).
+    pub(crate) fn cells(&self) -> &PglCounterCells {
         &self.inner.counters
     }
 
     /// Vulnerability counters (Table 4).
     pub fn vuln(&self) -> VulnSnapshot {
-        self.inner.vuln.snapshot()
+        self.inner.vuln.snapshot(&self.counters())
     }
 
     /// Runs `f` inside a fault-tolerant transaction.
@@ -1048,7 +1058,7 @@ impl PglPool {
             }
             Err(e) => {
                 tx.abort()?;
-                inner.counters.aborts.fetch_add(1, Ordering::Relaxed);
+                bump(&inner.counters.aborts, 1);
                 Err(e)
             }
         }
@@ -1090,13 +1100,14 @@ impl PglPool {
                 Ok(r) => out.push(r),
                 Err(e) => {
                     tx.abort()?;
-                    inner.counters.aborts.fetch_add(1, Ordering::Relaxed);
+                    bump(&inner.counters.aborts, 1);
                     return Err(e);
                 }
             }
         }
         tx.commit()?;
-        inner.io.dev().note_group_commit(n as u64);
+        bump(&inner.io.dev().cells().group_commits, 1);
+        bump(&inner.io.dev().cells().group_txns, n as u64);
         let scrub_due = inner.note_commit();
         if scrub_due {
             self.trigger_scrub()?;
@@ -1211,7 +1222,7 @@ impl PglPool {
             return Err(PglError::Config(format!("atomic_load offset {off} not 8-byte aligned")));
         }
         if self.inner.mode.has_checksums() {
-            self.inner.vuln.note_unverified(8);
+            bump(&self.inner.counters.unverified, 8);
         }
         self.inner.io.dev().atomic_load_u64(oid.off + off).map_err(PglError::from)
     }

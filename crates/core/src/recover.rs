@@ -23,12 +23,13 @@
 //! reserved-chunk watermark ([`crate::parity`]). A lost page of the zone
 //! header reserve is rebuilt from the watermark's other copy.
 
-use pgl_nvm::{CACHELINE, PAGE_SIZE};
+use pgl_nvm::{bump, CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
 use pgl_pmemobj::lane::{Lanes, LogMirror};
 use pgl_pmemobj::ulog::{self, payload, Entry, EntryKind};
 use pgl_pmemobj::{Layout, ObjectHeader, PoolIo, OBJ_HEADER_SIZE};
 
+use crate::counters::{csum_pass, PglCounterCells};
 use crate::error::{PglError, Result};
 use crate::parity::{segments, LeftOut, ParityDomains, ParityEngine};
 use crate::pool::Inner;
@@ -346,6 +347,7 @@ pub fn finish_page_repair_if_pending(
     layout: &Layout,
     parity: Option<&ParityDomains>,
     quarantine: &QuarantineSet,
+    counters: &PglCounterCells,
 ) -> Result<()> {
     let mut rec = [0u8; 16];
     for base in [layout.hdr_off, layout.hdr_replica_off] {
@@ -370,7 +372,7 @@ pub fn finish_page_repair_if_pending(
                 Err(e) if e.is_unrecoverable() => {
                     if let Some(z) = zone {
                         if quarantine.insert(z) {
-                            io.dev().note_zone_quarantined();
+                            bump(&counters.zones_quarantined, 1);
                             let _ = crate::quarantine::persist_zone(io, layout, z);
                         }
                     }
@@ -392,10 +394,9 @@ impl Inner {
         let r = self.recover_page_frozen(page);
         self.freeze.unfreeze();
         if r.is_ok() {
-            self.counters.page_recoveries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.io.dev().note_repair_ok();
+            bump(&self.counters.page_recoveries, 1);
         } else {
-            self.io.dev().note_repair_failed();
+            bump(&self.counters.repairs_failed, 1);
         }
         r
     }
@@ -493,10 +494,9 @@ impl Inner {
         let r = self.recover_object_frozen(oid);
         self.freeze.unfreeze();
         if r.is_ok() {
-            self.counters.object_recoveries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.io.dev().note_repair_ok();
+            bump(&self.counters.object_recoveries, 1);
         } else {
-            self.io.dev().note_repair_failed();
+            bump(&self.counters.repairs_failed, 1);
         }
         r
     }
@@ -610,7 +610,7 @@ impl Inner {
         // every segment classified against the repaired header.
         let image_len = OBJ_HEADER_SIZE + self.footprint(hdr.size);
         read(start, scratch::zeroed(&mut s.current, image_len as usize))?;
-        io.dev().note_csum_pass(hdr.size);
+        csum_pass(io.dev(), hdr.size);
         let n = segment::count(hdr.size);
         let ok = |s: &FaultScratch, k| segment::segment_ok(&hdr, &s.current[HDR..], k);
         let failing: Vec<u64> = (0..n).filter(|&k| !ok(s, k)).collect();
@@ -630,7 +630,7 @@ impl Inner {
                 b - a
             })
             .sum();
-        io.dev().note_csum_pass(repaired);
+        csum_pass(io.dev(), repaired);
         if failing.iter().any(|&k| !ok(s, k)) {
             return Err(self.object_double_fault(
                 oid,

@@ -33,45 +33,39 @@ use std::sync::Weak;
 use std::time::Duration;
 
 use pgl_nvm::pod::{bytes_of, from_bytes};
-use pgl_nvm::{MemError, PAGE_SIZE};
+use pgl_nvm::{bump, slot, MemError, PAGE_SIZE};
 use pgl_pmemobj::heap::run::ChunkMeta;
 use pgl_pmemobj::heap::scan_live_excluding;
 use pgl_pmemobj::pool::read_header;
 use pgl_pmemobj::{ObjError, ObjectHeader, PMEMoid, OBJ_HEADER_SIZE};
 
+use crate::counters::csum_pass;
 use crate::error::{PglError, Result};
 use crate::pool::Inner;
 use crate::recover::repair_page_by_compare;
 use crate::segment;
 use crate::vcache::VerifyStamp;
 
-/// Outcome of one scrub pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Objects whose checksums were verified.
-    pub objects_verified: u64,
-    /// Object bytes verified.
-    pub bytes_verified: u64,
-    /// Objects repaired (scribbles undone).
-    pub objects_repaired: u64,
-    /// Pages repaired (media errors or metadata scribbles).
-    pub pages_repaired: u64,
-    /// Objects skipped because they were freed or reallocated mid-sweep
-    /// (the next pass sees them in a stable state).
-    pub objects_skipped: u64,
+pgl_nvm::counter_table! {
+    /// Outcome of one scrub pass (per-shard workers `absorb` theirs into
+    /// the pass total).
+    pub struct ScrubReport;
+    {
+        /// Objects whose checksums were verified.
+        objects_verified,
+        /// Object bytes verified.
+        bytes_verified,
+        /// Objects repaired (scribbles undone).
+        objects_repaired,
+        /// Pages repaired (media errors or metadata scribbles).
+        pages_repaired,
+        /// Objects skipped because they were freed or reallocated mid-sweep
+        /// (the next pass sees them in a stable state).
+        objects_skipped,
+    }
 }
 
 impl ScrubReport {
-    /// Accumulates another report's counters (per-shard scrub workers
-    /// merge their local reports into the pass total).
-    pub(crate) fn absorb(&mut self, o: &ScrubReport) {
-        self.objects_verified += o.objects_verified;
-        self.bytes_verified += o.bytes_verified;
-        self.objects_repaired += o.objects_repaired;
-        self.pages_repaired += o.pages_repaired;
-        self.objects_skipped += o.objects_skipped;
-    }
-
     /// Repairs this pass performed (objects plus pages).
     pub fn repairs(&self) -> u64 {
         self.objects_repaired + self.pages_repaired
@@ -108,8 +102,8 @@ pub fn scrub_sync(inner: &Inner) -> Result<ScrubReport> {
     inner.freeze.unfreeze();
     let (mut report, live) = meta?;
     scrub_objects_live(inner, live, &mut report)?;
-    inner.counters.scrubs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    inner.vuln.end_scrub_window();
+    bump(&inner.counters.full_scrubs, 1);
+    inner.vuln.end_scrub_window(inner.counters.unverified.load(Ordering::Relaxed));
     Ok(report)
 }
 
@@ -227,8 +221,8 @@ fn scrub_objects_live(
                 scrub_contained(inner, oid, hint.size, &mut local)?;
                 inner.scrub_progress[shard].0.fetch_add(1, Ordering::Relaxed);
             }
-            inner.io.dev().note_scrub_pass(shard);
-            inner.io.dev().note_scrub_repair(shard, local.repairs());
+            bump(slot(&inner.counters.scrub_passes, shard), 1);
+            bump(slot(&inner.counters.scrub_repairs, shard), local.repairs());
             Ok(local)
         };
         if n_shards == 1 {
@@ -360,7 +354,6 @@ fn scrub_one_object(
         }
         report.objects_verified += 1;
         report.bytes_verified += hdr.size;
-        inner.vuln.note_verified(hdr.size);
         return Ok(());
     }
     report.objects_skipped += 1;
@@ -381,7 +374,7 @@ fn scrub_check(
     if !inner.mode.has_checksums() {
         return true;
     }
-    inner.io.dev().note_csum_pass(hdr.size);
+    csum_pass(inner.io.dev(), hdr.size);
     let ok = segment::check_all(hdr, image).is_ok();
     if ok {
         inner.vcache.publish(off, hdr.size, 0, segment::count(hdr.size) - 1, stamp);
@@ -443,7 +436,6 @@ fn scrub_objects_frozen(
         }
         report.objects_verified += 1;
         report.bytes_verified += hdr.size;
-        inner.vuln.note_verified(hdr.size);
     }
     Ok(())
 }
@@ -481,7 +473,7 @@ pub(crate) fn scrub_shard(inner: &Inner, shard: u64) -> Result<ScrubReport> {
             }
             std::thread::yield_now();
         }
-        inner.io.dev().note_scrub_pass(shard as usize);
+        bump(slot(&inner.counters.scrub_passes, shard as usize), 1);
     } else {
         // Modes without parity range-locks sweep frozen (see
         // `scrub_objects_live`).
@@ -489,7 +481,7 @@ pub(crate) fn scrub_shard(inner: &Inner, shard: u64) -> Result<ScrubReport> {
         let r = scrub_objects_frozen(inner, &objs, &mut report);
         inner.freeze.unfreeze();
         r?;
-        inner.io.dev().note_scrub_pass(shard as usize);
+        bump(slot(&inner.counters.scrub_passes, shard as usize), 1);
     }
     Ok(report)
 }

@@ -443,8 +443,9 @@ impl UBuf {
     /// of `w.a..=w.z` with no sum yet is checked against its sums
     /// (segment 0's in the loaded header, the others in `table`, the
     /// entries of `max(a, 1)..=z`) unless the cache vouched for the
-    /// window, and its sums noted. Stops at the first mismatch.
-    fn check_new(&mut self, w: &Window, table: &[u8]) -> Filled {
+    /// window, and its sums noted. Returns the bytes checked, or `Err`
+    /// with those checked through the first mismatch.
+    fn check_new(&mut self, w: &Window, table: &[u8]) -> std::result::Result<u64, u64> {
         let hdr = self.loaded_header;
         let mut checked = 0;
         let mut k = w.a;
@@ -462,14 +463,14 @@ impl UBuf {
             if !w.vouched {
                 let (start, end) = (k * SEG, segment::bounds(hdr.size, e).1);
                 if let Err(bad) = segment::check(&hdr, k, e, self.bytes(start, end - start), run) {
-                    return Filled::Mismatch(checked + segment::bounds(hdr.size, bad).1 - start);
+                    return Err(checked + segment::bounds(hdr.size, bad).1 - start);
                 }
                 checked += end - start;
             }
             self.note_sums(k, e, |j| if j == 0 { hdr.csum } else { segment::entry_in(run, e, j) });
             k = e + 1;
         }
-        Filled::Held(checked)
+        Ok(checked)
     }
 
     /// The run `[0, size)` of a fully resident buffer.
@@ -933,9 +934,12 @@ impl LoadDst for UBufLoad<'_> {
                 Ok::<_, PglError>(self.b.check_new(w, table))
             })?
         };
+        // Handed out: what became resident here — the range of a vouched
+        // window, the checked segments otherwise (resident ones merge).
         Ok(match checked {
-            Filled::Held(_) if w.vouched => Filled::Held(self.len),
-            f => f,
+            Ok(checked) if w.vouched => Filled::Held { checked, handed: w.hi - w.lo },
+            Ok(checked) => Filled::Held { checked, handed: checked },
+            Err(checked) => Filled::Mismatch(checked),
         })
     }
 

@@ -37,9 +37,9 @@
 //! bump; a cache-hit read may therefore serve a scribble that landed
 //! *after* the last verification — the same exposure window the Default
 //! policy accepts for every unverified `pgl_get`, but now bounded by the
-//! mutation rate and scrub cadence. [`crate::detect::Vuln`] accounts
-//! those bytes in a dedicated `verified_cached` bucket so Table 4 stays
-//! derivable.
+//! mutation rate and scrub cadence. The pool's counters
+//! ([`crate::counters`]) account those bytes in a dedicated
+//! `verified_cached` bucket so Table 4 stays derivable.
 //!
 //! # Why hits are race-free
 //!

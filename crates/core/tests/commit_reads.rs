@@ -225,7 +225,7 @@ fn scribbled_whole_object_overwrite_keeps_parity_consistent() {
     assert!(pool.verify_parity().unwrap(), "scribble residue leaked into parity");
     assert_eq!(pool.read_verified(oid).unwrap(), vec![0x22; 256]);
     assert!(
-        pool.counters().object_recoveries.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+        pool.counters().object_recoveries >= 1,
         "the scribble was detected and repaired at open"
     );
 }
@@ -495,7 +495,7 @@ fn scribble_between_open_object_and_commit_object_is_repaired_not_committed() {
     pool.commit_object(obj).unwrap();
     let d = dev.stats().delta_since(&s0);
     assert_eq!(d.bytes_written_nt, 0, "no redo log and no write-back");
-    assert_eq!(pool.counters().object_recoveries.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(pool.counters().object_recoveries, 1);
     assert_eq!(pool.read_verified(oid).unwrap(), vec![0x11; OBJ as usize]);
     assert_sound(&pool);
 }
@@ -603,8 +603,7 @@ fn unmarked_change_behind_a_range_in_the_last_segment_keeps_its_sum() {
     assert_eq!(dev.stats().delta_since(&s0).commit_old_reads, 0);
     let got = pool.read_verified(oid).unwrap();
     assert_eq!((got[4100], got[4099], got[4101]), (0x22, 0x11, 0x11));
-    let repairs = &pool.counters().object_recoveries;
-    assert_eq!(repairs.load(std::sync::atomic::Ordering::Relaxed), 0, "no repair needed");
+    assert_eq!(pool.counters().object_recoveries, 0, "no repair needed");
     assert_sound(&pool);
 }
 

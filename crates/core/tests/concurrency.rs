@@ -80,10 +80,7 @@ fn online_recovery_races_committing_threads() {
         });
     });
 
-    assert!(
-        pool.counters().page_recoveries.load(Ordering::Relaxed) >= 20,
-        "every injection recovered online"
-    );
+    assert!(pool.counters().page_recoveries >= 20, "every injection recovered online");
     assert!(pool.verify_parity().unwrap(), "parity after recovery-under-load");
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }
@@ -123,12 +120,12 @@ fn background_scrubber_coexists_with_writers() {
     });
     // Give the background scrubber a moment to drain its queue.
     for _ in 0..100 {
-        if pool.counters().scrubs.load(Ordering::Relaxed) > 0 {
+        if pool.scrub_totals().shard_passes > 0 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert!(pool.counters().scrubs.load(Ordering::Relaxed) >= 1, "background scrub passes ran");
+    assert!(pool.scrub_totals().shard_passes >= 1, "background scrub passes ran");
     assert!(pool.verify_parity().unwrap());
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }
@@ -190,10 +187,7 @@ fn stress_mixed_txns_across_threads_keep_parity_clean() {
     let mismatches = pool.verify_parity_detailed().unwrap();
     assert!(mismatches.is_empty(), "parity mismatches after 4x300 mixed txns: {mismatches:?}");
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
-    assert!(
-        pool.counters().commits.load(Ordering::Relaxed) >= 1000,
-        "the workload really committed >1k transactions"
-    );
+    assert!(pool.counters().commits >= 1000, "the workload really committed >1k transactions");
 }
 
 /// The scrubber must coexist with live transactions WITHOUT freezing the
@@ -233,7 +227,7 @@ fn synchronous_scrubs_race_committing_writers() {
             }
         });
     });
-    assert!(pool.counters().scrubs.load(Ordering::Relaxed) >= 10);
+    assert!(pool.counters().full_scrubs >= 10);
     assert!(pool.verify_parity().unwrap());
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }

@@ -190,8 +190,8 @@ fn soak(seed: u64, max_events: u64) {
     }
     assert_eq!(acked.len(), hot.len(), "every hot object acked at least one overwrite");
     assert!(report.injected() > 0, "storm injected nothing: {report:?}");
-    let stats = dev.stats();
-    assert_eq!(stats.poison_injected, report.poisons, "device poison counter matches report");
+    let stats = pool.counters();
+    assert_eq!(stats.poison_injected, report.poisons, "pool poison counter matches report");
     assert!(stats.scribbles_injected >= report.scribbles, "scribble counter tracks report");
 
     // Provoke one guaranteed self-heal: scribble a hot object after the
@@ -199,14 +199,14 @@ fn soak(seed: u64, max_events: u64) {
     // foreground read does the work.
     let (&heal_off, &heal_fill) = acked.iter().next().unwrap();
     let heal_oid = PMEMoid::new(pool.uuid(), heal_off);
-    let before = dev.stats().total_scrub_repairs();
+    let before = pool.counters().total_scrub_repairs();
     inject::scribble_object(&pool, heal_oid, 16, 64, 0xEE).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while dev.stats().total_scrub_repairs() == before && Instant::now() < deadline {
+    while pool.counters().total_scrub_repairs() == before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
-        dev.stats().total_scrub_repairs() > before,
+        pool.counters().total_scrub_repairs() > before,
         "background scrub never repaired the planted scribble"
     );
     assert!(pool.scrub_totals().shard_passes > 0, "no background pass completed");

@@ -49,6 +49,30 @@ fn reserve_every_row(pool: &PglPool, victim: PMEMoid) {
     assert!(w > chunk + (geo.data_rows - 1) * geo.chunks_per_row, "watermark {w}");
 }
 
+/// Each repair outcome is counted once, in the pool's table: one page
+/// repair, one object repair and one failed repair read 1 / 1 / 1.
+#[test]
+fn each_repair_outcome_is_counted_once() {
+    let pool = pool();
+    let (a, b, c) = (
+        make_object(&pool, 300, 0x11),
+        make_object(&pool, 300, 0x22),
+        make_object(&pool, 300, 0x33),
+    );
+    reserve_next_row(&pool, c);
+    inject::poison_object_page(&pool, a).unwrap();
+    assert_eq!(pool.read_verified(a).unwrap(), vec![0x11; 300]);
+    inject::scribble_object(&pool, b, 10, 20, 0xEE).unwrap();
+    assert_eq!(pool.read_verified(b).unwrap(), vec![0x22; 300]);
+    // Two damaged rows of one range column: beyond the guarantee.
+    inject::scribble_object(&pool, c, 100, 32, 0xEE).unwrap();
+    inject::scribble_raw(&pool, c.off + 100 + pool.layout().zone.row_size, &[0x77; 32]).unwrap();
+    assert!(matches!(pool.read_verified(c), Err(PglError::Unrecoverable { .. })));
+    let n = pool.counters();
+    assert_eq!((n.page_recoveries, n.object_recoveries, n.repairs_failed), (1, 1, 1));
+    assert_eq!((n.poison_injected, n.scribbles_injected, n.zones_quarantined), (1, 3, 1));
+}
+
 #[test]
 fn media_error_recovers_online_during_read() {
     let pool = pool();
@@ -60,7 +84,7 @@ fn media_error_recovers_online_during_read() {
     let data = pool.read_verified(oid).unwrap();
     assert_eq!(data, vec![0x5A; 300]);
     assert!(!pool.io().dev().is_poisoned_page(page), "page repaired");
-    assert_eq!(pool.counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(pool.counters().page_recoveries, 1);
     assert!(pool.verify_parity().unwrap());
 }
 
@@ -113,7 +137,7 @@ fn scribble_on_object_detected_and_repaired_at_open() {
     let data = pool.read_verified(oid).unwrap();
     assert_eq!(data, vec![0xAB; 300], "scribble undone from parity");
     assert!(pool.verify_parity().unwrap());
-    assert!(pool.counters().object_recoveries.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    assert!(pool.counters().object_recoveries >= 1);
 }
 
 #[test]
@@ -186,10 +210,7 @@ fn scrub_policy_detects_scribbles_lazily() {
         let o = make_object(&pool, 32, i as u8);
         pool.tx(|tx| tx.free(o)).unwrap();
     }
-    assert!(
-        pool.counters().scrubs.load(std::sync::atomic::Ordering::Relaxed) >= 1,
-        "scrub pass ran"
-    );
+    assert!(pool.counters().full_scrubs >= 1, "scrub pass ran");
     let data = pool.read_verified(victim).unwrap();
     assert_eq!(data, vec![0x42; 200], "scrub repaired the scribble");
 }
@@ -427,7 +448,7 @@ fn header_scribbled_to_a_plausible_size_or_a_wrong_csum_is_repaired_without_quar
     assert_eq!(report.objects_repaired, 1, "{report:?}");
     assert_eq!(pool.read_verified(objs[3]).unwrap(), vec![3; 1024]);
     assert!(pool.quarantined_zones().is_empty());
-    assert_eq!(pool.io().dev().stats().repairs_failed, 0);
+    assert_eq!(pool.counters().repairs_failed, 0);
     assert!(pool.verify_parity().unwrap());
     assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }
@@ -566,7 +587,7 @@ fn scribble_in_a_second_row_of_the_range_is_typed_unrecoverable_and_quarantines(
         other => panic!("expected typed Unrecoverable, got {other:?}"),
     }
     assert_eq!(pool.quarantined_zones(), vec![zone]);
-    assert!(pool.io().dev().stats().repairs_failed >= 1);
+    assert!(pool.counters().repairs_failed >= 1);
 }
 
 #[test]
@@ -698,8 +719,8 @@ fn double_fault_quarantines_zone_while_other_shards_serve() {
     }
     // ...and the zone is quarantined, persistently and observably.
     assert_eq!(pool.quarantined_zones(), vec![zone]);
-    assert!(pool.io().dev().stats().zones_quarantined >= 1);
-    assert!(pool.io().dev().stats().repairs_failed >= 1);
+    assert!(pool.counters().zones_quarantined >= 1);
+    assert!(pool.counters().repairs_failed >= 1);
 
     // Later access to the zone fails fast with the typed error — no panic,
     // no hang, no repair storm.
@@ -757,12 +778,12 @@ fn poison_inside_quarantined_zone_fails_fast_without_repair() {
 
     // A *new* media error inside the quarantined zone must not trigger
     // repair machinery: access fails fast with the typed error.
-    let repairs_before = pool.counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed);
+    let repairs_before = pool.counters().page_recoveries;
     inject::poison_object_page(&pool, victim).unwrap();
     let err = pool.read_verified(victim);
     assert!(matches!(err, Err(PglError::Unrecoverable { .. })), "{err:?}");
     assert_eq!(
-        pool.counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed),
+        pool.counters().page_recoveries,
         repairs_before,
         "no repair attempted inside a quarantined zone"
     );

@@ -45,14 +45,14 @@ fn cache_hit_read_is_one_range_read_and_zero_csum_passes() {
 
     // Hit: an 8-byte range read out of the 4 KiB object.
     let mut buf = [0u8; 8];
-    let s1 = dev.stats();
+    let (s1, c1) = (dev.stats(), pool.counters());
     pool.read_verified_at(oid, 128, &mut buf).unwrap();
-    let d = dev.stats().delta_since(&s1);
+    let (d, c) = (dev.stats().delta_since(&s1), pool.counters().delta_since(&c1));
     assert_eq!(buf, [0xAB; 8]);
     assert_eq!(d.read_ops, 1, "exactly one NVMM read");
     assert_eq!(d.bytes_read, 8, "sized to the range, not the object");
     assert_eq!(d.csum_passes, 0, "zero checksum passes on a hit");
-    assert_eq!((d.vcache_hits, d.vcache_hit_bytes), (1, 8));
+    assert_eq!((d.vcache_hits, c.verified_cached), (1, 8));
 
     // Whole-object hits skip the checksum pass too.
     let s2 = dev.stats();
@@ -161,7 +161,7 @@ fn online_repair_repopulates_with_repaired_content() {
 
     inject::scribble_object(&pool, oid, 50, 120, 0xEE).unwrap();
     assert_eq!(pool.read_verified(oid).unwrap(), vec![0x5A; 300], "detected and repaired");
-    assert!(pool.counters().object_recoveries.load(Ordering::Relaxed) >= 1);
+    assert!(pool.counters().object_recoveries >= 1);
 
     // The repair's end-to-end re-verification re-populated the cache.
     let s0 = dev.stats();
@@ -380,13 +380,13 @@ fn typed_verified_reads_ride_the_cache() {
     let (pool, dev) = pool_with_dev();
     let h: PObj<Rec> = pool.tx(|tx| tx.alloc_obj(&Rec { a: 7, b: 9, pad: [0; 6] })).unwrap();
     assert_eq!(pool.get_verified(h).unwrap().a, 7); // miss: verifies + caches
-    let s0 = dev.stats();
+    let (s0, c0) = (dev.stats(), pool.counters());
     let b = pool.read_at_verified(h, pangolin::field!(Rec, b: u64)).unwrap();
-    let d = dev.stats().delta_since(&s0);
+    let (d, c) = (dev.stats().delta_since(&s0), pool.counters().delta_since(&c0));
     assert_eq!(b, 9);
     // (Debug builds add a 16-byte header read for the brand check, so pin
     // the cache-served payload, not total bytes.)
-    assert_eq!((d.csum_passes, d.vcache_hit_bytes), (0, 8), "field-sized cached read");
+    assert_eq!((d.csum_passes, c.verified_cached), (0, 8), "field-sized cached read");
 }
 
 /// A Conservative `pgl_get` that misses on a middle segment reads the
@@ -425,6 +425,23 @@ fn conservative_miss_on_the_last_segment_fuses_data_pad_and_table() {
     assert_eq!((d.csum_passes, d.csum_bytes), (1, 1001 - 768));
 }
 
+/// Table 4 counts the bytes a load hands out, not the segments it checks:
+/// a 16-byte verified read that misses checks its whole 256-byte segment
+/// (`csum_bytes`) and adds 16 to `verified`.
+#[test]
+fn a_verified_range_miss_counts_the_bytes_it_hands_out() {
+    let (pool, dev) = pool_with_dev();
+    let oid = make_object(&pool, 4096, 0x34);
+    let mut buf = [0u8; 16];
+    let (s0, v0) = (dev.stats(), pool.vuln());
+    pool.read_verified_at(oid, 3 * 256 + 100, &mut buf).unwrap();
+    let (d, v) = (dev.stats().delta_since(&s0), pool.vuln());
+    assert_eq!(buf, [0x34; 16]);
+    assert_eq!((d.csum_passes, d.csum_bytes), (1, 256), "a miss checks its whole segment");
+    assert_eq!(v.verified - v0.verified, 16, "and hands out the 16 bytes asked for");
+    assert_eq!(v.verified_cached, v0.verified_cached);
+}
+
 /// `PglTx::read` of an object the transaction opened but has not loaded
 /// checks the segments it covers against the header the open read: no
 /// second header read.
@@ -454,12 +471,12 @@ fn scribbled_segment_is_repaired_and_read_again_once() {
     let oid = make_object(&pool, 4096, 0x34);
     inject::scribble_object(&pool, oid, 3 * 256 + 10, 20, 0xEE).unwrap();
     let mut buf = [0u8; 16];
-    let r0 = pool.counters().object_recoveries.load(Ordering::Relaxed);
+    let r0 = pool.counters().object_recoveries;
     let s0 = dev.stats();
     pool.read_verified_at(oid, 3 * 256 + 8, &mut buf).unwrap();
     let d = dev.stats().delta_since(&s0);
     assert_eq!(buf, [0x34; 16]);
-    assert_eq!(pool.counters().object_recoveries.load(Ordering::Relaxed), r0 + 1);
+    assert_eq!(pool.counters().object_recoveries, r0 + 1);
     // The miss (3 reads), the repair, the header again and the one retry
     // (3 reads).
     assert_eq!((d.read_ops, d.bytes_read), (13, 5096));
@@ -496,7 +513,7 @@ fn failed_transaction_load_counts_the_segments_it_checked() {
     let (pool, dev) = pool_with_dev();
     let oid = make_object(&pool, 4096, 0x36);
     inject::scribble_object(&pool, oid, 3 * 256 + 10, 20, 0xEE).unwrap();
-    let r0 = pool.counters().object_recoveries.load(Ordering::Relaxed);
+    let r0 = pool.counters().object_recoveries;
     pool.tx(|tx| {
         tx.add_range(oid, 8, 8)?; // segment 0
         tx.add_range(oid, 2 * 256, 8)?; // segment 2
@@ -512,7 +529,7 @@ fn failed_transaction_load_counts_the_segments_it_checked() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(pool.counters().object_recoveries.load(Ordering::Relaxed), r0 + 1);
+    assert_eq!(pool.counters().object_recoveries, r0 + 1);
 }
 
 /// The verification cache's whole capacity serves a working set that

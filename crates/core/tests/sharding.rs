@@ -103,9 +103,9 @@ fn scrub_reports_per_shard_progress() {
     let dev = device(&opts);
     let pool = opts.create(dev.clone()).unwrap();
     let oids = alloc_per_shard(&pool, 0x33);
-    let before = dev.stats();
+    let before = pool.counters();
     pool.scrub_now().unwrap();
-    let after = dev.stats();
+    let after = pool.counters();
 
     let progress = pool.scrub_progress();
     assert_eq!(progress.len(), 4);

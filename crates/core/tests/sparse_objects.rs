@@ -214,5 +214,5 @@ fn media_error_under_sparse_write_recovers() {
     pool.tx(|tx| tx.write_pod(oid, 131100, &7u64)).unwrap();
     let data = pool.read_verified(oid).unwrap();
     assert_eq!(u64::from_le_bytes(data[131100..131108].try_into().unwrap()), 7);
-    assert!(pool.counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    assert!(pool.counters().page_recoveries >= 1);
 }

@@ -147,7 +147,7 @@ pub fn insert_phase<M: PersistentMap, S: Store>(
     let start = std::time::Instant::now();
     for &k in keys {
         let (_, tx) = map.insert_with_stats(store, k, k ^ 0xDEAD_BEEF)?;
-        stats.tx.accumulate(&tx);
+        stats.tx.absorb(&tx);
         stats.ops += 1;
     }
     stats.secs = start.elapsed().as_secs_f64();
@@ -164,7 +164,7 @@ pub fn remove_phase<M: PersistentMap, S: Store>(
     let start = std::time::Instant::now();
     for &k in keys {
         let (_, tx) = map.remove_with_stats(store, k)?;
-        stats.tx.accumulate(&tx);
+        stats.tx.absorb(&tx);
         stats.ops += 1;
     }
     stats.secs = start.elapsed().as_secs_f64();

@@ -20,7 +20,7 @@ use crate::error::{MemError, Result};
 use crate::latency::LatencyModel;
 use crate::poison::PoisonSet;
 use crate::rawbuf::RawBuf;
-use crate::stats::{DeviceStats, StatsSnapshot};
+use crate::stats::{bump, DeviceStats, StatsSnapshot};
 use crate::tracker::{Tracker, TrackerSnapshot};
 use crate::{CACHELINE, PAGE_SIZE};
 
@@ -183,6 +183,14 @@ impl NvmDevice {
         self.stats.snapshot()
     }
 
+    /// The counter cells behind [`NvmDevice::stats`]. The library bumps
+    /// the rows it produces here (`csum_*`, `vcache_hits`, `group_*`,
+    /// `atomic_parity_patches`) with [`crate::bump`].
+    #[inline]
+    pub fn cells(&self) -> &DeviceStats {
+        &self.stats
+    }
+
     /// Returns the configured latency model.
     #[inline]
     pub fn latency(&self) -> LatencyModel {
@@ -207,7 +215,7 @@ impl NvmDevice {
         let first = off / PAGE_SIZE as u64;
         let last = (off + len as u64 - 1) / PAGE_SIZE as u64;
         if let Some(page) = self.poison.first_poisoned_in(first, last) {
-            DeviceStats::add(&self.stats.poison_hits, 1);
+            bump(&self.stats.poison_hits, 1);
             return Err(MemError::Poisoned { page });
         }
         Ok(())
@@ -304,8 +312,8 @@ impl NvmDevice {
     pub fn read(&self, off: u64, dst: &mut [u8]) -> Result<()> {
         self.check_bounds(off, dst.len())?;
         self.check_poison(off, dst.len())?;
-        DeviceStats::add(&self.stats.bytes_read, dst.len() as u64);
-        DeviceStats::add(&self.stats.read_ops, 1);
+        bump(&self.stats.bytes_read, dst.len() as u64);
+        bump(&self.stats.read_ops, 1);
         if self.latency.read_ns_per_line > 0 {
             let lines = Self::lines_of(off, dst.len());
             LatencyModel::charge(self.latency.read_ns_per_line * (lines.end - lines.start));
@@ -325,8 +333,8 @@ impl NvmDevice {
     pub fn read_slice(&self, off: u64, len: usize) -> Result<&[u8]> {
         self.check_bounds(off, len)?;
         self.check_poison(off, len)?;
-        DeviceStats::add(&self.stats.bytes_read, len as u64);
-        DeviceStats::add(&self.stats.read_ops, 1);
+        bump(&self.stats.bytes_read, len as u64);
+        bump(&self.stats.read_ops, 1);
         if self.latency.read_ns_per_line > 0 {
             let lines = Self::lines_of(off, len);
             LatencyModel::charge(self.latency.read_ns_per_line * (lines.end - lines.start));
@@ -357,7 +365,7 @@ impl NvmDevice {
     pub fn write(&self, off: u64, src: &[u8]) -> Result<()> {
         self.check_bounds(off, src.len())?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.bytes_written, src.len() as u64);
+        bump(&self.stats.bytes_written, src.len() as u64);
         if self.latency.write_ns_per_line > 0 {
             let lines = Self::lines_of(off, src.len());
             LatencyModel::charge(self.latency.write_ns_per_line * (lines.end - lines.start));
@@ -380,7 +388,7 @@ impl NvmDevice {
     pub fn write_nt(&self, off: u64, src: &[u8]) -> Result<()> {
         self.check_bounds(off, src.len())?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.bytes_written_nt, src.len() as u64);
+        bump(&self.stats.bytes_written_nt, src.len() as u64);
         if self.latency.nt_ns_per_line > 0 {
             let lines = Self::lines_of(off, src.len());
             LatencyModel::charge(self.latency.nt_ns_per_line * (lines.end - lines.start));
@@ -417,7 +425,7 @@ impl NvmDevice {
     pub fn set(&self, off: u64, byte: u8, len: usize) -> Result<()> {
         self.check_bounds(off, len)?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.bytes_written, len as u64);
+        bump(&self.stats.bytes_written, len as u64);
         if let Some(tracker) = &self.tracker {
             for line in Self::lines_of(off, len) {
                 tracker.note_store(line, &self.line_content(line));
@@ -435,7 +443,7 @@ impl NvmDevice {
     pub fn atomic_store_u64(&self, off: u64, val: u64) -> Result<()> {
         self.check_aligned8(off)?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.atomic_stores, 1);
+        bump(&self.stats.atomic_stores, 1);
         if self.latency.atomic_rmw_ns > 0 {
             LatencyModel::charge(self.latency.atomic_rmw_ns);
         }
@@ -454,7 +462,7 @@ impl NvmDevice {
     pub fn atomic_xor_u64(&self, off: u64, val: u64) -> Result<()> {
         self.check_aligned8(off)?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.atomic_xors, 1);
+        bump(&self.stats.atomic_xors, 1);
         if self.latency.atomic_rmw_ns > 0 {
             LatencyModel::charge(self.latency.atomic_rmw_ns);
         }
@@ -478,7 +486,7 @@ impl NvmDevice {
     pub fn atomic_cas_u64(&self, off: u64, expected: u64, new: u64) -> Result<u64> {
         self.check_aligned8(off)?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.atomic_cas_ops, 1);
+        bump(&self.stats.atomic_cas_ops, 1);
         if self.latency.atomic_rmw_ns > 0 {
             LatencyModel::charge(self.latency.atomic_rmw_ns);
         }
@@ -492,96 +500,6 @@ impl NvmDevice {
             Ok(prev) => Ok(prev),
             Err(prev) => Ok(prev),
         }
-    }
-
-    /// Tags `lines` parity cache lines patched by a word-granular CAS
-    /// (the delta-checksum + single-line XOR fast path). The ploc commit
-    /// path calls this once per successful CAS with the number of
-    /// *distinct* parity lines it XOR-patched, so regression tests can
-    /// pin the one-parity-line-per-word-CAS invariant
-    /// ([`StatsSnapshot::atomic_parity_patches`]).
-    pub fn note_atomic_parity_patch(&self, lines: u64) {
-        DeviceStats::add(&self.stats.atomic_parity_patches, lines);
-    }
-
-    /// Tags `bytes` of a just-issued read as a *commit-time old-data
-    /// read* ([`StatsSnapshot::commit_old_reads`] /
-    /// [`StatsSnapshot::commit_old_bytes`]). The Pangolin commit pipeline
-    /// assembles its pre-images from the bytes it loaded at open and
-    /// issues no such read, so its regression tests pin both counters at
-    /// zero; the tag stays for any path that does re-read old data at
-    /// commit.
-    pub fn note_commit_old_read(&self, bytes: u64) {
-        DeviceStats::add(&self.stats.commit_old_reads, 1);
-        DeviceStats::add(&self.stats.commit_old_bytes, bytes);
-    }
-
-    /// Tags one library-level checksum verification pass over `bytes`
-    /// object bytes. The read path calls this next to every Adler32
-    /// verification it performs, so regression tests can pin that
-    /// cache-hit verified reads run **zero** checksum passes
-    /// ([`StatsSnapshot::csum_passes`]).
-    pub fn note_csum_pass(&self, bytes: u64) {
-        DeviceStats::add(&self.stats.csum_passes, 1);
-        DeviceStats::add(&self.stats.csum_bytes, bytes);
-    }
-
-    /// Tags one verified read of `bytes` served from the DRAM
-    /// verified-generation cache ([`StatsSnapshot::vcache_hits`]).
-    pub fn note_vcache_hit(&self, bytes: u64) {
-        DeviceStats::add(&self.stats.vcache_hits, 1);
-        DeviceStats::add(&self.stats.vcache_hit_bytes, bytes);
-    }
-
-    /// Tags one group commit that carried `txns` logical transactions
-    /// through a single redo-log persist / commit fence / parity-patch
-    /// window ([`StatsSnapshot::group_commits`] /
-    /// [`StatsSnapshot::group_txns`]). The batched commit entry point
-    /// calls this once per batch, so fence-amortization tests can relate
-    /// `fences` to the logical transaction count.
-    pub fn note_group_commit(&self, txns: u64) {
-        DeviceStats::add(&self.stats.group_commits, 1);
-        DeviceStats::add(&self.stats.group_txns, txns);
-    }
-
-    /// Tags one completed scrub pass of parity shard `shard`
-    /// ([`StatsSnapshot::scrub_passes`]).
-    pub fn note_scrub_pass(&self, shard: usize) {
-        DeviceStats::add_shard(&self.stats.scrub_passes, shard, 1);
-    }
-
-    /// Tags one injected media fault (poisoned page)
-    /// ([`StatsSnapshot::poison_injected`]).
-    pub fn note_poison_injected(&self) {
-        DeviceStats::add(&self.stats.poison_injected, 1);
-    }
-
-    /// Tags one injected scribble ([`StatsSnapshot::scribbles_injected`]).
-    pub fn note_scribble_injected(&self) {
-        DeviceStats::add(&self.stats.scribbles_injected, 1);
-    }
-
-    /// Tags one successful page/object repair ([`StatsSnapshot::repairs_ok`]).
-    pub fn note_repair_ok(&self) {
-        DeviceStats::add(&self.stats.repairs_ok, 1);
-    }
-
-    /// Tags one permanently failed repair — a double fault parity could not
-    /// reconstruct ([`StatsSnapshot::repairs_failed`]).
-    pub fn note_repair_failed(&self) {
-        DeviceStats::add(&self.stats.repairs_failed, 1);
-    }
-
-    /// Tags one online repair performed by a background scrub worker of
-    /// parity shard `shard` ([`StatsSnapshot::scrub_repairs`]).
-    pub fn note_scrub_repair(&self, shard: usize, n: u64) {
-        DeviceStats::add_shard(&self.stats.scrub_repairs, shard, n);
-    }
-
-    /// Tags one zone moved to the persistent quarantine set
-    /// ([`StatsSnapshot::zones_quarantined`]).
-    pub fn note_zone_quarantined(&self) {
-        DeviceStats::add(&self.stats.zones_quarantined, 1);
     }
 
     /// Bookkeeping for a cache line about to be dirtied by an XOR path:
@@ -606,7 +524,7 @@ impl NvmDevice {
     /// which lines they dirtied, so those — not the span — are flushed.
     #[inline]
     fn charge_xor_flushes(&self, lines: u64) {
-        DeviceStats::add(&self.stats.lines_flushed, lines);
+        bump(&self.stats.lines_flushed, lines);
         if self.latency.flush_ns_per_line > 0 {
             LatencyModel::charge(self.latency.flush_ns_per_line * lines);
         }
@@ -652,8 +570,8 @@ impl NvmDevice {
         }
         tally(self.xor_diff_edge(off + tail as u64, &old[tail..], &new[tail..]));
         if touched > 0 {
-            DeviceStats::add(&self.stats.xor_bytes, touched);
-            DeviceStats::add(&self.stats.bytes_written, touched);
+            bump(&self.stats.xor_bytes, touched);
+            bump(&self.stats.bytes_written, touched);
             if self.latency.write_ns_per_line > 0 {
                 LatencyModel::charge(self.latency.write_ns_per_line * lines);
             }
@@ -784,7 +702,7 @@ impl NvmDevice {
         }
         if words > 0 {
             self.note_xor_line_flushed(noted);
-            DeviceStats::add(&self.stats.atomic_xors, words);
+            bump(&self.stats.atomic_xors, words);
             if self.latency.atomic_rmw_ns > 0 {
                 LatencyModel::charge(self.latency.atomic_rmw_ns * lines);
             }
@@ -800,8 +718,8 @@ impl NvmDevice {
     pub fn xor_range(&self, off: u64, src: &[u8]) -> Result<()> {
         self.check_bounds(off, src.len())?;
         self.maybe_crash();
-        DeviceStats::add(&self.stats.xor_bytes, src.len() as u64);
-        DeviceStats::add(&self.stats.bytes_written, src.len() as u64);
+        bump(&self.stats.xor_bytes, src.len() as u64);
+        bump(&self.stats.bytes_written, src.len() as u64);
         if self.latency.write_ns_per_line > 0 {
             let lines = Self::lines_of(off, src.len());
             LatencyModel::charge(self.latency.write_ns_per_line * (lines.end - lines.start));
@@ -845,7 +763,7 @@ impl NvmDevice {
         self.maybe_crash();
         let lines = Self::lines_of(off, len);
         let n_lines = lines.end - lines.start;
-        DeviceStats::add(&self.stats.lines_flushed, n_lines);
+        bump(&self.stats.lines_flushed, n_lines);
         if self.latency.flush_ns_per_line > 0 {
             LatencyModel::charge(self.latency.flush_ns_per_line * n_lines);
         }
@@ -861,7 +779,7 @@ impl NvmDevice {
     /// non-temporal stores become durable.
     pub fn drain(&self) {
         self.maybe_crash();
-        DeviceStats::add(&self.stats.fences, 1);
+        bump(&self.stats.fences, 1);
         if self.latency.fence_ns > 0 {
             LatencyModel::charge(self.latency.fence_ns);
         }
@@ -1236,12 +1154,9 @@ mod tests {
         let mut buf = [0u8; 32];
         let s0 = d.stats();
         d.read(0, &mut buf).unwrap();
-        d.note_commit_old_read(32);
         let delta = d.stats().delta_since(&s0);
         assert_eq!(delta.bytes_read, 32);
         assert_eq!(delta.read_ops, 1);
-        assert_eq!(delta.commit_old_reads, 1);
-        assert_eq!(delta.commit_old_bytes, 32);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use device::{CrashPoint, DeviceConfig, DeviceSnapshot, NvmDevice, Persistenc
 pub use error::{MemError, Result};
 pub use latency::LatencyModel;
 pub use pod::Pod;
-pub use stats::StatsSnapshot;
+pub use stats::{bump, slot, StatsSnapshot};
 
 /// Size of a simulated CPU cache line in bytes.
 pub const CACHELINE: usize = 64;

@@ -1,7 +1,6 @@
 //! The persistent object pool: creation, opening (with crash recovery),
 //! root object management and transaction entry points.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pgl_nvm::pod::{bytes_of, from_bytes};
@@ -91,13 +90,17 @@ impl PoolHeader {
     }
 }
 
-/// Pool-level operation counters.
-#[derive(Debug, Default)]
-pub struct PoolCounters {
-    /// Committed transactions.
-    pub commits: AtomicU64,
-    /// Aborted transactions.
-    pub aborts: AtomicU64,
+pgl_nvm::counter_table! {
+    /// Pool-level operation counters ([`PmemPool::counters`]).
+    pub struct PoolCounters;
+    /// The cells behind [`PoolCounters`].
+    struct PoolCells;
+    {
+        /// Committed transactions.
+        commits,
+        /// Aborted transactions.
+        aborts,
+    }
 }
 
 /// A `libpmemobj`-style persistent object pool over a simulated NVMM
@@ -122,7 +125,7 @@ pub struct PmemPool {
     heap: Heap,
     lanes: Lanes,
     uuid: u64,
-    counters: PoolCounters,
+    counters: PoolCells,
 }
 
 impl PmemPool {
@@ -181,7 +184,7 @@ impl PmemPool {
         Heap::format(&io, &layout)?;
         let heap = Heap::rebuild(&io, layout, false)?;
         let lanes = Lanes::load(&io, layout, LogMirror::None)?;
-        Ok(PmemPool { io, layout, heap, lanes, uuid, counters: PoolCounters::default() })
+        Ok(PmemPool { io, layout, heap, lanes, uuid, counters: PoolCells::default() })
     }
 
     /// Opens an existing pool, running crash recovery (undo rollback or
@@ -205,7 +208,7 @@ impl PmemPool {
         recover(&io, &layout, LogMirror::None)?;
         let heap = Heap::rebuild(&io, layout, false)?;
         let lanes = Lanes::load(&io, layout, LogMirror::None)?;
-        Ok(PmemPool { io, layout, heap, lanes, uuid: hdr.uuid, counters: PoolCounters::default() })
+        Ok(PmemPool { io, layout, heap, lanes, uuid: hdr.uuid, counters: PoolCells::default() })
     }
 
     /// The pool UUID.
@@ -228,9 +231,9 @@ impl PmemPool {
         &self.heap
     }
 
-    /// Commit/abort counters.
-    pub fn counters(&self) -> &PoolCounters {
-        &self.counters
+    /// A snapshot of the commit/abort counters.
+    pub fn counters(&self) -> PoolCounters {
+        self.counters.snapshot()
     }
 
     /// Runs `f` inside a transaction: `Ok` commits, `Err` aborts with
@@ -250,12 +253,12 @@ impl PmemPool {
         match f(&mut tx) {
             Ok(r) => {
                 let stats = tx.commit()?;
-                self.counters.commits.fetch_add(1, Ordering::Relaxed);
+                pgl_nvm::bump(&self.counters.commits, 1);
                 Ok((r, stats))
             }
             Err(e) => {
                 tx.abort()?;
-                self.counters.aborts.fetch_add(1, Ordering::Relaxed);
+                pgl_nvm::bump(&self.counters.aborts, 1);
                 Err(e)
             }
         }
@@ -514,7 +517,7 @@ mod tests {
         let mut buf = [0u8; 32];
         pool.read(oid, 0, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 32], "aborted write rolled back");
-        assert_eq!(pool.counters().aborts.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.counters().aborts, 1);
     }
 
     #[test]

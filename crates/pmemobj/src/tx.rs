@@ -18,37 +18,26 @@ use crate::ulog::EntryKind;
 use crate::util::RangeSet;
 use pgl_nvm::pod::{bytes_of, bytes_of_mut, zeroed, Pod};
 
-/// Per-transaction instrumentation, the source of Table 3's "New"/"Mod"
-/// rows (allocated and modified bytes plus distinct objects involved).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxStats {
-    /// Bytes of user data allocated.
-    pub allocated_bytes: u64,
-    /// Distinct objects allocated.
-    pub alloc_objects: u64,
-    /// Bytes of existing object data snapshotted/modified.
-    pub modified_bytes: u64,
-    /// Distinct pre-existing objects modified.
-    pub modified_objects: u64,
-    /// Bytes of user data freed.
-    pub freed_bytes: u64,
-    /// Distinct objects freed.
-    pub freed_objects: u64,
-    /// Bytes one copy of the transaction's log took: entry headers,
-    /// payloads, allocation intents and the commit included.
-    pub log_bytes: u64,
-}
-
-impl TxStats {
-    /// Accumulates another transaction's counters into `self`.
-    pub fn accumulate(&mut self, other: &TxStats) {
-        self.allocated_bytes += other.allocated_bytes;
-        self.alloc_objects += other.alloc_objects;
-        self.modified_bytes += other.modified_bytes;
-        self.modified_objects += other.modified_objects;
-        self.freed_bytes += other.freed_bytes;
-        self.freed_objects += other.freed_objects;
-        self.log_bytes += other.log_bytes;
+pgl_nvm::counter_table! {
+    /// Per-transaction instrumentation, the source of Table 3's "New"/"Mod"
+    /// rows (allocated and modified bytes plus distinct objects involved).
+    pub struct TxStats;
+    {
+        /// Bytes of user data allocated.
+        allocated_bytes,
+        /// Distinct objects allocated.
+        alloc_objects,
+        /// Bytes of existing object data snapshotted/modified.
+        modified_bytes,
+        /// Distinct pre-existing objects modified.
+        modified_objects,
+        /// Bytes of user data freed.
+        freed_bytes,
+        /// Distinct objects freed.
+        freed_objects,
+        /// Bytes one copy of the transaction's log took: entry headers,
+        /// payloads, allocation intents and the commit included.
+        log_bytes,
     }
 }
 

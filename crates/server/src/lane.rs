@@ -18,11 +18,13 @@
 //! is gone refuses everything as [`Refusal::Disconnected`] — that is not
 //! overload, and must not invite a retry.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     sync_channel, Receiver, RecvError, Sender, SyncSender, TryRecvError, TrySendError,
 };
 use std::sync::Arc;
+
+use pgl_nvm::bump;
 
 use crate::proto::{Request, Response};
 
@@ -46,19 +48,23 @@ pub enum Refusal {
     Disconnected,
 }
 
-/// Producer-side lane counts (see [`LaneQueue::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Sub-batches enqueued — thread hand-offs towards the workers.
-    pub jobs: u64,
-    /// Requests enqueued inside those sub-batches.
-    pub requests: u64,
-    /// Requests refused because the lane was at its bound.
-    pub shed: u64,
+pgl_nvm::counter_table! {
+    /// Producer-side lane counts (see [`LaneQueue::stats`]).
+    pub struct LaneStats;
+    /// The cells behind [`LaneStats`].
+    struct LaneCells;
+    {
+        /// Sub-batches enqueued — thread hand-offs towards the workers.
+        jobs,
+        /// Requests enqueued inside those sub-batches.
+        requests,
+        /// Requests refused because the lane was at its bound.
+        shed,
+    }
 }
 
-/// State shared by a lane's producers and its consumer. Every counter
-/// is `Relaxed`: none publishes data (the channel does that).
+/// State shared by a lane's producers and its consumer. Every atomic is
+/// `Relaxed`: none publishes data (the channel does that).
 #[derive(Debug, Default)]
 struct Shared {
     /// Requests in the channel, not yet taken by the worker.
@@ -66,9 +72,7 @@ struct Shared {
     /// Set when the consumer is dropped: whatever was queued then is
     /// never taken, so `queued` alone would read as full forever.
     closed: AtomicBool,
-    jobs: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
+    counts: LaneCells,
 }
 
 /// The producer side of a shard's bounded queue.
@@ -124,8 +128,8 @@ impl LaneQueue {
         if take > 0 {
             match self.tx.try_send(job) {
                 Ok(()) => {
-                    self.shared.jobs.fetch_add(1, Ordering::Relaxed);
-                    self.shared.requests.fetch_add(take as u64, Ordering::Relaxed);
+                    bump(&self.shared.counts.jobs, 1);
+                    bump(&self.shared.counts.requests, take as u64);
                 }
                 // Only a worker that died since the check above refuses
                 // a reserved push (see `new`).
@@ -140,17 +144,13 @@ impl LaneQueue {
         if refused.is_empty() {
             return Ok(());
         }
-        self.shared.shed.fetch_add(refused.len() as u64, Ordering::Relaxed);
+        bump(&self.shared.counts.shed, refused.len() as u64);
         Err((refused, Refusal::Full))
     }
 
     /// What this lane's producers have pushed and shed so far.
     pub fn stats(&self) -> LaneStats {
-        LaneStats {
-            jobs: self.shared.jobs.load(Ordering::Relaxed),
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-        }
+        self.shared.counts.snapshot()
     }
 }
 

@@ -251,11 +251,9 @@ impl<S: Store + Clone + 'static> KvService<S> {
     /// requests pushed to the workers, and requests shed at a full lane
     /// (admission sheds are counted by [`KvService::admission`]).
     pub fn lane_stats(&self) -> LaneStats {
-        self.lanes.iter().map(LaneQueue::stats).fold(LaneStats::default(), |a, b| LaneStats {
-            jobs: a.jobs + b.jobs,
-            requests: a.requests + b.requests,
-            shed: a.shed + b.shed,
-        })
+        let mut sum = LaneStats::default();
+        self.lanes.iter().for_each(|lane| sum.absorb(&lane.stats()));
+        sum
     }
 
     fn shard_of(&self, key: u64) -> usize {

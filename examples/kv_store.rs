@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "all lookups correct; {} page(s) repaired online",
-        store.pool().counters().page_recoveries.load(std::sync::atomic::Ordering::Relaxed)
+        store.pool().counters().page_recoveries
     );
 
     // A wild store scribbles an entry: the checksum catches it at the next
@@ -50,6 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in 0..5000u64 {
         assert_eq!(map.get(&store, k)?, Some(k * k), "lookup {k} after scrub");
     }
+    let c = store.pool().counters();
+    println!(
+        "pool counters: {} page and {} object repairs, {} failed, {} faults injected, {} full scrubs",
+        c.page_recoveries,
+        c.object_recoveries,
+        c.repairs_failed,
+        c.poison_injected + c.scribbles_injected,
+        c.full_scrubs
+    );
 
     // Remove everything; storage is reclaimed.
     for k in 0..5000u64 {
