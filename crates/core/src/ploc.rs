@@ -18,7 +18,8 @@
 //!
 //! ```text
 //! lane_off + 0   generation          (owned by the transaction engine)
-//!          + 8   state               0 = IDLE, 1 = PREPARED, 2 = ALLOCATING
+//!          + 8   state               0 = IDLE, 1 = PREPARED, 2 = ALLOCATING,
+//!                                    3 = COMPLETED
 //!          + 16  tag                 caller-chosen operation identity
 //!          + 24  obj_off             user-data offset of the target object
 //!          + 32  word_off            absolute offset of the CAS target word
@@ -38,7 +39,11 @@
 //!
 //! 1. **Prepare.** Write the descriptor (`PREPARED`, tag, addresses,
 //!    values) to every lane-header copy, flush, fence. From here on a
-//!    crash *replays* the operation instead of losing it.
+//!    crash *replays* the operation instead of losing it. Before it the
+//!    operation retires every other lane's valid redo log, and when its
+//!    own lane still holds one, the same line write carries the header
+//!    word that retires it (`pgl_pmemobj::lane` module docs): no redo
+//!    log can replay old bytes over the word once it changes.
 //! 2. **Publish + patch.** Under a stripe guard covering just the
 //!    target word's and its *sum word's* parity columns: clear the word's
 //!    segment in the verification cache, CAS the word, XOR
@@ -107,16 +112,21 @@
 //! node never got linked, set if the operation completed and the word moved
 //! on later.
 //!
+//! A `COMPLETED` descriptor replays as a completed `ALLOCATING` one,
+//! whatever its word holds: a linker moved the word past the node after
+//! making the word and the node's bit durable (below).
+//!
 //! The decision rule assumes the in-flight word is not concurrently
 //! retargeted between the crash and the comparison — the single-threaded
 //! crash model — and, like every detectable-CAS design, that tags are not
 //! reused across unrelated operations on the same word (an ABA on the
 //! *word value itself* between prepare and replay would misreport; the
 //! lock-free structures never reuse a node offset while its operation is
-//! in flight, see `pgl-kv::lockfree`). A word another thread moved on
-//! after the CAS therefore misreports the operation as `RolledBack`; for
-//! an allocate-and-publish the rule below keeps that from also freeing a
-//! linked node.
+//! in flight, see `pgl-kv::lockfree`). For an allocate-and-publish, a
+//! thread that moves the word past the node first marks the operation
+//! `COMPLETED` (below). A plain word CAS has no such mark: its verdict
+//! holds only if no other thread overwrote the word before the crash — a
+//! word moved on after the CAS misreports the operation as `RolledBack`.
 //!
 //! # Concurrent linkers
 //!
@@ -124,14 +134,20 @@
 //! move the word past it in between — push `M` with `M.next = N`, pop `N`,
 //! seal `N`'s hash slot. Were the crash to fall right then, recovery would
 //! find the word moved on and leave `N`'s bit clear while `M` still links
-//! `N`. So every allocate-and-publish registers its node in a volatile
-//! table keyed by node offset (`Linking`) before F3 and retires it after
-//! F4, and every CAS first *settles* its `expected` value: if that value is
-//! a registered node, the CAS makes the node's bit durable itself before it
-//! can move a word past it. A word thus moves past a node only once the
-//! node's bit is durable. Two registrations that hash to one slot wait for
-//! each other (the wait spans one publish); a compared value that merely
-//! equals a registered node's offset costs at most that block, leaked.
+//! `N`. So every allocate-and-publish registers its node and its lane in
+//! a volatile table keyed by node offset (`Linking`) before F3 and retires
+//! it after F4, under the heap's publish guard, and every CAS first
+//! *settles* its `expected` value: if that value is a registered node, the
+//! CAS, under the same guard and in one fence, makes the node's bit
+//! durable, flushes the word it read the node from, and marks the owner's
+//! descriptor `COMPLETED` — the owner cannot have moved on to another
+//! descriptor while its entry is registered. A word thus moves past a node
+//! only once the node's bit and the owner's verdict are durable. Two
+//! registrations that hash to one slot wait for each other (the wait spans
+//! one publish); a compared value that merely equals a registered node's
+//! offset, not read from a word, costs at most that block, leaked, and
+//! should the owner then crash before its own CAS, a Completed verdict
+//! for it (the lock-free structures compare only values they read).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,12 +175,18 @@ const STATE_PREPARED: u64 = 1;
 /// Descriptor state: an allocate-and-publish is prepared; replay decides
 /// its fate and its node's allocator bit.
 const STATE_ALLOCATING: u64 = 2;
+/// Descriptor state: a linker made this allocate-and-publish's word and
+/// bit durable (`settle_link`); replay reports it Completed.
+const STATE_COMPLETED: u64 = 3;
 
 /// Slots of the [`Linking`] table.
 const LINK_SLOTS: usize = 64;
 /// Marks a [`Linking`] entry whose node's bit a linker made durable (node
 /// offsets are 8-byte aligned, so bit 0 is free).
 const SETTLED: u64 = 1;
+/// The node-offset bits of a [`Linking`] entry; the owner's lane sits in
+/// the 16 bits above them.
+const LINK_NODE: u64 = (1 << 48) - 1 - SETTLED;
 
 /// One [`Linking`] slot, alone on its cache line.
 #[derive(Default)]
@@ -173,9 +195,10 @@ struct LinkSlot(AtomicU64);
 
 /// The nodes of in-flight allocate-and-publish operations, each registered
 /// from just before its CAS until its allocator bit is durable (module
-/// docs, "Concurrent linkers"). An entry is the node's offset, `| SETTLED`
-/// once a linker made the bit durable; 0 is a free slot. An entry outlives
-/// its operation only if the publishing thread panics.
+/// docs, "Concurrent linkers"). An entry is the node's offset, its owner's
+/// lane in the high 16 bits, `| SETTLED` once a linker made the bit
+/// durable; 0 is a free slot. An entry outlives its operation only if the
+/// publishing thread panics.
 pub(crate) struct Linking([LinkSlot; LINK_SLOTS]);
 
 impl Linking {
@@ -187,11 +210,12 @@ impl Linking {
         &self.0[(node / 8) as usize % LINK_SLOTS].0
     }
 
-    /// Registers `node`, waiting out an in-flight publish that holds its
-    /// slot.
-    fn claim(&self, node: u64) -> &AtomicU64 {
+    /// Registers `node`, published from `lane`, waiting out an in-flight
+    /// publish that holds its slot.
+    fn claim(&self, node: u64, lane: u32) -> &AtomicU64 {
         let slot = self.slot(node);
-        while slot.compare_exchange(0, node, Ordering::AcqRel, Ordering::Acquire).is_err() {
+        let entry = node | u64::from(lane) << 48;
+        while slot.compare_exchange(0, entry, Ordering::AcqRel, Ordering::Acquire).is_err() {
             std::thread::yield_now();
         }
         slot
@@ -412,7 +436,7 @@ impl Inner {
         let op = CasOp { oid, off, size, expected, new, tag };
         self.freeze.begin_commit();
         let res = self
-            .persist_desc(lane.index(), STATE_PREPARED, &op)
+            .persist_desc(lane, STATE_PREPARED, &op)
             .and_then(|()| self.publish(lane.index(), &op));
         self.freeze.end_commit();
         res
@@ -463,13 +487,13 @@ impl Inner {
     ) -> Result<NewCas> {
         let built = self
             .format_run(lane, r)
-            .and_then(|()| self.persist_desc(lane.index(), STATE_ALLOCATING, op))
+            .and_then(|()| self.persist_desc(lane, STATE_ALLOCATING, op))
             .and_then(|()| self.construct(r, type_num, init));
         if let Err(e) = built {
             self.heap.cancel_alloc(r);
             return Err(e);
         }
-        let link = self.linking.claim(r.oid_off);
+        let link = self.linking.claim(r.oid_off, lane.index());
         match self.publish(lane.index(), op) {
             Ok(WordCas::Applied) => {}
             Ok(WordCas::Mismatch(cur)) => {
@@ -487,32 +511,52 @@ impl Inner {
             }
         }
         // ---- F4: the allocator bit, once the link is durable -----------
-        let bit = self.apply_meta_ops(&r.ops);
-        link.store(0, Ordering::Release);
+        // The entry retires under the same publish guard, so a linker that
+        // still finds it can write this lane's descriptor before this
+        // lane's next operation does.
+        let bit = {
+            let _guard = self.heap.publish_guard();
+            let bit = self.publish_meta_ops(&r.ops);
+            link.store(0, Ordering::Release);
+            bit
+        };
         bit.map_err(after_link)?;
         self.heap.complete_alloc(r);
         Ok(NewCas::Applied(PMEMoid::new(self.uuid, r.oid_off)))
     }
 
     /// Makes the allocator bit of `node` durable if `node` is registered in
-    /// [`Linking`] — linked, but perhaps not yet allocated. Every CAS
-    /// settles its `expected` value before it can move a word past it.
-    fn settle_link(&self, node: u64) -> Result<()> {
+    /// [`Linking`] — linked, but perhaps not yet allocated — read from the
+    /// word at `word_off`. Every CAS settles its `expected` value before it
+    /// can move a word past it. In the same fence the owner's descriptor
+    /// turns `COMPLETED` and the word (which holds `node`, or a value a
+    /// settled linker moved it to) is flushed: replay then reports the
+    /// owner's operation Completed whatever the word holds later.
+    fn settle_link(&self, node: u64, word_off: u64) -> Result<()> {
         let slot = self.linking.slot(node);
-        if node == 0 || slot.load(Ordering::Acquire) & !SETTLED != node {
+        let entry = slot.load(Ordering::Acquire);
+        if node == 0 || entry & LINK_NODE != node {
             return Ok(());
         }
         // Under the publish guard, which the owner's F4 and retirement
-        // also take: an entry found unchanged here is still in flight, and
-        // one marked settled has its bit durable.
+        // also take: an entry found unchanged here is still in flight (its
+        // owner has not moved on to another descriptor), and one marked
+        // settled has its bit durable.
         let _guard = self.heap.publish_guard();
-        if slot.load(Ordering::Acquire) != node {
+        let entry = slot.load(Ordering::Acquire);
+        if entry & (LINK_NODE | SETTLED) != node {
             return Ok(());
         }
         let s = run_slot(&self.io, &self.layout, node)
             .ok_or_else(|| self.unrecoverable_here(node, "a linked node is no run block"))?;
+        let (primary, replica) = desc_offsets(&self.layout, (entry >> 48) as u32, self.mirror());
+        for base in std::iter::once(primary).chain(replica) {
+            self.io.write(base, &STATE_COMPLETED.to_le_bytes()).map_err(PglError::from)?;
+            self.io.flush(base, 8).map_err(PglError::from)?;
+        }
+        self.io.flush(word_off, 8).map_err(PglError::from)?;
         self.publish_meta_ops(&[MetaOp::SetBits { off: s.bit_word, mask: s.mask }])?;
-        let _ = slot.compare_exchange(node, node | SETTLED, Ordering::AcqRel, Ordering::Relaxed);
+        let _ = slot.compare_exchange(entry, entry | SETTLED, Ordering::AcqRel, Ordering::Relaxed);
         Ok(())
     }
 
@@ -536,25 +580,44 @@ impl Inner {
             let (kind, off, payload) = op.encode();
             lane.append(kind, off, &payload)?;
         }
+        lane.retire_others()?;
         lane.persist_commit()?; // commit point
         let fatal =
             |e: PglError| PglError::unrecoverable(format!("failure after commit point: {e}"));
         self.apply_meta_ops(ops).map_err(fatal)?;
-        // Lazy invalidation: F1's fence settles it before any bit of the
-        // run is set, so a replay of this log can never clear one.
-        lane.bump_gen(false).map_err(|e| fatal(e.into()))?;
+        // The log stays valid: F1 retires it in the descriptor's line
+        // before any bit of the run is set, so a replay of this log can
+        // never clear one.
+        lane.retain_committed().map_err(|e| fatal(e.into()))?;
         self.heap.complete_run_format(r);
         Ok(())
     }
 
-    /// Persists lane `lane`'s descriptor for `op` in `state` (one fence).
-    fn persist_desc(&self, lane: u32, state: u64, op: &CasOp) -> Result<()> {
-        let (primary, replica) = desc_offsets(&self.layout, lane, self.mirror());
-        let desc = encode_desc(state, op);
-        for base in std::iter::once(primary).chain(replica) {
-            self.io.write(base, &desc).map_err(PglError::from)?;
-            self.io.flush(base, DESC_LEN).map_err(PglError::from)?;
-        }
+    /// Persists `lane`'s descriptor for `op` in `state` (one fence, F1).
+    /// Before it, the operation retires every other lane's valid log, and
+    /// its own lane's valid log rides in the same line write: the header
+    /// word sits in front of the descriptor (`pgl_pmemobj::lane` module
+    /// docs, line 4).
+    fn persist_desc(&self, lane: &LaneHandle<'_>, state: u64, op: &CasOp) -> Result<()> {
+        lane.retire_others().map_err(PglError::from)?;
+        let (primary, replica) = desc_offsets(&self.layout, lane.index(), self.mirror());
+        let mut line = [0u8; 8 + DESC_LEN];
+        line[8..].copy_from_slice(&encode_desc(state, op));
+        lane.retire_own_with(|gen| {
+            let (at, bytes) = match gen {
+                Some(g) => {
+                    line[..8].copy_from_slice(&g.to_le_bytes());
+                    (DESC_STATE, &line[..])
+                }
+                None => (0, &line[8..]),
+            };
+            for base in std::iter::once(primary).chain(replica) {
+                self.io.write(base - at, bytes)?;
+                self.io.flush(base - at, bytes.len())?;
+            }
+            Ok(())
+        })
+        .map_err(PglError::from)?;
         self.io.drain();
         Ok(())
     }
@@ -588,7 +651,7 @@ impl Inner {
         let word_off = oid.off + off;
         let (sw_off, _) = self.sum_word(oid.off, size, off);
 
-        self.settle_link(expected)?;
+        self.settle_link(expected, word_off)?;
         // Stripe guard over exactly the two words' parity columns: the
         // scrubber, commit write-backs and other CASes whose columns share
         // a granule take turns with this one, so its parity patches are
@@ -741,7 +804,7 @@ pub(crate) fn replay_descriptors(
             Err(e) => return Err(e.into()),
         }
         let state = word_at(&desc, 0);
-        if state != STATE_PREPARED && state != STATE_ALLOCATING {
+        if ![STATE_PREPARED, STATE_ALLOCATING, STATE_COMPLETED].contains(&state) {
             continue;
         }
         let (tag, obj_off, word_off, expected, new) = (
@@ -763,12 +826,13 @@ pub(crate) fn replay_descriptors(
         }
         // An allocating operation's node, if `new` names one; otherwise
         // the descriptor replays as a plain CAS.
-        let node = if state == STATE_ALLOCATING { run_slot(io, layout, new) } else { None };
-        let outcome = if io.read_u64(word_off).map_err(PglError::from)? == new {
-            CasOutcome::Completed
-        } else {
-            CasOutcome::RolledBack
-        };
+        let node = if state == STATE_PREPARED { None } else { run_slot(io, layout, new) };
+        let outcome =
+            if state == STATE_COMPLETED || io.read_u64(word_off).map_err(PglError::from)? == new {
+                CasOutcome::Completed
+            } else {
+                CasOutcome::RolledBack
+            };
         let sw_off =
             if has_csums { refresh_checksum(io, layout, obj_off, word_off)? } else { None };
         if let Some(slot) = node.filter(|_| outcome == CasOutcome::Completed) {

@@ -79,6 +79,16 @@ pub struct Inner {
     background_scrub: Option<Vec<std::sync::mpsc::SyncSender<()>>>,
 }
 
+impl Drop for Inner {
+    /// A clean close retires every lane's valid log (flushed, unfenced;
+    /// `pgl_pmemobj::lane` module docs), so the next open replays no log
+    /// the pool already holds, and no recompute folds a later scribble
+    /// into parity.
+    fn drop(&mut self) {
+        let _ = self.lanes.retire_all(&self.io);
+    }
+}
+
 impl Inner {
     pub(crate) fn mirror(&self) -> LogMirror {
         if self.mode.replicates_logs() {
@@ -994,6 +1004,13 @@ impl PglPool {
                 .map_err(|e| PglError::Config(format!("cannot spawn scrub worker: {e}")))?;
         }
         Ok(PglPool { inner })
+    }
+
+    /// Drops this handle as a process that died would: the pool's close
+    /// retires no log ([`Lanes::abandon`]). The crash harness drops a
+    /// crashed pool this way, so its dirty lines are the crash's own.
+    pub(crate) fn abandon(self) {
+        self.inner.lanes.abandon();
     }
 
     /// The pool UUID.

@@ -25,8 +25,8 @@
 
 use pgl_nvm::{bump, CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::MetaOp;
-use pgl_pmemobj::lane::{Lanes, LogMirror};
-use pgl_pmemobj::ulog::{self, payload, Entry, EntryKind};
+use pgl_pmemobj::lane::{LaneLog, Lanes, LogMirror};
+use pgl_pmemobj::ulog::{self, payload, EntryKind};
 use pgl_pmemobj::{Layout, ObjectHeader, PoolIo, OBJ_HEADER_SIZE};
 
 use crate::counters::{csum_pass, PglCounterCells};
@@ -49,19 +49,22 @@ const REPAIR_MAGIC: u64 = 0x5245_5041_4952_3031; // "REPAIR01"
 /// column they might have torn. One serial pass, whatever the pool's shard
 /// count:
 ///
-/// 1. **Scan**: read every lane's log, decide commit status, and apply the
+/// 1. **Scan**: read every lane's newest log (a committed one may be
+///    valid long after its write-back: replaying it rewrites what the pool
+///    holds), decide commit status, and apply the
 ///    cross-shard roll-forward rule — a committed lane carrying a
 ///    [`EntryKind::CrossShard`] marker vouches for its secondary lane iff
-///    that lane's generation still matches the marker (the ordered
+///    that lane's log still carries the marker's generation (the ordered
 ///    two-shard commit wrote the secondary's entries, then the primary's
 ///    commit fence, then the secondary's own commit record; a crash in the
 ///    window leaves the secondary commit-less but vouched-for).
 /// 2. **Replay**: in lane order, redo committed data ranges and re-apply
 ///    committed allocator meta ops; then recompute every column they, or
-///    an allocation intent (committed or not), may have torn; then return
+///    an uncommitted allocation intent, may have torn; then return
 ///    the orphan log chunks of every zone that is not quarantined.
-/// 3. **Invalidate**: bump every swept lane's generation. Any crash before
-///    this phase re-runs the whole (idempotent) pass.
+/// 3. **Invalidate**: raise every swept lane's header past the generation
+///    its log carries ([`Lanes::invalidate`]). Any crash before this phase
+///    re-runs the whole (idempotent) pass.
 pub fn crash_recover(
     io: &PoolIo,
     layout: &Layout,
@@ -72,30 +75,29 @@ pub fn crash_recover(
     // Phase 1: scan lanes, in lane order. The scan reads each log copy in
     // windows that stop where its entries stop (`Lanes::read_entries`), so
     // an idle lane costs one window per copy however large the lane is.
-    let mut lanes: Vec<(u32, Vec<Entry>, bool)> = Vec::new();
+    let mut lanes: Vec<(u32, LaneLog, bool)> = Vec::new();
     for l in 0..layout.cfg.n_lanes as u32 {
-        let entries = Lanes::read_entries(io, layout, l, mirror).map_err(PglError::from)?;
-        if !entries.is_empty() {
-            let committed = ulog::is_committed(&entries);
-            lanes.push((l, entries, committed));
+        let log = Lanes::read_log(io, layout, l, mirror).map_err(PglError::from)?;
+        if !log.entries.is_empty() {
+            let committed = ulog::is_committed(&log.entries);
+            lanes.push((l, log, committed));
         }
     }
-    let mut forced: Vec<u32> = Vec::new();
-    for (_, entries, committed) in &lanes {
-        if !*committed {
-            continue;
-        }
-        for e in entries {
-            if e.kind == EntryKind::CrossShard {
-                let (lane, gen) = payload::parse_cross_shard(&e.payload);
-                if Lanes::read_gen(io, layout, lane, mirror).map_err(PglError::from)? == gen {
-                    forced.push(lane);
-                }
-            }
+    // A secondary's log is the marker's iff it carries the marker's
+    // generation: a retired or reused secondary names a later one.
+    let mut forced: Vec<(u32, u64)> = Vec::new();
+    for (_, log, committed) in &lanes {
+        if *committed {
+            forced.extend(
+                log.entries
+                    .iter()
+                    .filter(|e| e.kind == EntryKind::CrossShard)
+                    .map(|e| payload::parse_cross_shard(&e.payload)),
+            );
         }
     }
-    for (l, _, committed) in lanes.iter_mut() {
-        if forced.contains(l) {
+    for (l, log, committed) in lanes.iter_mut() {
+        if forced.contains(&(*l, log.gen)) {
             *committed = true;
         }
     }
@@ -109,17 +111,20 @@ pub fn crash_recover(
             && layout.zone_and_rel(off).is_ok_and(|(z, _)| quarantine.contains(z))
     };
     let mut dirty: Vec<(u64, u64)> = Vec::new();
-    for (_, entries, committed) in &lanes {
-        for e in entries {
+    for (_, log, committed) in &lanes {
+        for e in &log.entries {
             match e.kind {
                 EntryKind::Data if *committed && !skip(e.off) => {
                     io.write(e.off, &e.payload).map_err(PglError::from)?;
                     io.persist(e.off, e.payload.len()).map_err(PglError::from)?;
                     dirty.push((e.off, e.payload.len() as u64));
                 }
-                EntryKind::AllocIntent if !skip(e.off) => {
-                    // Construction write-back may have torn parity whether
-                    // or not the transaction committed.
+                EntryKind::AllocIntent if !*committed && !skip(e.off) => {
+                    // Construction write-back may have torn parity before
+                    // the commit point. A committed log's construction was
+                    // fenced before its commit fence, and the log may be
+                    // replayed long after: recomputing there would fold
+                    // any later scribble into parity.
                     let len = u64::from_le_bytes(e.payload[..8].try_into().expect("len checked"));
                     dirty.push((e.off, len));
                 }
@@ -148,8 +153,8 @@ pub fn crash_recover(
     }
 
     // Phase 3: invalidate swept lanes.
-    for (l, _, _) in &lanes {
-        Lanes::invalidate(io, layout, *l, mirror).map_err(PglError::from)?;
+    for (l, log, _) in &lanes {
+        Lanes::invalidate(io, layout, *l, mirror, log.retire_at).map_err(PglError::from)?;
     }
     Ok(())
 }

@@ -28,8 +28,10 @@
 //!    with a parity patch consuming its stage-(2) pre-image
 //!    (`Inner::store_locked`); one fence per *object* covers all its
 //!    stores and patches, issued before its stripe guard is released;
-//! 7. **allocator publication** (parity-aware) and log invalidation
-//!    (lazy — flushed, fenced by the lane's next transaction).
+//! 7. **allocator publication** (parity-aware); the log then stays valid
+//!    until a mutator on another lane retires it (no device op here;
+//!    [`pgl_pmemobj::lane`] module docs). Before its first fence, the
+//!    commit itself retires every other lane's valid log.
 //!
 //! A crash before (5) leaves objects untouched (recovery re-levels parity
 //! under the intents); a crash after (5) replays the redo log and
@@ -74,8 +76,7 @@
 //! replays both halves, and a crash before the first fence replays
 //! neither (all-or-nothing). At the end of commit the secondaries are
 //! invalidated durably *first*: once a secondary's generation advances,
-//! its marker no longer matches and the primary's lazy invalidation
-//! can settle whenever.
+//! its marker no longer matches, and the primary's log may stay valid.
 //!
 //! Known limit: a multi-shard commit holds one extra lane per secondary
 //! shard, so pools sized with very few lanes can stall when many
@@ -653,6 +654,11 @@ impl<'p> PglTx<'p> {
         let mut sec: Vec<(u64, LaneHandle<'_>)> =
             touched.iter().skip(1).map(|&s| (s, inner.lanes.claim(&inner.io))).collect();
 
+        // Retire every other lane's valid committed log before this
+        // commit's first fence (`pgl_pmemobj::lane` module docs): from
+        // here on this commit holds everything it writes.
+        self.lane.retire_others().map_err(PglError::from)?;
+
         // (3) Persist allocation intents (parity modes) so a pre-commit
         // crash can re-level parity over torn construction writes. Each
         // intent goes to the lane of the shard whose zones it names.
@@ -789,14 +795,20 @@ impl<'p> PglTx<'p> {
         // Secondary lanes invalidate FIRST, durably: once a secondary's
         // generation advances, the primary's CrossShard marker no longer
         // matches and recovery stops trying to roll that half forward —
-        // so the primary below keeps its cheap lazy invalidation.
+        // so the primary below may keep its log.
         for (_, l) in &mut sec {
             l.bump_gen(true).map_err(|e| fatal(e.into()))?;
         }
-        // Lazy log invalidation (see `bump_gen`): only overflow
-        // transactions must persist the bump before their chunks return
-        // to the allocator.
-        self.lane.bump_gen(!self.log_chunks.is_empty()).map_err(|e| fatal(e.into()))?;
+        // The log stays valid until another lane's mutator retires it
+        // (`LaneHandle::retain_committed`); an overflow transaction
+        // persists its invalidation before its chunks return to the
+        // allocator.
+        let end = if self.log_chunks.is_empty() {
+            self.lane.retain_committed()
+        } else {
+            self.lane.bump_gen(true)
+        };
+        end.map_err(|e| fatal(e.into()))?;
         release_log_chunks(inner, &mut self.log_chunks).map_err(fatal)?;
         for a in &self.allocs {
             inner.heap.complete_alloc(a);

@@ -164,8 +164,8 @@ fn redo_log_reaches_media_by_nt_stores_only() {
     // A warm 4 KiB whole-object overwrite in MLPC: the redo entry, which
     // carries the commit flag, is staged in DRAM and goes out as one NT
     // span per log copy at the commit fence, so no log line is ever
-    // flushed. What is flushed is the object's parity span and the two
-    // generation words of the lazy log invalidation — and the fence count
+    // flushed. What is flushed is the object's parity span — the log
+    // stays valid, so no header word is written — and the fence count
     // (commit point + write-back) is what it was when the log used cached
     // stores.
     const BIG: u64 = 4096;
@@ -191,7 +191,7 @@ fn redo_log_reaches_media_by_nt_stores_only() {
     const TABLE: u64 = 60;
     let (start, end) = (oid.off - 16, oid.off + BIG + TABLE);
     let object_lines = (end - 1) / 64 - start / 64 + 1;
-    assert_eq!(d.lines_flushed, object_lines + 2, "parity span + two generation words");
+    assert_eq!(d.lines_flushed, object_lines, "the parity span; the log stays valid");
     let log_bytes = ulog::entry_space((16 + BIG + TABLE) as usize);
     assert_eq!(
         d.bytes_written_nt,
@@ -331,7 +331,7 @@ fn write_at_offset_zero_takes_the_header_along() {
         pool.tx(|tx| tx.write(oid, off, &[fill; 8])).unwrap();
         dev.stats().delta_since(&s0)
     };
-    cost(8, 0x01); // settle the lane's lazy log invalidation
+    cost(8, 0x01); // warm the lane and the object
     let (at0, at8) = (cost(0, 0x22), cost(8, 0x33));
     assert_eq!(
         at0.bytes_written_nt,
@@ -417,7 +417,7 @@ fn unchanged_overwrite_skips_parity_persist() {
     assert_eq!(d.atomic_xors, 0, "all-zero diff words never reach the device");
     assert_eq!(d.xor_bytes, 0);
     assert_eq!(d.commit_old_reads, 0, "and the pre-image was not read for it");
-    assert_eq!(d.lines_flushed, 2, "only the lazy log invalidation's two generation words");
+    assert_eq!(d.lines_flushed, 0, "the log stays valid: no generation word is written");
     assert_eq!(d.fences, 2, "commit point, one for range and header — none for parity");
     assert_sound(&pool);
 }
@@ -432,9 +432,31 @@ fn add_range_without_a_store_commits_a_zero_diff() {
     pool.tx(|tx| tx.add_range(oid, 32, 96)).unwrap();
     let d = dev.stats().delta_since(&s0);
     assert_eq!((d.atomic_xors, d.xor_bytes), (0, 0), "zero diff");
-    assert_eq!(d.lines_flushed, 2, "generation words only");
+    assert_eq!(d.lines_flushed, 0, "nothing: the log stays valid");
     assert_eq!(d.commit_old_reads, 0);
     assert_eq!(pool.read_verified(oid).unwrap(), vec![0x42; 256]);
+    assert_sound(&pool);
+}
+
+#[test]
+fn the_commit_that_wraps_the_generation_window_rewrites_the_header_once() {
+    // A commit leaves its log valid and writes no header word, until the
+    // lane's next generation would leave the header's window: that one
+    // commit rewrites both header copies (2 atomic stores, 2 lines).
+    let (dev, pool) = new_pool();
+    let oid = make_obj(&pool, 64, 0);
+    let mut costs = Vec::new();
+    for i in 0..ulog::GEN_LIVE + 16 {
+        let s0 = dev.stats();
+        pool.tx(|tx| tx.write(oid, 0, &[(i % 255) as u8 + 1; 64])).unwrap();
+        let d = dev.stats().delta_since(&s0);
+        costs.push((d.atomic_stores, d.lines_flushed));
+    }
+    let plain = costs[0];
+    assert_eq!(plain.0, 0, "a commit stores no header word");
+    let wraps: Vec<_> = costs.iter().enumerate().filter(|(_, &c)| c != plain).collect();
+    assert_eq!(wraps.len(), 1, "one commit in the window differs: {wraps:?}");
+    assert_eq!(*wraps[0].1, (2, plain.1 + 2), "both header copies, once");
     assert_sound(&pool);
 }
 
@@ -680,17 +702,13 @@ fn parity_patch_flushes_the_lines_it_dirtied_not_its_span() {
         let d = dev.stats().delta_since(&s0);
         assert!(d.xor_bytes > 0, "the plain diff XOR patched parity ({size} B)");
         assert_eq!(d.atomic_xors, 0, "no word-atomic patch ({size} B)");
-        assert_eq!(
-            d.lines_flushed,
-            2 + 1 + 1,
-            "two generation words, the data's one parity line, the header's ({size} B)"
-        );
+        assert_eq!(d.lines_flushed, 1 + 1, "the data's one parity line, the header's ({size} B)");
         assert_eq!(pool.read_verified(oid).unwrap(), new);
 
         // A zero-diff overwrite still flushes no parity line at all.
         let s0 = dev.stats();
         pool.tx(|tx| tx.write(oid, 0, &new)).unwrap();
-        assert_eq!(dev.stats().delta_since(&s0).lines_flushed, 2, "generation words only");
+        assert_eq!(dev.stats().delta_since(&s0).lines_flushed, 0, "no line at all");
         assert_sound(&pool);
     }
 }

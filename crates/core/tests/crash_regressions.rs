@@ -1,11 +1,12 @@
 //! Crash-sweep regressions for interleavings previously argued only in
 //! prose (PR 4/5):
 //!
-//! * **lazy log invalidation** — a lane's redo log is invalidated by a
-//!   flushed-but-unfenced generation bump that only the lane's *next*
-//!   transaction fences; a crash in the window must not let recovery
-//!   replay a stale log (and replay must be idempotent across
-//!   back-to-back commits reusing the lane);
+//! * **log retirement** — a committed redo log stays valid after its
+//!   write-back: the lane's next log supersedes it from entry 0, and a
+//!   commit on another lane retires it (raises its lane's header) before
+//!   that commit's fence; a crash anywhere must not let recovery replay a
+//!   log whose bytes a later commit overwrote (and replay must be
+//!   idempotent across back-to-back commits reusing the lane);
 //! * **parity-first Log→Free CM flips** — recovery's orphan-log sweep and
 //!   the commit path's log release both flip chunk metadata Log→Free with
 //!   the parity patch applied *first*; flipping CM first was PR 4's latent
@@ -20,11 +21,11 @@
 //!   earlier entry's line is lost: nothing may be replayed.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use pangolin::crashcheck::{self, FnWorkload, SweepConfig};
 use pangolin::{inject, PMEMoid, PglConfig, PglError, PglPool};
-use pgl_nvm::{CrashPoint, DeviceConfig, LineOutcome, MappedPlan, NvmDevice, CACHELINE};
+use pgl_nvm::{AllOld, CrashPoint, DeviceConfig, LineOutcome, MappedPlan, NvmDevice, CACHELINE};
 use pgl_pmemobj::lane::{Lanes, LogMirror, LANE_HEADER_SIZE};
 use pgl_pmemobj::{ulog, PoolIo};
 
@@ -37,11 +38,10 @@ fn find_by_type(pool: &PglPool, type_num: u32) -> pangolin::Result<PMEMoid> {
 }
 
 /// Three back-to-back commits from the same thread reuse the same lane, so
-/// every crash boundary in commits 2 and 3 falls inside the lazy-
-/// invalidation window of the previous commit: the generation bump that
-/// retires the old redo log is flushed but only fenced by the next
-/// transaction's first drain. The oracle proves recovery never replays a
-/// retired log (which would resurrect an earlier pattern or tear the
+/// every crash boundary in commits 2 and 3 falls while the previous
+/// commit's log is still valid: the next log supersedes it only once its
+/// entry 0 lands. The oracle proves recovery never replays an older log
+/// over a newer one (which would resurrect an earlier pattern or tear the
 /// object) at any of those boundaries.
 #[test]
 fn lazy_log_invalidation_is_replay_idempotent_at_every_boundary() {
@@ -92,6 +92,114 @@ fn lazy_log_invalidation_is_replay_idempotent_at_every_boundary() {
     // verify; sample every 3rd boundary in the smoke run (the window still
     // gets dozens of hits) and let the nightly deep config sweep them all.
     crashcheck::sweep_with(&workload, &SweepConfig::from_env().sampled(3));
+}
+
+/// Lane 2 overwrites the object lane 1 wrote last, then reuses its own log
+/// for another object, before the crash. Lane 1's log stays valid until
+/// lane 2's first commit retires it, before that commit's fence; were it
+/// left valid, recovery would replay lane 1's older bytes over lane 2's.
+/// Lane 2 is a thread spawned and joined inside a transaction that holds
+/// lane 1.
+#[test]
+fn a_log_another_lane_overwrote_is_retired_before_the_overwrite() {
+    const A: [u8; 4] = [0x10, 0xA1, 0xB2, 0xB2];
+    const B: [u8; 4] = [0x20, 0x20, 0x20, 0xC3];
+    let workload = FnWorkload::new(
+        "retire-on-overwrite",
+        |pool| {
+            pool.tx(|tx| {
+                let a = tx.alloc(256, 1)?;
+                tx.write(a, 0, &[A[0]; 256])?;
+                let b = tx.alloc(256, 2)?;
+                tx.write(b, 0, &[B[0]; 256])
+            })
+        },
+        |pool, ctx| {
+            let (a, b) = (find_by_type(pool, 1)?, find_by_type(pool, 2)?);
+            pool.tx(|tx| tx.write(a, 0, &[A[1]; 256]))?;
+            ctx.commit_point(pool)?;
+            pool.tx(|_| {
+                std::thread::scope(|s| {
+                    let lane_two = s.spawn(|| -> pangolin::Result<()> {
+                        pool.tx(|tx| tx.write(a, 0, &[A[2]; 256]))?;
+                        ctx.commit_point(pool)?;
+                        pool.tx(|tx| tx.write(b, 0, &[B[3]; 256]))?;
+                        ctx.commit_point(pool)
+                    });
+                    // A crash point in lane 2 unwinds here as itself.
+                    lane_two.join().unwrap_or_else(|p| panic::resume_unwind(p))
+                })
+            })
+        },
+    )
+    .with_verify(|pool, committed| {
+        for (ty, want) in [(1, A[committed]), (2, B[committed])] {
+            let data = pool.read_verified(find_by_type(pool, ty)?)?;
+            if !data.iter().all(|&x| x == want) {
+                return Err(PglError::Config(format!(
+                    "object {ty} holds {:#04x}.. after commit {committed}, not {want:#04x}",
+                    data[0]
+                )));
+            }
+        }
+        Ok(())
+    });
+    crashcheck::sweep_with(&workload, &SweepConfig::from_env().sampled(2));
+}
+
+/// Two lanes take turns overwriting one object under an application lock;
+/// after each commit the device is saved, and each saved image is then
+/// crashed with every unfenced line lost and reopened. Every commit
+/// retired the other lane's log before its fence, so each image holds
+/// its own commit's value, whichever lane index is higher.
+#[test]
+fn alternating_lanes_recover_the_last_committed_value() {
+    const ROUNDS: u8 = 8;
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let oid = pool
+        .tx(|tx| {
+            let o = tx.alloc(256, 1)?;
+            tx.write(o, 0, &[0; 256])?;
+            Ok(o)
+        })
+        .unwrap();
+    let (turn, next, both) = (Mutex::new(0u8), Condvar::new(), Barrier::new(2));
+    let images = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for me in 0..2 {
+            let (pool, dev, turn, next, both, images) = (&pool, &dev, &turn, &next, &both, &images);
+            s.spawn(move || {
+                // Both threads hold a lane at once, so they keep two.
+                pool.tx(|_| {
+                    both.wait();
+                    Ok(())
+                })
+                .unwrap();
+                let mut t = turn.lock().unwrap();
+                while *t < ROUNDS {
+                    if *t % 2 == me {
+                        let v = *t + 1;
+                        pool.tx(|tx| tx.write(oid, 0, &[v; 256])).unwrap();
+                        images.lock().unwrap().push((v, dev.snapshot()));
+                        *t = v;
+                        next.notify_all();
+                    } else {
+                        t = next.wait(t).unwrap();
+                    }
+                }
+            });
+        }
+    });
+    drop(pool);
+    for (v, image) in images.into_inner().unwrap() {
+        dev.restore(&image).unwrap();
+        dev.simulate_crash(&mut AllOld).unwrap();
+        let pool = PglPool::options().open(dev.clone()).unwrap();
+        assert_eq!(pool.read_verified(oid).unwrap(), vec![v; 256], "after commit {v}");
+        assert!(pool.verify_parity().unwrap(), "after commit {v}");
+    }
 }
 
 /// A transaction whose redo payload (300 × 512 B ≈ 150 KiB) exceeds the
@@ -272,10 +380,13 @@ fn a_surviving_commit_flag_behind_a_lost_line_replays_nothing() {
         // On media: the flagged entry intact, behind a torn first entry
         // where the line was lost.
         let io = PoolIo::new(dev.clone());
-        let gen = Lanes::read_gen(&io, &layout, lane as u32, LogMirror::SameDevice).unwrap();
+        let header = Lanes::read_gen(&io, &layout, lane as u32, LogMirror::SameDevice).unwrap();
         for (log, lose) in logs.into_iter().zip(copy) {
             let mut bytes = vec![0u8; 1024];
             io.read(log, &mut bytes).unwrap();
+            // The log's generation, named by the intact flagged entry's tag
+            // (the header stays below it while earlier logs stay valid).
+            let gen = ulog::resolve_gen(&bytes[288..], header).expect("a live generation");
             assert_eq!(ulog::decode_entry(&bytes, gen).unwrap().is_none(), lose, "{case}");
             let (flagged, _) = ulog::decode_entry(&bytes[288..], gen).unwrap().expect("flagged");
             assert!(flagged.commit && flagged.off == b.off - 16, "{case}");

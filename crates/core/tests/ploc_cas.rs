@@ -407,14 +407,15 @@ fn replay_allocates_a_linked_node_whose_bit_is_clear() {
     assert!(pool.verify_parity().unwrap(), "replay recomputed the bitmap word's parity");
 }
 
-/// Two linkers race on one word. A's publish of `N` stops after its CAS
-/// and before its allocator bit (a crash point fires in A alone), and B,
-/// on another thread, links `M` past it (`M.next = N`) to completion;
-/// then the machine crashes. Replay rolls A back, its word having moved
-/// on, so `N` is still allocated only if B made `N`'s bit durable before
-/// its own CAS. Every boundary of A's window is tried.
-#[test]
-fn linking_past_an_unallocated_node_makes_its_bit_durable() {
+/// Two threads race on one word. A's publish of `N` stops after its CAS
+/// and before its allocator bit (a crash point fires in A alone); B, on
+/// another thread and another lane, moves the word past `N` to completion
+/// — it links `M` past it (`M.next = N`), or it pops `N` — and then the
+/// machine crashes. `N` is still allocated only if B made `N`'s bit
+/// durable before its own CAS, and A's tag reports Completed only if B
+/// marked A's descriptor in that fence: A's push did happen. Every
+/// boundary of A's window is tried.
+fn a_word_moved_past_a_crashed_publish(pop: bool) {
     let cfg = PglConfig::small();
     let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
     let pool = PglPool::create(dev.clone(), cfg).unwrap();
@@ -445,25 +446,48 @@ fn linking_past_an_unallocated_node_makes_its_bit_durable() {
             continue; // A's bit is set: past the window
         }
         windows += 1;
+        // B runs while this thread's transaction holds A's lane, so B's
+        // descriptor cannot overwrite A's.
         let b = pool.clone();
-        let m = std::thread::spawn(move || b.atomic_publish_new(root, 0, n, 7, &node(n, 3), 3))
-            .join()
+        let moved = pool
+            .tx(|_| {
+                let b = std::thread::spawn(move || match pop {
+                    true => b.atomic_update(root, 0, n, p.off, 3).map(|r| (r.is_applied(), p.off)),
+                    false => b
+                        .atomic_publish_new(root, 0, n, 7, &node(n, 3), 3)
+                        .map(|r| (true, applied(r).off)),
+                });
+                Ok(b.join().unwrap())
+            })
+            .unwrap()
             .unwrap();
-        let m = applied(m.unwrap());
+        assert!(moved.0, "boundary {k}: B's CAS applies");
         drop(pool);
         dev.simulate_crash(&mut AllOld).unwrap();
 
         let pool = PglPool::options().open(dev.clone()).unwrap();
-        assert_eq!(pool.atomic_load(root, 0).unwrap(), m.off, "boundary {k}");
+        assert_eq!(pool.atomic_load(root, 0).unwrap(), moved.1, "boundary {k}");
         let live = live_offsets(&pool);
         assert!(live.contains(&n), "boundary {k}: the linked node {n:#x} was freed");
-        assert!(live.contains(&m.off), "boundary {k}");
+        assert!(pop || live.contains(&moved.1), "boundary {k}");
+        let a = pool.cas_recoveries().iter().find(|r| r.tag == 2).map(|r| r.outcome);
+        assert_eq!(a, Some(CasOutcome::Completed), "boundary {k}: A's push happened");
         assert!(pool.verify_parity().unwrap(), "boundary {k}");
         assert!(pool.find_corrupt_objects().unwrap().is_empty(), "boundary {k}");
         let fresh = applied(pool.atomic_publish_new(root, 8, 0, 7, &node(0, 4), 4).unwrap());
         assert!(!live.contains(&fresh.off), "boundary {k}: allocated {:#x} twice", fresh.off);
     }
     assert!(windows > 0, "no boundary fell between A's CAS and its bit");
+}
+
+#[test]
+fn linking_past_an_unallocated_node_makes_its_bit_durable() {
+    a_word_moved_past_a_crashed_publish(false);
+}
+
+#[test]
+fn popping_an_unallocated_node_makes_its_bit_durable() {
+    a_word_moved_past_a_crashed_publish(true);
 }
 
 #[test]

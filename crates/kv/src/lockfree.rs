@@ -30,6 +30,16 @@
 //! lazily) and must be ignored. Tag `0` is reserved for internal helper
 //! CASes (resize migration) and never decides an application operation.
 //!
+//! The verdict of an operation that links a new node (push, enqueue,
+//! insert) survives other threads: whoever moves the word past the node
+//! before its allocator bit is durable first marks the operation
+//! completed, durably. The verdict of a plain [`PglPool::atomic_update`]
+//! (pop, dequeue, remove, a resize step) holds only if no other thread
+//! overwrote its word before the crash: a word moved on reads as
+//! [`CasOutcome::RolledBack`] although the operation happened. A caller
+//! that retries such an operation must be able to tell from the structure
+//! itself (the element is gone) whether it ran.
+//!
 //! # Crash-step granularity
 //!
 //! Every operation has **one commit point**: its linearizing CAS. An

@@ -1,9 +1,63 @@
 //! Transaction lanes: per-transaction persistent log space, with overflow.
 //!
 //! Following `libpmemobj`, the pool provisions a fixed array of lanes
-//! (paper Figure 1's "Log" region). A transaction claims a lane, appends
-//! checksummed log entries to it, and invalidates them with a single
-//! generation bump at the end.
+//! (paper Figure 1's "Log" region). A transaction claims a lane and
+//! appends checksummed log entries to it from entry 0, under the lane's
+//! current generation ([`crate::ulog`]: recovery reads the run of entries
+//! from offset 0 that carry the generation entry 0's tag names inside the
+//! header word's window).
+//!
+//! # Log retirement on demand
+//!
+//! A committed log whose write-back is done stays valid
+//! ([`LaneHandle::retain_committed`]): the commit moves the lane to the
+//! next generation in DRAM only, and recovery may replay the log again,
+//! which rewrites the bytes and bits the pool already holds. The lane's
+//! next log overwrites entry 0 under that next generation. The header
+//! word is rewritten only when the lane's generations would leave its
+//! live window (once per [`GEN_LIVE`] commits), by an abort or an
+//! overflow commit (durably
+//! when chunks return to the allocator, [`LaneHandle::bump_gen`]), and by
+//! *retirement*: another lane raises it to the owner's current
+//! generation. The invariant is: **where a valid committed log lands, its
+//! bytes and allocator ops equal the pool's current state.** One rule
+//! keeps it: before its fence, every durable mutator retires every
+//! *other* lane's valid log ([`LaneHandle::retire_others`]); its own old
+//! log is superseded by its own entry 0 (a commit) or retired in the line
+//! it persists anyway (a detectable CAS, [`LaneHandle::retire_own_with`]).
+//! Lanes that may hold a valid log are one bit each in a mask (a word per
+//! 64 lanes), set at commit end; a lane's log is valid while its
+//! generation is above its header, so an idle single-thread pool pays one
+//! atomic load per mutator and no device op.
+//!
+//! Header stores take the lane's header lock, so the word only ever
+//! rises. Fences persist every flushed line whoever flushed it (the
+//! device model's `drain`). The ordering argument, one line per fence:
+//!
+//! 1. **Commit fence** (`persist_commit`): the new log, entry 0 included,
+//!    and every retirement the commit made before it persist together;
+//!    after it the lane's old log is superseded and no log valid when the
+//!    commit read the mask can replay.
+//! 2. **Write-back and allocator fences**: they follow fence 1, so every
+//!    byte and bit they persist is what this lane's committed log replays
+//!    and no other valid log names it.
+//! 3. **Mask bit** (no fence): set after the last fence of 2, before the
+//!    commit's allocator completion and return; a mutator can acquire the
+//!    log's targets only after that, and it reads the mask after it holds
+//!    what it will write, so it sees the bit. A retirer that finds the
+//!    header already raised still flushes it, so its own fence covers it.
+//! 4. **Detectable CAS F1** (`persist_desc`): retirements of other lanes,
+//!    and the own lane's header word in the descriptor's line, persist
+//!    before the word changes.
+//! 5. **A run format's commit fence**: as 1; the publish's F1 then retires
+//!    that log as 4 says.
+//! 6. **Aborts, overflow commits, window wraps**: their header store is
+//!    flushed; an overflow commit fences it before its chunks return, the
+//!    others before anything their log names changes (the next fence of
+//!    any mutator, which must be after the header's flush).
+//! 7. **Recovery**: replays each lane's newest log, then persists its
+//!    header past every generation either copy's entry 0 names
+//!    ([`Lanes::invalidate`]), before the pool serves.
 //!
 //! Appended entries are **staged in DRAM**: the handle encodes them into a
 //! recycled buffer, and [`LaneHandle::persist_log`] writes the staged tail
@@ -43,11 +97,12 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::error::{ObjError, Result};
 use crate::io::PoolIo;
 use crate::layout::Layout;
-use crate::ulog::{self, encode_entry, payload, Entry, EntryKind};
+use crate::ulog::{self, encode_entry, payload, Entry, EntryKind, GEN_LIVE};
 
 /// Size of the persistent lane header preceding the log area.
 pub const LANE_HEADER_SIZE: u64 = 64;
@@ -77,6 +132,36 @@ pub fn walk_copy(
     gen: u64,
     read: impl Fn(u64, &mut [u8]) -> Result<()>,
 ) -> Result<Vec<Entry>> {
+    walk(len, Gen::Exact(gen), read).map(|(_, entries)| entries)
+}
+
+/// [`walk_copy`] for a lane's base segment under header word `base`: the
+/// log's generation is the one entry 0's tag names above the header
+/// ([`ulog::resolve_gen`]). Returns that generation (`base` when entry 0
+/// names none or cannot be read) and the entries.
+pub fn walk_window(
+    len: usize,
+    base: u64,
+    read: impl Fn(u64, &mut [u8]) -> Result<()>,
+) -> Result<(u64, Vec<Entry>)> {
+    walk(len, Gen::Window(base), read)
+}
+
+/// The generation a segment walk decodes under.
+#[derive(Clone, Copy)]
+enum Gen {
+    /// Known (an overflow segment takes its lane's).
+    Exact(u64),
+    /// Named by entry 0's tag inside the window of this header word.
+    Window(u64),
+}
+
+fn walk(
+    len: usize,
+    gen: Gen,
+    read: impl Fn(u64, &mut [u8]) -> Result<()>,
+) -> Result<(u64, Vec<Entry>)> {
+    let mut gen = gen;
     let mut out = Vec::new();
     let mut buf = Vec::new();
     let mut pos = 0;
@@ -94,17 +179,25 @@ pub fn walk_copy(
             window = 0;
             continue;
         }
+        let g = match gen {
+            Gen::Exact(g) => g,
+            Gen::Window(base) => match ulog::resolve_gen(&buf, base) {
+                Some(g) => g,
+                None => break, // entry 0 is older than the header
+            },
+        };
+        gen = Gen::Exact(g);
         let mut used = 0;
-        while let Some((entry, space)) = ulog::decode_entry(&buf[used..], gen)? {
+        while let Some((entry, space)) = ulog::decode_entry(&buf[used..], g)? {
             let done = entry.commit;
             out.push(entry);
             used += space as usize;
             if done {
-                return Ok(out);
+                return Ok((g, out));
             }
         }
         // Either the log ends at `pos + used` or the window cut an entry.
-        match ulog::entry_need(&buf[used..], gen) {
+        match ulog::entry_need(&buf[used..], g) {
             Some(n) if n as usize > buf.len() - used => {
                 pos += used;
                 need = n as usize;
@@ -113,7 +206,21 @@ pub fn walk_copy(
             _ => break,
         }
     }
-    Ok(out)
+    let (Gen::Exact(g) | Gen::Window(g)) = gen;
+    Ok((g, out))
+}
+
+/// A lane's newest log as recovery reads it ([`Lanes::read_log`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneLog {
+    /// The generation its entries carry.
+    pub gen: u64,
+    /// Its entries, overflow segments followed (empty: no log).
+    pub entries: Vec<Entry>,
+    /// The header value that retires it and whatever else entry 0 of
+    /// either log copy names (a torn overwrite can leave the two copies
+    /// naming two generations): one above the higher.
+    pub retire_at: u64,
 }
 
 /// Whether lane writes are duplicated, and where the duplicate lives.
@@ -150,16 +257,27 @@ thread_local! {
     static LANE_BUFS: Cell<Option<(Vec<Segment>, Vec<u8>)>> = const { Cell::new(None) };
 }
 
-/// Volatile lane bookkeeping: a lock-free claim registry plus cached
-/// generations.
+/// Volatile lane bookkeeping: a lock-free claim registry, each lane's
+/// generation and header word, and the mask of lanes that may hold a
+/// valid committed log (module docs).
 pub struct Lanes {
     layout: Layout,
     mirror: LogMirror,
     /// One claim flag per lane; `true` = claimed. Claiming is a CAS, so
     /// the registry itself never blocks or serializes claimers.
     claimed: Vec<AtomicBool>,
-    /// Cached generation per lane (mirrors the persistent header field).
+    /// Per lane, the generation its current (or next) log is written
+    /// under. Only the lane's holder moves it, and only up.
     gens: Vec<AtomicU64>,
+    /// Per lane, the persistent header word's value: the base of the
+    /// generation window. Set after the store is flushed, under the
+    /// lane's `hdr_locks` entry; only rises. The lane holds a valid
+    /// committed log iff its generation is above it.
+    hdrs: Vec<AtomicU64>,
+    /// Serializes each lane's header stores, so none lands below another.
+    hdr_locks: Vec<Mutex<()>>,
+    /// One bit per lane that has retained a committed log since load.
+    valid: Vec<AtomicU64>,
 }
 
 /// A claimed lane: append-only log access for one transaction.
@@ -196,17 +314,68 @@ impl Lanes {
     /// Loads lane bookkeeping from an existing pool (after recovery).
     pub fn load(io: &PoolIo, layout: Layout, mirror: LogMirror) -> Result<Lanes> {
         let n = layout.cfg.n_lanes;
-        let mut gens = Vec::with_capacity(n);
+        let mut hdrs = Vec::with_capacity(n);
         for l in 0..n as u64 {
-            let gen = Self::read_gen(io, &layout, l as u32, mirror)?;
-            gens.push(AtomicU64::new(gen));
+            hdrs.push(Self::read_gen(io, &layout, l as u32, mirror)?);
         }
         Ok(Lanes {
             layout,
             mirror,
             claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            gens,
+            gens: hdrs.iter().map(|&h| AtomicU64::new(h)).collect(),
+            hdrs: hdrs.into_iter().map(AtomicU64::new).collect(),
+            hdr_locks: (0..n).map(|_| Mutex::new(())).collect(),
+            valid: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         })
+    }
+
+    /// Raises lane `idx`'s header to its current generation, which
+    /// retires the lane's valid committed log (if any) and keeps a log it
+    /// is writing readable. Flushes the word even when another retirer
+    /// raised it first, so the caller's next fence covers it.
+    fn raise(&self, io: &PoolIo, idx: u32) -> Result<()> {
+        let l = idx as usize;
+        let _g = self.hdr_locks[l].lock().unwrap_or_else(|e| e.into_inner());
+        let target = self.gens[l].load(Ordering::Acquire);
+        let store = target > self.hdrs[l].load(Ordering::Relaxed);
+        for off in Self::header_offsets(&self.layout, idx, self.mirror) {
+            if store {
+                io.atomic_store_u64(off, target)?;
+            }
+            io.flush(off, 8)?;
+        }
+        if store {
+            self.hdrs[l].store(target, Ordering::Release);
+        }
+        Ok(())
+    }
+
+    /// Whether lane `l` holds a valid committed log.
+    fn holds_valid(&self, l: usize) -> bool {
+        self.gens[l].load(Ordering::Acquire) > self.hdrs[l].load(Ordering::Acquire)
+    }
+
+    /// Retires every valid committed log, flushed and unfenced: what a
+    /// pool's clean close does, so that the next open replays no log that
+    /// is already applied (a crash first leaves the old headers, and the
+    /// replay is harmless).
+    pub fn retire_all(&self, io: &PoolIo) -> Result<()> {
+        for l in 0..self.len() {
+            let marked = self.valid[l / 64].load(Ordering::Acquire) & 1 << (l % 64) != 0;
+            if marked && self.holds_valid(l) {
+                self.raise(io, l as u32)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Forgets which lanes hold a valid log, so [`Lanes::retire_all`]
+    /// retires none: a crash harness drops the handle of a pool whose
+    /// process died, which runs no close path.
+    pub fn abandon(&self) {
+        for word in &self.valid {
+            word.store(0, Ordering::Release);
+        }
     }
 
     /// Number of lanes in the registry (the pool's maximum number of
@@ -247,12 +416,20 @@ impl Lanes {
         Ok(u64::from_le_bytes(hdr).max(1))
     }
 
-    /// Invalidates a lane's entries during recovery (no [`Lanes`] instance
-    /// needed): bumps the persistent generation on all header copies.
-    pub fn invalidate(io: &PoolIo, layout: &Layout, idx: u32, mirror: LogMirror) -> Result<()> {
-        let gen = Self::read_gen(io, layout, idx, mirror)?;
+    /// Invalidates a lane's log during recovery (no [`Lanes`] instance
+    /// needed): persists header word `to` — [`LaneLog::retire_at`] of the
+    /// log recovery read — on all header copies. The header rises past
+    /// the generation replayed, so neither copy's entry 0 can name a log
+    /// again; the lane's next log is written under `to`.
+    pub fn invalidate(
+        io: &PoolIo,
+        layout: &Layout,
+        idx: u32,
+        mirror: LogMirror,
+        to: u64,
+    ) -> Result<()> {
         for off in Self::header_offsets(layout, idx, mirror) {
-            io.atomic_store_u64(off, gen + 1)?;
+            io.atomic_store_u64(off, to)?;
             io.persist(off, 8)?;
         }
         Ok(())
@@ -328,8 +505,13 @@ impl Lanes {
         idx: u32,
         mirror: LogMirror,
     ) -> Result<Vec<Entry>> {
-        let gen = Self::read_gen(io, layout, idx, mirror)?;
-        let mut out = Vec::new();
+        Self::read_log(io, layout, idx, mirror).map(|log| log.entries)
+    }
+
+    /// [`Lanes::read_entries`], with the generation the log was written
+    /// under and the header value that retires it.
+    pub fn read_log(io: &PoolIo, layout: &Layout, idx: u32, mirror: LogMirror) -> Result<LaneLog> {
+        let base = Self::read_gen(io, layout, idx, mirror)?;
         let mut seg = Some((
             layout.lane_off(idx as u64) + LANE_HEADER_SIZE,
             if mirror == LogMirror::SameDevice {
@@ -339,6 +521,8 @@ impl Lanes {
             },
             layout.cfg.lane_size as u64 - LANE_HEADER_SIZE,
         ));
+        let mut log = LaneLog { gen: base, entries: Vec::new(), retire_at: base + 1 };
+        let mut gen = Gen::Window(base);
         let max_segments = 1 + layout.n_zones * layout.zone.n_chunks;
         let mut visited = Vec::new();
         while let Some((primary, replica, len)) = seg.take() {
@@ -346,37 +530,47 @@ impl Lanes {
                 return Err(ObjError::Corruption { off: primary, what: "log-extension chain" });
             }
             visited.push(primary);
-            let entries = Self::walk_segment(io, primary, replica, len as usize, gen)?;
+            let (g, top, entries) = Self::walk_segment(io, primary, replica, len as usize, gen)?;
+            if let Gen::Window(_) = gen {
+                log.gen = g;
+                log.retire_at = top + 1;
+            }
+            gen = Gen::Exact(g);
             if let Some(last) = entries.last() {
                 if last.kind == EntryKind::LogExt && !last.commit {
                     let (np, nr, ncap) = payload::parse_log_ext(&last.payload);
                     seg = Some((np, nr, ncap));
                 }
             }
-            out.extend(entries);
+            log.entries.extend(entries);
         }
-        Ok(out)
+        Ok(log)
     }
 
+    /// Walks both copies of a segment; returns the generation and entries
+    /// of the copy used, and the higher generation of the two.
     fn walk_segment(
         io: &PoolIo,
         primary: u64,
         replica: u64,
         len: usize,
-        gen: u64,
-    ) -> Result<Vec<Entry>> {
-        let primary_entries =
-            walk_copy(len, gen, |at, buf| io.read_with_replica_fallback(primary + at, buf))?;
+        gen: Gen,
+    ) -> Result<(u64, u64, Vec<Entry>)> {
+        let (pg, primary_entries) =
+            walk(len, gen, |at, buf| io.read_with_replica_fallback(primary + at, buf))?;
         if replica == 0 {
-            return Ok(primary_entries);
+            return Ok((pg, pg, primary_entries));
         }
         // A torn, corrupted or unreadable primary suffix is recovered from
-        // the replica: use whichever copy decodes further.
-        let replica_entries = walk_copy(len, gen, |at, buf| io.read(replica + at, buf))?;
+        // the replica: use whichever copy decodes further. The copies name
+        // different generations only while a new log's first persist is
+        // unfenced, when replaying either is safe; recovery then raises
+        // the header past both.
+        let (rg, replica_entries) = walk(len, gen, |at, buf| io.read(replica + at, buf))?;
         if replica_entries.len() > primary_entries.len() {
-            Ok(replica_entries)
+            Ok((rg, pg.max(rg), replica_entries))
         } else {
-            Ok(primary_entries)
+            Ok((pg, pg.max(rg), primary_entries))
         }
     }
 
@@ -517,44 +711,110 @@ impl<'a> LaneHandle<'a> {
         self.persist_log()
     }
 
-    /// Invalidates all entries by bumping the persistent generation and
-    /// resets to the base segment. Overflow chunks are released by the
-    /// transaction layer afterwards.
+    /// Invalidates the lane's log by writing the next generation into the
+    /// header word (both copies; the window then starts there) and resets
+    /// to the base segment. Overflow chunks are released by the
+    /// transaction layer afterwards. A committed log whose chunks stay
+    /// put does not need this: [`LaneHandle::retain_committed`].
     ///
-    /// `durable` controls whether the generation words are *fenced*
-    /// before returning. A committed transaction whose log lives entirely
-    /// in the base lane may pass `false` — *lazy invalidation*: the new
-    /// generation is stored and flushed but not fenced. The flush settles
-    /// at the next fence anyone issues — in particular at the next
-    /// transaction's own `persist_log`, which always precedes any state
-    /// that depends on that transaction's entries being visible. If a
-    /// crash beats every later fence, the generation word may revert;
-    /// recovery then re-reads the old generation and replays the
-    /// already-applied committed log, which is idempotent (writes rewrite
-    /// the same bytes, allocator ops are bit-ops, parity columns are
-    /// recomputed, not patched). Entries a later transaction wrote over
-    /// the old log carry the newer generation, so a stale-generation read
-    /// can only yield a prefix of the old log — replayed only if its
-    /// commit record survives intact. Transactions that overflowed into
-    /// heap chunks MUST pass `true`: their chunks return to the allocator
-    /// right after this call, and a stale log chain must never be walked
-    /// into a chunk another lane now owns.
+    /// `durable` controls whether the header words are *fenced* before
+    /// returning. Without the fence (an abort, a window wrap) the store is
+    /// flushed and settles at the next fence anyone issues, which comes
+    /// before any store that could differ from what the old log replays
+    /// (module docs, line 6); a crash before it leaves the old header, and
+    /// replaying the old log is harmless. Transactions that overflowed
+    /// into heap chunks MUST pass `true`: their chunks return to the
+    /// allocator right after this call, and a stale log chain must never
+    /// be walked into a chunk another lane now owns. So must a
+    /// cross-shard secondary, whose generation a primary's marker names.
     pub fn bump_gen(&mut self, durable: bool) -> Result<()> {
+        let l = self.idx as usize;
         let new_gen = self.gen() + 1;
-        for off in Lanes::header_offsets(&self.lanes.layout, self.idx, self.lanes.mirror) {
-            self.io.atomic_store_u64(off, new_gen)?;
-            self.io.flush(off, 8)?;
+        {
+            let _g = self.lanes.hdr_locks[l].lock().unwrap_or_else(|e| e.into_inner());
+            for off in Lanes::header_offsets(&self.lanes.layout, self.idx, self.lanes.mirror) {
+                self.io.atomic_store_u64(off, new_gen)?;
+                self.io.flush(off, 8)?;
+            }
+            if durable {
+                self.io.drain();
+            }
+            self.lanes.gens[l].store(new_gen, Ordering::Release);
+            self.lanes.hdrs[l].store(new_gen, Ordering::Release);
         }
-        if durable {
-            self.io.drain();
+        self.reset();
+        Ok(())
+    }
+
+    /// Ends a committed log whose every effect is durable, leaving it
+    /// valid on media (module docs): the lane moves to the next
+    /// generation in DRAM and its bit in the mask is set, so the next
+    /// mutator on another lane retires the log. No device op, except
+    /// once per [`GEN_LIVE`] commits, when the next generation would
+    /// leave the header's live window and the header is rewritten
+    /// instead (`bump_gen(false)`). Call it after the log's write-back
+    /// and allocator fences, and before its allocator completion.
+    pub fn retain_committed(&mut self) -> Result<()> {
+        let l = self.idx as usize;
+        let next = self.gen() + 1;
+        if next - self.lanes.hdrs[l].load(Ordering::Acquire) >= GEN_LIVE {
+            return self.bump_gen(false);
         }
-        self.lanes.gens[self.idx as usize].store(new_gen, std::sync::atomic::Ordering::Relaxed);
+        self.lanes.gens[l].store(next, Ordering::Release);
+        let (word, bit) = (&self.lanes.valid[l / 64], 1 << (l % 64));
+        if word.load(Ordering::Acquire) & bit == 0 {
+            word.fetch_or(bit, Ordering::AcqRel);
+        }
+        self.reset();
+        Ok(())
+    }
+
+    /// Retires every other lane's valid committed log: raises each such
+    /// lane's header to its current generation and flushes it, unfenced.
+    /// A durable mutator calls this after it holds what it will write and
+    /// before its fence, which then orders the retirements before its
+    /// stores (module docs). One atomic load per 64 lanes when no other
+    /// lane holds a valid log.
+    pub fn retire_others(&self) -> Result<()> {
+        let lanes = self.lanes;
+        for (w, word) in lanes.valid.iter().enumerate() {
+            let mut bits = word.load(Ordering::Acquire);
+            if w == self.idx as usize / 64 {
+                bits &= !(1 << (self.idx % 64));
+            }
+            while bits != 0 {
+                let l = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if lanes.holds_valid(l) {
+                    lanes.raise(self.io, l as u32)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `write` under the lane's header lock with the header value
+    /// that retires this lane's own valid committed log, or `None` when
+    /// it holds none; `write` stores that value in its own line write
+    /// (the detectable CAS's descriptor shares the header's line), and
+    /// on success the lane counts the log retired.
+    pub fn retire_own_with<R>(&self, write: impl FnOnce(Option<u64>) -> Result<R>) -> Result<R> {
+        let l = self.idx as usize;
+        if !self.lanes.holds_valid(l) {
+            return write(None);
+        }
+        let _g = self.lanes.hdr_locks[l].lock().unwrap_or_else(|e| e.into_inner());
+        let gen = self.gen();
+        let r = write(Some(gen))?;
+        self.lanes.hdrs[l].store(gen, Ordering::Release);
+        Ok(r)
+    }
+
+    fn reset(&mut self) {
         self.segments.truncate(1);
-        let seg = &mut self.segments[0];
-        seg.cursor = 0;
+        self.segments[0].cursor = 0;
         self.staged.clear();
         self.last = None;
-        Ok(())
     }
 
     /// Decodes this lane's persisted entries (for abort replay): the
@@ -681,6 +941,164 @@ mod tests {
             entries.iter().map(|e| (e.kind, e.commit)).collect::<Vec<_>>(),
             [(EntryKind::Data, false), (EntryKind::Commit, true)]
         );
+    }
+
+    /// A committed log image under `gen`: `n` Data entries of `len` bytes
+    /// of `fill`, the last one flagged.
+    fn log_image(gen: u64, n: u64, len: usize, fill: u8) -> Vec<u8> {
+        let mut log = Vec::new();
+        let mut last = (0, 0);
+        for i in 0..n {
+            let at = log.len();
+            let crc =
+                encode_entry(&mut log, EntryKind::Data, 0x2000 + 64 * i, &vec![fill; len], gen);
+            last = (at, crc);
+        }
+        ulog::set_commit(&mut log[last.0..], last.1, gen);
+        log
+    }
+
+    fn put(io: &PoolIo, off: u64, bytes: &[u8]) {
+        io.write(off, bytes).unwrap();
+        io.persist(off, bytes.len()).unwrap();
+    }
+
+    #[test]
+    fn a_retained_log_stays_readable_until_another_lane_retires_it() {
+        let (io, layout, lanes) = setup(LogMirror::SameDevice);
+        let mut a = lanes.claim(&io);
+        let (idx, g) = (a.index(), a.gen());
+        a.append(EntryKind::Data, 0x2000, b"kept").unwrap();
+        a.persist_commit().unwrap();
+        let s0 = io.dev().stats();
+        a.retain_committed().unwrap();
+        assert_eq!(io.dev().stats().delta_since(&s0), Default::default(), "DRAM-only");
+        assert_eq!(a.gen(), g + 1, "the next log takes the next generation");
+        drop(a);
+        let log = Lanes::read_log(&io, &layout, idx, LogMirror::SameDevice).unwrap();
+        assert_eq!((log.gen, log.entries.len(), log.retire_at), (g, 1, g + 1));
+        assert!(ulog::is_committed(&log.entries), "the header still admits it");
+
+        // Another lane's mutator retires it: both header copies, flushed.
+        let hold = lanes.claim(&io);
+        let b = lanes.claim(&io);
+        assert_eq!(hold.index(), idx);
+        assert_ne!(b.index(), idx);
+        let s0 = io.dev().stats();
+        b.retire_others().unwrap();
+        let d = io.dev().stats().delta_since(&s0);
+        assert_eq!((d.atomic_stores, d.lines_flushed, d.fences), (2, 2, 0));
+        assert!(Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap().is_empty());
+        assert_eq!(Lanes::read_gen(&io, &layout, idx, LogMirror::SameDevice).unwrap(), g + 1);
+        // Nothing valid is left: the next mutator pays no device op, and
+        // the holder's own log needs none either.
+        let s0 = io.dev().stats();
+        b.retire_others().unwrap();
+        hold.retire_others().unwrap();
+        assert_eq!(io.dev().stats().delta_since(&s0), Default::default());
+    }
+
+    #[test]
+    fn a_lane_retires_its_own_log_in_the_callers_line() {
+        let (io, _, lanes) = setup(LogMirror::None);
+        let mut a = lanes.claim(&io);
+        a.append(EntryKind::Data, 0x2000, b"x").unwrap();
+        a.persist_commit().unwrap();
+        a.retain_committed().unwrap();
+        let gen = a.gen();
+        assert_eq!(a.retire_own_with(Ok).unwrap(), Some(gen), "the value that retires it");
+        assert_eq!(a.retire_own_with(Ok).unwrap(), None, "retired once");
+        // A retirer on another lane finds nothing either.
+        let b = lanes.claim(&io);
+        let s0 = io.dev().stats();
+        b.retire_others().unwrap();
+        assert_eq!(io.dev().stats().delta_since(&s0), Default::default());
+    }
+
+    #[test]
+    fn entry_zero_below_the_header_or_failing_its_crc_is_no_log() {
+        let (io, layout, _) = setup(LogMirror::None);
+        let at = layout.lane_off(0) + LANE_HEADER_SIZE;
+        let read = || Lanes::read_log(&io, &layout, 0, LogMirror::None).unwrap();
+        // Generation 1 + 2^11 carries generation 1's tag: it maps to the
+        // header's generation, and the CRC refuses it.
+        put(&io, at, &log_image(1 + ulog::GEN_WINDOW, 2, 40, 0xA1));
+        let log = read();
+        assert_eq!((log.gen, log.entries.len()), (1, 0));
+        // A log written under the header's generation, then the header
+        // raised past it: its tag now names a generation below the
+        // header, refused before its payload is read.
+        put(&io, at, &log_image(1, 2, 40, 0xA1));
+        assert_eq!(read().entries.len(), 2);
+        Lanes::invalidate(&io, &layout, 0, LogMirror::None, 2).unwrap();
+        let s0 = io.dev().stats();
+        let log = read();
+        assert_eq!((log.gen, log.entries.len()), (2, 0), "entry 0 below the header");
+        // The header word and one scan window: nothing past entry 0 is
+        // needed to refuse it.
+        assert_eq!(io.dev().stats().delta_since(&s0).read_ops, 2);
+    }
+
+    #[test]
+    fn a_torn_overwrite_is_not_replayed_as_the_new_log() {
+        // Log g holds two equal-sized entries; log g + 1's second entry
+        // lands over the old one and its first does not.
+        let (io, layout, _) = setup(LogMirror::None);
+        let at = layout.lane_off(0) + LANE_HEADER_SIZE;
+        let old = log_image(5, 2, 40, 0xA1);
+        let new = log_image(6, 2, 40, 0xB2);
+        Lanes::invalidate(&io, &layout, 0, LogMirror::None, 5).unwrap();
+        put(&io, at, &old);
+        let half = old.len() / 2;
+        put(&io, at + half as u64, &new[half..]);
+        let log = Lanes::read_log(&io, &layout, 0, LogMirror::None).unwrap();
+        assert_eq!(log.gen, 5, "entry 0 names the old log");
+        assert_eq!(log.entries.len(), 1, "the new entry ends it");
+        assert!(!ulog::is_committed(&log.entries));
+        assert_eq!(log.entries[0].payload, [0xA1; 40]);
+    }
+
+    #[test]
+    fn copies_naming_two_generations_replay_one_and_retire_both() {
+        // A new log's first persist reached the primary only: its entry 0
+        // names generation 2 there, the replica still holds log 1.
+        let (io, layout, _) = setup(LogMirror::SameDevice);
+        let (p, r) = (layout.lane_off(0), layout.lane_replica_off(0));
+        let (p, r) = (p + LANE_HEADER_SIZE, r + LANE_HEADER_SIZE);
+        put(&io, p, &log_image(1, 3, 40, 0xA1));
+        put(&io, r, &log_image(1, 3, 40, 0xA1));
+        put(&io, p, &log_image(2, 1, 40, 0xB2));
+        let log = Lanes::read_log(&io, &layout, 0, LogMirror::SameDevice).unwrap();
+        assert_eq!((log.gen, log.entries.len()), (1, 3), "the copy that decodes further");
+        assert!(ulog::is_committed(&log.entries));
+        assert_eq!(log.retire_at, 3, "past both copies' generations");
+        Lanes::invalidate(&io, &layout, 0, LogMirror::SameDevice, log.retire_at).unwrap();
+        let again = Lanes::read_log(&io, &layout, 0, LogMirror::SameDevice).unwrap();
+        assert!(again.entries.is_empty(), "neither copy resurfaces: {again:?}");
+    }
+
+    #[test]
+    fn invalidate_after_replaying_generation_g_leaves_the_header_at_g_plus_1() {
+        let (io, layout, lanes) = setup(LogMirror::SameDevice);
+        let mut h = lanes.claim(&io);
+        for i in 0..5u8 {
+            h.append(EntryKind::Data, 0x2000, &[i; 8]).unwrap();
+            h.persist_commit().unwrap();
+            h.retain_committed().unwrap();
+        }
+        let idx = h.index();
+        drop(h);
+        let hdr = Lanes::read_gen(&io, &layout, idx, LogMirror::SameDevice).unwrap();
+        let log = Lanes::read_log(&io, &layout, idx, LogMirror::SameDevice).unwrap();
+        assert_eq!(log.gen, hdr + 4, "five logs, the header never written");
+        assert_eq!(log.entries[0].payload, [4; 8]);
+        Lanes::invalidate(&io, &layout, idx, LogMirror::SameDevice, log.retire_at).unwrap();
+        let g = log.gen;
+        assert_eq!(Lanes::read_gen(&io, &layout, idx, LogMirror::SameDevice).unwrap(), g + 1);
+        assert!(Lanes::read_entries(&io, &layout, idx, LogMirror::SameDevice).unwrap().is_empty());
+        // The next load writes the lane's next log under g + 1.
+        let lanes = Lanes::load(&io, layout, LogMirror::SameDevice).unwrap();
+        assert_eq!(lanes.gens[idx as usize].load(Ordering::Relaxed), g + 1);
     }
 
     #[test]

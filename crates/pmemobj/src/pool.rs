@@ -417,7 +417,8 @@ pub fn read_header(io: &PoolIo) -> Result<PoolHeader> {
 /// Orphaned log-overflow chunks are swept back to `Free` afterwards.
 pub fn recover(io: &PoolIo, layout: &Layout, mirror: LogMirror) -> Result<()> {
     for l in 0..layout.cfg.n_lanes as u32 {
-        let entries = Lanes::read_entries(io, layout, l, mirror)?;
+        let log = Lanes::read_log(io, layout, l, mirror)?;
+        let entries = log.entries;
         if entries.is_empty() {
             continue;
         }
@@ -436,7 +437,7 @@ pub fn recover(io: &PoolIo, layout: &Layout, mirror: LogMirror) -> Result<()> {
             }
             io.drain();
         }
-        Lanes::invalidate(io, layout, l, mirror)?;
+        Lanes::invalidate(io, layout, l, mirror, log.retire_at)?;
     }
     sweep_orphan_log_chunks(io, layout)?;
     Ok(())

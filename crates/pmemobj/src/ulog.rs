@@ -2,9 +2,16 @@
 //! redo logs (Pangolin and allocator metadata), and allocation intents.
 //!
 //! Every entry is checksummed and tagged with the owning lane's generation
-//! number; invalidating a whole log is a single persisted generation bump
-//! (paper §3.4: "Pangolin garbage-collects its logs" — the collection is
-//! logical). A torn entry fails its checksum and terminates log replay,
+//! number (paper §3.4: "Pangolin garbage-collects its logs" — the
+//! collection is logical). A lane's log starts at entry 0 and is the run
+//! of entries that carry one generation `g`, which the tag of entry 0
+//! names relative to the lane header word `h` ([`resolve_gen`]): a lane
+//! writes its logs under `[h, h + GEN_LIVE)`, and a tag that maps past
+//! that names an entry 0 left below the header, refused by its tag alone
+//! (its payload is never read). A lane's next log overwrites entry 0
+//! under `g + 1`, so a log dies either when the lane writes its next one
+//! or when the header rises past `g` ([`crate::lane`] says who raises it
+//! and when). A torn entry fails its checksum and terminates log replay,
 //! which is exactly the commit-record protocol's requirement.
 //!
 //! # Entry layout
@@ -45,7 +52,10 @@
 //! grow by one per transaction, so no stale entry is ever accepted before
 //! a lane has run 2^43 transactions; past that, a stale entry that also
 //! sits exactly on an entry boundary of the current log is accepted with
-//! probability about 2^-32 (the CRC's ordinary residual).
+//! probability about 2^-32 (the CRC's ordinary residual). The same
+//! argument refuses an entry 0 left more than [`GEN_LIVE`] generations
+//! below the header, whose tag maps into the lane's live half: its CRC
+//! fails.
 
 use pgl_nvm::impl_pod;
 use pgl_nvm::pod::{bytes_of, from_bytes};
@@ -73,6 +83,15 @@ pub const ENTRY_HEADER_SIZE: u64 = 16;
 
 /// Bits of the lane generation an entry header carries as its tag.
 pub const GEN_TAG_BITS: u32 = 11;
+
+/// Generations the tags map onto relative to a lane header word `h`:
+/// `[h, h + GEN_WINDOW)`, one per tag value.
+pub const GEN_WINDOW: u64 = 1 << GEN_TAG_BITS;
+
+/// Generations a lane writes its logs under: `[h, h + GEN_LIVE)`. A tag
+/// that maps to the upper half of the window names a generation up to
+/// `GEN_LIVE` below the header (a retired log's entry 0).
+pub const GEN_LIVE: u64 = GEN_WINDOW / 2;
 
 /// Largest target offset an entry can name (48 bits).
 const MAX_ENTRY_OFF: u64 = (1 << 48) - 1;
@@ -239,6 +258,18 @@ pub fn set_commit(entry: &mut [u8], payload_crc: u32, gen: u64) {
     hdr.word |= COMMIT_BIT;
     seal(&mut hdr, payload_crc, gen);
     entry[..ENTRY_HEADER_SIZE as usize].copy_from_slice(bytes_of(&hdr));
+}
+
+/// The generation a log whose entry 0 is the header at `bytes` was
+/// written under, given lane header word `base`: the one in
+/// `[base, base + GEN_LIVE)` whose tag it carries. `None` when the tag
+/// maps past that (an entry left below the header) or `bytes` is shorter
+/// than a header word: no log. Only a generation, not a verdict: the
+/// entry is still decoded (and its CRC checked) under it.
+pub fn resolve_gen(bytes: &[u8], base: u64) -> Option<u64> {
+    let word = u64::from_le_bytes(bytes.get(..8)?.try_into().expect("8 bytes"));
+    let ahead = (word >> TAG_SHIFT).wrapping_sub(base) & (GEN_WINDOW - 1);
+    (ahead < GEN_LIVE).then_some(base + ahead)
 }
 
 /// Parses the header at `bytes` if it can start an entry of `gen`: the

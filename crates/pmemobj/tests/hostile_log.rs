@@ -3,8 +3,9 @@
 //! the `LogExt` link against images no writer produced — arbitrary bytes,
 //! every single-bit flip and every truncation of a committed log, lengths
 //! up to `u32::MAX`, unknown kinds, a commit flag on a middle entry,
-//! stale entries whose generation tag matches the lane's, and link chains
-//! that loop. The decoder
+//! stale entries whose generation tag matches the lane's, entry 0 below
+//! or beyond the header's generation window, a torn overwrite of a log by
+//! the next, and link chains that loop. The decoder
 //! must never panic, never read (or size a buffer) past its segment, and
 //! never accept what was not written under the lane's generation.
 //!
@@ -15,10 +16,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use pgl_nvm::{DeviceConfig, NvmDevice};
-use pgl_pmemobj::lane::{walk_copy, Lanes, LogMirror, LANE_HEADER_SIZE};
+use pgl_pmemobj::lane::{walk_copy, walk_window, Lanes, LogMirror, LANE_HEADER_SIZE};
 use pgl_pmemobj::ulog::{
     self, decode_entry, encode_entry, entry_need, entry_space, payload, seal, set_commit, Entry,
-    EntryHeader, EntryKind, ENTRY_HEADER_SIZE, GEN_TAG_BITS,
+    EntryHeader, EntryKind, ENTRY_HEADER_SIZE, GEN_LIVE, GEN_TAG_BITS, GEN_WINDOW,
 };
 use pgl_pmemobj::util::crc32;
 use pgl_pmemobj::{Layout, ObjError, PoolConfig, PoolIo};
@@ -172,6 +173,77 @@ proptest! {
             prop_assert_eq!(scan(&log, log.len() + 64, gen).0, got);
         }
     }
+}
+
+/// Scans `image` as a lane's base segment under header word `base`: the
+/// log's generation is the one entry 0 names in the window.
+fn scan_window(image: &[u8], base: u64) -> (u64, Vec<Entry>) {
+    walk_window(image.len() + 64, base, |at, buf| {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = image.get(at as usize + i).copied().unwrap_or(0);
+        }
+        Ok(())
+    })
+    .expect("walk_window never fails on readable bytes")
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// A lane's log is the run of entries from offset 0 that carry the
+    /// generation entry 0's tag names in `[base, base + GEN_LIVE)`: found
+    /// there whole; refused below the header (by its tag up to `GEN_LIVE`
+    /// below, by its CRC further down, where its tag maps into the live
+    /// half); refused for a generation 2^11·k above that shares a tag
+    /// with one inside; and cut at the first entry of an overwrite that
+    /// reached past a lost entry 0.
+    #[test]
+    fn the_header_window_names_one_generation(
+        base in 1u64..1 << 40,
+        ahead in 0u64..GEN_LIVE,
+        below in 1u64..1 << 12,
+        k in 1u64..1 << 8,
+        a in 0usize..120,
+        c in 0usize..120,
+    ) {
+        let gen = base + ahead;
+        let (log, good) = committed_log(gen, a, c, 0x3C);
+        prop_assert_eq!(scan_window(&log, base), (gen, good.clone()));
+        if base > below {
+            let (stale, _) = committed_log(base - below, a, c, 0x3C);
+            let (g, got) = scan_window(&stale, base);
+            prop_assert!(got.is_empty(), "a log below the header decoded: {got:?}");
+            if below <= GEN_LIVE {
+                prop_assert_eq!(g, base, "refused by its tag");
+            }
+        }
+        let (far, _) = committed_log(gen + k * GEN_WINDOW, a, c, 0x3C);
+        prop_assert_eq!(scan_window(&far, base), (gen, vec![]));
+        // Log gen + 1 overwrote everything but entry 0: entry 0 still
+        // names `gen`, and the walk stops at the first overwritten entry.
+        if ahead + 1 < GEN_LIVE {
+            let (next, _) = committed_log(gen + 1, a, c, 0xC3);
+            let first = entry_space(a) as usize;
+            let mut torn = next.clone();
+            torn[..first].copy_from_slice(&log[..first]);
+            prop_assert_eq!(scan_window(&torn, base), (gen, good[..1].to_vec()));
+            prop_assert!(!good[0].commit);
+        }
+    }
+}
+
+/// Entry 0's tag in the window, CRC failing: the log ends before it, and
+/// the walk still names the generation the tag maps to.
+#[test]
+fn an_in_window_tag_that_fails_its_crc_ends_the_log() {
+    let (mut log, _) = committed_log(9, 40, 8, 0x11);
+    log[20] ^= 0x40; // entry 0's payload
+    assert_eq!(scan_window(&log, 1), (9, vec![]));
+    let (mut log, good) = committed_log(9, 40, 8, 0x11);
+    let second = entry_space(40) as usize;
+    log[second + 20] ^= 0x40; // entry 1's payload
+    let (g, got) = scan_window(&log, 1);
+    assert_eq!((g, got.as_slice()), (9, &good[..1]));
 }
 
 /// A header of `kind` claiming `len` payload bytes, tagged and sealed
