@@ -429,7 +429,7 @@ impl Harness {
         self.dev.arm_crash_after(op);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| workload.run(&pool, &mut ctx)));
         self.dev.disarm_crash();
-        pool.abandon();
+        drop(pool);
         match outcome {
             Err(payload) if payload.downcast_ref::<CrashPoint>().is_some() => {}
             Err(_) => return Err(format!("non-crash panic while replaying to op {op}")),

@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use pgl_nvm::PAGE_SIZE;
+use pgl_nvm::{CACHELINE, PAGE_SIZE};
 use pgl_pmemobj::heap::run::{ChunkMeta, ChunkType};
 use pgl_pmemobj::{zonehdr, Layout, PoolIo};
 
@@ -522,6 +522,83 @@ impl ParityEngine {
             io.write(parity_off, acc)?;
             io.persist(parity_off, acc.len())?;
             Ok(())
+        })
+    }
+
+    /// Re-levels the line-aligned columns `[col, col + diff.len())` of
+    /// `zone` after crash recovery replayed committed redo entries into
+    /// them, without folding a scribble into parity. `diff` is what the
+    /// replay changed in those columns (old ⊕ new over every row it
+    /// wrote). A data line and a parity line each persist whole, so per
+    /// line, with `s` = parity ⊕ the rows as they now are:
+    ///
+    /// * `s == 0`: parity already covers the replayed bytes (the log's
+    ///   write-back was done, or its parity patch landed without its
+    ///   data); nothing is written.
+    /// * `s == diff`: parity covers the rows as they were; it is patched.
+    /// * otherwise the write-back stored the data line but not its parity
+    ///   line, or a row was scribbled after the write-back. `scribbled`
+    ///   is asked about each other row's bytes of the line (pool offset,
+    ///   length); if one fails its checksum, parity is left as it is, so
+    ///   the scrub or the next verified read rebuilds that row from it.
+    ///   Otherwise the line is recomputed from the rows.
+    ///
+    /// Returns the number of parity lines written.
+    pub(crate) fn relevel_replayed(
+        &self,
+        io: &PoolIo,
+        zone: u64,
+        col: u64,
+        diff: &[u8],
+        scribbled: &mut dyn FnMut(u64, u64) -> Result<bool>,
+    ) -> Result<u64> {
+        const LINE: usize = CACHELINE;
+        debug_assert!(col % LINE as u64 == 0 && diff.len() % LINE == 0);
+        let geo = &self.layout.zone;
+        let chunk_size = self.layout.cfg.chunk_size as u64;
+        let rows_base = self.layout.zone_base(zone) + geo.rows_base;
+        let parity_off = self.layout.parity_off(zone, col);
+        scratch::with_fault_scratch(|s| {
+            let fold = scratch::zeroed(&mut s.rebuilt, diff.len());
+            let skip = geo.data_rows;
+            scratch::with_left_out(|lo| self.fold_rows(io, zone, skip, col, fold, lo))?;
+            // Parity that cannot be read can rebuild nothing: its lines
+            // are recomputed, as a whole-column recompute would.
+            let parity = io.dev().read_slice(parity_off, diff.len()).map(<[u8]>::to_vec).ok();
+            let mut rewrite = vec![parity.is_none(); diff.len() / LINE];
+            for (i, flag) in rewrite.iter_mut().enumerate() {
+                let Some(parity) = &parity else { break };
+                let at = i * LINE..(i + 1) * LINE;
+                let syndrome = fold[at.clone()].iter().zip(&parity[at.clone()]).map(|(f, p)| f ^ p);
+                if syndrome.clone().all(|b| b == 0) {
+                    continue;
+                }
+                *flag = syndrome.eq(diff[at].iter().copied()) || {
+                    let lc = col + (i * LINE) as u64;
+                    let mut clean = true;
+                    for row in 0..self.live_rows(zone, lc / chunk_size) {
+                        if scribbled(rows_base + row * geo.row_size + lc, LINE as u64)? {
+                            clean = false;
+                            break;
+                        }
+                    }
+                    clean
+                };
+            }
+            let _guard = self.lock_columns(zone, col, diff.len() as u64);
+            let mut written = 0;
+            let mut i = 0;
+            while i < rewrite.len() {
+                let run = rewrite[i..].iter().take_while(|&&w| w).count();
+                if run > 0 {
+                    let at = i * LINE;
+                    io.write(parity_off + at as u64, &fold[at..at + run * LINE])?;
+                    io.persist(parity_off + at as u64, run * LINE)?;
+                    written += run as u64;
+                }
+                i += run.max(1);
+            }
+            Ok(written)
         })
     }
 

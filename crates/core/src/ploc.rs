@@ -528,10 +528,13 @@ impl Inner {
     /// Makes the allocator bit of `node` durable if `node` is registered in
     /// [`Linking`] — linked, but perhaps not yet allocated — read from the
     /// word at `word_off`. Every CAS settles its `expected` value before it
-    /// can move a word past it. In the same fence the owner's descriptor
-    /// turns `COMPLETED` and the word (which holds `node`, or a value a
-    /// settled linker moved it to) is flushed: replay then reports the
-    /// owner's operation Completed whatever the word holds later.
+    /// can move a word past it. In the same fence the word (which holds
+    /// `node`, or a value a settled linker moved it to) is flushed and the
+    /// owner's descriptor, if it still names this publish (ALLOCATING
+    /// `node` into `word_off`), turns `COMPLETED`: replay then reports the
+    /// owner's operation Completed whatever the word holds later. An entry
+    /// whose publisher panicked outlives it, and its lane may since hold
+    /// another operation's descriptor, which must not be marked.
     fn settle_link(&self, node: u64, word_off: u64) -> Result<()> {
         let slot = self.linking.slot(node);
         let entry = slot.load(Ordering::Acquire);
@@ -539,9 +542,8 @@ impl Inner {
             return Ok(());
         }
         // Under the publish guard, which the owner's F4 and retirement
-        // also take: an entry found unchanged here is still in flight (its
-        // owner has not moved on to another descriptor), and one marked
-        // settled has its bit durable.
+        // also take: an entry found unchanged here is in flight or was
+        // left by a panic, and one marked settled has its bit durable.
         let _guard = self.heap.publish_guard();
         let entry = slot.load(Ordering::Acquire);
         if entry & (LINK_NODE | SETTLED) != node {
@@ -550,7 +552,14 @@ impl Inner {
         let s = run_slot(&self.io, &self.layout, node)
             .ok_or_else(|| self.unrecoverable_here(node, "a linked node is no run block"))?;
         let (primary, replica) = desc_offsets(&self.layout, (entry >> 48) as u32, self.mirror());
-        for base in std::iter::once(primary).chain(replica) {
+        // Only the descriptor of the publish that linked `node` into this
+        // word turns COMPLETED; anything else it holds is left alone.
+        let mut desc = [0u8; DESC_LEN];
+        self.io.read(primary, &mut desc).map_err(PglError::from)?;
+        let owned = word_at(&desc, 0) == STATE_ALLOCATING
+            && word_at(&desc, 3) == word_off
+            && word_at(&desc, 5) == node;
+        for base in std::iter::once(primary).chain(replica).filter(|_| owned) {
             self.io.write(base, &STATE_COMPLETED.to_le_bytes()).map_err(PglError::from)?;
             self.io.flush(base, 8).map_err(PglError::from)?;
         }

@@ -79,16 +79,6 @@ pub struct Inner {
     background_scrub: Option<Vec<std::sync::mpsc::SyncSender<()>>>,
 }
 
-impl Drop for Inner {
-    /// A clean close retires every lane's valid log (flushed, unfenced;
-    /// `pgl_pmemobj::lane` module docs), so the next open replays no log
-    /// the pool already holds, and no recompute folds a later scribble
-    /// into parity.
-    fn drop(&mut self) {
-        let _ = self.lanes.retire_all(&self.io);
-    }
-}
-
 impl Inner {
     pub(crate) fn mirror(&self) -> LogMirror {
         if self.mode.replicates_logs() {
@@ -412,10 +402,14 @@ impl Inner {
         self.parity.as_ref().map(|engine| engine.lock_spans(spans)).transpose()
     }
 
-    /// Stores `new` at `off` (non-temporal) and patches parity with
-    /// `old ⊕ new` under `guard`, unfenced: durable at the caller's next
+    /// Patches parity with `old ⊕ new` and stores `new` at `off`
+    /// (non-temporal) under `guard`, unfenced: durable at the caller's next
     /// fence, which it issues before it releases `guard`, so a reader
-    /// under the same locks never sees the store without its patch. `old`
+    /// under the same locks never sees the store without its patch. The
+    /// patch goes first: where stores persist in program order, a
+    /// write-back cut short leaves parity ahead of the data, which crash
+    /// recovery's re-levelling settles without a checksum search
+    /// ([`crate::recover`]). `old`
     /// must be what the parity row accounts for in the range — for a
     /// commit, the bytes the transaction loaded (and, where the policy
     /// verifies, verified or repaired), which the §3.4 ownership rule
@@ -429,11 +423,10 @@ impl Inner {
         new: &[u8],
         old: &[u8],
     ) -> Result<()> {
-        self.io.write_nt(off, new).map_err(PglError::from)?;
         if let (Some(engine), Some(g)) = (&self.parity, guard) {
             engine.patch(g, &self.io, off, old, new)?;
         }
-        Ok(())
+        self.io.write_nt(off, new).map_err(PglError::from)
     }
 
     /// Applies allocator meta ops with parity maintenance, serialized
@@ -888,7 +881,14 @@ impl PglPool {
         if let Some(domains) = &parity {
             domains.load_watermarks(&io, &|z| quarantine.contains(z))?;
         }
-        crate::recover::crash_recover(&io, &layout, mirror, parity.as_ref(), &quarantine)?;
+        crate::recover::crash_recover(
+            &io,
+            &layout,
+            mirror,
+            parity.as_ref(),
+            mode.has_checksums(),
+            &quarantine,
+        )?;
         let counters = PglCounterCells::default();
         crate::recover::finish_page_repair_if_pending(
             &io,
@@ -1004,13 +1004,6 @@ impl PglPool {
                 .map_err(|e| PglError::Config(format!("cannot spawn scrub worker: {e}")))?;
         }
         Ok(PglPool { inner })
-    }
-
-    /// Drops this handle as a process that died would: the pool's close
-    /// retires no log ([`Lanes::abandon`]). The crash harness drops a
-    /// crashed pool this way, so its dirty lines are the crash's own.
-    pub(crate) fn abandon(self) {
-        self.inner.lanes.abandon();
     }
 
     /// The pool UUID.

@@ -2,14 +2,20 @@
 //! errors and scribbles (paper §3.6).
 //!
 //! **Crash recovery** replays committed redo logs (object ranges, headers,
-//! allocator ops) and then *recomputes* every parity column the transaction
-//! could have torn — the replayed ranges, the allocator-op targets, and any
-//! construction areas named by allocation-intent records. Recomputation
-//! (rather than patching) makes recovery idempotent. It is one serial
-//! pass at open: neither the shard count nor the parity-lock granule
+//! allocator ops) where the media differs from them, and then re-levels
+//! parity: every line a replayed range or allocator-op target names is
+//! checked against the rows and rewritten only where the write-back left
+//! it torn (`ParityEngine::relevel_replayed`), and the
+//! construction areas named by uncommitted allocation-intent records are
+//! recomputed. A committed log stays valid after its write-back
+//! (`pgl_pmemobj::lane` module docs), so a reopen may replay a log that
+//! was applied long ago; a row scribbled since in its columns fails its
+//! checksum there, and its line keeps the parity that can rebuild it.
+//! Both steps are idempotent. It is one serial pass at open: neither the
+//! shard count nor the parity-lock granule
 //! ([`crate::parity::LOCK_GRANULE`]) changes which device operations it
-//! issues; it recomputes columns with plain stores, as every parity patch
-//! now does.
+//! issues; it writes parity with plain stores, as every parity patch now
+//! does.
 //!
 //! **Online corruption recovery** freezes the pool (no commit may be
 //! mid-parity-update) and rebuilds at the granularity of the damage: a
@@ -23,15 +29,18 @@
 //! reserved-chunk watermark ([`crate::parity`]). A lost page of the zone
 //! header reserve is rebuilt from the watermark's other copy.
 
+use std::collections::BTreeMap;
+
+use pgl_nvm::pod::from_bytes;
 use pgl_nvm::{bump, CACHELINE, PAGE_SIZE};
-use pgl_pmemobj::heap::MetaOp;
+use pgl_pmemobj::heap::{self, run::ChunkMeta, MetaOp};
 use pgl_pmemobj::lane::{LaneLog, Lanes, LogMirror};
 use pgl_pmemobj::ulog::{self, payload, EntryKind};
 use pgl_pmemobj::{Layout, ObjectHeader, PoolIo, OBJ_HEADER_SIZE};
 
 use crate::counters::{csum_pass, PglCounterCells};
 use crate::error::{PglError, Result};
-use crate::parity::{segments, LeftOut, ParityDomains, ParityEngine};
+use crate::parity::{segments, LeftOut, ParityDomains, ParityEngine, SegIter};
 use crate::pool::Inner;
 use crate::quarantine::QuarantineSet;
 use crate::scratch::{self, FaultScratch};
@@ -46,8 +55,9 @@ const REPAIR_MAGIC: u64 = 0x5245_5041_4952_3031; // "REPAIR01"
 
 /// Replays all lanes after a crash: committed transactions complete,
 /// uncommitted ones leave no trace, and parity is re-levelled for every
-/// column they might have torn. One serial pass, whatever the pool's shard
-/// count:
+/// column they might have torn, without folding a scribbled row into it
+/// (`checksums`: whether objects carry sums that can tell one). One serial
+/// pass, whatever the pool's shard count:
 ///
 /// 1. **Scan**: read every lane's newest log (a committed one may be
 ///    valid long after its write-back: replaying it rewrites what the pool
@@ -59,9 +69,11 @@ const REPAIR_MAGIC: u64 = 0x5245_5041_4952_3031; // "REPAIR01"
 ///    commit fence, then the secondary's own commit record; a crash in the
 ///    window leaves the secondary commit-less but vouched-for).
 /// 2. **Replay**: in lane order, redo committed data ranges and re-apply
-///    committed allocator meta ops; then recompute every column they, or
-///    an uncommitted allocation intent, may have torn; then return
-///    the orphan log chunks of every zone that is not quarantined.
+///    committed allocator meta ops, each only where the media differs;
+///    recompute the columns of every uncommitted allocation intent; then
+///    re-level each parity line a committed entry names
+///    (`ParityEngine::relevel_replayed`); then return the orphan log
+///    chunks of every zone that is not quarantined.
 /// 3. **Invalidate**: raise every swept lane's header past the generation
 ///    its log carries ([`Lanes::invalidate`]). Any crash before this phase
 ///    re-runs the whole (idempotent) pass.
@@ -70,6 +82,7 @@ pub fn crash_recover(
     layout: &Layout,
     mirror: LogMirror,
     parity: Option<&ParityDomains>,
+    checksums: bool,
     quarantine: &QuarantineSet,
 ) -> Result<()> {
     // Phase 1: scan lanes, in lane order. The scan reads each log copy in
@@ -110,30 +123,57 @@ pub fn crash_recover(
         !quarantine.is_empty()
             && layout.zone_and_rel(off).is_ok_and(|(z, _)| quarantine.contains(z))
     };
-    let mut dirty: Vec<(u64, u64)> = Vec::new();
+    // Committed entries are replayed where the media differs from them;
+    // what each changed is kept per parity line for the re-levelling.
+    // Uncommitted allocation intents name construction areas whose
+    // parity may be torn; their columns are recomputed.
+    let mut torn: Vec<(u64, u64)> = Vec::new();
+    let mut changed: BTreeMap<(u64, u64), [u8; CACHELINE]> = BTreeMap::new();
+    let read_at = |off: u64, len: usize| -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        io.read(off, &mut buf).map_err(PglError::from)?;
+        Ok(buf)
+    };
+    let mut replay = |off: u64, cur: &[u8], new: &[u8]| -> Result<()> {
+        if cur != new {
+            io.write(off, new).map_err(PglError::from)?;
+            io.persist(off, new.len()).map_err(PglError::from)?;
+        }
+        if parity.is_some() {
+            for seg in SegIter::new(layout, off, new.len() as u64) {
+                let seg = seg?;
+                let at = (seg.off - off) as usize;
+                for i in 0..seg.len as usize {
+                    let c = seg.col + i as u64;
+                    let line = c - c % CACHELINE as u64;
+                    let d = changed.entry((seg.zone, line)).or_insert([0; CACHELINE]);
+                    d[(c - line) as usize] ^= cur[at + i] ^ new[at + i];
+                }
+            }
+        }
+        Ok(())
+    };
     for (_, log, committed) in &lanes {
         for e in &log.entries {
             match e.kind {
                 EntryKind::Data if *committed && !skip(e.off) => {
-                    io.write(e.off, &e.payload).map_err(PglError::from)?;
-                    io.persist(e.off, e.payload.len()).map_err(PglError::from)?;
-                    dirty.push((e.off, e.payload.len() as u64));
+                    replay(e.off, &read_at(e.off, e.payload.len())?, &e.payload)?;
                 }
                 EntryKind::AllocIntent if !*committed && !skip(e.off) => {
                     // Construction write-back may have torn parity before
                     // the commit point. A committed log's construction was
-                    // fenced before its commit fence, and the log may be
-                    // replayed long after: recomputing there would fold
-                    // any later scribble into parity.
+                    // fenced before its commit fence.
                     let len = u64::from_le_bytes(e.payload[..8].try_into().expect("len checked"));
-                    dirty.push((e.off, len));
+                    torn.push((e.off, len));
                 }
                 _ if *committed => {
                     if let Some(op) = MetaOp::decode(e) {
                         let (off, len) = op.target();
                         if !skip(off) {
-                            op.apply(io).map_err(PglError::from)?;
-                            dirty.push((off, len));
+                            let cur = read_at(off, len as usize)?;
+                            let mut new = vec![0u8; len as usize];
+                            op.image(&cur, &mut new);
+                            replay(off, &cur, &new)?;
                         }
                     }
                 }
@@ -142,11 +182,12 @@ pub fn crash_recover(
         }
     }
     if let Some(domains) = parity {
-        for &(off, len) in &dirty {
+        for &(off, len) in &torn {
             for seg in segments(layout, off, len)? {
                 domains.recompute_columns(io, seg.zone, seg.col, seg.len)?;
             }
         }
+        relevel_replayed(io, layout, domains, checksums, &changed)?;
     }
     for z in (0..layout.n_zones).filter(|z| !quarantine.contains(*z)) {
         sweep_orphan_log_chunks_zone(io, layout, parity, z)?;
@@ -157,6 +198,78 @@ pub fn crash_recover(
         Lanes::invalidate(io, layout, *l, mirror, log.retire_at).map_err(PglError::from)?;
     }
     Ok(())
+}
+
+/// Re-levels every parity line a committed replay touched
+/// ([`ParityEngine::relevel_replayed`]), one call per run of adjacent lines
+/// in a zone. A committed log stays valid after its write-back, so the
+/// rows of its columns may have been scribbled since; a line whose other
+/// rows fail their checksums keeps its parity, from which the scrub or the
+/// next verified read rebuilds them.
+fn relevel_replayed(
+    io: &PoolIo,
+    layout: &Layout,
+    domains: &ParityDomains,
+    checksums: bool,
+    changed: &BTreeMap<(u64, u64), [u8; CACHELINE]>,
+) -> Result<()> {
+    let mut lines = changed.iter().peekable();
+    while let Some((&(zone, col), first)) = lines.next() {
+        let mut diff = first.to_vec();
+        while let Some((&(z, c), d)) = lines.peek() {
+            if z != zone || c != col + diff.len() as u64 {
+                break;
+            }
+            diff.extend_from_slice(*d);
+            lines.next();
+        }
+        let mut scribbled = |off, len| fails_check(io, layout, checksums, off, len);
+        domains.engine_for_zone(zone).relevel_replayed(io, zone, col, &diff, &mut scribbled)?;
+    }
+    Ok(())
+}
+
+/// Whether the row bytes `[off, off + len)`, inside one chunk, hold a
+/// chunk-metadata entry or a part of an allocated object (a segment, or
+/// the header or table entry holding its sum) that fails its checksum:
+/// evidence of a scribble. Always `false` in a mode without checksums.
+fn fails_check(io: &PoolIo, layout: &Layout, checksums: bool, off: u64, len: u64) -> Result<bool> {
+    if !checksums {
+        return Ok(false);
+    }
+    let read_at = |at: u64, n: u64| -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; n as usize];
+        io.read(at, &mut buf).map_err(PglError::from)?;
+        Ok(buf)
+    };
+    let (_, chunk, _) = layout.chunk_of(off).map_err(PglError::from)?;
+    if chunk < layout.zone.cm_chunks {
+        let entries = read_at(off, len)?;
+        let bad = |e: &[u8]| e.iter().any(|&b| b != 0) && !ChunkMeta::from_slice(e).verify();
+        return Ok(entries.chunks_exact(16).any(bad));
+    }
+    let overlaps = |at: u64, n: u64| at < off + len && off < at + n;
+    for (oid, room) in heap::objects_in(io, layout, off, len).map_err(PglError::from)? {
+        let hdr: ObjectHeader = from_bytes(&read_at(oid - HDR as u64, HDR as u64)?);
+        if HDR as u64 + segment::footprint(hdr.size) > room {
+            return Ok(true);
+        }
+        for k in 0..segment::count(hdr.size) {
+            let (s, e) = segment::bounds(hdr.size, k);
+            let sum = match k {
+                0 => (oid - HDR as u64, HDR as u64),
+                _ => (oid + segment::entry_off(hdr.size, k), segment::ENTRY),
+            };
+            if !overlaps(oid + s, e - s) && !overlaps(sum.0, sum.1) {
+                continue;
+            }
+            let table = if k == 0 { Vec::new() } else { read_at(sum.0, sum.1)? };
+            if segment::check(&hdr, k, k, &read_at(oid + s, e - s)?, &table).is_err() {
+                return Ok(true);
+            }
+        }
+    }
+    Ok(false)
 }
 
 /// Returns every `Log`-typed chunk of `zone` to `Free` after all lanes are

@@ -6,7 +6,8 @@
 //!   commit on another lane retires it (raises its lane's header) before
 //!   that commit's fence; a crash anywhere must not let recovery replay a
 //!   log whose bytes a later commit overwrote (and replay must be
-//!   idempotent across back-to-back commits reusing the lane);
+//!   idempotent across back-to-back commits reusing the lane), nor fold
+//!   into parity a row scribbled in the columns of a log it replays;
 //! * **parity-first Log→Free CM flips** — recovery's orphan-log sweep and
 //!   the commit path's log release both flip chunk metadata Log→Free with
 //!   the parity patch applied *first*; flipping CM first was PR 4's latent
@@ -200,6 +201,40 @@ fn alternating_lanes_recover_the_last_committed_value() {
         assert_eq!(pool.read_verified(oid).unwrap(), vec![v; 256], "after commit {v}");
         assert!(pool.verify_parity().unwrap(), "after commit {v}");
     }
+}
+
+/// A committed log stays valid after its write-back, so a crash-reopen
+/// replays it. A row scribbled since in the columns it names must stay
+/// repairable: recovery may not fold the scribble into parity. A Large
+/// object longer than a row covers the same columns in two rows; the test
+/// commits a write in the first, scribbles the second in those columns,
+/// crashes with every unfenced line lost and reopens. The next verified
+/// read must rebuild the scribbled bytes from parity.
+#[test]
+fn a_scribble_in_a_replayed_column_is_repaired_after_a_crash() {
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let layout = *pool.layout();
+    let row = layout.zone.row_size;
+    let size = row + 1024;
+    let obj = pool.tx(|tx| tx.alloc(size, 1)).unwrap();
+    let (a, b) = (512, 512 + row);
+    let at = |off: u64| layout.row_col_of(obj.off + off).unwrap();
+    assert_eq!((at(a).0, at(a).2), (at(b).0, at(b).2), "one zone, one column");
+    assert_ne!(at(a).1, at(b).1, "two rows");
+
+    pool.tx(|tx| tx.write(obj, a, &[0xAB; 64])).unwrap();
+    inject::scribble_raw(&pool, obj.off + b + 8, &[0xEE; 16]).unwrap();
+    drop(pool);
+    dev.simulate_crash(&mut AllOld).unwrap();
+
+    let pool = PglPool::options().open(dev.clone()).unwrap();
+    let mut want = vec![0u8; size as usize];
+    want[a as usize..][..64].fill(0xAB);
+    assert_eq!(pool.read_verified(obj).unwrap(), want, "the scribble is rebuilt");
+    assert!(pool.verify_parity().unwrap());
+    assert!(pool.find_corrupt_objects().unwrap().is_empty());
 }
 
 /// A transaction whose redo payload (300 × 512 B ≈ 150 KiB) exceeds the

@@ -490,6 +490,67 @@ fn popping_an_unallocated_node_makes_its_bit_durable() {
     a_word_moved_past_a_crashed_publish(true);
 }
 
+/// A's publish of `N` panics between its CAS and its allocator bit, which
+/// leaves its linking entry behind, naming A's lane, and releases the
+/// lane. B then runs on that same lane and pops `N`: its settle finds the
+/// entry while the lane's descriptor is B's own, still PREPARED, and must
+/// not mark it. Every boundary of B is crashed all-old; B's tag may
+/// report Completed only where B's CAS reached media.
+#[test]
+fn a_settle_on_the_released_lane_marks_no_other_operation() {
+    let cfg = PglConfig::small();
+    let dev = Arc::new(NvmDevice::new(cfg.pool.size, DeviceConfig::precise()).unwrap());
+    let pool = PglPool::create(dev.clone(), cfg).unwrap();
+    let root = pool.root(16, 91).unwrap();
+    let p = applied(pool.atomic_publish_new(root, 0, 0, 7, &node(0, 1), 1).unwrap());
+    drop(pool);
+    let base = dev.snapshot();
+    // Opens the base image and stops A at boundary `k`; `Some(N)` when A
+    // stopped inside its window (the word holds `N`, `N`'s bit is clear).
+    let stop_a = |k: u64| {
+        dev.restore(&base).unwrap();
+        let pool = PglPool::options().open(dev.clone()).unwrap();
+        dev.arm_crash_after(k);
+        let a = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.atomic_publish_new(root, 0, p.off, 7, &node(p.off, 2), 2)
+        }));
+        dev.disarm_crash();
+        assert!(a.is_err(), "A ran to completion before its window");
+        let n = pool.atomic_load(root, 0).unwrap();
+        let slot = run_slot(pool.io(), pool.layout(), n).filter(|_| n != p.off);
+        let unset = slot.is_some_and(|s| pool.io().read_u64(s.bit_word).unwrap() & s.mask == 0);
+        (pool, unset.then_some(n))
+    };
+    let k = (0..).find(|&k| stop_a(k).1.is_some()).unwrap();
+
+    let mut marked_own = 0;
+    for j in 0.. {
+        let (pool, n) = stop_a(k);
+        let n = n.unwrap();
+        dev.arm_crash_after(j);
+        let b = panic::catch_unwind(AssertUnwindSafe(|| pool.atomic_update(root, 0, n, p.off, 3)));
+        dev.disarm_crash();
+        drop(pool);
+        dev.simulate_crash(&mut AllOld).unwrap();
+
+        let pool = PglPool::options().open(dev.clone()).unwrap();
+        let word = pool.atomic_load(root, 0).unwrap();
+        let report = |tag| pool.cas_recoveries().iter().find(|r| r.tag == tag).map(|r| r.outcome);
+        if let Some(outcome) = report(3) {
+            marked_own += 1;
+            assert_eq!(report(2), None, "boundary {j}: B ran on A's lane");
+            if outcome == CasOutcome::Completed {
+                assert_eq!(word, p.off, "boundary {j}: B reported Completed before its CAS");
+            }
+        }
+        assert!(pool.verify_parity().unwrap(), "boundary {j}");
+        if b.is_ok() {
+            break;
+        }
+    }
+    assert!(marked_own > 1, "no boundary fell between B's descriptor and its CAS");
+}
+
 #[test]
 fn publish_new_refuses_what_no_run_block_holds() {
     let (pool, _dev) = make_pool();

@@ -282,6 +282,67 @@ pub fn run_slot(io: &PoolIo, layout: &Layout, oid_off: u64) -> Option<RunSlot> {
     }
 }
 
+/// The allocated objects whose storage overlaps `[off, off + len)`, a
+/// range inside one chunk, from persistent metadata: `(user-data offset,
+/// storage length)` of each set block of a `Run` chunk, or of the `Large`
+/// span a `Large` or `LargeCont` chunk belongs to (the head found by
+/// walking back). Empty for free and metadata chunks, `Log` chunks, run
+/// headers, and chunks whose metadata does not verify. Crash recovery asks
+/// this when it must tell a scribbled row from a torn parity line.
+pub fn objects_in(io: &PoolIo, layout: &Layout, off: u64, len: u64) -> Result<Vec<(u64, u64)>> {
+    let (z, c, within) = layout.chunk_of(off)?;
+    let cm = Heap::read_cm(io, layout, z, c)?;
+    if !cm.verify() {
+        return Ok(Vec::new());
+    }
+    let chunk = layout.cfg.chunk_size as u64;
+    match cm.chunk_type() {
+        Some(ChunkType::Run) => {
+            let base = layout.chunk_base(z, c);
+            let hdr = RunPrefix::read(io, base)?;
+            if hdr.validate(layout.cfg.chunk_size).is_err() || within + len <= RUN_HEADER_SIZE {
+                return Ok(Vec::new());
+            }
+            let bs = hdr.block_size as u64;
+            let first = within.saturating_sub(RUN_HEADER_SIZE) / bs;
+            let last = ((within + len - 1 - RUN_HEADER_SIZE) / bs).min(hdr.nblocks as u64 - 1);
+            let mut out = Vec::new();
+            for b in first..=last {
+                let (word, mask) = RunHeader::bit_pos(base, b as u32);
+                let bits = match hdr.word_of(b as u32) {
+                    Some(w) => w,
+                    None => io.read_u64(word)?,
+                };
+                if bits & mask != 0 {
+                    out.push((
+                        RunHeader::block_off(base, hdr.block_size, b as u32) + OBJ_HEADER_SIZE,
+                        bs,
+                    ));
+                }
+            }
+            Ok(out)
+        }
+        Some(ChunkType::Large) => {
+            Ok(vec![(layout.chunk_base(z, c) + OBJ_HEADER_SIZE, cm.size_idx.max(1) as u64 * chunk)])
+        }
+        Some(ChunkType::LargeCont) => {
+            for h in (layout.zone.cm_chunks..c).rev() {
+                let head = Heap::read_cm(io, layout, z, h)?;
+                match head.chunk_type() {
+                    Some(ChunkType::LargeCont) => continue,
+                    Some(ChunkType::Large) if head.verify() && h + head.size_idx as u64 > c => {
+                        let n = head.size_idx as u64;
+                        return Ok(vec![(layout.chunk_base(z, h) + OBJ_HEADER_SIZE, n * chunk)]);
+                    }
+                    _ => break,
+                }
+            }
+            Ok(Vec::new())
+        }
+        _ => Ok(Vec::new()),
+    }
+}
+
 /// A reserved-but-unpublished deallocation.
 #[derive(Debug)]
 pub struct FreeReservation {

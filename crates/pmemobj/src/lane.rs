@@ -12,7 +12,9 @@
 //! A committed log whose write-back is done stays valid
 //! ([`LaneHandle::retain_committed`]): the commit moves the lane to the
 //! next generation in DRAM only, and recovery may replay the log again,
-//! which rewrites the bytes and bits the pool already holds. The lane's
+//! which rewrites the bytes and bits the pool already holds (a reopen
+//! after a clean close replays it too; the parity re-levelling in
+//! `pangolin::recover` keeps a row scribbled since repairable). The lane's
 //! next log overwrites entry 0 under that next generation. The header
 //! word is rewritten only when the lane's generations would leave its
 //! live window (once per [`GEN_LIVE`] commits), by an abort or an
@@ -353,29 +355,6 @@ impl Lanes {
     /// Whether lane `l` holds a valid committed log.
     fn holds_valid(&self, l: usize) -> bool {
         self.gens[l].load(Ordering::Acquire) > self.hdrs[l].load(Ordering::Acquire)
-    }
-
-    /// Retires every valid committed log, flushed and unfenced: what a
-    /// pool's clean close does, so that the next open replays no log that
-    /// is already applied (a crash first leaves the old headers, and the
-    /// replay is harmless).
-    pub fn retire_all(&self, io: &PoolIo) -> Result<()> {
-        for l in 0..self.len() {
-            let marked = self.valid[l / 64].load(Ordering::Acquire) & 1 << (l % 64) != 0;
-            if marked && self.holds_valid(l) {
-                self.raise(io, l as u32)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Forgets which lanes hold a valid log, so [`Lanes::retire_all`]
-    /// retires none: a crash harness drops the handle of a pool whose
-    /// process died, which runs no close path.
-    pub fn abandon(&self) {
-        for word in &self.valid {
-            word.store(0, Ordering::Release);
-        }
     }
 
     /// Number of lanes in the registry (the pool's maximum number of
